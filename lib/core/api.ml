@@ -294,93 +294,205 @@ let do_create_reference_table t session ~table =
   move_local_rows t session ~table ~dt_kind:Metadata.Reference ~conns;
   sync_shells_to_installed_nodes t
 
-(* --- prepared-statement dispatch helpers --- *)
+(* --- the statement route --- *)
 
-(* Bind EXECUTE arguments into a statement shape, surfacing a missing
-   parameter as the typed [Exec.Bind_error] instead of the parser
-   layer's bare exception. *)
+(* Bind values into a statement shape, surfacing a missing parameter as
+   the typed [Exec.Bind_error] instead of the parser layer's bare
+   exception. *)
 let bind_shape ~name values stmt =
   try Ast.bind_params values stmt
   with Ast.Unbound_param i ->
     raise (Exec.Bind_failure { stmt_name = name; param = i })
 
-(* Eager plan skeleton: one pre-rewritten statement (and its deparse)
-   per shard group of the anchor table, parameters left unbound. *)
-let build_entry meta ~key ~version ~stmt (sh : Planner.shape) :
-    Plancache.entry =
-  let groups =
-    List.map
-      (fun (s : Metadata.shard) ->
-        let g = s.Metadata.index_in_colocation in
-        let gp_stmt = Planner.rewrite_to_group meta ~group_index:g stmt in
-        ( g,
-          {
-            Plancache.gp_shard = s.Metadata.shard_id;
-            gp_stmt;
-            gp_sql = Deparse.statement gp_stmt;
-          } ))
-      (Metadata.shards_of meta sh.Planner.sh_anchor)
-  in
+(* Plan-cache skeleton: the shape rewritten to every shard group it can
+   route to, parameters left unbound. *)
+let build_entry meta ~key ~version ~stmt shape : Plancache.entry =
   {
     Plancache.e_key = key;
-    e_shape = sh;
+    e_shape = shape;
     e_version = version;
-    e_groups = groups;
+    e_groups =
+      List.map
+        (fun group_index ->
+          (group_index, Planner.rewrite_to_group meta ~group_index stmt))
+        (Planner.shape_groups meta shape);
     e_tick = 0;
   }
 
-(* Bind-time dispatch of a cached skeleton: hash the routing value to a
-   shard group, bind the parameters into that group's pre-rewritten
-   statement and select a fresh placement — the only two steps planning
-   left for EXECUTE time (placements are never cached, so repair and
-   failover are picked up without a rebuild). Raises within
-   [Exec.wrap]'s vocabulary. *)
-let dispatch_entry (st : State.t) session ~name ~values ~shape_stmt
+(* Bind-time dispatch of a cached skeleton through the planner's own
+   single-task router: the routing value picks the shard group, whose
+   memoized statement is bound, and the placement is chosen fresh —
+   never cached, so repair and failover need no rebuild. *)
+let cached_plan (st : State.t) meta ~name ~values ~shape
     (entry : Plancache.entry) =
-  let meta = st.State.metadata in
-  let sh = entry.Plancache.e_shape in
-  let value =
-    match sh.Planner.sh_key with
-    | Planner.Key_const v -> v
-    | Planner.Key_param k ->
-      (match List.nth_opt values (k - 1) with
-       | Some v -> v
-       | None -> raise (Exec.Bind_failure { stmt_name = name; param = k }))
+  let bind k =
+    match List.nth_opt values (k - 1), shape with
+    | None, _ -> raise (Exec.Bind_failure { stmt_name = name; param = k })
+    | Some v, Ast.Insert _ when Datum.is_null v ->
+      err "the distribution column value must be a non-null constant"
+    | Some v, _ -> v
   in
-  (match shape_stmt with
-   | Ast.Insert _ when Datum.is_null value ->
-     err "the distribution column value must be a non-null constant"
-   | _ -> ());
-  let shard = Metadata.shard_for_value meta ~table:sh.Planner.sh_anchor value in
-  let g = shard.Metadata.index_in_colocation in
-  match List.assoc_opt g entry.Plancache.e_groups with
-  | None ->
-    (* group space changed without a version bump: never execute a
-       skeleton the catalog has outgrown *)
-    raise
-      (Metadata.Catalog_error
-         (Printf.sprintf "plan cache skeleton of %s has no shard group %d"
-            name g))
-  | Some gp ->
-    let bound = bind_shape ~name values gp.Plancache.gp_stmt in
-    let node =
-      Metadata.select_placement ~node_ok:(State.node_available st) meta
-        gp.Plancache.gp_shard
-    in
-    let task =
-      {
-        Plan.task_node = node;
-        task_stmt = bound;
-        task_group = g;
-        task_shard = gp.Plancache.gp_shard;
-      }
-    in
-    let plan =
-      match sh.Planner.sh_tier with
-      | Planner.Tier_fast_path -> Plan.Fast_path task
-      | _ -> Plan.Router task
-    in
-    fst (Dist_executor.execute st session plan)
+  let stmt_for g =
+    match List.assoc_opt g entry.Plancache.e_groups with
+    | Some stmt -> bind_shape ~name values stmt
+    | None ->
+      (* group space changed without a version bump: never execute a
+         skeleton the catalog has outgrown *)
+      raise
+        (Metadata.Catalog_error
+           (Printf.sprintf "plan cache skeleton of %s has no shard group %d"
+              name g))
+  in
+  Planner.single_task ~node_ok:(State.node_available st) meta
+    ~local_name:st.State.local.Cluster.Topology.node_name ~bind ~stmt_for
+    entry.Plancache.e_shape
+
+(* INSERT..SELECT into a Citus table has its own planner (§3.8). *)
+let insert_select t st session = function
+  | Ast.Insert { table; columns; source = Ast.Query select; on_conflict_do_nothing }
+    when Metadata.is_citus_table t.metadata table ->
+    Some
+      (fst
+         (Insert_select.execute st session ~table ~columns ~select
+            ~on_conflict_do_nothing))
+  | _ -> None
+
+(* A statement the tiered planner refused: INSERT..SELECT, else the
+   logical join-order planner for non-co-located joins. The refused
+   attempt's "plan" span closed tierless, so the fallback opens its own
+   and counts its tier only once it succeeds. *)
+let execute_unplanned t (st : State.t) session stmt ~first_error =
+  match insert_select t st session stmt, stmt with
+  | Some result, _ -> result
+  | None, Ast.Select_stmt sel ->
+    (try
+       Obs.Trace.with_span (Cluster.Topology.trace t.cluster)
+         ~now:(Cluster.Topology.now t.cluster)
+         ~node:st.State.local.Cluster.Topology.node_name ~kind:"plan"
+         ~tags:[ ("tier", "join_order") ]
+         (fun _sp ->
+           let result, _decision, _report = Join_order.execute st session sel in
+           Obs.Metrics.inc
+             (Cluster.Topology.metrics t.cluster)
+             Obs.Metric_names.planner_tier_join_order;
+           result)
+     with Join_order.Unsupported _ -> err "%s" first_error)
+  | None, _ -> err "%s" first_error
+
+(* The one route for statements that name a Citus table: shape →
+   cached skeleton → bind → dispatch. [shape] is ad-hoc SQL with its
+   literals lifted ({!Ast.lift_consts}) or the stored shape of the
+   [prepared] statement an EXECUTE names, and [values] bind it. The key
+   is the shape's deparse, so ad-hoc SQL and EXECUTE of one shape share
+   an entry. A hit binds into the memoized per-group statement, a miss
+   builds the skeleton {!Planner.analyze_shape} finds, and an
+   uncacheable shape (or a disabled cache) binds and plans per call.
+   Lint rule L15 roots its no-reparse reachability check here: the
+   statement's one parse is behind it. *)
+let route t (st : State.t) session ?prepared shape values =
+  let name = Option.value prepared ~default:"<unnamed>" in
+  let metrics = Cluster.Topology.metrics t.cluster in
+  let now = Cluster.Topology.now t.cluster in
+  let inst = st.State.local.Cluster.Topology.instance in
+  let local_name = st.State.local.Cluster.Topology.node_name in
+  (* the engine charges ad-hoc SQL one routed statement (its parse is
+     real) whatever happens here; an EXECUTE meters itself: a hit costs
+     a bound execute (bind + hash), a build or a bypass a routed
+     statement (planning, the parse already paid at PREPARE) *)
+  let charge add = if prepared <> None then add (Engine.Instance.meter inst) in
+  (* planner.tier.* counts planner runs — builds and bypasses, not hits *)
+  let count_tier tier =
+    Obs.Metrics.inc metrics
+      (Obs.Metric_names.planner_tier (Planner.tier_slug tier))
+  in
+  let key = Deparse.statement shape in
+  let stat = Plancache.stat t.plancache ~key in
+  stat.Plancache.st_calls <- stat.Plancache.st_calls + 1;
+  let t0 = now () in
+  let max_size = st.State.config.State.plan_cache_size in
+  let version = Metadata.version t.metadata in
+  let catalog = Engine.Instance.catalog inst in
+  let cached sp outcome (entry : Plancache.entry) =
+    Obs.Trace.add_tag sp "cache" outcome;
+    Obs.Trace.add_tag sp "tier"
+      (Planner.tier_slug (Planner.shape_tier entry.Plancache.e_shape));
+    Ok (cached_plan st t.metadata ~name ~values ~shape entry)
+  in
+  let bypass sp =
+    Obs.Metrics.inc metrics Obs.Metric_names.plancache_bypass;
+    stat.Plancache.st_bypass <- stat.Plancache.st_bypass + 1;
+    charge Engine.Meter.add_routed_statement;
+    Obs.Trace.add_tag sp "cache" "bypass";
+    let bound = bind_shape ~name values shape in
+    (* steer reads away from nodes whose circuit breaker is open —
+       planning uses health, not raw reachability, which a real system
+       cannot observe *)
+    match
+      Planner.plan ~node_ok:(State.node_available st) t.metadata ~catalog
+        ~local_name bound
+    with
+    | plan, tier ->
+      count_tier tier;
+      Obs.Trace.add_tag sp "tier" (Planner.tier_slug tier);
+      Ok plan
+    | exception Planner.Unsupported first_error -> Error (bound, first_error)
+  in
+  (* one "plan" span per statement, tagged with the cache outcome *)
+  let decide sp =
+    match
+      if max_size <= 0 then Plancache.Miss
+      else Plancache.find t.plancache ~key ~version
+    with
+    | Plancache.Hit entry ->
+      Obs.Metrics.inc metrics Obs.Metric_names.plancache_hits;
+      stat.Plancache.st_hits <- stat.Plancache.st_hits + 1;
+      charge Engine.Meter.add_bound_execute;
+      cached sp "hit" entry
+    | (Plancache.Stale | Plancache.Miss) as missed ->
+      (match missed with
+       | Plancache.Stale ->
+         Obs.Metrics.inc metrics Obs.Metric_names.plancache_invalidations
+       | _ -> ());
+      (match
+         if max_size <= 0 then None
+         else Planner.analyze_shape t.metadata ~catalog shape
+       with
+       | None -> bypass sp
+       | Some sh ->
+         let tier = Planner.shape_tier sh in
+         Obs.Metrics.inc metrics Obs.Metric_names.plancache_misses;
+         count_tier tier;
+         stat.Plancache.st_builds <- stat.Plancache.st_builds + 1;
+         stat.Plancache.st_tier <- Planner.tier_slug tier;
+         charge Engine.Meter.add_routed_statement;
+         let entry = build_entry t.metadata ~key ~version ~stmt:shape sh in
+         let evicted = Plancache.store t.plancache ~max_size entry in
+         if evicted > 0 then
+           Obs.Metrics.inc ~by:evicted metrics
+             Obs.Metric_names.plancache_evictions;
+         Obs.Metrics.gauge_set metrics Obs.Metric_names.plancache_entries
+           (float_of_int (Plancache.size t.plancache));
+         cached sp "build" entry)
+  in
+  let result =
+    match
+      Obs.Trace.with_span (Cluster.Topology.trace t.cluster) ~now
+        ~node:local_name ~kind:"plan" decide
+    with
+    | Ok plan -> fst (Dist_executor.execute st session plan)
+    | Error (bound, first_error) ->
+      execute_unplanned t st session bound ~first_error
+  in
+  (* histograms keep every observation, so only EXECUTEs are timed:
+     ad-hoc statements are counted in [stat] but add no samples *)
+  if prepared <> None then begin
+    let dt = now () -. t0 in
+    Obs.Metrics.observe metrics Obs.Metric_names.plancache_exec_seconds dt;
+    Obs.Metrics.observe metrics
+      (Obs.Metric_names.plancache_shape_seconds stat.Plancache.st_fingerprint)
+      dt
+  end;
+  result
 
 (* --- planner hook --- *)
 
@@ -418,173 +530,46 @@ let delegate_call (t : t) (st : State.t) session proc args =
          Some (Exec.ast_on_conn_exn st conn stmt)
        end)
 
+(* CALL delegation, statements naming no Citus table and INSERT..SELECT
+   are settled first — so worker-side shard statements pay nothing for
+   the cache — then everything else takes the one route: an EXECUTE
+   with its stored shape, ad-hoc SQL with its literals lifted. *)
 let rec planner_hook (t : t) (st : State.t) session (stmt : Ast.statement) :
     Engine.Instance.result option =
+  (* infrastructure failures arrive as typed [Exec.exec_error]s and fail
+     the statement cleanly, so the session aborts/retries like on any
+     other error *)
+  let routed f =
+    match Exec.wrap f with
+    | Ok result -> Some result
+    | Error e -> err "%s" (Exec.error_message e)
+    | exception Planner.Unsupported m -> err "%s" m
+  in
   match stmt with
   | Ast.Execute_stmt { ename; eargs } ->
-    execute_prepared t st session ~name:ename ~args:eargs
+    let shape, values =
+      Engine.Instance.resolve_execute session ~name:ename ~args:eargs
+    in
+    (match shape with
+     | Ast.Call _ ->
+       (* distributed procedures reference no table: delegation inspects
+          the bound CALL; a plain local procedure falls through to the
+          engine *)
+       (match Exec.wrap (fun () -> bind_shape ~name:ename values shape) with
+        | Ok bound -> planner_hook t st session bound
+        | Error e -> err "%s" (Exec.error_message e))
+     | _ when Planner.citus_tables t.metadata shape = [] ->
+       None (* local statement: the engine binds and executes *)
+     | _ -> routed (fun () -> route t st session ~prepared:ename shape values))
   | Ast.Call { proc; args } -> delegate_call t st session proc args
+  | _ when Planner.citus_tables t.metadata stmt = [] -> None
   | _ ->
-    let citus = Planner.citus_tables t.metadata stmt in
-    if citus = [] then None
-    else begin
-      let catalog =
-        Engine.Instance.catalog st.State.local.Cluster.Topology.instance
-      in
-      let run () =
-        match stmt with
-        | Ast.Insert { table; columns; source = Ast.Query select;
-                       on_conflict_do_nothing }
-          when Metadata.is_citus_table t.metadata table ->
-          let result, _strategy =
-            Insert_select.execute st session ~table ~columns ~select
-              ~on_conflict_do_nothing
-          in
-          result
-        | _ ->
-          (match
-             (* steer reads away from nodes whose circuit breaker is
-                open — planning uses health, not raw reachability, which
-                a real system cannot observe *)
-             Planner.plan ~obs:(Cluster.Topology.obs t.cluster)
-               ~now:(Cluster.Topology.now t.cluster)
-               ~node_ok:(State.node_available st) t.metadata ~catalog
-               ~local_name:st.State.local.Cluster.Topology.node_name stmt
-           with
-           | plan, _tier -> fst (Dist_executor.execute st session plan)
-           | exception Planner.Unsupported first_error ->
-             (* last tier: the logical join-order planner for
-                non-co-located joins. The tiered planner's "plan" span
-                closed tierless when it raised, so the fallback opens its
-                own, and only counts the tier once it succeeds. *)
-             (match stmt with
-              | Ast.Select_stmt sel ->
-                (try
-                   Obs.Trace.with_span (Cluster.Topology.trace t.cluster)
-                     ~now:(Cluster.Topology.now t.cluster)
-                     ~node:st.State.local.Cluster.Topology.node_name
-                     ~kind:"plan"
-                     ~tags:[ ("tier", "join_order") ]
-                     (fun _sp ->
-                       let result, _decision, _report =
-                         Join_order.execute st session sel
-                       in
-                       Obs.Metrics.inc
-                         (Cluster.Topology.metrics t.cluster)
-                         Obs.Metric_names.planner_tier_join_order;
-                       result)
-                 with Join_order.Unsupported _ -> err "%s" first_error)
-              | _ -> err "%s" first_error))
-      in
-      (* infrastructure failures arrive as typed [Exec.exec_error]s and
-         fail the statement cleanly, so the session aborts/retries like
-         on any other error *)
-      match Exec.wrap run with
-      | Ok result -> Some result
-      | Error e -> err "%s" (Exec.error_message e)
-      | exception Planner.Unsupported m -> err "%s" m
-    end
-
-(* EXECUTE of a prepared statement — the cached-dispatch entry point
-   (lint rule L15 roots its no-reparse reachability check here: nothing
-   on this path may call Parser.parse*; the shape was parsed once at
-   PREPARE). Returns [None] for shapes the engine should run locally. *)
-and execute_prepared (t : t) (st : State.t) session ~name ~args :
-    Engine.Instance.result option =
-  let shape, values = Engine.Instance.resolve_execute session ~name ~args in
-  if Planner.citus_tables t.metadata shape = [] then
-    match shape with
-    | Ast.Call _ ->
-      (* distributed procedures reference no table, so the [] check
-         cannot rule them out: delegation inspects the bound CALL; a
-         plain local procedure falls through to the engine *)
-      (match Exec.wrap (fun () -> bind_shape ~name values shape) with
-       | Ok bound -> planner_hook t st session bound
-       | Error e -> err "%s" (Exec.error_message e))
-    | _ -> None (* local statement: the engine binds and executes *)
-  else Some (cached_execute t st session ~name ~values shape)
-
-(* The distributed-plan-cache hot path. Cache key: the deparse of the
-   stored shape (params unbound). A valid entry skips planning entirely;
-   a stale one (metadata version moved) revalidates; an uncacheable
-   shape binds and takes the full planner per call. *)
-and cached_execute (t : t) (st : State.t) session ~name ~values shape :
-    Engine.Instance.result =
-  let metrics = Cluster.Topology.metrics t.cluster in
-  let now = Cluster.Topology.now t.cluster in
-  (* resource accounting is ours, not [Instance.exec]'s: a hit costs a
-     bound execute (bind + hash), a build or a bypass costs a routed
-     statement (planning, the parse already paid at PREPARE) *)
-  let meter = Engine.Instance.meter st.State.local.Cluster.Topology.instance in
-  let key = Deparse.statement shape in
-  let stat = Plancache.stat t.plancache ~key in
-  let t0 = now () in
-  stat.Plancache.st_calls <- stat.Plancache.st_calls + 1;
-  let finish result =
-    let dt = now () -. t0 in
-    Obs.Metrics.observe metrics Obs.Metric_names.plancache_exec_seconds dt;
-    Obs.Metrics.observe metrics
-      (Obs.Metric_names.plancache_shape_seconds stat.Plancache.st_fingerprint)
-      dt;
-    result
-  in
-  let bypass () =
-    (* uncacheable shape (or cache disabled): bind, then the full
-       planner — identical semantics to executing the bound statement *)
-    Obs.Metrics.inc metrics Obs.Metric_names.plancache_bypass;
-    stat.Plancache.st_bypass <- stat.Plancache.st_bypass + 1;
-    Engine.Meter.add_routed_statement meter;
-    match Exec.wrap (fun () -> bind_shape ~name values shape) with
-    | Error e -> err "%s" (Exec.error_message e)
-    | Ok bound ->
-      (match planner_hook t st session bound with
-       | Some r -> r
-       | None -> err "cannot execute prepared statement %s" name)
-  in
-  let dispatch entry =
-    match
-      Exec.wrap (fun () ->
-          dispatch_entry st session ~name ~values ~shape_stmt:shape entry)
-    with
-    | Ok r -> r
-    | Error e -> err "%s" (Exec.error_message e)
-  in
-  let max_size = st.State.config.State.plan_cache_size in
-  if max_size <= 0 then finish (bypass ())
-  else begin
-    let version = Metadata.version t.metadata in
-    match Plancache.find t.plancache ~key ~version with
-    | Plancache.Hit entry ->
-      Obs.Metrics.inc metrics Obs.Metric_names.plancache_hits;
-      stat.Plancache.st_hits <- stat.Plancache.st_hits + 1;
-      Engine.Meter.add_bound_execute meter;
-      finish (dispatch entry)
-    | (Plancache.Stale | Plancache.Miss) as missed ->
-      (match missed with
-       | Plancache.Stale ->
-         Obs.Metrics.inc metrics Obs.Metric_names.plancache_invalidations
-       | _ -> ());
-      let catalog =
-        Engine.Instance.catalog st.State.local.Cluster.Topology.instance
-      in
-      (match Planner.analyze_shape t.metadata ~catalog shape with
-       | None -> finish (bypass ())
-       | Some sh ->
-         Obs.Metrics.inc metrics Obs.Metric_names.plancache_misses;
-         Obs.Metrics.inc metrics
-           (Obs.Metric_names.planner_tier (Planner.tier_slug sh.Planner.sh_tier));
-         stat.Plancache.st_builds <- stat.Plancache.st_builds + 1;
-         stat.Plancache.st_tier <- Planner.tier_slug sh.Planner.sh_tier;
-         Engine.Meter.add_routed_statement meter;
-         let entry = build_entry t.metadata ~key ~version ~stmt:shape sh in
-         let evicted = Plancache.store t.plancache ~max_size entry in
-         if evicted > 0 then
-           Obs.Metrics.inc ~by:evicted metrics
-             Obs.Metric_names.plancache_evictions;
-         Obs.Metrics.gauge_set metrics Obs.Metric_names.plancache_entries
-           (float_of_int (Plancache.size t.plancache));
-         finish (dispatch entry))
-  end
+    routed (fun () ->
+        match insert_select t st session stmt with
+        | Some result -> result
+        | None ->
+          let shape, values = Ast.lift_consts stmt in
+          route t st session shape values)
 
 (* --- extension installation --- *)
 

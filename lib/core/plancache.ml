@@ -3,19 +3,11 @@
    shape analysis lives in [Planner], skeleton construction and cached
    dispatch in [Api], which also emits the plancache.* metrics. *)
 
-open Sqlfront
-
-type group_plan = {
-  gp_shard : int;  (** anchor shard id of this group *)
-  gp_stmt : Ast.statement;  (** shape rewritten to this group's shard names *)
-  gp_sql : string;  (** cached deparse of [gp_stmt] (params unbound) *)
-}
-
 type entry = {
   e_key : string;
   e_shape : Planner.shape;
   e_version : int;
-  e_groups : (int * group_plan) list;
+  e_groups : (int * Sqlfront.Ast.statement) list;
   mutable e_tick : int;
 }
 

@@ -1,17 +1,16 @@
-(** The distributed plan cache (PR 9's tentpole): stop re-planning the
-    OLTP hot path.
+(** The distributed plan cache: stop re-planning the OLTP hot path.
 
-    Citus' production OLTP workloads are dominated by prepared
-    statements whose shape never changes — only the bound distribution
-    value does. Re-running the tiered planner (table discovery,
-    co-location checks, shard pruning, per-shard rewrite + deparse) on
-    every EXECUTE is pure overhead. This cache memoizes, per {e query
-    shape} (the normalized AST with parameters unbound, keyed by its
-    deparse), the planner-tier decision and a pruned-shard skeleton: one
-    pre-rewritten statement (and its deparse string) per shard group.
-    Only the two bind-time steps remain on the hot path: hash the bound
-    routing value to a group index, and pick a fresh placement for that
-    group's anchor shard.
+    Citus' production OLTP workloads are dominated by statements whose
+    shape never changes — only the distribution value does. Re-running
+    the tiered planner (table discovery, co-location checks, shard
+    pruning, per-shard rewrite) on every statement is pure overhead.
+    This cache memoizes, per {e query shape} (the normalized AST with
+    parameters unbound, keyed by its deparse — an EXECUTE's stored
+    shape, or ad-hoc SQL with its literals lifted to [$k]), the
+    planner-tier decision and a pruned-shard skeleton: one pre-rewritten
+    statement per shard group. Only the bind-time steps remain on the
+    hot path: hash the routing value to a group index, bind that
+    group's statement, and pick a fresh placement for it.
 
     {b Invalidation is correctness-critical.} Every entry records
     {!Metadata.version} at build time; {!find} discards an entry whose
@@ -19,8 +18,8 @@
     rebalancing, replication-factor changes and tenant isolation — all
     of which bump the version — force a re-plan. Placements are {e
     never} cached: the executing node is selected at bind time, so a
-    placement flip (repair, failover) between EXECUTEs is picked up even
-    without a rebuild. A stale cached deparse must revalidate, never
+    placement flip (repair, failover) between statements is picked up
+    even without a rebuild. A stale skeleton must revalidate, never
     execute.
 
     The cache is bounded LRU ([citus.plan_cache_size], default 128;
@@ -32,18 +31,13 @@
     cached dispatch and the [plancache.*] metric emission live in
     [Api]. *)
 
-type group_plan = {
-  gp_shard : int;  (** anchor shard id of this group *)
-  gp_stmt : Sqlfront.Ast.statement;
-      (** shape rewritten to this group's shard names, params unbound *)
-  gp_sql : string;  (** cached per-shard deparse of [gp_stmt] *)
-}
-
 type entry = {
   e_key : string;  (** normalized shape text (deparse, params unbound) *)
   e_shape : Planner.shape;
   e_version : int;  (** {!Metadata.version} when the skeleton was built *)
-  e_groups : (int * group_plan) list;  (** group index -> skeleton *)
+  e_groups : (int * Sqlfront.Ast.statement) list;
+      (** group index -> the shape rewritten to that group's shard
+          names, params unbound *)
   mutable e_tick : int;  (** LRU recency stamp *)
 }
 
@@ -56,7 +50,7 @@ type stat = {
   mutable st_calls : int;
   mutable st_hits : int;
   mutable st_builds : int;  (** cache fills: initial plans + revalidations *)
-  mutable st_bypass : int;  (** EXECUTEs re-planned per call (uncacheable) *)
+  mutable st_bypass : int;  (** calls re-planned (uncacheable or cache off) *)
 }
 
 type t

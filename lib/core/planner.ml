@@ -100,9 +100,6 @@ let alias_map meta stmt =
   tables_in_statement stmt
   |> List.filter (fun (t, _) -> Metadata.is_citus_table meta t)
 
-(* Constant equality filters on distribution columns: returns
-   (table, value) pairs. A conjunct [w_id = 5] with no qualifier matches
-   every distributed table whose distribution column is named w_id. *)
 let rec conjuncts_of_select (sel : Ast.select) =
   let level = match sel.where with Some w -> Ast.conjuncts w | None -> [] in
   let rec from_item_conjs = function
@@ -146,33 +143,43 @@ let eval_const e =
      with _ -> None)
   | _ -> None
 
-let dist_filters meta stmt : (string * Datum.t) list =
-  let aliases = alias_map meta stmt in
-  let conjs = conjuncts_of_statement stmt in
-  let match_column q c =
-    List.filter_map
-      (fun (table, alias) ->
-        match Metadata.find meta table with
-        | Some { Metadata.dist_column = Some dc; _ } when String.equal dc c ->
-          (match q with
-           | None -> Some table
-           | Some q when String.equal q alias || String.equal q table ->
-             Some table
-           | Some _ -> None)
-        | _ -> None)
-      aliases
+(* Citus tables (from [aliases]) whose distribution column the column
+   reference [q.c] names. An unqualified [w_id] matches every table
+   distributed by a column named w_id. *)
+let match_column meta aliases q c =
+  List.filter_map
+    (fun (table, alias) ->
+      match Metadata.find meta table with
+      | Some { Metadata.dist_column = Some dc; _ } when String.equal dc c ->
+        (match q with
+         | None -> Some table
+         | Some q when String.equal q alias || String.equal q table ->
+           Some table
+         | Some _ -> None)
+      | _ -> None)
+    aliases
+
+type dist_key = Key_param of int | Key_const of Datum.t
+
+(* The one distribution-filter extractor, behind both single-task
+   routing and shard pruning: (table, key) for every conjunct
+   [dist_col = $k] or [dist_col = non-null constant]. *)
+let dist_key_filters meta aliases conjs : (string * dist_key) list =
+  let key_of e =
+    match e with
+    | Ast.Param k -> Some (Key_param k)
+    | _ ->
+      (match eval_const e with
+       | Some v when not (Datum.is_null v) -> Some (Key_const v)
+       | _ -> None)
   in
   List.concat_map
-    (fun conj ->
-      match conj with
-      | Ast.Cmp (Ast.Eq, Ast.Column (q, c), rhs) -> (
-        match eval_const rhs with
-        | Some v -> List.map (fun t -> (t, v)) (match_column q c)
-        | None -> [])
-      | Ast.Cmp (Ast.Eq, lhs, Ast.Column (q, c)) -> (
-        match eval_const lhs with
-        | Some v -> List.map (fun t -> (t, v)) (match_column q c)
-        | None -> [])
+    (function
+      | Ast.Cmp (Ast.Eq, Ast.Column (q, c), e)
+      | Ast.Cmp (Ast.Eq, e, Ast.Column (q, c)) ->
+        (match key_of e with
+         | Some k -> List.map (fun t -> (t, k)) (match_column meta aliases q c)
+         | None -> [])
       | _ -> [])
     conjs
 
@@ -183,19 +190,6 @@ let dist_filters meta stmt : (string * Datum.t) list =
 let pruned_groups meta stmt : int list option =
   let aliases = alias_map meta stmt in
   let conjs = conjuncts_of_statement stmt in
-  let match_column q c =
-    List.filter_map
-      (fun (table, alias) ->
-        match Metadata.find meta table with
-        | Some { Metadata.dist_column = Some dc; _ } when String.equal dc c ->
-          (match q with
-           | None -> Some table
-           | Some q when String.equal q alias || String.equal q table ->
-             Some table
-           | Some _ -> None)
-        | _ -> None)
-      aliases
-  in
   let groups_of table v =
     (Metadata.shard_for_value meta ~table v).Metadata.index_in_colocation
   in
@@ -208,18 +202,12 @@ let pruned_groups meta stmt : int list option =
       (List.filter (fun g -> List.mem g gs) existing)
   in
   List.iter
-    (fun conj ->
-      match conj with
-      | Ast.Cmp (Ast.Eq, Ast.Column (q, c), rhs) when eval_const rhs <> None ->
-        (match eval_const rhs with
-         | Some v when not (Datum.is_null v) ->
-           List.iter (fun t -> add t [ groups_of t v ]) (match_column q c)
-         | _ -> ())
-      | Ast.Cmp (Ast.Eq, lhs, Ast.Column (q, c)) when eval_const lhs <> None ->
-        (match eval_const lhs with
-         | Some v when not (Datum.is_null v) ->
-           List.iter (fun t -> add t [ groups_of t v ]) (match_column q c)
-         | _ -> ())
+    (function
+      | t, Key_const v -> add t [ groups_of t v ]
+      | _, Key_param _ -> ())
+    (dist_key_filters meta aliases conjs);
+  List.iter
+    (function
       | Ast.In_list (Ast.Column (q, c), items, false) ->
         let values = List.filter_map eval_const items in
         if List.length values = List.length items
@@ -229,7 +217,7 @@ let pruned_groups meta stmt : int list option =
             (fun t ->
               add t
                 (List.sort_uniq Int.compare (List.map (groups_of t) values)))
-            (match_column q c)
+            (match_column meta aliases q c)
       | _ -> ())
     conjs;
   let dists =
@@ -282,11 +270,9 @@ let rewrite_reference_only meta stmt =
   in
   Ast.rename_tables_statement rename stmt
 
-(* --- fast path --- *)
-
-(* Simple CRUD on one distributed table: single-table SELECT / UPDATE /
-   DELETE, no subqueries — the statement shapes the fast path (and the
-   plan cache's fast tier) accepts. Returns the target table. *)
+(* Simple CRUD on one table: single-table SELECT without subqueries,
+   UPDATE or DELETE — what [analyze_shape] labels the fast path when the
+   table is its anchor. Returns the target table. *)
 let fast_path_target (stmt : Ast.statement) : string option =
   let simple_select sel =
     match sel.Ast.from with
@@ -311,149 +297,27 @@ let fast_path_target (stmt : Ast.statement) : string option =
   | Ast.Update { table; _ } | Ast.Delete { table; _ } -> Some table
   | _ -> None
 
-(* Fast path proper: the distribution-column value must be a constant. *)
-let try_fast_path ?node_ok meta stmt : Plan.task option =
-  match fast_path_target stmt with
-  | None -> None
-  | Some table ->
-    (match Metadata.find meta table with
-     | Some { Metadata.kind = Metadata.Distributed; _ } ->
-       (match List.assoc_opt table (dist_filters meta stmt) with
-        | Some value ->
-          let shard = Metadata.shard_for_value meta ~table value in
-          let node = Metadata.select_placement ?node_ok meta shard.Metadata.shard_id in
-          let stmt' =
-            rewrite_to_group meta ~group_index:shard.Metadata.index_in_colocation
-              stmt
-          in
-          Some
-            {
-              Plan.task_node = node;
-              task_stmt = stmt';
-              task_group = shard.Metadata.index_in_colocation;
-              task_shard = shard.Metadata.shard_id;
-            }
-        | None -> None)
-     | _ -> None)
+(* --- single-task routing: the one classifier --- *)
 
-(* --- router --- *)
+type shape =
+  | Local_read
+  | Single_group of { anchor : string; tier : tier; key : dist_key }
 
-let try_router ?node_ok meta ~local_name stmt : Plan.task option =
-  let names = citus_tables meta stmt in
-  let dists = dist_tables_of meta names in
-  if not (Metadata.colocated meta names) then None
-  else
-    match dists with
-    | [] ->
-      (* reference/local only: route locally (replica on every node) *)
-      (match stmt with
-       | Ast.Select_stmt _ ->
-         Some
-           {
-             Plan.task_node = local_name;
-             task_stmt = rewrite_reference_only meta stmt;
-             task_group = -1;
-             task_shard = -1;
-           }
-       | _ -> None)
-    | _ ->
-      let filters = dist_filters meta stmt in
-      let group_of table value =
-        let shard = Metadata.shard_for_value meta ~table value in
-        shard.Metadata.index_in_colocation
-      in
-      let groups =
-        List.filter_map
-          (fun t ->
-            match List.assoc_opt t filters with
-            | Some v -> Some (group_of t v)
-            | None -> None)
-          dists
-      in
-      if List.length groups <> List.length dists then None
-      else
-        (match List.sort_uniq Int.compare groups, dists with
-         | [ g ], anchor :: _ ->
-           let shard =
-             List.find
-               (fun (s : Metadata.shard) -> s.index_in_colocation = g)
-               (Metadata.shards_of meta anchor)
-           in
-           let node = Metadata.select_placement ?node_ok meta shard.Metadata.shard_id in
-           Some
-             {
-               Plan.task_node = node;
-               task_stmt = rewrite_to_group meta ~group_index:g stmt;
-               task_group = g;
-               task_shard = shard.Metadata.shard_id;
-             }
-         | _, _ -> None)
+let shape_tier = function
+  | Local_read -> Tier_router
+  | Single_group { tier; _ } -> tier
 
-(* --- shape analysis for the distributed plan cache --- *)
-
-type dist_key = Key_param of int | Key_const of Datum.t
-
-type shape = {
-  sh_anchor : string;  (** distributed table whose shards drive pruning *)
-  sh_tier : tier;  (** [Tier_fast_path] or [Tier_router] *)
-  sh_key : dist_key;  (** where the routing value comes from at bind time *)
-}
-
-let key_equal a b =
-  match a, b with
-  | Key_param i, Key_param j -> i = j
-  | Key_const u, Key_const v -> u = v
-  | Key_param _, Key_const _ | Key_const _, Key_param _ -> false
-
-(* Like [dist_filters], but the comparand may be an unbound parameter:
-   (table, key) pairs for conjuncts [dist_col = $k] / [dist_col = const]. *)
-let dist_key_filters meta stmt : (string * dist_key) list =
-  let aliases = alias_map meta stmt in
-  let conjs = conjuncts_of_statement stmt in
-  let match_column q c =
-    List.filter_map
-      (fun (table, alias) ->
-        match Metadata.find meta table with
-        | Some { Metadata.dist_column = Some dc; _ } when String.equal dc c ->
-          (match q with
-           | None -> Some table
-           | Some q when String.equal q alias || String.equal q table ->
-             Some table
-           | Some _ -> None)
-        | _ -> None)
-      aliases
-  in
-  let key_of e =
-    match e with
-    | Ast.Param k -> Some (Key_param k)
-    | _ ->
-      (match eval_const e with
-       | Some v when not (Datum.is_null v) -> Some (Key_const v)
-       | _ -> None)
-  in
-  List.concat_map
-    (fun conj ->
-      match conj with
-      | Ast.Cmp (Ast.Eq, Ast.Column (q, c), rhs) -> (
-        match key_of rhs with
-        | Some k -> List.map (fun t -> (t, k)) (match_column q c)
-        | None -> [])
-      | Ast.Cmp (Ast.Eq, lhs, Ast.Column (q, c)) -> (
-        match key_of lhs with
-        | Some k -> List.map (fun t -> (t, k)) (match_column q c)
-        | None -> [])
-      | _ -> [])
-    conjs
-
-(* Can this (normalized, params unbound) statement's plan be cached with
-   shard pruning deferred to bind time? Yes iff the plan is single-group
-   whichever value the routing parameter takes: every referenced table is
-   a co-located Citus table and every distributed table carries an
-   equality filter on its distribution column against the {e same}
-   parameter (or the same constant). Anything else — multi-shard,
-   reference-only, local tables, multi-row inserts — re-plans per
-   EXECUTE (the cache's bypass path), so being conservative here costs
-   latency, never correctness. *)
+(* Is the statement single-task whatever value its routing key takes?
+   [plan] asks this of concrete statements and the plan cache of shapes
+   with parameters unbound, so the answer never depends on a bound
+   value. Single-task statements are: a SELECT over reference and local
+   tables only (every node holds a replica: run it where it was
+   planned); a single-row INSERT whose distribution-column position
+   holds [$k] or a non-null constant; and a SELECT / UPDATE / DELETE
+   over co-located Citus tables only, every distributed one filtered by
+   equality on its distribution column against the {e same} key.
+   Anything else goes to the multi-shard tiers, so being conservative
+   here costs latency, never correctness. *)
 let analyze_shape meta ~catalog (stmt : Ast.statement) : shape option =
   match stmt with
   | Ast.Insert { table; columns; source = Ast.Values [ tuple ]; _ } ->
@@ -475,44 +339,88 @@ let analyze_shape meta ~catalog (stmt : Ast.statement) : shape option =
                 tbl.Engine.Catalog.columns
             | None -> None)
        in
-       (match Option.bind dist_pos (List.nth_opt tuple) with
-        | Some (Ast.Param k) ->
-          Some { sh_anchor = table; sh_tier = Tier_fast_path; sh_key = Key_param k }
-        | Some e ->
-          (match eval_const e with
-           | Some v when not (Datum.is_null v) ->
-             Some
-               { sh_anchor = table; sh_tier = Tier_fast_path; sh_key = Key_const v }
-           | _ -> None)
-        | None -> None)
+       let key =
+         match Option.bind dist_pos (List.nth_opt tuple) with
+         | Some (Ast.Param k) -> Some (Key_param k)
+         | Some e ->
+           (match eval_const e with
+            | Some v when not (Datum.is_null v) -> Some (Key_const v)
+            | _ -> None)
+         | None -> None
+       in
+       Option.map
+         (fun key -> Single_group { anchor = table; tier = Tier_fast_path; key })
+         key
      | _ -> None)
   | Ast.Select_stmt _ | Ast.Update _ | Ast.Delete _ ->
     let names =
       List.sort_uniq String.compare (List.map fst (tables_in_statement stmt))
     in
-    (match dist_tables_of meta names with
-     | [] -> None
-     | anchor :: _ as dists ->
+    (match dist_tables_of meta names, stmt with
+     | [], Ast.Select_stmt _ -> Some Local_read
+     | [], _ -> None
+     | (anchor :: _ as dists), _ ->
        if
          (not (List.for_all (Metadata.is_citus_table meta) names))
          || not (Metadata.colocated meta names)
        then None
        else begin
-         let filters = dist_key_filters meta stmt in
+         let filters =
+           dist_key_filters meta (alias_map meta stmt)
+             (conjuncts_of_statement stmt)
+         in
          let keys = List.filter_map (fun t -> List.assoc_opt t filters) dists in
          match keys with
-         | k :: rest
+         | key :: rest
            when List.compare_lengths keys dists = 0
-                && List.for_all (key_equal k) rest ->
+                && List.for_all (( = ) key) rest ->
            let tier =
              match fast_path_target stmt with
              | Some t when String.equal t anchor -> Tier_fast_path
              | _ -> Tier_router
            in
-           Some { sh_anchor = anchor; sh_tier = tier; sh_key = k }
+           Some (Single_group { anchor; tier; key })
          | _ -> None
        end)
   | _ -> None
+
+(* Shard groups a shape's cached skeleton spans: every group of the
+   anchor, or the single local group [-1] of a reference-only read. *)
+let shape_groups meta = function
+  | Local_read -> [ -1 ]
+  | Single_group { anchor; _ } ->
+    List.map
+      (fun (s : Metadata.shard) -> s.Metadata.index_in_colocation)
+      (Metadata.shards_of meta anchor)
+
+(* Value -> shard -> placement -> task, shared by [plan] and the plan
+   cache's bind-time dispatch: [bind] supplies a [$k] routing value, it
+   hashes to a shard group of the anchor, a fresh placement serves that
+   group, and [stmt_for] supplies the statement rewritten to it. *)
+let single_task ?node_ok meta ~local_name ~bind ~stmt_for shape : Plan.t =
+  match shape with
+  | Local_read ->
+    Plan.Router
+      {
+        Plan.task_node = local_name;
+        task_stmt = stmt_for (-1);
+        task_group = -1;
+        task_shard = -1;
+      }
+  | Single_group { anchor; tier; key } ->
+    let value = match key with Key_const v -> v | Key_param k -> bind k in
+    let shard = Metadata.shard_for_value meta ~table:anchor value in
+    let group = shard.Metadata.index_in_colocation in
+    let task =
+      {
+        Plan.task_node =
+          Metadata.select_placement ?node_ok meta shard.Metadata.shard_id;
+        task_stmt = stmt_for group;
+        task_group = group;
+        task_shard = shard.Metadata.shard_id;
+      }
+    in
+    if tier = Tier_fast_path then Plan.Fast_path task else Plan.Router task
 
 (* --- pushdown validation --- *)
 
@@ -1214,47 +1122,32 @@ let plan_multi_shard_dml meta stmt table =
 
 (* --- entry point --- *)
 
-let plan_untraced ?node_ok meta ~catalog ~local_name stmt : Plan.t * tier =
-  match try_fast_path ?node_ok meta stmt with
-  | Some task -> (Plan.Fast_path task, Tier_fast_path)
+(* [analyze_shape] alone decides single-task routing; what it refuses
+   goes to the multi-shard tiers. *)
+let plan ?node_ok meta ~catalog ~local_name stmt : Plan.t * tier =
+  match analyze_shape meta ~catalog stmt with
+  | Some shape ->
+    ( single_task ?node_ok meta ~local_name
+        ~bind:(unsupported "no value for parameter $%d")
+        ~stmt_for:(fun group_index -> rewrite_to_group meta ~group_index stmt)
+        shape,
+      shape_tier shape )
   | None ->
-    (match try_router ?node_ok meta ~local_name stmt with
-     | Some task -> (Plan.Router task, Tier_router)
-     | None ->
-       (match stmt with
-        | Ast.Select_stmt sel ->
-          let tasks, merge = plan_pushdown_select ?node_ok meta ~catalog sel in
-          (Plan.Multi_shard_select { tasks; merge }, Tier_pushdown)
-        | Ast.Insert { table; columns; source = Ast.Values tuples;
-                       on_conflict_do_nothing } ->
-          plan_insert_values meta ~catalog stmt table columns tuples
-            on_conflict_do_nothing
-        | Ast.Update { table; sets; _ } ->
-          let dt = Metadata.find meta table in
-          (match dt with
-           | Some { Metadata.dist_column = Some dc; _ }
-             when List.mem_assoc dc sets ->
-             unsupported "modifying the distribution column is not supported"
-           | _ -> ());
-          plan_multi_shard_dml meta stmt table
-        | Ast.Delete { table; _ } -> plan_multi_shard_dml meta stmt table
-        | _ ->
-          unsupported "statement cannot be planned by the distributed planner"))
-
-(* The tier chosen is the planner's key observable: counted always
-   (planner.tier.<name>), and recorded as a "plan" span when tracing.
-   [now] supplies the virtual clock (the planner itself has no topology
-   reference); both default off for callers outside a cluster. *)
-let plan ?obs ?now ?node_ok meta ~catalog ~local_name stmt : Plan.t * tier =
-  match (obs : Obs.t option) with
-  | None -> plan_untraced ?node_ok meta ~catalog ~local_name stmt
-  | Some o ->
-    let now = match now with Some f -> f | None -> fun () -> 0.0 in
-    Obs.Trace.with_span o.Obs.trace ~now ~node:local_name ~kind:"plan"
-      (fun sp ->
-        let ((_, tier) as planned) =
-          plan_untraced ?node_ok meta ~catalog ~local_name stmt
-        in
-        Obs.Metrics.inc o.Obs.metrics (Obs.Metric_names.planner_tier (tier_slug tier));
-        Obs.Trace.add_tag sp "tier" (tier_slug tier);
-        planned)
+    (match stmt with
+     | Ast.Select_stmt sel ->
+       let tasks, merge = plan_pushdown_select ?node_ok meta ~catalog sel in
+       (Plan.Multi_shard_select { tasks; merge }, Tier_pushdown)
+     | Ast.Insert { table; columns; source = Ast.Values tuples;
+                    on_conflict_do_nothing } ->
+       plan_insert_values meta ~catalog stmt table columns tuples
+         on_conflict_do_nothing
+     | Ast.Update { table; sets; _ } ->
+       let dt = Metadata.find meta table in
+       (match dt with
+        | Some { Metadata.dist_column = Some dc; _ }
+          when List.mem_assoc dc sets ->
+          unsupported "modifying the distribution column is not supported"
+        | _ -> ());
+       plan_multi_shard_dml meta stmt table
+     | Ast.Delete { table; _ } -> plan_multi_shard_dml meta stmt table
+     | _ -> unsupported "statement cannot be planned by the distributed planner")

@@ -39,13 +39,10 @@ val tier_slug : tier -> string
     breaker open); the first active placement is used when every candidate
     fails the predicate. Raises {!Unsupported} when no tier applies.
 
-    When [obs] is given the chosen tier is counted
-    ([planner.tier.<name>]) and, with tracing enabled, planning runs
-    inside a ["plan"] span tagged with the tier; [now] supplies the
-    virtual clock for span timestamps (defaults to a constant 0). *)
+    The fast-path and router tiers are whatever {!analyze_shape}
+    accepts, routed by {!single_task}. Counting the tier and tracing the
+    ["plan"] span is the caller's job ([Api]'s statement route). *)
 val plan :
-  ?obs:Obs.t ->
-  ?now:(unit -> float) ->
   ?node_ok:(string -> bool) ->
   Metadata.t ->
   catalog:Engine.Catalog.t ->
@@ -88,34 +85,55 @@ val intermediate_relation : string
 val rewrite_to_group :
   Metadata.t -> group_index:int -> Sqlfront.Ast.statement -> Sqlfront.Ast.statement
 
-(** {2 Shape analysis for the distributed plan cache}
+(** {2 Single-task routing}
 
-    A prepared statement's stored AST (parameters unbound) is a {e query
-    shape}. [analyze_shape] decides whether its plan can be memoized
-    with shard pruning deferred to bind time: the statement must be
-    single-group for {e any} value of the routing parameter — every
-    referenced table a co-located Citus table, every distributed table
-    filtered by equality on its distribution column against the same
-    [$k] (or the same constant), or a single-row INSERT whose
-    distribution-column position holds [$k] / a constant. The cache then
-    stores one pre-rewritten statement per shard group; at EXECUTE time
-    the bound value hashes to a group index and placements are looked up
-    fresh. Shapes that fail analysis take the cache's bypass path
-    (re-planned per EXECUTE) — conservatism costs latency, never
-    correctness. *)
+    [analyze_shape] is the one classifier of single-task statements,
+    for {!plan} and for the distributed plan cache alike. A statement
+    qualifies when it is single-task for {e any} value of its routing
+    key, so the same answer holds for a concrete statement and for its
+    shape with parameters unbound: a SELECT over reference and local
+    tables only (served on the planning node), a single-row INSERT whose
+    distribution-column position holds [$k] / a non-null constant, or a
+    SELECT / UPDATE / DELETE over co-located Citus tables whose every
+    distributed table is filtered by equality on its distribution
+    column against the same key. The cache stores one pre-rewritten
+    statement per group of {!shape_groups}; at bind time
+    {!single_task} hashes the value to a group and picks the placement
+    fresh. Everything else is planned per statement — conservatism
+    costs latency, never correctness. *)
 
 type dist_key =
-  | Key_param of int  (** routing value is [$k] of the EXECUTE arguments *)
-  | Key_const of Datum.t  (** routing value is baked into the shape *)
+  | Key_param of int  (** routing value is bound to [$k] *)
+  | Key_const of Datum.t  (** routing value is baked into the statement *)
 
-type shape = {
-  sh_anchor : string;  (** distributed table whose shards drive pruning *)
-  sh_tier : tier;  (** [Tier_fast_path] or [Tier_router] *)
-  sh_key : dist_key;
-}
+type shape =
+  | Local_read  (** reference/local-only SELECT: runs where it was planned *)
+  | Single_group of {
+      anchor : string;  (** distributed table whose shards drive pruning *)
+      tier : tier;  (** [Tier_fast_path] or [Tier_router] *)
+      key : dist_key;
+    }
+
+val shape_tier : shape -> tier
 
 val analyze_shape :
   Metadata.t ->
   catalog:Engine.Catalog.t ->
   Sqlfront.Ast.statement ->
   shape option
+
+(** Shard-group indexes a shape can route to ([-1] for [Local_read]). *)
+val shape_groups : Metadata.t -> shape -> int list
+
+(** Value → shard → placement → task: [bind k] supplies the value of a
+    [Key_param k], which hashes to a shard group of the anchor; the
+    placement is chosen fresh; [stmt_for group] supplies the statement
+    rewritten to that group. [Local_read] runs on [local_name]. *)
+val single_task :
+  ?node_ok:(string -> bool) ->
+  Metadata.t ->
+  local_name:string ->
+  bind:(int -> Datum.t) ->
+  stmt_for:(int -> Sqlfront.Ast.statement) ->
+  shape ->
+  Plan.t

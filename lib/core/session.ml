@@ -1,12 +1,8 @@
 (* Typed client surface over a coordinator session.
 
-   The prepared-statement lifecycle used to require hand-assembling SQL
-   text ("EXECUTE s(1, 'x')") or calling the engine-internal
-   [Instance.exec_params], which re-parses and re-plans every call.
-   This module is the supported path: [prepare] parses once, [execute]
-   ships typed datums straight to the plan-cache dispatch in [Api]
-   without any string round trip, so the OLTP hot path never touches
-   the parser. *)
+   [prepare] parses once, [execute] ships typed datums straight to the
+   plan-cache route in [Api] without any string round trip ("EXECUTE
+   s(1, 'x')"), so the OLTP hot path never touches the parser. *)
 
 open Sqlfront
 

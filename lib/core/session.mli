@@ -1,12 +1,12 @@
 (** Typed prepared-statement surface over a coordinator session.
 
     The supported client API for the OLTP hot path: [prepare] once,
-    then [execute] with typed {!Datum.t} arguments. Unlike the
-    deprecated [Engine.Instance.exec_params] (which re-parses and
-    re-plans on every call), [execute] hands an [EXECUTE] AST node
-    directly to the coordinator, where the distributed plan cache
-    ({!Plancache}) reuses the memoized per-shard plan and only re-prunes
-    the target shard from the bound distribution value.
+    then [execute] with typed {!Datum.t} arguments. [execute] hands an
+    [EXECUTE] AST node directly to the coordinator, where the
+    distributed plan cache ({!Plancache}) reuses the memoized per-shard
+    plan and only re-prunes the target shard from the bound
+    distribution value — no parse, unlike ad-hoc SQL of the same shape,
+    which shares the cache entry but pays its parse every call.
 
     A session's prepared statements are session-local state
     (PostgreSQL semantics); the plan cache behind them is cluster-wide

@@ -753,12 +753,6 @@ let exec_ast (s : session) (stmt : Ast.statement) : result =
 
 let exec s sql = exec_ast s (Parser.parse_statement sql)
 
-let exec_params s sql params =
-  let stmt = Parser.parse_statement sql in
-  match Ast.bind_params params stmt with
-  | bound -> exec_ast s bound
-  | exception Ast.Unbound_param i -> err "no value for parameter $%d" i
-
 let copy_in s ~table ~columns lines =
   let t = s.inst in
   if not (session_alive s) then

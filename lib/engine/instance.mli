@@ -73,14 +73,6 @@ val exec : session -> string -> result
 
 val exec_ast : session -> Sqlfront.Ast.statement -> result
 
-(** Execute with [$n] parameters bound.
-
-    @deprecated Re-parses and re-plans on every call. Use the typed
-    [Citus.Session] surface ([prepare] / [execute]) instead: it keeps the
-    shape in the session's prepared-statement registry and lets the
-    distributed plan cache skip re-planning on the OLTP hot path. *)
-val exec_params : session -> string -> Datum.t list -> result
-
 (** {2 Prepared statements}
 
     [PREPARE name AS stmt] / [EXECUTE name(args)] / [DEALLOCATE] are

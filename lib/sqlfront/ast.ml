@@ -280,6 +280,28 @@ let bind_params (params : Datum.t list) (st : statement) : statement =
       | e -> e)
     st
 
+(** Inverse of [bind_params]: every constant [bind_params] can reach
+    becomes a fresh [$k] (numbered in the order [map_expr] rebuilds
+    nodes) and its value is returned at position [k - 1]. A statement
+    that already holds placeholders is returned unchanged, with no
+    values. *)
+let lift_consts (st : statement) : statement * Datum.t list =
+  let lifted = ref [] and n = ref 0 and has_params = ref false in
+  let shape =
+    map_statement_exprs
+      (function
+        | Const d ->
+          incr n;
+          lifted := d :: !lifted;
+          Param !n
+        | Param _ as e ->
+          has_params := true;
+          e
+        | e -> e)
+      st
+  in
+  if !has_params then (st, []) else (shape, List.rev !lifted)
+
 (** Highest [$n] referenced anywhere in the statement (0 = none). *)
 let max_param (st : statement) : int =
   let m = ref 0 in

@@ -167,6 +167,17 @@ exception Unbound_param of int
     when the statement references a parameter with no value. *)
 val bind_params : Datum.t list -> statement -> statement
 
+(** Inverse of {!bind_params}, over the same traversal: every constant
+    it can reach becomes a fresh [$k], numbered in the order the
+    traversal rebuilds nodes (deterministic, but not left to right:
+    [UPDATE t SET b = 5 WHERE a = 1] lifts to
+    [UPDATE t SET b = $2 WHERE a = $1]), and the lifted values come
+    back in [$k] order, so
+    [bind_params vs s' = s] for [(s', vs) = lift_consts s]. This is how
+    ad-hoc SQL becomes a plan-cache shape. A statement that already
+    holds placeholders is returned unchanged, with no values. *)
+val lift_consts : statement -> statement * Datum.t list
+
 (** Highest [$n] referenced anywhere in the statement (0 = none). *)
 val max_param : statement -> int
 

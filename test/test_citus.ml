@@ -888,20 +888,17 @@ let test_exec_params_distributed () =
   let _, _, s = make () in
   setup_items s;
   load_items ~n:5 s;
-  let r =
-    Engine.Instance.exec_params s "SELECT val FROM items WHERE key = $1"
-      [ Datum.Int 3 ]
-  in
+  Citus.Session.prepare s ~name:"getv" "SELECT val FROM items WHERE key = $1";
+  let r = Citus.Session.execute s "getv" [ Datum.Int 3 ] in
   (match r.Engine.Instance.rows with
    | [ [| Datum.Text "v3" |] ] -> ()
    | _ -> Alcotest.fail "param routing failed");
-  match
-    Engine.Instance.exec_params s "SELECT val FROM items WHERE key = $2"
-      [ Datum.Int 3 ]
-  with
+  Citus.Session.prepare s ~name:"skip" "SELECT val FROM items WHERE key = $2";
+  match Citus.Session.execute s "skip" [ Datum.Int 3 ] with
   | exception Engine.Instance.Session_error m ->
     (* typed error naming the parameter, not a bare Invalid_argument *)
-    Alcotest.(check string) "bind error" "no value for parameter $2" m
+    Alcotest.(check string) "bind error"
+      "no value for parameter $2 in prepared statement skip" m
   | _ -> Alcotest.fail "missing param should fail"
 
 (* --- DDL propagation --- *)

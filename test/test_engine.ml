@@ -484,10 +484,9 @@ let test_udf_registration () =
 let test_params () =
   let _, s = fresh () in
   setup_accounts s;
-  let r =
-    Instance.exec_params s "SELECT balance FROM accounts WHERE id = $1"
-      [ Datum.Int 2 ]
-  in
+  Citus.Session.prepare s ~name:"balance"
+    "SELECT balance FROM accounts WHERE id = $1";
+  let r = Citus.Session.execute s "balance" [ Datum.Int 2 ] in
   match r.Instance.rows with
   | [ [| Datum.Int 200 |] ] -> ()
   | _ -> Alcotest.fail "param binding failed"

@@ -677,6 +677,55 @@ let test_l14_control_statements () =
   in
   Alcotest.(check int) "on_conn_exn is out of scope" 0 (List.length fs)
 
+(* --- L15 no-reparse --- *)
+
+let l15_parser_stub = {|let parse_statement sql = ignore sql
+|}
+
+let l15_connection_stub = {|let exec_ast conn stmt = Parser.parse_statement (conn ^ stmt)
+|}
+
+(* the route reaches a parse through a helper; a parse off the route
+   and one past the wire boundary are not findings *)
+let l15_api =
+  {|let shape_of sql = Parser.parse_statement sql
+
+let route conn sql = ignore (shape_of sql); Connection.exec_ast conn sql
+
+let explain sql = Parser.parse_statement sql
+|}
+
+let l15_api_clean =
+  {|let route conn stmt = Connection.exec_ast conn stmt
+
+let explain sql = Parser.parse_statement sql
+|}
+
+let l15_api_annotated =
+  {|let route sql = (Parser.parse_statement sql [@lint.reparse])
+|}
+
+let l15_run api =
+  run "L15"
+    [
+      ("lib/sqlfront/parser.ml", l15_parser_stub);
+      ("lib/cluster/connection.ml", l15_connection_stub);
+      ("lib/core/api.ml", api);
+    ]
+
+let test_l15_violating () =
+  let fs = l15_run l15_api in
+  Alcotest.(check (list string)) "one L15" [ "L15" ] (ids fs);
+  Alcotest.(check (list int)) "the helper's parse" [ 1 ] (lines fs)
+
+let test_l15_clean () =
+  Alcotest.(check int) "wire and off-route parses pass" 0
+    (List.length (l15_run l15_api_clean))
+
+let test_l15_escape () =
+  Alcotest.(check int) "[@lint.reparse] is trusted" 0
+    (List.length (l15_run l15_api_annotated))
+
 (* --- L16 metadata-write discipline --- *)
 
 (* sites resolve against real definitions: stub the catalog layer's two
@@ -1047,6 +1096,12 @@ let () =
           Alcotest.test_case "unreachable" `Quick test_l14_unreachable;
           Alcotest.test_case "control statements" `Quick
             test_l14_control_statements;
+        ] );
+      ( "l15-no-reparse",
+        [
+          Alcotest.test_case "violating" `Quick test_l15_violating;
+          Alcotest.test_case "clean" `Quick test_l15_clean;
+          Alcotest.test_case "escape" `Quick test_l15_escape;
         ] );
       ( "l16-metadata-write",
         [

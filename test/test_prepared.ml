@@ -118,10 +118,26 @@ let test_typed_bind_error () =
 
 (* --- cache accounting --- *)
 
+(* Counter deltas from here on: [setup_items]' ad-hoc INSERTs go
+   through the plan cache too. *)
+let since cluster =
+  let at name = counter cluster name in
+  let hits = at Obs.Metric_names.plancache_hits
+  and misses = at Obs.Metric_names.plancache_misses
+  and bypass = at Obs.Metric_names.plancache_bypass
+  and entries = gauge cluster Obs.Metric_names.plancache_entries in
+  fun () ->
+    ( at Obs.Metric_names.plancache_hits - hits,
+      at Obs.Metric_names.plancache_misses - misses,
+      at Obs.Metric_names.plancache_bypass - bypass,
+      int_of_float (gauge cluster Obs.Metric_names.plancache_entries -. entries)
+    )
+
 let test_cache_hits () =
   let cluster, _, s = make () in
   setup_items s;
   prepare_getv s;
+  let delta = since cluster in
   let rounds = 3 in
   for _ = 1 to rounds do
     for k = 0 to n_items - 1 do
@@ -130,14 +146,66 @@ let test_cache_hits () =
   done;
   (* one shape: the first execute builds, every later one (any key)
      reuses the entry — bind-time pruning re-selects the shard *)
-  Alcotest.(check int) "one build"
-    1
-    (counter cluster Obs.Metric_names.plancache_misses);
-  Alcotest.(check int) "rest are hits"
-    ((rounds * n_items) - 1)
-    (counter cluster Obs.Metric_names.plancache_hits);
-  Alcotest.(check int) "one entry" 1
-    (int_of_float (gauge cluster Obs.Metric_names.plancache_entries))
+  let hits, misses, _, entries = delta () in
+  Alcotest.(check int) "one build" 1 misses;
+  Alcotest.(check int) "rest are hits" ((rounds * n_items) - 1) hits;
+  Alcotest.(check int) "one entry" 1 entries
+
+(* Ad-hoc SQL is lifted to the same shape as the prepared statement, so
+   both share one entry and one citus_stat_statements row. *)
+let test_adhoc_shares_entry () =
+  let cluster, _, s = make () in
+  setup_items s;
+  prepare_getv s;
+  let delta = since cluster in
+  (match (exec s "SELECT val FROM items WHERE key = 3").Engine.Instance.rows with
+   | [ [| Datum.Text "v3" |] ] -> ()
+   | _ -> Alcotest.fail "ad-hoc read of key 3");
+  check_val s ~name:"getv" 4;
+  (match (exec s "SELECT val FROM items WHERE key = 5").Engine.Instance.rows with
+   | [ [| Datum.Text "v5" |] ] -> ()
+   | _ -> Alcotest.fail "ad-hoc read of key 5");
+  let hits, misses, bypass, entries = delta () in
+  Alcotest.(check int) "one build" 1 misses;
+  Alcotest.(check int) "hits after it" 2 hits;
+  Alcotest.(check int) "no bypass" 0 bypass;
+  Alcotest.(check int) "one entry" 1 entries;
+  match (exec s "SELECT citus_stat_statements()").Engine.Instance.rows with
+  | [ [| Datum.Json (Json.Arr rows) |] ] ->
+    let calls =
+      List.filter_map
+        (function
+          | Json.Obj fields
+            when List.assoc_opt "query" fields
+                 = Some (Json.Str "SELECT val FROM items WHERE (key = $1)") ->
+            List.assoc_opt "calls" fields
+          | _ -> None)
+        rows
+    in
+    Alcotest.(check bool) "one row counting both" true
+      (calls = [ Json.Num 3.0 ])
+  | _ -> Alcotest.fail "citus_stat_statements must return one json row"
+
+(* Reference-only reads route to the local replica, and cache too. *)
+let test_adhoc_reference_read () =
+  let cluster, _, s = make () in
+  ignore (exec s "CREATE TABLE dims (id bigint, name text)");
+  ignore (exec s "SELECT create_reference_table('dims')");
+  ignore (exec s "INSERT INTO dims VALUES (1, 'one'), (2, 'two')");
+  let delta = since cluster in
+  let name id =
+    match
+      (exec s (Printf.sprintf "SELECT name FROM dims WHERE id = %d" id))
+        .Engine.Instance.rows
+    with
+    | [ [| Datum.Text n |] ] -> n
+    | _ -> Alcotest.failf "reference read of id %d" id
+  in
+  Alcotest.(check string) "first read" "one" (name 1);
+  Alcotest.(check string) "repeat read" "two" (name 2);
+  let hits, misses, _, _ = delta () in
+  Alcotest.(check int) "built once" 1 misses;
+  Alcotest.(check int) "the repeat is a hit" 1 hits
 
 let test_prepared_insert () =
   let cluster, _, s = make () in
@@ -162,6 +230,7 @@ let test_uncacheable_bypass () =
   setup_items s;
   (* no distribution-column equality: scatter-gather every time *)
   Citus.Session.prepare s ~name:"scan" "SELECT count(*) FROM items";
+  let delta = since cluster in
   let count () =
     match (Citus.Session.execute s "scan" []).Engine.Instance.rows with
     | [ [| Datum.Int n |] ] -> Int64.to_int (Int64.of_int n)
@@ -169,11 +238,9 @@ let test_uncacheable_bypass () =
   in
   Alcotest.(check int) "first scan" n_items (count ());
   Alcotest.(check int) "second scan" n_items (count ());
-  Alcotest.(check int) "both bypassed" 2
-    (counter cluster Obs.Metric_names.plancache_bypass);
-  Alcotest.(check int) "no hits"
-    0
-    (counter cluster Obs.Metric_names.plancache_hits)
+  let hits, _, bypass, _ = delta () in
+  Alcotest.(check int) "both bypassed" 2 bypass;
+  Alcotest.(check int) "no hits" 0 hits
 
 let test_lru_bound () =
   let cluster, _, s = make () in
@@ -198,15 +265,14 @@ let test_cache_disabled () =
   setup_items s;
   ignore (exec s "SELECT citus_set_config('plan_cache_size', '0')");
   prepare_getv s;
+  let delta = since cluster in
   for k = 0 to n_items - 1 do
     check_val s ~name:"getv" k
   done;
-  Alcotest.(check int) "no hits" 0
-    (counter cluster Obs.Metric_names.plancache_hits);
-  Alcotest.(check int) "no builds" 0
-    (counter cluster Obs.Metric_names.plancache_misses);
-  Alcotest.(check bool) "counted as bypass" true
-    (counter cluster Obs.Metric_names.plancache_bypass >= n_items)
+  let hits, misses, bypass, _ = delta () in
+  Alcotest.(check int) "no hits" 0 hits;
+  Alcotest.(check int) "no builds" 0 misses;
+  Alcotest.(check bool) "counted as bypass" true (bypass >= n_items)
 
 let test_stat_statements () =
   let _, _, s = make () in
@@ -456,6 +522,10 @@ let () =
       ( "cache",
         [
           Alcotest.test_case "hits after one build" `Quick test_cache_hits;
+          Alcotest.test_case "ad-hoc and EXECUTE share an entry" `Quick
+            test_adhoc_shares_entry;
+          Alcotest.test_case "ad-hoc reference read hits" `Quick
+            test_adhoc_reference_read;
           Alcotest.test_case "prepared insert" `Quick test_prepared_insert;
           Alcotest.test_case "uncacheable shapes bypass" `Quick
             test_uncacheable_bypass;

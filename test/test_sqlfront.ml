@@ -468,6 +468,25 @@ let prop_statement_roundtrip =
       | ast -> ast = st
       | exception Parser.Parse_error _ -> false)
 
+(* Property: lifting constants is the inverse of binding them, and
+   leaves no constant anywhere binding reaches. *)
+let prop_lift_consts_inverse =
+  QCheck2.Test.make ~name:"bind_params inverts lift_consts" ~count:200
+    ~print:(fun st -> Deparse.statement st)
+    statement_gen
+    (fun st ->
+      let shape, values = Ast.lift_consts st in
+      let consts_left = ref 0 in
+      ignore
+        (Ast.map_statement_exprs
+           (function
+             | Ast.Const _ as e ->
+               incr consts_left;
+               e
+             | e -> e)
+           shape);
+      Ast.bind_params values shape = st && !consts_left = 0)
+
 let prop_expr_roundtrip =
   QCheck2.Test.make ~name:"expr deparse/parse round trip" ~count:300
     ~print:(fun e -> Deparse.expr e)
@@ -532,5 +551,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_expr_roundtrip;
           QCheck_alcotest.to_alcotest prop_statement_roundtrip;
+          QCheck_alcotest.to_alcotest prop_lift_consts_inverse;
         ] );
     ]

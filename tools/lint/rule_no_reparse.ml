@@ -1,13 +1,14 @@
-(** L15 no-reparse: the cached-execute path never touches the parser.
+(** L15 no-reparse: the statement route never touches the parser.
 
-    The whole point of the prepared-statement plan cache is that an
-    [EXECUTE] on the OLTP hot path reuses a memoized AST and deparse
-    string — if anything reachable from [Api.execute_prepared] calls
-    [Parser.parse*] on the coordinator, the cache is silently paying
-    the parse cost it exists to eliminate (and, worse, may diverge from
-    the AST the plan was built from). A forward reachability fixpoint
-    over the call graph marks everything the cached dispatch can reach
-    and flags every parser entry point inside the reachable set.
+    Every statement naming a Citus table — an [EXECUTE] with its stored
+    shape, ad-hoc SQL with its literals lifted after its one parse —
+    enters [Api.route], which reuses memoized per-group ASTs. If
+    anything reachable from [Api.route] calls [Parser.parse*] on the
+    coordinator, the plan cache is silently paying the parse cost it
+    exists to eliminate (and, worse, may diverge from the AST the plan
+    was built from). A forward reachability fixpoint over the call
+    graph marks everything the route can reach and flags every parser
+    entry point inside the reachable set.
 
     The wire boundary is excluded by design: [Connection.exec_ast]
     deparses to SQL and the {e remote} engine re-parses it — exactly
@@ -23,26 +24,26 @@ let id = "L15"
 let name = "no-reparse"
 
 let doc =
-  "Parser.parse* must be unreachable from Api.execute_prepared (the \
-   cached-execute path); remote re-parse past the Connection wire \
-   boundary is by design (escape hatch: [@lint.reparse])"
+  "Parser.parse* must be unreachable from Api.route (the one statement \
+   route, prepared and ad-hoc); remote re-parse past the Connection \
+   wire boundary is by design (escape hatch: [@lint.reparse])"
 
 let explain =
-  "a prepared statement promises parse-once/execute-many: the plan \
-   cache memoizes the AST, tier decision, and per-shard deparse at \
-   PREPARE/first-EXECUTE, so the hot path only binds parameters and \
-   re-prunes the target shard. One Parser.parse* call reachable from \
-   Api.execute_prepared re-introduces the very per-call parse the API \
-   exists to remove — a silent performance regression the benchmarks \
-   would catch late and attribute wrongly — and risks executing an AST \
-   that differs from the one the cached plan was validated against. \
-   L15 computes forward reachability from Api.execute_prepared over \
-   the whole-program call graph, cutting every edge into Connection \
-   (the wire boundary: Connection.exec_ast deparses to SQL and the \
-   remote engine re-parses by design, like a Citus worker receiving \
-   text over libpq), and flags any reachable Parser.parse* site. \
-   Escape hatch: [@lint.reparse] for parses provably off the \
-   per-execute path."
+  "a statement is parsed once: an EXECUTE at PREPARE, ad-hoc SQL on \
+   arrival, before its literals are lifted into a shape. Api.route then \
+   serves both from the plan cache, which memoizes the tier decision \
+   and the per-shard-group ASTs, so the hot path only binds parameters \
+   and re-prunes the target shard. One Parser.parse* call reachable \
+   from Api.route re-introduces a per-call parse the route exists to \
+   avoid — a silent performance regression the benchmarks would catch \
+   late and attribute wrongly — and risks executing an AST that \
+   differs from the one the cached plan was validated against. L15 \
+   computes forward reachability from Api.route over the whole-program \
+   call graph, cutting every edge into Connection (the wire boundary: \
+   Connection.exec_ast deparses to SQL and the remote engine re-parses \
+   by design, like a Citus worker receiving text over libpq), and flags \
+   any reachable Parser.parse* site. Escape hatch: [@lint.reparse] for \
+   parses provably off the per-statement path."
 
 let applies _ = false
 let check ~path:_ _ = []
@@ -50,7 +51,7 @@ let check_tree _ = []
 
 let is_entry (fn : Callgraph.fn) =
   let { Callgraph.m; v } = fn.Callgraph.f_id in
-  String.equal m "Api" && String.equal v "execute_prepared"
+  String.equal m "Api" && String.equal v "route"
 
 let is_parse comps =
   match List.rev comps with
@@ -97,12 +98,12 @@ let check_program (files : (string * Parsetree.structure) list) =
                   (Rule.finding ~id ~file:fn.Callgraph.f_file
                      ~loc:s.Callgraph.s_loc
                      (Printf.sprintf
-                        "%s is reachable from the cached-execute path (via \
-                         %s) — a prepared EXECUTE must bind into the \
+                        "%s is reachable from the statement route (via \
+                         %s) — a routed statement must bind into the \
                          memoized AST, never re-parse on the coordinator; \
-                         move the parse to PREPARE time, or annotate \
+                         parse before the route, or annotate \
                          [@lint.reparse] if it is provably off the \
-                         per-execute path"
+                         per-statement path"
                         (String.concat "." s.Callgraph.s_path)
                         (Callgraph.id_str fn.Callgraph.f_id)))
               else None)
