@@ -350,7 +350,6 @@ let execute (t : State.t) session (sel : Ast.select) =
   in
   incr temp_seq;
   let seq = !temp_seq in
-  let anchor_shards = Metadata.shards_of meta anchor in
   let anchor_groups = Metadata.shard_groups meta ~tables:[ anchor ] in
   let cleanup = ref [] in
   let moves = ref [] in
@@ -395,26 +394,17 @@ let execute (t : State.t) session (sel : Ast.select) =
               (fun (row : Datum.t array) ->
                 let v = row.(pos) in
                 if not (Datum.is_null v) then begin
-                  let h = Datum.hash32 v in
-                  match
-                    List.find_opt
-                      (fun (s : Metadata.shard) ->
-                        Int32.compare h s.min_hash >= 0
-                        && Int32.compare h s.max_hash <= 0)
-                      anchor_shards
-                  with
-                  | Some shard ->
-                    let gi = shard.Metadata.index_in_colocation in
-                    let b =
-                      match Hashtbl.find_opt buckets gi with
-                      | Some b -> b
-                      | None ->
-                        let b = ref [] in
-                        Hashtbl.replace buckets gi b;
-                        b
-                    in
-                    b := row :: !b
-                  | None -> ()
+                  let shard = Metadata.shard_for_value meta ~table:anchor v in
+                  let gi = shard.Metadata.index_in_colocation in
+                  let b =
+                    match Hashtbl.find_opt buckets gi with
+                    | Some b -> b
+                    | None ->
+                      let b = ref [] in
+                      Hashtbl.replace buckets gi b;
+                      b
+                  in
+                  b := row :: !b
                 end)
               data;
             let frag_names = Hashtbl.create 16 in

@@ -106,29 +106,24 @@ let truthy = function Datum.Bool true -> true | _ -> false
 
 (* --- LIKE --- *)
 
-let like_match ~pattern ~ci s =
-  let p = if ci then String.lowercase_ascii pattern else pattern in
-  let s = if ci then String.lowercase_ascii s else s in
+(* Two-pointer wildcard match: on a mismatch, backtrack to the last [%]
+   and let it absorb one more character. Linear in the text for each
+   [%], with no allocation. *)
+let like_match ~pattern:p ~ci s =
   let np = String.length p and ns = String.length s in
-  (* dynamic programming over (pattern index, string index) with
-     memoization; patterns are short so this is fine *)
-  let memo = Hashtbl.create 64 in
-  let rec go pi si =
-    match Hashtbl.find_opt memo (pi, si) with
-    | Some r -> r
-    | None ->
-      let r =
-        if pi >= np then si >= ns
-        else
-          match p.[pi] with
-          | '%' -> go (pi + 1) si || (si < ns && go pi (si + 1))
-          | '_' -> si < ns && go (pi + 1) (si + 1)
-          | c -> si < ns && s.[si] = c && go (pi + 1) (si + 1)
-      in
-      Hashtbl.replace memo (pi, si) r;
-      r
+  let fold c = if ci then Char.lowercase_ascii c else c in
+  let rec go pi si star_pi star_si =
+    if si < ns then
+      if pi < np && p.[pi] = '%' then go (pi + 1) si pi si
+      else if pi < np && (p.[pi] = '_' || fold p.[pi] = fold s.[si]) then
+        go (pi + 1) (si + 1) star_pi star_si
+      else if star_pi >= 0 then go (star_pi + 1) (star_si + 1) star_pi (star_si + 1)
+      else false
+    else
+      let rec only_pct pi = pi >= np || (p.[pi] = '%' && only_pct (pi + 1)) in
+      only_pct pi
   in
-  go 0 0
+  go 0 0 (-1) 0
 
 (* --- jsonpath --- *)
 

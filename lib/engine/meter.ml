@@ -1,3 +1,22 @@
+(* Live counters: an increment is one field store, not a record copy.
+   [snapshot] below reuses the field names, so unannotated accesses
+   after it mean the immutable snapshot. *)
+type t = {
+  mutable rows_scanned : int;
+  mutable rows_written : int;
+  mutable index_probes : int;
+  mutable index_updates : int;
+  mutable rows_sorted : int;
+  mutable rows_aggregated : int;
+  mutable statements : int;
+  mutable light_statements : int;
+  mutable routed_statements : int;
+  mutable bound_executes : int;
+  mutable twopc_statements : int;
+  mutable copy_rows : int;
+  mutable merge_rows : int;
+}
+
 type snapshot = {
   rows_scanned : int;
   rows_written : int;
@@ -14,9 +33,7 @@ type snapshot = {
   merge_rows : int;
 }
 
-type t = { mutable s : snapshot }
-
-let zero =
+let create () : t =
   {
     rows_scanned = 0;
     rows_written = 0;
@@ -33,9 +50,24 @@ let zero =
     merge_rows = 0;
   }
 
-let create () = { s = zero }
+let read (t : t) =
+  {
+    rows_scanned = t.rows_scanned;
+    rows_written = t.rows_written;
+    index_probes = t.index_probes;
+    index_updates = t.index_updates;
+    rows_sorted = t.rows_sorted;
+    rows_aggregated = t.rows_aggregated;
+    statements = t.statements;
+    light_statements = t.light_statements;
+    routed_statements = t.routed_statements;
+    bound_executes = t.bound_executes;
+    twopc_statements = t.twopc_statements;
+    copy_rows = t.copy_rows;
+    merge_rows = t.merge_rows;
+  }
 
-let read t = t.s
+let zero = read (create ())
 
 let diff ~after ~before =
   {
@@ -54,34 +86,19 @@ let diff ~after ~before =
     merge_rows = after.merge_rows - before.merge_rows;
   }
 
-let add_scanned t n = t.s <- { t.s with rows_scanned = t.s.rows_scanned + n }
-let add_written t n = t.s <- { t.s with rows_written = t.s.rows_written + n }
-let add_probe t n = t.s <- { t.s with index_probes = t.s.index_probes + n }
-
-let add_index_update t n =
-  t.s <- { t.s with index_updates = t.s.index_updates + n }
-
-let add_sorted t n = t.s <- { t.s with rows_sorted = t.s.rows_sorted + n }
-
-let add_aggregated t n =
-  t.s <- { t.s with rows_aggregated = t.s.rows_aggregated + n }
-
-let add_statement t = t.s <- { t.s with statements = t.s.statements + 1 }
-
-let add_light_statement t =
-  t.s <- { t.s with light_statements = t.s.light_statements + 1 }
-
-let add_routed_statement t =
-  t.s <- { t.s with routed_statements = t.s.routed_statements + 1 }
-
-let add_bound_execute t =
-  t.s <- { t.s with bound_executes = t.s.bound_executes + 1 }
-
-let add_twopc_statement t =
-  t.s <- { t.s with twopc_statements = t.s.twopc_statements + 1 }
-let add_copy_rows t n = t.s <- { t.s with copy_rows = t.s.copy_rows + n }
-
-let add_merge_rows t n = t.s <- { t.s with merge_rows = t.s.merge_rows + n }
+let add_scanned (t : t) n = t.rows_scanned <- t.rows_scanned + n
+let add_written (t : t) n = t.rows_written <- t.rows_written + n
+let add_probe (t : t) n = t.index_probes <- t.index_probes + n
+let add_index_update (t : t) n = t.index_updates <- t.index_updates + n
+let add_sorted (t : t) n = t.rows_sorted <- t.rows_sorted + n
+let add_aggregated (t : t) n = t.rows_aggregated <- t.rows_aggregated + n
+let add_statement (t : t) = t.statements <- t.statements + 1
+let add_light_statement (t : t) = t.light_statements <- t.light_statements + 1
+let add_routed_statement (t : t) = t.routed_statements <- t.routed_statements + 1
+let add_bound_execute (t : t) = t.bound_executes <- t.bound_executes + 1
+let add_twopc_statement (t : t) = t.twopc_statements <- t.twopc_statements + 1
+let add_copy_rows (t : t) n = t.copy_rows <- t.copy_rows + n
+let add_merge_rows (t : t) n = t.merge_rows <- t.merge_rows + n
 
 (* Stable field order, for folding into the metrics registry. *)
 let to_assoc s =

@@ -155,28 +155,30 @@ let rec fold_expr (f : 'a -> expr -> 'a) (acc : 'a) (e : expr) : 'a =
   | In_subquery (a, _, _) -> fold_expr f acc a
   | Exists _ | Scalar_subquery _ -> acc
 
-(** [map_expr f e] rewrites bottom-up; [f] sees each rebuilt node. *)
+(* The [let]s fix the evaluation order, so [f] sees nodes left to right
+   in source order: [lift_consts] numbers [$k] by it. *)
 let rec map_expr (f : expr -> expr) (e : expr) : expr =
   let r = map_expr f in
   let rebuilt =
     match e with
     | Const _ | Column _ | Param _ -> e
-    | And (a, b) -> And (r a, r b)
-    | Or (a, b) -> Or (r a, r b)
+    | And (a, b) -> let a = r a in And (a, r b)
+    | Or (a, b) -> let a = r a in Or (a, r b)
     | Not a -> Not (r a)
-    | Cmp (op, a, b) -> Cmp (op, r a, r b)
-    | Bin (op, a, b) -> Bin (op, r a, r b)
+    | Cmp (op, a, b) -> let a = r a in Cmp (op, a, r b)
+    | Bin (op, a, b) -> let a = r a in Bin (op, a, r b)
     | Neg a -> Neg (r a)
     | Is_null (a, p) -> Is_null (r a, p)
-    | In_list (a, items, neg) -> In_list (r a, List.map r items, neg)
-    | Between (a, lo, hi) -> Between (r a, r lo, r hi)
-    | Like l -> Like { l with subject = r l.subject; pattern = r l.pattern }
-    | Json_get (a, b, text) -> Json_get (r a, r b, text)
+    | In_list (a, items, neg) -> let a = r a in In_list (a, List.map r items, neg)
+    | Between (a, lo, hi) -> let a = r a in let lo = r lo in Between (a, lo, r hi)
+    | Like l ->
+      let subject = r l.subject in
+      Like { l with subject; pattern = r l.pattern }
+    | Json_get (a, b, text) -> let a = r a in Json_get (a, r b, text)
     | Cast (a, ty) -> Cast (r a, ty)
     | Case (branches, else_) ->
-      Case
-        ( List.map (fun (c, v) -> (r c, r v)) branches,
-          Option.map r else_ )
+      let branches = List.map (fun (c, v) -> let c = r c in (c, r v)) branches in
+      Case (branches, Option.map r else_)
     | Func (name, args) -> Func (name, List.map r args)
     | Agg a -> Agg { a with agg_arg = Option.map r a.agg_arg }
     | Exists _ | In_subquery _ | Scalar_subquery _ -> e
@@ -205,35 +207,30 @@ let contains_aggregate e =
     subselects (used for parameter binding and shard-name rewriting). *)
 let rec map_select_exprs (f : expr -> expr) (s : select) : select =
   let me e = map_expr f e in
-  {
-    s with
-    projections =
-      List.map
-        (function
-          | Star -> Star
-          | Star_of q -> Star_of q
-          | Proj (e, a) -> Proj (me e, a))
-        s.projections;
-    from = List.map (map_from_item_exprs f) s.from;
-    where = Option.map me s.where;
-    group_by = List.map me s.group_by;
-    having = Option.map me s.having;
-    order_by = List.map (fun (e, d) -> (me e, d)) s.order_by;
-    limit = Option.map me s.limit;
-    offset = Option.map me s.offset;
-  }
+  let projections =
+    List.map
+      (function
+        | Star -> Star
+        | Star_of q -> Star_of q
+        | Proj (e, a) -> Proj (me e, a))
+      s.projections
+  in
+  let from = List.map (map_from_item_exprs f) s.from in
+  let where = Option.map me s.where in
+  let group_by = List.map me s.group_by in
+  let having = Option.map me s.having in
+  let order_by = List.map (fun (e, d) -> (me e, d)) s.order_by in
+  let limit = Option.map me s.limit in
+  let offset = Option.map me s.offset in
+  { s with projections; from; where; group_by; having; order_by; limit; offset }
 
 and map_from_item_exprs f = function
   | Table t -> Table t
   | Subselect (sel, alias) -> Subselect (map_select_exprs f sel, alias)
   | Join { left; right; kind; cond } ->
-    Join
-      {
-        left = map_from_item_exprs f left;
-        right = map_from_item_exprs f right;
-        kind;
-        cond = Option.map (map_expr f) cond;
-      }
+    let left = map_from_item_exprs f left in
+    let right = map_from_item_exprs f right in
+    Join { left; right; kind; cond = Option.map (map_expr f) cond }
 
 let map_statement_exprs (f : expr -> expr) (st : statement) : statement =
   let me e = map_expr f e in
@@ -247,12 +244,8 @@ let map_statement_exprs (f : expr -> expr) (st : statement) : statement =
     in
     Insert { i with source }
   | Update u ->
-    Update
-      {
-        u with
-        sets = List.map (fun (c, e) -> (c, me e)) u.sets;
-        where = Option.map me u.where;
-      }
+    let sets = List.map (fun (c, e) -> (c, me e)) u.sets in
+    Update { u with sets; where = Option.map me u.where }
   | Delete d -> Delete { d with where = Option.map me d.where }
   | Call c -> Call { c with args = List.map me c.args }
   | Execute_stmt e -> Execute_stmt { e with eargs = List.map me e.eargs }
@@ -281,10 +274,10 @@ let bind_params (params : Datum.t list) (st : statement) : statement =
     st
 
 (** Inverse of [bind_params]: every constant [bind_params] can reach
-    becomes a fresh [$k] (numbered in the order [map_expr] rebuilds
-    nodes) and its value is returned at position [k - 1]. A statement
-    that already holds placeholders is returned unchanged, with no
-    values. *)
+    becomes a fresh [$k], numbered left to right as the constants appear
+    in the statement, and its value is returned at position [k - 1]. A
+    statement that already holds placeholders is returned unchanged, with
+    no values. *)
 let lift_consts (st : statement) : statement * Datum.t list =
   let lifted = ref [] and n = ref 0 and has_params = ref false in
   let shape =

@@ -135,8 +135,8 @@ type statement =
     descended; [In_subquery]'s needle expression is). *)
 val fold_expr : ('a -> expr -> 'a) -> 'a -> expr -> 'a
 
-(** [map_expr f e] rewrites bottom-up; [f] sees each rebuilt node.
-    Subquery selects are left untouched. *)
+(** [map_expr f e] rewrites bottom-up; [f] sees each rebuilt node, left
+    to right in source order. Subquery selects are left untouched. *)
 val map_expr : (expr -> expr) -> expr -> expr
 
 (** Conjuncts of a WHERE clause: [a AND b AND c] -> [a; b; c]. *)
@@ -168,11 +168,10 @@ exception Unbound_param of int
 val bind_params : Datum.t list -> statement -> statement
 
 (** Inverse of {!bind_params}, over the same traversal: every constant
-    it can reach becomes a fresh [$k], numbered in the order the
-    traversal rebuilds nodes (deterministic, but not left to right:
-    [UPDATE t SET b = 5 WHERE a = 1] lifts to
-    [UPDATE t SET b = $2 WHERE a = $1]), and the lifted values come
-    back in [$k] order, so
+    it can reach becomes a fresh [$k], numbered left to right in source
+    order ([UPDATE t SET b = 5 WHERE a = 1] lifts to
+    [UPDATE t SET b = $1 WHERE a = $2], as a hand-written PREPARE would
+    number it), and the lifted values come back in [$k] order, so
     [bind_params vs s' = s] for [(s', vs) = lift_consts s]. This is how
     ad-hoc SQL becomes a plan-cache shape. A statement that already
     holds placeholders is returned unchanged, with no values. *)

@@ -20,6 +20,12 @@ exception Lex_error of string
 
 val keywords : string list
 
+(** Is the word, in any letter case, one of {!keywords}? *)
+val is_keyword : string -> bool
+
+(** Monomorphic token equality (the parser's hot comparison). *)
+val equal_token : token -> token -> bool
+
 val tokenize : string -> token list
 
 val token_to_string : token -> string

@@ -22,10 +22,11 @@ let peek2 st =
 let advance st = st.pos <- st.pos + 1
 
 let eat st tok =
-  if peek st = tok then advance st
+  if Lexer.equal_token (peek st) tok then advance st
   else fail st (Printf.sprintf "expected %s" (Lexer.token_to_string tok))
 
-let accept st tok = if peek st = tok then (advance st; true) else false
+let accept st tok =
+  if Lexer.equal_token (peek st) tok then (advance st; true) else false
 
 let kw st k = accept st (Lexer.Keyword k)
 
@@ -39,7 +40,8 @@ let unreserved =
 
 let ident_of_token = function
   | Lexer.Ident s -> Some s
-  | Lexer.Keyword k when List.mem k unreserved -> Some (String.lowercase_ascii k)
+  | Lexer.Keyword k when List.exists (String.equal k) unreserved ->
+    Some (String.lowercase_ascii k)
   | _ -> None
 
 let expect_ident st =
@@ -250,18 +252,19 @@ and parse_primary st =
     let sel = parse_select_body st in
     eat st Lexer.Rparen;
     Exists (sel, false)
-  | Lexer.Keyword "NOT" when peek2 st = Lexer.Keyword "EXISTS" ->
+  | Lexer.Keyword "NOT"
+    when Lexer.equal_token (peek2 st) (Lexer.Keyword "EXISTS") ->
     advance st;
     advance st;
     eat st Lexer.Lparen;
     let sel = parse_select_body st in
     eat st Lexer.Rparen;
     Exists (sel, true)
-  | Lexer.Keyword k when List.mem k agg_keywords ->
+  | Lexer.Keyword k when List.exists (String.equal k) agg_keywords ->
     advance st;
     eat st Lexer.Lparen;
     let name = String.lowercase_ascii k in
-    if peek st = Lexer.Star then begin
+    if Lexer.equal_token (peek st) Lexer.Star then begin
       advance st;
       eat st Lexer.Rparen;
       if name <> "count" then fail st "only COUNT(*) takes *";
@@ -284,7 +287,7 @@ and parse_primary st =
        let e = parse_expr st in
        eat st Lexer.Rparen;
        e)
-  | tok when ident_of_token tok <> None -> begin
+  | tok when Option.is_some (ident_of_token tok) -> begin
     let name = Option.get (ident_of_token tok) in
     match peek2 st with
     | Lexer.Lparen ->
@@ -335,7 +338,7 @@ and parse_projection st =
   match peek st with
   | Lexer.Star -> advance st; Ast.Star
   | Lexer.Ident name
-    when peek2 st = Lexer.Dot
+    when Lexer.equal_token (peek2 st) Lexer.Dot
          && (match
                (if st.pos + 2 < Array.length st.tokens then
                   st.tokens.(st.pos + 2)
@@ -354,7 +357,7 @@ and parse_projection st =
       else
         match peek st with
         | Lexer.Ident a
-          when not (List.mem (String.uppercase_ascii a) Lexer.keywords) ->
+          when not (Lexer.is_keyword a) ->
           advance st;
           Some a
         | _ -> None
@@ -397,7 +400,7 @@ and parse_from_item st =
       expect_kw st "ON";
       let cond = parse_expr st in
       joins (Join { left; right; kind = Inner; cond = Some cond })
-    | Lexer.Keyword "INNER" when peek2 st = Lexer.Keyword "JOIN" ->
+    | Lexer.Keyword "INNER" when Lexer.equal_token (peek2 st) (Lexer.Keyword "JOIN") ->
       advance st;
       advance st;
       let right = parse_base_from_item st in
@@ -663,7 +666,7 @@ let parse_insert st =
   expect_kw st "INTO";
   let table = expect_ident st in
   let columns =
-    if peek st = Lexer.Lparen then begin
+    if Lexer.equal_token (peek st) Lexer.Lparen then begin
       advance st;
       let rec cols acc =
         let c = expect_ident st in
@@ -770,7 +773,7 @@ let rec parse_statement_body st =
     advance st;
     let table = expect_ident st in
     let columns =
-      if peek st = Lexer.Lparen then begin
+      if Lexer.equal_token (peek st) Lexer.Lparen then begin
         advance st;
         let rec cols acc =
           let c = expect_ident st in
@@ -857,7 +860,7 @@ let rec parse_statement_body st =
 
 let finish st v =
   ignore (accept st Lexer.Semicolon);
-  if peek st <> Lexer.Eof then fail st "trailing input after statement";
+  if not (Lexer.equal_token (peek st) Lexer.Eof) then fail st "trailing input after statement";
   v
 
 let with_state src f =

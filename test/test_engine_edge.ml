@@ -177,6 +177,43 @@ let test_like_corner_cases () =
   Alcotest.(check bool) "anchored" false (m "a%" "ba");
   Alcotest.(check bool) "repeated pattern" true (m "%ab%ab%" "abab")
 
+(* Reference matcher: the memoized recursion over (pattern index, text
+   index) that [like_match] replaced. Exponential without the memo, so
+   it stays here as the oracle only. *)
+let like_reference ~pattern ~ci s =
+  let p = if ci then String.lowercase_ascii pattern else pattern in
+  let s = if ci then String.lowercase_ascii s else s in
+  let np = String.length p and ns = String.length s in
+  let memo = Hashtbl.create 64 in
+  let rec go pi si =
+    match Hashtbl.find_opt memo (pi, si) with
+    | Some r -> r
+    | None ->
+      let r =
+        if pi >= np then si >= ns
+        else
+          match p.[pi] with
+          | '%' -> go (pi + 1) si || (si < ns && go pi (si + 1))
+          | '_' -> si < ns && go (pi + 1) (si + 1)
+          | c -> si < ns && s.[si] = c && go (pi + 1) (si + 1)
+      in
+      Hashtbl.replace memo (pi, si) r;
+      r
+  in
+  go 0 0
+
+let prop_like_matches_reference =
+  let open QCheck2.Gen in
+  let str alphabet = string_size ~gen:(oneofl alphabet) (int_range 0 10) in
+  QCheck2.Test.make ~name:"like_match agrees with oracle"
+    ~count:3000
+    ~print:(fun (p, s, ci) -> Printf.sprintf "pattern %S text %S ci %b" p s ci)
+    (triple (str [ 'a'; 'b'; 'A'; 'B'; '%'; '%'; '_' ]) (str [ 'a'; 'b'; 'A'; 'B' ]) bool)
+    (fun (pattern, s, ci) ->
+      Bool.equal
+        (Expr_eval.like_match ~pattern ~ci s)
+        (like_reference ~pattern ~ci s))
+
 let test_between_inclusive () =
   let _, s = fresh () in
   ignore (exec s "CREATE TABLE t (a bigint)");
@@ -462,6 +499,7 @@ let () =
             test_case_without_else_is_null;
           Alcotest.test_case "coalesce/nullif" `Quick test_coalesce_nullif;
           Alcotest.test_case "like corners" `Quick test_like_corner_cases;
+          QCheck_alcotest.to_alcotest prop_like_matches_reference;
           Alcotest.test_case "between inclusive" `Quick test_between_inclusive;
           Alcotest.test_case "offset beyond rows" `Quick test_offset_beyond_rows;
           Alcotest.test_case "multi-key order" `Quick test_multi_key_ordering;

@@ -186,6 +186,39 @@ let test_adhoc_shares_entry () =
       (calls = [ Json.Num 3.0 ])
   | _ -> Alcotest.fail "citus_stat_statements must return one json row"
 
+(* [lift_consts] numbers [$k] left to right, as a hand-written PREPARE
+   does, so an ad-hoc UPDATE whose SET precedes its WHERE shares the
+   prepared statement's entry. *)
+let test_adhoc_update_numbering () =
+  let shape, values =
+    Sqlfront.Ast.lift_consts
+      (Sqlfront.Parser.parse_statement "UPDATE t SET b = 5 WHERE a = 1")
+  in
+  Alcotest.(check string) "SET is $1, WHERE is $2"
+    "UPDATE t SET b = $1 WHERE (a = $2)" (Sqlfront.Deparse.statement shape);
+  Alcotest.(check bool) "values in $k order" true
+    (values = [ Datum.Int 5; Datum.Int 1 ]);
+  let cluster, _, s = make () in
+  setup_items s;
+  Citus.Session.prepare s ~name:"setv"
+    "UPDATE items SET val = $1 WHERE key = $2";
+  let delta = since cluster in
+  ignore (exec s "UPDATE items SET val = 'w3' WHERE key = 3");
+  ignore (Citus.Session.execute s "setv" [ Datum.Text "w4"; Datum.Int 4 ]);
+  let hits, misses, bypass, entries = delta () in
+  Alcotest.(check int) "one build" 1 misses;
+  Alcotest.(check int) "EXECUTE hits the ad-hoc entry" 1 hits;
+  Alcotest.(check int) "no bypass" 0 bypass;
+  Alcotest.(check int) "one entry" 1 entries;
+  prepare_getv s;
+  List.iter
+    (fun (k, v) ->
+      match (Citus.Session.execute s "getv" [ Datum.Int k ]).Engine.Instance.rows with
+      | [ [| Datum.Text got |] ] ->
+        Alcotest.(check string) (Printf.sprintf "key %d" k) v got
+      | _ -> Alcotest.failf "read of key %d" k)
+    [ (3, "w3"); (4, "w4"); (5, "v5") ]
+
 (* Reference-only reads route to the local replica, and cache too. *)
 let test_adhoc_reference_read () =
   let cluster, _, s = make () in
@@ -524,6 +557,8 @@ let () =
           Alcotest.test_case "hits after one build" `Quick test_cache_hits;
           Alcotest.test_case "ad-hoc and EXECUTE share an entry" `Quick
             test_adhoc_shares_entry;
+          Alcotest.test_case "ad-hoc UPDATE matches PREPARE" `Quick
+            test_adhoc_update_numbering;
           Alcotest.test_case "ad-hoc reference read hits" `Quick
             test_adhoc_reference_read;
           Alcotest.test_case "prepared insert" `Quick test_prepared_insert;

@@ -279,8 +279,37 @@ let test_lexer_errors () =
       | _ -> Alcotest.fail (Printf.sprintf "should reject %S" bad))
     [ "'unterminated"; "\"unterminated"; "SELECT @" ]
 
+(* Every keyword is a keyword in any letter case; a word that merely
+   starts with one is an identifier. *)
+let test_lexer_keyword_case () =
+  let mixed k = String.mapi (fun i c -> if i mod 2 = 0 then c else Char.lowercase_ascii c) k in
+  List.iter
+    (fun k ->
+      List.iter
+        (fun spelled ->
+          match Lexer.tokenize spelled with
+          | [ Lexer.Keyword got; Lexer.Eof ] ->
+            Alcotest.(check string) (Printf.sprintf "%S" spelled) k got
+          | _ -> Alcotest.failf "%S should lex as keyword %s" spelled k)
+        [ k; String.lowercase_ascii k; mixed k ])
+    Lexer.keywords;
+  List.iter
+    (fun w ->
+      match Lexer.tokenize w with
+      | [ Lexer.Ident got; Lexer.Eof ] ->
+        Alcotest.(check string) w (String.lowercase_ascii w) got
+      | _ -> Alcotest.failf "%S should lex as an identifier" w)
+    [ "selected"; "order_line"; "indexes"; "Fromage"; "in_stock"; "keys";
+      "set1"; "_select"; "SUMMARY" ]
+
 let test_operator_tokenization () =
   (* != normalizes to <>; multi-char ops are not split *)
+  Alcotest.(check (list string)) "every operator"
+    [ "->>"; "->"; "::"; "<="; ">="; "<>"; "<>"; "||"; "="; "<"; ">"; "+";
+      "-"; "/"; "%"; "-" ]
+    (List.filter_map
+       (function Lexer.Op o -> Some o | _ -> None)
+       (Lexer.tokenize "->> -> :: <= >= <> != || = < > + - / % -1"));
   (match Parser.parse_expression "a != b" with
    | Ast.Cmp (Ast.Ne, _, _) -> ()
    | e -> Alcotest.fail (Deparse.expr e));
@@ -542,6 +571,7 @@ let () =
           Alcotest.test_case "numbers" `Quick test_lexer_numbers;
           Alcotest.test_case "errors" `Quick test_lexer_errors;
           Alcotest.test_case "operators" `Quick test_operator_tokenization;
+          Alcotest.test_case "keywords in any case" `Quick test_lexer_keyword_case;
         ] );
       ( "deparse",
         [
