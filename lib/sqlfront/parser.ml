@@ -2,24 +2,26 @@ exception Parse_error of string
 
 open Ast
 
-type state = { tokens : Lexer.token array; mutable pos : int }
+(* The parser never backtracks and looks at most three tokens ahead, so it
+   walks the lexer's list; [pos] counts consumed tokens for error
+   messages only. *)
+type state = { mutable rest : Lexer.token list; mutable pos : int }
 
+let peek st = match st.rest with tok :: _ -> tok | [] -> Lexer.Eof
+
+(* The lexer ends every list with [Eof], which no production consumes, so
+   [peek] names the offending token whenever a statement fails. *)
 let fail st msg =
-  let tok =
-    if st.pos < Array.length st.tokens then
-      Lexer.token_to_string st.tokens.(st.pos)
-    else "<past end>"
-  in
-  raise (Parse_error (Printf.sprintf "%s (at token %d: %s)" msg st.pos tok))
+  raise
+    (Parse_error
+       (Printf.sprintf "%s (at token %d: %s)" msg st.pos
+          (Lexer.token_to_string (peek st))))
 
-let peek st =
-  if st.pos < Array.length st.tokens then st.tokens.(st.pos) else Lexer.Eof
+let peek2 st = match st.rest with _ :: tok :: _ -> tok | _ -> Lexer.Eof
 
-let peek2 st =
-  if st.pos + 1 < Array.length st.tokens then st.tokens.(st.pos + 1)
-  else Lexer.Eof
-
-let advance st = st.pos <- st.pos + 1
+let advance st =
+  (match st.rest with _ :: rest -> st.rest <- rest | [] -> ());
+  st.pos <- st.pos + 1
 
 let eat st tok =
   if Lexer.equal_token (peek st) tok then advance st
@@ -335,17 +337,9 @@ and parse_case st =
 (* --- SELECT --- *)
 
 and parse_projection st =
-  match peek st with
-  | Lexer.Star -> advance st; Ast.Star
-  | Lexer.Ident name
-    when Lexer.equal_token (peek2 st) Lexer.Dot
-         && (match
-               (if st.pos + 2 < Array.length st.tokens then
-                  st.tokens.(st.pos + 2)
-                else Lexer.Eof)
-             with
-            | Lexer.Star -> true
-            | _ -> false) ->
+  match st.rest with
+  | Lexer.Star :: _ -> advance st; Ast.Star
+  | Lexer.Ident name :: Lexer.Dot :: Lexer.Star :: _ ->
     advance st;
     advance st;
     advance st;
@@ -863,10 +857,7 @@ let finish st v =
   if not (Lexer.equal_token (peek st) Lexer.Eof) then fail st "trailing input after statement";
   v
 
-let with_state src f =
-  let tokens = Array.of_list (Lexer.tokenize src) in
-  let st = { tokens; pos = 0 } in
-  f st
+let with_state src f = f { rest = Lexer.tokenize src; pos = 0 }
 
 let parse_statement src =
   try with_state src (fun st -> finish st (parse_statement_body st))

@@ -28,6 +28,7 @@ and body =
 
 type t = {
   index_name : string;
+  page_rel : string;  (** buffer-pool relation name, built once *)
   order : int;  (** max keys per node before splitting *)
   mutable root : node;
   mutable next_id : int;
@@ -45,6 +46,7 @@ let create ~name ?(order = 32) () =
   let t =
     {
       index_name = name;
+      page_rel = "idx:" ^ name;
       order;
       root = { id = 0; keys = []; body = Leaf { postings = []; next = None } };
       next_id = 1;
@@ -62,7 +64,7 @@ let touch pool t node =
   | Some pool ->
     ignore
       (Buffer_pool.access pool
-         { Buffer_pool.relation = "idx:" ^ t.index_name; page_no = node.id })
+         { Buffer_pool.relation = t.page_rel; page_no = node.id })
 
 (* Position of the child to follow for [key] in an internal node: the
    number of separators <= key. *)

@@ -2,18 +2,26 @@ type page_id = { relation : string; page_no : int }
 
 type stats = { hits : int; misses : int; evictions : int }
 
-(* Doubly-linked LRU list with a hash index for O(1) access. *)
-type node = {
-  page : page_id;
-  mutable prev : node option;
-  mutable next : node option;
-}
+(* Callers build a relation name once per index or heap, so the [==] test
+   settles almost every probe before [String.equal] runs. *)
+module Page_tbl = Hashtbl.Make (struct
+  type t = page_id
+
+  let equal a b =
+    a.page_no = b.page_no
+    && (a.relation == b.relation || String.equal a.relation b.relation)
+
+  let hash p = Hashtbl.seeded_hash p.page_no p.relation
+end)
+
+(* LRU as an intrusive doubly-linked ring through a sentinel: a hit
+   relinks two nodes and allocates nothing. *)
+type node = { mutable page : page_id; mutable prev : node; mutable next : node }
 
 type t = {
   cap : int;
-  index : (page_id, node) Hashtbl.t;
-  mutable head : node option;  (** most recently used *)
-  mutable tail : node option;  (** least recently used *)
+  index : node Page_tbl.t;
+  ring : node;  (** sentinel: [ring.next] most, [ring.prev] least recently used *)
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
@@ -21,11 +29,11 @@ type t = {
 
 let create ~capacity =
   if capacity <= 0 then invalid_arg "Buffer_pool.create: capacity must be > 0";
+  let rec ring = { page = { relation = ""; page_no = -1 }; prev = ring; next = ring } in
   {
     cap = capacity;
-    index = Hashtbl.create (min capacity 4096);
-    head = None;
-    tail = None;
+    index = Page_tbl.create (min capacity 4096);
+    ring;
     hits = 0;
     misses = 0;
     evictions = 0;
@@ -33,38 +41,39 @@ let create ~capacity =
 
 let capacity t = t.cap
 
-let unlink t n =
-  (match n.prev with Some p -> p.next <- n.next | None -> t.head <- n.next);
-  (match n.next with Some s -> s.prev <- n.prev | None -> t.tail <- n.prev);
-  n.prev <- None;
-  n.next <- None
+let unlink n =
+  n.prev.next <- n.next;
+  n.next.prev <- n.prev
 
 let push_front t n =
-  n.next <- t.head;
-  n.prev <- None;
-  (match t.head with Some h -> h.prev <- Some n | None -> t.tail <- Some n);
-  t.head <- Some n
-
-let evict_lru t =
-  match t.tail with
-  | None -> ()
-  | Some n ->
-    unlink t n;
-    Hashtbl.remove t.index n.page;
-    t.evictions <- t.evictions + 1
+  let r = t.ring in
+  n.prev <- r;
+  n.next <- r.next;
+  r.next.prev <- n;
+  r.next <- n
 
 let access t page =
-  match Hashtbl.find_opt t.index page with
-  | Some n ->
+  match Page_tbl.find t.index page with
+  | n ->
     t.hits <- t.hits + 1;
-    unlink t n;
+    unlink n;
     push_front t n;
     true
-  | None ->
+  | exception Not_found ->
     t.misses <- t.misses + 1;
-    if Hashtbl.length t.index >= t.cap then evict_lru t;
-    let n = { page; prev = None; next = None } in
-    Hashtbl.replace t.index page n;
+    let n =
+      if Page_tbl.length t.index >= t.cap then begin
+        (* evict the least recently used page and reuse its node *)
+        let lru = t.ring.prev in
+        unlink lru;
+        Page_tbl.remove t.index lru.page;
+        t.evictions <- t.evictions + 1;
+        lru.page <- page;
+        lru
+      end
+      else { page; prev = t.ring; next = t.ring }
+    in
+    Page_tbl.add t.index page n;
     push_front t n;
     false
 
@@ -76,8 +85,8 @@ let reset_stats t =
   t.evictions <- 0
 
 let clear t =
-  Hashtbl.reset t.index;
-  t.head <- None;
-  t.tail <- None
+  Page_tbl.reset t.index;
+  t.ring.prev <- t.ring;
+  t.ring.next <- t.ring
 
-let cached_pages t = Hashtbl.length t.index
+let cached_pages t = Page_tbl.length t.index

@@ -8,6 +8,7 @@ type stripe = {
 
 type t = {
   col_name : string;
+  page_rel : string;  (** buffer-pool relation name, built once *)
   ncols : int;
   stripe_rows : int;
   values_per_page : int;
@@ -22,6 +23,7 @@ type t = {
 let create ~name ~ncols ?(stripe_rows = 1000) ?(values_per_page = 1024) () =
   {
     col_name = name;
+    page_rel = "col:" ^ name;
     ncols;
     stripe_rows;
     values_per_page;
@@ -111,7 +113,7 @@ let touch_stripe pool t stripe_no columns nrows =
           ignore
             (Buffer_pool.access pool
                {
-                 Buffer_pool.relation = "col:" ^ t.col_name;
+                 Buffer_pool.relation = t.page_rel;
                  page_no = (stripe_no * t.ncols * 64) + (c * 64) + p;
                })
         done)

@@ -2,6 +2,7 @@ module Int_set = Set.Make (Int)
 
 type t = {
   gin_name : string;
+  page_rel : string;  (** buffer-pool relation name, built once *)
   postings : (string, Int_set.t ref) Hashtbl.t;
   mutable page_seq : int;
   page_of_key : (string, int) Hashtbl.t;
@@ -10,6 +11,7 @@ type t = {
 let create ~name () =
   {
     gin_name = name;
+    page_rel = "gin:" ^ name;
     postings = Hashtbl.create 1024;
     page_seq = 0;
     page_of_key = Hashtbl.create 1024;
@@ -70,17 +72,19 @@ let page_of t key =
     Hashtbl.replace t.page_of_key key p;
     p
 
+let touch pool t key =
+  match pool with
+  | None -> ()
+  | Some pool ->
+    ignore
+      (Buffer_pool.access pool
+         { Buffer_pool.relation = t.page_rel; page_no = page_of t key })
+
 let add ?pool t ~tid text =
   let tgs = trigrams_of text in
   List.iter
     (fun tg ->
-      (match pool with
-       | Some pool ->
-         ignore
-           (Buffer_pool.access pool
-              { Buffer_pool.relation = "gin:" ^ t.gin_name;
-                page_no = page_of t tg })
-       | None -> ());
+      touch pool t tg;
       match Hashtbl.find_opt t.postings tg with
       | Some set -> set := Int_set.add tid !set
       | None -> Hashtbl.replace t.postings tg (ref (Int_set.singleton tid)))
@@ -96,14 +100,6 @@ let remove t ~tid text =
         if Int_set.is_empty !set then Hashtbl.remove t.postings tg
       | None -> ())
     (trigrams_of text)
-
-let touch pool t key =
-  match pool with
-  | None -> ()
-  | Some pool ->
-    ignore
-      (Buffer_pool.access pool
-         { Buffer_pool.relation = "gin:" ^ t.gin_name; page_no = page_of t key })
 
 let candidates ?pool t pattern =
   match query_trigrams pattern with

@@ -12,7 +12,6 @@ type t = {
   mutable slots : tuple array;
   mutable used : int;  (** slots.(0 .. used-1) have been allocated *)
   mutable freelist : int list;  (** reclaimed slots available for reuse *)
-  mutable dead : int;
 }
 
 let create ~name ?(rows_per_page = 64) () =
@@ -22,7 +21,6 @@ let create ~name ?(rows_per_page = 64) () =
     slots = Array.init 16 (fun _ -> { xmin = 0; xmax = 0; data = None });
     used = 0;
     freelist = [];
-    dead = 0;
   }
 
 let name t = t.heap_name
@@ -176,7 +174,6 @@ let vacuum ?on_reclaim t ~oldest ~status =
         incr reclaimed
       end
   done;
-  t.dead <- max 0 (t.dead - !reclaimed);
   !reclaimed
 
 let live_estimate t = t.used - List.length t.freelist
@@ -196,8 +193,7 @@ let page_count t = (t.used + t.rpp - 1) / t.rpp
 let clear t =
   t.slots <- Array.init 16 (fun _ -> { xmin = 0; xmax = 0; data = None });
   t.used <- 0;
-  t.freelist <- [];
-  t.dead <- 0
+  t.freelist <- []
 
 (* Rewrite every stored row (schema changes); headers are preserved. *)
 let transform t f =

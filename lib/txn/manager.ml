@@ -10,11 +10,13 @@ exception In_doubt of { gid : string; xid : xid }
 
 type t = {
   mutable next_xid : xid;
-  clog : (xid, status) Hashtbl.t;
+  mutable clog : Bytes.t;
+      (** one status byte per xid, as pg_xact: 0 never recorded, 1 in
+          progress, 2 committed, 3 aborted *)
   mutable running : xid list;  (** begun, not yet finished or prepared *)
   prepared : (string, xid) Hashtbl.t;
-  commit_ts : (xid, Hlc.timestamp) Hashtbl.t;
-      (** HLC commit timestamp of every committed xid (WAL-durable) *)
+  mutable commit_ts : Hlc.timestamp array;
+      (** HLC commit timestamp per xid, [no_ts] where none (WAL-durable) *)
   prepare_ts : (xid, Hlc.timestamp) Hashtbl.t;
       (** HLC stamp taken at PREPARE: a lower bound on the eventual
           commit timestamp, pruning which readers must block *)
@@ -25,13 +27,16 @@ type t = {
   locks : Lock.t;
 }
 
+(* Physically unique: no stamp the clock issues is [==] to it. *)
+let no_ts = { Hlc.pt = Float.nan; lc = -1 }
+
 let create () =
   {
     next_xid = 1;
-    clog = Hashtbl.create 256;
+    clog = Bytes.make 256 '\000';
     running = [];
     prepared = Hashtbl.create 16;
-    commit_ts = Hashtbl.create 256;
+    commit_ts = Array.make 256 no_ts;
     prepare_ts = Hashtbl.create 16;
     hlc = Hlc.create ~physical:(fun () -> 0.0) ();
     wal = Wal.create ();
@@ -45,18 +50,46 @@ let wal t = t.wal
 
 let locks t = t.locks
 
+(* Both per-xid arrays double until [xid] fits. *)
+let reserve t xid =
+  let n = Bytes.length t.clog in
+  if xid >= n then begin
+    let m = ref n in
+    while xid >= !m do m := 2 * !m done;
+    let clog = Bytes.make !m '\000' in
+    Bytes.blit t.clog 0 clog 0 n;
+    t.clog <- clog;
+    let cts = Array.make !m no_ts in
+    Array.blit t.commit_ts 0 cts 0 n;
+    t.commit_ts <- cts
+  end
+
+let set_status t xid st =
+  reserve t xid;
+  Bytes.set t.clog xid
+    (match st with In_progress -> '\001' | Committed -> '\002' | Aborted -> '\003')
+
+let set_commit_ts t xid ts =
+  reserve t xid;
+  t.commit_ts.(xid) <- ts
+
 let begin_txn t =
   let xid = t.next_xid in
   t.next_xid <- xid + 1;
-  Hashtbl.replace t.clog xid In_progress;
+  set_status t xid In_progress;
   t.running <- xid :: t.running;
   ignore (Wal.append t.wal (Wal.Begin xid));
   xid
 
+(* Unknown xids (never recorded, or out of range) read as crashed, hence
+   aborted. *)
 let status t xid =
-  match Hashtbl.find_opt t.clog xid with
-  | Some s -> s
-  | None -> Aborted (* unknown xids are treated as crashed, hence aborted *)
+  if xid < 0 || xid >= Bytes.length t.clog then Aborted
+  else
+    match Bytes.unsafe_get t.clog xid with
+    | '\001' -> In_progress
+    | '\002' -> Committed
+    | _ -> Aborted
 
 let is_active t xid = status t xid = In_progress
 
@@ -76,14 +109,14 @@ let check_running t xid =
 let finish t xid st record =
   check_running t xid;
   ignore (Wal.append t.wal record);
-  Hashtbl.replace t.clog xid st;
+  set_status t xid st;
   t.running <- List.filter (fun x -> x <> xid) t.running;
   Lock.release_all t.locks ~owner:xid
 
 (* Every commit gets an HLC stamp, WAL-logged right after the commit
    record so snapshot visibility survives a crash. *)
 let stamp_commit t xid ts =
-  Hashtbl.replace t.commit_ts xid ts;
+  set_commit_ts t xid ts;
   ignore (Wal.append t.wal (Wal.Commit_ts { xid; ts }))
 
 let commit t xid =
@@ -114,7 +147,7 @@ let take_prepared t gid =
 let commit_prepared ?ts t ~gid =
   let xid = take_prepared t gid in
   ignore (Wal.append t.wal (Wal.Commit_prepared { xid; gid }));
-  Hashtbl.replace t.clog xid Committed;
+  set_status t xid Committed;
   let ts =
     match ts with
     | Some ts ->
@@ -131,7 +164,7 @@ let commit_prepared ?ts t ~gid =
 let rollback_prepared t ~gid =
   let xid = take_prepared t gid in
   ignore (Wal.append t.wal (Wal.Rollback_prepared { xid; gid }));
-  Hashtbl.replace t.clog xid Aborted;
+  set_status t xid Aborted;
   Hashtbl.remove t.prepare_ts xid;
   Lock.release_all t.locks ~owner:xid
 
@@ -147,9 +180,9 @@ let rollback_prepared t ~gid =
    conflict with until new sessions start, and new writers conflict on
    tuple xmax instead). *)
 let crash_recover t =
-  Hashtbl.reset t.clog;
+  Bytes.fill t.clog 0 (Bytes.length t.clog) '\000';
+  Array.fill t.commit_ts 0 (Array.length t.commit_ts) no_ts;
   Hashtbl.reset t.prepared;
-  Hashtbl.reset t.commit_ts;
   (* prepare stamps are volatile: a prepared transaction recovered from
      the WAL has no known lower bound on its commit timestamp, so every
      snapshot reader conservatively treats it as in-doubt *)
@@ -165,25 +198,25 @@ let crash_recover t =
       see_xid xid
     | Wal.Commit xid ->
       see_xid xid;
-      Hashtbl.replace t.clog xid Committed
+      set_status t xid Committed
     | Wal.Abort xid ->
       see_xid xid;
-      Hashtbl.replace t.clog xid Aborted
+      set_status t xid Aborted
     | Wal.Prepare { xid; gid } ->
       see_xid xid;
-      Hashtbl.replace t.clog xid In_progress;
+      set_status t xid In_progress;
       Hashtbl.replace t.prepared gid xid
     | Wal.Commit_prepared { xid; gid } ->
       see_xid xid;
       Hashtbl.remove t.prepared gid;
-      Hashtbl.replace t.clog xid Committed
+      set_status t xid Committed
     | Wal.Rollback_prepared { xid; gid } ->
       see_xid xid;
       Hashtbl.remove t.prepared gid;
-      Hashtbl.replace t.clog xid Aborted
+      set_status t xid Aborted
     | Wal.Commit_ts { xid; ts } ->
       see_xid xid;
-      Hashtbl.replace t.commit_ts xid ts
+      set_commit_ts t xid ts
     | Wal.Truncate _ | Wal.Restore_point _ | Wal.Checkpoint -> ()
   in
   List.iter apply (Wal.records t.wal);
@@ -194,7 +227,11 @@ let prepared_transactions t =
 
 (* --- timestamp-based visibility (distributed snapshots) --- *)
 
-let commit_ts_of t xid = Hashtbl.find_opt t.commit_ts xid
+let commit_ts_of t xid =
+  if xid < 0 || xid >= Array.length t.commit_ts then None
+  else
+    let ts = t.commit_ts.(xid) in
+    if ts == no_ts then None else Some ts
 
 let prepared_gid_of t xid =
   Hashtbl.fold
@@ -215,7 +252,7 @@ let xid_in_doubt t ~ts xid =
 let status_at t ~ts xid =
   match status t xid with
   | Committed -> (
-    match Hashtbl.find_opt t.commit_ts xid with
+    match commit_ts_of t xid with
     | Some cts when Hlc.compare_ts cts ts > 0 ->
       (* committed, but after this reader's snapshot *)
       In_progress

@@ -225,6 +225,28 @@ let test_recursive_cte_rejected () =
       (Sqlfront.Deparse.expr (Ast.Const (Datum.Text m)) <> "")
   | _ -> Alcotest.fail "recursive CTE should be rejected"
 
+(* Error texts name the offending token and how many tokens came before
+   it. The lexer ends every list with <eof> and no production consumes
+   it, so running out of input reports <eof>. *)
+let test_parse_error_positions () =
+  List.iter
+    (fun (src, want) ->
+      match Parser.parse_statement src with
+      | exception Parser.Parse_error m -> Alcotest.(check string) src want m
+      | _ -> Alcotest.fail (Printf.sprintf "should reject %S" src))
+    [
+      ("SELECT FROM", "expected expression (at token 1: FROM)");
+      ("SELECT 1 2", "trailing input after statement (at token 2: 2)");
+      ("SELECT 1;;", "trailing input after statement (at token 3: ;)");
+      ("SELECT t.* FROM", "expected identifier (at token 5: <eof>)");
+      ("INSERT INTO t VALUES (1", "expected ) (at token 6: <eof>)");
+      ("CASE", "expected a statement (at token 0: CASE)");
+    ];
+  match Parser.parse_expression "a +" with
+  | exception Parser.Parse_error m ->
+    Alcotest.(check string) "expression" "expected expression (at token 2: <eof>)" m
+  | _ -> Alcotest.fail "should reject a dangling operator"
+
 let test_parse_errors () =
   List.iter
     (fun bad ->
@@ -558,6 +580,8 @@ let () =
           Alcotest.test_case "scalar subquery" `Quick test_scalar_subquery;
           Alcotest.test_case "params" `Quick test_params;
           Alcotest.test_case "parse errors" `Quick test_parse_errors;
+          Alcotest.test_case "parse error positions" `Quick
+            test_parse_error_positions;
           Alcotest.test_case "cte desugaring" `Quick test_cte_desugars_to_subselect;
           Alcotest.test_case "multiple ctes" `Quick test_cte_multiple_and_alias;
           Alcotest.test_case "recursive cte rejected" `Quick

@@ -245,6 +245,74 @@ let test_pool_lru_order () =
   (* evicts 1, not 0 *)
   Alcotest.(check bool) "0 still cached" true (Buffer_pool.access p (page "t" 0))
 
+(* Random accesses against a list-based LRU (most recent first). Relation
+   names are rebuilt on every access, equal but not physically equal to
+   the pooled ones, and several relations share each page number. *)
+type pool_op = Access of int * int * bool | Clear | Reset_stats
+
+let pool_rels = [| "t"; "idx:t"; "t_102"; "gin:t_102" |]
+
+let pool_op_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        ( 30,
+          map3
+            (fun r p fresh -> Access (r, p, fresh))
+            (int_bound (Array.length pool_rels - 1))
+            (int_bound 6) bool );
+        (1, return Clear);
+        (1, return Reset_stats);
+      ])
+
+let prop_pool_matches_lru_list =
+  QCheck2.Test.make ~name:"buffer pool = list LRU" ~count:300
+    QCheck2.Gen.(pair (int_range 1 8) (list_size (int_range 0 300) pool_op_gen))
+    (fun (cap, ops) ->
+      let p = Buffer_pool.create ~capacity:cap in
+      let lru = ref [] and hits = ref 0 and misses = ref 0 and evictions = ref 0 in
+      let step op =
+        match op with
+        | Access (r, no, fresh) ->
+          let rel =
+            if fresh then Bytes.to_string (Bytes.of_string pool_rels.(r))
+            else pool_rels.(r)
+          in
+          let key = (pool_rels.(r), no) in
+          let hit = List.mem key !lru in
+          if hit then incr hits
+          else begin
+            incr misses;
+            if List.length !lru >= cap then begin
+              lru := List.filteri (fun i _ -> i < cap - 1) !lru;
+              incr evictions
+            end
+          end;
+          lru := key :: List.filter (( <> ) key) !lru;
+          if Buffer_pool.access p (page rel no) <> hit then
+            QCheck2.Test.fail_reportf "%s/%d: expected %s" pool_rels.(r) no
+              (if hit then "hit" else "miss")
+        | Clear ->
+          Buffer_pool.clear p;
+          lru := []
+        | Reset_stats ->
+          Buffer_pool.reset_stats p;
+          hits := 0;
+          misses := 0;
+          evictions := 0
+      in
+      List.iter
+        (fun op ->
+          step op;
+          let s = Buffer_pool.stats p in
+          if
+            (s.Buffer_pool.hits, s.misses, s.evictions)
+            <> (!hits, !misses, !evictions)
+            || Buffer_pool.cached_pages p <> List.length !lru
+          then QCheck2.Test.fail_reportf "stats or cached_pages drifted")
+        ops;
+      true)
+
 let test_scan_accounting () =
   let m = mgr () in
   let h = Heap.create ~name:"t" ~rows_per_page:10 () in
@@ -461,6 +529,7 @@ let () =
           Alcotest.test_case "hit/miss/evict" `Quick test_pool_hit_miss;
           Alcotest.test_case "lru order" `Quick test_pool_lru_order;
           Alcotest.test_case "scan accounting" `Quick test_scan_accounting;
+          QCheck_alcotest.to_alcotest prop_pool_matches_lru_list;
         ] );
       ( "btree",
         [

@@ -282,6 +282,169 @@ let test_hlc_deterministic_replay () =
   in
   Alcotest.(check (list string)) "same exchange, same stamps" (run ()) (run ())
 
+(* --- commit-log model ---
+
+   Random lifecycles over more than 1,024 xids, so the per-xid arrays grow
+   several times, checked against a Hashtbl model kept here. Commit stamps
+   are read off the clock, never out of the manager. *)
+
+type mop =
+  | M_begin
+  | M_commit of int
+  | M_abort of int
+  | M_prepare of int
+  | M_commit_prepared of int * Hlc.timestamp option
+  | M_rollback_prepared of int
+  | M_crash
+
+let mop_gen =
+  QCheck2.Gen.(
+    let ts =
+      map2
+        (fun pt lc -> { Hlc.pt = float_of_int pt; lc })
+        (int_range 0 2) (int_range 0 3000)
+    in
+    frequency
+      [
+        (10, return M_begin);
+        (3, map (fun i -> M_commit i) nat);
+        (2, map (fun i -> M_abort i) nat);
+        (2, map (fun i -> M_prepare i) nat);
+        (2, map2 (fun i ts -> M_commit_prepared (i, ts)) nat (option ts));
+        (1, map (fun i -> M_rollback_prepared i) nat);
+        (1, return M_crash);
+      ])
+
+type model = {
+  clog : (int, Manager.status) Hashtbl.t;
+  cts : (int, Hlc.timestamp) Hashtbl.t;
+  pts : (int, Hlc.timestamp) Hashtbl.t;  (** prepare stamps: lost at a crash *)
+  mutable running : int list;
+  mutable prepared : (string * int) list;
+  mutable next : int;
+}
+
+type outcome = St of Manager.status | Doubt of string * int
+
+let show_outcome = function
+  | St Manager.In_progress -> "in progress"
+  | St Manager.Committed -> "committed"
+  | St Manager.Aborted -> "aborted"
+  | Doubt (gid, _) -> "in doubt " ^ gid
+
+let model_status md x =
+  Option.value (Hashtbl.find_opt md.clog x) ~default:Manager.Aborted
+
+let model_status_at md ~ts x =
+  match model_status md x with
+  | Manager.Committed ->
+    if Hlc.compare_ts (Hashtbl.find md.cts x) ts > 0 then St Manager.In_progress
+    else St Manager.Committed
+  | Manager.In_progress -> (
+    match List.find_opt (fun (_, y) -> y = x) md.prepared with
+    | Some (gid, _) -> (
+      match Hashtbl.find_opt md.pts x with
+      | Some pts when Hlc.compare_ts pts ts > 0 -> St Manager.In_progress
+      | _ -> Doubt (gid, x))
+    | None -> St Manager.In_progress)
+  | Manager.Aborted -> St Manager.Aborted
+
+let check_xid m md x =
+  let probes =
+    [ Hlc.zero; { Hlc.pt = 0.; lc = 700 }; { Hlc.pt = 1.; lc = 0 };
+      Hlc.peek (Manager.hlc m) ]
+  in
+  let st = Manager.status m x and want = model_status md x in
+  if st <> want then
+    QCheck2.Test.fail_reportf "status %d: %s, model %s" x
+      (show_outcome (St st)) (show_outcome (St want));
+  if Manager.commit_ts_of m x <> Hashtbl.find_opt md.cts x then
+    QCheck2.Test.fail_reportf "commit_ts_of %d differs from the model" x;
+  List.iter
+    (fun ts ->
+      let got =
+        match Manager.status_at m ~ts x with
+        | st -> St st
+        | exception Manager.In_doubt { gid; xid } -> Doubt (gid, xid)
+      in
+      let want = model_status_at md ~ts x in
+      if got <> want then
+        QCheck2.Test.fail_reportf "status_at %s %d: %s, model %s"
+          (Hlc.to_string ts) x (show_outcome got) (show_outcome want))
+    probes
+
+(* every xid issued, plus xid 0, negative xids and xids not yet issued *)
+let check_all m md =
+  List.iter (check_xid m md) [ min_int; -1025; -1; max_int ];
+  for x = 0 to md.next + 3 do check_xid m md x done
+
+let pick l i = List.nth l (i mod List.length l)
+
+let apply_mop m md op =
+  let hlc = Manager.hlc m in
+  match op with
+  | M_begin ->
+    let x = Manager.begin_txn m in
+    if x <> md.next then QCheck2.Test.fail_reportf "begin gave %d, not %d" x md.next;
+    md.next <- x + 1;
+    Hashtbl.replace md.clog x Manager.In_progress;
+    md.running <- x :: md.running
+  | (M_commit i | M_abort i | M_prepare i) when md.running <> [] ->
+    let x = pick md.running i in
+    md.running <- List.filter (( <> ) x) md.running;
+    (match op with
+     | M_commit _ ->
+       Manager.commit m x;
+       Hashtbl.replace md.clog x Manager.Committed;
+       Hashtbl.replace md.cts x (Hlc.peek hlc)
+     | M_abort _ ->
+       Manager.abort m x;
+       Hashtbl.replace md.clog x Manager.Aborted
+     | _ ->
+       let gid = Printf.sprintf "g%d" x in
+       Manager.prepare m x ~gid;
+       md.prepared <- (gid, x) :: md.prepared;
+       Hashtbl.replace md.pts x (Hlc.peek hlc))
+  | (M_commit_prepared (i, _) | M_rollback_prepared i) when md.prepared <> [] ->
+    let gid, x = pick md.prepared i in
+    md.prepared <- List.filter (fun (g, _) -> g <> gid) md.prepared;
+    Hashtbl.remove md.pts x;
+    (match op with
+     | M_commit_prepared (_, ts) ->
+       Manager.commit_prepared ?ts m ~gid;
+       Hashtbl.replace md.clog x Manager.Committed;
+       Hashtbl.replace md.cts x (Option.value ts ~default:(Hlc.peek hlc))
+     | _ ->
+       Manager.rollback_prepared m ~gid;
+       Hashtbl.replace md.clog x Manager.Aborted)
+  | M_crash ->
+    Manager.crash_recover m;
+    (* running transactions vanish: their xids read as never recorded *)
+    List.iter (Hashtbl.remove md.clog) md.running;
+    md.running <- [];
+    Hashtbl.reset md.pts;
+    check_all m md
+  | M_commit _ | M_abort _ | M_prepare _ | M_commit_prepared _
+  | M_rollback_prepared _ ->
+    ()
+
+let prop_clog_model =
+  QCheck2.Test.make ~name:"commit log matches a Hashtbl model" ~count:12
+    QCheck2.Gen.(list_size (int_range 2600 3000) mop_gen)
+    (fun ops ->
+      let m = Manager.create () in
+      let md =
+        { clog = Hashtbl.create 64; cts = Hashtbl.create 64;
+          pts = Hashtbl.create 8; running = []; prepared = []; next = 1 }
+      in
+      List.iteri
+        (fun i op ->
+          apply_mop m md op;
+          if i mod 256 = 0 then check_all m md)
+        ops;
+      check_all m md;
+      md.next > 1024)
+
 let () =
   Alcotest.run "txn"
     [
@@ -337,4 +500,5 @@ let () =
           Alcotest.test_case "blocks oldest xid" `Quick
             test_prepared_blocks_oldest_xid;
         ] );
+      ("clog", [ QCheck_alcotest.to_alcotest prop_clog_model ]);
     ]
