@@ -1,5 +1,3 @@
-let intermediate_seq = ref 0
-
 let infer_column_types ncols (rows : Datum.t array list) =
   Array.init ncols (fun i ->
       let rec first_type = function
@@ -16,8 +14,9 @@ let run_merge (t : State.t) coord_session (merge : Plan.merge)
     (rows : Datum.t array list) : Engine.Instance.result =
   let inst = t.State.local.Cluster.Topology.instance in
   let catalog = Engine.Instance.catalog inst in
-  incr intermediate_seq;
-  let rel = Printf.sprintf "citus_intermediate_%d" !intermediate_seq in
+  let seq = t.State.next_intermediate_seq in
+  t.State.next_intermediate_seq <- seq + 1;
+  let rel = Printf.sprintf "citus_intermediate_%d" seq in
   let ncols = List.length merge.Plan.intermediate_columns in
   let tys = infer_column_types ncols rows in
   let columns =

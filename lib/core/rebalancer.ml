@@ -135,11 +135,11 @@ let copy_shard_to (t : State.t) (shard : Metadata.shard) ~from_node ~to_node
      it must WAL-log each mutation itself: crash recovery replays the
      destination WAL from scratch, and un-logged rows would vanish on
      restart (worse, their tids could be re-assigned to later, logged
-     rows, corrupting the redo chain). The Truncate marker fences off any
-     records a stale pre-repair copy left in the destination WAL. *)
-  let log_dst record =
-    ignore (Txn.Wal.append (Txn.Manager.wal dst_mgr) record)
-  in
+     rows, corrupting the redo chain). Logging through the manager marks
+     the apply transaction as having written, so its commit is logged
+     too. The Truncate marker fences off any records a stale pre-repair
+     copy left in the destination WAL. *)
+  let log_dst record = Txn.Manager.log dst_mgr record in
   log_dst (Txn.Wal.Truncate shard_table);
   (* 2. record the WAL position, then copy a snapshot while writes continue *)
   let lsn0 = Txn.Wal.current_lsn (Txn.Manager.wal src_mgr) in

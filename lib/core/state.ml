@@ -54,6 +54,7 @@ type t = {
   mutable partitioned : string list;
   mutable injected_failures : (string * string) list;
   mutable next_gid_seq : int;
+  mutable next_intermediate_seq : int;
 }
 
 exception Network_error of string
@@ -91,6 +92,7 @@ let create ~cluster ~metadata ~metasync ~local ~registry =
     partitioned = [];
     injected_failures = [];
     next_gid_seq = 1;
+    next_intermediate_seq = 1;
   }
 
 let session_state t (s : Engine.Instance.session) =

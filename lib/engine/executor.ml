@@ -790,9 +790,15 @@ and join_rel ctx (lschema, lrows) (rschema, rrows) kind cond :
 
 (* --- writes --- *)
 
+(* Every DML statement marks its transaction as having written, so its
+   commit is logged: columnar appends log no record of their own, and
+   their stripes' visibility after a restart comes from the replayed
+   clog. *)
 let require_xid ctx =
   match ctx.xid with
-  | Some x -> x
+  | Some x ->
+    Txn.Manager.note_write ctx.mgr x;
+    x
   | None -> err "DML requires a transaction"
 
 let heap_of (table : Catalog.table) =
@@ -931,9 +937,8 @@ let insert_rows ctx ~(table : Catalog.table) rows ~on_conflict_do_nothing =
                  Storage.Buffer_pool.relation = table.tbl_name;
                  page_no = tid / Storage.Heap.rows_per_page heap;
                });
-          ignore
-            (Txn.Wal.append (Txn.Manager.wal ctx.mgr)
-               (Txn.Wal.Insert { xid; table = table.tbl_name; tid; row }));
+          Txn.Manager.log ctx.mgr
+            (Txn.Wal.Insert { xid; table = table.tbl_name; tid; row });
           index_insert ctx table tid row;
           Meter.add_written ctx.meter 1;
           incr inserted
@@ -1079,16 +1084,15 @@ let run_update ctx ~table ~sets ~where =
                   Storage.Buffer_pool.relation = table.tbl_name;
                   page_no = new_tid / Storage.Heap.rows_per_page heap;
                 });
-           ignore
-             (Txn.Wal.append (Txn.Manager.wal ctx.mgr)
-                (Txn.Wal.Update
-                   {
-                     xid;
-                     table = table.tbl_name;
-                     old_tid = tid;
-                     new_tid;
-                     row = new_row;
-                   }));
+           Txn.Manager.log ctx.mgr
+             (Txn.Wal.Update
+                {
+                  xid;
+                  table = table.tbl_name;
+                  old_tid = tid;
+                  new_tid;
+                  row = new_row;
+                });
            index_insert ctx table new_tid new_row;
            Meter.add_written ctx.meter 1;
            incr updated
@@ -1138,9 +1142,8 @@ let run_delete ctx ~table ~where =
            raise (Would_block [ xmax ])
          | _ ->
            if Storage.Heap.delete heap ~xid ~tid then begin
-             ignore
-               (Txn.Wal.append (Txn.Manager.wal ctx.mgr)
-                  (Txn.Wal.Delete { xid; table = table.tbl_name; tid }));
+             Txn.Manager.log ctx.mgr
+               (Txn.Wal.Delete { xid; table = table.tbl_name; tid });
              Meter.add_written ctx.meter 1;
              incr deleted
            end))

@@ -897,7 +897,7 @@ let recover_from_wal t =
       | Txn.Wal.Begin _ | Txn.Wal.Commit _ | Txn.Wal.Abort _
       | Txn.Wal.Prepare _ | Txn.Wal.Commit_prepared _
       | Txn.Wal.Rollback_prepared _ | Txn.Wal.Commit_ts _
-      | Txn.Wal.Restore_point _ | Txn.Wal.Checkpoint -> ())
+      | Txn.Wal.Restore_point _ | Txn.Wal.Xid_floor _ -> ())
     (Txn.Wal.records (Txn.Manager.wal t.mgr));
   (* 3b. re-acquire the locks of recovered prepared transactions, as
      PostgreSQL does from its two-phase state files. [crash_recover]

@@ -2,12 +2,15 @@
    registered probes that fold externally-maintained counter sets (the
    engine meters, the cluster network stats) into every snapshot.
 
-   Everything is deterministic: snapshots sort by name, histograms keep
-   exact observations (simulation scale makes that affordable), and no
-   ambient time or randomness is consulted — timestamps, where needed,
-   are supplied by the caller from the virtual clock. *)
+   Everything is deterministic: snapshots sort by name, and no ambient
+   time or randomness is consulted — timestamps, where needed, are
+   supplied by the caller from the virtual clock. Histograms keep every
+   observation, unboxed in a growable [Float.Array], so summaries are
+   exact; the cost is 8 bytes per observation for the life of the
+   registry. *)
 
-type hist = { mutable observations : float list; mutable hcount : int }
+(* [obs.(0 .. n-1)] are the observations in arrival order. *)
+type hist = { mutable obs : Float.Array.t; mutable n : int }
 
 type t = {
   counters : (string, int ref) Hashtbl.t;
@@ -77,12 +80,17 @@ let observe t name v =
     match Hashtbl.find_opt t.histograms name with
     | Some h -> h
     | None ->
-        let h = { observations = []; hcount = 0 } in
+        let h = { obs = Float.Array.create 64; n = 0 } in
         Hashtbl.replace t.histograms name h;
         h
   in
-  h.observations <- v :: h.observations;
-  h.hcount <- h.hcount + 1
+  if h.n = Float.Array.length h.obs then begin
+    let obs = Float.Array.create (2 * h.n) in
+    Float.Array.blit h.obs 0 obs 0 h.n;
+    h.obs <- obs
+  end;
+  Float.Array.unsafe_set h.obs h.n v;
+  h.n <- h.n + 1
 
 (* [f] is called at snapshot time; its counters appear under
    "<prefix>.<key>". Lets the engine meter and the topology net stats
@@ -95,18 +103,21 @@ let percentile sorted n p =
   else
     let idx = int_of_float (ceil (p *. float_of_int n)) - 1 in
     let idx = max 0 (min (n - 1) idx) in
-    sorted.(idx)
+    Float.Array.get sorted idx
 
 let summarize h =
-  let arr = Array.of_list h.observations in
-  Array.sort compare arr;
-  let n = Array.length arr in
+  let n = h.n in
+  (* sorted from newest first, so values that compare equal but print
+     apart (0.0 and -0.0) keep the order summaries have always given
+     them: summaries stay bit-identical across versions *)
+  let arr = Float.Array.init n (fun i -> Float.Array.get h.obs (n - 1 - i)) in
+  Float.Array.sort compare arr;
   {
-    count = h.hcount;
-    sum = Array.fold_left ( +. ) 0.0 arr;
+    count = n;
+    sum = Float.Array.fold_left ( +. ) 0.0 arr;
     p50 = percentile arr n 0.50;
     p95 = percentile arr n 0.95;
-    max = (if n = 0 then 0.0 else arr.(n - 1));
+    max = (if n = 0 then 0.0 else Float.Array.get arr (n - 1));
   }
 
 let snapshot t =

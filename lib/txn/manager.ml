@@ -14,6 +14,11 @@ type t = {
       (** one status byte per xid, as pg_xact: 0 never recorded, 1 in
           progress, 2 committed, 3 aborted *)
   mutable running : xid list;  (** begun, not yet finished or prepared *)
+  mutable wrote : xid list;
+      (** running xids that have logged their [Begin]: only these leave
+          commit or abort records *)
+  mutable xid_floor : xid;
+      (** the last [Wal.Xid_floor] logged: no xid at or above it issued *)
   prepared : (string, xid) Hashtbl.t;
   mutable commit_ts : Hlc.timestamp array;
       (** HLC commit timestamp per xid, [no_ts] where none (WAL-durable) *)
@@ -35,6 +40,8 @@ let create () =
     next_xid = 1;
     clog = Bytes.make 256 '\000';
     running = [];
+    wrote = [];
+    xid_floor = 1;
     prepared = Hashtbl.create 16;
     commit_ts = Array.make 256 no_ts;
     prepare_ts = Hashtbl.create 16;
@@ -73,12 +80,21 @@ let set_commit_ts t xid ts =
   reserve t xid;
   t.commit_ts.(xid) <- ts
 
+(* Xids are issued without a WAL record; only the floor is logged, once
+   per [floor_step] xids, so a crash can never lead to an xid being
+   reissued (2PC recovery asks [is_active] of a coordinator xid named in
+   a gid, which must not come back to life as someone else's). *)
+let floor_step = 1024
+
 let begin_txn t =
   let xid = t.next_xid in
   t.next_xid <- xid + 1;
+  if xid >= t.xid_floor then begin
+    t.xid_floor <- xid + floor_step;
+    ignore (Wal.append t.wal (Wal.Xid_floor t.xid_floor))
+  end;
   set_status t xid In_progress;
   t.running <- xid :: t.running;
-  ignore (Wal.append t.wal (Wal.Begin xid));
   xid
 
 (* Unknown xids (never recorded, or out of range) read as crashed, hence
@@ -106,24 +122,49 @@ let check_running t xid =
   if not (List.mem xid t.running) then
     invalid_arg (Printf.sprintf "xid %d is not a running transaction" xid)
 
+(* A transaction's first write logs its [Begin], as PostgreSQL assigns
+   an xid lazily: until then it has left nothing durable to decide. *)
+let note_write t xid =
+  if not (List.mem xid t.wrote) then begin
+    check_running t xid;
+    ignore (Wal.append t.wal (Wal.Begin xid));
+    t.wrote <- xid :: t.wrote
+  end
+
+let log t record =
+  (match record with
+   | Wal.Insert { xid; _ } | Wal.Update { xid; _ } | Wal.Delete { xid; _ } ->
+     note_write t xid
+   | _ -> ());
+  ignore (Wal.append t.wal record)
+
+(* Returns whether the xid wrote, having logged [record] if it did. A
+   transaction that wrote nothing ends in memory only: after a crash its
+   xid reads as never recorded, hence aborted, which no reader can tell
+   from committed. *)
 let finish t xid st record =
   check_running t xid;
-  ignore (Wal.append t.wal record);
+  let wrote = List.mem xid t.wrote in
+  if wrote then begin
+    ignore (Wal.append t.wal record);
+    t.wrote <- List.filter (fun x -> x <> xid) t.wrote
+  end;
   set_status t xid st;
   t.running <- List.filter (fun x -> x <> xid) t.running;
-  Lock.release_all t.locks ~owner:xid
+  Lock.release_all t.locks ~owner:xid;
+  wrote
 
-(* Every commit gets an HLC stamp, WAL-logged right after the commit
-   record so snapshot visibility survives a crash. *)
+(* Every commit that wrote gets an HLC stamp, WAL-logged right after the
+   commit record so snapshot visibility survives a crash. *)
 let stamp_commit t xid ts =
   set_commit_ts t xid ts;
   ignore (Wal.append t.wal (Wal.Commit_ts { xid; ts }))
 
 let commit t xid =
-  finish t xid Committed (Wal.Commit xid);
-  stamp_commit t xid (Hlc.now t.hlc)
+  if finish t xid Committed (Wal.Commit xid) then
+    stamp_commit t xid (Hlc.now t.hlc)
 
-let abort t xid = finish t xid Aborted (Wal.Abort xid)
+let abort t xid = ignore (finish t xid Aborted (Wal.Abort xid))
 
 let prepare t xid ~gid =
   check_running t xid;
@@ -133,6 +174,7 @@ let prepare t xid ~gid =
   (* Detach from the session: no longer "running" but still in progress,
      and its locks stay held. *)
   t.running <- List.filter (fun x -> x <> xid) t.running;
+  t.wrote <- List.filter (fun x -> x <> xid) t.wrote;
   Hashtbl.replace t.prepared gid xid;
   (* The eventual commit timestamp is assigned at the coordinator after
      this PREPARE's reply lands, so it must exceed this stamp: readers
@@ -171,14 +213,14 @@ let rollback_prepared t ~gid =
 (* Rebuild all in-memory transaction state from the WAL after a crash.
    The WAL itself is the only durable structure; clog, running set,
    prepared table and locks are reconstructed. Transactions that were
-   running (Begin without a matching Commit/Abort/Prepare) simply vanish:
-   they are not entered into the clog, and [status] reports unknown xids
-   as Aborted, which is exactly PostgreSQL's crashed-transaction
+   running (no Commit/Abort/Prepare record) or that ended without writing
+   simply vanish: they are not entered into the clog, and [status]
+   reports unknown xids as Aborted, which is exactly PostgreSQL's crashed-transaction
    semantics. Prepared transactions survive with their xid in progress;
    their row locks are not reacquired here (the engine-level recovery
    re-locks nothing — with no running sessions there is nobody to
    conflict with until new sessions start, and new writers conflict on
-   tuple xmax instead). *)
+   tuple xmax instead). Numbering resumes at the last logged xid floor. *)
 let crash_recover t =
   Bytes.fill t.clog 0 (Bytes.length t.clog) '\000';
   Array.fill t.commit_ts 0 (Array.length t.commit_ts) no_ts;
@@ -188,39 +230,29 @@ let crash_recover t =
      snapshot reader conservatively treats it as in-doubt *)
   Hashtbl.reset t.prepare_ts;
   t.running <- [];
+  t.wrote <- [];
+  t.xid_floor <- 1;
   Lock.reset t.locks;
-  let max_xid = ref 0 in
-  let see_xid x = if x > !max_xid then max_xid := x in
   let apply (_, record) =
     match record with
-    | Wal.Begin xid -> see_xid xid
-    | Wal.Insert { xid; _ } | Wal.Update { xid; _ } | Wal.Delete { xid; _ } ->
-      see_xid xid
-    | Wal.Commit xid ->
-      see_xid xid;
-      set_status t xid Committed
-    | Wal.Abort xid ->
-      see_xid xid;
-      set_status t xid Aborted
+    | Wal.Commit xid -> set_status t xid Committed
+    | Wal.Abort xid -> set_status t xid Aborted
     | Wal.Prepare { xid; gid } ->
-      see_xid xid;
       set_status t xid In_progress;
       Hashtbl.replace t.prepared gid xid
     | Wal.Commit_prepared { xid; gid } ->
-      see_xid xid;
       Hashtbl.remove t.prepared gid;
       set_status t xid Committed
     | Wal.Rollback_prepared { xid; gid } ->
-      see_xid xid;
       Hashtbl.remove t.prepared gid;
       set_status t xid Aborted
-    | Wal.Commit_ts { xid; ts } ->
-      see_xid xid;
-      set_commit_ts t xid ts
-    | Wal.Truncate _ | Wal.Restore_point _ | Wal.Checkpoint -> ()
+    | Wal.Commit_ts { xid; ts } -> set_commit_ts t xid ts
+    | Wal.Xid_floor f -> t.xid_floor <- f
+    | Wal.Begin _ | Wal.Insert _ | Wal.Update _ | Wal.Delete _
+    | Wal.Truncate _ | Wal.Restore_point _ -> ()
   in
   List.iter apply (Wal.records t.wal);
-  t.next_xid <- !max_xid + 1
+  t.next_xid <- t.xid_floor
 
 let prepared_transactions t =
   Hashtbl.fold (fun gid xid acc -> (gid, xid) :: acc) t.prepared []

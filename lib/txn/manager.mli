@@ -17,8 +17,22 @@ val wal : t -> Wal.t
 
 val locks : t -> Lock.t
 
-(** Start a transaction: assigns an xid, logs [Begin]. *)
+(** Start a transaction: assigns an xid, which owns the transaction's
+    locks and reads [In_progress], but logs nothing of its own; once per
+    1,024 xids a [Wal.Xid_floor] is logged so that numbering after a
+    crash resumes above every xid issued before it. *)
 val begin_txn : t -> xid
+
+(** [note_write t xid] marks a running transaction as having written:
+    its first call logs [Begin], and from then on its commit or abort is
+    logged. For writes that log no record of their own (columnar
+    appends); raises [Invalid_argument] if [xid] is not running. *)
+val note_write : t -> xid -> unit
+
+(** [log t record] appends [record] to the WAL, first marking the xid it
+    carries (Insert, Update, Delete) as having written. Every xid-bearing
+    record is appended through here, never through [Wal.append]. *)
+val log : t -> Wal.record -> unit
 
 (** Snapshot for a running transaction (or a standalone read). *)
 val take_snapshot : t -> Snapshot.t
@@ -27,8 +41,11 @@ val status : t -> xid -> status
 
 val is_active : t -> xid -> bool
 
-(** Commit/abort: write the WAL record, flip the clog entry, release
-    locks. Raise [Invalid_argument] if the xid is not in progress. *)
+(** Commit/abort: flip the clog entry and release locks; if the xid
+    wrote, first log its Commit (then its HLC stamp) or Abort record. A
+    transaction that wrote nothing logs nothing and gets no stamp, so
+    after a crash it reads as [Aborted]. Raise [Invalid_argument] if the
+    xid is not in progress. *)
 val commit : t -> xid -> unit
 
 val abort : t -> xid -> unit
@@ -55,10 +72,11 @@ val rollback_prepared : t -> gid:string -> unit
 val prepared_transactions : t -> (string * xid) list
 
 (** Rebuild clog / running / prepared / locks from the WAL after a node
-    crash. Transactions that were running at crash time disappear (their
-    xids read as [Aborted]); prepared transactions survive as
-    [In_progress] and stay listed in [prepared_transactions]. The WAL is
-    kept as-is. *)
+    crash. Transactions that were running at crash time, or ended without
+    writing, disappear (their xids read as [Aborted]); prepared
+    transactions survive as [In_progress] and stay listed in
+    [prepared_transactions]. New xids start at the last logged floor.
+    The WAL is kept as-is. *)
 val crash_recover : t -> unit
 
 exception No_such_prepared of string
@@ -71,9 +89,9 @@ val oldest_active_xid : t -> xid
 
 (** {2 Hybrid-logical-clock commit timestamps (distributed snapshots)}
 
-    Every commit is stamped with this node's {!Hlc.t} and the stamp is
-    WAL-logged ([Wal.Commit_ts]), so timestamp visibility survives a
-    crash. The default clock is purely logical; the cluster layer
+    Every commit of a transaction that wrote (and every prepared one) is
+    stamped with this node's {!Hlc.t} and the stamp is WAL-logged
+    ([Wal.Commit_ts]), so timestamp visibility survives a crash. The default clock is purely logical; the cluster layer
     installs one whose physical component reads the simulated (possibly
     skewed) node clock. *)
 
@@ -82,7 +100,7 @@ val set_hlc : t -> Hlc.t -> unit
 val hlc : t -> Hlc.t
 
 (** HLC commit timestamp of a committed xid ([None] when unknown — an
-    aborted or still-running transaction). *)
+    aborted or still-running transaction, or one that wrote nothing). *)
 val commit_ts_of : t -> xid -> Hlc.timestamp option
 
 (** The gid of a prepared (in-doubt) xid, if any. *)

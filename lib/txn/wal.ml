@@ -19,30 +19,41 @@ type record =
   | Commit_ts of { xid : int; ts : Hlc.timestamp }
   | Truncate of string
   | Restore_point of string
-  | Checkpoint
+  | Xid_floor of int
 
-type t = { mutable entries : (lsn * record) list; mutable next_lsn : lsn }
-(* entries kept newest-first; [records] reverses. *)
+(* Dense: the record at LSN [l] sits at index [l - 1]; slots at [len] and
+   beyond hold [filler] until appended over. *)
+type t = { mutable log : record array; mutable len : int }
 
-let create () = { entries = []; next_lsn = 1 }
+let filler = Xid_floor 0
+
+let create () = { log = Array.make 256 filler; len = 0 }
 
 let append t record =
-  let lsn = t.next_lsn in
-  t.next_lsn <- lsn + 1;
-  t.entries <- (lsn, record) :: t.entries;
-  lsn
+  if t.len = Array.length t.log then begin
+    let log = Array.make (2 * t.len) filler in
+    Array.blit t.log 0 log 0 t.len;
+    t.log <- log
+  end;
+  t.log.(t.len) <- record;
+  t.len <- t.len + 1;
+  t.len
 
-let current_lsn t = t.next_lsn - 1
+let current_lsn t = t.len
+
+let size t = t.len
 
 let records ?(from = 0) ?upto t =
-  let upto = Option.value ~default:t.next_lsn upto in
-  List.rev
-    (List.filter (fun (lsn, _) -> lsn >= from && lsn < upto) t.entries)
+  let lo = max from 1 in
+  let hi = min (Option.value ~default:max_int upto) (t.len + 1) in
+  if hi <= lo then [] else List.init (hi - lo) (fun i -> (lo + i, t.log.(lo + i - 1)))
 
 let find_restore_point t name =
-  let matches (_, r) =
-    match r with Restore_point n -> String.equal n name | _ -> false
+  let rec scan l =
+    if l < 1 then None
+    else
+      match t.log.(l - 1) with
+      | Restore_point n when String.equal n name -> Some l
+      | _ -> scan (l - 1)
   in
-  Option.map fst (List.find_opt matches t.entries)
-
-let size t = List.length t.entries
+  scan t.len

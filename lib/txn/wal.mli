@@ -1,7 +1,8 @@
 (** Logical write-ahead log.
 
     Every data-modifying operation appends a record before the change is
-    considered durable. The log supports the two capabilities the paper
+    considered durable; a transaction that wrote nothing leaves no record
+    (see {!Manager.log}). The log supports the two capabilities the paper
     relies on (§3.7.2, §3.9): prepared-transaction state that survives a
     restart, and consistent restore points across a cluster. Replay is
     performed by the engine's recovery routine. *)
@@ -29,7 +30,9 @@ type record =
           distributed snapshot visibility is rebuilt from these *)
   | Truncate of string  (** table name; TRUNCATE is not MVCC, logged as-is *)
   | Restore_point of string
-  | Checkpoint
+  | Xid_floor of int
+      (** no xid at or above this one has been issued; logged once per
+          1,024 xids so numbering never reissues an xid after a crash *)
 
 type t
 

@@ -33,6 +33,41 @@ let load_items ?(n = 40) s =
   done;
   ignore (exec s "COMMIT")
 
+(* --- WAL --- *)
+
+(* A read-only statement is a transaction on the coordinator and on each
+   worker it touches, and none of them writes: no node may log anything
+   for it. (Xids are still issued; a fresh cluster is far from the first
+   1,024-xid floor.) *)
+let test_reads_append_no_wal () =
+  let cluster, _, s = make ~workers:3 () in
+  setup_items s;
+  load_items s;
+  Citus.Session.prepare s ~name:"getq" "SELECT qty FROM items WHERE key = $1";
+  let wal_size () =
+    List.fold_left
+      (fun acc (n : Cluster.Topology.node) ->
+        acc
+        + Txn.Wal.size
+            (Txn.Manager.wal (Engine.Instance.txn_manager n.Cluster.Topology.instance)))
+      0
+      (Cluster.Topology.all_nodes cluster)
+  in
+  let before = wal_size () in
+  for k = 1 to 40 do
+    check_int s "ad-hoc router read" (k mod 5)
+      (Printf.sprintf "SELECT qty FROM items WHERE key = %d" k);
+    (match (Citus.Session.execute s "getq" [ Datum.Int k ]).Engine.Instance.rows with
+     | [ [| Datum.Int q |] ] -> Alcotest.(check int) "prepared read" (k mod 5) q
+     | _ -> Alcotest.fail "prepared read: expected one row")
+  done;
+  check_int s "multi-shard merge" 40 "SELECT count(*) FROM items";
+  Alcotest.(check int) "grouped merge" 5
+    (List.length
+       (exec s "SELECT qty, count(*) FROM items GROUP BY qty ORDER BY qty")
+         .Engine.Instance.rows);
+  Alcotest.(check int) "WAL records on all nodes" before (wal_size ())
+
 (* --- metadata --- *)
 
 let test_metadata_shards () =
@@ -1084,6 +1119,8 @@ let test_procedure_delegation () =
 let () =
   Alcotest.run "citus"
     [
+      ( "wal",
+        [ Alcotest.test_case "reads append nothing" `Quick test_reads_append_no_wal ] );
       ( "metadata",
         [
           Alcotest.test_case "shards + placements" `Quick test_metadata_shards;

@@ -173,6 +173,36 @@ let test_move_applies_wal_delta () =
   ignore (exec s "UPDATE t SET v = 43 WHERE k = 3");
   check_int s "writes to the new placement work" 43 "SELECT v FROM t WHERE k = 3"
 
+(* The move copies rows below the executor under the destination's own
+   apply transaction; logging them through the manager marks it as having
+   written, so its commit is logged and a restart of the destination
+   replays every row as committed. *)
+let test_move_survives_destination_restart () =
+  let cluster, citus, s = make () in
+  ignore (exec s "CREATE TABLE t (k bigint PRIMARY KEY, v bigint)");
+  ignore (exec s "SELECT create_distributed_table('t', 'k')");
+  ignore (exec s "BEGIN");
+  for i = 1 to 50 do
+    ignore (exec s (Printf.sprintf "INSERT INTO t (k, v) VALUES (%d, %d)" i i))
+  done;
+  ignore (exec s "COMMIT");
+  let st = Citus.Api.coordinator_state citus in
+  let meta = citus.Citus.Api.metadata in
+  let shard = Citus.Metadata.shard_for_value meta ~table:"t" (Datum.Int 7) in
+  let from_node = Citus.Metadata.placement meta shard.Citus.Metadata.shard_id in
+  let to_node = if from_node = "worker1" then "worker2" else "worker1" in
+  ignore
+    (Citus.Rebalancer.move_shard_group st ~shard_id:shard.Citus.Metadata.shard_id
+       ~to_node);
+  Engine.Instance.restart
+    (Cluster.Topology.find_node cluster to_node).Cluster.Topology.instance;
+  Citus.State.reset_sessions st;
+  let s = Citus.Api.connect citus in
+  check_int s "every row after the destination restarts" 50
+    "SELECT count(*) FROM t";
+  check_int s "sum unchanged" 1275 "SELECT sum(v) FROM t";
+  check_int s "moved row readable" 7 "SELECT v FROM t WHERE k = 7"
+
 let test_move_colocated_together () =
   let _, citus, s = make () in
   ignore (exec s "CREATE TABLE t (k bigint, v bigint)");
@@ -262,6 +292,8 @@ let () =
         [
           Alcotest.test_case "move shard group" `Quick test_move_shard_group;
           Alcotest.test_case "wal delta" `Quick test_move_applies_wal_delta;
+          Alcotest.test_case "survives destination restart" `Quick
+            test_move_survives_destination_restart;
           Alcotest.test_case "colocated together" `Quick
             test_move_colocated_together;
           Alcotest.test_case "add node + rebalance" `Quick

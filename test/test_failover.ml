@@ -319,6 +319,57 @@ let test_coordinator_crash_before_commit_fanout () =
               (Engine.Instance.txn_manager inst))))
     [ n1; n2 ]
 
+(* The coordinator crashes after its participants PREPARE but before it
+   writes its commit records. Its transaction wrote nothing locally, so
+   no WAL record names its xid; the logged xid floor must still keep
+   numbering above it after the restart, or a reissued xid could read as
+   the crashed transaction still running, and recovery would leave its
+   orphans prepared. *)
+let test_coordinator_crash_before_commit_record () =
+  let cluster, citus, s = make () in
+  setup_items s;
+  load_items ~n:20 s;
+  let st = Citus.Api.coordinator_state citus in
+  let meta = citus.Citus.Api.metadata in
+  let instance node =
+    (Cluster.Topology.find_node cluster node).Cluster.Topology.instance
+  in
+  let coord_mgr = Engine.Instance.txn_manager (instance "coordinator") in
+  let k1, k2 = two_keys_on_different_nodes citus "items" in
+  (* the first half of 2PC, as the coordinator drives it *)
+  let coord_xid = Txn.Manager.begin_txn coord_mgr in
+  List.iter
+    (fun k ->
+      let shard = Citus.Metadata.shard_for_value meta ~table:"items" (Datum.Int k) in
+      let ws = Engine.Instance.connect (instance (node_of citus "items" k)) in
+      ignore (exec ws "BEGIN");
+      ignore
+        (exec ws
+           (Printf.sprintf "UPDATE %s SET qty = 999 WHERE key = %d"
+              (Citus.Metadata.shard_name shard) k));
+      ignore
+        (exec ws
+           (Printf.sprintf "PREPARE TRANSACTION '%s'"
+              (Citus.State.fresh_gid st ~coord_xid))))
+    [ k1; k2 ];
+  Engine.Instance.restart (instance "coordinator");
+  Citus.State.reset_sessions st;
+  let next = Txn.Manager.begin_txn coord_mgr in
+  Alcotest.(check bool)
+    (Printf.sprintf "xid %d after the restart is above the crashed %d" next
+       coord_xid)
+    true (next > coord_xid);
+  Txn.Manager.abort coord_mgr next;
+  let committed, rolled_back = Citus.Twopc.recover st in
+  Alcotest.(check int) "nothing committed" 0 committed;
+  Alcotest.(check int) "both orphans rolled back" 2 rolled_back;
+  let s = Citus.Api.connect citus in
+  List.iter
+    (fun k ->
+      check_int s (Printf.sprintf "key %d unchanged" k) (k mod 5)
+        (Printf.sprintf "SELECT qty FROM items WHERE key = %d" k))
+    [ k1; k2 ]
+
 (* --- gray failure: statement timeouts, slow-trips, hedged reads --- *)
 
 (* [make] builds clusters without a fault plan (zero injected latency);
@@ -525,6 +576,8 @@ let () =
             test_2pc_drain_counts_failed_commits;
           Alcotest.test_case "coordinator crash before fan-out" `Quick
             test_coordinator_crash_before_commit_fanout;
+          Alcotest.test_case "coordinator crash before commit record" `Quick
+            test_coordinator_crash_before_commit_record;
         ] );
       ( "retries",
         [

@@ -389,6 +389,71 @@ let test_stat_udfs () =
   Alcotest.(check bool) "tracing off again" false
     (Obs.Trace.enabled (Cluster.Topology.trace cluster))
 
+(* Histograms against the list representation they used to have: each
+   observation consed on a newest-first list, summarized through
+   [Array.sort compare]. Summaries must agree bit for bit, ties that
+   print apart (0.0, -0.0) and NaN included, across several growths of
+   the unboxed array. *)
+let list_summary obs =
+  let arr = Array.of_list obs in
+  Array.sort compare arr;
+  let n = Array.length arr in
+  let pct p =
+    if n = 0 then 0.0
+    else arr.(max 0 (min (n - 1) (int_of_float (ceil (p *. float_of_int n)) - 1)))
+  in
+  {
+    Obs.Metrics.count = List.length obs;
+    sum = Array.fold_left ( +. ) 0.0 arr;
+    p50 = pct 0.50;
+    p95 = pct 0.95;
+    max = (if n = 0 then 0.0 else arr.(n - 1));
+  }
+
+let same_summary (a : Obs.Metrics.hist_summary) (b : Obs.Metrics.hist_summary) =
+  let bits = Int64.bits_of_float in
+  a.count = b.count
+  && List.for_all2
+       (fun x y -> Int64.equal (bits x) (bits y))
+       [ a.sum; a.p50; a.p95; a.max ] [ b.sum; b.p50; b.p95; b.max ]
+
+let prop_histogram_model =
+  QCheck2.Test.make ~name:"histograms match a list model" ~count:20
+    QCheck2.Gen.(
+      let value =
+        frequency
+          [
+            (6, float);
+            (3, map float_of_int (int_range (-3) 3));
+            (1, oneofl [ 0.0; -0.0; Float.nan; Float.infinity; Float.neg_infinity ]);
+          ]
+      in
+      list_size (int_range 800 1500)
+        (pair (frequency [ (4, return "a"); (1, return "b") ]) value))
+    (fun ops ->
+      let m = Obs.Metrics.create () in
+      let model = Hashtbl.create 2 in
+      let check () =
+        List.iter
+          (fun (name, got) ->
+            let want = list_summary (Hashtbl.find model name) in
+            if not (same_summary got want) then
+              QCheck2.Test.fail_reportf "%s: count=%d p50=%h, model count=%d p50=%h"
+                name got.Obs.Metrics.count got.Obs.Metrics.p50
+                want.Obs.Metrics.count want.Obs.Metrics.p50)
+          (Obs.Metrics.snapshot m).Obs.Metrics.s_histograms
+      in
+      List.iteri
+        (fun i (name, v) ->
+          Obs.Metrics.observe m name v;
+          Hashtbl.replace model name
+            (v :: Option.value (Hashtbl.find_opt model name) ~default:[]);
+          if i mod 97 = 0 then check ())
+        ops;
+      check ();
+      (* the array starts at 64 and doubles: three growths past 256 *)
+      List.length (Hashtbl.find model "a") > 256)
+
 let () =
   Alcotest.run "obs"
     [
@@ -415,6 +480,7 @@ let () =
         ] );
       ( "metrics",
         [
+          QCheck_alcotest.to_alcotest prop_histogram_model;
           Alcotest.test_case "monotonicity" `Quick test_counter_monotonicity;
           Alcotest.test_case "determinism" `Quick test_snapshot_determinism;
           Alcotest.test_case "disabled sink" `Quick

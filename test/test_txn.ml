@@ -121,6 +121,95 @@ let test_wal_order_and_restore_point () =
   Alcotest.(check int) "records upto" 2
     (List.length (Wal.records ~upto:l3 w))
 
+(* The log against a newest-first list of (lsn, record), as it used to be
+   kept: appends past several array growths, slices with bounds inside
+   and outside the log, and restore points whose names repeat. *)
+type wop = W_append of Wal.record | W_slice of int option * int option
+
+let wop_gen =
+  QCheck2.Gen.(
+    let bound = oneof [ int_range (-3) 1300; return min_int; return max_int ] in
+    frequency
+      [
+        (6, map (fun i -> W_append (Wal.Begin i)) small_nat);
+        (2, map (fun i -> W_append (Wal.Restore_point (Printf.sprintf "rp%d" i)))
+             (int_range 0 4));
+        (1, map (fun i -> W_append (Wal.Xid_floor i)) small_nat);
+        (1, map2 (fun a b -> W_slice (a, b)) (option bound) (option bound));
+      ])
+
+let prop_wal_model =
+  QCheck2.Test.make ~name:"wal matches a list model" ~count:20
+    QCheck2.Gen.(list_size (int_range 0 1500) wop_gen)
+    (fun ops ->
+      let w = Wal.create () in
+      let model = ref [] in
+      let want_slice ?(from = 0) ?(upto = max_int) () =
+        List.rev
+          (List.filter (fun (l, _) -> l >= from && l < upto) !model)
+      in
+      let check () =
+        let n = List.length !model in
+        if Wal.size w <> n || Wal.current_lsn w <> n then
+          QCheck2.Test.fail_reportf "size %d, current_lsn %d, model %d"
+            (Wal.size w) (Wal.current_lsn w) n;
+        for i = 0 to 5 do
+          let name = Printf.sprintf "rp%d" i in
+          let want =
+            List.find_map
+              (function l, Wal.Restore_point r when r = name -> Some l | _ -> None)
+              !model
+          in
+          if Wal.find_restore_point w name <> want then
+            QCheck2.Test.fail_reportf "find_restore_point %s" name
+        done
+      in
+      List.iter
+        (function
+          | W_append r ->
+            let l = Wal.append w r in
+            if l <> List.length !model + 1 then
+              QCheck2.Test.fail_reportf "append gave lsn %d" l;
+            model := (l, r) :: !model;
+            check ()
+          | W_slice (from, upto) ->
+            if Wal.records ?from ?upto w <> want_slice ?from ?upto () then
+              QCheck2.Test.fail_reportf "records ~from:%s ~upto:%s"
+                (Option.fold ~none:"-" ~some:string_of_int from)
+                (Option.fold ~none:"-" ~some:string_of_int upto))
+        ops;
+      Wal.records w = want_slice ())
+
+(* A transaction's records: none at all until it writes; then [Begin]
+   before its first write, and its outcome (with a stamp, on commit). *)
+let test_lazy_commit_records () =
+  let m = Manager.create () in
+  let w = Manager.wal m in
+  let tail from = List.map snd (Wal.records ~from w) in
+  let reader = Manager.begin_txn m in
+  let lsn = Wal.current_lsn w in
+  Manager.commit m reader;
+  let aborted = Manager.begin_txn m in
+  Manager.abort m aborted;
+  Alcotest.(check int) "read-only commit and abort log nothing" lsn
+    (Wal.current_lsn w);
+  Alcotest.(check bool) "unwritten commit has no stamp" true
+    (Manager.commit_ts_of m reader = None);
+  let writer = Manager.begin_txn m in
+  let row = Wal.Insert { xid = writer; table = "t"; tid = 0; row = [||] } in
+  Manager.log m row;
+  Manager.note_write m writer;
+  Manager.commit m writer;
+  (match tail (lsn + 1) with
+   | [ Wal.Begin b; r; Wal.Commit c; Wal.Commit_ts { xid; ts } ]
+     when b = writer && r = row && c = writer && xid = writer
+          && Manager.commit_ts_of m writer = Some ts -> ()
+   | _ -> Alcotest.fail "expected Begin, Insert, Commit, Commit_ts");
+  Alcotest.check_raises "note_write needs a running xid"
+    (Invalid_argument
+       (Printf.sprintf "xid %d is not a running transaction" writer))
+    (fun () -> Manager.note_write m writer)
+
 (* --- prepared transactions --- *)
 
 let test_prepare_commit_prepared () =
@@ -286,10 +375,15 @@ let test_hlc_deterministic_replay () =
 
    Random lifecycles over more than 1,024 xids, so the per-xid arrays grow
    several times, checked against a Hashtbl model kept here. Commit stamps
-   are read off the clock, never out of the manager. *)
+   are read off the clock, never out of the manager. Only a transaction
+   that wrote (or prepared) leaves WAL records: one that ended without
+   writing is committed or aborted in memory only, unstamped, and reads
+   as aborted after a crash. Numbering after a crash resumes at the xid
+   floor, logged every 1,024 xids. *)
 
 type mop =
   | M_begin
+  | M_write of int
   | M_commit of int
   | M_abort of int
   | M_prepare of int
@@ -307,6 +401,7 @@ let mop_gen =
     frequency
       [
         (10, return M_begin);
+        (4, map (fun i -> M_write i) nat);
         (3, map (fun i -> M_commit i) nat);
         (2, map (fun i -> M_abort i) nat);
         (2, map (fun i -> M_prepare i) nat);
@@ -320,8 +415,14 @@ type model = {
   cts : (int, Hlc.timestamp) Hashtbl.t;
   pts : (int, Hlc.timestamp) Hashtbl.t;  (** prepare stamps: lost at a crash *)
   mutable running : int list;
+  mutable wrote : int list;  (** running xids that called [note_write] *)
+  mutable in_memory : int list;
+      (** ended without writing: their outcome is lost at a crash *)
   mutable prepared : (string * int) list;
   mutable next : int;
+  mutable floor : int;  (** no xid at or above it issued *)
+  gaps : (int, int) Hashtbl.t;
+      (** first -> last xid of a never-issued run skipped at a crash *)
 }
 
 type outcome = St of Manager.status | Doubt of string * int
@@ -337,9 +438,11 @@ let model_status md x =
 
 let model_status_at md ~ts x =
   match model_status md x with
-  | Manager.Committed ->
-    if Hlc.compare_ts (Hashtbl.find md.cts x) ts > 0 then St Manager.In_progress
-    else St Manager.Committed
+  | Manager.Committed -> (
+    (* unstamped: the transaction wrote nothing, so it hides nothing *)
+    match Hashtbl.find_opt md.cts x with
+    | Some cts when Hlc.compare_ts cts ts > 0 -> St Manager.In_progress
+    | _ -> St Manager.Committed)
   | Manager.In_progress -> (
     match List.find_opt (fun (_, y) -> y = x) md.prepared with
     | Some (gid, _) -> (
@@ -373,10 +476,17 @@ let check_xid m md x =
           (Hlc.to_string ts) x (show_outcome got) (show_outcome want))
     probes
 
-(* every xid issued, plus xid 0, negative xids and xids not yet issued *)
+(* every xid issued, plus xid 0, negative xids, xids not yet issued and
+   both ends of each run a crash skipped *)
 let check_all m md =
   List.iter (check_xid m md) [ min_int; -1025; -1; max_int ];
-  for x = 0 to md.next + 3 do check_xid m md x done
+  let x = ref 0 in
+  while !x <= md.next + 3 do
+    check_xid m md !x;
+    x := match Hashtbl.find_opt md.gaps !x with
+      | Some last when last > !x -> last
+      | _ -> !x + 1
+  done
 
 let pick l i = List.nth l (i mod List.length l)
 
@@ -387,16 +497,26 @@ let apply_mop m md op =
     let x = Manager.begin_txn m in
     if x <> md.next then QCheck2.Test.fail_reportf "begin gave %d, not %d" x md.next;
     md.next <- x + 1;
+    if x >= md.floor then md.floor <- x + 1024;
     Hashtbl.replace md.clog x Manager.In_progress;
     md.running <- x :: md.running
+  | M_write i when md.running <> [] ->
+    let x = pick md.running i in
+    Manager.note_write m x;
+    if not (List.mem x md.wrote) then md.wrote <- x :: md.wrote
   | (M_commit i | M_abort i | M_prepare i) when md.running <> [] ->
     let x = pick md.running i in
+    let wrote = List.mem x md.wrote in
     md.running <- List.filter (( <> ) x) md.running;
+    md.wrote <- List.filter (( <> ) x) md.wrote;
+    (match op with
+     | M_commit _ | M_abort _ when not wrote -> md.in_memory <- x :: md.in_memory
+     | _ -> ());
     (match op with
      | M_commit _ ->
        Manager.commit m x;
        Hashtbl.replace md.clog x Manager.Committed;
-       Hashtbl.replace md.cts x (Hlc.peek hlc)
+       if wrote then Hashtbl.replace md.cts x (Hlc.peek hlc)
      | M_abort _ ->
        Manager.abort m x;
        Hashtbl.replace md.clog x Manager.Aborted
@@ -419,12 +539,17 @@ let apply_mop m md op =
        Hashtbl.replace md.clog x Manager.Aborted)
   | M_crash ->
     Manager.crash_recover m;
-    (* running transactions vanish: their xids read as never recorded *)
-    List.iter (Hashtbl.remove md.clog) md.running;
+    (* running transactions, and those that ended without writing, vanish:
+       their xids read as never recorded; numbering resumes at the floor *)
+    List.iter (Hashtbl.remove md.clog) (md.running @ md.in_memory);
     md.running <- [];
+    md.wrote <- [];
+    md.in_memory <- [];
+    if md.floor > md.next then Hashtbl.replace md.gaps md.next (md.floor - 1);
+    md.next <- md.floor;
     Hashtbl.reset md.pts;
     check_all m md
-  | M_commit _ | M_abort _ | M_prepare _ | M_commit_prepared _
+  | M_write _ | M_commit _ | M_abort _ | M_prepare _ | M_commit_prepared _
   | M_rollback_prepared _ ->
     ()
 
@@ -435,7 +560,8 @@ let prop_clog_model =
       let m = Manager.create () in
       let md =
         { clog = Hashtbl.create 64; cts = Hashtbl.create 64;
-          pts = Hashtbl.create 8; running = []; prepared = []; next = 1 }
+          pts = Hashtbl.create 8; running = []; wrote = []; in_memory = [];
+          prepared = []; next = 1; floor = 1; gaps = Hashtbl.create 8 }
       in
       List.iteri
         (fun i op ->
@@ -473,7 +599,10 @@ let () =
         ] );
       ( "wal",
         [ Alcotest.test_case "order and restore point" `Quick
-            test_wal_order_and_restore_point ] );
+            test_wal_order_and_restore_point;
+          QCheck_alcotest.to_alcotest prop_wal_model;
+          Alcotest.test_case "lazy commit records" `Quick
+            test_lazy_commit_records ] );
       ( "hlc",
         [
           Alcotest.test_case "monotone under stalled clock" `Quick
