@@ -4,7 +4,6 @@
    Usage:
      dune exec bench/main.exe              # everything
      dune exec bench/main.exe -- fig6      # one experiment
-     dune exec bench/main.exe -- micro     # Bechamel wall-clock microbenches
 
    The figures run real workloads against the real engines; elapsed time
    and throughput come from the deterministic resource model in Sim.Cost
@@ -25,7 +24,6 @@ let experiments =
     ("consistency", "Read consistency overhead: eventual vs snapshot, clock skew", fun () -> ignore (Consistency.run ()));
     ("prepared", "Prepared statements: plan-cache hit vs re-plan, cold vs warm", fun () -> ignore (Prepared.run ()));
     ("mx", "Citus MX: aggregate YCSB-A throughput, 1 vs N coordinators", fun () -> ignore (Mx.run ()));
-    ("micro", "Bechamel wall-clock microbenchmarks", fun () -> Micro.run ());
   ]
 
 let () =
@@ -33,7 +31,7 @@ let () =
   let to_run =
     match args with
     | [] ->
-      List.filter (fun (n, _, _) -> n <> "micro" && n <> "ablation") experiments
+      List.filter (fun (n, _, _) -> n <> "ablation") experiments
     | names ->
       List.filter_map
         (fun name ->

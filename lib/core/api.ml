@@ -29,17 +29,6 @@ let coordinator_state t =
   | st :: _ -> st
   | [] -> err "the Citus extension is not installed anywhere"
 
-let state_for t session =
-  let name = Engine.Instance.name (Engine.Instance.session_instance session) in
-  match
-    List.find_opt
-      (fun (st : State.t) ->
-        String.equal st.State.local.Cluster.Topology.node_name name)
-      t.states
-  with
-  | Some st -> st
-  | None -> err "the Citus extension is not installed on node %s" name
-
 (* --- shard DDL helpers --- *)
 
 (* [origin] is the node running the DDL — with MX any coordinator, not
@@ -1115,11 +1104,6 @@ let set_replication_factor t n =
   if n < 1 then err "replication factor must be >= 1";
   t.replication_factor <- n;
   Metasync.bump_version t.metasync
-
-let health_report t =
-  let st = coordinator_state t in
-  ( Health.report st.State.health,
-    Metadata.inactive_placements t.metadata )
 
 (* A retry loop giving up on a lock conflict abandons its wait: remove
    the pending lock-wait registrations of the session's transaction —

@@ -72,12 +72,6 @@ val create_distributed_function :
     [SELECT citus_set_replication_factor(n)]). *)
 val set_replication_factor : t -> int -> unit
 
-(** Cluster health snapshot: per-node breaker/failure stats and the
-    current Inactive placements (also available as
-    [SELECT citus_health_report()], which returns JSON). *)
-val health_report :
-  t -> Health.node_report list * (Metadata.shard * string) list
-
 (** Withdraw the session transaction's pending lock-wait registrations —
     on its own node and on every worker its distributed transaction
     reached — so an abandoned waiter never feeds stale edges to the
@@ -101,6 +95,3 @@ val exec_with_retries :
 val exec_with_retries_report :
   t -> Engine.Instance.session -> ?attempts:int -> string ->
   Engine.Instance.result * int
-
-(** State of the node a session is connected to (for tests). *)
-val state_for : t -> Engine.Instance.session -> State.t

@@ -6,10 +6,10 @@
    runners — each reporting infrastructure failures as a different
    exception. This module now owns the per-connection primitives: the
    [_exn] forms are the raising internals (network simulation guards +
-   circuit-breaker accounting over [Connection.exec_async]); the typed
-   forms wrap them into [Ok _ | Error of exec_error] for callers above
-   the Citus layer. The executors themselves sit {e above} this module
-   and build on the [_exn] forms.
+   circuit-breaker accounting over [Connection.exec_async]), and [wrap]
+   turns a whole execution into [Ok _ | Error of exec_error] for callers
+   above the Citus layer. The executors themselves sit {e above} this
+   module and build on the [_exn] forms.
 
    Deliberately NOT mapped to [Error]:
    - [Engine.Executor.Would_block] — a retryable lock-wait signal, part
@@ -125,11 +125,3 @@ let raw_on_conn_exn conn sql =
    safe way to ROLLBACK at a node that may be stalled — a cancelling
    statement must not wait out the very stall it is escaping. *)
 let post_on_conn conn sql = Cluster.Connection.post conn sql
-
-let on_conn ?deadline ?snapshot st conn sql =
-  wrap (fun () -> on_conn_exn ?deadline ?snapshot st conn sql)
-
-let ast_on_conn ?deadline ?snapshot st conn stmt =
-  wrap (fun () -> ast_on_conn_exn ?deadline ?snapshot st conn stmt)
-
-let raw_on_conn conn sql = wrap (fun () -> raw_on_conn_exn conn sql)

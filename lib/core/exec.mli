@@ -5,9 +5,9 @@
     injected-failure guards plus circuit-breaker accounting over
     {!Cluster.Connection.exec_async} — used by the executors and by
     engine-internal code whose control flow is exceptions (2PC cleanup
-    paths). The typed forms return [Ok result | Error of exec_error]
-    with the failure cause as a structured variant, for callers above
-    the Citus layer.
+    paths). Callers above the Citus layer run whole executions under
+    {!wrap}, which returns [Ok result | Error of exec_error] with the
+    failure cause as a structured variant.
 
     Two exceptions intentionally still propagate everywhere, because
     they are control flow rather than infrastructure failures:
@@ -41,9 +41,8 @@ exception Bind_failure of { stmt_name : string; param : int }
 val error_message : exec_error -> string
 
 (** Run any thunk, mapping the infrastructure exceptions (including
-    {!Cluster.Connection.Timed_out}) to [Error]. Building block for the
-    typed wrappers; also what the planner hook wraps whole plan
-    executions in. *)
+    {!Cluster.Connection.Timed_out}) to [Error]. The planner hook wraps
+    whole plan executions in it. *)
 val wrap : (unit -> 'a) -> ('a, exec_error) result
 
 (** Execute on a connection, simulating the network: raises
@@ -87,25 +86,3 @@ val raw_on_conn_exn : Cluster.Connection.t -> string -> Engine.Instance.result
     waiting out the very stall the caller is escaping). The statement
     still executes remotely; its outcome is dropped. *)
 val post_on_conn : Cluster.Connection.t -> string -> unit
-
-(** Typed forms of the above. *)
-val on_conn :
-  ?deadline:float ->
-  ?snapshot:Txn.Snapshot.read_mode ->
-  State.t ->
-  Cluster.Connection.t ->
-  string ->
-  (Engine.Instance.result, exec_error) result
-
-val ast_on_conn :
-  ?deadline:float ->
-  ?snapshot:Txn.Snapshot.read_mode ->
-  State.t ->
-  Cluster.Connection.t ->
-  Sqlfront.Ast.statement ->
-  (Engine.Instance.result, exec_error) result
-
-val raw_on_conn :
-  Cluster.Connection.t ->
-  string ->
-  (Engine.Instance.result, exec_error) result

@@ -2,11 +2,6 @@ open Sqlfront
 
 type strategy = Colocated | Repartition | Pull
 
-let strategy_name = function
-  | Colocated -> "co-located"
-  | Repartition -> "re-partition"
-  | Pull -> "pull to coordinator"
-
 let err fmt =
   Printf.ksprintf (fun m -> raise (Engine.Instance.Session_error m)) fmt
 

@@ -12,8 +12,6 @@
 
 type strategy = Colocated | Repartition | Pull
 
-val strategy_name : strategy -> string
-
 (** Execute [INSERT INTO table (columns) SELECT ...]; returns the result
     and which strategy ran. *)
 val execute :

@@ -28,8 +28,6 @@ let origin t = t.origin
 
 let replica t node = List.assoc_opt node t.replicas
 
-let synced_nodes t = List.map fst t.replicas
-
 (* Run one sanctioned mutation everywhere: origin first (its result is
    the caller's), then each synced replica, then append to the op log
    for nodes that attach later. *)

@@ -26,8 +26,6 @@ val attach : t -> string -> Metadata.t
 
 val replica : t -> string -> Metadata.t option
 
-val synced_nodes : t -> string list
-
 (** {2 Sanctioned catalog mutators}
 
     Same signatures and results as their {!Metadata} counterparts

@@ -35,13 +35,6 @@ type t =
       (** write to a reference table: the executor replicates the single
           task across every active replica of the reference shard *)
 
-let planner_name = function
-  | Fast_path _ -> "fast path"
-  | Router _ -> "router"
-  | Multi_shard_select _ -> "logical pushdown"
-  | Multi_shard_dml _ -> "parallel DML"
-  | Reference_write _ -> "reference write"
-
 let tasks_of = function
   | Fast_path t | Router t | Reference_write t -> [ t ]
   | Multi_shard_select { tasks; _ } | Multi_shard_dml { tasks } -> tasks

@@ -35,8 +35,5 @@ type t =
       (** write to a reference table: the executor replicates the single
           task across every active replica of the reference shard *)
 
-(** Human-readable planner tier, as surfaced by EXPLAIN-style output. *)
-val planner_name : t -> string
-
 (** Every task of a plan, in execution order. *)
 val tasks_of : t -> task list

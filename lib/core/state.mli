@@ -88,7 +88,7 @@ type t = {
   local : Cluster.Topology.node;  (** node this extension instance runs on *)
   config : config;
   health : Health.t;
-      (** per-node circuit breakers fed by [Exec.on_conn]; the planner
+      (** per-node circuit breakers fed by [Exec.on_conn_exn]; the planner
           and executors consult it for placement preference and retry
           backoff *)
   sessions : ((string * int), session_state) Hashtbl.t;

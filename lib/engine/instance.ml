@@ -100,7 +100,6 @@ let txn_manager t = t.mgr
 let buffer_pool t = t.pool
 let meter t = t.meter
 let now t = t.clock
-let set_now t f = t.clock <- f
 
 let connect t =
   let sid = t.next_session in

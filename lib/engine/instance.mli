@@ -48,8 +48,6 @@ val meter : t -> Meter.t
 (** Logical wall clock, advanced by the simulation layer. *)
 val now : t -> float
 
-val set_now : t -> float -> unit
-
 (** {2 Sessions} *)
 
 val connect : t -> session

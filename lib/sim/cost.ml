@@ -13,8 +13,6 @@ type node_demand = { cpu_s : float; io_s : float }
 
 let zero_demand = { cpu_s = 0.0; io_s = 0.0 }
 
-let add_demand a b = { cpu_s = a.cpu_s +. b.cpu_s; io_s = a.io_s +. b.io_s }
-
 let demand_of ~spec ~meter ~misses =
   {
     cpu_s = Engine.Meter.total_cpu_units meter *. spec.cpu_unit;

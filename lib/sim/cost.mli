@@ -32,8 +32,6 @@ val demand_of :
 
 val zero_demand : node_demand
 
-val add_demand : node_demand -> node_demand -> node_demand
-
 (** Elapsed time for one operation executed alone on a node, with its CPU
     part spread over [parallelism] cores (≤ spec cores) and IO serialized
     against the IOPS budget; CPU and IO overlap. *)

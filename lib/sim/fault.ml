@@ -40,7 +40,6 @@ type t = {
   mutable pending : (float * int * event) list;  (** sorted by (time, seq) *)
   mutable next_seq : int;
   mutable crash_obs : (string -> unit) list;
-  mutable restart_obs : (string -> unit) list;
   mutable events : string list;  (** trace, newest first *)
 }
 
@@ -65,7 +64,6 @@ let create ?(seed = 0) ~clock () =
     pending = [];
     next_seq = 0;
     crash_obs = [];
-    restart_obs = [];
     events = [];
   }
 
@@ -84,7 +82,6 @@ let register_node t ~name inst = Hashtbl.replace t.nodes name inst
 let node_up t name = not (Hashtbl.mem t.down name)
 
 let on_crash t f = t.crash_obs <- t.crash_obs @ [ f ]
-let on_restart t f = t.restart_obs <- t.restart_obs @ [ f ]
 
 let crash_now t name =
   if node_up t name then begin
@@ -102,8 +99,7 @@ let restart_now t name =
     (match Hashtbl.find_opt t.nodes name with
      | Some inst -> Engine.Instance.recover_from_wal inst
      | None -> ());
-    note t "restart %s (wal replayed)" name;
-    List.iter (fun f -> f name) t.restart_obs
+    note t "restart %s (wal replayed)" name
   end
 
 let partition_link t ~from_ ~to_ =
@@ -167,12 +163,6 @@ let node_stalled t node = stalled_extra t node > 0.0
 let set_clock_skew t ~node ~offset ~drift =
   Hashtbl.replace t.skews node (offset, drift, Clock.now t.clock);
   note t "clock-skew %s offset=%+.3fs drift=%+.6f" node offset drift
-
-let clear_clock_skew t ~node =
-  if Hashtbl.mem t.skews node then begin
-    Hashtbl.remove t.skews node;
-    note t "clock-skew %s cleared" node
-  end
 
 let node_skew t node =
   match Hashtbl.find_opt t.skews node with

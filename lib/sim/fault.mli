@@ -49,11 +49,9 @@ val register_node : t -> name:string -> Engine.Instance.t -> unit
 
 val node_up : t -> string -> bool
 
-(** Observers, called with the node name after the fact (the cluster
-    layer uses these to purge pooled connections on a crash). *)
+(** Observer, called with the node name after a crash (the cluster
+    layer uses it to purge pooled connections). *)
 val on_crash : t -> (string -> unit) -> unit
-
-val on_restart : t -> (string -> unit) -> unit
 
 (** {2 Immediate faults} *)
 
@@ -120,8 +118,6 @@ val node_stalled : t -> string -> bool
 (** [set_clock_skew t ~node ~offset ~drift] makes [node]'s physical
     clock read [true_now + offset + drift * elapsed_since_set]. *)
 val set_clock_skew : t -> node:string -> offset:float -> drift:float -> unit
-
-val clear_clock_skew : t -> node:string -> unit
 
 (** Current skew in seconds charged against [node] (0.0 when none). *)
 val node_skew : t -> string -> float

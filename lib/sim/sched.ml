@@ -442,10 +442,6 @@ let join_all t fibs =
 
 let cancel _t fib = cancel_fiber fib
 
-let is_done fib = match fib.state with Done _ -> true | Running _ -> false
-
-let live_count t = t.live
-
 let yield t = Effect.perform (Yield_eff t)
 
 let now t = Clock.now t.clock

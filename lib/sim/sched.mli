@@ -98,13 +98,6 @@ val join_all : t -> 'a fiber list -> 'a list
     runs normally. *)
 val cancel : t -> 'a fiber -> unit
 
-(** Has the fiber finished (in any way)? Non-blocking. *)
-val is_done : 'a fiber -> bool
-
-(** Fibers spawned and not yet finished — the leak check: from the main
-    fiber with everything joined, this is exactly 1. *)
-val live_count : t -> int
-
 (** Go to the back of the caller's ready queue. *)
 val yield : t -> unit
 

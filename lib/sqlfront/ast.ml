@@ -295,19 +295,6 @@ let lift_consts (st : statement) : statement * Datum.t list =
   in
   if !has_params then (st, []) else (shape, List.rev !lifted)
 
-(** Highest [$n] referenced anywhere in the statement (0 = none). *)
-let max_param (st : statement) : int =
-  let m = ref 0 in
-  ignore
-    (map_statement_exprs
-       (function
-         | Param i as e ->
-           if i > !m then m := i;
-           e
-         | e -> e)
-       st);
-  !m
-
 (** Rename table references (FROM items, DML targets) via [f] — the core
     mechanism of shard-name rewriting in the Citus planners. *)
 let rec rename_tables_from f = function

@@ -177,9 +177,6 @@ val bind_params : Datum.t list -> statement -> statement
     holds placeholders is returned unchanged, with no values. *)
 val lift_consts : statement -> statement * Datum.t list
 
-(** Highest [$n] referenced anywhere in the statement (0 = none). *)
-val max_param : statement -> int
-
 (** {2 Table renaming}
 
     Rename table references (FROM items, DML targets) via a function — the

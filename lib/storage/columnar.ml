@@ -16,7 +16,6 @@ type t = {
   mutable pending : (int * Datum.t array list) option;
       (** open stripe: (xid, rows newest-first) — flushed when full or when
           a different xid writes *)
-  mutable total_rows : int;
   mutable page_seq : int;
 }
 
@@ -29,7 +28,6 @@ let create ~name ~ncols ?(stripe_rows = 1000) ?(values_per_page = 1024) () =
     values_per_page;
     stripes = [];
     pending = None;
-    total_rows = 0;
     page_seq = 0;
   }
 
@@ -90,10 +88,7 @@ let append t ~xid rows =
       else push acc n rest
   in
   let remaining, n = push current (List.length current) rows in
-  t.pending <- (if n > 0 then Some (xid, remaining) else None);
-  t.total_rows <- t.total_rows + List.length rows
-
-let row_count t = t.total_rows
+  t.pending <- (if n > 0 then Some (xid, remaining) else None)
 
 let stripe_count t =
   List.length t.stripes + (match t.pending with Some _ -> 1 | None -> 0)
@@ -166,5 +161,4 @@ let pages_for_columns t ~columns =
 
 let clear t =
   t.stripes <- [];
-  t.pending <- None;
-  t.total_rows <- 0
+  t.pending <- None

@@ -23,8 +23,6 @@ val name : t -> string
 (** Append rows written by [xid] (grouped into stripes internally). *)
 val append : t -> xid:int -> Datum.t array list -> unit
 
-val row_count : t -> int
-
 val stripe_count : t -> int
 
 (** [scan t ~columns ~f] calls [f] for each visible row with a full-width

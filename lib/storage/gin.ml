@@ -118,8 +118,6 @@ let candidates ?pool t pattern =
        let inter = List.fold_left Int_set.inter first rest in
        Some (Int_set.elements inter))
 
-let key_count t = Hashtbl.length t.postings
-
 let page_count t = Hashtbl.length t.postings
 
 let clear t =

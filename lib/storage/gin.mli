@@ -35,9 +35,6 @@ val remove : t -> tid:int -> string -> unit
     Touches one logical page per posting list consulted. *)
 val candidates : ?pool:Buffer_pool.t -> t -> string -> int list option
 
-(** Number of distinct trigram keys. *)
-val key_count : t -> int
-
 val page_count : t -> int
 
 (** Drop all postings. *)

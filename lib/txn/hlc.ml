@@ -8,7 +8,6 @@ let compare_ts a b =
 
 let ( <= ) a b = compare_ts a b <= 0
 let ( < ) a b = compare_ts a b < 0
-let max_ts a b = if compare_ts a b >= 0 then a else b
 
 let pp fmt t = Format.fprintf fmt "hlc{%.6f.%d}" t.pt t.lc
 

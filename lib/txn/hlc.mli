@@ -16,7 +16,6 @@ val zero : timestamp
 val compare_ts : timestamp -> timestamp -> int
 val ( <= ) : timestamp -> timestamp -> bool
 val ( < ) : timestamp -> timestamp -> bool
-val max_ts : timestamp -> timestamp -> timestamp
 val pp : Format.formatter -> timestamp -> unit
 val to_string : timestamp -> string
 val of_string : string -> timestamp option

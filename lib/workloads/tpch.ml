@@ -256,10 +256,3 @@ let unsupported_queries =
       "outer joins that preserve the reference side across all shards need \
        a merge step in the subquery" );
   ]
-
-let run_all db cfg =
-  List.map
-    (fun (name, sql) ->
-      let r = Db.exec db sql in
-      (name, List.length r.Engine.Instance.rows))
-    (queries cfg)

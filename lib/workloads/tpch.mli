@@ -28,7 +28,3 @@ val queries : config -> (string * string) list
     mirroring the paper's "4 of the 22 queries in TPC-H are not yet
     supported" (§4.4). *)
 val unsupported_queries : (string * string * string) list
-
-(** Run the full set once (single session, as in Figure 8); returns the
-    per-query row counts for sanity checking. *)
-val run_all : Db.t -> config -> (string * int) list

@@ -7,438 +7,66 @@
    failure reproduces with the printed seed.
 
    After the storm the harness quiesces (heal everything, bounce every
-   node to shed orphaned in-memory transactions, run the maintenance
-   daemon until recovery and repair drain) and checks the invariants that
-   define correctness here:
+   node, run the maintenance daemon until recovery and repair drain) and
+   checks the kit's post-storm invariants ([Chaos_kit.check_invariants]).
+   The delta here: shard moves fired mid-storm, and two targeted
+   PREPARE-crash tests that pin each side of 2PC convergence. *)
 
-   - atomicity: transfers are balance-preserving, so the total must be
-     exactly the initial total no matter which subset committed;
-   - no orphaned prepared transactions on any node;
-   - no leaked commit records on the coordinator;
-   - every circuit breaker back to Closed;
-   - full replication restored (no Inactive placements, replicas of each
-     shard bit-identical). *)
-
-let n_keys = 24
-let initial_balance = 100
-let expected_total = n_keys * initial_balance
-let n_txns = 40
-let clock_step = 0.25
-
-type outcome = Committed | Failed | Unknown
-
-let outcome_name = function
-  | Committed -> "committed"
-  | Failed -> "failed"
-  | Unknown -> "unknown"
-
-let exec s sql = Engine.Instance.exec s sql
-
-let one_int s sql =
-  match (exec s sql).Engine.Instance.rows with
-  | [ [| Datum.Int i |] ] -> i
-  | rows ->
-    Alcotest.fail
-      (Printf.sprintf "expected one int from %S, got %d rows" sql
-         (List.length rows))
-
-let fault_of cluster =
-  match Cluster.Topology.fault cluster with
-  | Some f -> f
-  | None -> Alcotest.fail "cluster has no fault plan"
-
-let make_cluster ~seed ~replication =
-  (* the seed also drives the cooperative scheduler's ready-queue
-     tiebreaks: fiber interleavings inside the executor / 2PC / move
-     fan-outs are a fuzzed dimension of the storm, and same-seed runs
-     replay the same interleaving bit-for-bit *)
-  let cluster =
-    Cluster.Topology.create ~workers:3 ~fault_seed:seed ~sched_seed:seed ()
-  in
-  let citus = Citus.Api.install ~shard_count:8 cluster in
-  Citus.Api.set_replication_factor citus replication;
-  let s = Citus.Api.connect citus in
-  ignore
-    (exec s "CREATE TABLE accounts (key bigint PRIMARY KEY, balance bigint)");
-  ignore (exec s "SELECT create_distributed_table('accounts', 'key')");
-  for k = 0 to n_keys - 1 do
-    ignore
-      (exec s
-         (Printf.sprintf
-            "INSERT INTO accounts (key, balance) VALUES (%d, %d)" k
-            initial_balance))
-  done;
-  (cluster, citus)
-
-let node_of citus k =
-  let meta = citus.Citus.Api.metadata in
-  Citus.Metadata.placement meta
-    (Citus.Metadata.shard_for_value meta ~table:"accounts" (Datum.Int k))
-      .Citus.Metadata.shard_id
-
-(* Two keys whose primary placements live on different workers, so a
-   transfer between them is a genuine multi-node 2PC. *)
-let cross_node_keys citus =
-  let k1 = 0 in
-  let rec find k =
-    if String.equal (node_of citus k) (node_of citus k1) then find (k + 1)
-    else k
-  in
-  (k1, find 1)
-
-(* --- the workload --- *)
-
-let ensure_session citus sref =
-  if not (Engine.Instance.session_alive !sref) then
-    sref := Citus.Api.connect citus
-
-(* One transfer. The outcome taxonomy matters: an error before COMMIT is
-   a clean abort (Failed); an error during COMMIT leaves the true outcome
-   undetermined at the client (Unknown) — 2PC recovery decides it later. *)
-let transfer citus sref ~k1 ~k2 ~amount =
-  ensure_session citus sref;
-  let s = !sref in
-  match
-    ignore (exec s "BEGIN");
-    ignore
-      (exec s
-         (Printf.sprintf
-            "UPDATE accounts SET balance = balance - %d WHERE key = %d" amount
-            k1));
-    ignore
-      (exec s
-         (Printf.sprintf
-            "UPDATE accounts SET balance = balance + %d WHERE key = %d" amount
-            k2))
-  with
-  | () -> (
-    match exec s "COMMIT" with
-    | _ -> Committed
-    | exception _ ->
-      (try ignore (exec s "ROLLBACK") with _ -> ());
-      Unknown)
-  | exception _ ->
-    (try ignore (exec s "ROLLBACK") with _ -> ());
-    Failed
-
-(* --- the fault schedule --- *)
-
-let schedule_faults cluster fault rng =
-  let workers =
-    List.map
-      (fun (n : Cluster.Topology.node) -> n.Cluster.Topology.node_name)
-      cluster.Cluster.Topology.workers
-  in
-  let horizon = float_of_int n_txns *. clock_step in
-  let pick l = List.nth l (Random.State.int rng (List.length l)) in
-  let nodes = "coordinator" :: workers in
-  (* crashes with WAL-replay restarts *)
-  for _ = 1 to 3 do
-    let at = Random.State.float rng (horizon *. 0.8) in
-    let down_for = 0.5 +. Random.State.float rng 2.0 in
-    Sim.Fault.schedule_crash fault ~at ~down_for (pick nodes)
-  done;
-  (* asymmetric partitions that heal on their own *)
-  for _ = 1 to 3 do
-    let at = Random.State.float rng (horizon *. 0.8) in
-    let heal_after = 0.5 +. Random.State.float rng 2.0 in
-    let w = pick workers in
-    let from_, to_ =
-      if Random.State.bool rng then ("coordinator", w) else (w, "coordinator")
-    in
-    Sim.Fault.schedule_partition ~heal_after fault ~at ~from_ ~to_
-  done;
-  (* background request/reply loss *)
-  Sim.Fault.set_drop_rate fault
-    ~request:(Random.State.float rng 0.03)
-    ~reply:(Random.State.float rng 0.03);
-  (* sometimes, a worker dies right between PREPARE and COMMIT PREPARED *)
-  if Random.State.bool rng then
-    Sim.Fault.arm_crash_after fault ~node:(pick workers)
-      ~matching:"PREPARE TRANSACTION"
-      ~lose_reply:(Random.State.bool rng) ()
-
-(* --- quiescence --- *)
-
-let quiesce cluster citus =
-  let fault = fault_of cluster in
-  Sim.Fault.quiesce fault;
-  (* bounce every node: lost round trips can leave orphaned in-memory
-     transactions holding locks on workers; a crash/restart sheds them
-     while everything durable (prepared transactions, commit records,
-     committed rows) survives the WAL replay *)
-  List.iter
-    (fun (n : Cluster.Topology.node) ->
-      Sim.Fault.crash_now fault n.Cluster.Topology.node_name;
-      Sim.Fault.restart_now fault n.Cluster.Topology.node_name)
-    (Cluster.Topology.all_nodes cluster);
-  Sim.Clock.advance cluster.Cluster.Topology.clock 30.0;
-  (* recovery + repair are idempotent; three passes drain multi-step
-     resolutions (commit prepared, then GC, then re-replication) *)
-  for _ = 1 to 3 do
-    Citus.Api.maintenance citus
-  done
-
-(* A post-storm write pass: touches every key (so every replica takes a
-   write), closing half-open breakers through real successes. The +0
-   update is balance-neutral by construction. *)
-let write_pass citus =
-  let s = Citus.Api.connect citus in
-  for k = 0 to n_keys - 1 do
-    ignore
-      (Citus.Api.exec_with_retries citus s
-         (Printf.sprintf
-            "UPDATE accounts SET balance = balance + 0 WHERE key = %d" k))
-  done
-
-(* --- trace/metric conservation ---
-
-   The observability layer must survive the storm too: every span opened
-   was closed (exceptions included), nothing is left on the open-span
-   stack, no gauge went negative, and the breaker-trip gauge settled
-   back to zero along with the breakers themselves. *)
-
-let check_obs_conservation ~seed cluster =
-  let msg m = Printf.sprintf "[seed %d] %s" seed m in
-  let obs = Cluster.Topology.obs cluster in
-  Alcotest.(check int)
-    (msg "every span opened was closed")
-    (Obs.Trace.started obs.Obs.trace)
-    (Obs.Trace.finished obs.Obs.trace);
-  Alcotest.(check int) (msg "no span left open") 0
-    (Obs.Trace.open_count obs.Obs.trace);
-  let snap = Obs.Metrics.snapshot obs.Obs.metrics in
-  List.iter
-    (fun (name, v) ->
-      Alcotest.(check bool)
-        (msg (Printf.sprintf "gauge %s non-negative (%f)" name v))
-        true (v >= 0.0))
-    snap.Obs.Metrics.s_gauges;
-  Alcotest.(check (float 0.0))
-    (msg "breaker-trip gauge settled")
-    0.0
-    (Obs.Metrics.gauge_value obs.Obs.metrics "breaker.tripped");
-  let counter name =
-    Obs.Metrics.counter_value obs.Obs.metrics name
-  in
-  Alcotest.(check bool)
-    (msg "rebalance moves: completed <= started")
-    true
-    (counter "rebalance.moves_completed" <= counter "rebalance.moves_started")
-
-(* --- invariants --- *)
-
-let check_invariants ~seed cluster citus =
-  let msg m = Printf.sprintf "[seed %d] %s" seed m in
-  let st = Citus.Api.coordinator_state citus in
-  let meta = citus.Citus.Api.metadata in
-  let s = Citus.Api.connect citus in
-  (* cross-node atomicity: every transfer conserved the total *)
-  Alcotest.(check int)
-    (msg "total balance conserved")
-    expected_total
-    (one_int s "SELECT sum(balance) FROM accounts");
-  (* no orphaned prepared transactions anywhere *)
-  List.iter
-    (fun (n : Cluster.Topology.node) ->
-      let mgr = Engine.Instance.txn_manager n.Cluster.Topology.instance in
-      Alcotest.(check int)
-        (msg
-           (Printf.sprintf "no orphaned prepared transactions on %s"
-              n.Cluster.Topology.node_name))
-        0
-        (List.length (Txn.Manager.prepared_transactions mgr)))
-    (Cluster.Topology.all_nodes cluster);
-  (* no leaked commit records *)
-  Alcotest.(check int)
-    (msg "commit records drained")
-    0
-    (Citus.Twopc.commit_record_count st);
-  (* every breaker back to Closed *)
-  List.iter
-    (fun (r : Citus.Health.node_report) ->
-      Alcotest.(check string)
-        (msg (Printf.sprintf "breaker closed on %s" r.Citus.Health.nr_node))
-        "closed"
-        (Citus.Health.breaker_name
-           (Citus.Health.breaker_state st.Citus.State.health
-              r.Citus.Health.nr_node)))
-    (Citus.Health.report st.Citus.State.health);
-  (* full replication restored *)
-  Alcotest.(check int)
-    (msg "no inactive placements")
-    0
-    (List.length (Citus.Metadata.inactive_placements meta));
-  List.iter
-    (fun (sh : Citus.Metadata.shard) ->
-      let shard_table = Citus.Metadata.shard_name sh in
-      let replicas =
-        Citus.Metadata.placements meta sh.Citus.Metadata.shard_id
-      in
-      let rows_on node =
-        let inst =
-          (Cluster.Topology.find_node cluster node).Cluster.Topology.instance
-        in
-        let rs = Engine.Instance.connect inst in
-        (exec rs
-           (Printf.sprintf "SELECT key, balance FROM %s ORDER BY key"
-              shard_table))
-          .Engine.Instance.rows
-      in
-      let show rows =
-        String.concat "; "
-          (List.map
-             (fun row ->
-               String.concat ","
-                 (Array.to_list
-                    (Array.map (Format.asprintf "%a" Datum.pp) row)))
-             rows)
-      in
-      match replicas with
-      | [] -> Alcotest.fail (msg (shard_table ^ " lost every placement"))
-      | first :: rest ->
-        let reference = rows_on first in
-        List.iter
-          (fun node ->
-            let got = rows_on node in
-            if got <> reference then
-              Alcotest.fail
-                (msg
-                   (Printf.sprintf "%s diverged: %s has [%s], %s has [%s]"
-                      shard_table first (show reference) node (show got))))
-          rest)
-    (Citus.Metadata.shards_of meta "accounts")
-
-(* --- one full chaos run --- *)
+open Chaos_kit
 
 (* Mid-storm shard move: fire citus_move_shard_placement from SQL while
    transfers and faults are in flight. A move that hits a dead node or a
    cutover lock conflict fails cleanly — the invariants only require
    that whatever it did is consistent and fully accounted. *)
-let fire_move cluster citus wl_rng sref =
-  ensure_session citus sref;
-  let meta = citus.Citus.Api.metadata in
-  let shards = Citus.Metadata.shards_of meta "accounts" in
-  let sh = List.nth shards (Random.State.int wl_rng (List.length shards)) in
-  let workers =
-    List.map
-      (fun (n : Cluster.Topology.node) -> n.Cluster.Topology.node_name)
-      cluster.Cluster.Topology.workers
-  in
-  let to_node = List.nth workers (Random.State.int wl_rng (List.length workers)) in
+let fire_move f wl c =
+  let s = session c in
+  let shards = Citus.Metadata.shards_of f.citus.Citus.Api.metadata "accounts" in
+  let sh = pick wl shards in
+  let to_node = pick wl (worker_names f.cluster) in
   try
     ignore
-      (exec !sref
+      (exec s
          (Printf.sprintf "SELECT citus_move_shard_placement(%d, '%s')"
             sh.Citus.Metadata.shard_id to_node))
   with _ -> ()
 
 let run_chaos ?(moves = false) ~seed () =
-  let cluster, citus = make_cluster ~seed ~replication:2 in
-  (* the storm runs fully traced: conservation and reproducibility of
-     the span stream are part of the checked surface *)
-  Obs.Trace.set_enabled (Cluster.Topology.trace cluster) true;
-  let fault = fault_of cluster in
-  let clock = cluster.Cluster.Topology.clock in
-  (* distinct streams: the fault plan owns the fault RNG; the schedule and
-     the workload draw from their own, all derived from the seed *)
-  let sched_rng = Random.State.make [| seed; 0xfa07 |] in
-  let wl_rng = Random.State.make [| seed; 0x0b5e |] in
-  schedule_faults cluster fault sched_rng;
-  let sref = ref (Citus.Api.connect citus) in
+  let f = accounts ~seed ~replication:2 () in
+  trace_on f;
+  let wl = rng seed 0x0b5e in
+  schedule_storm f (rng seed 0xfa07);
+  let c = client f.citus in
   let outcomes = ref [] in
   for i = 1 to n_txns do
-    Sim.Clock.advance clock clock_step;
-    let k1 = Random.State.int wl_rng n_keys in
-    let k2 = (k1 + 1 + Random.State.int wl_rng (n_keys - 1)) mod n_keys in
-    let amount = 1 + Random.State.int wl_rng 10 in
-    outcomes := transfer citus sref ~k1 ~k2 ~amount :: !outcomes;
-    if moves && i mod 10 = 3 then fire_move cluster citus wl_rng sref;
+    tick f;
+    let k1, k2, amount = draw_transfer wl ~n_keys:f.n_keys in
+    outcomes := transfer c ~k1 ~k2 ~amount :: !outcomes;
+    if moves && i mod 10 = 3 then fire_move f wl c;
     (* occasional reads keep the failover path under fire too *)
-    if i mod 5 = 0 then begin
-      ensure_session citus sref;
-      try ignore (exec !sref "SELECT count(*) FROM accounts") with _ -> ()
-    end;
+    if i mod 5 = 0 then (
+      let s = session c in
+      try ignore (exec s "SELECT count(*) FROM accounts") with _ -> ());
     (* a mid-storm maintenance pass: recovery must be idempotent and
        partition-safe while faults are still active. Repair may hit an
        unreachable node and give up for this round — that is fine, the
        post-quiescence passes settle it *)
-    if i = n_txns / 2 then ( try Citus.Api.maintenance citus with _ -> ())
+    if i = n_txns / 2 then ( try Citus.Api.maintenance f.citus with _ -> ())
   done;
-  quiesce cluster citus;
-  write_pass citus;
-  Citus.Api.maintenance citus;
-  let s = Citus.Api.connect citus in
-  let total = one_int s "SELECT sum(balance) FROM accounts" in
-  (cluster, citus, List.rev !outcomes, total)
-
-(* The seed matrix run by `dune runtest` / `dune build @chaos`.
-   CHAOS_SEEDS=n widens it (n storm seeds, and max(1, n/2) move seeds)
-   without touching the repro contract: every check is tagged [seed N]
-   and any failure replays by running that seed. *)
-let chaos_seeds =
-  match Sys.getenv_opt "CHAOS_SEEDS" with
-  | None -> 8
-  | Some v -> (
-    match int_of_string_opt v with
-    | Some n when n > 0 -> n
-    | _ ->
-      invalid_arg
-        (Printf.sprintf "CHAOS_SEEDS must be a positive integer, got %S" v))
-
-let seed_matrix = List.init chaos_seeds (fun i -> i + 1)
+  let total = settle ~bounce:true f in
+  (f, List.rev !outcomes, total)
 
 let test_seed ?moves seed () =
-  let cluster, citus, outcomes, _total = run_chaos ?moves ~seed () in
-  check_invariants ~seed cluster citus;
-  check_obs_conservation ~seed cluster;
-  (* at least something must have happened: a schedule that failed every
-     transaction would vacuously satisfy atomicity *)
-  Alcotest.(check bool)
-    (Printf.sprintf "[seed %d] some transfers committed" seed)
-    true
-    (List.exists (fun o -> o = Committed) outcomes)
+  let f, outcomes, total = run_chaos ?moves ~seed () in
+  check_invariants ~seed ~total f;
+  check_some_committed ~seed outcomes
 
-(* chaos over the rebalancer: same storm, with shard moves fired
-   mid-workload; some seeds move onto dead nodes, some cut over under
-   lock contention *)
-let move_seed_matrix = List.init (max 1 (chaos_seeds / 2)) (fun i -> i + 11)
-
-let test_move_seed seed () =
-  let cluster, citus, outcomes, _total = run_chaos ~moves:true ~seed () in
-  check_invariants ~seed cluster citus;
-  check_obs_conservation ~seed cluster;
-  Alcotest.(check bool)
-    (Printf.sprintf "[seed %d] some transfers committed" seed)
-    true
-    (List.exists (fun o -> o = Committed) outcomes)
-
-(* --- bit-for-bit reproducibility --- *)
-
-let observable (cluster, _citus, outcomes, total) =
-  let obs = Cluster.Topology.obs cluster in
-  ( Sim.Fault.trace (fault_of cluster),
-    List.map outcome_name outcomes,
-    total,
-    Obs.Metrics.render (Obs.Metrics.snapshot obs.Obs.metrics),
-    Obs.Trace.render_tree (Obs.Trace.spans obs.Obs.trace) )
-
-let test_reproducible () =
-  let trace_a, outcomes_a, total_a, metrics_a, spans_a =
-    observable (run_chaos ~moves:true ~seed:5 ())
-  in
-  let trace_b, outcomes_b, total_b, metrics_b, spans_b =
-    observable (run_chaos ~moves:true ~seed:5 ())
-  in
-  Alcotest.(check (list string)) "same fault trace" trace_a trace_b;
-  Alcotest.(check (list string)) "same outcomes" outcomes_a outcomes_b;
-  Alcotest.(check int) "same total" total_a total_b;
-  (* ISSUE acceptance: bit-identical metric snapshot and span tree *)
-  Alcotest.(check string) "bit-identical metric snapshot" metrics_a metrics_b;
-  Alcotest.(check (list string)) "bit-identical span tree" spans_a spans_b;
-  let trace_c, _, _, _, _ = observable (run_chaos ~seed:6 ()) in
-  Alcotest.(check bool) "different seed, different schedule" true
-    (trace_a <> trace_c)
+let observe ~moves seed =
+  let f, outcomes, total = run_chaos ~moves ~seed () in
+  observable f
+    [
+      ("outcomes", List.map outcome_name outcomes);
+      ("total", [ string_of_int total ]);
+    ]
 
 (* --- targeted: worker crash between PREPARE and COMMIT PREPARED, with a
    concurrent (asymmetric) partition of the other participant --- *)
@@ -449,20 +77,12 @@ let test_reproducible () =
    The coordinator aborts, no commit record becomes durable, and recovery
    must roll both prepared transactions back once the storm clears. *)
 let test_prepare_crash_with_partition ~lose_reply () =
-  let cluster, citus = make_cluster ~seed:42 ~replication:1 in
-  let fault = fault_of cluster in
-  let k1, k2 = cross_node_keys citus in
-  let w1 = node_of citus k1 and w2 = node_of citus k2 in
-  let s = Citus.Api.connect citus in
-  ignore (exec s "BEGIN");
-  ignore
-    (exec s
-       (Printf.sprintf
-          "UPDATE accounts SET balance = balance - 7 WHERE key = %d" k1));
-  ignore
-    (exec s
-       (Printf.sprintf
-          "UPDATE accounts SET balance = balance + 7 WHERE key = %d" k2));
+  let f = accounts ~seed:42 ~replication:1 () in
+  let fault = fault_of f.cluster in
+  let k1, k2 = cross_node_keys f.citus in
+  let w1 = node_of f.citus k1 and w2 = node_of f.citus k2 in
+  let s = Citus.Api.connect f.citus in
+  begin_transfer s ~k1 ~k2 ~amount:7;
   (* txn_conns holds [w2's conn; w1's conn], so PREPARE reaches w2 first:
      arm the crash there, and cut w1's reply link so its PREPARE (if
      reached) executes without the coordinator learning of it *)
@@ -472,34 +92,21 @@ let test_prepare_crash_with_partition ~lose_reply () =
   (match exec s "COMMIT" with
    | _ -> Alcotest.fail "COMMIT had to fail: a participant just crashed"
    | exception _ -> ());
-  (try ignore (exec s "ROLLBACK") with _ -> ());
+  rollback_quietly s;
   (* the crashed worker holds its prepared transaction durably *)
   Alcotest.(check bool) "w2 is down" false (Sim.Fault.node_up fault w2);
   (* storm over: restart the worker (WAL replay), heal the link, recover *)
-  Sim.Fault.quiesce fault;
-  Sim.Clock.advance cluster.Cluster.Topology.clock 30.0;
-  for _ = 1 to 3 do
-    Citus.Api.maintenance citus
-  done;
-  let st = Citus.Api.coordinator_state citus in
-  let s = Citus.Api.connect citus in
+  quiesce ~bounce:false f;
+  let st = Citus.Api.coordinator_state f.citus in
+  let s = Citus.Api.connect f.citus in
   Alcotest.(check int) "transfer rolled back everywhere: total intact"
-    expected_total
+    (expected_total f)
     (one_int s "SELECT sum(balance) FROM accounts");
   Alcotest.(check int) "debit absent" initial_balance
     (one_int s (Printf.sprintf "SELECT balance FROM accounts WHERE key = %d" k1));
   Alcotest.(check int) "credit absent" initial_balance
     (one_int s (Printf.sprintf "SELECT balance FROM accounts WHERE key = %d" k2));
-  List.iter
-    (fun (n : Cluster.Topology.node) ->
-      Alcotest.(check int)
-        (Printf.sprintf "no prepared transactions left on %s"
-           n.Cluster.Topology.node_name)
-        0
-        (List.length
-           (Txn.Manager.prepared_transactions
-              (Engine.Instance.txn_manager n.Cluster.Topology.instance))))
-    (Cluster.Topology.all_nodes cluster);
+  check_no_prepared f.cluster;
   Alcotest.(check int) "no commit records" 0
     (Citus.Twopc.commit_record_count st)
 
@@ -508,21 +115,13 @@ let test_prepare_crash_with_partition ~lose_reply () =
    commit records, loses the COMMIT PREPARED fan-out to the dead node,
    and recovery must finish the commit there after the restart. *)
 let test_prepare_crash_commit_side () =
-  let cluster, citus = make_cluster ~seed:43 ~replication:1 in
-  let fault = fault_of cluster in
-  let k1, k2 = cross_node_keys citus in
-  let w1 = node_of citus k1 in
-  let st = Citus.Api.coordinator_state citus in
-  let s = Citus.Api.connect citus in
-  ignore (exec s "BEGIN");
-  ignore
-    (exec s
-       (Printf.sprintf
-          "UPDATE accounts SET balance = balance - 7 WHERE key = %d" k1));
-  ignore
-    (exec s
-       (Printf.sprintf
-          "UPDATE accounts SET balance = balance + 7 WHERE key = %d" k2));
+  let f = accounts ~seed:43 ~replication:1 () in
+  let fault = fault_of f.cluster in
+  let k1, k2 = cross_node_keys f.citus in
+  let w1 = node_of f.citus k1 in
+  let st = Citus.Api.coordinator_state f.citus in
+  let s = Citus.Api.connect f.citus in
+  begin_transfer s ~k1 ~k2 ~amount:7;
   (* w1's conn is prepared last: its PREPARE succeeds, then it dies *)
   Sim.Fault.arm_crash_after fault ~node:w1 ~matching:"PREPARE TRANSACTION" ();
   ignore (exec s "COMMIT");
@@ -533,47 +132,35 @@ let test_prepare_crash_commit_side () =
   Alcotest.(check int) "fan-out failure counted" 1
     (Citus.Health.failed_commits st.Citus.State.health w1);
   Sim.Fault.restart_now fault w1;
-  Sim.Clock.advance cluster.Cluster.Topology.clock 30.0;
-  for _ = 1 to 3 do
-    Citus.Api.maintenance citus
-  done;
-  let s = Citus.Api.connect citus in
+  recover f;
+  let s = Citus.Api.connect f.citus in
   Alcotest.(check int) "debit committed by recovery" (initial_balance - 7)
     (one_int s (Printf.sprintf "SELECT balance FROM accounts WHERE key = %d" k1));
   Alcotest.(check int) "credit committed" (initial_balance + 7)
     (one_int s (Printf.sprintf "SELECT balance FROM accounts WHERE key = %d" k2));
   Alcotest.(check int) "commit records drained" 0
     (Citus.Twopc.commit_record_count st);
-  List.iter
-    (fun (n : Cluster.Topology.node) ->
-      Alcotest.(check int)
-        (Printf.sprintf "no prepared transactions left on %s"
-           n.Cluster.Topology.node_name)
-        0
-        (List.length
-           (Txn.Manager.prepared_transactions
-              (Engine.Instance.txn_manager n.Cluster.Topology.instance))))
-    (Cluster.Topology.all_nodes cluster)
+  check_no_prepared f.cluster
 
 let () =
+  let n = width ~default:8 in
   Alcotest.run "chaos"
     [
-      ( "seed-matrix",
-        List.map
-          (fun seed ->
-            Alcotest.test_case
-              (Printf.sprintf "seed %d" seed)
-              `Quick (test_seed seed))
-          seed_matrix );
+      ("seed-matrix", seed_cases ~first:1 n (fun seed -> test_seed seed));
+      (* chaos over the rebalancer: same storm, with shard moves fired
+         mid-workload; some seeds move onto dead nodes, some cut over
+         under lock contention *)
       ( "move-matrix",
-        List.map
-          (fun seed ->
-            Alcotest.test_case
-              (Printf.sprintf "moves under fire, seed %d" seed)
-              `Quick (test_move_seed seed))
-          move_seed_matrix );
+        seed_cases
+          ~name:(Printf.sprintf "moves under fire, seed %d")
+          ~first:11
+          (max 1 (n / 2))
+          (fun seed -> test_seed ~moves:true seed) );
       ( "reproducibility",
-        [ Alcotest.test_case "same seed, same run" `Quick test_reproducible ] );
+        [
+          Alcotest.test_case "same seed, same run" `Quick
+            (test_reproducible ~observe:(observe ~moves:true) ~seed:5 ~other:6);
+        ] );
       ( "targeted-2pc",
         [
           Alcotest.test_case "prepare crash + partition (reply kept)" `Quick

@@ -5,26 +5,17 @@
    pgbench-style transfer/read workload with statement timeouts and
    hedged reads enabled.
 
-   The checked surface, per seed:
+   The delta on top of the kit's post-storm invariants is boundedness:
+   every statement either completes or fails within its deadline plus a
+   small epsilon (two bounded phases for COMMIT) — a statement that waits
+   out a multi-second stall is a bug even if it eventually succeeds. The
+   kit's conservation check doubles as "hedging never duplicated a side
+   effect", since hedging is reads-only. *)
 
-   - boundedness: every statement either completes or fails within its
-     deadline plus a small epsilon (two bounded phases for COMMIT) — a
-     statement that waits out a multi-second stall is a bug even if it
-     eventually succeeds;
-   - no leaks: once the storm quiesces, no transaction connection is
-     pinned, no prepared pair is orphaned, every span opened was closed;
-   - no duplicated side effects: hedging is reads-only, so the transfer
-     total is conserved exactly;
-   - convergence: prepared transactions and commit records drain, every
-     breaker (including slow-trips) returns to Closed;
-   - reproducibility: the same seed replays the same fault trace,
-     outcomes, totals, metric snapshot and span tree bit-for-bit. *)
+open Chaos_kit
 
 let n_keys = 16
-let initial_balance = 100
-let expected_total = n_keys * initial_balance
 let n_stmts = 30
-let clock_step = 0.25
 let timeout = 0.5
 let hedge_threshold = 0.05
 
@@ -33,58 +24,18 @@ let hedge_threshold = 0.05
    extra delay starts at 1s *)
 let epsilon = 0.3
 
-type outcome = Committed | Failed | Unknown
-
-let outcome_name = function
-  | Committed -> "committed"
-  | Failed -> "failed"
-  | Unknown -> "unknown"
-
-let exec s sql = Engine.Instance.exec s sql
-
-let one_int s sql =
-  match (exec s sql).Engine.Instance.rows with
-  | [ [| Datum.Int i |] ] -> i
-  | rows ->
-    Alcotest.fail
-      (Printf.sprintf "expected one int from %S, got %d rows" sql
-         (List.length rows))
-
-let fault_of cluster =
-  match Cluster.Topology.fault cluster with
-  | Some f -> f
-  | None -> Alcotest.fail "cluster has no fault plan"
-
 let make_cluster ~seed =
-  let cluster =
-    Cluster.Topology.create ~workers:3 ~fault_seed:seed ~sched_seed:seed ()
+  let configure (cfg : Citus.State.config) =
+    cfg.Citus.State.statement_timeout <- timeout;
+    cfg.Citus.State.hedge_threshold <- hedge_threshold
   in
-  let citus = Citus.Api.install ~shard_count:8 cluster in
-  Citus.Api.set_replication_factor citus 2;
-  let st = Citus.Api.coordinator_state citus in
-  st.Citus.State.config.Citus.State.statement_timeout <- timeout;
-  st.Citus.State.config.Citus.State.hedge_threshold <- hedge_threshold;
-  let s = Citus.Api.connect citus in
-  ignore
-    (exec s "CREATE TABLE accounts (key bigint PRIMARY KEY, balance bigint)");
-  ignore (exec s "SELECT create_distributed_table('accounts', 'key')");
-  for k = 0 to n_keys - 1 do
-    ignore
-      (exec s
-         (Printf.sprintf "INSERT INTO accounts (key, balance) VALUES (%d, %d)"
-            k initial_balance))
-  done;
-  (cluster, citus)
+  accounts ~n_keys ~configure ~seed ~replication:2 ()
 
 (* --- the storm: only gray faults, nothing ever dies --- *)
 
-let schedule_storm cluster fault rng =
-  let workers =
-    List.map
-      (fun (n : Cluster.Topology.node) -> n.Cluster.Topology.node_name)
-      cluster.Cluster.Topology.workers
-  in
-  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+let schedule_stalls f rng =
+  let fault = fault_of f.cluster in
+  let workers = worker_names f.cluster in
   let horizon = float_of_int n_stmts *. clock_step in
   (* ambient link latency: small, jittered, always on *)
   Sim.Fault.set_latency fault ~mean:0.005 ~jitter:0.005;
@@ -94,7 +45,7 @@ let schedule_storm cluster fault rng =
     let at = Random.State.float rng (horizon *. 0.9) in
     let extra = 1.0 +. Random.State.float rng 5.0 in
     let duration = 0.5 +. Random.State.float rng 2.0 in
-    Sim.Fault.schedule_stall fault ~at ~extra ~duration (pick workers)
+    Sim.Fault.schedule_stall fault ~at ~extra ~duration (pick rng workers)
   done;
   (* micro-stalls at scheduler suspension points *)
   Sim.Fault.set_suspension_hazard fault ~p:0.02 ~stall:0.002
@@ -104,196 +55,72 @@ let schedule_storm cluster fault rng =
 (* Every statement is timed on the virtual clock against its deadline
    bound; overshoots are collected and failing is deferred to the end so
    a violation reports the worst offender, tagged with its seed. *)
-let timed cluster violations ~bound ~label f =
-  let clock = cluster.Cluster.Topology.clock in
+let timed f violations ~bound ~label run =
+  let clock = f.cluster.Cluster.Topology.clock in
   let t0 = Sim.Clock.now clock in
-  let result = match f () with r -> Ok r | exception e -> Error e in
-  let elapsed = Sim.Clock.now clock -. t0 in
-  if elapsed > bound then
-    violations := (label, elapsed, bound) :: !violations;
-  result
-
-let ensure_session citus sref =
-  if not (Engine.Instance.session_alive !sref) then
-    sref := Citus.Api.connect citus
-
-let rollback_quietly s = try ignore (exec s "ROLLBACK") with _ -> ()
-
-let transfer cluster citus violations sref ~k1 ~k2 ~amount =
-  ensure_session citus sref;
-  let s = !sref in
-  let stmt ~bound label sql =
-    match timed cluster violations ~bound ~label (fun () -> exec s sql) with
-    | Ok _ -> true
-    | Error _ -> false
+  let note () =
+    let elapsed = Sim.Clock.now clock -. t0 in
+    if elapsed > bound then violations := (label, elapsed, bound) :: !violations
   in
-  let one = timeout +. epsilon in
-  (* COMMIT runs two bounded phases (PREPARE, COMMIT PREPARED) *)
-  let two = (2.0 *. timeout) +. epsilon in
-  if
-    stmt ~bound:one "BEGIN" "BEGIN"
-    && stmt ~bound:one
-         (Printf.sprintf "debit %d" k1)
-         (Printf.sprintf
-            "UPDATE accounts SET balance = balance - %d WHERE key = %d" amount
-            k1)
-    && stmt ~bound:one
-         (Printf.sprintf "credit %d" k2)
-         (Printf.sprintf
-            "UPDATE accounts SET balance = balance + %d WHERE key = %d" amount
-            k2)
-  then
-    if stmt ~bound:two "COMMIT" "COMMIT" then Committed
-    else begin
-      (* an error during COMMIT leaves the true outcome undetermined at
-         the client — recovery decides it later *)
-      rollback_quietly s;
-      Unknown
-    end
-  else begin
-    rollback_quietly s;
-    Failed
-  end
+  match run () with
+  | r ->
+    note ();
+    r
+  | exception e ->
+    note ();
+    raise e
 
-let read cluster citus violations sref k =
-  ensure_session citus sref;
-  let s = !sref in
+(* COMMIT runs two bounded phases (PREPARE, COMMIT PREPARED) *)
+let bound_of label =
+  if String.equal label "COMMIT" then (2.0 *. timeout) +. epsilon
+  else timeout +. epsilon
+
+let read f violations c k =
+  let s = session c in
   match
-    timed cluster violations ~bound:(timeout +. epsilon)
+    timed f violations ~bound:(timeout +. epsilon)
       ~label:(Printf.sprintf "read %d" k)
       (fun () ->
         exec s (Printf.sprintf "SELECT balance FROM accounts WHERE key = %d" k))
   with
-  | Ok _ -> ()
-  | Error _ -> rollback_quietly s
-
-(* --- quiescence: lift the stalls, let everything drain --- *)
-
-let quiesce cluster citus =
-  Sim.Fault.quiesce (fault_of cluster);
-  Sim.Clock.advance cluster.Cluster.Topology.clock 30.0;
-  for _ = 1 to 3 do
-    Citus.Api.maintenance citus
-  done
-
-(* A post-storm write pass: touches every key, closing breakers that
-   slow-tripped during the storm through real successes. The +0 update
-   is balance-neutral by construction. *)
-let write_pass citus =
-  let s = Citus.Api.connect citus in
-  for k = 0 to n_keys - 1 do
-    ignore
-      (Citus.Api.exec_with_retries citus s
-         (Printf.sprintf
-            "UPDATE accounts SET balance = balance + 0 WHERE key = %d" k))
-  done
+  | _ -> ()
+  | exception _ -> rollback_quietly s
 
 (* --- one full storm --- *)
 
 let run_gray ~seed () =
-  let cluster, citus = make_cluster ~seed in
-  Obs.Trace.set_enabled (Cluster.Topology.trace cluster) true;
-  let fault = fault_of cluster in
-  let clock = cluster.Cluster.Topology.clock in
-  let storm_rng = Random.State.make [| seed; 0x57a1 |] in
-  let wl_rng = Random.State.make [| seed; 0x0b5e |] in
-  schedule_storm cluster fault storm_rng;
+  let f = make_cluster ~seed in
+  trace_on f;
+  let wl = rng seed 0x0b5e in
+  schedule_stalls f (rng seed 0x57a1);
   let violations = ref [] in
   let outcomes = ref [] in
-  let sref = ref (Citus.Api.connect citus) in
+  let c = client f.citus in
+  let wrap ~label run = timed f violations ~bound:(bound_of label) ~label run in
   for i = 1 to n_stmts do
-    Sim.Clock.advance clock clock_step;
+    tick f;
     if i mod 3 = 0 then
       (* a single-shard read: the hedging path under fire *)
-      read cluster citus violations sref (Random.State.int wl_rng n_keys)
+      read f violations c (Random.State.int wl n_keys)
     else begin
-      let k1 = Random.State.int wl_rng n_keys in
-      let k2 = (k1 + 1 + Random.State.int wl_rng (n_keys - 1)) mod n_keys in
-      let amount = 1 + Random.State.int wl_rng 10 in
-      outcomes :=
-        transfer cluster citus violations sref ~k1 ~k2 ~amount :: !outcomes
+      let k1, k2, amount = draw_transfer wl ~n_keys in
+      outcomes := transfer ~wrap c ~k1 ~k2 ~amount :: !outcomes
     end
   done;
-  quiesce cluster citus;
-  write_pass citus;
-  Citus.Api.maintenance citus;
-  let s = Citus.Api.connect citus in
-  let total = one_int s "SELECT sum(balance) FROM accounts" in
-  (cluster, citus, List.rev !outcomes, List.rev !violations, total)
-
-(* --- invariants --- *)
+  let total = settle ~bounce:false f in
+  (f, List.rev !outcomes, List.rev !violations, total)
 
 let check_bounded ~seed violations =
-  match
-    List.sort (fun (_, a, _) (_, b, _) -> compare b a) violations
-  with
+  match List.sort (fun (_, a, _) (_, b, _) -> compare b a) violations with
   | [] -> ()
   | (label, elapsed, bound) :: _ ->
     Alcotest.fail
-      (Printf.sprintf
-         "[seed %d] %d statement(s) overshot their deadline; worst: %s took \
-          %.3fs against a %.3fs bound — a stalled node leaked into the \
-          client's latency"
-         seed (List.length violations) label elapsed bound)
-
-let check_invariants ~seed cluster citus total =
-  let msg m = Printf.sprintf "[seed %d] %s" seed m in
-  let st = Citus.Api.coordinator_state citus in
-  (* hedging never duplicated a side effect: transfers conserved the
-     total exactly *)
-  Alcotest.(check int) (msg "total balance conserved") expected_total total;
-  (* no pinned transaction connections, no orphaned prepared pairs *)
-  Alcotest.(check int) (msg "no txn conns pinned") 0
-    (Citus.State.leaked_txn_conns st);
-  Alcotest.(check int) (msg "no prepared pairs pinned") 0
-    (Citus.State.leaked_prepared st);
-  (* prepared transactions and commit records drained *)
-  List.iter
-    (fun (n : Cluster.Topology.node) ->
-      Alcotest.(check int)
-        (msg
-           (Printf.sprintf "no orphaned prepared transactions on %s"
-              n.Cluster.Topology.node_name))
-        0
-        (List.length
-           (Txn.Manager.prepared_transactions
-              (Engine.Instance.txn_manager n.Cluster.Topology.instance))))
-    (Cluster.Topology.all_nodes cluster);
-  Alcotest.(check int) (msg "commit records drained") 0
-    (Citus.Twopc.commit_record_count st);
-  (* every breaker — including the ones slowness tripped — closed again *)
-  List.iter
-    (fun (r : Citus.Health.node_report) ->
-      Alcotest.(check string)
-        (msg (Printf.sprintf "breaker closed on %s" r.Citus.Health.nr_node))
-        "closed"
-        (Citus.Health.breaker_name
-           (Citus.Health.breaker_state st.Citus.State.health
-              r.Citus.Health.nr_node)))
-    (Citus.Health.report st.Citus.State.health);
-  (* the observability layer survived: every span opened was closed *)
-  let obs = Cluster.Topology.obs cluster in
-  Alcotest.(check int)
-    (msg "every span opened was closed")
-    (Obs.Trace.started obs.Obs.trace)
-    (Obs.Trace.finished obs.Obs.trace);
-  Alcotest.(check int) (msg "no span left open") 0
-    (Obs.Trace.open_count obs.Obs.trace)
-
-(* The seed matrix run by `dune runtest`. GRAY_SEEDS=n widens it; every
-   check is tagged [seed N] and any failure replays by running that
-   seed. *)
-let gray_seeds =
-  match Sys.getenv_opt "GRAY_SEEDS" with
-  | None -> 8
-  | Some v -> (
-    match int_of_string_opt v with
-    | Some n when n > 0 -> n
-    | _ ->
-      invalid_arg
-        (Printf.sprintf "GRAY_SEEDS must be a positive integer, got %S" v))
-
-let seed_matrix = List.init gray_seeds (fun i -> i + 1)
+      (tag seed
+         (Printf.sprintf
+            "%d statement(s) overshot their deadline; worst: %s took %.3fs \
+             against a %.3fs bound — a stalled node leaked into the client's \
+             latency"
+            (List.length violations) label elapsed bound))
 
 (* Counters accumulated across the matrix: the boundedness check is
    vacuous if no statement ever overlapped a stall, so the last test of
@@ -303,21 +130,14 @@ let matrix_hedges = ref 0
 let matrix_deadline_awaits = ref 0
 
 let test_seed seed () =
-  let cluster, citus, outcomes, violations, total = run_gray ~seed () in
-  let counter name =
-    Obs.Metrics.counter_value (Cluster.Topology.metrics cluster) name
-  in
-  matrix_timeouts := !matrix_timeouts + counter "exec.timeouts";
-  matrix_hedges := !matrix_hedges + counter "exec.hedged_reads";
-  matrix_deadline_awaits := !matrix_deadline_awaits + counter "net.await_timed_out";
+  let f, outcomes, violations, total = run_gray ~seed () in
+  matrix_timeouts := !matrix_timeouts + counter f.cluster "exec.timeouts";
+  matrix_hedges := !matrix_hedges + counter f.cluster "exec.hedged_reads";
+  matrix_deadline_awaits :=
+    !matrix_deadline_awaits + counter f.cluster "net.await_timed_out";
   check_bounded ~seed violations;
-  check_invariants ~seed cluster citus total;
-  (* a storm that failed every transfer would vacuously conserve the
-     total *)
-  Alcotest.(check bool)
-    (Printf.sprintf "[seed %d] some transfers committed" seed)
-    true
-    (List.exists (fun o -> o = Committed) outcomes)
+  check_invariants ~seed ~total f;
+  check_some_committed ~seed outcomes
 
 (* runs after the matrix (Alcotest executes cases in order, one process) *)
 let test_storm_was_live () =
@@ -329,46 +149,26 @@ let test_storm_was_live () =
     true
     (!matrix_timeouts > 0 && !matrix_hedges > 0 && !matrix_deadline_awaits > 0)
 
-(* --- bit-for-bit reproducibility --- *)
-
-let observable (cluster, _citus, outcomes, violations, total) =
-  let obs = Cluster.Topology.obs cluster in
-  ( Sim.Fault.trace (fault_of cluster),
-    List.map outcome_name outcomes,
-    List.map (fun (l, e, _) -> Printf.sprintf "%s %.6f" l e) violations,
-    total,
-    Obs.Metrics.render (Obs.Metrics.snapshot obs.Obs.metrics),
-    Obs.Trace.render_tree (Obs.Trace.spans obs.Obs.trace) )
-
-let test_reproducible () =
-  let trace_a, outcomes_a, viol_a, total_a, metrics_a, spans_a =
-    observable (run_gray ~seed:3 ())
-  in
-  let trace_b, outcomes_b, viol_b, total_b, metrics_b, spans_b =
-    observable (run_gray ~seed:3 ())
-  in
-  Alcotest.(check (list string)) "same fault trace" trace_a trace_b;
-  Alcotest.(check (list string)) "same outcomes" outcomes_a outcomes_b;
-  Alcotest.(check (list string)) "same overshoot list" viol_a viol_b;
-  Alcotest.(check int) "same total" total_a total_b;
-  Alcotest.(check string) "bit-identical metric snapshot" metrics_a metrics_b;
-  Alcotest.(check (list string)) "bit-identical span tree" spans_a spans_b;
-  let trace_c, _, _, _, _, _ = observable (run_gray ~seed:4 ()) in
-  Alcotest.(check bool) "different seed, different storm" true
-    (trace_a <> trace_c)
+let observe seed =
+  let f, outcomes, violations, total = run_gray ~seed () in
+  observable f
+    [
+      ("outcomes", List.map outcome_name outcomes);
+      ( "overshoot list",
+        List.map (fun (l, e, _) -> Printf.sprintf "%s %.6f" l e) violations );
+      ("total", [ string_of_int total ]);
+    ]
 
 let () =
   Alcotest.run "gray"
     [
       ( "stall-matrix",
-        List.map
-          (fun seed ->
-            Alcotest.test_case
-              (Printf.sprintf "seed %d" seed)
-              `Quick (test_seed seed))
-          seed_matrix
+        seed_cases ~first:1 (width ~default:8) test_seed
         @ [ Alcotest.test_case "the storm was live" `Quick test_storm_was_live ]
       );
       ( "reproducibility",
-        [ Alcotest.test_case "same seed, same storm" `Quick test_reproducible ] );
+        [
+          Alcotest.test_case "same seed, same storm" `Quick
+            (test_reproducible ~observe ~seed:3 ~other:4);
+        ] );
     ]

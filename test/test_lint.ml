@@ -305,9 +305,10 @@ let test_l8_scope () =
   let fs = run "L8" [ ("lib/obs/trace.ml", l8_violating) ] in
   Alcotest.(check int) "lib/obs is out of scope" 0 (List.length fs)
 
-(* --- L9 fiber-blocking --- *)
+(* --- L10 transitive-blocking --- *)
 
-let l9_violating =
+(* direct uses of the primitives: the zero-depth case *)
+let direct_violating =
   {|let bad_sleep t s =
   Sim.Sched.sleep s 1.0
 
@@ -318,7 +319,7 @@ let bad_nested t fibs =
   List.iter (fun f -> ignore (Sim.Sched.await t f)) fibs
 |}
 
-let l9_clean =
+let direct_clean =
   {|let scoped t f =
   State.with_sched t (fun sched -> Sim.Sched.await sched (f sched))
 
@@ -330,28 +331,30 @@ let spawned sched conn =
 
 let boundary cluster until_ =
   (Sim.Sched.sleep_until (get_sched cluster) until_ [@lint.blocking])
+
+let optional ?sched () =
+  match sched with Some sched -> Sim.Sched.yield sched | None -> ()
 |}
 
-let test_l9_violating () =
-  let fs = run "L9" [ ("lib/core/fx.ml", l9_violating) ] in
+let test_direct_violating () =
+  let fs = run "L10" [ ("lib/core/fx.ml", direct_violating) ] in
   Alcotest.(check int) "three unscoped suspensions" 3 (List.length fs);
-  Alcotest.(check (list string)) "all L9" [ "L9"; "L9"; "L9" ] (ids fs);
+  Alcotest.(check (list string)) "all L10" [ "L10"; "L10"; "L10" ] (ids fs);
   Alcotest.(check (list int)) "call locations" [ 2; 5; 8 ] (lines fs)
 
-let test_l9_clean () =
-  let fs = run "L9" [ ("lib/core/fx.ml", l9_clean) ] in
+let test_direct_clean () =
+  let fs = run "L10" [ ("lib/core/fx.ml", direct_clean) ] in
   Alcotest.(check int)
-    "with_sched / sched param / spawn thunk / annotation all pass" 0
-    (List.length fs)
+    "with_sched / sched param / spawn thunk / Some sched / annotation all \
+     pass"
+    0 (List.length fs)
 
-let test_l9_scope () =
+let test_direct_scope () =
   (* the scheduler's own implementation suspends by construction *)
-  let fs = run "L9" [ ("lib/sim/sched.ml", l9_violating) ] in
+  let fs = run "L10" [ ("lib/sim/sched.ml", direct_violating) ] in
   Alcotest.(check int) "lib/sim is out of scope" 0 (List.length fs);
-  let fs = run "L9" [ ("test/test_fx.ml", l9_violating) ] in
+  let fs = run "L10" [ ("test/test_fx.ml", direct_violating) ] in
   Alcotest.(check int) "tests are out of scope" 0 (List.length fs)
-
-(* --- L10 transitive-blocking --- *)
 
 (* a two-hop suspending chain: Util.pause reaches Sim.Sched.sleep, and
    Mid.relay reaches it through Util — all callers of either must be in
@@ -411,6 +414,17 @@ let test_l10_dual_mode () =
   in
   Alcotest.(check int) "?sched callee is dual-mode, callers free" 0
     (List.length fs)
+
+(* a [?sched] function may use the primitives directly, but a call to a
+   derived suspending function in its body is still unscoped *)
+let test_l10_opt_sched_body () =
+  let fs =
+    run "L10"
+      (l10_files [ ("lib/core/fx.ml", "let f ?sched t = Mid.relay t\n") ])
+  in
+  Alcotest.(check int) "derived call in a ?sched body flagged" 1
+    (List.length fs);
+  Alcotest.(check (list int)) "site location" [ 1 ] (lines fs)
 
 let test_l10_scope () =
   let fs = run "L10" (l10_files [ ("test/test_fx.ml", l10_violating) ]) in
@@ -976,18 +990,17 @@ let test_sexp_rendering () =
 (* --- registry and baseline --- *)
 
 let test_registry () =
-  Alcotest.(check int) "sixteen rules" 16 (List.length Registry.all);
+  Alcotest.(check int) "fifteen rules" 15 (List.length Registry.all);
   List.iter
     (fun id ->
       match Registry.find id with
       | Some _ -> ()
       | None -> Alcotest.failf "rule %s not registered" id)
-    [ "L1"; "L2"; "L3"; "L4"; "L5"; "L6"; "L7"; "L8"; "L9"; "L10"; "L11";
-      "L12"; "L13"; "L14"; "L15"; "L16"; "sql-injection"; "determinism";
-      "lock-order"; "span-conservation"; "fiber-blocking";
-      "transitive-blocking"; "cancel-safety"; "deadline-propagation";
-      "metric-registry"; "snapshot-discipline"; "no-reparse";
-      "metadata-write" ]
+    [ "L1"; "L2"; "L3"; "L4"; "L5"; "L6"; "L7"; "L8"; "L10"; "L11"; "L12";
+      "L13"; "L14"; "L15"; "L16"; "sql-injection"; "determinism";
+      "lock-order"; "span-conservation"; "transitive-blocking";
+      "cancel-safety"; "deadline-propagation"; "metric-registry";
+      "snapshot-discipline"; "no-reparse"; "metadata-write" ]
 
 let test_explanations () =
   (* --explain depends on every rule shipping a non-trivial rationale *)
@@ -1055,17 +1068,15 @@ let () =
           Alcotest.test_case "clean" `Quick test_l8_clean;
           Alcotest.test_case "scope" `Quick test_l8_scope;
         ] );
-      ( "l9-fiber-blocking",
-        [
-          Alcotest.test_case "violating" `Quick test_l9_violating;
-          Alcotest.test_case "clean" `Quick test_l9_clean;
-          Alcotest.test_case "scope" `Quick test_l9_scope;
-        ] );
       ( "l10-transitive-blocking",
         [
+          Alcotest.test_case "direct violating" `Quick test_direct_violating;
+          Alcotest.test_case "direct clean" `Quick test_direct_clean;
+          Alcotest.test_case "direct scope" `Quick test_direct_scope;
           Alcotest.test_case "violating" `Quick test_l10_violating;
           Alcotest.test_case "clean" `Quick test_l10_clean;
           Alcotest.test_case "dual mode" `Quick test_l10_dual_mode;
+          Alcotest.test_case "?sched body" `Quick test_l10_opt_sched_body;
           Alcotest.test_case "scope" `Quick test_l10_scope;
         ] );
       ( "l11-cancel-safety",

@@ -16,54 +16,14 @@
    are expected to tear somewhere in the matrix (proving the windows
    were really open), and the same seed replays bit-for-bit. *)
 
-let exec s sql = Engine.Instance.exec s sql
-
-let one_int s sql =
-  match (exec s sql).Engine.Instance.rows with
-  | [ [| Datum.Int i |] ] -> i
-  | rows ->
-    Alcotest.fail
-      (Printf.sprintf "expected one int from %S, got %d rows" sql
-         (List.length rows))
+open Chaos_kit
 
 let check_int s msg expected sql =
   Alcotest.(check int) msg expected (one_int s sql)
 
-let counter cluster name =
-  Obs.Metrics.counter_value (Cluster.Topology.metrics cluster) name
-
-let node_of citus ~table k =
-  let meta = citus.Citus.Api.metadata in
-  Citus.Metadata.placement meta
-    (Citus.Metadata.shard_for_value meta ~table (Datum.Int k))
-      .Citus.Metadata.shard_id
-
-let two_keys_on_different_nodes citus table =
-  let k1 = 1 in
-  let rec find k =
-    if k > 1000 then Alcotest.fail "no second node?"
-    else if node_of citus ~table k <> node_of citus ~table k1 then k
-    else find (k + 1)
-  in
-  (k1, find 2)
-
 let n_keys = 12
-let initial_balance = 100
 let expected_total = n_keys * initial_balance
-
-let setup_accounts s =
-  ignore
-    (exec s "CREATE TABLE accounts (key bigint PRIMARY KEY, balance bigint)");
-  ignore (exec s "SELECT create_distributed_table('accounts', 'key')");
-  ignore (exec s "BEGIN");
-  for k = 0 to n_keys - 1 do
-    ignore
-      (exec s
-         (Printf.sprintf "INSERT INTO accounts (key, balance) VALUES (%d, %d)"
-            k initial_balance))
-  done;
-  ignore (exec s "COMMIT")
-
+let setup_accounts s = load_accounts ~one_txn:true s ~n_keys
 let sum_balances s = one_int s "SELECT sum(balance) FROM accounts"
 
 (* Open an in-doubt window: a two-node transfer whose COMMIT PREPARED to
@@ -72,27 +32,13 @@ let sum_balances s = one_int s "SELECT sum(balance) FROM accounts"
    (k1, k2, the node left in doubt). *)
 let fumbled_transfer citus s ~amount =
   let st = Citus.Api.coordinator_state citus in
-  let k1, k2 = two_keys_on_different_nodes citus "accounts" in
-  let lost_node = node_of citus ~table:"accounts" k2 in
+  let k1, k2 = cross_node_keys ~first:1 citus in
+  let lost_node = node_of citus k2 in
   Citus.State.inject_failure st ~node:lost_node ~matching:"COMMIT PREPARED";
-  ignore (exec s "BEGIN");
-  ignore
-    (exec s
-       (Printf.sprintf
-          "UPDATE accounts SET balance = balance - %d WHERE key = %d" amount k1));
-  ignore
-    (exec s
-       (Printf.sprintf
-          "UPDATE accounts SET balance = balance + %d WHERE key = %d" amount k2));
+  begin_transfer s ~k1 ~k2 ~amount;
   ignore (exec s "COMMIT");
   Citus.State.clear_failures st;
   (k1, k2, lost_node)
-
-let prepared_count cluster node =
-  List.length
-    (Txn.Manager.prepared_transactions
-       (Engine.Instance.txn_manager
-          (Cluster.Topology.find_node cluster node).Cluster.Topology.instance))
 
 (* --- the knob --- *)
 
@@ -188,37 +134,27 @@ let test_snapshot_resolves_aborted_orphan () =
   let s = Citus.Api.connect citus in
   setup_accounts s;
   let st = Citus.Api.coordinator_state citus in
-  let k1, k2 = two_keys_on_different_nodes citus "accounts" in
+  let k1, k2 = cross_node_keys ~first:1 citus in
   (* connections are visited newest-first at commit, so k2's node
      prepares first; failing k1's PREPARE aborts the 2PC and the
      injected ROLLBACK PREPARED failure orphans k2's prepared txn *)
-  Citus.State.inject_failure st
-    ~node:(node_of citus ~table:"accounts" k1)
+  Citus.State.inject_failure st ~node:(node_of citus k1)
     ~matching:"PREPARE TRANSACTION";
-  Citus.State.inject_failure st
-    ~node:(node_of citus ~table:"accounts" k2)
+  Citus.State.inject_failure st ~node:(node_of citus k2)
     ~matching:"ROLLBACK PREPARED";
-  ignore (exec s "BEGIN");
-  ignore
-    (exec s
-       (Printf.sprintf "UPDATE accounts SET balance = balance - 7 WHERE key = %d"
-          k1));
-  ignore
-    (exec s
-       (Printf.sprintf "UPDATE accounts SET balance = balance + 7 WHERE key = %d"
-          k2));
+  begin_transfer s ~k1 ~k2 ~amount:7;
   (match exec s "COMMIT" with _ -> () | exception _ -> ());
-  ignore (try ignore (exec s "ROLLBACK") with _ -> ());
+  rollback_quietly s;
   Citus.State.clear_failures st;
   Alcotest.(check int) "orphan pending" 1
-    (prepared_count cluster (node_of citus ~table:"accounts" k2));
+    (prepared_count cluster (node_of citus k2));
   st.Citus.State.config.Citus.State.consistency <- Citus.State.Snapshot;
   Alcotest.(check int) "aborted transfer fully invisible" expected_total
     (sum_balances s);
   Alcotest.(check bool) "resolved by rolling back" true
     (counter cluster Obs.Metric_names.snapshot_indoubt_rollbacks > 0);
   Alcotest.(check int) "orphan drained" 0
-    (prepared_count cluster (node_of citus ~table:"accounts" k2))
+    (prepared_count cluster (node_of citus k2))
 
 (* --- per-fragment replica hedging --- *)
 
@@ -233,11 +169,7 @@ let test_scatter_gather_fragment_hedging () =
   let st = Citus.Api.coordinator_state citus in
   st.Citus.State.config.Citus.State.hedge_threshold <- 0.05;
   st.Citus.State.config.Citus.State.consistency <- Citus.State.Snapshot;
-  let fault =
-    match Cluster.Topology.fault cluster with
-    | Some f -> f
-    | None -> Alcotest.fail "no fault plan"
-  in
+  let fault = fault_of cluster in
   (* one worker browns out: its fragments of the scatter-gather read
      sit past the hedge threshold, each hedges to the other replica
      independently, and the slow replica never delays the answer *)
@@ -275,11 +207,7 @@ let test_move_timeout_abandons_cleanly () =
   let shard_id = shard.Citus.Metadata.shard_id in
   let from_node = Citus.Metadata.placement meta shard_id in
   let to_node = if from_node = "worker1" then "worker2" else "worker1" in
-  let fault =
-    match Cluster.Topology.fault cluster with
-    | Some f -> f
-    | None -> Alcotest.fail "no fault plan"
-  in
+  let fault = fault_of cluster in
   (* the destination stalls far past the move budget *)
   Sim.Fault.stall_node fault ~node:to_node ~extra:5.0 ~duration:1000.0;
   st.Citus.State.config.Citus.State.move_timeout <- 1.0;
@@ -330,11 +258,7 @@ let test_move_timeout_rolls_back_group () =
   let shard_id = shard.Citus.Metadata.shard_id in
   let from_node = Citus.Metadata.placement meta shard_id in
   let to_node = if from_node = "worker1" then "worker2" else "worker1" in
-  let fault =
-    match Cluster.Topology.fault cluster with
-    | Some f -> f
-    | None -> Alcotest.fail "no fault plan"
-  in
+  let fault = fault_of cluster in
   (* each destination round trip costs exactly 0.4s; the tables have no
      indexes, so each shard copy is one CREATE TABLE round trip: the
      first sibling lands at 0.4s (inside the 0.6s budget) and cuts
@@ -365,51 +289,18 @@ let test_move_timeout_rolls_back_group () =
 (* --- the chaos matrix: skewed clocks, fumbled commits, no torn reads --- *)
 
 let n_stmts = 30
-let clock_step = 0.25
 let timeout = 0.5
 
-type outcome = Committed | Failed | Unknown
-
-let outcome_name = function
-  | Committed -> "committed"
-  | Failed -> "failed"
-  | Unknown -> "unknown"
-
-let fault_of cluster =
-  match Cluster.Topology.fault cluster with
-  | Some f -> f
-  | None -> Alcotest.fail "cluster has no fault plan"
-
 let make_chaos_cluster ~seed =
-  let cluster =
-    Cluster.Topology.create ~workers:3 ~fault_seed:seed ~sched_seed:seed ()
+  let configure (cfg : Citus.State.config) =
+    cfg.Citus.State.statement_timeout <- timeout;
+    cfg.Citus.State.hedge_threshold <- 0.05
   in
-  let citus = Citus.Api.install ~shard_count:8 cluster in
-  Citus.Api.set_replication_factor citus 2;
-  let st = Citus.Api.coordinator_state citus in
-  st.Citus.State.config.Citus.State.statement_timeout <- timeout;
-  st.Citus.State.config.Citus.State.hedge_threshold <- 0.05;
-  let s = Citus.Api.connect citus in
-  ignore
-    (exec s "CREATE TABLE accounts (key bigint PRIMARY KEY, balance bigint)");
-  ignore (exec s "SELECT create_distributed_table('accounts', 'key')");
-  ignore (exec s "BEGIN");
-  for k = 0 to n_keys - 1 do
-    ignore
-      (exec s
-         (Printf.sprintf "INSERT INTO accounts (key, balance) VALUES (%d, %d)"
-            k initial_balance))
-  done;
-  ignore (exec s "COMMIT");
-  (cluster, citus)
+  accounts ~n_keys ~configure ~one_txn:true ~seed ~replication:2 ()
 
-let schedule_storm cluster fault rng =
-  let workers =
-    List.map
-      (fun (n : Cluster.Topology.node) -> n.Cluster.Topology.node_name)
-      cluster.Cluster.Topology.workers
-  in
-  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+let schedule_skew_storm f rng =
+  let fault = fault_of f.cluster in
+  let workers = worker_names f.cluster in
   let horizon = float_of_int n_stmts *. clock_step in
   Sim.Fault.set_latency fault ~mean:0.005 ~jitter:0.005;
   Sim.Fault.set_drop_rate fault ~request:0.02 ~reply:0.02;
@@ -420,62 +311,29 @@ let schedule_storm cluster fault rng =
     let at = Random.State.float rng (horizon *. 0.5) in
     let offset = Random.State.float rng 6.0 -. 3.0 in
     let drift = Random.State.float rng 0.1 -. 0.05 in
-    Sim.Fault.schedule_skew fault ~at ~offset ~drift (pick workers)
+    Sim.Fault.schedule_skew fault ~at ~offset ~drift (pick rng workers)
   done;
   (* one brownout, to push reads onto the hedging path *)
   let at = Random.State.float rng (horizon *. 0.8) in
-  Sim.Fault.schedule_stall fault ~at ~extra:1.5 ~duration:1.0 (pick workers)
-
-let ensure_session citus sref =
-  if not (Engine.Instance.session_alive !sref) then
-    sref := Citus.Api.connect citus
-
-let rollback_quietly s = try ignore (exec s "ROLLBACK") with _ -> ()
+  Sim.Fault.schedule_stall fault ~at ~extra:1.5 ~duration:1.0 (pick rng workers)
 
 (* A transfer; with probability ~1/4 its COMMIT PREPARED fan-out to one
    worker is fumbled (injected failure, cleared right after), leaving an
    in-doubt window that persists until a reader resolves it. *)
-let chaos_transfer citus st rng sref ~k1 ~k2 ~amount =
-  ensure_session citus sref;
-  let s = !sref in
-  let fumble =
-    if Random.State.int rng 4 = 0 then begin
-      let w = Printf.sprintf "worker%d" (1 + Random.State.int rng 3) in
-      Citus.State.inject_failure st ~node:w ~matching:"COMMIT PREPARED";
-      true
-    end
-    else false
-  in
-  let stmt sql = match exec s sql with _ -> true | exception _ -> false in
-  let outcome =
-    if
-      stmt "BEGIN"
-      && stmt
-           (Printf.sprintf
-              "UPDATE accounts SET balance = balance - %d WHERE key = %d"
-              amount k1)
-      && stmt
-           (Printf.sprintf
-              "UPDATE accounts SET balance = balance + %d WHERE key = %d"
-              amount k2)
-    then
-      if stmt "COMMIT" then Committed
-      else begin
-        rollback_quietly s;
-        Unknown
-      end
-    else begin
-      rollback_quietly s;
-      Failed
-    end
-  in
+let fumbling_transfer st rng c ~k1 ~k2 ~amount =
+  ignore (session c);
+  let fumble = Random.State.int rng 4 = 0 in
+  if fumble then
+    Citus.State.inject_failure st
+      ~node:(Printf.sprintf "worker%d" (1 + Random.State.int rng 3))
+      ~matching:"COMMIT PREPARED";
+  let outcome = transfer c ~k1 ~k2 ~amount in
   if fumble then Citus.State.clear_failures st;
   outcome
 
 (* One scatter-gather sum at the given consistency level. *)
-let read_total citus st sref level =
-  ensure_session citus sref;
-  let s = !sref in
+let read_total st c level =
+  let s = session c in
   let saved = st.Citus.State.config.Citus.State.consistency in
   st.Citus.State.config.Citus.State.consistency <- level;
   let r =
@@ -488,99 +346,49 @@ let read_total citus st sref level =
   st.Citus.State.config.Citus.State.consistency <- saved;
   r
 
-let quiesce cluster citus =
-  Citus.State.clear_failures (Citus.Api.coordinator_state citus);
-  Sim.Fault.quiesce (fault_of cluster);
-  Sim.Clock.advance cluster.Cluster.Topology.clock 30.0;
-  for _ = 1 to 3 do
-    Citus.Api.maintenance citus
-  done
-
 let run_chaos ~seed () =
-  let cluster, citus = make_chaos_cluster ~seed in
-  Obs.Trace.set_enabled (Cluster.Topology.trace cluster) true;
-  let st = Citus.Api.coordinator_state citus in
-  let fault = fault_of cluster in
-  let clock = cluster.Cluster.Topology.clock in
-  let storm_rng = Random.State.make [| seed; 0x5caf |] in
-  let wl_rng = Random.State.make [| seed; 0x0b5e |] in
-  schedule_storm cluster fault storm_rng;
+  let f = make_chaos_cluster ~seed in
+  trace_on f;
+  let st = Citus.Api.coordinator_state f.citus in
+  let wl = rng seed 0x0b5e in
+  schedule_skew_storm f (rng seed 0x5caf);
   st.Citus.State.config.Citus.State.consistency <- Citus.State.Snapshot;
   let outcomes = ref [] in
   let reads = ref [] in
   let torn = ref 0 in
-  let sref = ref (Citus.Api.connect citus) in
+  let c = client f.citus in
   for i = 1 to n_stmts do
-    Sim.Clock.advance clock clock_step;
+    tick f;
     if i mod 3 = 0 then begin
       (* eventual first: it may tear, and it never resolves the windows
          the snapshot read is about to hit *)
-      (match read_total citus st sref Citus.State.Eventual with
+      (match read_total st c Citus.State.Eventual with
        | Ok t when t <> expected_total -> incr torn
        | _ -> ());
       let r =
-        match read_total citus st sref Citus.State.Snapshot with
+        match read_total st c Citus.State.Snapshot with
         | Ok total ->
           (* the tentpole invariant: a snapshot read that answers at all
              answers exactly — under fumbled commits and skewed clocks *)
           if total <> expected_total then
             Alcotest.fail
-              (Printf.sprintf
-                 "[seed %d] torn snapshot read at stmt %d: got %d, want %d"
-                 seed i total expected_total);
+              (tag seed
+                 (Printf.sprintf "torn snapshot read at stmt %d: got %d, want %d"
+                    i total expected_total));
           Printf.sprintf "ok %d" total
         | Error () -> "failed"
       in
       reads := r :: !reads
     end
     else begin
-      let k1 = Random.State.int wl_rng n_keys in
-      let k2 = (k1 + 1 + Random.State.int wl_rng (n_keys - 1)) mod n_keys in
-      let amount = 1 + Random.State.int wl_rng 10 in
-      outcomes :=
-        chaos_transfer citus st wl_rng sref ~k1 ~k2 ~amount :: !outcomes
+      let k1, k2, amount = draw_transfer wl ~n_keys in
+      outcomes := fumbling_transfer st wl c ~k1 ~k2 ~amount :: !outcomes
     end
   done;
-  quiesce cluster citus;
-  let s = Citus.Api.connect citus in
-  let total = sum_balances s in
-  (cluster, citus, List.rev !outcomes, List.rev !reads, !torn, total)
-
-let check_chaos_invariants ~seed cluster citus total =
-  let msg m = Printf.sprintf "[seed %d] %s" seed m in
-  let st = Citus.Api.coordinator_state citus in
-  Alcotest.(check int) (msg "total conserved after quiescence") expected_total
-    total;
-  Alcotest.(check int) (msg "no txn conns pinned") 0
-    (Citus.State.leaked_txn_conns st);
-  List.iter
-    (fun (n : Cluster.Topology.node) ->
-      Alcotest.(check int)
-        (msg
-           (Printf.sprintf "no orphaned prepared transactions on %s"
-              n.Cluster.Topology.node_name))
-        0
-        (prepared_count cluster n.Cluster.Topology.node_name))
-    (Cluster.Topology.all_nodes cluster);
-  Alcotest.(check int) (msg "commit records drained") 0
-    (Citus.Twopc.commit_record_count st);
-  let obs = Cluster.Topology.obs cluster in
-  Alcotest.(check int)
-    (msg "every span opened was closed")
-    (Obs.Trace.started obs.Obs.trace)
-    (Obs.Trace.finished obs.Obs.trace)
-
-let snapshot_seeds =
-  match Sys.getenv_opt "SNAPSHOT_SEEDS" with
-  | None -> 6
-  | Some v -> (
-    match int_of_string_opt v with
-    | Some n when n > 0 -> n
-    | _ ->
-      invalid_arg
-        (Printf.sprintf "SNAPSHOT_SEEDS must be a positive integer, got %S" v))
-
-let seed_matrix = List.init snapshot_seeds (fun i -> i + 1)
+  Citus.State.clear_failures st;
+  quiesce ~bounce:false f;
+  let total = final_total f in
+  (f, List.rev !outcomes, List.rev !reads, !torn, total)
 
 (* Accumulated across the matrix: the no-torn-read check is vacuous
    unless readers really hit open in-doubt windows somewhere, and the
@@ -592,8 +400,8 @@ let m_torn_eventual = ref 0
 let m_hedged = ref 0
 
 let test_seed seed () =
-  let cluster, citus, outcomes, reads, torn, total = run_chaos ~seed () in
-  let c name = counter cluster name in
+  let f, outcomes, reads, torn, total = run_chaos ~seed () in
+  let c name = counter f.cluster name in
   m_indoubt_waits := !m_indoubt_waits + c Obs.Metric_names.snapshot_indoubt_waits;
   m_resolved :=
     !m_resolved
@@ -602,13 +410,10 @@ let test_seed seed () =
   m_snapshot_reads := !m_snapshot_reads + c Obs.Metric_names.snapshot_reads;
   m_torn_eventual := !m_torn_eventual + torn;
   m_hedged := !m_hedged + c Obs.Metric_names.snapshot_hedged_fragments;
-  check_chaos_invariants ~seed cluster citus total;
+  check_invariants ~seed ~total f;
+  check_some_committed ~seed outcomes;
   Alcotest.(check bool)
-    (Printf.sprintf "[seed %d] some transfers committed" seed)
-    true
-    (List.exists (fun o -> o = Committed) outcomes);
-  Alcotest.(check bool)
-    (Printf.sprintf "[seed %d] some snapshot reads answered" seed)
+    (tag seed "some snapshot reads answered")
     true
     (List.exists (fun r -> r <> "failed") reads)
 
@@ -625,35 +430,15 @@ let test_storm_was_live () =
     (!m_indoubt_waits > 0 && !m_resolved > 0 && !m_snapshot_reads > 0
    && !m_torn_eventual > 0)
 
-(* --- bit-for-bit reproducibility --- *)
-
-let observable (cluster, _citus, outcomes, reads, torn, total) =
-  let obs = Cluster.Topology.obs cluster in
-  ( Sim.Fault.trace (fault_of cluster),
-    List.map outcome_name outcomes,
-    reads,
-    torn,
-    total,
-    Obs.Metrics.render (Obs.Metrics.snapshot obs.Obs.metrics),
-    Obs.Trace.render_tree (Obs.Trace.spans obs.Obs.trace) )
-
-let test_reproducible () =
-  let trace_a, out_a, reads_a, torn_a, total_a, metrics_a, spans_a =
-    observable (run_chaos ~seed:2 ())
-  in
-  let trace_b, out_b, reads_b, torn_b, total_b, metrics_b, spans_b =
-    observable (run_chaos ~seed:2 ())
-  in
-  Alcotest.(check (list string)) "same fault trace" trace_a trace_b;
-  Alcotest.(check (list string)) "same outcomes" out_a out_b;
-  Alcotest.(check (list string)) "same read results" reads_a reads_b;
-  Alcotest.(check int) "same torn count" torn_a torn_b;
-  Alcotest.(check int) "same total" total_a total_b;
-  Alcotest.(check string) "bit-identical metric snapshot" metrics_a metrics_b;
-  Alcotest.(check (list string)) "bit-identical span tree" spans_a spans_b;
-  let trace_c, _, _, _, _, _, _ = observable (run_chaos ~seed:5 ()) in
-  Alcotest.(check bool) "different seed, different storm" true
-    (trace_a <> trace_c)
+let observe seed =
+  let f, outcomes, reads, torn, total = run_chaos ~seed () in
+  observable f
+    [
+      ("outcomes", List.map outcome_name outcomes);
+      ("read results", reads);
+      ("torn count", [ string_of_int torn ]);
+      ("total", [ string_of_int total ]);
+    ]
 
 let () =
   Alcotest.run "snapshot"
@@ -683,15 +468,12 @@ let () =
             test_move_timeout_rolls_back_group;
         ] );
       ( "skew-matrix",
-        List.map
-          (fun seed ->
-            Alcotest.test_case
-              (Printf.sprintf "seed %d" seed)
-              `Quick (test_seed seed))
-          seed_matrix
+        seed_cases ~first:1 (width ~default:6) test_seed
         @ [ Alcotest.test_case "the storm was live" `Quick test_storm_was_live ]
       );
       ( "reproducibility",
-        [ Alcotest.test_case "same seed, same storm" `Quick test_reproducible ]
-      );
+        [
+          Alcotest.test_case "same seed, same storm" `Quick
+            (test_reproducible ~observe ~seed:2 ~other:5);
+        ] );
     ]

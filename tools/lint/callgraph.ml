@@ -23,12 +23,12 @@
       {!resolved} follows the chain.
 
     Each reference site also records the lexical facts the
-    interprocedural rules need: whether an L9-style scheduler scope is
-    in sight, whether suspension-propagation is stopped (the site sits
-    under a [with_sched]/[Sched.run] handler or inside a nested
-    [fun sched ->] closure), whether a bracket ([Fun.protect]) protects
-    it, which [lint.*] attributes enclose it, and the innermost lambda
-    it belongs to (evaluation of different lambdas is unordered).
+    interprocedural rules need: whether a scheduler scope is in sight,
+    whether suspension-propagation is stopped (the site sits under a
+    [with_sched]/[Sched.run] handler or inside a nested [fun sched ->]
+    closure), whether a bracket ([Fun.protect]) protects it, which
+    [lint.*] attributes enclose it, and the innermost lambda it belongs
+    to (evaluation of different lambdas is unordered).
 
     Soundness caveats (documented in DESIGN.md §4c): locally-bound
     functions are not nodes (their suspensions are attributed to the
@@ -36,7 +36,9 @@
     top-level name still resolves to the top-level function
     (over-approximation: extra edges); first-class function values
     stored in records/refs are invisible once they leave the defining
-    expression. *)
+    expression; only named bindings at top level and in plain [struct]
+    submodules are walked, so [let () =] / [let _ =] / tuple bindings,
+    functor bodies and [module M : S = struct] are not seen. *)
 
 type fn_id = { m : string; v : string }
 
@@ -56,8 +58,9 @@ type site = {
   s_kind : kind;
   s_loc : Location.t;
   s_in_scope : bool;
-      (** L9 fiber discipline: under with_sched / Sched.run / Sched.spawn
-          or a [fun sched ->] *)
+      (** L10 fiber discipline: under with_sched / Sched.run /
+          Sched.spawn, a [fun sched ->], or in a function taking a
+          [sched] parameter *)
   s_stopped : bool;
       (** suspension does not escape the enclosing function through this
           site: a with_sched/Sched.run handler is installed around it, or
@@ -122,7 +125,7 @@ let lint_attrs (attrs : Parsetree.attributes) =
     attrs
 
 (* Applications whose lambda arguments run with a scheduler in hand
-   (grant the L9 discipline), and those that additionally install the
+   (grant the L10 discipline), and those that additionally install the
    effect handler themselves (stop suspension propagation outward). *)
 let grants_scope comps =
   match List.rev comps with

@@ -11,7 +11,6 @@ let all : Rule.t list =
     (module Rule_twopc_state);
     (module Rule_lock_order);
     (module Rule_span_conservation);
-    (module Rule_fiber_blocking);
     (module Rule_transitive_blocking);
     (module Rule_cancel_safety);
     (module Rule_deadline);

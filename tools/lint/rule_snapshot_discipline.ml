@@ -12,7 +12,7 @@
     The rule marks everything reachable from [Adaptive_executor.execute]
     (forward fixpoint over the whole-program call graph, like L12) and
     requires every reachable call to the planned-fragment dispatch
-    primitives — [Exec.ast_on_conn_exn] / [Exec.ast_on_conn] — to pass a
+    primitive — [Exec.ast_on_conn_exn] — to pass a
     [~snapshot]/[?snapshot] argument. Passing [?snapshot:None] (a write,
     or eventual consistency) satisfies the rule: the point is that the
     site made a visibility decision, not that it always pins one.
@@ -28,7 +28,7 @@ let id = "L14"
 let name = "snapshot-discipline"
 
 let doc =
-  "Exec.ast_on_conn(_exn) reachable from Adaptive_executor.execute must \
+  "Exec.ast_on_conn_exn reachable from Adaptive_executor.execute must \
    pass ?snapshot (escape hatch: [@lint.latest])"
 
 let explain =
@@ -41,8 +41,7 @@ let explain =
    thread one argument. L14 computes forward reachability from \
    Adaptive_executor.execute over the whole-program call graph (like \
    L12) and requires every reachable call to the planned-fragment \
-   dispatch primitives (Exec.ast_on_conn_exn / Exec.ast_on_conn) to \
-   pass ?snapshot — passing None is fine, omitting the argument is \
+   dispatch primitive (Exec.ast_on_conn_exn) to pass ?snapshot — passing None is fine, omitting the argument is \
    not. Escape hatch: [@lint.latest] on the dispatch, for statements \
    that deliberately execute at latest visibility (2PC resolution \
    statements such as COMMIT PREPARED are not reads and take no \

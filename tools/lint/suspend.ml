@@ -16,7 +16,7 @@
       the invocation edge, if visible, carries the fact instead);
     - an explicit [[\@lint.blocking]] on the site or the binding marks a
       deliberate dual-mode boundary (degrades to clock-advance without a
-      scheduler) and is trusted, exactly as L9 trusts it;
+      scheduler) and is trusted, exactly as L10 trusts it at call sites;
     - a function taking [?sched] is dual-mode by construction and never
       propagates the fact to callers;
     - [lib/sim] is the scheduler's own implementation: opaque — only
