@@ -817,9 +817,8 @@ let index_insert ctx (table : Catalog.table) tid row =
           Array.of_list
             (List.map (fun c -> row.(Catalog.column_index table c)) columns)
         in
-        (* index maintenance reads the leaf page it modifies *)
-        ignore (Storage.Btree.find_eq ~pool:ctx.pool tree key);
-        Storage.Btree.insert tree key tid;
+        (* index maintenance reads the pages it modifies *)
+        Storage.Btree.insert ~pool:ctx.pool tree key tid;
         Meter.add_index_update ctx.meter 1
       | Catalog.Gin_index { expr; gin } ->
         let v = Expr_eval.compile schema ctx.env expr row in

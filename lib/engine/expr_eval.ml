@@ -14,29 +14,29 @@ type env = {
 
 let err fmt = Printf.ksprintf (fun m -> raise (Eval_error m)) fmt
 
-let resolve schema q name =
-  let matches i (c : rcol) =
-    let name_ok = String.equal c.rname name in
-    let qual_ok =
-      match q with
-      | None -> true
-      | Some q -> (match c.rq with Some cq -> String.equal cq q | None -> false)
-    in
-    if name_ok && qual_ok then Some i else None
-  in
-  match List.filteri (fun i c -> matches i c <> None) schema with
+(* One pass over [cols] from position [i]; [found] is the position of an
+   earlier match, or -1. *)
+let rec resolve_from q name i found = function
   | [] ->
-    err "column %s%s does not exist"
-      (match q with Some q -> q ^ "." | None -> "")
-      name
-  | [ _ ] ->
-    (* recompute the index *)
-    let rec find i = function
-      | [] -> assert false
-      | c :: rest -> if matches i c <> None then i else find (i + 1) rest
+    if found >= 0 then found
+    else
+      err "column %s%s does not exist"
+        (match q with Some q -> q ^ "." | None -> "")
+        name
+  | (c : rcol) :: cols ->
+    let hit =
+      String.equal c.rname name
+      &&
+      match q, c.rq with
+      | None, _ -> true
+      | Some q, Some cq -> String.equal cq q
+      | Some _, None -> false
     in
-    find 0 schema
-  | _ :: _ :: _ -> err "column reference %s is ambiguous" name
+    if not hit then resolve_from q name (i + 1) found cols
+    else if found >= 0 then err "column reference %s is ambiguous" name
+    else resolve_from q name (i + 1) i cols
+
+let resolve schema q name = resolve_from q name 0 (-1) schema
 
 (* --- numeric helpers --- *)
 

@@ -2,32 +2,33 @@ type key = Datum.t array
 
 let compare_keys (a : key) (b : key) =
   let la = Array.length a and lb = Array.length b in
-  let rec go i =
-    if i >= la && i >= lb then 0
-    else if i >= la then -1
-    else if i >= lb then 1
-    else
-      let c = Datum.compare a.(i) b.(i) in
-      if c <> 0 then c else go (i + 1)
-  in
-  go 0
+  let n = if la < lb then la else lb in
+  let i = ref 0 and c = ref 0 in
+  while !c = 0 && !i < n do
+    c := Datum.compare a.(!i) b.(!i);
+    incr i
+  done;
+  if !c <> 0 then !c else Int.compare la lb
 
 type bound = Incl of key | Excl of key | Unbounded
 
-type node = {
-  id : int;
-  mutable keys : key list;  (** sorted; separators for internal nodes *)
-  mutable body : body;
+type leaf = {
+  leaf_id : int;
+  mutable keys : key array;  (** sorted *)
+  mutable postings : int list array;  (** tids of keys.(i), newest first *)
+  mutable next : leaf option;  (** right sibling *)
 }
 
-and body =
-  | Leaf of { mutable postings : int list list; mutable next : node option }
-      (** postings.(i) are the tids for keys.(i) *)
-  | Internal of { mutable children : node list }
-      (** length children = length keys + 1 *)
+type node = Leaf of leaf | Internal of internal
+
+(* Child i holds the keys k with seps.(i-1) <= k < seps.(i). *)
+and internal = {
+  node_id : int;
+  mutable seps : key array;  (** sorted *)
+  mutable children : node array;  (** one more than seps *)
+}
 
 type t = {
-  index_name : string;
   page_rel : string;  (** buffer-pool relation name, built once *)
   order : int;  (** max keys per node before splitting *)
   mutable root : node;
@@ -36,273 +37,218 @@ type t = {
   mutable nodes : int;
 }
 
-let fresh_node t keys body =
+let empty_root () =
+  Leaf { leaf_id = 0; keys = [||]; postings = [||]; next = None }
+
+let create ~name ?(order = 32) () =
+  {
+    page_rel = "idx:" ^ name;
+    order;
+    root = empty_root ();
+    next_id = 1;
+    entries = 0;
+    nodes = 1;
+  }
+
+let fresh_id t =
   let id = t.next_id in
   t.next_id <- id + 1;
   t.nodes <- t.nodes + 1;
-  { id; keys; body }
+  id
 
-let create ~name ?(order = 32) () =
-  let t =
-    {
-      index_name = name;
-      page_rel = "idx:" ^ name;
-      order;
-      root = { id = 0; keys = []; body = Leaf { postings = []; next = None } };
-      next_id = 1;
-      entries = 0;
-      nodes = 1;
-    }
-  in
-  t
-
-let name t = t.index_name
-
-let touch pool t node =
+let touch pool t page_no =
   match pool with
   | None -> ()
   | Some pool ->
-    ignore
-      (Buffer_pool.access pool
-         { Buffer_pool.relation = t.page_rel; page_no = node.id })
+    ignore (Buffer_pool.access pool { Buffer_pool.relation = t.page_rel; page_no })
 
-(* Position of the child to follow for [key] in an internal node: the
-   number of separators <= key. *)
-let child_index keys key =
-  let rec go i = function
-    | [] -> i
-    | k :: rest -> if compare_keys key k < 0 then i else go (i + 1) rest
-  in
-  go 0 keys
+(* Binary search: the first position in sorted [keys] whose key is past
+   [key] (> when [past_equal], >= otherwise). An internal node follows the
+   child at the first separator > key; a leaf holds key, if at all, at the
+   first position >= key. *)
+let search ~past_equal keys key =
+  let lo = ref 0 and hi = ref (Array.length keys) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    let c = compare_keys keys.(mid) key in
+    if c < 0 || (past_equal && c = 0) then lo := mid + 1 else hi := mid
+  done;
+  !lo
 
-let nth_child children i = List.nth children i
+let holds keys i key = i < Array.length keys && compare_keys keys.(i) key = 0
 
-(* Insert into a sorted assoc list of (key, posting). *)
-let rec leaf_insert keys postings key tid =
-  match keys, postings with
-  | [], [] -> ([ key ], [ [ tid ] ], true)
-  | k :: krest, p :: prest ->
-    let c = compare_keys key k in
-    if c = 0 then (keys, (tid :: p) :: prest, false)
-    else if c < 0 then (key :: keys, [ tid ] :: postings, true)
-    else
-      let ks, ps, added = leaf_insert krest prest key tid in
-      (k :: ks, p :: ps, added)
-  | _ -> assert false
+let insert_at a i x =
+  let n = Array.length a in
+  let b = Array.make (n + 1) x in
+  Array.blit a 0 b 0 i;
+  Array.blit a i b (i + 1) (n - i);
+  b
 
-let split_list l n =
-  let rec go acc i = function
-    | rest when i = 0 -> (List.rev acc, rest)
-    | [] -> (List.rev acc, [])
-    | x :: rest -> go (x :: acc) (i - 1) rest
-  in
-  go [] n l
+let remove_at a i =
+  let b = Array.sub a 0 (Array.length a - 1) in
+  Array.blit a (i + 1) b i (Array.length b - i);
+  b
 
-(* Returns Some (separator, right_sibling) if the node split. *)
-let rec insert_rec t node key tid =
-  match node.body with
-  | Leaf leaf ->
-    let keys, postings, _added = leaf_insert node.keys leaf.postings key tid in
-    node.keys <- keys;
-    leaf.postings <- postings;
-    if List.length node.keys > t.order then begin
-      let half = List.length node.keys / 2 in
-      let lkeys, rkeys = split_list node.keys half in
-      let lpost, rpost = split_list leaf.postings half in
-      let right =
-        fresh_node t rkeys (Leaf { postings = rpost; next = leaf.next })
-      in
-      node.keys <- lkeys;
-      leaf.postings <- lpost;
-      leaf.next <- Some right;
-      Some (List.hd rkeys, right)
+(* Inserts below [node], touching each node on the way down. Returns
+   [Some (separator, right sibling)] if [node] split: the left half keeps
+   len/2 keys, and an internal node pushes key len/2 up. *)
+let rec insert_rec pool t node key tid =
+  match node with
+  | Leaf l ->
+    touch pool t l.leaf_id;
+    let i = search ~past_equal:false l.keys key in
+    if holds l.keys i key then begin
+      l.postings.(i) <- tid :: l.postings.(i);
+      None
     end
-    else None
-  | Internal internal ->
-    let i = child_index node.keys key in
-    let child = nth_child internal.children i in
-    (match insert_rec t child key tid with
+    else begin
+      l.keys <- insert_at l.keys i key;
+      l.postings <- insert_at l.postings i [ tid ];
+      let len = Array.length l.keys in
+      if len <= t.order then None
+      else
+        let half = len / 2 in
+        let right =
+          {
+            leaf_id = fresh_id t;
+            keys = Array.sub l.keys half (len - half);
+            postings = Array.sub l.postings half (len - half);
+            next = l.next;
+          }
+        in
+        l.keys <- Array.sub l.keys 0 half;
+        l.postings <- Array.sub l.postings 0 half;
+        l.next <- Some right;
+        Some (right.keys.(0), Leaf right)
+    end
+  | Internal n ->
+    touch pool t n.node_id;
+    let i = search ~past_equal:true n.seps key in
+    (match insert_rec pool t n.children.(i) key tid with
      | None -> None
      | Some (sep, right) ->
-       (* splice sep into keys at position i, right after child i *)
-       let rec splice_keys j = function
-         | [] -> [ sep ]
-         | k :: rest -> if j = i then sep :: k :: rest else k :: splice_keys (j + 1) rest
-       in
-       let rec splice_children j = function
-         | [] -> [ right ]
-         | c :: rest ->
-           if j = i then c :: right :: rest else c :: splice_children (j + 1) rest
-       in
-       node.keys <- splice_keys 0 node.keys;
-       internal.children <- splice_children 0 internal.children;
-       if List.length node.keys > t.order then begin
-         let half = List.length node.keys / 2 in
-         let lkeys, rest = split_list node.keys half in
-         (match rest with
-          | [] -> assert false
-          | sep_up :: rkeys ->
-            let lchildren, rchildren =
-              split_list internal.children (half + 1)
-            in
-            let right_node =
-              fresh_node t rkeys (Internal { children = rchildren })
-            in
-            node.keys <- lkeys;
-            internal.children <- lchildren;
-            Some (sep_up, right_node))
-       end
-       else None)
+       n.seps <- insert_at n.seps i sep;
+       n.children <- insert_at n.children (i + 1) right;
+       let len = Array.length n.seps in
+       if len <= t.order then None
+       else
+         let half = len / 2 in
+         let right =
+           {
+             node_id = fresh_id t;
+             seps = Array.sub n.seps (half + 1) (len - half - 1);
+             children = Array.sub n.children (half + 1) (len - half);
+           }
+         in
+         let up = n.seps.(half) in
+         n.seps <- Array.sub n.seps 0 half;
+         n.children <- Array.sub n.children 0 (half + 1);
+         Some (up, Internal right))
 
-let insert t key tid =
+let insert ?pool t key tid =
   t.entries <- t.entries + 1;
-  match insert_rec t t.root key tid with
+  match insert_rec pool t t.root key tid with
   | None -> ()
   | Some (sep, right) ->
-    let old_root = t.root in
-    t.root <-
-      fresh_node t [ sep ] (Internal { children = [ old_root; right ] })
+    let node_id = fresh_id t in
+    t.root <- Internal { node_id; seps = [| sep |]; children = [| t.root; right |] }
 
-(* Find the leaf that would contain [key], touching pages on the way. *)
+(* The leaf that would hold [key], touching every node on the way. *)
 let rec descend pool t node key =
-  touch pool t node;
-  match node.body with
-  | Leaf _ -> node
-  | Internal internal ->
-    descend pool t (nth_child internal.children (child_index node.keys key)) key
+  match node with
+  | Leaf l ->
+    touch pool t l.leaf_id;
+    l
+  | Internal n ->
+    touch pool t n.node_id;
+    descend pool t n.children.(search ~past_equal:true n.seps key) key
 
 let find_eq ?pool t key =
-  let leaf = descend pool t t.root key in
-  match leaf.body with
-  | Leaf l ->
-    let rec go keys postings =
-      match keys, postings with
-      | [], [] -> []
-      | k :: krest, p :: prest ->
-        if compare_keys k key = 0 then p
-        else if compare_keys k key > 0 then []
-        else go krest prest
-      | _ -> assert false
-    in
-    go leaf.keys l.postings
-  | Internal _ -> assert false
+  let l = descend pool t t.root key in
+  let i = search ~past_equal:false l.keys key in
+  if holds l.keys i key then l.postings.(i) else []
 
 let remove t key tid =
-  let leaf = descend None t t.root key in
-  match leaf.body with
-  | Leaf l ->
-    let rec go keys postings =
-      match keys, postings with
-      | [], [] -> ([], [])
-      | k :: krest, p :: prest ->
-        if compare_keys k key = 0 then begin
-          let p' = List.filter (fun x -> x <> tid) p in
-          if List.length p' < List.length p then t.entries <- t.entries - 1;
-          if p' = [] then (krest, prest) else (k :: krest, p' :: prest)
-        end
-        else
-          let ks, ps = go krest prest in
-          (k :: ks, p :: ps)
-      | _ -> assert false
-    in
-    let ks, ps = go leaf.keys l.postings in
-    leaf.keys <- ks;
-    l.postings <- ps
-  | Internal _ -> assert false
+  let l = descend None t t.root key in
+  let i = search ~past_equal:false l.keys key in
+  if holds l.keys i key && List.mem tid l.postings.(i) then begin
+    t.entries <- t.entries - 1;
+    match List.filter (fun x -> x <> tid) l.postings.(i) with
+    | [] ->
+      l.keys <- remove_at l.keys i;
+      l.postings <- remove_at l.postings i
+    | p -> l.postings.(i) <- p
+  end
 
-let in_lower bound key =
-  match bound with
-  | Unbounded -> true
-  | Incl b -> compare_keys key b >= 0
-  | Excl b -> compare_keys key b > 0
+(* (k, tid) for each tid of [post] (newest first) onto [acc]; the walk
+   reverses its output once, so tids come out oldest first. *)
+let rec push k post acc =
+  match post with [] -> acc | tid :: rest -> (k, tid) :: push k rest acc
 
-let in_upper bound key =
-  match bound with
-  | Unbounded -> true
-  | Incl b -> compare_keys key b <= 0
-  | Excl b -> compare_keys key b < 0
+(* Entries in key order from position [i] of leaf [l] on, while [inside]
+   holds. [inside] must hold on a prefix of the key order. The walk goes on
+   to the next leaf iff this one is empty or its last key is inside, and
+   touches its first leaf again. *)
+let walk pool t ~inside l i =
+  let out = ref [] in
+  let rec go l i =
+    touch pool t l.leaf_id;
+    let n = Array.length l.keys in
+    let j = ref i in
+    while !j < n && inside l.keys.(!j) do
+      out := push l.keys.(!j) l.postings.(!j) !out;
+      incr j
+    done;
+    let last_inside = if !j > i then !j = n else n = 0 || inside l.keys.(n - 1) in
+    match l.next with Some next when last_inside -> go next 0 | _ -> ()
+  in
+  go l i;
+  List.rev !out
 
 let range ?pool t ~lower ~upper =
-  let start_key = match lower with Incl k | Excl k -> k | Unbounded -> [||] in
-  let leaf =
+  (* the empty key sorts first: Unbounded starts at the leftmost leaf *)
+  let start, past_equal =
     match lower with
-    | Unbounded ->
-      (* leftmost leaf *)
-      let rec leftmost node =
-        touch pool t node;
-        match node.body with
-        | Leaf _ -> node
-        | Internal i -> leftmost (List.hd i.children)
-      in
-      leftmost t.root
-    | Incl _ | Excl _ -> descend pool t t.root start_key
+    | Incl k -> (k, false)
+    | Excl k -> (k, true)
+    | Unbounded -> ([||], false)
   in
-  let out = ref [] in
-  let rec walk node =
-    touch pool t node;
-    match node.body with
-    | Internal _ -> assert false
-    | Leaf l ->
-      let continue = ref true in
-      List.iter2
-        (fun k p ->
-          if in_upper upper k then begin
-            if in_lower lower k then
-              List.iter (fun tid -> out := (k, tid) :: !out) (List.rev p)
-          end
-          else continue := false)
-        node.keys l.postings;
-      if !continue then
-        match l.next with Some next -> walk next | None -> ()
+  let inside k =
+    match upper with
+    | Unbounded -> true
+    | Incl b -> compare_keys k b <= 0
+    | Excl b -> compare_keys k b < 0
   in
-  walk leaf;
-  List.rev !out
+  let l = descend pool t t.root start in
+  walk pool t ~inside l (search ~past_equal l.keys start)
 
 let prefix ?pool t p =
   let plen = Array.length p in
-  let matches k =
+  let has_prefix k =
     Array.length k >= plen
     &&
-    let rec go i = i >= plen || (Datum.compare k.(i) p.(i) = 0 && go (i + 1)) in
-    go 0
+    let i = ref 0 in
+    while !i < plen && Datum.compare k.(!i) p.(!i) = 0 do incr i done;
+    !i = plen
   in
-  let leaf = descend pool t t.root p in
-  let out = ref [] in
-  let rec walk node =
-    touch pool t node;
-    match node.body with
-    | Internal _ -> assert false
-    | Leaf l ->
-      let continue = ref true in
-      List.iter2
-        (fun k post ->
-          if matches k then
-            List.iter (fun tid -> out := (k, tid) :: !out) (List.rev post)
-          else if compare_keys k p > 0 then continue := false)
-        node.keys l.postings;
-      if !continue then
-        match l.next with Some next -> walk next | None -> ()
-  in
-  walk leaf;
-  List.rev !out
-
-let fold ?pool t ~init ~f =
-  range ?pool t ~lower:Unbounded ~upper:Unbounded
-  |> List.fold_left (fun acc (k, tid) -> f acc k tid) init
+  let l = descend pool t t.root p in
+  walk pool t
+    ~inside:(fun k -> has_prefix k || compare_keys k p < 0)
+    l
+    (search ~past_equal:false l.keys p)
 
 let entry_count t = t.entries
 
-let rec depth_of node =
-  match node.body with
+let rec depth_of = function
   | Leaf _ -> 1
-  | Internal i -> 1 + depth_of (List.hd i.children)
+  | Internal n -> 1 + depth_of n.children.(0)
 
 let depth t = depth_of t.root
 
 let page_count t = t.nodes
 
 let clear t =
-  t.root <- { id = 0; keys = []; body = Leaf { postings = []; next = None } };
+  t.root <- empty_root ();
   t.next_id <- 1;
   t.entries <- 0;
   t.nodes <- 1

@@ -1,18 +1,27 @@
 (** B+tree secondary index over composite datum keys.
 
-    Keys are datum arrays compared lexicographically (a shorter key that is
-    a prefix of a longer one sorts first, which is what makes prefix scans
-    work). Values are heap tuple ids; duplicates are kept in per-key
-    posting lists, so the index is MVCC-agnostic — visibility is checked
-    against the heap by the executor, as PostgreSQL does.
+    Keys are datum arrays compared lexicographically; a shorter key that
+    is a prefix of a longer one sorts first, which is what makes prefix
+    scans work. Values are heap tuple ids. Duplicates share one posting
+    list per key, so the index is MVCC-agnostic: the executor checks
+    visibility against the heap, as PostgreSQL does.
 
-    Deletion is lazy (no node merging); vacuumed tids are removed from
-    posting lists and empty keys dropped from leaves. Node visits are
-    reported to an optional buffer pool, one logical page per node. *)
+    Nodes hold sorted arrays, as nbtree pages do: a leaf has its keys and
+    their posting lists plus a link to its right sibling; an internal node
+    has its separators and one more child. Every probe binary-searches
+    each node on its path. A node splits when it holds more than [order]
+    keys (default 32); the left half keeps [len/2] of them.
+
+    Deletion is lazy: vacuumed tids leave their posting lists and a key
+    with no tids leaves its leaf, but nodes never merge, so empty leaves
+    stay in the sibling chain.
+
+    Each node is one logical page of relation ["idx:" ^ name], numbered
+    in allocation order. Operations given [?pool] touch every node on
+    their descent path; a scan then touches its first leaf again and each
+    further leaf it walks into. *)
 
 type key = Datum.t array
-
-val compare_keys : key -> key -> int
 
 type t
 
@@ -20,26 +29,25 @@ type bound = Incl of key | Excl of key | Unbounded
 
 val create : name:string -> ?order:int -> unit -> t
 
-val name : t -> string
-
-val insert : t -> key -> int -> unit
+(** Add one (key, tid) pairing, in one descent. *)
+val insert : ?pool:Buffer_pool.t -> t -> key -> int -> unit
 
 (** [remove t key tid] removes one (key, tid) pairing; no-op if absent. *)
 val remove : t -> key -> int -> unit
 
-(** Tuple ids with exactly this key. *)
+(** Tuple ids with exactly this key, newest first. *)
 val find_eq : ?pool:Buffer_pool.t -> t -> key -> int list
 
-(** Entries in key order within the bounds. *)
+(** Entries in key order within the bounds, each key's tids oldest first.
+    The walk moves on to the next leaf iff the current one is empty or its
+    last key is within [upper]. *)
 val range :
   ?pool:Buffer_pool.t -> t -> lower:bound -> upper:bound -> (key * int) list
 
-(** Entries whose key starts with [prefix], in key order. *)
+(** Entries whose key starts with [prefix], in key order, each key's tids
+    oldest first. The walk moves on to the next leaf iff the current one
+    is empty or its last key starts with [prefix] or sorts before it. *)
 val prefix : ?pool:Buffer_pool.t -> t -> key -> (key * int) list
-
-(** Fold over all entries in key order (index-only scans). *)
-val fold :
-  ?pool:Buffer_pool.t -> t -> init:'a -> f:('a -> key -> int -> 'a) -> 'a
 
 val entry_count : t -> int
 

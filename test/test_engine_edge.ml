@@ -119,6 +119,28 @@ let test_ambiguous_column () =
   ignore (exec s "INSERT INTO y VALUES (1)");
   expect_error s "SELECT v FROM x, y"
 
+let test_resolve_columns () =
+  let col rq rname = { Expr_eval.rq; rname } in
+  let schema =
+    [ col (Some "x") "v"; col (Some "x") "a"; col (Some "y") "v"; col None "b" ]
+  in
+  let pos q name = Expr_eval.resolve schema q name in
+  let error q name =
+    match Expr_eval.resolve schema q name with
+    | i -> Alcotest.failf "expected an error, got position %d" i
+    | exception Expr_eval.Eval_error m -> m
+  in
+  Alcotest.(check int) "unqualified hit" 1 (pos None "a");
+  Alcotest.(check int) "unqualified column hit" 3 (pos None "b");
+  Alcotest.(check int) "qualified first" 0 (pos (Some "x") "v");
+  Alcotest.(check int) "qualified later" 2 (pos (Some "y") "v");
+  Alcotest.(check string) "ambiguous" "column reference v is ambiguous" (error None "v");
+  Alcotest.(check string) "unknown" "column nope does not exist" (error None "nope");
+  Alcotest.(check string) "unknown qualified" "column y.a does not exist"
+    (error (Some "y") "a");
+  Alcotest.(check string) "qualifier never matches an unqualified column"
+    "column x.b does not exist" (error (Some "x") "b")
+
 let test_cast_error_aborts_autocommit_txn () =
   let _, s = fresh () in
   ignore (exec s "CREATE TABLE t (a bigint)");
@@ -486,6 +508,7 @@ let () =
           Alcotest.test_case "division by zero" `Quick test_division_by_zero;
           Alcotest.test_case "unknown names" `Quick test_unknown_column_and_table;
           Alcotest.test_case "ambiguous column" `Quick test_ambiguous_column;
+          Alcotest.test_case "column resolution" `Quick test_resolve_columns;
           Alcotest.test_case "cast error aborts" `Quick
             test_cast_error_aborts_autocommit_txn;
           Alcotest.test_case "error in block" `Quick

@@ -413,6 +413,346 @@ let prop_btree_matches_sorted_assoc =
       in
       expected = actual)
 
+(* Reference B-tree: the list-node implementation that the array nodes
+   replaced, kept as the oracle. Each node is a sorted key list; probes
+   scan separators linearly, pick a child with List.nth and walk leaves
+   with List.iter2. Its page touches define the ones the array tree must
+   make. *)
+module Ref_btree = struct
+  type key = Btree.key
+
+  let compare_keys (a : key) (b : key) =
+    let la = Array.length a and lb = Array.length b in
+    let rec go i =
+      if i >= la && i >= lb then 0
+      else if i >= la then -1
+      else if i >= lb then 1
+      else
+        let c = Datum.compare a.(i) b.(i) in
+        if c <> 0 then c else go (i + 1)
+    in
+    go 0
+
+  type node = { id : int; mutable keys : key list; body : body }
+
+  and body = Leaf of leaf | Internal of { mutable children : node list }
+
+  and leaf = { mutable postings : int list list; mutable next : node option }
+
+  type t = {
+    rel : string;
+    order : int;
+    mutable root : node;
+    mutable next_id : int;
+    mutable entries : int;
+    mutable nodes : int;
+  }
+
+  let empty_root () = { id = 0; keys = []; body = Leaf { postings = []; next = None } }
+
+  let create ~name ~order =
+    { rel = "idx:" ^ name; order; root = empty_root (); next_id = 1; entries = 0;
+      nodes = 1 }
+
+  let fresh_node t keys body =
+    let id = t.next_id in
+    t.next_id <- id + 1;
+    t.nodes <- t.nodes + 1;
+    { id; keys; body }
+
+  let touch pool t node =
+    Option.iter
+      (fun p ->
+        ignore (Buffer_pool.access p { Buffer_pool.relation = t.rel; page_no = node.id }))
+      pool
+
+  let child_index keys key =
+    let rec go i = function
+      | [] -> i
+      | k :: rest -> if compare_keys key k < 0 then i else go (i + 1) rest
+    in
+    go 0 keys
+
+  let rec leaf_insert keys postings key tid =
+    match keys, postings with
+    | [], [] -> ([ key ], [ [ tid ] ])
+    | k :: krest, p :: prest ->
+      let c = compare_keys key k in
+      if c = 0 then (keys, (tid :: p) :: prest)
+      else if c < 0 then (key :: keys, [ tid ] :: postings)
+      else
+        let ks, ps = leaf_insert krest prest key tid in
+        (k :: ks, p :: ps)
+    | _ -> assert false
+
+  let split_list l n =
+    (List.filteri (fun i _ -> i < n) l, List.filteri (fun i _ -> i >= n) l)
+
+  let splice l i x =
+    let before, after = split_list l i in
+    before @ (x :: after)
+
+  let rec insert_rec t node key tid =
+    match node.body with
+    | Leaf leaf ->
+      let keys, postings = leaf_insert node.keys leaf.postings key tid in
+      node.keys <- keys;
+      leaf.postings <- postings;
+      if List.length node.keys > t.order then begin
+        let half = List.length node.keys / 2 in
+        let lkeys, rkeys = split_list node.keys half in
+        let lpost, rpost = split_list leaf.postings half in
+        let right = fresh_node t rkeys (Leaf { postings = rpost; next = leaf.next }) in
+        node.keys <- lkeys;
+        leaf.postings <- lpost;
+        leaf.next <- Some right;
+        Some (List.hd rkeys, right)
+      end
+      else None
+    | Internal internal ->
+      let i = child_index node.keys key in
+      (match insert_rec t (List.nth internal.children i) key tid with
+       | None -> None
+       | Some (sep, right) ->
+         node.keys <- splice node.keys i sep;
+         internal.children <- splice internal.children (i + 1) right;
+         if List.length node.keys > t.order then begin
+           let half = List.length node.keys / 2 in
+           let lkeys, rest = split_list node.keys half in
+           let lchildren, rchildren = split_list internal.children (half + 1) in
+           let right_node =
+             fresh_node t (List.tl rest) (Internal { children = rchildren })
+           in
+           node.keys <- lkeys;
+           internal.children <- lchildren;
+           Some (List.hd rest, right_node)
+         end
+         else None)
+
+  let rec descend pool t node key =
+    touch pool t node;
+    match node.body with
+    | Leaf _ -> node
+    | Internal i -> descend pool t (List.nth i.children (child_index node.keys key)) key
+
+  let postings node = match node.body with Leaf l -> l | Internal _ -> assert false
+
+  let find_eq ?pool t key =
+    let leaf = descend pool t t.root key in
+    let rec go keys ps =
+      match keys, ps with
+      | k :: krest, p :: prest ->
+        let c = compare_keys k key in
+        if c = 0 then p else if c > 0 then [] else go krest prest
+      | _ -> []
+    in
+    go leaf.keys (postings leaf).postings
+
+  (* the executor probed the leaf with find_eq before every insert *)
+  let insert ?pool t key tid =
+    ignore (find_eq ?pool t key);
+    t.entries <- t.entries + 1;
+    match insert_rec t t.root key tid with
+    | None -> ()
+    | Some (sep, right) ->
+      t.root <- fresh_node t [ sep ] (Internal { children = [ t.root; right ] })
+
+  let remove t key tid =
+    let leaf = descend None t t.root key in
+    let l = postings leaf in
+    let rec go keys ps =
+      match keys, ps with
+      | k :: krest, p :: prest ->
+        if compare_keys k key = 0 then begin
+          let p' = List.filter (fun x -> x <> tid) p in
+          if List.length p' < List.length p then t.entries <- t.entries - 1;
+          if p' = [] then (krest, prest) else (k :: krest, p' :: prest)
+        end
+        else
+          let ks, ps = go krest prest in
+          (k :: ks, p :: ps)
+      | _ -> ([], [])
+    in
+    let ks, ps = go leaf.keys l.postings in
+    leaf.keys <- ks;
+    l.postings <- ps
+
+  (* Walk the leaf chain from [leaf]: [emit k] says whether key k is
+     returned, [stop k] whether it ends the walk after this leaf. *)
+  let walk pool t leaf ~emit ~stop =
+    let out = ref [] in
+    let rec go node =
+      touch pool t node;
+      let l = postings node in
+      let continue = ref true in
+      List.iter2
+        (fun k p ->
+          if emit k then List.iter (fun tid -> out := (k, tid) :: !out) (List.rev p);
+          if stop k then continue := false)
+        node.keys l.postings;
+      if !continue then Option.iter go l.next
+    in
+    go leaf;
+    List.rev !out
+
+  let in_bound bound key ~lower =
+    match bound with
+    | Btree.Unbounded -> true
+    | Btree.Incl b -> if lower then compare_keys key b >= 0 else compare_keys key b <= 0
+    | Btree.Excl b -> if lower then compare_keys key b > 0 else compare_keys key b < 0
+
+  let range ?pool t ~lower ~upper =
+    let leaf =
+      match lower with
+      | Btree.Unbounded ->
+        let rec leftmost node =
+          touch pool t node;
+          match node.body with
+          | Leaf _ -> node
+          | Internal i -> leftmost (List.hd i.children)
+        in
+        leftmost t.root
+      | Btree.Incl k | Btree.Excl k -> descend pool t t.root k
+    in
+    walk pool t leaf
+      ~emit:(fun k -> in_bound upper k ~lower:false && in_bound lower k ~lower:true)
+      ~stop:(fun k -> not (in_bound upper k ~lower:false))
+
+  let prefix ?pool t p =
+    let plen = Array.length p in
+    let matches k =
+      Array.length k >= plen
+      && Array.for_all2 (fun a b -> Datum.compare a b = 0) (Array.sub k 0 plen) p
+    in
+    walk pool t (descend pool t t.root p) ~emit:matches
+      ~stop:(fun k -> (not (matches k)) && compare_keys k p > 0)
+
+  let rec depth_of node =
+    match node.body with Leaf _ -> 1 | Internal i -> 1 + depth_of (List.hd i.children)
+
+  let clear t =
+    t.root <- empty_root ();
+    t.next_id <- 1;
+    t.entries <- 0;
+    t.nodes <- 1
+end
+
+type btree_op =
+  | B_insert of Btree.key * int * bool  (** with a pool? *)
+  | B_remove of Btree.key * int
+  | B_remove_present of int  (** the (n mod entries)-th entry, in key order *)
+  | B_find of Btree.key
+  | B_prefix of Btree.key
+  | B_range of Btree.bound * Btree.bound
+  | B_clear
+
+let show_key k =
+  "[" ^ String.concat "," (Array.to_list (Array.map Datum.to_display k)) ^ "]"
+
+let show_bound = function
+  | Btree.Unbounded -> "unbounded"
+  | Btree.Incl k -> "incl " ^ show_key k
+  | Btree.Excl k -> "excl " ^ show_key k
+
+let show_btree_op = function
+  | B_insert (k, tid, pooled) ->
+    Printf.sprintf "insert %s %d%s" (show_key k) tid (if pooled then " pooled" else "")
+  | B_remove (k, tid) -> Printf.sprintf "remove %s %d" (show_key k) tid
+  | B_remove_present n -> Printf.sprintf "remove entry %d" n
+  | B_find k -> "find " ^ show_key k
+  | B_prefix k -> "prefix " ^ show_key k
+  | B_range (lo, hi) -> Printf.sprintf "range %s .. %s" (show_bound lo) (show_bound hi)
+  | B_clear -> "clear"
+
+(* Keys of [width] columns over a small domain, so that duplicates, splits
+   and prefix runs are common; [prefix_of] draws 0..width leading columns
+   for prefixes and bounds. *)
+let btree_op_gen width =
+  let open QCheck2.Gen in
+  let col = if width = 1 then int_bound 40 else int_bound 7 in
+  let key_of n =
+    map (fun cs -> Array.of_list (List.map (fun c -> Datum.Int c) cs)) (list_repeat n col)
+  in
+  let key = key_of width in
+  let short = int_range 0 width >>= key_of in
+  let bound =
+    frequency
+      [
+        (1, return Btree.Unbounded);
+        (3, map (fun k -> Btree.Incl k) short);
+        (3, map (fun k -> Btree.Excl k) short);
+      ]
+  in
+  frequency
+    [
+      (40, map3 (fun k tid pooled -> B_insert (k, tid, pooled)) key (int_bound 7) bool);
+      (8, map2 (fun k tid -> B_remove (k, tid)) key (int_bound 7));
+      (12, map (fun n -> B_remove_present n) nat);
+      (10, map (fun k -> B_find k) key);
+      (10, map (fun k -> B_prefix k) short);
+      (10, map2 (fun lo hi -> B_range (lo, hi)) bound bound);
+      (1, return B_clear);
+    ]
+
+(* Replay [ops] on the array tree and the reference with pools of
+   [capacity] pages; after every op the results, the shape counters and the
+   pool stats (which pin the sequence of page touches) must agree. *)
+let btree_agrees ~order ~capacity ops =
+  let b = Btree.create ~name:"i" ~order () and r = Ref_btree.create ~name:"i" ~order in
+  let bp = Buffer_pool.create ~capacity and rp = Buffer_pool.create ~capacity in
+  let pool_of pooled p = if pooled then Some p else None in
+  (* whether the op's results agree *)
+  let step = function
+    | B_insert (k, tid, pooled) ->
+      Btree.insert ?pool:(pool_of pooled bp) b k tid;
+      Ref_btree.insert ?pool:(pool_of pooled rp) r k tid;
+      true
+    | B_remove (k, tid) ->
+      Btree.remove b k tid;
+      Ref_btree.remove r k tid;
+      true
+    | B_remove_present n ->
+      (match Ref_btree.range r ~lower:Btree.Unbounded ~upper:Btree.Unbounded with
+       | [] -> ()
+       | all ->
+         let k, tid = List.nth all (n mod List.length all) in
+         Btree.remove b k tid;
+         Ref_btree.remove r k tid);
+      true
+    | B_find k -> Btree.find_eq ~pool:bp b k = Ref_btree.find_eq ~pool:rp r k
+    | B_prefix k -> Btree.prefix ~pool:bp b k = Ref_btree.prefix ~pool:rp r k
+    | B_range (lower, upper) ->
+      Btree.range ~pool:bp b ~lower ~upper = Ref_btree.range ~pool:rp r ~lower ~upper
+    | B_clear ->
+      Btree.clear b;
+      Ref_btree.clear r;
+      true
+  in
+  List.for_all
+    (fun op ->
+      let fail what =
+        QCheck2.Test.fail_reportf "after %s: %s differs" (show_btree_op op) what
+      in
+      if not (step op) then fail "result";
+      if Btree.entry_count b <> r.Ref_btree.entries then fail "entry_count";
+      if Btree.depth b <> Ref_btree.depth_of r.Ref_btree.root then fail "depth";
+      if Btree.page_count b <> r.Ref_btree.nodes then fail "page_count";
+      if Buffer_pool.stats bp <> Buffer_pool.stats rp then fail "pool stats";
+      true)
+    ops
+
+let prop_btree_matches_list_reference =
+  QCheck2.Test.make ~name:"array btree = list btree, page touches included" ~count:300
+    ~print:(fun (order, _, ops) ->
+      String.concat "\n" (Printf.sprintf "order %d:" order :: List.map show_btree_op ops))
+    QCheck2.Gen.(
+      let* order = oneofl [ 3; 4; 5; 6; 7; 8; 32 ] in
+      let* width = int_range 1 2 in
+      let+ ops = list_size (int_range 0 400) (btree_op_gen width) in
+      (order, width, ops))
+    (fun (order, _, ops) ->
+      List.for_all (fun capacity -> btree_agrees ~order ~capacity ops) [ 1; 2; 3 ])
+
 (* --- GIN --- *)
 
 let test_gin_trigrams () =
@@ -541,6 +881,7 @@ let () =
             test_btree_range_order_random_inserts;
           Alcotest.test_case "composite prefix" `Quick test_btree_composite_prefix;
           QCheck_alcotest.to_alcotest prop_btree_matches_sorted_assoc;
+          QCheck_alcotest.to_alcotest prop_btree_matches_list_reference;
         ] );
       ( "gin",
         [

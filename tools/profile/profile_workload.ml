@@ -18,19 +18,21 @@ let spec =
     ("--seed", Arg.Set_int seed, " workload seed (default 1)");
   ]
 
-(* Each workload function does the set-up and returns one op of the loop. *)
+(* Each workload function does the set-up and returns its database, its
+   maintenance period in ops (the cadence bench/suite uses for the same
+   workload) and one op of the loop. *)
 let tpcc rng =
   let cfg = { Workloads.Tpcc.default_config with warehouses = 16 } in
   let db = Workloads.Db.citus ~workers:4 () in
   Workloads.Tpcc.setup db cfg;
   Workloads.Tpcc.enable_delegation db;
-  fun () -> ignore (Workloads.Tpcc.run_one db db.Workloads.Db.session cfg rng)
+  (db, 500, fun () -> ignore (Workloads.Tpcc.run_one db db.Workloads.Db.session cfg rng))
 
 let ycsb rng =
   let cfg = { Workloads.Ycsb.default_config with rows = 5_000 } in
   let db = Workloads.Db.citus ~workers:4 () in
   Workloads.Ycsb.setup db cfg;
-  fun () -> ignore (Workloads.Ycsb.run_one db.Workloads.Db.session cfg rng)
+  (db, 2_000, fun () -> ignore (Workloads.Ycsb.run_one db.Workloads.Db.session cfg rng))
 
 (* The same op mix through PREPARE / EXECUTE: plan-cache hits. *)
 let ycsb_prepared rng =
@@ -41,13 +43,16 @@ let ycsb_prepared rng =
   Citus.Session.prepare s ~name:"read" "SELECT * FROM usertable WHERE ycsb_key = $1";
   Citus.Session.prepare s ~name:"update"
     "UPDATE usertable SET field0 = $1 WHERE ycsb_key = $2";
-  fun () ->
-    match Workloads.Ycsb.next_op cfg rng with
-    | Workloads.Ycsb.Read, key -> ignore (Citus.Session.execute s "read" [ Datum.Int key ])
-    | Workloads.Ycsb.Update, key ->
-      ignore
-        (Citus.Session.execute s "update"
-           [ Datum.Text (string_of_int (Random.State.bits rng)); Datum.Int key ])
+  ( db,
+    2_000,
+    fun () ->
+      match Workloads.Ycsb.next_op cfg rng with
+      | Workloads.Ycsb.Read, key ->
+        ignore (Citus.Session.execute s "read" [ Datum.Int key ])
+      | Workloads.Ycsb.Update, key ->
+        ignore
+          (Citus.Session.execute s "update"
+             [ Datum.Text (string_of_int (Random.State.bits rng)); Datum.Int key ]) )
 
 let rt rng =
   let db = Workloads.Db.citus ~shard_count:32 ~workers:4 () in
@@ -55,14 +60,14 @@ let rt rng =
   ignore
     (Workloads.Gharchive.load db ~seed:(Random.State.bits rng)
        { Workloads.Gharchive.default_config with events = 2_000 });
-  fun () -> ignore (Workloads.Db.exec db Workloads.Gharchive.dashboard_query)
+  (db, 60, fun () -> ignore (Workloads.Db.exec db Workloads.Gharchive.dashboard_query))
 
 let () =
   Arg.parse (Arg.align spec)
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
     "profile_workload.exe [options]";
   let rng = Random.State.make [| !seed |] in
-  let op =
+  let db, maint_every, op =
     match !workload with
     | "tpcc" -> tpcc rng
     | "ycsb" -> ycsb rng
@@ -75,7 +80,9 @@ let () =
   Sampler.start ();
   while Unix.gettimeofday () -. t0 < !seconds do
     op ();
-    incr ops
+    incr ops;
+    if !ops mod maint_every = 0 then
+      Option.iter Citus.Api.maintenance db.Workloads.Db.citus
   done;
   Sampler.stop ();
   let elapsed = Unix.gettimeofday () -. t0 in
