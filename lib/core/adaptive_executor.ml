@@ -11,7 +11,8 @@ type report = {
 
 let is_write (stmt : Ast.statement) =
   match stmt with
-  | Ast.Insert _ | Ast.Update _ | Ast.Delete _ | Ast.Create_index _
+  | Ast.Insert _ | Ast.Update _ | Ast.Delete _ | Ast.Create_table _
+  | Ast.Create_index _
   | Ast.Truncate _ | Ast.Alter_table_add_column _ | Ast.Drop_table _
   | Ast.Copy_from _ ->
     true

@@ -29,161 +29,6 @@ let coordinator_state t =
   | st :: _ -> st
   | [] -> err "the Citus extension is not installed anywhere"
 
-(* --- shard DDL helpers --- *)
-
-(* [origin] is the node running the DDL — with MX any coordinator, not
-   necessarily the bootstrap one. *)
-let admin_conn t ~origin node_name =
-  Cluster.Connection.open_ ~origin t.cluster
-    (Cluster.Topology.find_node t.cluster node_name)
-
-let table_def_of catalog name =
-  match Engine.Catalog.find_table_opt catalog name with
-  | Some tbl -> tbl
-  | None -> err "relation %s does not exist" name
-
-let create_shard_table ~conn ~(src : Engine.Catalog.table) ~shard_table =
-  let columnar =
-    match src.Engine.Catalog.store with
-    | Engine.Catalog.Columnar_store _ -> true
-    | Engine.Catalog.Heap_store _ -> false
-  in
-  ignore
-    (Cluster.Connection.exec_ast conn
-       (Ast.Create_table
-          {
-            name = shard_table;
-            columns = src.Engine.Catalog.columns;
-            primary_key = src.Engine.Catalog.primary_key;
-            if_not_exists = false;
-            using_columnar = columnar;
-          }));
-  (* secondary indexes (the pkey index is implicit in CREATE TABLE) *)
-  List.iter
-    (fun (idx : Engine.Catalog.index) ->
-      if not (String.equal idx.Engine.Catalog.idx_name
-                (src.Engine.Catalog.tbl_name ^ "_pkey"))
-      then
-        let stmt =
-          match idx.Engine.Catalog.kind with
-          | Engine.Catalog.Btree_index { columns; _ } ->
-            Ast.Create_index
-              {
-                name = idx.Engine.Catalog.idx_name ^ "_" ^ shard_table;
-                table = shard_table;
-                using = Ast.Btree;
-                key_columns = columns;
-                key_expr = None;
-                if_not_exists = false;
-              }
-          | Engine.Catalog.Gin_index { expr; _ } ->
-            Ast.Create_index
-              {
-                name = idx.Engine.Catalog.idx_name ^ "_" ^ shard_table;
-                table = shard_table;
-                using = Ast.Gin_trgm;
-                key_columns = [];
-                key_expr = Some expr;
-                if_not_exists = false;
-              }
-        in
-        ignore (Cluster.Connection.exec_ast conn stmt))
-    src.Engine.Catalog.indexes
-
-(* Move existing rows of the (about-to-be-converted) local table into the
-   new shards, then empty the local copy. *)
-let move_local_rows t session ~table ~(dt_kind : Metadata.kind) ~conns =
-  let ctx = Engine.Instance.make_ctx session in
-  let _cols, rows =
-    Engine.Executor.run_select ctx
-      {
-        Ast.distinct = false;
-        projections = [ Ast.Star ];
-        from = [ Ast.Table { name = table; alias = None } ];
-        where = None;
-        group_by = [];
-        having = None;
-        order_by = [];
-        limit = None;
-        offset = None;
-      }
-  in
-  if rows <> [] then begin
-    let insert_into conn shard_table tuples =
-      ignore
-        (Cluster.Connection.exec_ast conn
-           (Ast.Insert
-              {
-                table = shard_table;
-                columns = None;
-                source = Ast.Values tuples;
-                on_conflict_do_nothing = false;
-              }))
-    in
-    let tuple_of row = List.map (fun d -> Ast.Const d) (Array.to_list row) in
-    let conn_for node =
-      match List.assoc_opt node conns with
-      | Some c -> c
-      | None -> err "no admin connection open to node %s" node
-    in
-    match dt_kind with
-    | Metadata.Reference ->
-      let shard =
-        match Metadata.shards_of t.metadata table with
-        | s :: _ -> s
-        | [] -> err "reference table %s has no shard" table
-      in
-      let tuples = List.map tuple_of rows in
-      List.iter
-        (fun node ->
-          insert_into (conn_for node) (Metadata.shard_name shard) tuples)
-        (Metadata.placements t.metadata shard.Metadata.shard_id)
-    | Metadata.Distributed ->
-      let dt =
-        match Metadata.find t.metadata table with
-        | Some dt -> dt
-        | None -> err "relation %s is not distributed" table
-      in
-      let dc =
-        match dt.Metadata.dist_column with
-        | Some c -> c
-        | None -> err "relation %s has no distribution column" table
-      in
-      let catalog =
-        Engine.Instance.catalog (Engine.Instance.session_instance session)
-      in
-      let tbl = table_def_of catalog table in
-      let pos = Engine.Catalog.column_index tbl dc in
-      let by_shard = Hashtbl.create 16 in
-      List.iter
-        (fun (row : Datum.t array) ->
-          let shard = Metadata.shard_for_value t.metadata ~table row.(pos) in
-          let b =
-            match Hashtbl.find_opt by_shard shard.Metadata.shard_id with
-            | Some b -> b
-            | None ->
-              let b = ref [] in
-              Hashtbl.replace by_shard shard.Metadata.shard_id b;
-              b
-          in
-          b := tuple_of row :: !b)
-        rows;
-      Hashtbl.iter
-        (fun shard_id tuples ->
-          let shard =
-            List.find
-              (fun (s : Metadata.shard) -> s.Metadata.shard_id = shard_id)
-              (Metadata.shards_of t.metadata table)
-          in
-          List.iter
-            (fun node ->
-              insert_into (conn_for node) (Metadata.shard_name shard)
-                (List.rev !tuples))
-            (Metadata.placements t.metadata shard_id))
-        by_shard
-  end;
-  ignore (Engine.Instance.exec_utility_local session (Ast.Truncate [ table ]))
-
 (* MX metadata sync ships "shell" copies of the logical tables to the
    workers, so worker-side planning and DDL can resolve them. Shells hold
    schema only — the data lives in the shards. *)
@@ -225,63 +70,63 @@ let sync_shells_to_installed_nodes t =
 
 (* --- UDF implementations --- *)
 
-let do_create_distributed_table t session ~table ~column ~colocate_with =
-  let inst = Engine.Instance.session_instance session in
-  let origin = Engine.Instance.name inst in
-  let catalog = Engine.Instance.catalog inst in
-  let tbl = table_def_of catalog table in
-  let dist_ty =
-    (Engine.Catalog.column_tys tbl).(Engine.Catalog.column_index tbl column)
+(* Turn the local table [table] into a Citus table: [register] its
+   shards, create their schema on every placement, move the local rows
+   into them and empty the local copy — all inside the UDF's
+   transaction — then ship the new shell to metadata-synced nodes. *)
+let convert_table t st session ~table register =
+  let tbl =
+    match
+      Engine.Catalog.find_table_opt
+        (Engine.Instance.catalog (Engine.Instance.session_instance session))
+        table
+    with
+    | Some tbl -> tbl
+    | None -> err "relation %s does not exist" table
   in
-  let shards =
-    Metasync.register_distributed t.metasync
-      ~replication_factor:t.replication_factor ~table ~column ~ty:dist_ty
-      ~colocate_with ~nodes:t.active_data_nodes
+  let _cols, rows =
+    Engine.Executor.run_select
+      (Engine.Instance.make_ctx session)
+      {
+        Ast.distinct = false;
+        projections = [ Ast.Star ];
+        from = [ Ast.Table { name = table; alias = None } ];
+        where = None;
+        group_by = [];
+        having = None;
+        order_by = [];
+        limit = None;
+        offset = None;
+      }
   in
-  (* physical shard tables, one per placement (all replicas) *)
-  let node_names =
-    List.sort_uniq String.compare
-      (List.concat_map
-         (fun (s : Metadata.shard) ->
-           Metadata.placements t.metadata s.Metadata.shard_id)
-         shards)
-  in
-  let conns = List.map (fun n -> (n, admin_conn t ~origin n)) node_names in
-  let conn_for node =
-    match List.assoc_opt node conns with
-    | Some c -> c
-    | None -> err "no admin connection open to node %s" node
-  in
-  List.iter
-    (fun (s : Metadata.shard) ->
-      List.iter
-        (fun node ->
-          create_shard_table ~conn:(conn_for node) ~src:tbl
-            ~shard_table:(Metadata.shard_name s))
-        (Metadata.placements t.metadata s.Metadata.shard_id))
-    shards;
-  move_local_rows t session ~table ~dt_kind:Metadata.Distributed ~conns;
+  Ddl.create_shards st session tbl (register tbl rows);
+  ignore (Dist_executor.insert_rows st session ~table rows);
+  ignore (Engine.Instance.exec_utility_local session (Ast.Truncate [ table ]));
   sync_shells_to_installed_nodes t
 
-let do_create_reference_table t session ~table =
-  let inst = Engine.Instance.session_instance session in
-  let origin = Engine.Instance.name inst in
-  let catalog = Engine.Instance.catalog inst in
-  let tbl = table_def_of catalog table in
-  let nodes =
-    List.sort_uniq String.compare
-      (t.cluster.Cluster.Topology.coordinator.Cluster.Topology.node_name
-       :: t.active_data_nodes)
+let do_create_distributed_table t st session ~table ~column ~colocate_with =
+  convert_table t st session ~table (fun tbl rows ->
+      let pos = Engine.Catalog.column_index tbl column in
+      (* checked before anything is registered: the catalog is not
+         transactional, so a conversion must not fail halfway *)
+      if List.exists (fun (row : Datum.t array) -> Datum.is_null row.(pos)) rows
+      then err "%s has a NULL in its distribution column %s" table column;
+      Metasync.register_distributed t.metasync
+        ~replication_factor:t.replication_factor ~table ~column
+        ~ty:(Engine.Catalog.column_tys tbl).(pos)
+        ~colocate_with ~nodes:t.active_data_nodes)
+
+let do_create_reference_table t st session ~table =
+  let coordinator =
+    t.cluster.Cluster.Topology.coordinator.Cluster.Topology.node_name
   in
-  let shard = Metasync.register_reference t.metasync ~table ~nodes in
-  let conns = List.map (fun n -> (n, admin_conn t ~origin n)) nodes in
-  List.iter
-    (fun (node, conn) ->
-      ignore node;
-      create_shard_table ~conn ~src:tbl ~shard_table:(Metadata.shard_name shard))
-    conns;
-  move_local_rows t session ~table ~dt_kind:Metadata.Reference ~conns;
-  sync_shells_to_installed_nodes t
+  convert_table t st session ~table (fun _ _ ->
+      [
+        Metasync.register_reference t.metasync ~table
+          ~nodes:
+            (List.sort_uniq String.compare
+               (coordinator :: t.active_data_nodes));
+      ])
 
 (* --- the statement route --- *)
 
@@ -341,9 +186,8 @@ let insert_select t st session = function
   | Ast.Insert { table; columns; source = Ast.Query select; on_conflict_do_nothing }
     when Metadata.is_citus_table t.metadata table ->
     Some
-      (fst
-         (Insert_select.execute st session ~table ~columns ~select
-            ~on_conflict_do_nothing))
+      (Insert_select.execute st session ~table ~columns ~select
+         ~on_conflict_do_nothing)
   | _ -> None
 
 (* A statement the tiered planner refused: INSERT..SELECT, else the
@@ -622,10 +466,10 @@ let rec install_on_node t (node : Cluster.Topology.node) =
       text "table" @-> text "column" @-> text "colocate_with"
       @?-> returning nothing)
     (fun session table column colocate_with () ->
-      do_create_distributed_table t session ~table ~column ~colocate_with);
+      do_create_distributed_table t st session ~table ~column ~colocate_with);
   Udf.register inst "create_reference_table"
     Udf.(text "table" @-> returning nothing)
-    (fun session table () -> do_create_reference_table t session ~table);
+    (fun session table () -> do_create_reference_table t st session ~table);
   Udf.register inst "create_distributed_function"
     Udf.(
       text "proc" @-> int "arg_position" @-> text "table"
@@ -844,53 +688,32 @@ let rec install_on_node t (node : Cluster.Topology.node) =
     (fun _session name () ->
       ignore (Cluster.Topology.find_node t.cluster name);
       if not (List.mem name t.active_data_nodes) then begin
-           t.active_data_nodes <- t.active_data_nodes @ [ name ];
-           (* replicate reference tables to the new node *)
-           List.iter
-             (fun (dt : Metadata.dist_table) ->
-               if dt.Metadata.kind = Metadata.Reference then begin
-                 let shard =
-                   match Metadata.shards_of t.metadata dt.Metadata.dt_name with
-                   | s :: _ -> s
-                   | [] ->
-                     err "reference table %s has no shard" dt.Metadata.dt_name
-                 in
-                 let catalog = Engine.Instance.catalog inst in
-                 let tbl = table_def_of catalog dt.Metadata.dt_name in
-                 let conn =
-                   admin_conn t ~origin:(Engine.Instance.name inst) name
-                 in
-                 create_shard_table ~conn ~src:tbl
-                   ~shard_table:(Metadata.shard_name shard);
-                 (* copy current contents from the local replica *)
-                 let local_rows =
-                   (Engine.Instance.exec
-                      (Engine.Instance.connect inst)
-                      (Printf.sprintf "SELECT * FROM %s"
-                         (Metadata.shard_name shard)))
-                     .Engine.Instance.rows
-                 in
-                 if local_rows <> [] then begin
-                   let tuples =
-                     List.map
-                       (fun (row : Datum.t array) ->
-                         List.map (fun d -> Ast.Const d) (Array.to_list row))
-                       local_rows
-                   in
-                   ignore
-                     (Cluster.Connection.exec_ast conn
-                        (Ast.Insert
-                           {
-                             table = Metadata.shard_name shard;
-                             columns = None;
-                             source = Ast.Values tuples;
-                             on_conflict_do_nothing = false;
-                           }))
-                 end;
-                 Metasync.add_placement t.metasync
-                   ~shard_id:shard.Metadata.shard_id ~node:name
-               end)
-             (Metadata.all_tables t.metadata)
+        (* replicate reference tables to the new node first: the repair
+           copy, recording the new placement at its cutover. A shard
+           already placed there (an earlier attempt that failed part way)
+           is skipped, and the node takes new shards only once every
+           reference table is on it. *)
+        List.iter
+          (fun (dt : Metadata.dist_table) ->
+            if dt.Metadata.kind = Metadata.Reference then
+              List.iter
+                (fun (shard : Metadata.shard) ->
+                  let shard_id = shard.Metadata.shard_id in
+                  if
+                    Metadata.placement_state_of t.metadata ~shard_id ~node:name
+                    = None
+                  then
+                    ignore
+                      (Rebalancer.copy_shard_to st shard
+                         ~from_node:(Metadata.placement t.metadata shard_id)
+                         ~to_node:name ~drop_source:false
+                         ~finish_metadata:(fun () ->
+                           Metasync.add_placement t.metasync ~shard_id
+                             ~node:name)
+                         ()))
+                (Metadata.shards_of t.metadata dt.Metadata.dt_name))
+          (Metadata.all_tables t.metadata);
+        t.active_data_nodes <- t.active_data_nodes @ [ name ]
       end);
   (* observability surface *)
   Udf.register inst "citus_set_tracing"

@@ -124,3 +124,34 @@ let execute (t : State.t) coord_session (plan : Plan.t) =
       Adaptive_executor.execute t coord_session [ task ]
     in
     (sole_result results, report)
+
+(* Rows a caller holds (a converted table's local rows, an INSERT..SELECT
+   result, a split shard's contents) enter a Citus table as one
+   [INSERT INTO <logical table> VALUES ...]: the planner routes every row
+   to its shard and the executor replicates each shard's batch to its
+   active placements. *)
+let insert_rows (t : State.t) session ~table ?columns
+    ?(on_conflict_do_nothing = false) (rows : Datum.t array list) =
+  if rows = [] then 0
+  else
+    let stmt =
+      Sqlfront.Ast.Insert
+        {
+          table;
+          columns;
+          source =
+            Sqlfront.Ast.Values
+              (List.map
+                 (fun row ->
+                   List.map (fun d -> Sqlfront.Ast.Const d) (Array.to_list row))
+                 rows);
+          on_conflict_do_nothing;
+        }
+    in
+    let local = t.State.local in
+    let plan, _tier =
+      Planner.plan t.State.metadata
+        ~catalog:(Engine.Instance.catalog local.Cluster.Topology.instance)
+        ~local_name:local.Cluster.Topology.node_name stmt
+    in
+    (fst (execute t session plan)).Engine.Instance.affected

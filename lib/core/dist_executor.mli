@@ -12,3 +12,17 @@ val execute :
   Engine.Instance.session ->
   Plan.t ->
   Engine.Instance.result * Adaptive_executor.report
+
+(** [insert_rows st session ~table rows] writes [rows] into the Citus
+    table [table] through {!Planner.plan}'s INSERT routing and {!execute},
+    inside [session]'s transaction; returns the rows inserted. [columns]
+    names the row positions (default: every column in table order). No
+    rows, no statement. *)
+val insert_rows :
+  State.t ->
+  Engine.Instance.session ->
+  table:string ->
+  ?columns:string list ->
+  ?on_conflict_do_nothing:bool ->
+  Datum.t array list ->
+  int

@@ -5,15 +5,16 @@
       each shard group runs [INSERT INTO dest_shard SELECT ... FROM
       src_shards] locally, fully in parallel;
     + {b re-partition}: the SELECT is pushdownable but rows land on other
-      shards; task results are hash-partitioned by the destination
-      distribution column and inserted per destination shard;
-    + {b pull}: the SELECT needs a coordinator merge step; it runs as a
-      distributed SELECT and the result is routed like a COPY. *)
+      shards; the task results are inserted into the destination;
+    + {b pull}: the SELECT needs a coordinator merge step (or the
+      destination is a reference table); it runs as a distributed SELECT
+      and its result is inserted into the destination.
 
-type strategy = Colocated | Repartition | Pull
+    Re-partition and pull insert their rows with
+    {!Dist_executor.insert_rows}: one [INSERT .. VALUES] through the
+    planner's INSERT routing, replicated like any client INSERT. *)
 
-(** Execute [INSERT INTO table (columns) SELECT ...]; returns the result
-    and which strategy ran. *)
+(** Execute [INSERT INTO table (columns) SELECT ...]. *)
 val execute :
   State.t ->
   Engine.Instance.session ->
@@ -21,4 +22,4 @@ val execute :
   columns:string list option ->
   select:Sqlfront.Ast.select ->
   on_conflict_do_nothing:bool ->
-  Engine.Instance.result * strategy
+  Engine.Instance.result

@@ -20,13 +20,20 @@ type placement_state = Active | Inactive
 
 type placement = { pl_node : string; mutable pl_state : placement_state }
 
+(* The shard-interval cache of one table: its shards in hash-range order
+   as a list and as an array for binary search, and the type its
+   distribution values are cast to before hashing. *)
+type interval_cache = {
+  c_shards : shard list;
+  c_ranges : shard array;
+  c_key_ty : Datum.ty option;
+}
+
 type t = {
   shard_count : int;
   mutable tables : dist_table list;
   mutable shards : shard list;  (* assigned only through [set_shards] *)
-  by_table : (string, shard list * shard array) Hashtbl.t;
-      (* the shard-interval cache: per table, its shards in hash-range
-         order as a list and as an array for binary search *)
+  by_table : (string, interval_cache) Hashtbl.t;
   by_id : (int, shard) Hashtbl.t;
   (* shard_id -> placements (node + health state, Citus shardstate 1/3) *)
   placement_tbl : (int, placement list) Hashtbl.t;
@@ -89,13 +96,17 @@ let set_shards t shards =
         List.filter (fun s -> String.equal s.shard_of name) shards
         |> List.sort by_range
       in
-      Hashtbl.replace t.by_table name (sorted, Array.of_list sorted))
+      let c_key_ty = Option.bind (find t name) (fun dt -> dt.dist_column_ty) in
+      Hashtbl.replace t.by_table name
+        { c_shards = sorted; c_ranges = Array.of_list sorted; c_key_ty })
     (List.sort_uniq String.compare (List.map (fun s -> s.shard_of) shards))
 
 let cached_shards t name =
   match Hashtbl.find_opt t.by_table name with
   | Some c -> c
-  | None -> if find t name = None then raise (Not_distributed name) else ([], [||])
+  | None ->
+    if find t name = None then raise (Not_distributed name)
+    else { c_shards = []; c_ranges = [||]; c_key_ty = None }
 
 let fresh_shard_id t =
   let id = t.next_shard_id in
@@ -152,7 +163,7 @@ let register_distributed ?(replication_factor = 1) t ~table ~column ~ty
       | Some _ -> invalid_arg (other ^ " is not a distributed table")
       | None -> raise (Not_distributed other)
     in
-    let other_shards = fst (cached_shards t other) in
+    let other_shards = (cached_shards t other).c_shards in
     let dt =
       {
         dt_name = table;
@@ -264,11 +275,23 @@ let drop_table t name =
   set_shards t kept;
   bump_version t
 
-let shards_of t name = fst (cached_shards t name)
+let shards_of t name = (cached_shards t name).c_shards
+
+(* A distribution value is cast to the column's type before hashing, so
+   a quoted '5' hashes like the bigint 5 the shard stores. A value the
+   type cannot hold matches no stored row, so it hashes as given. *)
+let hash_key c value =
+  Datum.hash32
+    (match c.c_key_ty with
+     | Some ty -> (try Datum.cast value ty with Datum.Cast_error _ -> value)
+     | None -> value)
+
+let hash_of_value t ~table value = hash_key (cached_shards t table) value
 
 let shard_for_value t ~table value =
-  let h = Datum.hash32 value in
-  let ranges = snd (cached_shards t table) in
+  let c = cached_shards t table in
+  let h = hash_key c value in
+  let ranges = c.c_ranges in
   (* binary search for the last shard whose range starts at or below [h] *)
   let rec search lo hi =
     if hi - lo <= 1 then lo

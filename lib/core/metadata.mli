@@ -93,7 +93,13 @@ val all_tables : t -> dist_table list
 val shards_of : t -> string -> shard list
 (** In hash-range order. Raises {!Not_distributed} for unknown tables. *)
 
-(** The shard of [table] owning [value]'s hash. *)
+(** The hash [table] routes [value] by: [value] is cast to the
+    distribution column's type ([dist_column_ty]) first, so a quoted
+    ['5'] hashes like the bigint [5]; a value the type cannot hold hashes
+    as given. *)
+val hash_of_value : t -> table:string -> Datum.t -> int32
+
+(** The shard of [table] owning {!hash_of_value}. *)
 val shard_for_value : t -> table:string -> Datum.t -> shard
 
 (** Physical table name of a shard on its node ("orders_102008"). *)

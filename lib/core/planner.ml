@@ -971,6 +971,23 @@ let select_is_colocated_with meta ~dest ~dest_dist_col_position sel =
 
 (* --- DML --- *)
 
+(* A write to a reference table is one task; the executor replicates it
+   across the reference shard's active placements. *)
+let reference_write meta stmt table =
+  let shard_id =
+    match Metadata.shards_of meta table with
+    | s :: _ -> s.Metadata.shard_id
+    | [] -> unsupported "reference table %s has no shard" table
+  in
+  ( Plan.Reference_write
+      {
+        Plan.task_node = Metadata.placement meta shard_id;
+        task_stmt = rewrite_reference_only meta stmt;
+        task_group = -1;
+        task_shard = shard_id;
+      },
+    Tier_reference )
+
 let plan_insert_values meta ~catalog stmt table columns tuples on_conflict =
   let dt =
     match Metadata.find meta table with
@@ -978,21 +995,7 @@ let plan_insert_values meta ~catalog stmt table columns tuples on_conflict =
     | None -> assert false
   in
   match dt.Metadata.kind with
-  | Metadata.Reference ->
-    let shard_id =
-      match Metadata.shards_of meta table with
-      | s :: _ -> s.Metadata.shard_id
-      | [] -> unsupported "reference table %s has no shard" table
-    in
-    let renamed = rewrite_reference_only meta stmt in
-    (Plan.Reference_write
-       {
-         Plan.task_node = Metadata.placement meta shard_id;
-         task_stmt = renamed;
-         task_group = -1;
-         task_shard = shard_id;
-       },
-     Tier_reference)
+  | Metadata.Reference -> reference_write meta stmt table
   | Metadata.Distributed ->
     let dist_col =
       match dt.Metadata.dist_column with
@@ -1081,21 +1084,7 @@ let plan_multi_shard_dml meta stmt table =
     | None -> unsupported "%s is not a Citus table" table
   in
   match dt.Metadata.kind with
-  | Metadata.Reference ->
-    let shard_id =
-      match Metadata.shards_of meta table with
-      | s :: _ -> s.Metadata.shard_id
-      | [] -> unsupported "reference table %s has no shard" table
-    in
-    let renamed = rewrite_reference_only meta stmt in
-    (Plan.Reference_write
-       {
-         Plan.task_node = Metadata.placement meta shard_id;
-         task_stmt = renamed;
-         task_group = -1;
-         task_shard = shard_id;
-       },
-     Tier_reference)
+  | Metadata.Reference -> reference_write meta stmt table
   | Metadata.Distributed ->
     (* every shard gets the rewritten statement, minus pruned groups *)
     let only_groups = pruned_groups meta stmt in

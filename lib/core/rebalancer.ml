@@ -16,12 +16,28 @@ exception Move_blocked of int list
 let err fmt =
   Printf.ksprintf (fun m -> raise (Engine.Instance.Session_error m)) fmt
 
+let find_shard_table (t : State.t) (shard : Metadata.shard) ~node =
+  let name = Metadata.shard_name shard in
+  match
+    Engine.Catalog.find_table_opt
+      (Engine.Instance.catalog
+         (Cluster.Topology.find_node t.State.cluster node).instance)
+      name
+  with
+  | Some tbl -> tbl
+  | None -> err "shard %s missing on %s" name node
+
 (* Copy one shard's data from [src] node to [dst] node following the
    logical-replication protocol: snapshot copy while writes continue, then
    WAL catch-up under a brief write lock. [finish_metadata] runs inside the
    cutover window (after the destination commit, before the lock release);
    [drop_source] removes the source copy — a move does, a repair keeps the
    source serving. Returns (rows copied, catchup records).
+
+   Columnar appends write no WAL records to catch up from, so a columnar
+   shard is copied whole under the write lock instead; it is never moved,
+   only copied to a new replica (a repair, or a reference table on an
+   added node).
 
    [?deadline] (absolute virtual time) bounds the destination round
    trips — the only points where a stalled destination can wedge the
@@ -39,30 +55,24 @@ let copy_shard_to (t : State.t) (shard : Metadata.shard) ~from_node ~to_node
   let dst_inst = dst_node.Cluster.Topology.instance in
   let shard_table = Metadata.shard_name shard in
   let src_catalog = Engine.Instance.catalog src_inst in
-  let src_tbl =
-    match Engine.Catalog.find_table_opt src_catalog shard_table with
-    | Some tbl -> tbl
-    | None -> err "shard %s missing on %s" shard_table from_node
-  in
-  let src_heap =
-    match src_tbl.Engine.Catalog.store with
-    | Engine.Catalog.Heap_store h -> h
-    | Engine.Catalog.Columnar_store _ ->
-      err "columnar shards cannot be rebalanced online"
-  in
-  (* 1. create the target shard with the same schema and indexes; a repair
-     may find a stale copy from before the placement went inactive *)
+  let dst_catalog = Engine.Instance.catalog dst_inst in
+  let src_tbl = find_shard_table t shard ~node:from_node in
+  (match src_tbl.Engine.Catalog.store with
+   | Engine.Catalog.Columnar_store _ when drop_source ->
+     err "columnar shards cannot be rebalanced online"
+   | _ -> ());
+  (* create the target shard from the source shard's definition
+     ({!Ddl.shard_schema}), so its indexes keep their names; a repair may
+     find a stale copy from before the placement went inactive *)
   let dst_conn =
     Cluster.Connection.open_
       ~origin:t.State.local.Cluster.Topology.node_name t.State.cluster dst_node
   in
-  (match
-     Engine.Catalog.find_table_opt (Engine.Instance.catalog dst_inst)
-       shard_table
-   with
-   | Some _ ->
-     Engine.Catalog.drop_table (Engine.Instance.catalog dst_inst) shard_table
-   | None -> ());
+  let drop_dst () =
+    if Option.is_some (Engine.Catalog.find_table_opt dst_catalog shard_table)
+    then Engine.Catalog.drop_table dst_catalog shard_table
+  in
+  drop_dst ();
   let dst_ddl stmt =
     try
       (Cluster.Connection.(
@@ -71,64 +81,11 @@ let copy_shard_to (t : State.t) (shard : Metadata.shard) ~from_node ~to_node
     with Cluster.Connection.Timed_out _ as e ->
       (* the destination stalled past the move deadline: fence off the
          partial copy so nothing can ever read it, then abandon *)
-      (match
-         Engine.Catalog.find_table_opt (Engine.Instance.catalog dst_inst)
-           shard_table
-       with
-       | Some _ ->
-         Engine.Catalog.drop_table (Engine.Instance.catalog dst_inst)
-           shard_table
-       | None -> ());
+      drop_dst ();
       raise e
   in
-  ignore
-    (dst_ddl
-       (Sqlfront.Ast.Create_table
-          {
-            name = shard_table;
-            columns = src_tbl.Engine.Catalog.columns;
-            primary_key = src_tbl.Engine.Catalog.primary_key;
-            if_not_exists = false;
-            using_columnar = false;
-          }));
-  List.iter
-    (fun (idx : Engine.Catalog.index) ->
-      if
-        not
-          (String.equal idx.Engine.Catalog.idx_name (shard_table ^ "_pkey"))
-      then
-        let stmt =
-          match idx.Engine.Catalog.kind with
-          | Engine.Catalog.Btree_index { columns; _ } ->
-            Sqlfront.Ast.Create_index
-              {
-                name = idx.Engine.Catalog.idx_name ^ "_moved";
-                table = shard_table;
-                using = Sqlfront.Ast.Btree;
-                key_columns = columns;
-                key_expr = None;
-                if_not_exists = false;
-              }
-          | Engine.Catalog.Gin_index { expr; _ } ->
-            Sqlfront.Ast.Create_index
-              {
-                name = idx.Engine.Catalog.idx_name ^ "_moved";
-                table = shard_table;
-                using = Sqlfront.Ast.Gin_trgm;
-                key_columns = [];
-                key_expr = Some expr;
-                if_not_exists = false;
-              }
-        in
-        ignore (dst_ddl stmt))
-    src_tbl.Engine.Catalog.indexes;
-  let dst_catalog = Engine.Instance.catalog dst_inst in
+  List.iter (fun stmt -> ignore (dst_ddl stmt)) (Ddl.shard_schema src_tbl shard);
   let dst_tbl = Engine.Catalog.find_table dst_catalog shard_table in
-  let dst_heap =
-    match dst_tbl.Engine.Catalog.store with
-    | Engine.Catalog.Heap_store h -> h
-    | Engine.Catalog.Columnar_store _ -> assert false
-  in
   let src_mgr = Engine.Instance.txn_manager src_inst in
   let dst_mgr = Engine.Instance.txn_manager dst_inst in
   (* The copy writes the destination heap directly, below the executor, so
@@ -141,95 +98,112 @@ let copy_shard_to (t : State.t) (shard : Metadata.shard) ~from_node ~to_node
      copy left in the destination WAL. *)
   let log_dst record = Txn.Manager.log dst_mgr record in
   log_dst (Txn.Wal.Truncate shard_table);
-  (* 2. record the WAL position, then copy a snapshot while writes continue *)
+  (* record the WAL position, then copy a snapshot while writes continue *)
   let lsn0 = Txn.Wal.current_lsn (Txn.Manager.wal src_mgr) in
   let snapshot = Txn.Manager.take_snapshot src_mgr in
   let dst_session = Engine.Instance.connect dst_inst in
   let dst_ctx0 = Engine.Instance.make_ctx dst_session in
   let apply_xid = Txn.Manager.begin_txn dst_mgr in
   let dst_ctx = { dst_ctx0 with Engine.Executor.xid = Some apply_xid } in
-  let tid_map : (int, int) Hashtbl.t = Hashtbl.create 256 in
-  let rows_copied = ref 0 in
-  Storage.Heap.scan src_heap
-    ~status:(Txn.Manager.status src_mgr)
-    ~snapshot ~my_xid:None
-    ~f:(fun src_tid row ->
+  let rows_shipped n =
+    t.State.cluster.Cluster.Topology.net.Cluster.Topology.rows_shipped <-
+      t.State.cluster.Cluster.Topology.net.Cluster.Topology.rows_shipped + n
+  in
+  (* block writes to the source shard: the brief cutover window *)
+  let lock_source () =
+    let lock_xid = Txn.Manager.begin_txn src_mgr in
+    match
+      Txn.Lock.acquire (Txn.Manager.locks src_mgr) ~owner:lock_xid
+        (Txn.Lock.Table shard_table) Txn.Lock.Access_exclusive
+    with
+    | Txn.Lock.Granted -> lock_xid
+    | Txn.Lock.Blocked holders ->
+      Txn.Manager.abort src_mgr lock_xid;
+      Txn.Manager.abort dst_mgr apply_xid;
+      drop_dst ();
+      raise (Move_blocked holders)
+  in
+  (* flip metadata, optionally drop the source, release the lock *)
+  let cutover lock_xid =
+    Txn.Manager.commit dst_mgr apply_xid;
+    finish_metadata ();
+    if drop_source then Engine.Catalog.drop_table src_catalog shard_table;
+    Txn.Manager.commit src_mgr lock_xid
+  in
+  match src_tbl.Engine.Catalog.store, dst_tbl.Engine.Catalog.store with
+  | Engine.Catalog.Columnar_store src_col, Engine.Catalog.Columnar_store dst_col
+    ->
+    let lock_xid = lock_source () in
+    let rows = ref [] in
+    Storage.Columnar.scan src_col
+      ~status:(Txn.Manager.status src_mgr)
+      ~snapshot:(Txn.Manager.take_snapshot src_mgr)
+      ~my_xid:None
+      ~columns:(List.init (List.length src_tbl.Engine.Catalog.columns) Fun.id)
+      ~f:(fun row -> rows := row :: !rows);
+    let n = List.length !rows in
+    Txn.Manager.note_write dst_mgr apply_xid;
+    Storage.Columnar.append dst_col ~xid:apply_xid (List.rev !rows);
+    rows_shipped n;
+    cutover lock_xid;
+    (n, 0)
+  | Engine.Catalog.Heap_store src_heap, Engine.Catalog.Heap_store dst_heap ->
+    (* source tid -> destination tid of every row copied so far *)
+    let tid_map : (int, int) Hashtbl.t = Hashtbl.create 256 in
+    let copy_row src_tid row =
       let dst_tid = Storage.Heap.insert dst_heap ~xid:apply_xid row in
       log_dst
         (Txn.Wal.Insert
            { xid = apply_xid; table = shard_table; tid = dst_tid; row });
       Engine.Executor.index_insert dst_ctx dst_tbl dst_tid row;
-      Hashtbl.replace tid_map src_tid dst_tid;
-      incr rows_copied);
-  t.State.cluster.Cluster.Topology.net.Cluster.Topology.rows_shipped <-
-    t.State.cluster.Cluster.Topology.net.Cluster.Topology.rows_shipped
-    + !rows_copied;
-  (* 3. block writes to the source shard: the brief cutover window *)
-  let lock_xid = Txn.Manager.begin_txn src_mgr in
-  (match
-     Txn.Lock.acquire (Txn.Manager.locks src_mgr) ~owner:lock_xid
-       (Txn.Lock.Table shard_table) Txn.Lock.Access_exclusive
-   with
-   | Txn.Lock.Granted -> ()
-   | Txn.Lock.Blocked holders ->
-     Txn.Manager.abort src_mgr lock_xid;
-     Txn.Manager.abort dst_mgr apply_xid;
-     Engine.Catalog.drop_table dst_catalog shard_table;
-     raise (Move_blocked holders));
-  (* 4. apply the WAL delta; every xid in it has finished by now *)
-  let catchup = ref 0 in
-  let committed xid = Txn.Manager.status src_mgr xid = Txn.Manager.Committed in
-  List.iter
-    (fun (_lsn, record) ->
-      match record with
-      | Txn.Wal.Insert { xid; table; tid; row }
-        when String.equal table shard_table && committed xid
-             && not (Hashtbl.mem tid_map tid) ->
-        let dst_tid = Storage.Heap.insert dst_heap ~xid:apply_xid row in
+      Hashtbl.replace tid_map src_tid dst_tid
+    in
+    let delete_row src_tid =
+      match Hashtbl.find_opt tid_map src_tid with
+      | Some dst_tid ->
+        ignore (Storage.Heap.delete dst_heap ~xid:apply_xid ~tid:dst_tid);
         log_dst
-          (Txn.Wal.Insert
-             { xid = apply_xid; table = shard_table; tid = dst_tid; row });
-        Engine.Executor.index_insert dst_ctx dst_tbl dst_tid row;
-        Hashtbl.replace tid_map tid dst_tid;
-        incr catchup
-      | Txn.Wal.Update { xid; table; old_tid; new_tid; row }
-        when String.equal table shard_table && committed xid ->
-        (match Hashtbl.find_opt tid_map old_tid with
-         | Some dst_old ->
-           ignore (Storage.Heap.delete dst_heap ~xid:apply_xid ~tid:dst_old);
-           log_dst
-             (Txn.Wal.Delete
-                { xid = apply_xid; table = shard_table; tid = dst_old });
-           Hashtbl.remove tid_map old_tid
-         | None -> ());
-        if not (Hashtbl.mem tid_map new_tid) then begin
-          let dst_tid = Storage.Heap.insert dst_heap ~xid:apply_xid row in
-          log_dst
-            (Txn.Wal.Insert
-               { xid = apply_xid; table = shard_table; tid = dst_tid; row });
-          Engine.Executor.index_insert dst_ctx dst_tbl dst_tid row;
-          Hashtbl.replace tid_map new_tid dst_tid
-        end;
-        incr catchup
-      | Txn.Wal.Delete { xid; table; tid }
-        when String.equal table shard_table && committed xid ->
-        (match Hashtbl.find_opt tid_map tid with
-         | Some dst_tid ->
-           ignore (Storage.Heap.delete dst_heap ~xid:apply_xid ~tid:dst_tid);
-           log_dst
-             (Txn.Wal.Delete
-                { xid = apply_xid; table = shard_table; tid = dst_tid });
-           Hashtbl.remove tid_map tid;
-           incr catchup
-         | None -> ())
-      | _ -> ())
-    (Txn.Wal.records ~from:(lsn0 + 1) (Txn.Manager.wal src_mgr));
-  Txn.Manager.commit dst_mgr apply_xid;
-  (* 5. flip metadata, optionally drop the source, release the lock *)
-  finish_metadata ();
-  if drop_source then Engine.Catalog.drop_table src_catalog shard_table;
-  Txn.Manager.commit src_mgr lock_xid;
-  (!rows_copied, !catchup)
+          (Txn.Wal.Delete
+             { xid = apply_xid; table = shard_table; tid = dst_tid });
+        Hashtbl.remove tid_map src_tid;
+        true
+      | None -> false
+    in
+    let rows_copied = ref 0 in
+    Storage.Heap.scan src_heap
+      ~status:(Txn.Manager.status src_mgr)
+      ~snapshot ~my_xid:None
+      ~f:(fun src_tid row ->
+        copy_row src_tid row;
+        incr rows_copied);
+    rows_shipped !rows_copied;
+    let lock_xid = lock_source () in
+    (* apply the WAL delta; every xid in it has finished by now *)
+    let catchup = ref 0 in
+    let committed xid =
+      Txn.Manager.status src_mgr xid = Txn.Manager.Committed
+    in
+    List.iter
+      (fun (_lsn, record) ->
+        match record with
+        | Txn.Wal.Insert { xid; table; tid; row }
+          when String.equal table shard_table && committed xid
+               && not (Hashtbl.mem tid_map tid) ->
+          copy_row tid row;
+          incr catchup
+        | Txn.Wal.Update { xid; table; old_tid; new_tid; row }
+          when String.equal table shard_table && committed xid ->
+          ignore (delete_row old_tid);
+          if not (Hashtbl.mem tid_map new_tid) then copy_row new_tid row;
+          incr catchup
+        | Txn.Wal.Delete { xid; table; tid }
+          when String.equal table shard_table && committed xid ->
+          if delete_row tid then incr catchup
+        | _ -> ())
+      (Txn.Wal.records ~from:(lsn0 + 1) (Txn.Manager.wal src_mgr));
+    cutover lock_xid;
+    (!rows_copied, !catchup)
+  | _ -> assert false (* the destination was built from the source *)
 
 (* Move = copy + metadata flip + source drop. *)
 let move_one ?deadline (t : State.t) (shard : Metadata.shard) ~from_node

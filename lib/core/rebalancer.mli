@@ -31,6 +31,32 @@ type move = {
 exception Move_blocked of int list
 (** A writer still holds locks on the shard; retry after it finishes. *)
 
+(** The table of [shard] on [node], read from the node's catalog. Raises
+    {!Engine.Instance.Session_error} when the node does not hold it. *)
+val find_shard_table :
+  State.t -> Metadata.shard -> node:string -> Engine.Catalog.table
+
+(** [copy_shard_to st shard ~from_node ~to_node ~drop_source
+    ~finish_metadata ()] copies one shard: destination schema from the
+    source shard's definition ({!Ddl.shard_schema}, so index names are
+    kept), snapshot copy, then WAL catch-up under a brief write lock on
+    the source. A columnar shard, whose appends leave no WAL to catch up
+    from, is copied whole under the lock, and only when [drop_source] is
+    false. [finish_metadata] runs in the cutover window; [drop_source]
+    drops the source copy (a move) or keeps it serving (a repair, or a
+    new reference replica). [deadline] bounds the destination round
+    trips. Returns (rows copied, catch-up records). *)
+val copy_shard_to :
+  State.t ->
+  Metadata.shard ->
+  from_node:string ->
+  to_node:string ->
+  drop_source:bool ->
+  ?deadline:float ->
+  finish_metadata:(unit -> unit) ->
+  unit ->
+  int * int
+
 (** Move one shard group (the shard and its co-located siblings). When
     [sched] is given — the rebalancer batching moves — the move also
     occupies virtual time proportional to the rows it shipped, so

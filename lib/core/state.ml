@@ -16,7 +16,6 @@ type config = {
   mutable shared_connection_limit : int;
   mutable slow_start_interval : float;
   mutable max_parallel_moves : int;
-  mutable binary_protocol : bool;
   mutable statement_timeout : float;
   mutable hedge_threshold : float;
   mutable move_timeout : float;
@@ -67,7 +66,6 @@ let default_config () =
     shared_connection_limit = 100;
     slow_start_interval = 0.010;
     max_parallel_moves = 4;
-    binary_protocol = true;
     statement_timeout = 0.0;
     hedge_threshold = 0.0;
     move_timeout = 0.0;

@@ -31,7 +31,6 @@ type config = {
   mutable slow_start_interval : float;  (** seconds; paper: 10ms *)
   mutable max_parallel_moves : int;
       (** rebalancer: shard-group moves allowed in flight at once *)
-  mutable binary_protocol : bool;  (** placeholder knob, always true *)
   mutable statement_timeout : float;
       (** seconds of virtual time a distributed statement may run before
           failing with a typed timeout; [0.0] (default) disables — the

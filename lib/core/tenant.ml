@@ -12,6 +12,19 @@ let split_ranges ~min_hash ~max_hash h =
   in
   before @ [ (h, h) ] @ after
 
+(* The split's writes run as one distributed transaction of an internal
+   session on this node, committed through the usual 2PC hooks. *)
+let in_txn (t : State.t) f =
+  let session =
+    Engine.Instance.connect t.State.local.Cluster.Topology.instance
+  in
+  ignore (Engine.Instance.exec_ast session Sqlfront.Ast.Begin_txn);
+  match f session with
+  | () -> ignore (Engine.Instance.exec_ast session Sqlfront.Ast.Commit_txn)
+  | exception e ->
+    ignore (Engine.Instance.exec_ast session Sqlfront.Ast.Rollback_txn);
+    raise e
+
 let isolate_tenant (t : State.t) ~table ~value =
   let meta = t.State.metadata in
   let dt =
@@ -20,7 +33,7 @@ let isolate_tenant (t : State.t) ~table ~value =
     | Some _ -> err "%s is a reference table; tenants live in distributed tables" table
     | None -> err "%s is not a distributed table" table
   in
-  let h = Datum.hash32 value in
+  let h = Metadata.hash_of_value meta ~table value in
   let anchor = Metadata.shard_for_value meta ~table value in
   if Int32.equal anchor.Metadata.min_hash h && Int32.equal anchor.Metadata.max_hash h
   then
@@ -40,109 +53,88 @@ let isolate_tenant (t : State.t) ~table ~value =
                (not (String.equal a.Metadata.dt_name table))
                (not (String.equal b.Metadata.dt_name table)))
     in
-    let catalog =
-      Engine.Instance.catalog t.State.local.Cluster.Topology.instance
+    let conn_to node =
+      Cluster.Connection.open_
+        ~origin:t.State.local.Cluster.Topology.node_name t.State.cluster
+        (Cluster.Topology.find_node t.State.cluster node)
     in
-    let tenant_ids =
+    (* 1. split every table's shard of the group in the catalog, keeping
+       the old shard's definition and rows, read from an active placement
+       (a metadata-synced node's copy of the logical table is a shell
+       without indexes), and every node that held a copy of it *)
+    let splits =
       List.map
         (fun (gt : Metadata.dist_table) ->
-          let gt_name = gt.Metadata.dt_name in
           let old_shard =
             List.find
               (fun (s : Metadata.shard) ->
                 s.Metadata.index_in_colocation = group_index)
-              (Metadata.shards_of meta gt_name)
+              (Metadata.shards_of meta gt.Metadata.dt_name)
           in
-          let node = Metadata.placement meta old_shard.Metadata.shard_id in
-          let ranges =
-            split_ranges ~min_hash:old_shard.Metadata.min_hash
-              ~max_hash:old_shard.Metadata.max_hash h
+          let old_id = old_shard.Metadata.shard_id in
+          let old_nodes =
+            List.map
+              (fun (p : Metadata.placement) -> p.Metadata.pl_node)
+              (Metadata.all_placements meta old_id)
           in
-          let news =
-            Metasync.replace_shard t.State.metasync
-              ~shard_id:old_shard.Metadata.shard_id ~ranges
-          in
-          (* physical tables on the same node *)
-          let conn =
-            Cluster.Connection.open_
-              ~origin:t.State.local.Cluster.Topology.node_name t.State.cluster
-              (Cluster.Topology.find_node t.State.cluster node)
-          in
-          let src =
-            match Engine.Catalog.find_table_opt catalog gt_name with
-            | Some tbl -> tbl
-            | None -> err "no schema for %s on the coordinator" gt_name
-          in
-          List.iter
-            (fun (s : Metadata.shard) ->
-              ignore
-                (Cluster.Connection.exec_ast conn
-                   (Sqlfront.Ast.Create_table
-                      {
-                        name = Metadata.shard_name s;
-                        columns = src.Engine.Catalog.columns;
-                        primary_key = src.Engine.Catalog.primary_key;
-                        if_not_exists = false;
-                        using_columnar = false;
-                      })))
-            news;
-          (* move the rows by hash of this table's distribution column *)
-          let dist_col =
-            match gt.Metadata.dist_column with
-            | Some c -> c
-            | None -> err "%s has no distribution column" gt_name
-          in
-          let pos = Engine.Catalog.column_index src dist_col in
+          let src_node = Metadata.placement meta old_id in
+          let src = Rebalancer.find_shard_table t old_shard ~node:src_node in
           (* [@lint.sql_static]: the only interpolant is Metadata.shard_name,
              an internally generated "<table>_<id>" identifier — never
              client input *)
           let rows =
-            (Exec.raw_on_conn_exn conn
+            (Exec.raw_on_conn_exn (conn_to src_node)
                (Printf.sprintf "SELECT * FROM %s"
                   (Metadata.shard_name old_shard)) [@lint.sql_static])
               .Engine.Instance.rows
           in
-          List.iter
-            (fun (s : Metadata.shard) ->
-              let mine (row : Datum.t array) =
-                let hv = Datum.hash32 row.(pos) in
-                Int32.compare hv s.Metadata.min_hash >= 0
-                && Int32.compare hv s.Metadata.max_hash <= 0
-              in
-              let bucket = List.filter mine rows in
-              if bucket <> [] then
-                ignore
-                  (Cluster.Connection.exec_ast conn
-                     (Sqlfront.Ast.Insert
-                        {
-                          table = Metadata.shard_name s;
-                          columns = None;
-                          source =
-                            Sqlfront.Ast.Values
-                              (List.map
-                                 (fun row ->
-                                   List.map
-                                     (fun d -> Sqlfront.Ast.Const d)
-                                     (Array.to_list row))
-                                 bucket);
-                          on_conflict_do_nothing = false;
-                        })))
-            news;
-          ignore
-            (Cluster.Connection.exec_ast conn
-               (Sqlfront.Ast.Drop_table
-                  { name = Metadata.shard_name old_shard; if_exists = false }));
-          (* the single-value shard is the tenant's *)
-          (List.find
-             (fun (s : Metadata.shard) ->
-               Int32.equal s.Metadata.min_hash h && Int32.equal s.Metadata.max_hash h)
-             news)
-            .Metadata.shard_id)
+          let news =
+            Metasync.replace_shard t.State.metasync ~shard_id:old_id
+              ~ranges:
+                (split_ranges ~min_hash:old_shard.Metadata.min_hash
+                   ~max_hash:old_shard.Metadata.max_hash h)
+          in
+          ( gt.Metadata.dt_name,
+            List.map (fun (s : Metadata.shard) -> s.Metadata.shard_id) news,
+            src,
+            old_shard,
+            old_nodes,
+            rows ))
         group_tables
     in
     Metasync.renumber_colocation t.State.metasync
       ~colocation_id:dt.Metadata.colocation_id;
-    tenant_ids
+    (* 2. create the new shards on every placement and route the rows
+       back in through the logical table *)
+    in_txn t (fun session ->
+        List.iter
+          (fun (name, new_ids, src, _, _, rows) ->
+            Ddl.create_shards t session src
+              (List.filter
+                 (fun (s : Metadata.shard) ->
+                   List.mem s.Metadata.shard_id new_ids)
+                 (Metadata.shards_of meta name));
+            ignore (Dist_executor.insert_rows t session ~table:name rows))
+          splits);
+    (* 3. the old shard is gone from the catalog: drop every copy of it *)
+    List.iter
+      (fun (_, _, _, old_shard, old_nodes, _) ->
+        List.iter
+          (fun node ->
+            ignore
+              (Cluster.Connection.exec_ast (conn_to node)
+                 (Sqlfront.Ast.Drop_table
+                    {
+                      name = Metadata.shard_name old_shard;
+                      if_exists = true;
+                    })))
+          old_nodes)
+      splits;
+    (* the single-value shard is each table's tenant shard *)
+    List.map
+      (fun (name, _, _, _, _, _) ->
+        (Metadata.shard_for_value meta ~table:name value).Metadata.shard_id)
+      splits
   end
 
 let isolate_tenant_to_node (t : State.t) ~table ~value ~to_node =

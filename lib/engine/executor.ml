@@ -66,21 +66,27 @@ type access_path =
   | Btree_eq of Catalog.index * Datum.t list  (** equality on a key prefix *)
   | Gin_candidates of Catalog.index * string  (** trigram pattern *)
 
-(* Match WHERE conjuncts of the form [col = const] for this table. *)
-let equality_bindings ctx schema conjuncts =
+(* Match WHERE conjuncts of the form [col = const] for this table. A
+   quoted constant probes as the comparison reads it. *)
+let equality_bindings ctx (table : Catalog.table) schema conjuncts =
+  let binding name = function
+    | Ast.Const (Datum.Text _ as lit) ->
+      let ty = (Catalog.column_tys table).(Catalog.column_index table name) in
+      Some (name, Expr_eval.read_quoted ty lit)
+    | e ->
+      (match const_value ctx e with
+       | Some v when not (Datum.is_null v) -> Some (name, v)
+       | _ -> None)
+  in
   List.filter_map
     (fun conj ->
       match conj with
       | Ast.Cmp (Ast.Eq, Ast.Column (q, name), rhs)
         when expr_resolvable schema (Ast.Column (q, name)) ->
-        (match const_value ctx rhs with
-         | Some v when not (Datum.is_null v) -> Some (name, v)
-         | _ -> None)
+        binding name rhs
       | Ast.Cmp (Ast.Eq, lhs, Ast.Column (q, name))
         when expr_resolvable schema (Ast.Column (q, name)) ->
-        (match const_value ctx lhs with
-         | Some v when not (Datum.is_null v) -> Some (name, v)
-         | _ -> None)
+        binding name lhs
       | _ -> None)
     conjuncts
 
@@ -117,7 +123,7 @@ let find_gin_pattern (table : Catalog.table) conjuncts =
     conjuncts
 
 let choose_access_path ctx (table : Catalog.table) schema conjuncts =
-  let bindings = equality_bindings ctx schema conjuncts in
+  let bindings = equality_bindings ctx table schema conjuncts in
   let best_btree =
     List.fold_left
       (fun best (idx : Catalog.index) ->

@@ -307,6 +307,25 @@ let sql_function env name (args : Datum.t list) : Datum.t =
 
 (* --- compilation --- *)
 
+(* A quoted literal compared with a number reads as that number's type,
+   as PostgreSQL reads an untyped literal against a typed column; text
+   the type cannot hold stays text and keeps the type order. *)
+let read_quoted ty lit =
+  match ty with
+  | Datum.TInt | Datum.TFloat ->
+    (try Datum.cast lit ty with Datum.Cast_error _ -> lit)
+  | _ -> lit
+
+(* [read_quoted] against whatever the other operand turns out to be; the
+   casts are made once, and only if a number turns up *)
+let quoted_literal lit =
+  let as_int = lazy (read_quoted Datum.TInt lit) in
+  let as_float = lazy (read_quoted Datum.TFloat lit) in
+  function
+  | Datum.Int _ -> Lazy.force as_int
+  | Datum.Float _ -> Lazy.force as_float
+  | _ -> lit
+
 let rec compile (schema : schema) (env : env) (e : Ast.expr) :
     Datum.t array -> Datum.t =
   let c e = compile schema env e in
@@ -325,6 +344,16 @@ let rec compile (schema : schema) (env : env) (e : Ast.expr) :
   | Ast.Not a ->
     let fa = c a in
     fun row -> sql_not (fa row)
+  | Ast.Cmp (op, e, Ast.Const (Datum.Text _ as lit)) ->
+    let fe = c e and read = quoted_literal lit in
+    fun row ->
+      let v = fe row in
+      compare_datums op v (read v)
+  | Ast.Cmp (op, Ast.Const (Datum.Text _ as lit), e) ->
+    let fe = c e and read = quoted_literal lit in
+    fun row ->
+      let v = fe row in
+      compare_datums op (read v) v
   | Ast.Cmp (op, a, b) ->
     let fa = c a and fb = c b in
     fun row -> compare_datums op (fa row) (fb row)

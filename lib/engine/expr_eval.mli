@@ -26,6 +26,12 @@ type env = {
 
 val compile : schema -> env -> Sqlfront.Ast.expr -> Datum.t array -> Datum.t
 
+(** [read_quoted ty lit] is how a quoted literal [lit] compares with a
+    value of type [ty]: cast to [ty] when that is bigint or float and the
+    text holds one, else unchanged. B-tree probes use it so that an index
+    finds what a scan's comparison matches. *)
+val read_quoted : Datum.ty -> Datum.t -> Datum.t
+
 (** Filter semantics: NULL and false both reject. *)
 val eval_bool : (Datum.t array -> Datum.t) -> Datum.t array -> bool
 

@@ -651,8 +651,11 @@ and exec_data_stmt s stmt =
     raise e
   | Txn.Manager.In_doubt _ as e ->
     (* the read hit a prepared distributed transaction it cannot decide
-       about; like Would_block, the caller resolves and retries — the
-       transaction stays open *)
+       about; the caller resolves and retries. A transaction block stays
+       open; an implicit one ends here, as after any error, or a caller
+       that gives up instead would leave its locks held on an idle
+       connection *)
+    if not s.explicit_block then do_abort s;
     raise e
   | Executor.Exec_error m | Expr_eval.Eval_error m | Session_error m ->
     if s.explicit_block then begin

@@ -19,6 +19,28 @@ let one_int s sql =
 
 let check_int s msg expected sql = Alcotest.(check int) msg expected (one_int s sql)
 
+(* What [node] itself stores: row counts and index names of one of its
+   tables, read on the node, not through the coordinator. *)
+let rows_on cluster node ?(where = "") table =
+  let n = Cluster.Topology.find_node cluster node in
+  one_int
+    (Engine.Instance.connect n.Cluster.Topology.instance)
+    (Printf.sprintf "SELECT count(*) FROM %s%s" table where)
+
+let index_names cluster node table =
+  let n = Cluster.Topology.find_node cluster node in
+  match
+    Engine.Catalog.find_table_opt
+      (Engine.Instance.catalog n.Cluster.Topology.instance)
+      table
+  with
+  | Some tbl ->
+    List.sort compare
+      (List.map
+         (fun (i : Engine.Catalog.index) -> i.Engine.Catalog.idx_name)
+         tbl.Engine.Catalog.indexes)
+  | None -> Alcotest.fail (Printf.sprintf "%s missing on %s" table node)
+
 let setup_items s =
   ignore (exec s "CREATE TABLE items (key bigint PRIMARY KEY, val text, qty bigint)");
   ignore (exec s "SELECT create_distributed_table('items', 'key')")
@@ -191,6 +213,35 @@ let test_planner_tiers () =
     (plan
        "SELECT items.val, dims.name FROM items JOIN dims ON items.qty = dims.id \
         WHERE items.key = 3")
+
+(* A quoted distribution value routes by the column's type: the row
+   lands on the bigint key's shard whichever path inserts it, and typed
+   and quoted lookups both find it. *)
+let test_quoted_key_routes_by_column_type () =
+  let cluster, citus, s = make () in
+  ignore (exec s "CREATE TABLE t (k bigint, v text)");
+  ignore (exec s "SELECT create_distributed_table('t', 'k')");
+  ignore (exec s "INSERT INTO t (k, v) VALUES ('5', 'a')");
+  ignore (exec s "INSERT INTO t (k, v) VALUES ('6', 'b'), ('7', 'c')");
+  Citus.Session.prepare s ~name:"ins" "INSERT INTO t (k, v) VALUES ($1, $2)";
+  ignore (Citus.Session.execute s "ins" [ Datum.Text "8"; Datum.Text "d" ]);
+  check_int s "every row counted" 4 "SELECT count(*) FROM t";
+  let meta = citus.Citus.Api.metadata in
+  List.iter
+    (fun k ->
+      let shard = Citus.Metadata.shard_for_value meta ~table:"t" (Datum.Int k) in
+      Alcotest.(check int)
+        (Printf.sprintf "key %d stored on its bigint shard" k)
+        1
+        (rows_on cluster
+           (Citus.Metadata.placement meta shard.Citus.Metadata.shard_id)
+           ~where:(Printf.sprintf " WHERE k = %d" k)
+           (Citus.Metadata.shard_name shard));
+      check_int s "typed lookup" 1
+        (Printf.sprintf "SELECT count(*) FROM t WHERE k = %d" k);
+      check_int s "quoted lookup" 1
+        (Printf.sprintf "SELECT count(*) FROM t WHERE k = '%d'" k))
+    [ 5; 6; 7; 8 ]
 
 let test_multi_row_insert_split () =
   let _, _, s = make () in
@@ -866,8 +917,17 @@ let test_insert_select_pull () =
   check_int s "bucket count" 8 "SELECT cnt FROM summary WHERE qty = 2"
 
 let test_conversion_errors () =
-  let _, _, s = make () in
+  let _, citus, s = make () in
   setup_items s;
+  (* a NULL distribution value has no shard: the conversion fails before
+     anything is registered *)
+  ignore (exec s "CREATE TABLE nk (k bigint, v text)");
+  ignore (exec s "INSERT INTO nk VALUES (NULL, 'a')");
+  (match exec s "SELECT create_distributed_table('nk', 'k')" with
+   | exception Engine.Instance.Session_error _ -> ()
+   | _ -> Alcotest.fail "a NULL distribution value should fail the conversion");
+  Alcotest.(check bool) "nk not registered" false
+    (Citus.Metadata.is_citus_table citus.Citus.Api.metadata "nk");
   (* converting twice is an error *)
   (match exec s "SELECT create_distributed_table('items', 'key')" with
    | exception Engine.Instance.Session_error _ -> ()
@@ -1013,6 +1073,161 @@ let test_convert_table_with_existing_rows () =
      Alcotest.(check int) "local copy emptied" 0 (Storage.Heap.live_estimate h)
    | _ -> Alcotest.fail "heap expected")
 
+(* Converting non-empty tables at replication factor 2: every placement
+   of every shard holds exactly its shard's rows and indexes, every
+   reference replica holds every row, and the local copies are empty. *)
+let test_convert_replicated_tables () =
+  let cluster, citus, s = make ~workers:3 () in
+  ignore (exec s "SELECT citus_set_replication_factor(2)");
+  ignore (exec s "CREATE TABLE pre (k bigint PRIMARY KEY, v text)");
+  ignore (exec s "CREATE INDEX pre_v ON pre USING BTREE (v)");
+  ignore (exec s "CREATE TABLE dim (k bigint PRIMARY KEY, name text)");
+  for i = 1 to 20 do
+    ignore (exec s (Printf.sprintf "INSERT INTO pre VALUES (%d, 'v%d')" i i));
+    ignore (exec s (Printf.sprintf "INSERT INTO dim VALUES (%d, 'n%d')" i i))
+  done;
+  ignore (exec s "SELECT create_distributed_table('pre', 'k')");
+  ignore (exec s "SELECT create_reference_table('dim')");
+  let meta = citus.Citus.Api.metadata in
+  let total =
+    List.fold_left
+      (fun acc (sh : Citus.Metadata.shard) ->
+        let name = Citus.Metadata.shard_name sh in
+        let nodes = Citus.Metadata.placements meta sh.Citus.Metadata.shard_id in
+        Alcotest.(check int) (name ^ " has two placements") 2 (List.length nodes);
+        let counts = List.map (fun n -> rows_on cluster n name) nodes in
+        List.iter
+          (fun c -> Alcotest.(check int) (name ^ " replicas agree") (List.hd counts) c)
+          counts;
+        List.iter
+          (fun n ->
+            Alcotest.(check (list string))
+              (name ^ " indexes on " ^ n)
+              [ name ^ "_pkey"; Printf.sprintf "pre_v_%d" sh.Citus.Metadata.shard_id ]
+              (index_names cluster n name))
+          nodes;
+        acc + List.hd counts)
+      0
+      (Citus.Metadata.shards_of meta "pre")
+  in
+  Alcotest.(check int) "every row in exactly one shard" 20 total;
+  let dim = List.hd (Citus.Metadata.shards_of meta "dim") in
+  let dim_nodes = Citus.Metadata.placements meta dim.Citus.Metadata.shard_id in
+  Alcotest.(check int) "a reference replica per node" 4 (List.length dim_nodes);
+  List.iter
+    (fun n ->
+      Alcotest.(check int) ("reference replica on " ^ n) 20
+        (rows_on cluster n (Citus.Metadata.shard_name dim)))
+    dim_nodes;
+  let local = Engine.Instance.catalog (Engine.Instance.session_instance s) in
+  List.iter
+    (fun table ->
+      match (Engine.Catalog.find_table local table).Engine.Catalog.store with
+      | Engine.Catalog.Heap_store h ->
+        Alcotest.(check int) (table ^ " local copy emptied") 0
+          (Storage.Heap.live_estimate h)
+      | _ -> Alcotest.fail "heap expected")
+    [ "pre"; "dim" ];
+  check_int s "routed lookup" 1 "SELECT count(*) FROM pre WHERE k = 13";
+  check_int s "reference join" 20
+    "SELECT count(*) FROM pre JOIN dim ON pre.k = dim.k"
+
+(* A node joining the cluster gets every reference table — rows and
+   indexes — and serves reference joins for the shards moved onto it. *)
+let test_add_node_copies_reference_tables () =
+  let cluster = Cluster.Topology.create ~workers:3 () in
+  let citus = Citus.Api.install ~shard_count:4 ~active_workers:2 cluster in
+  let s = Citus.Api.connect citus in
+  ignore (exec s "CREATE TABLE dim (k bigint PRIMARY KEY, name text)");
+  ignore (exec s "CREATE INDEX dim_name ON dim USING BTREE (name)");
+  ignore (exec s "SELECT create_reference_table('dim')");
+  ignore (exec s "CREATE TABLE facts (k bigint, d bigint)");
+  ignore (exec s "SELECT create_distributed_table('facts', 'k')");
+  for i = 1 to 10 do
+    ignore (exec s (Printf.sprintf "INSERT INTO dim VALUES (%d, 'n%d')" i i));
+    ignore (exec s (Printf.sprintf "INSERT INTO facts VALUES (%d, %d)" i i))
+  done;
+  ignore (exec s "SELECT citus_add_node('worker3')");
+  let meta = citus.Citus.Api.metadata in
+  let dim = List.hd (Citus.Metadata.shards_of meta "dim") in
+  let name = Citus.Metadata.shard_name dim in
+  Alcotest.(check bool) "worker3 holds a reference placement" true
+    (List.mem "worker3" (Citus.Metadata.placements meta dim.Citus.Metadata.shard_id));
+  Alcotest.(check int) "rows copied" 10 (rows_on cluster "worker3" name);
+  Alcotest.(check (list string)) "indexes copied"
+    (index_names cluster "worker1" name)
+    (index_names cluster "worker3" name);
+  ignore (exec s "INSERT INTO dim VALUES (11, 'n11')");
+  Alcotest.(check int) "later writes reach the new replica" 11
+    (rows_on cluster "worker3" name);
+  let shard = Citus.Metadata.shard_for_value meta ~table:"facts" (Datum.Int 3) in
+  ignore
+    (exec s
+       (Printf.sprintf "SELECT citus_move_shard_placement(%d, 'worker3')"
+          shard.Citus.Metadata.shard_id));
+  Alcotest.(check string) "shard moved to the new node" "worker3"
+    (Citus.Metadata.placement meta shard.Citus.Metadata.shard_id);
+  check_int s "reference join on the new node" 1
+    "SELECT count(*) FROM facts JOIN dim ON facts.d = dim.k WHERE facts.k = 3"
+
+(* A columnar reference table is copied to an added node too: under the
+   write lock, since columnar appends leave no WAL to catch up from. *)
+let test_add_node_copies_columnar_reference () =
+  let cluster = Cluster.Topology.create ~workers:3 () in
+  let citus = Citus.Api.install ~shard_count:4 ~active_workers:2 cluster in
+  let s = Citus.Api.connect citus in
+  ignore (exec s "CREATE TABLE cdim (k bigint, name text) USING COLUMNAR");
+  ignore (exec s "INSERT INTO cdim VALUES (1, 'a'), (2, 'b'), (3, 'c')");
+  ignore (exec s "SELECT create_reference_table('cdim')");
+  ignore (exec s "CREATE TABLE facts (k bigint, d bigint)");
+  ignore (exec s "SELECT create_distributed_table('facts', 'k')");
+  ignore (exec s "INSERT INTO facts VALUES (2, 2)");
+  ignore (exec s "SELECT citus_add_node('worker3')");
+  let meta = citus.Citus.Api.metadata in
+  let cdim = List.hd (Citus.Metadata.shards_of meta "cdim") in
+  let name = Citus.Metadata.shard_name cdim in
+  Alcotest.(check bool) "worker3 holds a reference placement" true
+    (List.mem "worker3"
+       (Citus.Metadata.placements meta cdim.Citus.Metadata.shard_id));
+  Alcotest.(check bool) "worker3 takes new shards" true
+    (List.mem "worker3" citus.Citus.Api.active_data_nodes);
+  Alcotest.(check int) "rows copied" 3 (rows_on cluster "worker3" name);
+  let w3 = Cluster.Topology.find_node cluster "worker3" in
+  Engine.Instance.restart w3.Cluster.Topology.instance;
+  Alcotest.(check int) "the copy survives a restart" 3
+    (rows_on cluster "worker3" name);
+  let shard = Citus.Metadata.shard_for_value meta ~table:"facts" (Datum.Int 2) in
+  ignore
+    (exec s
+       (Printf.sprintf "SELECT citus_move_shard_placement(%d, 'worker3')"
+          shard.Citus.Metadata.shard_id));
+  check_int s "reference join on the new node" 1
+    "SELECT count(*) FROM facts JOIN cdim ON facts.d = cdim.k WHERE facts.k = 2"
+
+(* A shard moved away and back keeps its index names. *)
+let test_move_keeps_index_names () =
+  let cluster, citus, s = make () in
+  setup_items s;
+  ignore (exec s "CREATE INDEX items_qty ON items USING BTREE (qty)");
+  load_items s;
+  let st = Citus.Api.coordinator_state citus in
+  let meta = citus.Citus.Api.metadata in
+  let shard = Citus.Metadata.shard_for_value meta ~table:"items" (Datum.Int 1) in
+  let shard_id = shard.Citus.Metadata.shard_id in
+  let name = Citus.Metadata.shard_name shard in
+  let home = Citus.Metadata.placement meta shard_id in
+  let away = if home = "worker1" then "worker2" else "worker1" in
+  let before = index_names cluster home name in
+  Alcotest.(check (list string)) "created names"
+    [ name ^ "_pkey"; Printf.sprintf "items_qty_%d" shard_id ]
+    before;
+  ignore (Citus.Rebalancer.move_shard_group st ~shard_id ~to_node:away);
+  Alcotest.(check (list string)) "after a move" before (index_names cluster away name);
+  ignore (Citus.Rebalancer.move_shard_group st ~shard_id ~to_node:home);
+  Alcotest.(check (list string)) "after moving back" before
+    (index_names cluster home name);
+  check_int s "lookup still served" 1 "SELECT count(*) FROM items WHERE key = 1"
+
 let test_self_insert_select () =
   let _, _, s = make () in
   setup_items s;
@@ -1070,6 +1285,50 @@ let test_mx_ddl_from_worker_propagates () =
              && String.sub i.idx_name 0 10 = "items_qty2")
            tbl.Engine.Catalog.indexes))
     (Citus.Metadata.shards_of meta "items")
+
+(* A metadata-synced node's copy of a logical table is a shell without
+   indexes; a move or a tenant split it runs still builds each shard's
+   indexes from the shard itself. *)
+let test_mx_data_movement_keeps_indexes () =
+  let cluster, citus, s = make () in
+  setup_items s;
+  ignore (exec s "CREATE INDEX items_qty ON items USING BTREE (qty)");
+  load_items s;
+  Citus.Api.enable_metadata_sync citus;
+  let ws =
+    Citus.Api.connect_via citus (Cluster.Topology.find_node cluster "worker1")
+  in
+  let meta = citus.Citus.Api.metadata in
+  let indexes (sh : Citus.Metadata.shard) node =
+    let name = Citus.Metadata.shard_name sh in
+    index_names cluster node name
+    |> List.map (fun idx ->
+           (* the shard id suffix aside *)
+           if String.equal idx (name ^ "_pkey") then "pkey"
+           else String.sub idx 0 (String.rindex idx '_'))
+    |> List.sort compare
+  in
+  let shard = Citus.Metadata.shard_for_value meta ~table:"items" (Datum.Int 1) in
+  let shard_id = shard.Citus.Metadata.shard_id in
+  let away =
+    if Citus.Metadata.placement meta shard_id = "worker1" then "worker2"
+    else "worker1"
+  in
+  ignore
+    (exec ws
+       (Printf.sprintf "SELECT citus_move_shard_placement(%d, '%s')" shard_id
+          away));
+  Alcotest.(check (list string)) "moved shard's indexes" [ "items_qty"; "pkey" ]
+    (indexes shard away);
+  ignore (exec ws "SELECT isolate_tenant_to_new_shard('items', 7)");
+  List.iter
+    (fun (sh : Citus.Metadata.shard) ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "indexes of %s" (Citus.Metadata.shard_name sh))
+        [ "items_qty"; "pkey" ]
+        (indexes sh (Citus.Metadata.placement meta sh.Citus.Metadata.shard_id)))
+    (Citus.Metadata.shards_of meta "items");
+  check_int s "tenant lookup" 1 "SELECT count(*) FROM items WHERE key = 7"
 
 let test_mx_reference_read_local_to_worker () =
   let cluster, citus, _s = make () in
@@ -1134,6 +1393,8 @@ let () =
           Alcotest.test_case "data on workers" `Quick test_data_on_workers;
           Alcotest.test_case "planner tiers" `Quick test_planner_tiers;
           Alcotest.test_case "multi-row insert" `Quick test_multi_row_insert_split;
+          Alcotest.test_case "quoted key routes by type" `Quick
+            test_quoted_key_routes_by_column_type;
           Alcotest.test_case "insert needs dist col" `Quick
             test_insert_requires_dist_column;
           Alcotest.test_case "shard pruning" `Quick test_shard_pruning_in_list;
@@ -1214,6 +1475,14 @@ let () =
           Alcotest.test_case "convert with rows" `Quick
             test_convert_table_with_existing_rows;
           Alcotest.test_case "conversion errors" `Quick test_conversion_errors;
+          Alcotest.test_case "convert replicated" `Quick
+            test_convert_replicated_tables;
+          Alcotest.test_case "add node copies reference" `Quick
+            test_add_node_copies_reference_tables;
+          Alcotest.test_case "add node copies columnar reference" `Quick
+            test_add_node_copies_columnar_reference;
+          Alcotest.test_case "move keeps index names" `Quick
+            test_move_keeps_index_names;
         ] );
       ( "mx",
         [
@@ -1225,5 +1494,7 @@ let () =
             test_mx_ddl_from_worker_propagates;
           Alcotest.test_case "reference read local to worker" `Quick
             test_mx_reference_read_local_to_worker;
+          Alcotest.test_case "data movement keeps indexes" `Quick
+            test_mx_data_movement_keeps_indexes;
         ] );
     ]

@@ -99,6 +99,103 @@ let test_isolate_via_udf () =
     check_int s "data intact" 50 "SELECT count(*) FROM accounts"
   | _ -> Alcotest.fail "udf failed"
 
+(* Isolation at replication factor 2, with a B-tree and a GIN index:
+   every placement of every new shard holds the table with the index set
+   its untouched siblings have, the old shard is gone everywhere, and the
+   tenant stays writable with no placement marked Inactive. *)
+let test_isolate_tenant_replicated () =
+  let cluster, citus, s = make ~workers:3 () in
+  ignore (exec s "SELECT citus_set_replication_factor(2)");
+  ignore (exec s "CREATE TABLE accounts (tenant bigint, id bigint, v text)");
+  ignore (exec s "CREATE INDEX accounts_v ON accounts USING BTREE (v)");
+  ignore
+    (exec s "CREATE INDEX accounts_trgm ON accounts USING GIN ((v) gin_trgm_ops)");
+  ignore (exec s "SELECT create_distributed_table('accounts', 'tenant')");
+  for tenant = 1 to 10 do
+    for i = 1 to 5 do
+      ignore
+        (exec s
+           (Printf.sprintf
+              "INSERT INTO accounts (tenant, id, v) VALUES (%d, %d, 'tenant%d')"
+              tenant i tenant))
+    done
+  done;
+  let meta = citus.Citus.Api.metadata in
+  let old = Citus.Metadata.shard_for_value meta ~table:"accounts" (Datum.Int 7) in
+  let st = Citus.Api.coordinator_state citus in
+  let ids = Citus.Tenant.isolate_tenant st ~table:"accounts" ~value:(Datum.Int 7) in
+  let catalog node =
+    Engine.Instance.catalog
+      (Cluster.Topology.find_node cluster node).Cluster.Topology.instance
+  in
+  (* index names with the shard id taken off, comparable across shards *)
+  let index_set node (sh : Citus.Metadata.shard) =
+    let suffix = Printf.sprintf "_%d" sh.Citus.Metadata.shard_id in
+    match
+      Engine.Catalog.find_table_opt (catalog node) (Citus.Metadata.shard_name sh)
+    with
+    | None ->
+      Alcotest.fail
+        (Printf.sprintf "%s missing on %s" (Citus.Metadata.shard_name sh) node)
+    | Some tbl ->
+      List.sort compare
+        (List.map
+           (fun (i : Engine.Catalog.index) ->
+             let n = i.Engine.Catalog.idx_name in
+             if String.ends_with ~suffix n then
+               String.sub n 0 (String.length n - String.length suffix)
+             else n)
+           tbl.Engine.Catalog.indexes)
+  in
+  let in_old_range (sh : Citus.Metadata.shard) =
+    Int32.compare sh.Citus.Metadata.min_hash old.Citus.Metadata.min_hash >= 0
+    && Int32.compare sh.Citus.Metadata.max_hash old.Citus.Metadata.max_hash <= 0
+  in
+  let news, siblings =
+    List.partition in_old_range (Citus.Metadata.shards_of meta "accounts")
+  in
+  Alcotest.(check bool) "the shard was split" true (List.length news >= 2);
+  let sibling = List.hd siblings in
+  let expected =
+    index_set
+      (Citus.Metadata.placement meta sibling.Citus.Metadata.shard_id)
+      sibling
+  in
+  Alcotest.(check (list string)) "siblings carry both indexes"
+    [ "accounts_trgm"; "accounts_v" ] expected;
+  List.iter
+    (fun (sh : Citus.Metadata.shard) ->
+      let nodes = Citus.Metadata.placements meta sh.Citus.Metadata.shard_id in
+      Alcotest.(check int) "two placements" 2 (List.length nodes);
+      List.iter
+        (fun node ->
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s on %s" (Citus.Metadata.shard_name sh) node)
+            expected (index_set node sh))
+        nodes)
+    news;
+  List.iter
+    (fun (node : Cluster.Topology.node) ->
+      Alcotest.(check bool)
+        ("old shard dropped on " ^ node.Cluster.Topology.node_name)
+        true
+        (Engine.Catalog.find_table_opt
+           (catalog node.Cluster.Topology.node_name)
+           (Citus.Metadata.shard_name old)
+         = None))
+    (Cluster.Topology.data_nodes cluster);
+  ignore (exec s "INSERT INTO accounts (tenant, id, v) VALUES (7, 6, 'tenant7 new')");
+  check_int s "tenant rows" 6 "SELECT count(*) FROM accounts WHERE tenant = 7";
+  check_int s "trigram search" 1
+    "SELECT count(*) FROM accounts WHERE tenant = 7 AND v LIKE '%7 new%'";
+  check_int s "all rows" 51 "SELECT count(*) FROM accounts";
+  Alcotest.(check int) "no inactive placement" 0
+    (List.length (Citus.Metadata.inactive_placements meta));
+  Alcotest.(check int) "tenant shard id"
+    (List.hd ids)
+    (Citus.Metadata.shard_for_value meta ~table:"accounts" (Datum.Int 7))
+      .Citus.Metadata.shard_id
+
 (* --- consistent restore points --- *)
 
 let test_restore_point_on_all_nodes () =
@@ -438,6 +535,8 @@ let () =
       ( "tenant_isolation",
         [
           Alcotest.test_case "isolate" `Quick test_isolate_tenant;
+          Alcotest.test_case "isolate replicated" `Quick
+            test_isolate_tenant_replicated;
           Alcotest.test_case "isolate + move" `Quick test_isolate_then_move;
           Alcotest.test_case "via udf" `Quick test_isolate_via_udf;
         ] );

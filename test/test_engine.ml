@@ -87,6 +87,34 @@ let test_where_logic () =
   check_int s "like" 1 "SELECT count(*) FROM accounts WHERE owner LIKE 'al%'";
   check_int s "null cmp" 0 "SELECT count(*) FROM accounts WHERE balance = NULL"
 
+(* A quoted literal compared with a number reads as that number's type;
+   nothing else is coerced. A sequential scan and a B-tree probe agree. *)
+let test_quoted_literal_index_or_not () =
+  let _, s = fresh () in
+  ignore (exec s "CREATE TABLE t (k bigint, v text)");
+  ignore (exec s "INSERT INTO t VALUES (5, '5'), (6, 'six')");
+  let check_all path =
+    List.iter
+      (fun (expected, where) ->
+        check_int s
+          (Printf.sprintf "%s: WHERE %s" path where)
+          expected
+          ("SELECT count(*) FROM t WHERE " ^ where))
+      [
+        (1, "k = '5'");
+        (1, "'5' = k");
+        (1, "k = ' 5'");
+        (0, "k = '5.0'");
+        (1, "k < '6'");
+        (0, "v = 5");
+        (1, "v = '5'");
+      ]
+  in
+  check_all "seq scan";
+  ignore (exec s "CREATE INDEX t_k ON t (k)");
+  ignore (exec s "CREATE INDEX t_v ON t (v)");
+  check_all "index"
+
 let test_case_and_arith () =
   let _, s = fresh () in
   setup_accounts s;
@@ -418,6 +446,26 @@ let test_prepare_transaction_via_sql () =
   check_int s2 "visible after commit prepared" 0
     "SELECT balance FROM accounts WHERE id = 1"
 
+(* A read outside a transaction block that meets an in-doubt prepared
+   transaction fails with [In_doubt] and ends its implicit transaction:
+   no xid stays open, so no lock outlives the failed read. *)
+let test_in_doubt_read_ends_implicit_txn () =
+  let inst, s1 = fresh () in
+  setup_accounts s1;
+  ignore (exec s1 "BEGIN");
+  ignore (exec s1 "UPDATE accounts SET balance = 0 WHERE id = 1");
+  ignore (exec s1 "PREPARE TRANSACTION 'gid_3'");
+  let s2 = Instance.connect inst in
+  Instance.set_read_mode s2 Txn.Snapshot.Resolving;
+  (match exec s2 "SELECT balance FROM accounts WHERE id = 1" with
+   | _ -> Alcotest.fail "the read should meet the prepared transaction"
+   | exception Txn.Manager.In_doubt _ -> ());
+  Alcotest.(check (option int)) "no transaction left open" None
+    (Instance.current_xid s2);
+  ignore (exec s1 "COMMIT PREPARED 'gid_3'");
+  check_int s2 "the retried read sees the commit" 0
+    "SELECT balance FROM accounts WHERE id = 1"
+
 let test_prepared_survives_restart () =
   let inst, s1 = fresh () in
   setup_accounts s1;
@@ -546,6 +594,8 @@ let () =
         [
           Alcotest.test_case "where logic" `Quick test_where_logic;
           Alcotest.test_case "case/arith" `Quick test_case_and_arith;
+          Alcotest.test_case "quoted literal, index or not" `Quick
+            test_quoted_literal_index_or_not;
         ] );
       ( "aggregates",
         [
@@ -596,6 +646,8 @@ let () =
             test_deadlock_detected_by_maintenance;
           Alcotest.test_case "prepare transaction" `Quick
             test_prepare_transaction_via_sql;
+          Alcotest.test_case "in-doubt read ends implicit txn" `Quick
+            test_in_doubt_read_ends_implicit_txn;
           Alcotest.test_case "prepared survives restart" `Quick
             test_prepared_survives_restart;
         ] );
