@@ -406,6 +406,15 @@ let rec planner_hook (t : t) (st : State.t) session (stmt : Ast.statement) :
 
 (* --- extension installation --- *)
 
+let create_distributed_function t ~proc ~arg_position ~table =
+  Hashtbl.replace t.procedures proc (arg_position, table)
+
+let set_replication_factor t n =
+  if n < 1 then err "replication factor must be >= 1";
+  t.replication_factor <- n;
+  (* future registrations place differently: cached plans revalidate *)
+  Metasync.bump_version t.metasync
+
 let rec install_on_node t (node : Cluster.Topology.node) =
   let node_name = node.Cluster.Topology.node_name in
   (* each node reads its own catalog replica (MX); the bootstrap
@@ -474,8 +483,8 @@ let rec install_on_node t (node : Cluster.Topology.node) =
     Udf.(
       text "proc" @-> int "arg_position" @-> text "table"
       @-> returning nothing)
-    (fun _session proc pos table () ->
-      Hashtbl.replace t.procedures proc (pos, table));
+    (fun _session proc arg_position table () ->
+      create_distributed_function t ~proc ~arg_position ~table);
   Udf.register inst "isolate_tenant_to_new_shard"
     Udf.(text "table" @-> value "tenant" @-> returning int_or_null)
     (fun _session table value () ->
@@ -557,11 +566,7 @@ let rec install_on_node t (node : Cluster.Topology.node) =
       ignore (Rebalancer.move_shard_group st ~shard_id ~to_node));
   Udf.register inst "citus_set_replication_factor"
     Udf.(int "factor" @-> returning nothing)
-    (fun _session n () ->
-      if n < 1 then err "replication factor must be >= 1";
-      t.replication_factor <- n;
-      (* future registrations place differently: cached plans revalidate *)
-      Metasync.bump_version t.metasync);
+    (fun _session n () -> set_replication_factor t n);
   Udf.register inst "citus_enable_metadata_sync"
     Udf.(returning text_result)
     (fun _session () ->
@@ -919,14 +924,6 @@ let create_reference_table t ~table =
   ignore
     (Engine.Instance.exec session
        (Printf.sprintf "SELECT create_reference_table('%s')" table))
-
-let create_distributed_function t ~proc ~arg_position ~table =
-  Hashtbl.replace t.procedures proc (arg_position, table)
-
-let set_replication_factor t n =
-  if n < 1 then err "replication factor must be >= 1";
-  t.replication_factor <- n;
-  Metasync.bump_version t.metasync
 
 (* A retry loop giving up on a lock conflict abandons its wait: remove
    the pending lock-wait registrations of the session's transaction —

@@ -35,17 +35,6 @@ let rec base_relations meta = function
         "subqueries under non-co-located joins are not supported";
     []
 
-let rec conjuncts_of_select (sel : Ast.select) =
-  let level = match sel.where with Some w -> Ast.conjuncts w | None -> [] in
-  let rec from_item = function
-    | Ast.Table _ -> []
-    | Ast.Subselect (s, _) -> conjuncts_of_select s
-    | Ast.Join { left; right; cond; _ } ->
-      (match cond with Some c -> Ast.conjuncts c | None -> [])
-      @ from_item left @ from_item right
-  in
-  level @ List.concat_map from_item sel.from
-
 let column_matches alias col (q, c) =
   String.equal col c
   && match q with None -> false | Some q -> String.equal q alias
@@ -73,26 +62,23 @@ let dist_column meta table =
   | Some { Metadata.dist_column = Some dc; _ } -> dc
   | _ -> unsupported "%s has no distribution column" table
 
-(* --- row estimation --- *)
+(* --- single-table reads --- *)
 
-let estimate_rows (t : State.t) session table =
+(* Plan and run a single-table distributed SELECT through the normal
+   planner and executor. Built as an AST, not interpolated SQL text:
+   [table] comes from the catalog, but going through the printer/parser
+   would still be the only place in the tree where identifiers reach a
+   parser as a string. *)
+let run_single_table (t : State.t) session ~table ?alias ?where projections =
   let catalog =
     Engine.Instance.catalog t.State.local.Cluster.Topology.instance
   in
-  (* built as an AST, not interpolated SQL text: [table] comes from the
-     catalog, but going through the printer/parser would still be the only
-     place in the tree where identifiers reach a parser as a string *)
   let sel =
     {
       Ast.distinct = false;
-      projections =
-        [
-          Ast.Proj
-            ( Ast.Agg { agg_name = "count"; agg_arg = None; agg_distinct = false },
-              None );
-        ];
-      from = [ Ast.Table { name = table; alias = None } ];
-      where = None;
+      projections;
+      from = [ Ast.Table { name = table; alias } ];
+      where;
       group_by = [];
       having = None;
       order_by = [];
@@ -105,12 +91,20 @@ let estimate_rows (t : State.t) session table =
       ~local_name:t.State.local.Cluster.Topology.node_name
       (Ast.Select_stmt sel)
   with
-  | plan, _ ->
-    let result, _ = Dist_executor.execute t session plan in
-    (match result.Engine.Instance.rows with
-     | [ [| Datum.Int n |] ] -> n
-     | _ -> 0)
+  | plan, _ -> (fst (Dist_executor.execute t session plan)).Engine.Instance.rows
   | exception Planner.Unsupported m -> unsupported "%s" m
+
+let estimate_rows (t : State.t) session table =
+  match
+    run_single_table t session ~table
+      [
+        Ast.Proj
+          ( Ast.Agg { agg_name = "count"; agg_arg = None; agg_distinct = false },
+            None );
+      ]
+  with
+  | [ [| Datum.Int n |] ] -> n
+  | _ -> 0
 
 (* --- planning --- *)
 
@@ -181,22 +175,22 @@ let choose_anchor (t : State.t) conjs dists rows_of =
         if c < bc then cand else best)
       first rest
 
-(* Decision without data movement (EXPLAIN): runs only the count()
-   estimates. *)
-let decide (t : State.t) session (sel : Ast.select) =
+(* The analysis EXPLAIN and execution share: the distributed relations,
+   the conjuncts, one count() estimate per table and the cheapest
+   feasible anchor. Moves no data. *)
+let analyze (t : State.t) session (sel : Ast.select) =
   let meta = t.State.metadata in
-  let relations = List.concat_map (base_relations meta) sel.from in
   let dists =
     List.filter
       (fun (n, _) ->
         match Metadata.find meta n with
         | Some { Metadata.kind = Metadata.Distributed; _ } -> true
         | _ -> false)
-      relations
+      (List.concat_map (base_relations meta) sel.from)
   in
   if List.length dists < 2 then
     unsupported "join-order planning needs at least two distributed tables";
-  let conjs = conjuncts_of_select sel in
+  let conjs = Planner.conjuncts_of_select sel in
   let row_cache = Hashtbl.create 8 in
   let rows_of table =
     match Hashtbl.find_opt row_cache table with
@@ -210,15 +204,19 @@ let decide (t : State.t) session (sel : Ast.select) =
     choose_anchor t conjs dists rows_of
   in
   let moves =
-    List.map
+    List.filter_map
       (fun (table, _, rows, cls) ->
         match cls with
-        | Free -> Broadcast { table; rows = 0 } (* placeholder, filtered below *)
-        | Move_repartition _ -> Repartition { table; rows }
-        | Move_broadcast -> Broadcast { table; rows })
-      (List.filter (fun (_, _, _, c) -> c <> Free) classified)
+        | Free -> None
+        | Move_repartition _ -> Some (Repartition { table; rows })
+        | Move_broadcast -> Some (Broadcast { table; rows }))
+      classified
   in
-  { anchor; moves; est_shipped }
+  (conjs, classified, { anchor; moves; est_shipped })
+
+let decide t session sel =
+  let _, _, decision = analyze t session sel in
+  decision
 
 (* --- data movement --- *)
 
@@ -241,29 +239,8 @@ let materialize (t : State.t) session ~table ~alias conjs =
         !only_this)
       conjs
   in
-  let sel =
-    {
-      Ast.distinct = false;
-      projections = [ Ast.Star ];
-      from = [ Ast.Table { name = table; alias = Some alias } ];
-      where = Ast.conjoin pushed;
-      group_by = [];
-      having = None;
-      order_by = [];
-      limit = None;
-      offset = None;
-    }
-  in
-  let catalog =
-    Engine.Instance.catalog t.State.local.Cluster.Topology.instance
-  in
-  let plan, _ =
-    Planner.plan t.State.metadata ~catalog
-      ~local_name:t.State.local.Cluster.Topology.node_name
-      (Ast.Select_stmt sel)
-  in
-  let result, _ = Dist_executor.execute t session plan in
-  result.Engine.Instance.rows
+  run_single_table t session ~table ~alias ?where:(Ast.conjoin pushed)
+    [ Ast.Star ]
 
 let create_temp_table (t : State.t) ~node ~name ~src_table =
   let catalog =
@@ -324,35 +301,12 @@ let drop_temp conn name =
 
 let execute (t : State.t) session (sel : Ast.select) =
   let meta = t.State.metadata in
-  let relations = List.concat_map (base_relations meta) sel.from in
-  let dists =
-    List.filter
-      (fun (n, _) ->
-        match Metadata.find meta n with
-        | Some { Metadata.kind = Metadata.Distributed; _ } -> true
-        | _ -> false)
-      relations
-  in
-  if List.length dists < 2 then
-    unsupported "join-order planning needs at least two distributed tables";
-  let conjs = conjuncts_of_select sel in
-  let row_cache = Hashtbl.create 8 in
-  let rows_of table =
-    match Hashtbl.find_opt row_cache table with
-    | Some n -> n
-    | None ->
-      let n = estimate_rows t session table in
-      Hashtbl.replace row_cache table n;
-      n
-  in
-  let (anchor, _anchor_alias), classified, est_shipped =
-    choose_anchor t conjs dists rows_of
-  in
+  let conjs, classified, decision = analyze t session sel in
+  let anchor = decision.anchor in
   incr temp_seq;
   let seq = !temp_seq in
   let anchor_groups = Metadata.shard_groups meta ~tables:[ anchor ] in
   let cleanup = ref [] in
-  let moves = ref [] in
   (* broadcast_map: table -> temp name; repart_map: table -> group -> name *)
   let bcast_map = Hashtbl.create 4 in
   let repart_map = Hashtbl.create 4 in
@@ -360,7 +314,7 @@ let execute (t : State.t) session (sel : Ast.select) =
     ~finally:(fun () -> List.iter (fun (conn, name) -> drop_temp conn name) !cleanup)
     (fun () ->
       List.iter
-        (fun (table, alias, rows, cls) ->
+        (fun (table, alias, _, cls) ->
           match cls with
           | Free -> ()
           | Move_broadcast ->
@@ -375,8 +329,7 @@ let execute (t : State.t) session (sel : Ast.select) =
                 insert_rows_via t conn ~table:name data;
                 cleanup := (conn, name) :: !cleanup)
               nodes;
-            Hashtbl.replace bcast_map table name;
-            moves := Broadcast { table; rows } :: !moves
+            Hashtbl.replace bcast_map table name
           | Move_repartition join_col ->
             let data = materialize t session ~table ~alias conjs in
             let catalog =
@@ -423,8 +376,7 @@ let execute (t : State.t) session (sel : Ast.select) =
                 cleanup := (conn, name) :: !cleanup;
                 Hashtbl.replace frag_names gi name)
               anchor_groups;
-            Hashtbl.replace repart_map table frag_names;
-            moves := Repartition { table; rows } :: !moves)
+            Hashtbl.replace repart_map table frag_names)
         classified;
       (* build the pushdown parts and per-group tasks with a combined
          rename: moved tables to their temp/fragment relations, everything
@@ -481,4 +433,4 @@ let execute (t : State.t) session (sel : Ast.select) =
         Dist_executor.execute t session
           (Plan.Multi_shard_select { tasks; merge })
       in
-      (result, { anchor; moves = List.rev !moves; est_shipped }, report))
+      (result, decision, report))

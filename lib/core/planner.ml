@@ -596,19 +596,6 @@ let substitute_refs projections e =
      | None -> e)
   | _ -> e
 
-let collect_aggs exprs =
-  let acc = ref [] in
-  List.iter
-    (fun e ->
-      Ast.fold_expr
-        (fun () n ->
-          match n with
-          | Ast.Agg a -> if not (List.mem a !acc) then acc := a :: !acc
-          | _ -> ())
-        () e)
-    exprs;
-  List.rev !acc
-
 (* Replace group-key expressions / aggregates with references into the
    intermediate relation, top-down. *)
 let rec substitute_master group_keys agg_master e =
@@ -681,7 +668,7 @@ let build_pushdown meta ~catalog (sel0 : Ast.select) :
     @ (match having with Some h -> [ h ] | None -> [])
     @ List.map fst order_by
   in
-  let aggs = collect_aggs output_exprs in
+  let aggs = Ast.collect_aggs output_exprs in
   let grouped = group_keys <> [] || aggs <> [] in
   let dist_grouped = group_by_contains_dist meta sel in
   if sel.distinct && grouped && not dist_grouped then

@@ -76,6 +76,10 @@ val pushdown_parts :
   Sqlfront.Ast.select ->
   Sqlfront.Ast.select * Plan.merge
 
+(** The select's top-level conjuncts: its WHERE clause, every join
+    condition in its FROM items, and those of FROM-clause subselects. *)
+val conjuncts_of_select : Sqlfront.Ast.select -> Sqlfront.Ast.expr list
+
 (** Placeholder relation name in merge queries; {!Dist_executor} renames
     it to a unique transient relation per execution. *)
 val intermediate_relation : string

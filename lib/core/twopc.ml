@@ -10,51 +10,43 @@ let span (t : State.t) ~kind ?tags f =
     ~now:(Cluster.Topology.now t.State.cluster)
     ~node:t.State.local.Cluster.Topology.node_name ~kind ?tags f
 
-let admin_session (t : State.t) =
-  Engine.Instance.connect t.State.local.Cluster.Topology.instance
+let node_session (node : Cluster.Topology.node) =
+  Engine.Instance.connect node.Cluster.Topology.instance
 
 let node_name conn = (Cluster.Connection.node conn).Cluster.Topology.node_name
 
 let ensure_commit_records_table (t : State.t) =
-  let s = admin_session t in
+  let text col_name =
+    {
+      Sqlfront.Ast.col_name;
+      col_ty = Datum.TText;
+      col_default = None;
+      col_not_null = false;
+    }
+  in
   ignore
-    (Engine.Instance.exec_ast s
+    (Engine.Instance.exec_ast (node_session t.State.local)
        (Sqlfront.Ast.Create_table
           {
             name = commit_records_table;
             columns =
               [
-                {
-                  Sqlfront.Ast.col_name = "gid";
-                  col_ty = Datum.TText;
-                  col_default = None;
-                  col_not_null = false;
-                };
-                {
-                  (* participant node: a record may only be collected
-                     once this node confirms the gid is resolved *)
-                  Sqlfront.Ast.col_name = "node";
-                  col_ty = Datum.TText;
-                  col_default = None;
-                  col_not_null = false;
-                };
-                {
-                  (* coordinator-assigned HLC commit timestamp: recovery
-                     re-stamps a deferred COMMIT PREPARED at exactly
-                     this time, so the visibility fence survives every
-                     failure of the commit fan-out *)
-                  Sqlfront.Ast.col_name = "ts";
-                  col_ty = Datum.TText;
-                  col_default = None;
-                  col_not_null = false;
-                };
+                text "gid";
+                (* participant node: a record may only be collected
+                   once this node confirms the gid is resolved *)
+                text "node";
+                (* coordinator-assigned HLC commit timestamp: recovery
+                   re-stamps a deferred COMMIT PREPARED at exactly
+                   this time, so the visibility fence survives every
+                   failure of the commit fan-out *)
+                text "ts";
               ];
             primary_key = [];
             if_not_exists = true;
             using_columnar = false;
           }))
 
-let insert_commit_records (t : State.t) coord_session ~ts records =
+let insert_commit_records coord_session ~ts records =
   (* inside the coordinator's own transaction: durable iff it commits *)
   let ctx = Engine.Instance.make_ctx coord_session in
   let ts_text = Txn.Hlc.to_string ts in
@@ -70,27 +62,54 @@ let insert_commit_records (t : State.t) coord_session ~ts records =
                    Sqlfront.Ast.Const (Datum.Text ts_text);
                  ])
                records))
-       ~on_conflict_do_nothing:false);
-  ignore t
+       ~on_conflict_do_nothing:false)
 
-(* MX: a gid's commit records live on its {e origin} coordinator — the
-   node named in the gid, which ran the 2PC and wrote the records in its
-   local commit transaction. [origin_node] resolves that node when it is
-   safe to consult: always for the local node, and for a foreign
-   coordinator only while it is reachable (reading a crashed node's
-   table would leak durability the network cannot provide — recovery
-   leaves those gids pending until the origin returns). *)
-let origin_node (t : State.t) origin =
-  if String.equal origin t.State.local.Cluster.Topology.node_name then
-    Some t.State.local
-  else if State.reachable t origin then
-    match Cluster.Topology.find_node t.State.cluster origin with
-    | node -> Some node
-    | exception Invalid_argument _ -> None
-  else None
+(* The one reader of the commit-record table: every (gid, node, ts) row,
+   or only [gid]'s. Gids reach the filter verbatim; going through the
+   executor with a [Datum.Text] constant keeps a hostile gid from
+   escaping the string literal (no SQL re-parse of interpolated input).
+   [ts] is [None] for a row without a readable stamp. Direct executor
+   call: commit-record maintenance is lightweight, not a full planned
+   statement. *)
+let commit_records ?gid s =
+  let column c = Sqlfront.Ast.Column (None, c) in
+  let _, rows =
+    Engine.Executor.run_select (Engine.Instance.make_ctx s)
+      {
+        Sqlfront.Ast.distinct = false;
+        projections =
+          List.map
+            (fun c -> Sqlfront.Ast.Proj (column c, None))
+            [ "gid"; "node"; "ts" ];
+        from =
+          [ Sqlfront.Ast.Table { name = commit_records_table; alias = None } ];
+        where =
+          Option.map
+            (fun gid ->
+              Sqlfront.Ast.Cmp
+                ( Sqlfront.Ast.Eq,
+                  column "gid",
+                  Sqlfront.Ast.Const (Datum.Text gid) ))
+            gid;
+        group_by = [];
+        having = None;
+        order_by = [];
+        limit = None;
+        offset = None;
+      }
+  in
+  List.filter_map
+    (function
+      | [| Datum.Text gid; Datum.Text node; ts |] ->
+        let ts =
+          match ts with Datum.Text s -> Txn.Hlc.of_string s | _ -> None
+        in
+        Some (gid, node, ts)
+      | _ -> None)
+    rows
 
-let node_session (node : Cluster.Topology.node) =
-  Engine.Instance.connect node.Cluster.Topology.instance
+let commit_record_count (t : State.t) =
+  List.length (commit_records (node_session t.State.local))
 
 let delete_record_in s gid =
   (* pre-built txn AST nodes: this runs on the commit path of every
@@ -111,95 +130,60 @@ let delete_record_in s gid =
      raise e);
   ignore (Engine.Instance.exec_ast s Sqlfront.Ast.Commit_txn)
 
-(* direct executor call: commit-record maintenance is lightweight, not a
-   full planned statement *)
-let delete_commit_record (t : State.t) gid = delete_record_in (admin_session t) gid
+(* MX: a gid's commit records live on its {e origin} coordinator — the
+   node named in the gid, which ran the 2PC and wrote the records in its
+   local commit transaction. [origin_node] resolves that node when it is
+   safe to consult: always for the local node, and for a foreign
+   coordinator only while it is reachable (reading a crashed node's
+   table would leak durability the network cannot provide — the gid
+   stays pending until the origin returns). *)
+let origin_node (t : State.t) origin =
+  if String.equal origin t.State.local.Cluster.Topology.node_name then
+    Some t.State.local
+  else if State.reachable t origin then
+    match Cluster.Topology.find_node t.State.cluster origin with
+    | node -> Some node
+    | exception Invalid_argument _ -> None
+  else None
 
-(* Gids reach this query verbatim; going through the executor with a
-   [Datum.Text] constant keeps a hostile gid from escaping the string
-   literal (no SQL re-parse of interpolated input). *)
-let record_exists_in s gid =
-  let ctx = Engine.Instance.make_ctx s in
-  let _, rows =
-    Engine.Executor.run_select ctx
-      {
-        Sqlfront.Ast.distinct = false;
-        projections =
-          [ Sqlfront.Ast.Proj (Sqlfront.Ast.Column (None, "gid"), None) ];
-        from =
-          [ Sqlfront.Ast.Table { name = commit_records_table; alias = None } ];
-        where =
-          Some
-            (Sqlfront.Ast.Cmp
-               ( Sqlfront.Ast.Eq,
-                 Sqlfront.Ast.Column (None, "gid"),
-                 Sqlfront.Ast.Const (Datum.Text gid) ));
-        group_by = [];
-        having = None;
-        order_by = [];
-        limit = None;
-        offset = None;
-      }
-  in
-  rows <> []
+(* A prepared gid's fate under §3.7.2's rule. [records] is the origin
+   session the commit record was read through (recovery deletes it
+   there); [foreign] says the origin is another coordinator (MX). *)
+type fate =
+  | Commit of {
+      ts : Txn.Hlc.timestamp option;
+      records : Engine.Instance.session;
+      foreign : bool;
+    }
+  | Rollback of { foreign : bool }
+  | Pending
 
-(* The commit record's HLC timestamp (any participant's row — they all
-   carry the same stamp). [None] when no record is visible, or for
-   legacy rows without one. *)
-let record_ts_in s gid =
-  let ctx = Engine.Instance.make_ctx s in
-  let _, rows =
-    Engine.Executor.run_select ctx
-      {
-        Sqlfront.Ast.distinct = false;
-        projections =
-          [ Sqlfront.Ast.Proj (Sqlfront.Ast.Column (None, "ts"), None) ];
-        from =
-          [ Sqlfront.Ast.Table { name = commit_records_table; alias = None } ];
-        where =
-          Some
-            (Sqlfront.Ast.Cmp
-               ( Sqlfront.Ast.Eq,
-                 Sqlfront.Ast.Column (None, "gid"),
-                 Sqlfront.Ast.Const (Datum.Text gid) ));
-        group_by = [];
-        having = None;
-        order_by = [];
-        limit = None;
-        offset = None;
-      }
-  in
-  match rows with
-  | [| Datum.Text ts |] :: _ -> Txn.Hlc.of_string ts
-  | _ -> None
-
-let commit_record_count (t : State.t) =
-  let s = admin_session t in
-  let ctx = Engine.Instance.make_ctx s in
-  let _, rows =
-    Engine.Executor.run_select ctx
-      {
-        Sqlfront.Ast.distinct = false;
-        projections =
-          [
-            Sqlfront.Ast.Proj
-              ( Sqlfront.Ast.Agg
-                  { agg_name = "count"; agg_arg = None; agg_distinct = false },
-                None );
-          ];
-        from =
-          [ Sqlfront.Ast.Table { name = commit_records_table; alias = None } ];
-        where = None;
-        group_by = [];
-        having = None;
-        order_by = [];
-        limit = None;
-        offset = None;
-      }
-  in
-  match rows with
-  | [ [| Datum.Int n |] ] -> n
-  | _ -> 0
+(* The one decision, shared by recovery and snapshot readers: a visible
+   commit record on the origin means its coordinator committed — commit
+   at the recorded timestamp; no record while the origin transaction has
+   ended means it aborted — roll back; otherwise the 2PC is still in
+   flight (records not yet durable), or the origin is crashed or
+   unreachable, and the gid stays in doubt. *)
+let fate (t : State.t) gid =
+  match State.parse_gid gid with
+  | None -> Pending
+  | Some (origin, coord_xid) -> (
+    match origin_node t origin with
+    | None -> Pending
+    | Some onode -> (
+      let records = node_session onode in
+      let foreign =
+        not (String.equal origin t.State.local.Cluster.Topology.node_name)
+      in
+      match commit_records ~gid records with
+      | (_, _, ts) :: _ -> Commit { ts; records; foreign }
+      | [] ->
+        if
+          Txn.Manager.is_active
+            (Engine.Instance.txn_manager onode.Cluster.Topology.instance)
+            coord_xid
+        then Pending
+        else Rollback { foreign }))
 
 let cleanup_session_txn_state (t : State.t) (st : State.session_state) =
   List.iter
@@ -220,6 +204,37 @@ let phase_deadline (t : State.t) =
   if timeout > 0.0 then
     Some (Sim.Clock.now t.State.cluster.Cluster.Topology.clock +. timeout)
   else None
+
+(* One 2PC phase over its participants: [f conn gid] runs as one fiber
+   per (conn, gid), spawned and joined in list order, so the outcomes
+   line up with [participants] whatever the interleaving. A failing
+   participant never stops the others. *)
+let fan_out (t : State.t) participants f =
+  State.with_sched t (fun sched ->
+      let fibers =
+        List.map
+          (fun (conn, gid) ->
+            Sim.Sched.spawn sched ~node:(node_name conn) (fun () -> f conn gid))
+          participants
+      in
+      (* bounded: every round trip inside a fiber carries the phase
+         ?deadline; a ?deadline on the join would abandon a still-running
+         fiber, whose failure then re-raises at scheduler exit *)
+      List.map
+        (fun fiber -> Sim.Sched.await_result sched fiber [@lint.unbounded])
+        fibers)
+
+(* Best-effort rollback of one participant: the node may be the one that
+   just failed, so a failure is swallowed but counted, never invisible.
+   With [~post] the rollback is sent fire-and-forget — a coordinator
+   escaping a stall must not wait it out; recovery resolves anything the
+   stalled node loses (a prepared transaction with no commit record is
+   rolled back by the next pass). *)
+let rollback_best_effort (t : State.t) ~post conn stmt =
+  try
+    if post then Exec.post_on_conn conn (Sqlfront.Deparse.statement stmt)
+    else ignore (Exec.ast_on_conn_exn t conn stmt)
+  with _ -> Health.record_ignored t.State.health (node_name conn)
 
 let pre_commit (t : State.t) coord_session =
   let st = State.session_state t coord_session in
@@ -254,39 +269,20 @@ let pre_commit (t : State.t) coord_session =
          (fun _sp ->
            (* gids are assigned in connection order before any fiber runs,
               so the gid sequence is independent of fiber interleaving *)
-           let with_gids =
-             List.map (fun conn -> (conn, State.fresh_gid t ~coord_xid)) conns
-           in
-           (* fan PREPARE TRANSACTION out to every participant as its own
-              fiber; unlike the old sequential loop, a failing participant
-              no longer prevents the others from preparing — the cleanup
-              below rolls back whatever did prepare *)
            let outcomes =
-             State.with_sched t (fun sched ->
-                 let fibers =
-                   List.map
-                     (fun (conn, gid) ->
-                       Sim.Sched.spawn sched ~node:(node_name conn)
-                         (fun () ->
-                           ignore
-                             (Exec.ast_on_conn_exn ?deadline t conn
-                                (Sqlfront.Ast.Prepare_transaction gid));
-                           (conn, gid)))
-                     with_gids
-                 in
-                 (* bounded: each fiber's every round trip carries the
-                    phase ?deadline above; a ?deadline on the join would
-                    abandon a still-running fiber, whose failure then
-                    re-raises at scheduler exit *)
-                 List.map
-                   (fun f -> Sim.Sched.await_result sched f [@lint.unbounded])
-                   fibers)
+             fan_out t
+               (List.map
+                  (fun conn -> (conn, State.fresh_gid t ~coord_xid))
+                  conns)
+               (fun conn gid ->
+                 ignore
+                   (Exec.ast_on_conn_exn ?deadline t conn
+                      (Sqlfront.Ast.Prepare_transaction gid));
+                 (conn, gid))
            in
-           List.iter
-             (function
-               | Ok pair -> prepared := pair :: !prepared
-               | Error _ -> ())
-             outcomes;
+           (* kept newest first: the commit records and the COMMIT
+              PREPARED fan-out follow this order *)
+           prepared := List.rev (List.filter_map Result.to_option outcomes);
            match
              List.find_map
                (function Error e -> Some e | Ok _ -> None)
@@ -296,33 +292,22 @@ let pre_commit (t : State.t) coord_session =
            | None -> ())
      with e ->
        Obs.Metrics.inc (metrics t) Obs.Metric_names.twopc_prepare_failed;
-       (* a prepare failed: roll back everything and abort the coordinator.
-          Cleanup is best effort — the node may be the one that just
-          failed — but swallowed errors are counted, never invisible.
-          After a deadline expiry the rollbacks are {e posted}
-          fire-and-forget: the coordinator must not wait out the very
-          stall that expired the deadline, and recovery resolves any
-          rollback a stalled node never applied (a prepared transaction
-          with no commit record is rolled back by the next pass). *)
-       let posted =
+       (* a prepare failed: roll back everything and abort the
+          coordinator. After a deadline expiry the rollbacks are posted:
+          the coordinator must not wait out the very stall that expired
+          the deadline. *)
+       let post =
          match e with Cluster.Connection.Timed_out _ -> true | _ -> false
-       in
-       let cleanup conn stmt =
-         if posted then
-           try Exec.post_on_conn conn (Sqlfront.Deparse.statement stmt)
-           with _ -> Health.record_ignored t.State.health (node_name conn)
-         else
-           try ignore (Exec.ast_on_conn_exn t conn stmt)
-           with _ -> Health.record_ignored t.State.health (node_name conn)
        in
        List.iter
          (fun (conn, gid) ->
-           cleanup conn (Sqlfront.Ast.Rollback_prepared gid))
+           rollback_best_effort t ~post conn
+             (Sqlfront.Ast.Rollback_prepared gid))
          !prepared;
        List.iter
          (fun conn ->
            if not (List.mem_assq conn !prepared) then
-             cleanup conn Sqlfront.Ast.Rollback_txn)
+             rollback_best_effort t ~post conn Sqlfront.Ast.Rollback_txn)
          conns;
        st.State.prepared <- [];
        raise e);
@@ -338,7 +323,7 @@ let pre_commit (t : State.t) coord_session =
     in
     st.State.commit_hlc <- Some commit_ts;
     (* durable commit records, in the same local transaction *)
-    insert_commit_records t coord_session ~ts:commit_ts
+    insert_commit_records coord_session ~ts:commit_ts
       (List.map (fun (conn, gid) -> (gid, node_name conn)) !prepared)
 
 let post_commit (t : State.t) coord_session =
@@ -349,37 +334,24 @@ let post_commit (t : State.t) coord_session =
      span t ~kind:"2pc.commit"
        ~tags:[ ("participants", string_of_int (List.length prepared)) ]
        (fun _sp ->
-         (* fan COMMIT PREPARED out to every participant as its own fiber,
-            each bounded by the phase deadline — a stuck COMMIT PREPARED
-            degrades to the deferred-commit path (the outcome is unknown
-            exactly as for a lost reply; the commit record survives and
-            recovery commits the prepared transaction later). Best
-            effort; commit records are cleaned up lazily by the
-            maintenance daemon, off the hot path. *)
+         (* each COMMIT PREPARED is bounded by the phase deadline — a
+            stuck one degrades to the deferred-commit path (the outcome
+            is unknown exactly as for a lost reply; the commit record
+            survives and recovery commits the prepared transaction
+            later). Best effort; commit records are cleaned up lazily by
+            the maintenance daemon, off the hot path. *)
          let deadline = phase_deadline t in
          let commit_ts = st.State.commit_hlc in
          let outcomes =
-           State.with_sched t (fun sched ->
-               let fibers =
-                 List.map
-                   (fun (conn, gid) ->
-                     Sim.Sched.spawn sched ~node:(node_name conn)
-                       (fun () ->
-                         (* visibility fence: every participant commits
-                            at the same coordinator-assigned timestamp *)
-                         (match commit_ts with
-                          | Some ts -> Cluster.Connection.set_next_commit_ts conn ts
-                          | None -> ());
-                         ignore
-                           (Exec.ast_on_conn_exn ?deadline t conn
-                              (Sqlfront.Ast.Commit_prepared gid))))
-                   prepared
-               in
-               (* bounded: each fiber's COMMIT PREPARED carries the phase
-                  ?deadline; joining without one cannot outwait it *)
-               List.map
-                 (fun f -> Sim.Sched.await_result sched f [@lint.unbounded])
-                 fibers)
+           fan_out t prepared (fun conn gid ->
+               (* visibility fence: every participant commits at the same
+                  coordinator-assigned timestamp *)
+               Option.iter
+                 (Cluster.Connection.set_next_commit_ts conn)
+                 commit_ts;
+               ignore
+                 (Exec.ast_on_conn_exn ?deadline t conn
+                    (Sqlfront.Ast.Commit_prepared gid)))
          in
          (* metrics / breaker accounting in participant list order, not
             completion order, so same-seed runs render identically *)
@@ -399,62 +371,23 @@ let on_abort (t : State.t) coord_session =
   let st = State.session_state t coord_session in
   if st.State.txn_conns <> [] then
     Obs.Metrics.inc (metrics t) Obs.Metric_names.twopc_aborted;
-  let node_stalled node =
-    match Cluster.Topology.fault t.State.cluster with
-    | Some f -> Sim.Fault.node_stalled f node
-    | None -> false
-  in
-  let rollback conn stmt =
-    let node = node_name conn in
-    if node_stalled node then
-      (* an abort triggered by a statement timeout must not wait out the
-         very stall it is escaping: post the rollback and let recovery
-         resolve anything the stalled node loses *)
-      try Exec.post_on_conn conn (Sqlfront.Deparse.statement stmt)
-      with _ -> Health.record_ignored t.State.health node
-    else
-      try ignore (Exec.ast_on_conn_exn t conn stmt)
-      with _ -> Health.record_ignored t.State.health node
-  in
   List.iter
     (fun conn ->
+      (* an abort triggered by a statement timeout must not wait out the
+         very stall it is escaping: post the rollback to a stalled node *)
+      let post =
+        match Cluster.Topology.fault t.State.cluster with
+        | Some f -> Sim.Fault.node_stalled f (node_name conn)
+        | None -> false
+      in
       match List.assq_opt conn st.State.prepared with
       | Some gid ->
         (* prepared but the coordinator aborted before its commit record
            became visible: roll it back *)
-        rollback conn (Sqlfront.Ast.Rollback_prepared gid)
-      | None -> rollback conn Sqlfront.Ast.Rollback_txn)
+        rollback_best_effort t ~post conn (Sqlfront.Ast.Rollback_prepared gid)
+      | None -> rollback_best_effort t ~post conn Sqlfront.Ast.Rollback_txn)
     st.State.txn_conns;
   cleanup_session_txn_state t st
-
-let all_commit_records (t : State.t) =
-  let s = admin_session t in
-  let ctx = Engine.Instance.make_ctx s in
-  let _, rows =
-    Engine.Executor.run_select ctx
-      {
-        Sqlfront.Ast.distinct = false;
-        projections =
-          [
-            Sqlfront.Ast.Proj (Sqlfront.Ast.Column (None, "gid"), None);
-            Sqlfront.Ast.Proj (Sqlfront.Ast.Column (None, "node"), None);
-          ];
-        from =
-          [ Sqlfront.Ast.Table { name = commit_records_table; alias = None } ];
-        where = None;
-        group_by = [];
-        having = None;
-        order_by = [];
-        limit = None;
-        offset = None;
-      }
-  in
-  List.filter_map
-    (fun row ->
-      match row with
-      | [| Datum.Text gid; Datum.Text node |] -> Some (gid, node)
-      | _ -> None)
-    rows
 
 (* Garbage-collect commit records that have served their purpose: only
    once the record's own participant is reachable {e and} no longer lists
@@ -466,7 +399,7 @@ let all_commit_records (t : State.t) =
    times. *)
 let gc_resolved_records (t : State.t) =
   List.iter
-    (fun (gid, node) ->
+    (fun (gid, node, _ts) ->
       if State.reachable t node then begin
         let mgr =
           Engine.Instance.txn_manager
@@ -474,21 +407,16 @@ let gc_resolved_records (t : State.t) =
               .Cluster.Topology.instance
         in
         if not (List.mem_assoc gid (Txn.Manager.prepared_transactions mgr))
-        then delete_commit_record t gid
+        then delete_record_in (node_session t.State.local) gid
       end)
-    (all_commit_records t)
+    (commit_records (node_session t.State.local))
 
-(* §3.7.2, MX flavor: compare each node's pending prepared transactions
-   against the {e origin} coordinator's commit records — the node named
-   in the gid, not necessarily us. A visible record means that
-   coordinator committed, so the prepared transaction must commit at the
-   recorded timestamp; a missing record for an ended origin transaction
-   means it must abort. Any coordinator's recovery pass can therefore
-   resolve any namespace whose origin it can consult; gids whose origin
-   is crashed or unreachable stay in doubt until it returns. Resolution
-   runs over real connections, so an injected fault can kill any step —
-   every step is therefore idempotent and simply retried by the next
-   pass. *)
+(* §3.7.2, MX flavor: poll every reachable node's pending prepared
+   transactions and apply each gid's {!fate} — any namespace, not just
+   our own, so any coordinator's pass resolves any gid whose origin it
+   can consult. Resolution runs over real connections, so an injected
+   fault can kill any step — every step is therefore idempotent and
+   simply retried by the next pass. *)
 let recover (t : State.t) =
   span t ~kind:"2pc.recover" @@ fun recover_sp ->
   let committed = ref 0 and rolled_back = ref 0 in
@@ -504,72 +432,40 @@ let recover (t : State.t) =
           (* raced with a fresh crash/partition; next pass retries *)
           Health.record_failure t.State.health name
         | conn ->
+          let resolve stmt ~foreign on_resolved =
+            match Exec.ast_on_conn_exn t conn stmt with
+            | _ ->
+              on_resolved ();
+              if foreign then
+                Obs.Metrics.inc (metrics t)
+                  Obs.Metric_names.mx_foreign_gids_resolved
+            | exception _ ->
+              (* lost round trip or fresh crash; the gid stays prepared
+                 (a commit's record survives), so a later pass retries *)
+              Health.record_ignored t.State.health name
+          in
           (* polling the node's pg_prepared_xacts costs a round trip and
              is itself subject to faults *)
           (match Exec.on_conn_exn t conn "SELECT 1" with
            | _ ->
-             let mgr =
-               Engine.Instance.txn_manager node.Cluster.Topology.instance
-             in
              List.iter
                (fun (gid, _xid) ->
-                 match State.parse_gid gid with
-                 | None -> ()
-                 | Some (origin, coord_xid) ->
-                   (match origin_node t origin with
-                    | None ->
-                      (* origin coordinator crashed or unreachable: its
-                         commit records decide this gid, so it stays in
-                         doubt until the origin is back *)
-                      ()
-                    | Some onode ->
-                      let os = node_session onode in
-                      let foreign = not (String.equal origin local_name) in
-                      let resolved () =
-                        if foreign then
-                          Obs.Metrics.inc (metrics t)
-                            Obs.Metric_names.mx_foreign_gids_resolved
-                      in
-                      if record_exists_in os gid then begin
-                        (* deferred commit: re-stamp at the recorded
-                           timestamp, so late resolution lands at the
-                           same instant the live fan-out would have *)
-                        (match record_ts_in os gid with
-                         | Some ts ->
-                           Cluster.Connection.set_next_commit_ts conn ts
-                         | None -> ());
-                        match
-                          Exec.ast_on_conn_exn t conn
-                            (Sqlfront.Ast.Commit_prepared gid)
-                        with
-                        | _ ->
-                          delete_record_in os gid;
-                          resolved ();
-                          incr committed
-                        | exception _ ->
-                          (* lost round trip or fresh crash; the commit
-                             record survives, so a later pass retries *)
-                          Health.record_ignored t.State.health name
-                      end
-                      else begin
-                        let origin_mgr =
-                          Engine.Instance.txn_manager
-                            onode.Cluster.Topology.instance
-                        in
-                        if not (Txn.Manager.is_active origin_mgr coord_xid)
-                        then begin
-                          match
-                            Exec.ast_on_conn_exn t conn
-                              (Sqlfront.Ast.Rollback_prepared gid)
-                          with
-                          | _ ->
-                            resolved ();
-                            incr rolled_back
-                          | exception _ ->
-                            Health.record_ignored t.State.health name
-                        end
-                      end))
-               (Txn.Manager.prepared_transactions mgr)
+                 match fate t gid with
+                 | Pending -> ()
+                 | Commit { ts; records; foreign } ->
+                   (* deferred commit: re-stamp at the recorded
+                      timestamp, so late resolution lands at the same
+                      instant the live fan-out would have *)
+                   Option.iter (Cluster.Connection.set_next_commit_ts conn) ts;
+                   resolve (Sqlfront.Ast.Commit_prepared gid) ~foreign
+                     (fun () ->
+                       delete_record_in records gid;
+                       incr committed)
+                 | Rollback { foreign } ->
+                   resolve (Sqlfront.Ast.Rollback_prepared gid) ~foreign
+                     (fun () -> incr rolled_back))
+               (Txn.Manager.prepared_transactions
+                  (Engine.Instance.txn_manager node.Cluster.Topology.instance))
            | exception _ ->
              (* poll lost; Exec already recorded the failure *)
              Health.record_ignored t.State.health name)
@@ -586,59 +482,23 @@ let recover (t : State.t) =
   (!committed, !rolled_back)
 
 (* Read-triggered resolution of one in-doubt gid: a snapshot reader that
-   hit the window between PREPARE and COMMIT PREPARED consults the
-   {e origin} coordinator's commit records instead of waiting for the
-   next maintenance pass — any coordinator's gid, not just our own (MX).
-   A visible record means the distributed transaction committed — finish
-   it here at its recorded timestamp; no record with the origin
-   transaction ended means it aborted — roll it back; otherwise the 2PC
-   is still in flight (or its origin unreachable) and the reader must
-   wait. Every step is idempotent and best effort, exactly like
-   [recover]. *)
+   hit the window between PREPARE and COMMIT PREPARED applies the gid's
+   {!fate} itself instead of waiting for the next maintenance pass. Best
+   effort, exactly like [recover]; the resolution statements are not
+   reads and take no snapshot. *)
 let resolve_in_doubt (t : State.t) conn ~gid =
-  match State.parse_gid gid with
-  | None -> `Pending
-  | Some (origin, coord_xid) -> (
-    match origin_node t origin with
-    | None ->
-      (* the deciding coordinator is crashed or unreachable: wait *)
-      `Pending
-    | Some onode -> (
-      let os = node_session onode in
-      let commit () =
-        (try
-           ignore
-             ((Exec.ast_on_conn_exn t conn (Sqlfront.Ast.Commit_prepared gid))
-              [@lint.latest])
-         with _ -> Health.record_ignored t.State.health (node_name conn));
-        Obs.Metrics.inc (metrics t) Obs.Metric_names.snapshot_indoubt_commits;
-        `Resolved
-      in
-      match record_ts_in os gid with
-      | Some ts ->
-        Cluster.Connection.set_next_commit_ts conn ts;
-        commit ()
-      | None when record_exists_in os gid ->
-        (* record present but stampless (should not happen): still commit *)
-        commit ()
-      | None ->
-        let origin_mgr =
-          Engine.Instance.txn_manager onode.Cluster.Topology.instance
-        in
-        if Txn.Manager.is_active origin_mgr coord_xid then
-          (* commit records not yet durable: the writer is still between
-             PREPARE and its coordinator-local commit *)
-          `Pending
-        else begin
-          (* the origin transaction ended without leaving a commit
-             record: the distributed transaction aborted *)
-          (try
-             ignore
-               ((Exec.ast_on_conn_exn t conn
-                   (Sqlfront.Ast.Rollback_prepared gid))
-                [@lint.latest])
-           with _ -> Health.record_ignored t.State.health (node_name conn));
-          Obs.Metrics.inc (metrics t)
-            Obs.Metric_names.snapshot_indoubt_rollbacks;
-          `Resolved
-        end))
+  let resolve stmt =
+    try ignore ((Exec.ast_on_conn_exn t conn stmt) [@lint.latest])
+    with _ -> Health.record_ignored t.State.health (node_name conn)
+  in
+  match fate t gid with
+  | Pending -> `Pending
+  | Commit { ts; _ } ->
+    Option.iter (Cluster.Connection.set_next_commit_ts conn) ts;
+    resolve (Sqlfront.Ast.Commit_prepared gid);
+    Obs.Metrics.inc (metrics t) Obs.Metric_names.snapshot_indoubt_commits;
+    `Resolved
+  | Rollback _ ->
+    resolve (Sqlfront.Ast.Rollback_prepared gid);
+    Obs.Metrics.inc (metrics t) Obs.Metric_names.snapshot_indoubt_rollbacks;
+    `Resolved

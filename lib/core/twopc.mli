@@ -26,24 +26,30 @@ val post_commit : State.t -> Engine.Instance.session -> unit
 
 val on_abort : State.t -> Engine.Instance.session -> unit
 
-(** 2PC recovery pass: resolve prepared transactions left behind by
-    failures, in {e every} gid namespace — each gid is decided by its
-    origin coordinator's commit records (consulted remotely for foreign
-    namespaces while the origin is reachable; an unreachable origin
-    leaves its gids in doubt until it returns). Returns
-    (committed, rolled back) counts. *)
+(** 2PC recovery pass: poll every reachable node's prepared
+    transactions, in {e every} gid namespace, and resolve each one by
+    the rule {!resolve_in_doubt} also applies. A gid commits if and
+    only if its origin coordinator (the node named in the gid) holds a
+    commit record for it. Such a gid gets [COMMIT PREPARED] at the
+    recorded HLC timestamp, and its record is deleted. With no record
+    and the origin transaction ended, it gets [ROLLBACK PREPARED].
+    While the origin transaction is still active, or the origin is
+    crashed or unreachable, the gid stays in doubt until a later pass.
+    Returns (committed, rolled back) counts. *)
 val recover : State.t -> int * int
 
 (** Number of commit records currently stored (tests/monitoring). *)
 val commit_record_count : State.t -> int
 
 (** [resolve_in_doubt t conn ~gid] resolves one in-doubt prepared
-    transaction encountered by a reader on [conn]'s node, consulting the
-    {e origin} coordinator's commit records (any namespace): record
-    visible → [COMMIT PREPARED] at its recorded HLC timestamp; no record
-    and the origin transaction ended → [ROLLBACK PREPARED]; otherwise
-    [`Pending] — the 2PC is still in flight (or its origin unreachable)
-    and the reader should back off and retry. Idempotent and best
-    effort, like {!recover}. *)
+    transaction met by a snapshot reader on [conn]'s node. It makes the
+    same decision as {!recover}. A commit record on the gid's origin
+    coordinator (any namespace) means [COMMIT PREPARED] at the recorded
+    HLC timestamp. No record and an ended origin transaction means
+    [ROLLBACK PREPARED]. Either returns [`Resolved]. Otherwise the 2PC
+    is still in flight, or its origin is unreachable, and the result is
+    [`Pending]: the reader should back off and retry. Idempotent and
+    best effort, like {!recover}. Unlike recovery, it leaves the commit
+    record for the maintenance daemon to collect. *)
 val resolve_in_doubt :
   State.t -> Cluster.Connection.t -> gid:string -> [ `Resolved | `Pending ]

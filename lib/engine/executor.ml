@@ -418,19 +418,6 @@ let rec rewrite_post_agg group_exprs agg_exprs e =
         | Ast.Agg _ -> err "aggregate not in GROUP BY rewrite"
         | Ast.Exists _ | Ast.In_subquery _ | Ast.Scalar_subquery _ -> e))
 
-let collect_aggs exprs =
-  let tbl = ref [] in
-  List.iter
-    (fun e ->
-      Ast.fold_expr
-        (fun () n ->
-          match n with
-          | Ast.Agg a -> if not (List.mem a !tbl) then tbl := a :: !tbl
-          | _ -> ())
-        () e)
-    exprs;
-  List.rev !tbl
-
 let rec run_select ctx (sel : Ast.select) : string list * Datum.t array list =
   let schema, rows = exec_from_where ctx sel in
   (* expand stars *)
@@ -476,7 +463,7 @@ let rec run_select ctx (sel : Ast.select) : string list * Datum.t array list =
     @ (match having with Some h -> [ h ] | None -> [])
     @ List.map fst order_by
   in
-  let aggs = collect_aggs all_output_exprs in
+  let aggs = Ast.collect_aggs all_output_exprs in
   let grouped = group_by <> [] || aggs <> [] in
   let schema2, rows2, proj_exprs, having, order_by =
     if not grouped then (schema, rows, proj_exprs, having, order_by)

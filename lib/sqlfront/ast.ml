@@ -203,6 +203,19 @@ let rec from_tables = function
 let contains_aggregate e =
   fold_expr (fun acc n -> acc || match n with Agg _ -> true | _ -> false) false e
 
+let collect_aggs exprs =
+  let acc = ref [] in
+  List.iter
+    (fun e ->
+      fold_expr
+        (fun () n ->
+          match n with
+          | Agg a -> if not (List.mem a !acc) then acc := a :: !acc
+          | _ -> ())
+        () e)
+    exprs;
+  List.rev !acc
+
 (** Map [f] over every expression in a select, including nested FROM
     subselects (used for parameter binding and shard-name rewriting). *)
 let rec map_select_exprs (f : expr -> expr) (s : select) : select =

@@ -150,6 +150,9 @@ val from_tables : from_item -> string list
 
 val contains_aggregate : expr -> bool
 
+(** The distinct aggregates in [exprs], in order of first appearance. *)
+val collect_aggs : expr list -> agg list
+
 (** Map [f] over every expression in a select, including nested FROM
     subselects (used for parameter binding and shard-name rewriting). *)
 val map_select_exprs : (expr -> expr) -> select -> select

@@ -198,6 +198,27 @@ let recover t mgr gid =
   else Txn.Manager.rollback_prepared mgr gid
 |}
 
+(* recover hands both resolutions to a same-file helper: still a
+   finding, because L6 reads recover's own body, not its callees' *)
+let l6_delegated_resolutions =
+  {|let cleanup st =
+  st.State.prepared <- [];
+  st.State.txn_conns <- [];
+  st.State.dist_xids <- []
+
+let pre_commit st gids = st.State.prepared <- gids
+
+let post_commit st = cleanup st
+
+let on_abort st = cleanup st
+
+let apply t conn ~committed gid =
+  if committed then exec t conn (Sqlfront.Ast.Commit_prepared gid)
+  else exec t conn (Sqlfront.Ast.Rollback_prepared gid)
+
+let recover t conn gid = apply t conn ~committed:(decide t gid) gid
+|}
+
 let test_l6_violating () =
   let fs = run "L6" [ ("lib/core/twopc.ml", l6_violating) ] in
   (* missing on_abort; pre_commit never moves [prepared]; post_commit
@@ -211,6 +232,12 @@ let test_l6_clean () =
      fixpoint over the local call graph *)
   let fs = run "L6" [ ("lib/core/twopc.ml", l6_clean) ] in
   Alcotest.(check int) "transitive writes satisfy the rule" 0 (List.length fs)
+
+let test_l6_delegated () =
+  let fs = run "L6" [ ("lib/core/twopc.ml", l6_delegated_resolutions) ] in
+  Alcotest.(check (list string)) "both resolutions missing from recover"
+    [ "L6"; "L6" ] (ids fs);
+  Alcotest.(check (list int)) "both at recover" [ 16; 16 ] (lines fs)
 
 let test_l6_scope () =
   let fs = run "L6" [ ("lib/core/planner.ml", l6_violating) ] in
@@ -1054,6 +1081,7 @@ let () =
         [
           Alcotest.test_case "violating" `Quick test_l6_violating;
           Alcotest.test_case "clean" `Quick test_l6_clean;
+          Alcotest.test_case "delegated resolutions" `Quick test_l6_delegated;
           Alcotest.test_case "scope" `Quick test_l6_scope;
         ] );
       ( "l7-lock-order",

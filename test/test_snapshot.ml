@@ -156,6 +156,181 @@ let test_snapshot_resolves_aborted_orphan () =
   Alcotest.(check int) "orphan drained" 0
     (prepared_count cluster (node_of citus k2))
 
+(* --- the in-doubt decision table --- *)
+
+(* Recovery and snapshot readers decide a prepared gid's fate the same
+   way: a commit record on the gid's origin coordinator means commit at
+   the recorded HLC stamp; no record once the origin transaction has
+   ended means roll back; otherwise (origin transaction still active, or
+   origin unreachable) the gid stays pending. Each row builds one
+   prepared gid by hand — the first half of 2PC as [origin] drives it,
+   on the worker holding [key] — and hands it to one entry point: the
+   coordinator's recovery pass, or a snapshot-level read of [key]. *)
+type origin_txn = Record | Ended | Active | Unreachable
+type fate = Commit | Rollback | Pending
+
+let decision_row ~entry ~origin case =
+  let label m =
+    Printf.sprintf "[%s, origin %s, %s] %s"
+      (match entry with `Recover -> "recover" | `Read -> "read")
+      origin
+      (match case with
+       | Record -> "record"
+       | Ended -> "ended"
+       | Active -> "active"
+       | Unreachable -> "unreachable")
+      m
+  in
+  let expected =
+    match case with
+    | Record -> Commit
+    | Ended -> Rollback
+    | Active | Unreachable -> Pending
+  in
+  let cluster = Cluster.Topology.create ~workers:3 () in
+  let clock = cluster.Cluster.Topology.clock in
+  let citus = Citus.Api.install ~shard_count:8 cluster in
+  let s = Citus.Api.connect citus in
+  setup_accounts s;
+  ignore (exec s "SELECT citus_enable_metadata_sync()");
+  let st = Citus.Api.coordinator_state citus in
+  let origin_st =
+    List.find
+      (fun (o : Citus.State.t) ->
+        String.equal o.Citus.State.local.Cluster.Topology.node_name origin)
+      citus.Citus.Api.states
+  in
+  let instance node =
+    (Cluster.Topology.find_node cluster node).Cluster.Topology.instance
+  in
+  (* a key off worker1, so partitioning that origin leaves it readable *)
+  let rec find k =
+    if String.equal (node_of citus k) "worker1" then find (k + 1) else k
+  in
+  let key = find 0 in
+  let node = node_of citus key in
+  let mgr = Engine.Instance.txn_manager (instance node) in
+  (* the origin's transaction: its xid names the gid, its commit makes
+     the commit record durable *)
+  let os = Engine.Instance.connect (instance origin) in
+  ignore (exec os "BEGIN");
+  let coord_xid = Option.get (Engine.Instance.current_xid os) in
+  let gid = Citus.State.fresh_gid origin_st ~coord_xid in
+  let ws = Engine.Instance.connect (instance node) in
+  ignore (exec ws "BEGIN");
+  ignore
+    (exec ws
+       (Printf.sprintf "UPDATE %s SET balance = balance + 7 WHERE key = %d"
+          (Citus.Metadata.shard_name
+             (Citus.Metadata.shard_for_value citus.Citus.Api.metadata
+                ~table:"accounts" (Datum.Int key)))
+          key));
+  ignore (exec ws (Printf.sprintf "PREPARE TRANSACTION '%s'" gid));
+  let xid = List.assoc gid (Txn.Manager.prepared_transactions mgr) in
+  Sim.Clock.advance clock 0.1;
+  let stamp = Txn.Hlc.now (Cluster.Topology.hlc cluster origin) in
+  (match case with
+   | Record ->
+     ignore
+       (exec os
+          (Printf.sprintf "INSERT INTO %s VALUES ('%s', '%s', '%s')"
+             Citus.Twopc.commit_records_table gid node
+             (Txn.Hlc.to_string stamp)));
+     ignore (exec os "COMMIT")
+   | Ended -> ignore (exec os "ROLLBACK")
+   | Active -> ()
+   | Unreachable ->
+     (* ended without a record: reachable, this gid would roll back *)
+     ignore (exec os "ROLLBACK");
+     Citus.State.partition_node st origin);
+  (* the reader's snapshot is taken after the PREPARE *)
+  Sim.Clock.advance clock 0.25;
+  let foreign = not (String.equal origin "coordinator") in
+  let resolved = expected <> Pending in
+  (match entry with
+   | `Recover ->
+     let committed, rolled_back = Citus.Twopc.recover st in
+     Alcotest.(check (pair int int))
+       (label "recovery's (committed, rolled back)")
+       (match expected with
+        | Commit -> (1, 0)
+        | Rollback -> (0, 1)
+        | Pending -> (0, 0))
+       (committed, rolled_back);
+     Alcotest.(check int)
+       (label "foreign gids resolved")
+       (if foreign && resolved then 1 else 0)
+       (counter cluster Obs.Metric_names.mx_foreign_gids_resolved)
+   | `Read ->
+     st.Citus.State.config.Citus.State.consistency <- Citus.State.Snapshot;
+     st.Citus.State.config.Citus.State.statement_timeout <- 0.5;
+     let sql =
+       Printf.sprintf "SELECT balance FROM accounts WHERE key = %d" key
+     in
+     (match expected with
+      | Commit -> check_int s (label "reader sees the commit") 107 sql
+      | Rollback -> check_int s (label "reader sees the rollback") 100 sql
+      | Pending -> (
+        match exec s sql with
+        | exception Engine.Instance.Session_error m ->
+          Alcotest.(check bool)
+            (label ("the read waits out its deadline: " ^ m))
+            true
+            (String.starts_with
+               ~prefix:"canceling statement due to statement timeout" m)
+        | _ -> Alcotest.fail (label "a pending gid must not be read past")));
+     Alcotest.(check bool)
+       (label "reader met the gid")
+       true
+       (counter cluster Obs.Metric_names.snapshot_indoubt_waits > 0);
+     Alcotest.(check (pair int int))
+       (label "reader's (commits, rollbacks)")
+       (match expected with
+        | Commit -> (1, 0)
+        | Rollback -> (0, 1)
+        | Pending -> (0, 0))
+       ( counter cluster Obs.Metric_names.snapshot_indoubt_commits,
+         counter cluster Obs.Metric_names.snapshot_indoubt_rollbacks ));
+  Alcotest.(check int)
+    (label "still prepared")
+    (if resolved then 0 else 1)
+    (prepared_count cluster node);
+  (match expected with
+   | Commit ->
+     Alcotest.(check (option string))
+       (label "committed at the recorded stamp")
+       (Some (Txn.Hlc.to_string stamp))
+       (Option.map Txn.Hlc.to_string (Txn.Manager.commit_ts_of mgr xid));
+     (* recovery collects the record; a reader leaves it to the daemon *)
+     Alcotest.(check int)
+       (label "gid's commit record left on the origin")
+       (match entry with `Recover -> 0 | `Read -> 1)
+       (one_int os
+          (Printf.sprintf "SELECT count(*) FROM %s WHERE gid = '%s'"
+             Citus.Twopc.commit_records_table gid))
+   | Rollback ->
+     Alcotest.(check bool)
+       (label "rolled back")
+       true
+       (Txn.Manager.status mgr xid = Txn.Manager.Aborted)
+   | Pending -> ())
+
+let test_indoubt_decision_table () =
+  List.iter
+    (fun entry ->
+      List.iter
+        (fun (origin, case) -> decision_row ~entry ~origin case)
+        [
+          ("coordinator", Record);
+          ("worker1", Record);
+          ("coordinator", Ended);
+          ("worker1", Ended);
+          ("coordinator", Active);
+          ("worker1", Active);
+          ("worker1", Unreachable);
+        ])
+    [ `Recover; `Read ]
+
 (* --- per-fragment replica hedging --- *)
 
 let test_scatter_gather_fragment_hedging () =
@@ -454,6 +629,8 @@ let () =
           Alcotest.test_case "snapshot heals" `Quick test_snapshot_heals;
           Alcotest.test_case "aborted orphan rolled back" `Quick
             test_snapshot_resolves_aborted_orphan;
+          Alcotest.test_case "in-doubt decision table" `Quick
+            test_indoubt_decision_table;
         ] );
       ( "hedging",
         [
