@@ -1,8 +1,25 @@
+type stmt = {
+  stmt_name : string;
+  stmt_text : string;
+  mutable stmt_live : bool;
+  stmt_retired : int ref;
+}
+
 type t = {
   cluster : Topology.t;
   conn_node : Topology.node;
   origin : string option;  (** node name of the connecting side *)
   sess : Engine.Instance.session;
+  origin_hlc : Txn.Hlc.t;
+  dest_hlc : Txn.Hlc.t;
+      (** both ends' clocks, resolved once: a node's HLC is never replaced *)
+  stmts : (string, stmt) Hashtbl.t;
+      (** statements this connection has prepared on its node, by name *)
+  mutable closing : string list;
+      (** retired names still prepared remotely: closed by the next bound
+          execute's message *)
+  mutable seen_retired : int;
+      (** the owner's retirement count at this connection's last sweep *)
 }
 
 exception Node_unavailable of { node : string; reason : string }
@@ -16,11 +33,11 @@ let origin_name t = Option.value ~default:"client" t.origin
 let open_ ?origin (cluster : Topology.t) (node : Topology.node) =
   Topology.fault_tick cluster;
   let to_ = node.Topology.node_name in
+  let from_ = Option.value ~default:"client" origin in
   let metrics = Topology.metrics cluster in
   (match cluster.Topology.fault with
    | None -> ()
    | Some f ->
-     let from_ = Option.value ~default:"client" origin in
      (match Sim.Fault.check_connect f ~from_ ~to_ with
       | Sim.Fault.Deliver -> ()
       | Sim.Fault.Unreachable r
@@ -31,7 +48,17 @@ let open_ ?origin (cluster : Topology.t) (node : Topology.node) =
   Obs.Metrics.inc metrics (Obs.Metric_names.net_connect_to to_);
   cluster.Topology.net.connections_opened <-
     cluster.Topology.net.connections_opened + 1;
-  { cluster; conn_node = node; origin; sess = Engine.Instance.connect node.instance }
+  {
+    cluster;
+    conn_node = node;
+    origin;
+    sess = Engine.Instance.connect node.instance;
+    origin_hlc = Topology.hlc cluster from_;
+    dest_hlc = Topology.hlc cluster to_;
+    stmts = Hashtbl.create 8;
+    closing = [];
+    seen_retired = 0;
+  }
 
 let node t = t.conn_node
 
@@ -101,7 +128,9 @@ type handle = {
           clock when the reply is awaited *)
 }
 
-let exec_async t sql =
+(* Submit [remote] as one round trip; [sql] is what the fault plan
+   matches. [on_reply] runs once the reply has arrived intact. *)
+let submit ?(on_reply = ignore) t ~sql remote =
   let latency =
     match t.cluster.Topology.fault with
     | None -> 0.0
@@ -115,23 +144,68 @@ let exec_async t sql =
      stamp drawn after execution. Drop_request never reaches the
      destination; a dropped reply executes but loses the stamp along
      with the result. *)
-  let origin_hlc = Topology.hlc t.cluster (origin_name t) in
-  let dest_hlc = Topology.hlc t.cluster t.conn_node.Topology.node_name in
-  let req_ts = Txn.Hlc.now origin_hlc in
+  let req_ts = Txn.Hlc.now t.origin_hlc in
   let reply_ts = ref None in
   let run () =
-    ignore (Txn.Hlc.observe dest_hlc req_ts : Txn.Hlc.timestamp);
-    let r = Engine.Instance.exec t.sess sql in
-    reply_ts := Some (Txn.Hlc.now dest_hlc);
+    ignore (Txn.Hlc.observe t.dest_hlc req_ts : Txn.Hlc.timestamp);
+    let r = remote t.sess in
+    reply_ts := Some (Txn.Hlc.now t.dest_hlc);
     r
   in
   match round_trip t ~sql run with
   | r ->
     t.cluster.Topology.net.rows_shipped <-
       t.cluster.Topology.net.rows_shipped + List.length r.Engine.Instance.rows;
+    on_reply ();
     { h_conn = t; h_ready_at = ready_at; h_result = Ok r; h_reply_ts = !reply_ts }
   | exception e ->
     { h_conn = t; h_ready_at = ready_at; h_result = Error e; h_reply_ts = None }
+
+let exec_async t sql = submit t ~sql (fun sess -> Engine.Instance.exec sess sql)
+
+let retire s =
+  if s.stmt_live then begin
+    s.stmt_live <- false;
+    incr s.stmt_retired
+  end
+
+(* Parse once, bind many: the message carries the DEALLOCATEs of retired
+   statements, the Parse of [s] if this connection has not prepared it,
+   and the Bind/Execute of [values]. The registry changes only once the
+   reply arrives; the worker takes a repeated Parse or Close in its
+   stride, so a lost reply just means they are sent again. *)
+let exec_bound_async t s values =
+  if !(s.stmt_retired) <> t.seen_retired then begin
+    t.seen_retired <- !(s.stmt_retired);
+    Hashtbl.filter_map_inplace
+      (fun name p ->
+        if p.stmt_live then Some p
+        else begin
+          t.closing <- name :: t.closing;
+          None
+        end)
+      t.stmts
+  end;
+  let parse =
+    if Hashtbl.mem t.stmts s.stmt_name then None else Some s.stmt_text
+  in
+  let close = t.closing in
+  let metrics = Topology.metrics t.cluster in
+  if parse <> None then
+    Obs.Metrics.inc metrics Obs.Metric_names.exec_worker_prepares;
+  Obs.Metrics.inc metrics Obs.Metric_names.exec_worker_bound_executes;
+  submit t ~sql:s.stmt_text
+    ~on_reply:(fun () ->
+      (* nothing else ran on [t] since [close] was read *)
+      if close <> [] then t.closing <- [];
+      if parse <> None then
+        if s.stmt_live then Hashtbl.replace t.stmts s.stmt_name s
+        else t.closing <- s.stmt_name :: t.closing)
+    (fun sess ->
+      Engine.Instance.exec_bound sess ~close ?parse ~name:s.stmt_name values)
+
+let prepared_names t =
+  List.sort String.compare (Hashtbl.fold (fun n _ acc -> n :: acc) t.stmts [])
 
 let exec_ast_async t stmt = exec_async t (Sqlfront.Deparse.statement stmt)
 
@@ -164,9 +238,7 @@ let await ?deadline h =
    | _ -> wait_until cluster ~until_:h.h_ready_at);
   (match h.h_reply_ts with
    | Some ts ->
-     ignore
-       (Txn.Hlc.observe (Topology.hlc cluster (origin_name h.h_conn)) ts
-         : Txn.Hlc.timestamp)
+     ignore (Txn.Hlc.observe h.h_conn.origin_hlc ts : Txn.Hlc.timestamp)
    | None -> ());
   match h.h_result with Ok r -> r | Error e -> raise e
 

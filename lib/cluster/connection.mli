@@ -1,9 +1,11 @@
 (** A coordinator-held connection to one node.
 
     Statements travel as SQL text (the Citus planners deparse rewritten
-    ASTs and the remote node re-parses), and every call counts one network
-    round trip. Opening a connection has a cost too — the adaptive
-    executor's slow-start exists precisely to manage it (§3.6.1). *)
+    ASTs and the remote node re-parses), or — for plan-cache hits — as a
+    bound execute of a statement the node parsed once per connection
+    ({!exec_bound_async}). Every call counts one network round trip.
+    Opening a connection has a cost too — the adaptive executor's
+    slow-start exists precisely to manage it (§3.6.1). *)
 
 type t
 
@@ -52,6 +54,41 @@ val exec_async : t -> string -> handle
 
 (** Deparse and submit a statement AST. *)
 val exec_ast_async : t -> Sqlfront.Ast.statement -> handle
+
+(** {2 Worker-side prepared statements}
+
+    PostgreSQL's extended query protocol, parse once and bind many. The
+    plan cache names one statement per (entry, shard group); the first
+    bound execute of it on a connection carries its Parse, later ones
+    only its name and the bound values. Pending DEALLOCATEs of retired
+    statements ride in the same message, so this never costs an extra
+    round trip. *)
+
+type stmt = {
+  stmt_name : string;  (** [citus_s<entry id>_<group>] *)
+  stmt_text : string;
+      (** the shard statement with its [$k] unbound: the Parse message's
+          body, and the text fault plans match against *)
+  mutable stmt_live : bool;  (** false once {!retire}d *)
+  stmt_retired : int ref;
+      (** the owner's count of retired statements, shared by all it
+          makes; a connection sweeps its registry only when it moved *)
+}
+
+(** The owner dropped [s] (its plan-cache entry was evicted or went
+    stale): every connection that prepared it closes it with its next
+    bound execute, and it is never executed again. *)
+val retire : stmt -> unit
+
+(** [exec_bound_async t s values] submits Close (retired statements),
+    Parse ([s], if [t] has not prepared it) and Bind/Execute as one round
+    trip, matched by the fault plan as [s.stmt_text]. The node binds its
+    stored AST and runs it through {!Engine.Instance.exec_bound}. Counts
+    [exec.worker_prepares] and [exec.worker_bound_executes]. *)
+val exec_bound_async : t -> stmt -> Datum.t list -> handle
+
+(** Names this connection has prepared on its node, sorted. *)
+val prepared_names : t -> string list
 
 (** Absolute virtual time at which the handle's reply arrives. *)
 val ready_at : handle -> float

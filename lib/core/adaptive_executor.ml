@@ -159,7 +159,7 @@ type stmt_pool = {
   sp_cond : Sim.Sched.cond;
 }
 
-let execute (t : State.t) coord_session (tasks : Plan.task list) =
+let execute ?bound (t : State.t) coord_session (tasks : Plan.task list) =
   let st = State.session_state t coord_session in
   let explicit = Engine.Instance.in_transaction coord_session in
   let net_before = Cluster.Topology.net_snapshot t.State.cluster in
@@ -206,9 +206,11 @@ let execute (t : State.t) coord_session (tasks : Plan.task list) =
      stack another fiber may be mutating *)
   let parent_span = Obs.Trace.current trace in
   let slow_start = t.State.config.State.slow_start_interval in
-  let pools : (string, stmt_pool) Hashtbl.t = Hashtbl.create 8 in
+  (* per-node state as small assoc lists: a statement touches at most
+     every node once *)
+  let pools : (string * stmt_pool) list ref = ref [] in
   let pool_for node_name =
-    match Hashtbl.find_opt pools node_name with
+    match List.assoc_opt node_name !pools with
     | Some p -> p
     | None ->
       let p =
@@ -221,14 +223,14 @@ let execute (t : State.t) coord_session (tasks : Plan.task list) =
           sp_cond = Sim.Sched.make_cond ();
         }
       in
-      Hashtbl.replace pools node_name p;
+      pools := (node_name, p) :: !pools;
       p
   in
-  let node_durations : (string, float ref) Hashtbl.t = Hashtbl.create 8 in
+  let node_durations : (string * float ref) list ref = ref [] in
   let record_duration node d =
-    match Hashtbl.find_opt node_durations node with
+    match List.assoc_opt node !node_durations with
     | Some r -> r := !r +. d
-    | None -> Hashtbl.replace node_durations node (ref d)
+    | None -> node_durations := (node, ref d) :: !node_durations
   in
   (* Pick / open the connection for a task bound to [node_name] — the
      §3.6.1 pool discipline, enforced against genuinely concurrent
@@ -421,8 +423,12 @@ let execute (t : State.t) coord_session (tasks : Plan.task list) =
               (fun _sp ->
                 let result, duration =
                   measured node (fun () ->
-                      Exec.ast_on_conn_exn ?deadline ?snapshot t conn
-                        task.Plan.task_stmt)
+                      match bound with
+                      | Some b ->
+                        Exec.bound_on_conn_exn ?deadline ?snapshot t conn b
+                      | None ->
+                        Exec.ast_on_conn_exn ?deadline ?snapshot t conn
+                          task.Plan.task_stmt)
                 in
                 (* occupy the connection for the fragment's modeled cost:
                    this sleep advances the virtual clock, so the span's
@@ -628,22 +634,20 @@ let execute (t : State.t) coord_session (tasks : Plan.task list) =
     else None
   in
   let units =
-    let chains : (string * int, (int * Plan.task) list ref) Hashtbl.t =
-      Hashtbl.create 8
-    in
+    let chains = ref [] in
     List.rev
       (List.fold_left
          (fun acc (i, task) ->
            match chain_key task with
            | None -> ref [ (i, task) ] :: acc
            | Some key -> (
-             match Hashtbl.find_opt chains key with
+             match List.assoc_opt key !chains with
              | Some r ->
                r := (i, task) :: !r;
                acc
              | None ->
                let r = ref [ (i, task) ] in
-               Hashtbl.replace chains key r;
+               chains := (key, r) :: !chains;
                r :: acc))
          []
          (List.mapi (fun i task -> (i, task)) tasks))
@@ -677,28 +681,27 @@ let execute (t : State.t) coord_session (tasks : Plan.task list) =
   let net = Cluster.Topology.net_diff ~after:net_after ~before:net_before in
   let by_node = fun (a, _) (b, _) -> String.compare a b in
   let node_serial =
-    List.sort by_node
-      (Hashtbl.fold (fun node r acc -> (node, !r) :: acc) node_durations [])
+    List.sort by_node (List.map (fun (node, r) -> (node, !r)) !node_durations)
   in
   let report =
     {
       makespan = Sim.Clock.now clock -. started_at;
       connections_used =
         List.sort by_node
-          (Hashtbl.fold
-             (fun node p acc ->
+          (List.filter_map
+             (fun (node, p) ->
                match List.length p.sp_used with
-               | 0 -> acc
-               | n -> (node, n) :: acc)
-             pools []);
+               | 0 -> None
+               | n -> Some (node, n))
+             !pools);
       conn_opened_at =
         List.sort by_node
-          (Hashtbl.fold
-             (fun node p acc ->
+          (List.filter_map
+             (fun (node, p) ->
                match p.sp_opened_at with
-               | [] -> acc
-               | l -> (node, List.rev l) :: acc)
-             pools []);
+               | [] -> None
+               | l -> Some (node, List.rev l))
+             !pools);
       round_trips = net.Cluster.Topology.round_trips;
       serial_time = List.fold_left (fun acc (_, s) -> acc +. s) 0.0 node_serial;
       node_serial;

@@ -49,8 +49,11 @@ val mark_placement_lost : State.t -> shard_id:int -> node:string -> unit
     per-task results (aligned with the input order) and the timing
     report. Raises whatever task execution raises
     ({!Engine.Executor.Would_block}, {!State.Network_error},
-    {!State.Txn_replica_lost}, ...). *)
+    {!State.Txn_replica_lost}, ...). With [?bound], every task (a
+    plan-cache hit has one) runs as a bound execute of its worker-side
+    statement ({!Exec.bound_on_conn_exn}) instead of deparsed text. *)
 val execute :
+  ?bound:Exec.bound ->
   State.t ->
   Engine.Instance.session ->
   Plan.task list ->

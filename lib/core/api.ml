@@ -138,27 +138,24 @@ let bind_shape ~name values stmt =
   with Ast.Unbound_param i ->
     raise (Exec.Bind_failure { stmt_name = name; param = i })
 
-(* Plan-cache skeleton: the shape rewritten to every shard group it can
-   route to, parameters left unbound. *)
-let build_entry meta ~key ~version ~stmt shape : Plancache.entry =
-  {
-    Plancache.e_key = key;
-    e_shape = shape;
-    e_version = version;
-    e_groups =
-      List.map
-        (fun group_index ->
-          (group_index, Planner.rewrite_to_group meta ~group_index stmt))
-        (Planner.shape_groups meta shape);
-    e_tick = 0;
-  }
+(* Plan-cache skeleton: the shard groups the shape can route to; each
+   is rewritten at its first dispatch. *)
+let build_entry t ~key ~version ~stmt shape =
+  Plancache.make_entry t.plancache ~key ~version ~stmt ~shape
+    (Planner.shape_groups t.metadata shape)
 
 (* Bind-time dispatch of a cached skeleton through the planner's own
-   single-task router: the routing value picks the shard group, whose
-   memoized statement is bound, and the placement is chosen fresh —
-   never cached, so repair and failover need no rebuild. *)
-let cached_plan (st : State.t) meta ~name ~values ~shape
-    (entry : Plancache.entry) =
+   single-task router: the routing value picks the shard group and the
+   placement is chosen fresh — never cached, so repair and failover need
+   no rebuild. The task carries the group's statement with its [$k]
+   unbound; the values travel beside it to the worker-side statement
+   ({!Plancache.dispatch}), which the worker binds. *)
+let cached_plan t (st : State.t) ~name ~values ~shape (entry : Plancache.entry)
+    =
+  let arity = List.length values in
+  (match List.find_opt (fun k -> k > arity) entry.Plancache.e_params with
+   | Some k -> raise (Exec.Bind_failure { stmt_name = name; param = k })
+   | None -> ());
   let bind k =
     match List.nth_opt values (k - 1), shape with
     | None, _ -> raise (Exec.Bind_failure { stmt_name = name; param = k })
@@ -166,9 +163,15 @@ let cached_plan (st : State.t) meta ~name ~values ~shape
       err "the distribution column value must be a non-null constant"
     | Some v, _ -> v
   in
+  let wire = ref None in
   let stmt_for g =
-    match List.assoc_opt g entry.Plancache.e_groups with
-    | Some stmt -> bind_shape ~name values stmt
+    match
+      Plancache.dispatch t.plancache entry g
+        ~rewrite:(Planner.rewrite_to_group t.metadata ~group_index:g)
+    with
+    | Some d ->
+      wire := Some d.Plancache.d_wire;
+      d.Plancache.d_stmt
     | None ->
       (* group space changed without a version bump: never execute a
          skeleton the catalog has outgrown *)
@@ -177,9 +180,12 @@ let cached_plan (st : State.t) meta ~name ~values ~shape
            (Printf.sprintf "plan cache skeleton of %s has no shard group %d"
               name g))
   in
-  Planner.single_task ~node_ok:(State.node_available st) meta
-    ~local_name:st.State.local.Cluster.Topology.node_name ~bind ~stmt_for
-    entry.Plancache.e_shape
+  let plan =
+    Planner.single_task ~node_ok:(State.node_available st) t.metadata
+      ~local_name:st.State.local.Cluster.Topology.node_name ~bind ~stmt_for
+      entry.Plancache.e_shape
+  in
+  (plan, Option.map (fun stmt -> { Exec.stmt; values }) !wire)
 
 (* INSERT..SELECT into a Citus table has its own planner (§3.8). *)
 let insert_select t st session = function
@@ -238,7 +244,13 @@ let route t (st : State.t) session ?prepared shape values =
     Obs.Metrics.inc metrics
       (Obs.Metric_names.planner_tier (Planner.tier_slug tier))
   in
-  let key = Deparse.statement shape in
+  (* an EXECUTE's key is its stored shape's text, deparsed once per
+     PREPARE; ad-hoc SQL deparses its freshly lifted shape *)
+  let key =
+    match prepared with
+    | Some name -> Engine.Instance.prepared_text session name
+    | None -> Deparse.statement shape
+  in
   let stat = Plancache.stat t.plancache ~key in
   stat.Plancache.st_calls <- stat.Plancache.st_calls + 1;
   let t0 = now () in
@@ -249,7 +261,7 @@ let route t (st : State.t) session ?prepared shape values =
     Obs.Trace.add_tag sp "cache" outcome;
     Obs.Trace.add_tag sp "tier"
       (Planner.tier_slug (Planner.shape_tier entry.Plancache.e_shape));
-    Ok (cached_plan st t.metadata ~name ~values ~shape entry)
+    Ok (cached_plan t st ~name ~values ~shape entry)
   in
   let bypass sp =
     Obs.Metrics.inc metrics Obs.Metric_names.plancache_bypass;
@@ -267,7 +279,7 @@ let route t (st : State.t) session ?prepared shape values =
     | plan, tier ->
       count_tier tier;
       Obs.Trace.add_tag sp "tier" (Planner.tier_slug tier);
-      Ok plan
+      Ok (plan, None)
     | exception Planner.Unsupported first_error -> Error (bound, first_error)
   in
   (* one "plan" span per statement, tagged with the cache outcome *)
@@ -298,7 +310,7 @@ let route t (st : State.t) session ?prepared shape values =
          stat.Plancache.st_builds <- stat.Plancache.st_builds + 1;
          stat.Plancache.st_tier <- Planner.tier_slug tier;
          charge Engine.Meter.add_routed_statement;
-         let entry = build_entry t.metadata ~key ~version ~stmt:shape sh in
+         let entry = build_entry t ~key ~version ~stmt:shape sh in
          let evicted = Plancache.store t.plancache ~max_size entry in
          if evicted > 0 then
            Obs.Metrics.inc ~by:evicted metrics
@@ -312,7 +324,7 @@ let route t (st : State.t) session ?prepared shape values =
       Obs.Trace.with_span (Cluster.Topology.trace t.cluster) ~now
         ~node:local_name ~kind:"plan" decide
     with
-    | Ok plan -> fst (Dist_executor.execute st session plan)
+    | Ok (plan, bound) -> fst (Dist_executor.execute ?bound st session plan)
     | Error (bound, first_error) ->
       execute_unplanned t st session bound ~first_error
   in

@@ -97,11 +97,11 @@ let run_merge (t : State.t) coord_session (merge : Plan.merge)
    single-task plan always yields a singleton list. *)
 let sole_result = function [ r ] -> r | _ -> assert false
 
-let execute (t : State.t) coord_session (plan : Plan.t) =
+let execute ?bound (t : State.t) coord_session (plan : Plan.t) =
   match plan with
   | Plan.Fast_path task | Plan.Router task ->
     let results, report =
-      Adaptive_executor.execute t coord_session [ task ]
+      Adaptive_executor.execute ?bound t coord_session [ task ]
     in
     (sole_result results, report)
   | Plan.Multi_shard_select { tasks; merge } ->

@@ -6,8 +6,12 @@
     the merge ("master") query over it — the CustomScan + merge-step
     structure of Figure 5. *)
 
-(** Result plus the adaptive executor's timing report. *)
+(** Result plus the adaptive executor's timing report. [?bound] is a
+    plan-cache hit's worker-side statement and values: the plan's one
+    task then carries its statement with [$k] unbound and goes out as a
+    bound execute (see {!Adaptive_executor.execute}). *)
 val execute :
+  ?bound:Exec.bound ->
   State.t ->
   Engine.Instance.session ->
   Plan.t ->

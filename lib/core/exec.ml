@@ -35,6 +35,8 @@ type exec_error =
 
 exception Bind_failure of { stmt_name : string; param : int }
 
+type bound = { stmt : Cluster.Connection.stmt; values : Datum.t list }
+
 let error_message = function
   | Node_unavailable { node; reason } ->
     Printf.sprintf "node %s unavailable: %s" node reason
@@ -76,15 +78,14 @@ let wrap f =
    pins the remote session's read visibility for just this statement —
    a per-request header, not connection state, so an interleaved
    statement from another code path never inherits it. *)
-let on_conn_exn ?deadline ?snapshot (t : State.t) conn sql =
+let guarded ?deadline ?snapshot (t : State.t) conn ~sql submit =
   let node = (Cluster.Connection.node conn).Cluster.Topology.node_name in
   let run () =
     try
       State.check_reachable t node;
       State.check_injected t node sql;
       let r =
-        (Cluster.Connection.(await ?deadline (exec_async conn sql))
-         [@lint.blocking])
+        (Cluster.Connection.await ?deadline (submit ()) [@lint.blocking])
         (* boundary primitive: runs both under a scheduler (executor
            fibers) and outside one (setup, maintenance) — Connection.await
            falls back to a clock advance when no scheduler is ambient *)
@@ -112,8 +113,18 @@ let on_conn_exn ?deadline ?snapshot (t : State.t) conn sql =
       ~finally:(fun () -> Cluster.Connection.set_read_mode conn saved)
       run
 
+let on_conn_exn ?deadline ?snapshot t conn sql =
+  guarded ?deadline ?snapshot t conn ~sql (fun () ->
+      Cluster.Connection.exec_async conn sql)
+
 let ast_on_conn_exn ?deadline ?snapshot t conn stmt =
   on_conn_exn ?deadline ?snapshot t conn (Sqlfront.Deparse.statement stmt)
+
+(* The same guards over a bound execute: injected failures match the
+   worker-side statement's stored text. *)
+let bound_on_conn_exn ?deadline ?snapshot t conn { stmt; values } =
+  guarded ?deadline ?snapshot t conn ~sql:stmt.Cluster.Connection.stmt_text
+    (fun () -> Cluster.Connection.exec_bound_async conn stmt values)
 
 (* Raw round trip: no partition check, no breaker accounting — for
    best-effort cleanup (ROLLBACK on a connection that just failed) and

@@ -37,6 +37,10 @@ type exec_error =
     [Error (Bind_error _)]. *)
 exception Bind_failure of { stmt_name : string; param : int }
 
+(** A plan-cache hit's statement on the wire: the worker-side prepared
+    statement of the task's shard group, and the values it binds. *)
+type bound = { stmt : Cluster.Connection.stmt; values : Datum.t list }
+
 (** Human-readable rendering, used for session error messages. *)
 val error_message : exec_error -> string
 
@@ -73,6 +77,18 @@ val ast_on_conn_exn :
   State.t ->
   Cluster.Connection.t ->
   Sqlfront.Ast.statement ->
+  Engine.Instance.result
+
+(** {!on_conn_exn} over a bound execute of a worker-side prepared
+    statement ({!Cluster.Connection.exec_bound_async}): the same guards,
+    breaker accounting and snapshot header, with injected failures
+    matched against the statement's stored text. *)
+val bound_on_conn_exn :
+  ?deadline:float ->
+  ?snapshot:Txn.Snapshot.read_mode ->
+  State.t ->
+  Cluster.Connection.t ->
+  bound ->
   Engine.Instance.result
 
 (** Raw round trip: no partition guard, no breaker accounting — for

@@ -3,11 +3,21 @@
    shape analysis lives in [Planner], skeleton construction and cached
    dispatch in [Api], which also emits the plancache.* metrics. *)
 
+type dispatch = {
+  d_stmt : Sqlfront.Ast.statement;
+  d_wire : Cluster.Connection.stmt;
+}
+
+type group = { g_index : int; mutable g_dispatch : dispatch option }
+
 type entry = {
+  e_id : int;
   e_key : string;
+  e_stmt : Sqlfront.Ast.statement;
   e_shape : Planner.shape;
   e_version : int;
-  e_groups : (int * Sqlfront.Ast.statement) list;
+  e_params : int list;
+  e_groups : group list;
   mutable e_tick : int;
 }
 
@@ -24,10 +34,65 @@ type t = {
   entries : (string, entry) Hashtbl.t;
   stat_tbl : (string, stat) Hashtbl.t;
   mutable tick : int;  (** LRU clock: bumped on every hit and store *)
+  mutable next_id : int;
+  retired : int ref;  (** shared by every worker-side statement made here *)
 }
 
 let create () =
-  { entries = Hashtbl.create 32; stat_tbl = Hashtbl.create 32; tick = 0 }
+  {
+    entries = Hashtbl.create 32;
+    stat_tbl = Hashtbl.create 32;
+    tick = 0;
+    next_id = 1;
+    retired = ref 0;
+  }
+
+let make_entry t ~key ~version ~stmt ~shape groups =
+  let id = t.next_id in
+  t.next_id <- id + 1;
+  {
+    e_id = id;
+    e_key = key;
+    e_stmt = stmt;
+    e_shape = shape;
+    e_version = version;
+    e_params = Sqlfront.Ast.params stmt;
+    e_groups = List.map (fun g -> { g_index = g; g_dispatch = None }) groups;
+    e_tick = 0;
+  }
+
+(* A group is rewritten, deparsed and named on its first dispatch, and
+   memoized for the entry's lifetime: a skeleton holds statements only
+   for the groups its shape has actually reached. *)
+let dispatch t entry group_index ~rewrite =
+  match List.find_opt (fun g -> g.g_index = group_index) entry.e_groups with
+  | None -> None
+  | Some { g_dispatch = Some d; _ } -> Some d
+  | Some g ->
+    let stmt = rewrite entry.e_stmt in
+    let d =
+      {
+        d_stmt = stmt;
+        d_wire =
+          {
+            Cluster.Connection.stmt_name =
+              Printf.sprintf "citus_s%d_%d" entry.e_id group_index;
+            stmt_text = Sqlfront.Deparse.statement stmt;
+            stmt_live = true;
+            stmt_retired = t.retired;
+          };
+      }
+    in
+    g.g_dispatch <- Some d;
+    Some d
+
+(* An entry leaving the cache takes its worker-side statements with it:
+   connections close them with their next bound execute. *)
+let retire e =
+  List.iter
+    (fun g ->
+      Option.iter (fun d -> Cluster.Connection.retire d.d_wire) g.g_dispatch)
+    e.e_groups
 
 (* Stable 8-hex shape id: [Hashtbl.hash] of the normalized shape text is
    deterministic across runs, and bounds the plancache.shape_seconds.*
@@ -45,6 +110,7 @@ let find t ~key ~version =
     (* the metadata moved underneath the skeleton: a stale cached
        deparse must never execute — discard, caller re-plans *)
     Hashtbl.remove t.entries key;
+    retire e;
     Stale
   | Some e ->
     t.tick <- t.tick + 1;
@@ -56,6 +122,7 @@ let store t ~max_size entry =
   else begin
     t.tick <- t.tick + 1;
     entry.e_tick <- t.tick;
+    Option.iter retire (Hashtbl.find_opt t.entries entry.e_key);
     Hashtbl.replace t.entries entry.e_key entry;
     let evicted = ref 0 in
     while Hashtbl.length t.entries > max_size do
@@ -70,6 +137,7 @@ let store t ~max_size entry =
       match victim with
       | Some v ->
         Hashtbl.remove t.entries v.e_key;
+        retire v;
         incr evicted
       | None -> ()
     done;

@@ -7,10 +7,23 @@
     This cache memoizes, per {e query shape} (the normalized AST with
     parameters unbound, keyed by its deparse — an EXECUTE's stored
     shape, or ad-hoc SQL with its literals lifted to [$k]), the
-    planner-tier decision and a pruned-shard skeleton: one pre-rewritten
-    statement per shard group. Only the bind-time steps remain on the
-    hot path: hash the routing value to a group index, bind that
-    group's statement, and pick a fresh placement for it.
+    planner-tier decision and a pruned-shard skeleton: one rewritten
+    statement per shard group, made when the group is first dispatched.
+    Only the bind-time steps remain on the hot path: hash the routing
+    value to a group index, pick a fresh placement for it, and send that
+    group's statement as a bound execute of a worker-side prepared
+    statement.
+
+    {b Worker-side statements.} Each entry has a unique id. The first
+    dispatch of a group rewrites and deparses its statement once and
+    names it [citus_s<id>_<group>] ({!dispatch}); a connection parses it
+    on the node with the first bound execute it carries, later hits send
+    only the name and the values. An entry that leaves the cache —
+    evicted, found stale, or replaced — retires its statements, and
+    every connection that prepared them closes them with its next bound
+    execute. Worker registries are therefore bounded by
+    [plan_cache_size] × groups, and a statement of a stale entry never
+    runs again: the rebuilt entry has a fresh id, hence fresh names.
 
     {b Invalidation is correctness-critical.} Every entry records
     {!Metadata.version} at build time; {!find} discards an entry whose
@@ -31,13 +44,28 @@
     cached dispatch and the [plancache.*] metric emission live in
     [Api]. *)
 
+(** What a shard group's first dispatch memoizes. *)
+type dispatch = {
+  d_stmt : Sqlfront.Ast.statement;
+      (** the shape rewritten to the group's shard names, params unbound *)
+  d_wire : Cluster.Connection.stmt;  (** its worker-side statement *)
+}
+
+type group = {
+  g_index : int;  (** shard-group index ([-1] for a local read) *)
+  mutable g_dispatch : dispatch option;  (** [None] until first dispatch *)
+}
+
 type entry = {
+  e_id : int;  (** unique per cache: names the worker-side statements *)
   e_key : string;  (** normalized shape text (deparse, params unbound) *)
+  e_stmt : Sqlfront.Ast.statement;  (** the shape statement, params unbound *)
   e_shape : Planner.shape;
   e_version : int;  (** {!Metadata.version} when the skeleton was built *)
-  e_groups : (int * Sqlfront.Ast.statement) list;
-      (** group index -> the shape rewritten to that group's shard
-          names, params unbound *)
+  e_params : int list;
+      (** the shape's [$k], in {!Sqlfront.Ast.params} order: a bind
+          checks them without binding the statement *)
+  e_groups : group list;  (** the shard groups the shape can route to *)
   mutable e_tick : int;  (** LRU recency stamp *)
 }
 
@@ -63,16 +91,42 @@ val fingerprint : string -> string
 (** Shapes currently cached (the [plancache.entries] gauge). *)
 val size : t -> int
 
+(** [make_entry t ~key ~version ~stmt ~shape groups] builds an entry
+    with a fresh id for the shape statement [stmt], spanning the shard
+    groups [groups]. *)
+val make_entry :
+  t ->
+  key:string ->
+  version:int ->
+  stmt:Sqlfront.Ast.statement ->
+  shape:Planner.shape ->
+  int list ->
+  entry
+
+(** [dispatch t entry g ~rewrite] is group [g]'s statement and
+    worker-side statement: on first use [rewrite] turns the entry's [e_stmt]
+    into the group's shard statement, which is deparsed once and named
+    [citus_s<e_id>_<g>]; later calls return the memo. [None] when the
+    skeleton has no group [g]. *)
+val dispatch :
+  t ->
+  entry ->
+  int ->
+  rewrite:(Sqlfront.Ast.statement -> Sqlfront.Ast.statement) ->
+  dispatch option
+
 type lookup =
   | Hit of entry  (** valid skeleton; LRU recency bumped *)
-  | Stale  (** entry existed but its metadata version moved: removed *)
+  | Stale
+      (** entry existed but its metadata version moved: removed, and its
+          worker-side statements retired *)
   | Miss
 
 val find : t -> key:string -> version:int -> lookup
 
 (** Insert under the LRU bound; evicts least-recently-used entries past
-    [max_size] and returns how many were dropped. [max_size <= 0] stores
-    nothing. *)
+    [max_size] (retiring their worker-side statements) and returns how
+    many were dropped. [max_size <= 0] stores nothing. *)
 val store : t -> max_size:int -> entry -> int
 
 (** The (created-on-demand) statistics record of a shape. *)

@@ -53,9 +53,15 @@ and session = {
   mutable pending_commit_ts : Txn.Hlc.timestamp option;
       (** coordinator-assigned commit timestamp for the next
           COMMIT PREPARED on this session (out-of-band 2PC channel) *)
-  prepared : (string, Ast.statement) Hashtbl.t;
-      (** session-scoped PREPARE registry: name -> shape with [$n]
-          placeholders unbound (PostgreSQL prepared statements) *)
+  prepared : (string, prepared) Hashtbl.t;
+      (** session-scoped PREPARE registry (PostgreSQL prepared
+          statements); holds both SQL PREPAREs and the statements a
+          coordinator parsed here through {!exec_bound} *)
+}
+
+and prepared = {
+  p_stmt : Ast.statement;  (** shape with [$n] placeholders unbound *)
+  p_text : string Lazy.t;  (** its normalized text, deparsed at most once *)
 }
 
 let err fmt = Printf.ksprintf (fun m -> raise (Session_error m)) fmt
@@ -484,7 +490,8 @@ let prepare_statement (s : session) ~name (stmt : Ast.statement) =
     err "prepared statement %s already exists" name;
   if not (preparable stmt) then
     err "PREPARE supports SELECT, INSERT, UPDATE, DELETE and CALL statements";
-  Hashtbl.replace s.prepared name stmt
+  Hashtbl.replace s.prepared name
+    { p_stmt = stmt; p_text = lazy (Deparse.statement stmt) }
 
 let deallocate_statement (s : session) = function
   | None -> Hashtbl.reset s.prepared
@@ -493,7 +500,13 @@ let deallocate_statement (s : session) = function
       err "prepared statement %s does not exist" name;
     Hashtbl.remove s.prepared name
 
-let prepared_lookup (s : session) name = Hashtbl.find_opt s.prepared name
+let prepared_lookup (s : session) name =
+  Option.map (fun p -> p.p_stmt) (Hashtbl.find_opt s.prepared name)
+
+let prepared_text (s : session) name =
+  match Hashtbl.find_opt s.prepared name with
+  | Some p -> Lazy.force p.p_text
+  | None -> err "prepared statement %s does not exist" name
 
 let prepared_names (s : session) =
   List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) s.prepared [])
@@ -754,6 +767,27 @@ let exec_ast (s : session) (stmt : Ast.statement) : result =
       (fun _sp -> exec_ast_unspanned s stmt)
 
 let exec s sql = exec_ast s (Parser.parse_statement sql)
+
+(* The extended query protocol's Close / Parse / Bind / Execute, arriving
+   in one message. A repeated Parse replaces and an unknown Close is
+   ignored: the sender re-sends both when it lost a reply. The bound
+   statement then runs exactly as a parsed text statement would. *)
+let exec_bound s ~close ?parse ~name values =
+  List.iter (Hashtbl.remove s.prepared) close;
+  Option.iter
+    (fun text ->
+      Hashtbl.replace s.prepared name
+        { p_stmt = Parser.parse_statement text; p_text = Lazy.from_val text })
+    parse;
+  match Hashtbl.find_opt s.prepared name with
+  | None -> err "prepared statement %s does not exist" name
+  | Some p ->
+    let bound =
+      try Ast.bind_params values p.p_stmt
+      with Ast.Unbound_param i ->
+        err "no value for parameter $%d in prepared statement %s" i name
+    in
+    exec_ast s bound
 
 let copy_in s ~table ~columns lines =
   let t = s.inst in

@@ -71,6 +71,23 @@ val exec : session -> string -> result
 
 val exec_ast : session -> Sqlfront.Ast.statement -> result
 
+(** [exec_bound s ~close ?parse ~name values]: the extended query
+    protocol's Close, Parse, Bind and Execute in one message. Drops the
+    [close] names from the prepared-statement registry (unknown ones are
+    ignored), stores [parse] (SQL text with [$k] placeholders) as [name]
+    when given (replacing an earlier one), then binds [values] into the
+    stored AST and runs it through {!exec_ast} — hooks, implicit commit,
+    trace span and {!Meter} charge are those of the same statement sent
+    as text. Raises {!Session_error} for an unknown [name] or a missing
+    value. *)
+val exec_bound :
+  session ->
+  close:string list ->
+  ?parse:string ->
+  name:string ->
+  Datum.t list ->
+  result
+
 (** {2 Prepared statements}
 
     [PREPARE name AS stmt] / [EXECUTE name(args)] / [DEALLOCATE] are
@@ -86,6 +103,11 @@ val prepared_lookup : session -> string -> Sqlfront.Ast.statement option
 
 (** Names prepared in this session, sorted. *)
 val prepared_names : session -> string list
+
+(** Normalized text of a prepared statement: the deparse of its stored
+    shape, computed once per PREPARE (the plan cache keys EXECUTEs by
+    it). Raises {!Session_error} if the name is unknown. *)
+val prepared_text : session -> string -> string
 
 (** Resolve an EXECUTE: stored shape + evaluated argument datums. Raises
     {!Session_error} if the name is unknown. *)

@@ -25,6 +25,8 @@ let exec_timeouts = "exec.timeouts"
 let exec_hedged_reads = "exec.hedged_reads"
 let exec_hedge_wins = "exec.hedge_wins"
 let exec_stale_txn_resets = "exec.stale_txn_resets"
+let exec_worker_prepares = "exec.worker_prepares"
+let exec_worker_bound_executes = "exec.worker_bound_executes"
 
 (* planner *)
 let planner_tier slug = "planner.tier." ^ slug

@@ -67,8 +67,19 @@ val exec_hedged_reads : string
 (** counter: hedge attempts fired after the slow-primary threshold *)
 
 val exec_hedge_wins : string
-val exec_stale_txn_resets : string
 (** counter: hedges where the second attempt answered first *)
+
+val exec_stale_txn_resets : string
+(** counter: pooled connections found in an orphaned transaction block
+    and rolled back before reuse *)
+
+val exec_worker_prepares : string
+(** counter: worker-side statements parsed — the Parse that rides with a
+    cached statement's first bound execute on a connection *)
+
+val exec_worker_bound_executes : string
+(** counter: cached single-shard statements sent as a bound execute of a
+    worker-side prepared statement instead of SQL text *)
 
 (** {2 Planner} *)
 

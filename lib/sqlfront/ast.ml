@@ -286,9 +286,106 @@ let bind_params (params : Datum.t list) (st : statement) : statement =
       | e -> e)
     st
 
+(** The [$k] indexes [bind_params] meets, each once, in its traversal
+    order. *)
+let params (st : statement) : int list =
+  let seen = ref [] in
+  ignore
+    (map_statement_exprs
+       (function
+         | Param i as e ->
+           if not (List.mem i !seen) then seen := i :: !seen;
+           e
+         | e -> e)
+       st);
+  List.rev !seen
+
+(** The filter expressions of a statement: WHERE and JOIN ... ON
+    conditions, including those of FROM-clause subselects. *)
+let rec from_filters = function
+  | Table _ -> []
+  | Subselect (sel, _) -> select_filters sel
+  | Join { left; right; cond; _ } ->
+    from_filters left @ from_filters right @ Option.to_list cond
+
+and select_filters (s : select) =
+  List.concat_map from_filters s.from @ Option.to_list s.where
+
+let filters = function
+  | Select_stmt s | Insert { source = Query s; _ } -> select_filters s
+  | Update { where; _ } | Delete { where; _ } -> Option.to_list where
+  | _ -> []
+
+(* Two literals may share one [$k] when binding either value gives back
+   the other: the same constructor and an identical value. NaN equals
+   nothing, and JSON documents never merge. *)
+let same_literal (a : Datum.t) (b : Datum.t) =
+  match a, b with
+  | Null, Null -> true
+  | Bool x, Bool y -> Bool.equal x y
+  | Int x, Int y -> Int.equal x y
+  | Float x, Float y | Timestamp x, Timestamp y ->
+    (not (Float.is_nan x))
+    && Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Text x, Text y -> String.equal x y
+  | _ -> false
+
+(* Merge targets: the statement's first literals only, so a long IN
+   list lifts in linear time. *)
+let merge_window = 16
+
+(* [shape] holds [$1..$n] in traversal order with [values]. A filter
+   literal equal to one of the filter literals among the first
+   [merge_window] takes its [$k]; the others are renumbered in order.
+   [None] when nothing merges — the common case, settled without walking
+   the statement when no two literals are equal. *)
+let merge_filter_repeats shape values =
+  let vals = Array.of_list values in
+  let n = Array.length vals in
+  let repeats = ref false in
+  for i = 0 to min n merge_window - 1 do
+    for j = i + 1 to n - 1 do
+      if same_literal vals.(i) vals.(j) then repeats := true
+    done
+  done;
+  if not !repeats then None
+  else begin
+    let in_filter = Array.make (n + 1) false in
+    List.iter
+      (fold_expr
+         (fun () -> function Param k -> in_filter.(k) <- true | _ -> ())
+         ())
+      (filters shape);
+    let renum = Array.make (n + 1) 0 and next = ref 0 in
+    let kept = ref [] and targets = ref [] in
+    for k = 1 to n do
+      let v = vals.(k - 1) in
+      match
+        if in_filter.(k) then
+          List.find_opt (fun (_, w) -> same_literal v w) !targets
+        else None
+      with
+      | Some (j, _) -> renum.(k) <- j
+      | None ->
+        incr next;
+        renum.(k) <- !next;
+        kept := v :: !kept;
+        if in_filter.(k) && k <= merge_window then
+          targets := (!next, v) :: !targets
+    done;
+    if !next = n then None
+    else
+      Some
+        ( map_statement_exprs
+            (function Param k -> Param renum.(k) | e -> e)
+            shape,
+          List.rev !kept )
+  end
+
 (** Inverse of [bind_params]: every constant [bind_params] can reach
-    becomes a fresh [$k], numbered left to right as the constants appear
-    in the statement, and its value is returned at position [k - 1]. A
+    becomes a [$k], numbered left to right as the constants appear in the
+    statement, and its value is returned at position [k - 1]. A filter
+    literal repeating an earlier one shares its [$k] (see the .mli). A
     statement that already holds placeholders is returned unchanged, with
     no values. *)
 let lift_consts (st : statement) : statement * Datum.t list =
@@ -306,7 +403,12 @@ let lift_consts (st : statement) : statement * Datum.t list =
         | e -> e)
       st
   in
-  if !has_params then (st, []) else (shape, List.rev !lifted)
+  if !has_params then (st, [])
+  else
+    let values = List.rev !lifted in
+    match merge_filter_repeats shape values with
+    | Some merged -> merged
+    | None -> (shape, values)
 
 (** Rename table references (FROM items, DML targets) via [f] — the core
     mechanism of shard-name rewriting in the Citus planners. *)

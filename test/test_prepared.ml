@@ -7,14 +7,21 @@
    correctness-critical — the invalidation matrix: schema DDL, a shard
    move, a rebalance after node addition, and a replication-factor
    change between two EXECUTEs must each revalidate the cached plan;
-   a stale deparse string must never execute.
+   a stale deparse string must never execute. The worker-side
+   statements behind cache hits are inspected on both ends of every
+   connection: a warm EXECUTE parses nothing on the worker, an
+   invalidation or an eviction closes the old statements and the next
+   EXECUTE re-prepares, registries stay within plan_cache_size x groups,
+   and plan_cache_size = 0 prepares nothing.
 
    The chaos group then replays the story under a seeded storm:
    prepared executes run across crashes, partitions, dropped round
    trips and a mid-storm [citus_move_shard_placement]. Every execute
    that succeeds must return the row the key maps to (zero wrong-shard
    reads — the invariant a stale plan would break), and the same seed
-   replays bit-for-bit. *)
+   replays bit-for-bit. A second mix restarts workers under prepared
+   reads, prepared writes and ad-hoc reads, so connections and their
+   worker-side statements die and are re-prepared mid-workload. *)
 
 let exec s sql = Engine.Instance.exec s sql
 
@@ -110,10 +117,20 @@ let test_typed_bind_error () =
   setup_items s;
   Citus.Session.prepare s ~name:"skip"
     "SELECT val FROM items WHERE key = $2";
-  match Citus.Session.execute s "skip" [ Datum.Int 3 ] with
+  (match Citus.Session.execute s "skip" [ Datum.Int 3 ] with
+   | exception Engine.Instance.Session_error m ->
+     Alcotest.(check string) "typed bind error"
+       "no value for parameter $2 in prepared statement skip" m
+   | _ -> Alcotest.fail "missing $2 must fail with the typed bind error");
+  (* the routing value is bound but a filter's is not: a cache hit
+     checks the arity on the coordinator, before the worker binds *)
+  Citus.Session.prepare s ~name:"two"
+    "SELECT val FROM items WHERE key = $1 AND val = $2";
+  ignore (Citus.Session.execute s "two" [ Datum.Int 3; Datum.Text "v3" ]);
+  match Citus.Session.execute s "two" [ Datum.Int 3 ] with
   | exception Engine.Instance.Session_error m ->
-    Alcotest.(check string) "typed bind error"
-      "no value for parameter $2 in prepared statement skip" m
+    Alcotest.(check string) "typed bind error on a hit"
+      "no value for parameter $2 in prepared statement two" m
   | _ -> Alcotest.fail "missing $2 must fail with the typed bind error"
 
 (* --- cache accounting --- *)
@@ -133,23 +150,105 @@ let since cluster =
       int_of_float (gauge cluster Obs.Metric_names.plancache_entries -. entries)
     )
 
+(* --- worker-side statements ---
+
+   Every worker connection of the client session, as the coordinator's
+   registry and the worker session's: the names the coordinator believes
+   prepared, and those the worker holds. *)
+let registries citus s =
+  let st = Citus.Api.coordinator_state citus in
+  List.concat_map
+    (fun (_, conns) ->
+      List.map
+        (fun c ->
+          ( Cluster.Connection.prepared_names c,
+            Engine.Instance.prepared_names (Cluster.Connection.session c) ))
+        conns)
+    (Citus.State.session_state st s).Citus.State.pools
+
+(* plan-cache entry id of a worker-side statement name *)
+let entry_of name =
+  match String.split_on_char '_' name with
+  | [ "citus"; id; _group ] when String.length id > 1 && id.[0] = 's' ->
+    int_of_string (String.sub id 1 (String.length id - 1))
+  | _ -> Alcotest.failf "%s is not a worker-side statement name" name
+
+let entry_ids citus s =
+  List.sort_uniq compare
+    (List.concat_map (fun (coord, _) -> List.map entry_of coord)
+       (registries citus s))
+
+let worker_prepares cluster =
+  counter cluster Obs.Metric_names.exec_worker_prepares
+
+let bound_executes cluster =
+  counter cluster Obs.Metric_names.exec_worker_bound_executes
+
+let check_ends_agree citus s =
+  List.iter
+    (fun (coord, worker) ->
+      Alcotest.(check (list string)) "coordinator and worker registries agree"
+        coord worker)
+    (registries citus s)
+
+(* Entries whose statements reached a worker since [base] was taken. *)
+let entry_ids_since citus s base =
+  List.filter (fun id -> not (List.mem id base)) (entry_ids citus s)
+
+(* After an invalidating event and the EXECUTEs that follow it, where
+   [stale] are the entries of the shapes re-executed: the two ends
+   agree, a connection that carried a statement since the event (it
+   holds a name of an entry outside [seen]) holds none of a [stale]
+   entry — their statements were closed ahead of the new one's Parse —
+   and the next EXECUTE re-prepared. Entries of shapes not executed
+   since are only found stale at their next lookup, so their statements
+   may still wait on a worker; they can never run. *)
+let check_reprepared cluster citus s ~seen ~stale ~prepares_before =
+  check_ends_agree citus s;
+  let fresh = ref false in
+  List.iter
+    (fun (coord, _) ->
+      let ids = List.sort_uniq compare (List.map entry_of coord) in
+      if List.exists (fun id -> not (List.mem id seen)) ids then begin
+        fresh := true;
+        Alcotest.(check (list int)) "stale statements closed" []
+          (List.filter (fun id -> List.mem id stale) ids)
+      end)
+    (registries citus s);
+  Alcotest.(check bool) "the next EXECUTE re-prepared" true
+    (!fresh && worker_prepares cluster > prepares_before)
+
 let test_cache_hits () =
-  let cluster, _, s = make () in
+  let cluster, citus, s = make () in
   setup_items s;
   prepare_getv s;
   let delta = since cluster in
   let rounds = 3 in
-  for _ = 1 to rounds do
+  let prepares = ref 0 and bound = ref 0 in
+  for round = 1 to rounds do
     for k = 0 to n_items - 1 do
       check_val s ~name:"getv" k
-    done
+    done;
+    if round = 1 then begin
+      prepares := worker_prepares cluster;
+      bound := bound_executes cluster
+    end
   done;
   (* one shape: the first execute builds, every later one (any key)
      reuses the entry — bind-time pruning re-selects the shard *)
   let hits, misses, _, entries = delta () in
   Alcotest.(check int) "one build" 1 misses;
   Alcotest.(check int) "rest are hits" ((rounds * n_items) - 1) hits;
-  Alcotest.(check int) "one entry" 1 entries
+  Alcotest.(check int) "one entry" 1 entries;
+  (* once every key's group has run, an EXECUTE is a bound execute of a
+     statement its worker already holds: no Parse rides with it *)
+  Alcotest.(check bool) "the first round prepared" true (!prepares > 0);
+  Alcotest.(check int) "warm EXECUTEs prepare nothing" !prepares
+    (worker_prepares cluster);
+  Alcotest.(check int) "each is one bound execute"
+    ((rounds - 1) * n_items)
+    (bound_executes cluster - !bound);
+  check_ends_agree citus s
 
 (* Ad-hoc SQL is lifted to the same shape as the prepared statement, so
    both share one entry and one citus_stat_statements row. *)
@@ -275,28 +374,140 @@ let test_uncacheable_bypass () =
   Alcotest.(check int) "both bypassed" 2 bypass;
   Alcotest.(check int) "no hits" 0 hits
 
+(* LRU eviction and stale drops also deallocate worker-side statements:
+   the next bound execute on a connection carries their Close, so no
+   registry outgrows plan_cache_size x groups. *)
 let test_lru_bound () =
-  let cluster, _, s = make () in
+  let cluster, citus, s = make () in
   setup_items s;
   ignore (exec s "SELECT citus_set_config('plan_cache_size', '2')");
-  Citus.Session.prepare s ~name:"a" "SELECT val FROM items WHERE key = $1";
-  Citus.Session.prepare s ~name:"b" "SELECT key FROM items WHERE key = $1";
-  Citus.Session.prepare s ~name:"c"
-    "SELECT key, val FROM items WHERE key = $1";
-  List.iter
-    (fun n -> ignore (Citus.Session.execute s n [ Datum.Int 1 ]))
-    [ "a"; "b"; "c" ];
-  Alcotest.(check bool) "evicted" true
-    (counter cluster Obs.Metric_names.plancache_evictions >= 1);
+  let shapes =
+    [
+      ("a", "SELECT val FROM items WHERE key = $1");
+      ("b", "SELECT key FROM items WHERE key = $1");
+      ("c", "SELECT key, val FROM items WHERE key = $1");
+      ("d", "SELECT val, key FROM items WHERE key = $1");
+      ("e", "SELECT val FROM items WHERE key = $1 AND val IS NOT NULL");
+    ]
+  in
+  List.iter (fun (name, sql) -> Citus.Session.prepare s ~name sql) shapes;
+  let run name = ignore (Citus.Session.execute s name [ Datum.Int 1 ]) in
+  (* the setup's INSERT entry is among the two cached; its statements
+     wait on other connections *)
+  let base = entry_ids citus s in
+  let new_id before =
+    match entry_ids_since citus s (base @ before) with
+    | [ id ] -> id
+    | ids -> Alcotest.failf "expected one new entry, got %d" (List.length ids)
+  in
+  run "a";
+  let id_a = new_id [] in
+  run "b";
+  let id_b = new_id [ id_a ] in
+  run "c";
+  (* the builds of b and c evicted the INSERT entry and a: c's message
+     closed a's statement *)
+  let id_c = new_id [ id_a; id_b ] in
+  Alcotest.(check (list int)) "eviction deallocated" [ id_b; id_c ]
+    (entry_ids_since citus s base);
+  check_ends_agree citus s;
+  (* a version bump makes b stale; its rebuild closes the old one *)
+  ignore (exec s "CREATE INDEX items_val ON items USING BTREE (val)");
+  run "b";
+  let id_b' = new_id [ id_b; id_c ] in
+  Alcotest.(check (list int)) "stale drop deallocated" [ id_c; id_b' ]
+    (entry_ids_since citus s base);
+  check_ends_agree citus s;
+  (* churn every shape over every key: the bound holds throughout *)
+  let groups = 8 in
+  for round = 1 to 3 do
+    List.iter
+      (fun (name, _) ->
+        for k = 0 to n_items - 1 do
+          let key = (k * round) mod n_items in
+          ignore (Citus.Session.execute s name [ Datum.Int key ]);
+          List.iter
+            (fun (coord, worker) ->
+              Alcotest.(check bool) "registry within plan_cache_size x groups"
+                true
+                (List.length coord <= 2 * groups
+                && List.length worker <= 2 * groups))
+            (registries citus s)
+        done)
+      shapes
+  done;
+  check_ends_agree citus s;
+  Alcotest.(check bool) "churn evicted" true
+    (counter cluster Obs.Metric_names.plancache_evictions >= 10);
   Alcotest.(check bool) "bounded" true
     (int_of_float (gauge cluster Obs.Metric_names.plancache_entries) <= 2);
-  (* the evicted shape still executes correctly — it just rebuilds *)
+  (* an evicted shape still executes correctly — it just rebuilds *)
   check_val s ~name:"a" 4
 
-let test_cache_disabled () =
+(* A router join that repeats one literal lifts to one [$k], so the
+   ad-hoc statement caches like its PREPAREd twin. Equal literals share a
+   parameter only when equal: two patterns of one query are two entries,
+   each answering with its own values. *)
+let test_adhoc_repeated_literal () =
   let cluster, _, s = make () in
   setup_items s;
+  ignore (exec s "CREATE TABLE tags (key bigint PRIMARY KEY, tag text)");
+  ignore (exec s "SELECT create_distributed_table('tags', 'key', 'items')");
+  for k = 0 to n_items - 1 do
+    ignore (exec s (Printf.sprintf "INSERT INTO tags VALUES (%d, 't%d')" k k))
+  done;
+  let delta = since cluster in
+  let join k =
+    match
+      (exec s
+         (Printf.sprintf
+            "SELECT items.val, tags.tag FROM items, tags WHERE items.key = %d \
+             AND tags.key = %d"
+            k k))
+        .Engine.Instance.rows
+    with
+    | [ [| Datum.Text v; Datum.Text t |] ] -> (v, t)
+    | rows -> Alcotest.failf "join on key %d: %d rows" k (List.length rows)
+  in
+  Alcotest.(check (pair string string)) "first join" ("v3", "t3") (join 3);
+  Alcotest.(check (pair string string)) "second join" ("v5", "t5") (join 5);
+  let hits, misses, bypass, _ = delta () in
+  Alcotest.(check int) "built once" 1 misses;
+  Alcotest.(check int) "the second join is a hit" 1 hits;
+  Alcotest.(check int) "no bypass" 0 bypass;
+  ignore (exec s "CREATE TABLE pairs (k bigint PRIMARY KEY, v bigint)");
+  ignore (exec s "SELECT create_distributed_table('pairs', 'k')");
+  ignore (exec s "INSERT INTO pairs VALUES (5, 5)");
+  ignore (exec s "INSERT INTO pairs VALUES (6, 7)");
+  let delta = since cluster in
+  let pairs k v =
+    List.map
+      (function
+        | [| Datum.Int a; Datum.Int b |] -> (a, b)
+        | _ -> Alcotest.fail "pairs row shape")
+      (exec s
+         (Printf.sprintf "SELECT k, v FROM pairs WHERE k = %d AND v = %d" k v))
+        .Engine.Instance.rows
+  in
+  let rows = Alcotest.(list (pair int int)) in
+  Alcotest.check rows "k = 5 AND v = 5" [ (5, 5) ] (pairs 5 5);
+  Alcotest.check rows "k = 6 AND v = 7" [ (6, 7) ] (pairs 6 7);
+  let hits, misses, _, entries = delta () in
+  Alcotest.(check int) "two entries" 2 entries;
+  Alcotest.(check int) "two builds" 2 misses;
+  Alcotest.(check int) "no hits yet" 0 hits;
+  (* each pattern now hits its own entry with the new values *)
+  Alcotest.check rows "k = 6 AND v = 6" [] (pairs 6 6);
+  Alcotest.check rows "k = 5 AND v = 7" [] (pairs 5 7);
+  Alcotest.check rows "k = 5 AND v = 5 again" [ (5, 5) ] (pairs 5 5);
+  let hits, misses, _, _ = delta () in
+  Alcotest.(check int) "no more builds" 2 misses;
+  Alcotest.(check int) "three hits" 3 hits
+
+let test_cache_disabled () =
+  let cluster, citus, s = make () in
   ignore (exec s "SELECT citus_set_config('plan_cache_size', '0')");
+  setup_items s;
   prepare_getv s;
   let delta = since cluster in
   for k = 0 to n_items - 1 do
@@ -305,7 +516,14 @@ let test_cache_disabled () =
   let hits, misses, bypass, _ = delta () in
   Alcotest.(check int) "no hits" 0 hits;
   Alcotest.(check int) "no builds" 0 misses;
-  Alcotest.(check bool) "counted as bypass" true (bypass >= n_items)
+  Alcotest.(check bool) "counted as bypass" true (bypass >= n_items);
+  (* the text path: nothing is prepared on a worker *)
+  Alcotest.(check int) "no worker prepares" 0 (worker_prepares cluster);
+  Alcotest.(check int) "no bound executes" 0 (bound_executes cluster);
+  List.iter
+    (fun (coord, worker) ->
+      Alcotest.(check (list string)) "empty registry" [] (coord @ worker))
+    (registries citus s)
 
 let test_stat_statements () =
   let _, _, s = make () in
@@ -354,17 +572,23 @@ let invalidations cluster =
   counter cluster Obs.Metric_names.plancache_invalidations
 
 let test_invalidate_ddl () =
-  let cluster, _, s = make () in
+  let cluster, citus, s = make () in
   setup_items s;
+  let base = entry_ids citus s in
   prepare_getv s;
   check_val s ~name:"getv" 2;
+  let stale = entry_ids_since citus s base
+  and seen = entry_ids citus s
+  and prepares_before = worker_prepares cluster in
   ignore (exec s "CREATE INDEX items_val ON items USING BTREE (val)");
   check_val s ~name:"getv" 2;
-  Alcotest.(check int) "DDL invalidated the plan" 1 (invalidations cluster)
+  Alcotest.(check int) "DDL invalidated the plan" 1 (invalidations cluster);
+  check_reprepared cluster citus s ~seen ~stale ~prepares_before
 
 let test_invalidate_move () =
   let cluster, citus, s = make () in
   setup_items s;
+  let base = entry_ids citus s in
   prepare_getv s;
   for k = 0 to n_items - 1 do
     check_val s ~name:"getv" k
@@ -383,6 +607,9 @@ let test_invalidate_move () =
     | Some n -> n.Cluster.Topology.node_name
     | None -> Alcotest.fail "no second worker"
   in
+  let stale = entry_ids_since citus s base
+  and seen = entry_ids citus s
+  and prepares_before = worker_prepares cluster in
   ignore
     (exec s
        (Printf.sprintf "SELECT citus_move_shard_placement(%d, '%s')"
@@ -393,32 +620,43 @@ let test_invalidate_move () =
     check_val s ~name:"getv" k
   done;
   Alcotest.(check bool) "move invalidated the plan" true
-    (invalidations cluster >= 1)
+    (invalidations cluster >= 1);
+  check_reprepared cluster citus s ~seen ~stale ~prepares_before
 
 let test_invalidate_rebalance () =
   (* start with shards packed on fewer workers, then add a node and
      rebalance between two EXECUTEs *)
-  let cluster, _, s = make ~workers:3 ~active_workers:2 () in
+  let cluster, citus, s = make ~workers:3 ~active_workers:2 () in
   setup_items s;
+  let base = entry_ids citus s in
   prepare_getv s;
   check_val s ~name:"getv" 1;
+  let stale = entry_ids_since citus s base
+  and seen = entry_ids citus s
+  and prepares_before = worker_prepares cluster in
   ignore (exec s "SELECT citus_add_node('worker3')");
   ignore (exec s "SELECT rebalance_table_shards()");
   for k = 0 to n_items - 1 do
     check_val s ~name:"getv" k
   done;
   Alcotest.(check bool) "rebalance invalidated the plan" true
-    (invalidations cluster >= 1)
+    (invalidations cluster >= 1);
+  check_reprepared cluster citus s ~seen ~stale ~prepares_before
 
 let test_invalidate_replication_factor () =
-  let cluster, _, s = make () in
+  let cluster, citus, s = make () in
   setup_items s;
+  let base = entry_ids citus s in
   prepare_getv s;
   check_val s ~name:"getv" 1;
+  let stale = entry_ids_since citus s base
+  and seen = entry_ids citus s
+  and prepares_before = worker_prepares cluster in
   ignore (exec s "SELECT citus_set_replication_factor(2)");
   check_val s ~name:"getv" 1;
   Alcotest.(check int) "factor change invalidated the plan" 1
-    (invalidations cluster)
+    (invalidations cluster);
+  check_reprepared cluster citus s ~seen ~stale ~prepares_before
 
 (* --- seeded chaos: prepared executes across a mid-storm shard move ---
 
@@ -541,6 +779,112 @@ let test_reproducible () =
   let _, b = run_prepared_chaos ~seed:7 in
   Alcotest.(check bool) "same seed, same outcome stream" true (a = b)
 
+(* --- seeded chaos: worker restarts under worker-side statements ---
+
+   Workers crash and come back while a mix of prepared reads, prepared
+   writes (each rewrites a key's own value, so every read has one right
+   answer) and ad-hoc reads runs: a restart kills the worker sessions,
+   the pooled connections go with them, and the replacements must
+   re-prepare before they execute. Every read that succeeds must return
+   its key's row, and on every live connection the coordinator must
+   never believe a statement prepared that its worker lacks — that
+   belief is what lets it skip the Parse. *)
+
+let run_restart_chaos ~seed =
+  let cluster, citus, s = make ~seed () in
+  setup_items s;
+  let fault =
+    match Cluster.Topology.fault cluster with
+    | Some f -> f
+    | None -> Alcotest.fail "cluster has no fault plan"
+  in
+  let rng = Random.State.make [| seed; 0x5e57 |] in
+  let workers =
+    List.map
+      (fun (n : Cluster.Topology.node) -> n.Cluster.Topology.node_name)
+      cluster.Cluster.Topology.workers
+  in
+  let horizon = float_of_int n_ops *. chaos_step in
+  for _ = 1 to 4 do
+    Sim.Fault.schedule_crash fault
+      ~at:(Random.State.float rng (horizon *. 0.8))
+      ~down_for:(0.2 +. Random.State.float rng 0.5)
+      (List.nth workers (Random.State.int rng (List.length workers)))
+  done;
+  Sim.Fault.set_drop_rate fault
+    ~request:(Random.State.float rng 0.02)
+    ~reply:(Random.State.float rng 0.02);
+  prepare_getv s;
+  Citus.Session.prepare s ~name:"setv"
+    "UPDATE items SET val = $2 WHERE key = $1";
+  let read k run =
+    match run () with
+    | { Engine.Instance.rows = [ [| Datum.Text v |] ]; _ }
+      when String.equal v (Printf.sprintf "v%d" k) ->
+      Good k
+    | r -> Wrong (Printf.sprintf "key %d got %d row(s)" k (List.length r.rows))
+    | exception _ -> Failed
+  in
+  let outcomes =
+    List.init n_ops (fun _ ->
+        Sim.Clock.advance cluster.Cluster.Topology.clock chaos_step;
+        let k = Random.State.int rng n_items in
+        match Random.State.int rng 10 with
+        | 0 | 1 | 2 | 3 | 4 ->
+          read k (fun () -> Citus.Session.execute s "getv" [ Datum.Int k ])
+        | 5 | 6 | 7 -> (
+          match
+            Citus.Session.execute s "setv"
+              [ Datum.Int k; Datum.Text (Printf.sprintf "v%d" k) ]
+          with
+          | _ -> Good k
+          | exception _ -> Failed)
+        | _ ->
+          read k (fun () ->
+              exec s (Printf.sprintf "SELECT val FROM items WHERE key = %d" k)))
+  in
+  (cluster, citus, s, outcomes)
+
+let test_restart_chaos seed () =
+  let cluster, citus, s, outcomes = run_restart_chaos ~seed in
+  List.iter
+    (function
+      | Wrong m -> Alcotest.failf "seed %d: wrong-shard read: %s" seed m
+      | Good _ | Failed -> ())
+    outcomes;
+  let good =
+    List.length (List.filter (function Good _ -> true | _ -> false) outcomes)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "seed %d: %d/%d ops succeeded" seed good n_ops)
+    true (good > n_ops / 2);
+  Alcotest.(check bool) "hits went out as bound executes" true
+    (bound_executes cluster > n_ops / 2);
+  let st = Citus.Api.coordinator_state citus in
+  List.iter
+    (fun (_, conns) ->
+      List.iter
+        (fun c ->
+          let sess = Cluster.Connection.session c in
+          if Engine.Instance.session_alive sess then
+            let worker = Engine.Instance.prepared_names sess in
+            List.iter
+              (fun name ->
+                if not (List.mem name worker) then
+                  Alcotest.failf "seed %d: %s is not prepared on its worker"
+                    seed name)
+              (Cluster.Connection.prepared_names c))
+        conns)
+    (Citus.State.session_state st s).Citus.State.pools
+
+let test_restart_reproducible () =
+  let run () =
+    let cluster, _, _, outcomes = run_restart_chaos ~seed:5 in
+    (outcomes, worker_prepares cluster, bound_executes cluster)
+  in
+  Alcotest.(check bool) "same seed, same outcomes and statement traffic" true
+    (run () = run ())
+
 let () =
   Alcotest.run "prepared"
     [
@@ -565,6 +909,8 @@ let () =
           Alcotest.test_case "uncacheable shapes bypass" `Quick
             test_uncacheable_bypass;
           Alcotest.test_case "lru bound" `Quick test_lru_bound;
+          Alcotest.test_case "ad-hoc repeated literal" `Quick
+            test_adhoc_repeated_literal;
           Alcotest.test_case "plan_cache_size=0 disables" `Quick
             test_cache_disabled;
           Alcotest.test_case "citus_stat_statements" `Quick
@@ -589,5 +935,16 @@ let () =
         @ [
             Alcotest.test_case "same seed, same storm" `Quick
               test_reproducible;
+          ] );
+      ( "restarts",
+        List.map
+          (fun seed ->
+            Alcotest.test_case
+              (Printf.sprintf "seed %d" seed)
+              `Quick (test_restart_chaos seed))
+          seed_matrix
+        @ [
+            Alcotest.test_case "same seed, same restarts" `Quick
+              test_restart_reproducible;
           ] );
     ]

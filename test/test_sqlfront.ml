@@ -538,6 +538,129 @@ let prop_lift_consts_inverse =
            shape);
       Ast.bind_params values shape = st && !consts_left = 0)
 
+(* Property: equal filter literals share one [$k], and a [$k] that
+   appears more than once appears only in filters. Constants and the
+   parameters replacing them are read in the same traversal of
+   [Ast.filters], so position i of one list is position i of the other.
+   NaN and JSON never merge; statements with more literals than the
+   merge window are left to the inverse property. *)
+(* Statements whose literals repeat: conjunctions of equalities over a
+   few values of mixed constructors (NaN, 0.0 and -0.0 among them), with
+   the same values in SET and VALUES lists. *)
+let repeated_literals_gen =
+  let open QCheck2.Gen in
+  let lit =
+    oneof
+      [
+        map (fun i -> Datum.Int i) (int_range 0 2);
+        map (fun i -> Datum.Float (float_of_int i)) (int_range 0 1);
+        oneofl
+          [ Datum.Float nan; Datum.Float (-0.0); Datum.Text "a"; Datum.Null ];
+      ]
+  in
+  let cond =
+    map2
+      (fun c d ->
+        Ast.Cmp (Ast.Eq, Ast.Column (None, "c" ^ string_of_int c), Ast.Const d))
+      (int_range 0 3) lit
+  in
+  let* where = map Ast.conjoin (list_size (int_range 1 5) cond) in
+  let* lits = list_size (int_range 1 3) lit in
+  oneofl
+    [
+      Ast.Select_stmt
+        {
+          Ast.distinct = false;
+          projections = [ Ast.Star ];
+          from = [ Ast.Table { name = "t"; alias = None } ];
+          where;
+          group_by = [];
+          having = None;
+          order_by = [];
+          limit = None;
+          offset = None;
+        };
+      Ast.Update
+        {
+          table = "t";
+          sets =
+            List.mapi (fun i d -> ("c" ^ string_of_int i, Ast.Const d)) lits;
+          where;
+        };
+      Ast.Insert
+        {
+          table = "t";
+          columns = None;
+          source = Ast.Values [ List.map (fun d -> Ast.Const d) (lits @ lits) ];
+          on_conflict_do_nothing = false;
+        };
+    ]
+
+let prop_lift_consts_merges =
+  QCheck2.Test.make ~name:"lift_consts merges exactly the equal filter literals"
+    ~count:500
+    ~print:(fun st -> Deparse.statement st)
+    QCheck2.Gen.(oneof [ statement_gen; repeated_literals_gen ])
+    (fun st ->
+      let collect pick exprs =
+        let acc = ref [] in
+        List.iter
+          (fun e ->
+            ignore
+              (Ast.map_expr
+                 (fun e ->
+                   (match pick e with Some x -> acc := x :: !acc | None -> ());
+                   e)
+                 e))
+          exprs;
+        List.rev !acc
+      in
+      let all_exprs stmt =
+        let acc = ref [] in
+        ignore
+          (Ast.map_statement_exprs
+             (fun e ->
+               acc := e :: !acc;
+               e)
+             stmt);
+        !acc
+      in
+      let param = function Ast.Param k -> Some k | _ -> None in
+      let shape, values = Ast.lift_consts st in
+      let consts =
+        collect (function Ast.Const d -> Some d | _ -> None) (Ast.filters st)
+      in
+      let params = collect param (Ast.filters shape) in
+      let same (a : Datum.t) (b : Datum.t) =
+        match a, b with
+        | Datum.Json _, _ | _, Datum.Json _ -> false
+        | Datum.Float x, Datum.Float y | Datum.Timestamp x, Datum.Timestamp y ->
+          (not (Float.is_nan x))
+          && Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+        | _ -> a = b
+      in
+      let occurrences k l = List.length (List.filter (Int.equal k) l) in
+      let everywhere = List.filter_map param (all_exprs shape) in
+      (* compare, not (=): a NaN literal must bind back to itself *)
+      compare (Ast.bind_params values shape) st = 0
+      && List.compare_lengths params consts = 0
+      && List.for_all
+           (fun k ->
+             occurrences k everywhere = 1
+             || occurrences k everywhere = occurrences k params)
+           everywhere
+      && (List.length everywhere > 16
+         ||
+         let pairs =
+           List.mapi (fun i dk -> (i, dk)) (List.combine consts params)
+         in
+         List.for_all
+           (fun (i, (d1, k1)) ->
+             List.for_all
+               (fun (j, (d2, k2)) -> i = j || Int.equal k1 k2 = same d1 d2)
+               pairs)
+           pairs))
+
 let prop_expr_roundtrip =
   QCheck2.Test.make ~name:"expr deparse/parse round trip" ~count:300
     ~print:(fun e -> Deparse.expr e)
@@ -606,5 +729,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_expr_roundtrip;
           QCheck_alcotest.to_alcotest prop_statement_roundtrip;
           QCheck_alcotest.to_alcotest prop_lift_consts_inverse;
+          QCheck_alcotest.to_alcotest prop_lift_consts_merges;
         ] );
     ]

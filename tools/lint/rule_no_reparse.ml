@@ -10,12 +10,15 @@
     graph marks everything the route can reach and flags every parser
     entry point inside the reachable set.
 
-    The wire boundary is excluded by design: [Connection.exec_ast]
-    deparses to SQL and the {e remote} engine re-parses it — exactly
-    like a real Citus worker receiving text over libpq. Reachability
-    therefore does not propagate through any call into [Connection]:
-    what happens past the wire is the remote node's parse, not a
-    coordinator re-parse.
+    The wire boundary is excluded by design. A cached route sends a
+    bound execute ([Connection.exec_bound_async]): the values travel as
+    [Datum]s and the worker binds a statement it parsed once per
+    connection, from the Parse that rode with the first execute. Other
+    statements go out as SQL text ([Connection.exec_ast] deparses) and
+    the {e remote} engine parses them, like a Citus worker receiving
+    text over libpq. Reachability therefore does not propagate through
+    any call into [Connection]: what happens past the wire is the remote
+    node's parse, not a coordinator re-parse.
 
     Escape hatch: [[\@lint.reparse]] on the call, asserting the parse
     is off the per-execute path (e.g. a lazily-built, cached artifact). *)
@@ -40,10 +43,11 @@ let explain =
    differs from the one the cached plan was validated against. L15 \
    computes forward reachability from Api.route over the whole-program \
    call graph, cutting every edge into Connection (the wire boundary: \
-   Connection.exec_ast deparses to SQL and the remote engine re-parses \
-   by design, like a Citus worker receiving text over libpq), and flags \
-   any reachable Parser.parse* site. Escape hatch: [@lint.reparse] for \
-   parses provably off the per-statement path."
+   a cached route sends a bound execute that the worker binds into a \
+   statement it parsed once per connection, and other statements go out \
+   as text the remote engine parses, like a Citus worker over libpq), \
+   and flags any reachable Parser.parse* site. Escape hatch: \
+   [@lint.reparse] for parses provably off the per-statement path."
 
 let applies _ = false
 let check ~path:_ _ = []
@@ -59,10 +63,11 @@ let is_parse comps =
     String.equal prev "Parser" && Rule.starts_with "parse" last
   | _ -> false
 
-(* the wire boundary: a call into Connection ships deparsed SQL to the
-   remote engine, whose parse is its own business, not a coordinator
-   re-parse. Matched on the resolved target (local opens leave the
-   written path bare), falling back to the written path. *)
+(* the wire boundary: a call into Connection ships a bound execute or
+   deparsed SQL to the remote engine, whose parse is its own business,
+   not a coordinator re-parse. Matched on the resolved target (local
+   opens leave the written path bare), falling back to the written
+   path. *)
 let crosses_wire (s : Callgraph.site) =
   match s.Callgraph.s_target with
   | Some { Callgraph.m; _ } -> String.equal m "Connection"
