@@ -910,14 +910,14 @@ let connect t =
 let connect_via _t (node : Cluster.Topology.node) =
   Engine.Instance.connect node.Cluster.Topology.instance
 
+(* Every node runs its own daemon, as every PostgreSQL server runs
+   autovacuum; a crashed node runs none until it restarts. *)
 let maintenance t =
   List.iter
-    (fun (st : State.t) ->
-      let name = st.State.local.Cluster.Topology.node_name in
-      (* a crashed node runs no background workers until it restarts *)
-      if Cluster.Topology.node_up t.cluster name then
-        Engine.Instance.maintenance_tick st.State.local.Cluster.Topology.instance)
-    t.states
+    (fun (n : Cluster.Topology.node) ->
+      if Cluster.Topology.node_up t.cluster n.Cluster.Topology.node_name then
+        Engine.Instance.maintenance_tick n.Cluster.Topology.instance)
+    (Cluster.Topology.all_nodes t.cluster)
 
 let create_distributed_table t ~table ~column ?colocate_with () =
   let session = connect t in

@@ -202,20 +202,26 @@ let parse s =
 
 (* --- Printing *)
 
+(* Runs that need no escape are copied whole. *)
 let escape_string buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  let from = ref 0 in
+  for i = 0 to String.length s - 1 do
+    let c = s.[i] in
+    if c = '"' || c = '\\' || Char.code c < 0x20 then begin
+      Buffer.add_substring buf s !from (i - !from);
+      from := i + 1;
+      Buffer.add_string buf
+        (match c with
+         | '"' -> "\\\""
+         | '\\' -> "\\\\"
+         | '\n' -> "\\n"
+         | '\r' -> "\\r"
+         | '\t' -> "\\t"
+         | c -> Printf.sprintf "\\u%04x" (Char.code c))
+    end
+  done;
+  Buffer.add_substring buf s !from (String.length s - !from);
   Buffer.add_char buf '"'
 
 let number_to_string f =
@@ -253,13 +259,14 @@ let to_string v =
 
 let get_field j k =
   match j with
-  | Obj fields -> List.assoc_opt k fields
+  | Obj fields ->
+    List.find_map (fun (k', v) -> if String.equal k k' then Some v else None) fields
   | Null | Bool _ | Num _ | Str _ | Arr _ -> None
 
 let get_index j i =
   match j with
-  | Arr items -> List.nth_opt items i
-  | Null | Bool _ | Num _ | Str _ | Obj _ -> None
+  | Arr items when i >= 0 -> List.nth_opt items i
+  | Arr _ | Null | Bool _ | Num _ | Str _ | Obj _ -> None
 
 let rec get_path j path =
   match path with
@@ -272,10 +279,12 @@ let rec get_path j path =
        Some (Arr collected)
      | Null | Bool _ | Num _ | Str _ | Obj _ -> None)
   | step :: rest ->
+    (* only an array step is read as an index: an object step never pays
+       for a failed integer parse *)
     let child =
-      match int_of_string_opt step with
-      | Some i when (match j with Arr _ -> true | _ -> false) -> get_index j i
-      | Some _ | None -> get_field j step
+      match j with
+      | Arr _ -> Option.bind (int_of_string_opt step) (get_index j)
+      | Null | Bool _ | Num _ | Str _ | Obj _ -> get_field j step
     in
     (match child with None -> None | Some c -> get_path c rest)
 

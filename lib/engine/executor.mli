@@ -59,11 +59,13 @@ val run_delete : ctx -> table:string -> where:Sqlfront.Ast.expr option -> int
 val insert_rows :
   ctx -> table:Catalog.table -> Datum.t array list -> on_conflict_do_nothing:bool -> int
 
-(** Index maintenance for a single tuple (used by the vacuum path and by
-    replication-style row application that bypasses SQL). *)
+(** Index maintenance for a single tuple (used by WAL replay, which
+    bypasses SQL). *)
 val index_insert : ctx -> Catalog.table -> int -> Datum.t array -> unit
 
-val index_remove : ctx -> Catalog.table -> int -> Datum.t array -> unit
+(** Drop a reclaimed tuple's B-tree entries, one index update each; GIN
+    entries leave by {!Storage.Gin.bulk_delete}. *)
+val index_remove : Meter.t -> Catalog.table -> int -> Datum.t array -> unit
 
 (** Schema of a base table as the executor exposes it to expressions. *)
 val table_schema : alias:string option -> Catalog.table -> Expr_eval.schema

@@ -172,6 +172,16 @@ let int_arg = function
   | Datum.Null -> raise Exit
   | d -> err "expected integer, got %s" (Datum.to_display d)
 
+(* jsonb_path_query_array; NULL input raises [Exit] (SQL NULL) *)
+let path_query_array a steps =
+  let j = json_arg a in
+  Datum.Json
+    (Json.Arr
+       (match Json.get_path j (Lazy.force steps) with
+        | Some (Json.Arr l) -> l
+        | Some v -> [ v ]
+        | None -> []))
+
 let sql_function env name (args : Datum.t list) : Datum.t =
   let strict f = try f () with Exit -> Datum.Null in
   match name, args with
@@ -264,12 +274,7 @@ let sql_function env name (args : Datum.t list) : Datum.t =
         | Some n -> Datum.Int n
         | None -> err "jsonb_array_length on a non-array")
   | "jsonb_path_query_array", [ a; path ] ->
-    strict (fun () ->
-        let j = json_arg a in
-        let steps = jsonpath_steps (text_arg path) in
-        match Json.get_path j steps with
-        | Some v -> Datum.Json (Json.Arr (match v with Json.Arr l -> l | v -> [ v ]))
-        | None -> Datum.Json (Json.Arr []))
+    strict (fun () -> path_query_array a (lazy (jsonpath_steps (text_arg path))))
   | "jsonb_typeof", [ a ] ->
     strict (fun () ->
         let ty =
@@ -445,6 +450,12 @@ let rec compile (schema : schema) (env : env) (e : Ast.expr) :
         | (fc, fv) :: rest -> if truthy (fc row) then fv row else go rest
       in
       go cbranches
+  | Ast.Func ("jsonb_path_query_array", [ a; Ast.Const (Datum.Text path) ]) ->
+    (* a constant path is split into steps once, not per row *)
+    let fa = c a and steps = lazy (jsonpath_steps path) in
+    fun row ->
+      let v = fa row in
+      (try path_query_array v steps with Exit -> Datum.Null)
   | Ast.Func (name, args) ->
     let fs = List.map c args in
     fun row -> sql_function env name (List.map (fun f -> f row) fs)

@@ -41,9 +41,3 @@ val resolve : schema -> string option -> string -> int
 
 (** SQL LIKE pattern matching ([%] and [_] wildcards); exposed for tests. *)
 val like_match : pattern:string -> ci:bool -> string -> bool
-
-(** Shared implementations for SQL functions that other layers reuse. *)
-val sql_function : env -> string -> Datum.t list -> Datum.t
-
-(** Parse a jsonpath like [$.payload.commits[*].message] into path steps. *)
-val jsonpath_steps : string -> string list

@@ -423,15 +423,24 @@ and vacuum_table t name =
     (match table.store with
      | Catalog.Columnar_store _ -> 0
      | Catalog.Heap_store heap ->
-       (* internal session for index maintenance expressions *)
-       let s = connect t in
-       let ctx = make_ctx s in
+       let dead = ref [] in
        let reclaimed =
          Storage.Heap.vacuum heap
-           ~on_reclaim:(fun tid row -> Executor.index_remove ctx table tid row)
+           ~on_reclaim:(fun tid row ->
+             Executor.index_remove t.meter table tid row;
+             dead := tid :: !dead)
            ~oldest:(Txn.Manager.oldest_active_xid t.mgr)
            ~status:(Txn.Manager.status t.mgr)
        in
+       (* GIN entries go before any reclaimed slot can be reused; one
+          index update per reclaimed row the index held *)
+       let dead = Array.of_list (List.rev !dead) in
+       List.iter
+         (function
+           | { Catalog.kind = Gin_index { gin; _ }; _ } ->
+             Meter.add_index_update t.meter (Storage.Gin.bulk_delete gin dead)
+           | _ -> ())
+         table.indexes;
        reclaimed)
 
 (* --- statement dispatch --- *)

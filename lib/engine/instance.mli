@@ -98,9 +98,6 @@ val exec_bound :
     and evaluate argument expressions (one implementation for hook and
     built-in paths). *)
 
-(** Stored shape for a prepared name, placeholders unbound. *)
-val prepared_lookup : session -> string -> Sqlfront.Ast.statement option
-
 (** Names prepared in this session, sorted. *)
 val prepared_names : session -> string list
 
@@ -180,9 +177,6 @@ val add_maintenance : t -> (t -> unit) -> unit
 val maintenance_tick : t -> unit
 
 (** {2 Administration} *)
-
-(** VACUUM one table: reclaim dead versions and drop their index entries. *)
-val vacuum_table : t -> string -> int
 
 (** Write a named restore point into the WAL (§3.9). *)
 val create_restore_point : t -> string -> unit

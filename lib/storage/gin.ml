@@ -1,11 +1,14 @@
-module Int_set = Set.Make (Int)
+(* One posting per trigram: its tids ascending in [tids.(0 .. n-1)], a
+   capacity-doubling array. [page] is assigned on the first pool touch
+   (-1 until then) and an emptied posting keeps its entry, so a trigram
+   keeps its page for the index's life. *)
+type posting = { mutable page : int; mutable tids : int array; mutable n : int }
 
 type t = {
   gin_name : string;
   page_rel : string;  (** buffer-pool relation name, built once *)
-  postings : (string, Int_set.t ref) Hashtbl.t;
+  postings : (string, posting) Hashtbl.t;
   mutable page_seq : int;
-  page_of_key : (string, int) Hashtbl.t;
 }
 
 let create ~name () =
@@ -14,113 +17,137 @@ let create ~name () =
     page_rel = "gin:" ^ name;
     postings = Hashtbl.create 1024;
     page_seq = 0;
-    page_of_key = Hashtbl.create 1024;
   }
 
 let name t = t.gin_name
 
-(* pg_trgm: words are lowercased alphanumeric runs, padded "  w " so a word
-   of length n yields n+1 trigrams. *)
-let words s =
-  let buf = Buffer.create 16 in
-  let out = ref [] in
-  let flush () =
-    if Buffer.length buf > 0 then begin
-      out := Buffer.contents buf :: !out;
-      Buffer.clear buf
-    end
-  in
-  String.iter
-    (fun c ->
-      match c with
-      | 'a' .. 'z' | '0' .. '9' -> Buffer.add_char buf c
-      | 'A' .. 'Z' -> Buffer.add_char buf (Char.lowercase_ascii c)
-      | _ -> flush ())
-    s;
-  flush ();
-  List.rev !out
+(* pg_trgm: words are lowercased alphanumeric runs. An indexed word is
+   padded "  w " so a word of length n yields n+1 trigrams; a query word
+   is not, since the pattern can match mid-word. *)
+let trigrams ~pad s =
+  String.map
+    (function
+      | ('a' .. 'z' | '0' .. '9') as c -> c
+      | 'A' .. 'Z' as c -> Char.lowercase_ascii c
+      | _ -> ' ')
+    s
+  |> String.split_on_char ' '
+  |> List.concat_map (fun w ->
+         let w = if pad && w <> "" then "  " ^ w ^ " " else w in
+         List.init (max 0 (String.length w - 2)) (fun i -> String.sub w i 3))
+  |> List.sort_uniq String.compare
 
-let trigrams_of s =
-  let of_word w =
-    let padded = "  " ^ w ^ " " in
-    let n = String.length padded in
-    let rec go i acc =
-      if i + 3 > n then List.rev acc else go (i + 1) (String.sub padded i 3 :: acc)
-    in
-    go 0 []
-  in
-  List.concat_map of_word (words s) |> List.sort_uniq String.compare
+let trigrams_of = trigrams ~pad:true
+let query_trigrams = trigrams ~pad:false
 
-(* Trigrams usable for a substring query: no word-boundary padding, since
-   the pattern can match mid-word. *)
-let query_trigrams pattern =
-  let of_word w =
-    let n = String.length w in
-    let rec go i acc =
-      if i + 3 > n then List.rev acc else go (i + 1) (String.sub w i 3 :: acc)
-    in
-    go 0 []
-  in
-  List.concat_map of_word (words pattern) |> List.sort_uniq String.compare
-
-let page_of t key =
-  match Hashtbl.find_opt t.page_of_key key with
+let posting t key =
+  match Hashtbl.find_opt t.postings key with
   | Some p -> p
   | None ->
-    let p = t.page_seq in
-    t.page_seq <- p + 1;
-    Hashtbl.replace t.page_of_key key p;
+    let p = { page = -1; tids = [||]; n = 0 } in
+    Hashtbl.add t.postings key p;
     p
 
-let touch pool t key =
+let touch pool t p =
   match pool with
   | None -> ()
   | Some pool ->
+    if p.page < 0 then begin
+      p.page <- t.page_seq;
+      t.page_seq <- t.page_seq + 1
+    end;
     ignore
-      (Buffer_pool.access pool
-         { Buffer_pool.relation = t.page_rel; page_no = page_of t key })
+      (Buffer_pool.access pool { Buffer_pool.relation = t.page_rel; page_no = p.page })
+
+(* First index in [lo, n) whose tid is >= [x]. *)
+let seek a n lo x =
+  let lo = ref lo and hi = ref n in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if a.(mid) < x then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* A tid reused from the heap freelist can be below the largest one
+   held, so it is placed by binary search and the tail shifts up (by
+   hand: [Array.blit] would pay a write barrier per element). *)
+let insert p tid =
+  let i = seek p.tids p.n 0 tid in
+  if i = p.n || p.tids.(i) <> tid then begin
+    if p.n = Array.length p.tids then begin
+      let bigger = Array.make (max 4 (2 * p.n)) 0 in
+      Array.blit p.tids 0 bigger 0 p.n;
+      p.tids <- bigger
+    end;
+    for k = p.n downto i + 1 do
+      p.tids.(k) <- p.tids.(k - 1)
+    done;
+    p.tids.(i) <- tid;
+    p.n <- p.n + 1
+  end
 
 let add ?pool t ~tid text =
   let tgs = trigrams_of text in
   List.iter
     (fun tg ->
-      touch pool t tg;
-      match Hashtbl.find_opt t.postings tg with
-      | Some set -> set := Int_set.add tid !set
-      | None -> Hashtbl.replace t.postings tg (ref (Int_set.singleton tid)))
+      let p = posting t tg in
+      touch pool t p;
+      insert p tid)
     tgs;
   List.length tgs
 
-let remove t ~tid text =
-  List.iter
-    (fun tg ->
-      match Hashtbl.find_opt t.postings tg with
-      | Some set ->
-        set := Int_set.remove tid !set;
-        if Int_set.is_empty !set then Hashtbl.remove t.postings tg
-      | None -> ())
-    (trigrams_of text)
+(* Compact [a.(0 .. len-1)] in place to the tids whose presence in the
+   ascending [b.(0 .. nb-1)] equals [keep], calling [hit] with the index
+   of each one found there; returns the new length. *)
+let filter a len b nb ~keep ~hit =
+  let w = ref 0 and j = ref 0 in
+  for k = 0 to len - 1 do
+    let x = a.(k) in
+    j := seek b nb !j x;
+    let found = !j < nb && b.(!j) = x in
+    if found then hit !j;
+    if found = keep then begin
+      a.(!w) <- x;
+      incr w
+    end
+  done;
+  !w
 
+(* ginbulkdelete: one pass over every posting, dropping the tids in
+   [dead] (ascending); returns how many of them some posting held. *)
+let bulk_delete t dead =
+  let nd = Array.length dead in
+  let held = Bytes.make nd '0' in
+  if nd > 0 then
+    Hashtbl.iter
+      (fun _ p -> p.n <- filter p.tids p.n dead nd ~keep:false ~hit:(fun j -> Bytes.set held j '1'))
+      t.postings;
+  Bytes.fold_left (fun c b -> if b = '1' then c + 1 else c) 0 held
+
+(* Intersect smallest-first into one scratch array, so each longer
+   posting is searched only for the tids still standing. *)
 let candidates ?pool t pattern =
   match query_trigrams pattern with
   | [] -> None
   | tgs ->
-    let posting tg =
-      touch pool t tg;
-      match Hashtbl.find_opt t.postings tg with
-      | Some set -> !set
-      | None -> Int_set.empty
+    let ps =
+      List.map
+        (fun tg ->
+          let p = posting t tg in
+          touch pool t p;
+          p)
+        tgs
+      |> List.stable_sort (fun a b -> Int.compare a.n b.n)
     in
-    let sets = List.map posting tgs in
-    (match sets with
-     | [] -> None
-     | first :: rest ->
-       let inter = List.fold_left Int_set.inter first rest in
-       Some (Int_set.elements inter))
-
-let page_count t = Hashtbl.length t.postings
+    let first = List.hd ps in
+    let acc = Array.sub first.tids 0 first.n in
+    let len =
+      List.fold_left
+        (fun len p -> filter acc len p.tids p.n ~keep:true ~hit:ignore)
+        first.n (List.tl ps)
+    in
+    Some (List.init len (Array.get acc))
 
 let clear t =
   Hashtbl.reset t.postings;
-  Hashtbl.reset t.page_of_key;
   t.page_seq <- 0

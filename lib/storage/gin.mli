@@ -8,7 +8,11 @@
 
     Maintaining the index on writes is deliberately expensive (one posting
     update per trigram), reproducing the write-amplification the paper's
-    COPY microbenchmark (Fig. 7a) exercises. *)
+    COPY microbenchmark (Fig. 7a) exercises.
+
+    Each trigram's posting is a sorted tid array. Entries leave only by
+    {!bulk_delete}, the vacuum pass PostgreSQL calls [ginbulkdelete]; a
+    posting emptied by it keeps its logical page. *)
 
 type t
 
@@ -27,15 +31,16 @@ val trigrams_of : string -> string list
     amplification is what Figure 7a measures. *)
 val add : ?pool:Buffer_pool.t -> t -> tid:int -> string -> int
 
-val remove : t -> tid:int -> string -> unit
+(** [bulk_delete t dead] drops the tids in [dead] (ascending, distinct)
+    from every posting in one pass; returns how many of them the index
+    held. Vacuum calls it before any reclaimed slot is reused. *)
+val bulk_delete : t -> int array -> int
 
 (** Candidate tids possibly containing [pattern] as a substring
-    (case-insensitive). [None] when the pattern is too short to extract a
-    trigram, in which case the caller must fall back to a full scan.
-    Touches one logical page per posting list consulted. *)
+    (case-insensitive), ascending. [None] when the pattern is too short
+    to extract a trigram, in which case the caller must fall back to a
+    full scan. Touches one logical page per posting list consulted. *)
 val candidates : ?pool:Buffer_pool.t -> t -> string -> int list option
-
-val page_count : t -> int
 
 (** Drop all postings. *)
 val clear : t -> unit

@@ -79,6 +79,27 @@ let test_json_wildcard_path () =
   | Some (Json.Arr [ Json.Str "fix"; Json.Str "feat" ]) -> ()
   | _ -> Alcotest.fail "wildcard path failed"
 
+(* A step reads as an array index only on an array: an object keeps
+   numeric-looking keys as names, an array misses on a non-numeric step. *)
+let test_json_numeric_steps () =
+  let j =
+    Json.parse {|{"0": "zero", "-1": "neg", "a": [10, 20, {"1": "one"}]}|}
+  in
+  let check name expect path =
+    Alcotest.(check (option string)) name expect
+      (Option.map Json.to_string (Json.get_path j path))
+  in
+  check "numeric key on object" (Some {|"zero"|}) [ "0" ];
+  check "negative key on object" (Some {|"neg"|}) [ "-1" ];
+  check "absent numeric key" None [ "1" ];
+  check "index on array" (Some "20") [ "a"; "1" ];
+  check "index past end" None [ "a"; "3" ];
+  check "negative index" None [ "a"; "-1" ];
+  check "name on array" None [ "a"; "x" ];
+  check "mixed step on array" None [ "a"; "1x" ];
+  check "numeric key under index" (Some {|"one"|}) [ "a"; "2"; "1" ];
+  check "step into scalar" None [ "a"; "0"; "0" ]
+
 let test_json_parse_errors () =
   List.iter
     (fun bad ->
@@ -106,6 +127,13 @@ let prop_compare_total =
     (fun (a, b) ->
       let c1 = Datum.compare a b and c2 = Datum.compare b a in
       (c1 = 0 && c2 = 0) || (c1 > 0 && c2 < 0) || (c1 < 0 && c2 > 0))
+
+let prop_json_string_roundtrip =
+  QCheck2.Test.make ~name:"json string escaping is reversible" ~count:500
+    QCheck2.Gen.(string_size ~gen:(oneof [ printable; char_range '\000' '\031'; oneofl [ '"'; '\\' ] ]) (int_range 0 30))
+    (fun s ->
+      let v = Json.Obj [ (s, Json.Arr [ Json.Str s ]) ] in
+      Json.equal v (Json.parse (Json.to_string v)))
 
 let prop_literal_roundtrip =
   QCheck2.Test.make ~name:"text literal quoting is reversible" ~count:500
@@ -158,10 +186,16 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
           Alcotest.test_case "escapes" `Quick test_json_escapes;
           Alcotest.test_case "wildcard path" `Quick test_json_wildcard_path;
+          Alcotest.test_case "numeric steps" `Quick test_json_numeric_steps;
           Alcotest.test_case "parse errors" `Quick test_json_parse_errors;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_compare_total; prop_literal_roundtrip; prop_hash_equal_consistent ]
+          [
+            prop_compare_total;
+            prop_literal_roundtrip;
+            prop_json_string_roundtrip;
+            prop_hash_equal_consistent;
+          ]
       );
     ]

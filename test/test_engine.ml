@@ -357,6 +357,51 @@ let test_jsonb_path_and_array_length () =
       (Expr_eval.like_match ~pattern:"%fix pg%" ~ci:false t)
   | _ -> Alcotest.fail "path query failed"
 
+(* A constant path is split once at compile time; a path read from a
+   column is split per row. Both give the same arrays, NULLs and
+   numeric-key lookups. *)
+let test_jsonb_path_const_matches_column () =
+  let _, s = fresh () in
+  ignore (exec s "CREATE TABLE docs (id bigint, data jsonb, p text)");
+  ignore
+    (exec s
+       {|INSERT INTO docs VALUES
+         (1, '{"a": {"0": "key"}, "b": [1, 2]}', '$.a.0'),
+         (2, '{"b": [{"x": 5}, {"x": 6}]}', '$.b[*].x'),
+         (3, '{"b": [7, 8]}', '$.b[1]'),
+         (4, '{"b": [7, 8]}', '$.b.x'),
+         (5, NULL, '$.b')|});
+  let paths = [ "$.a.0"; "$.b[*].x"; "$.b[1]"; "$.b.x"; "$.b" ] in
+  List.iteri
+    (fun i path ->
+      let id = i + 1 in
+      let by_const =
+        rows s
+          (Printf.sprintf
+             "SELECT jsonb_path_query_array(data, '%s')::text FROM docs WHERE id = %d"
+             path id)
+      and by_column =
+        rows s
+          (Printf.sprintf
+             "SELECT jsonb_path_query_array(data, p)::text FROM docs WHERE id = %d" id)
+      in
+      Alcotest.(check (list (array string)))
+        path
+        (List.map (Array.map Datum.to_display) by_column)
+        (List.map (Array.map Datum.to_display) by_const))
+    paths;
+  match
+    rows s
+      "SELECT jsonb_path_query_array(data, '$.a.0')::text, \
+       jsonb_path_query_array(data, '$.b[1]')::text FROM docs WHERE id < 4 ORDER BY id"
+  with
+  | [ [| a1; b1 |]; [| a2; _ |]; [| _; b3 |] ] ->
+    Alcotest.(check string) "numeric object key" {|["key"]|} (Datum.to_display a1);
+    Alcotest.(check string) "index" "[2]" (Datum.to_display b1);
+    Alcotest.(check string) "missing" "[]" (Datum.to_display a2);
+    Alcotest.(check string) "second element" "[8]" (Datum.to_display b3)
+  | _ -> Alcotest.fail "expected three rows"
+
 (* --- transactions --- *)
 
 let test_txn_rollback () =
@@ -634,6 +679,8 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_jsonb_roundtrip;
           Alcotest.test_case "path/array" `Quick test_jsonb_path_and_array_length;
+          Alcotest.test_case "const path = column path" `Quick
+            test_jsonb_path_const_matches_column;
         ] );
       ( "transactions",
         [

@@ -463,6 +463,185 @@ let test_move_timeout_rolls_back_group () =
 
 (* --- the chaos matrix: skewed clocks, fumbled commits, no torn reads --- *)
 
+(* --- worker autovacuum: every node's daemon vacuums its own shards --- *)
+
+(* A shard's table as its worker stores it. *)
+let shard_on f (sh : Citus.Metadata.shard) =
+  let node =
+    Cluster.Topology.find_node f.cluster
+      (Citus.Metadata.placement f.citus.Citus.Api.metadata sh.Citus.Metadata.shard_id)
+  in
+  Engine.Catalog.find_table
+    (Engine.Instance.catalog node.Cluster.Topology.instance)
+    (Citus.Metadata.shard_name sh)
+
+let shard_table f ?(table = "accounts") key =
+  shard_on f
+    (Citus.Metadata.shard_for_value f.citus.Citus.Api.metadata ~table (Datum.Int key))
+
+let shard_heap tbl =
+  match tbl.Engine.Catalog.store with
+  | Engine.Catalog.Heap_store h -> h
+  | Engine.Catalog.Columnar_store _ -> Alcotest.fail "expected a heap shard"
+
+let shards f table =
+  List.map (shard_on f) (Citus.Metadata.shards_of f.citus.Citus.Api.metadata table)
+
+(* Dead versions summed over every shard of [table]. *)
+let dead_in_shards f table =
+  List.fold_left
+    (fun acc tbl -> acc + Storage.Heap.dead_estimate (shard_heap tbl))
+    0 (shards f table)
+
+(* Tids the shard's primary-key B-tree holds for [key]. *)
+let pk_tids tbl key =
+  List.concat_map
+    (fun (idx : Engine.Catalog.index) ->
+      match idx.Engine.Catalog.kind with
+      | Engine.Catalog.Btree_index { columns; tree }
+        when columns = tbl.Engine.Catalog.primary_key ->
+        List.map snd (Storage.Btree.prefix tree [| Datum.Int key |])
+      | _ -> [])
+    tbl.Engine.Catalog.indexes
+
+let update_key_times s ~key n =
+  for i = 1 to n do
+    ignore
+      (exec s
+         (Printf.sprintf "UPDATE accounts SET balance = %d WHERE key = %d"
+            (initial_balance + i) key))
+  done
+
+let check_one_version f ~key =
+  let tbl = shard_table f key in
+  let h = shard_heap tbl in
+  Alcotest.(check int) "no dead versions" 0 (Storage.Heap.dead_estimate h);
+  Alcotest.(check int) "one tid for the key" 1 (List.length (pk_tids tbl key));
+  let live =
+    one_int
+      (Engine.Instance.connect
+         (Cluster.Topology.find_node f.cluster (node_of f.citus key))
+           .Cluster.Topology.instance)
+      (Printf.sprintf "SELECT count(*) FROM %s" tbl.Engine.Catalog.tbl_name)
+  in
+  Alcotest.(check int) "one version per row" live (Storage.Heap.live_estimate h)
+
+let test_worker_autovacuum () =
+  let f = accounts ~n_keys:4 ~one_txn:true ~seed:1 ~replication:1 () in
+  let s = Citus.Api.connect f.citus in
+  update_key_times s ~key:0 60;
+  let tbl = shard_table f 0 in
+  Alcotest.(check bool) "dead versions piled up" true
+    (Storage.Heap.dead_estimate (shard_heap tbl) > 50);
+  Alcotest.(check int) "every version indexed" 61 (List.length (pk_tids tbl 0));
+  Citus.Api.maintenance f.citus;
+  check_one_version f ~key:0;
+  check_int s "latest value" (initial_balance + 60)
+    "SELECT balance FROM accounts WHERE key = 0"
+
+let test_downed_worker_skipped () =
+  let f = accounts ~n_keys:4 ~one_txn:true ~seed:2 ~replication:1 () in
+  let fault = fault_of f.cluster in
+  let s = Citus.Api.connect f.citus in
+  update_key_times s ~key:0 60;
+  let worker = node_of f.citus 0 in
+  let ticks () = counter f.cluster Obs.Metric_names.engine_maintenance_ticks in
+  Sim.Fault.crash_now fault worker;
+  let before = ticks () in
+  Citus.Api.maintenance f.citus;
+  Alcotest.(check int) "every node but the downed one ticked" 3 (ticks () - before);
+  Sim.Fault.restart_now fault worker;
+  Alcotest.(check bool) "replay restored the dead versions" true
+    (Storage.Heap.dead_estimate (shard_heap (shard_table f 0)) > 50);
+  Citus.Api.maintenance f.citus;
+  Alcotest.(check int) "all four nodes ticked" 4 (ticks () - before - 3);
+  check_one_version f ~key:0
+
+(* Retention deletes, then the daemon's vacuum: the ILIKE dashboard on
+   the GIN trigram index answers as before, agrees with a scan that
+   cannot use the index, and no shard's GIN hands out a reclaimed tid —
+   also once new rows have reused the freed slots. *)
+let test_dashboard_across_vacuum () =
+  let f = accounts ~n_keys:1 ~seed:3 ~replication:1 () in
+  let s = Citus.Api.connect f.citus in
+  ignore (exec s "CREATE TABLE events (id bigint PRIMARY KEY, msg text)");
+  ignore (exec s "SELECT create_distributed_table('events', 'id')");
+  ignore (exec s "CREATE INDEX events_trgm ON events USING GIN ((msg) gin_trgm_ops)");
+  let msg i =
+    match i mod 3 with
+    | 0 -> Printf.sprintf "fix Postgres planner %d" i
+    | 1 -> Printf.sprintf "update readme %d" i
+    | _ -> Printf.sprintf "postgresql rocks %d" i
+  in
+  let insert lo hi =
+    ignore (exec s "BEGIN");
+    for i = lo to hi do
+      ignore
+        (exec s (Printf.sprintf "INSERT INTO events (id, msg) VALUES (%d, '%s')" i (msg i)))
+    done;
+    ignore (exec s "COMMIT")
+  in
+  let ids sql =
+    List.map
+      (function [| Datum.Int i |] -> i | _ -> Alcotest.fail "expected an id")
+      (exec s sql).Engine.Instance.rows
+  in
+  let dashboard () = ids "SELECT id FROM events WHERE msg ILIKE '%postgres%' ORDER BY id" in
+  let by_scan () = ids "SELECT id FROM events WHERE lower(msg) LIKE '%postgres%' ORDER BY id" in
+  let no_stale_tids () =
+    List.iter
+      (fun tbl ->
+        List.iter
+          (fun (idx : Engine.Catalog.index) ->
+            match idx.Engine.Catalog.kind with
+            | Engine.Catalog.Gin_index { gin; _ } ->
+              List.iter
+                (fun tid ->
+                  if Storage.Heap.header (shard_heap tbl) ~tid = None then
+                    Alcotest.fail (Printf.sprintf "stale tid %d in %s" tid idx.idx_name))
+                (Option.get (Storage.Gin.candidates gin "postgres"))
+            | Engine.Catalog.Btree_index _ -> ())
+          tbl.Engine.Catalog.indexes)
+      (shards f "events")
+  in
+  insert 1 900;
+  ignore (exec s "DELETE FROM events WHERE id <= 720");
+  let before = dashboard () in
+  Alcotest.(check (list int)) "index agrees with scan" (by_scan ()) before;
+  Alcotest.(check bool) "retention left dead versions" true (dead_in_shards f "events" > 0);
+  Citus.Api.maintenance f.citus;
+  Alcotest.(check int) "every shard vacuumed" 0 (dead_in_shards f "events");
+  no_stale_tids ();
+  Alcotest.(check (list int)) "same rows after vacuum" before (dashboard ());
+  insert 901 1000;
+  let after = dashboard () in
+  Alcotest.(check (list int)) "reused slots indexed" (by_scan ()) after;
+  Alcotest.(check (list int)) "old rows plus new matches" after
+    (before @ List.filter (fun i -> i mod 3 <> 1) (List.init 100 (fun i -> 901 + i)));
+  no_stale_tids ()
+
+(* Transfers pile dead versions on every worker; after the daemon
+   vacuums them, a snapshot-level sum still reads the conserved total,
+   before and after further transfers reuse the freed slots. *)
+let test_snapshot_sum_after_worker_vacuum () =
+  let f = accounts ~n_keys:8 ~one_txn:true ~seed:4 ~replication:1 () in
+  let s = Citus.Api.connect f.citus in
+  let transfers n =
+    for i = 1 to n do
+      let k1 = i mod f.n_keys and k2 = (i + 3) mod f.n_keys in
+      begin_transfer s ~k1 ~k2 ~amount:(1 + (i mod 5));
+      ignore (exec s "COMMIT")
+    done
+  in
+  transfers 300;
+  Alcotest.(check bool) "dead versions piled up" true (dead_in_shards f "accounts" > 0);
+  Citus.Api.maintenance f.citus;
+  Alcotest.(check int) "every shard vacuumed" 0 (dead_in_shards f "accounts");
+  ignore (exec s "SELECT citus_set_config('consistency', 'snapshot')");
+  Alcotest.(check int) "conserved after vacuum" (f.n_keys * initial_balance) (sum_balances s);
+  transfers 40;
+  Alcotest.(check int) "conserved after reuse" (f.n_keys * initial_balance) (sum_balances s)
+
 let n_stmts = 30
 let timeout = 0.5
 
@@ -643,6 +822,15 @@ let () =
             test_move_timeout_abandons_cleanly;
           Alcotest.test_case "rolls back the group" `Quick
             test_move_timeout_rolls_back_group;
+        ] );
+      ( "worker autovacuum",
+        [
+          Alcotest.test_case "one version after the tick" `Quick test_worker_autovacuum;
+          Alcotest.test_case "downed worker skipped" `Quick test_downed_worker_skipped;
+          Alcotest.test_case "dashboard across vacuum" `Quick
+            test_dashboard_across_vacuum;
+          Alcotest.test_case "snapshot sum after vacuum" `Quick
+            test_snapshot_sum_after_worker_vacuum;
         ] );
       ( "skew-matrix",
         seed_cases ~first:1 (width ~default:6) test_seed

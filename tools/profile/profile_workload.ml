@@ -54,13 +54,48 @@ let ycsb_prepared rng =
           (Citus.Session.execute s "update"
              [ Datum.Text (string_of_int (Random.State.bits rng)); Datum.Int key ]) )
 
+(* The bench/suite rt_analytics loop: 4,000 events loaded, then ops
+   that COPY an 8-event batch and delete the oldest events back to the
+   loaded count (retention), with the dashboard every sixth op. *)
 let rt rng =
   let db = Workloads.Db.citus ~shard_count:32 ~workers:4 () in
   Workloads.Gharchive.setup_schema db;
-  ignore
-    (Workloads.Gharchive.load db ~seed:(Random.State.bits rng)
-       { Workloads.Gharchive.default_config with events = 2_000 });
-  (db, 60, fun () -> ignore (Workloads.Db.exec db Workloads.Gharchive.dashboard_query))
+  let events n =
+    Workloads.Gharchive.generate_lines ~seed:(Random.State.bits rng)
+      { Workloads.Gharchive.events = n; days = 7; commits_per_event = 3;
+        postgres_fraction = 0.2 }
+  in
+  let live = Queue.create () in
+  let copy lines =
+    ignore
+      (Engine.Instance.copy_in db.Workloads.Db.session ~table:"github_events"
+         ~columns:None lines);
+    List.iter (fun l -> Queue.push (List.hd (String.split_on_char '\t' l)) live) lines
+  in
+  let rec load = function
+    | [] -> ()
+    | lines ->
+      copy (List.filteri (fun i _ -> i < 200) lines);
+      load (List.filteri (fun i _ -> i >= 200) lines)
+  in
+  load (events 4_000);
+  let retained = Queue.length live in
+  let n = ref 0 in
+  ( db,
+    60,
+    fun () ->
+      incr n;
+      if !n mod 6 = 0 then
+        ignore (Workloads.Db.exec db Workloads.Gharchive.dashboard_query)
+      else begin
+        copy (events 8);
+        while Queue.length live > retained do
+          ignore
+            (Workloads.Db.exec db
+               (Printf.sprintf "DELETE FROM github_events WHERE event_id = '%s'"
+                  (Queue.pop live)))
+        done
+      end )
 
 let () =
   Arg.parse (Arg.align spec)
