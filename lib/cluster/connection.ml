@@ -222,8 +222,6 @@ let wait_until cluster ~until_ =
     Topology.fault_tick cluster
   end
 
-let ready_at h = h.h_ready_at
-
 let await ?deadline h =
   let cluster = h.h_conn.cluster in
   (match deadline with
@@ -274,10 +272,6 @@ let backend_xid t = Engine.Instance.current_xid t.sess
 (* Out-of-band session channels for the distributed-snapshot protocol.
    These ride "inside" the next round trip rather than paying one of
    their own — the wire format would carry them as message headers. *)
-
-let set_read_mode t m = Engine.Instance.set_read_mode t.sess m
-
-let read_mode t = Engine.Instance.read_mode t.sess
 
 let set_next_commit_ts t ts =
   Engine.Instance.set_pending_commit_ts t.sess (Some ts)

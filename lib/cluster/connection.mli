@@ -90,9 +90,6 @@ val exec_bound_async : t -> stmt -> Datum.t list -> handle
 (** Names this connection has prepared on its node, sorted. *)
 val prepared_names : t -> string list
 
-(** Absolute virtual time at which the handle's reply arrives. *)
-val ready_at : handle -> float
-
 (** Collect the outcome: let the reply's virtual time pass (a fiber
     sleep under [Citus.State.with_sched], a clock advance otherwise),
     then return the result — re-raising whatever the round trip raised
@@ -124,16 +121,11 @@ val backend_xid : t -> int option
     Every round trip already piggybacks HLC stamps: the request carries
     the origin's send stamp (merged into the destination clock before
     the statement runs), and an awaited reply merges the destination's
-    post-execution stamp back into the origin. The calls below set the
-    remaining out-of-band session state — in a wire protocol they would
-    be message headers, so none of them costs a round trip. *)
-
-(** Set how reads on this connection's session resolve distributed
-    visibility (see {!Txn.Snapshot.read_mode}). Callers set it just
-    before dispatching a read and reset it after. *)
-val set_read_mode : t -> Txn.Snapshot.read_mode -> unit
-
-val read_mode : t -> Txn.Snapshot.read_mode
+    post-execution stamp back into the origin. The remaining
+    out-of-band session state — a read's visibility, pinned on
+    {!session} around one statement, and the commit stamp below — would
+    be message headers in a wire protocol, so none of it costs a round
+    trip. *)
 
 (** Arm the coordinator-assigned commit timestamp for the next
     [COMMIT PREPARED] executed on this connection — the visibility

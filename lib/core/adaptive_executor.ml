@@ -43,21 +43,17 @@ let measured (node : Cluster.Topology.node) f =
   in
   (result, duration)
 
-let register_backend st_state (t : State.t) conn coord_session =
-  match Cluster.Connection.backend_xid conn with
-  | Some worker_xid ->
-    let node = (Cluster.Connection.node conn).Cluster.Topology.node_name in
-    let coord_node =
-      Engine.Instance.name (Engine.Instance.session_instance coord_session)
-    in
-    (match Engine.Instance.current_xid coord_session with
-     | Some coord_xid ->
-       Hashtbl.replace t.State.registry (node, worker_xid)
-         (coord_node, coord_xid);
-       st_state.State.dist_xids <-
-         (node, worker_xid) :: st_state.State.dist_xids
-     | None -> ())
-  | None -> ()
+(* Deadlock-graph membership: transaction [xid] on [node] — a worker's,
+   or with local execution the session's own — belongs to the session's
+   distributed transaction, so its waits join one cancellable vertex. *)
+let register_member st_state (t : State.t) coord_session ~node xid =
+  match Engine.Instance.current_xid coord_session with
+  | Some coord_xid when not (Hashtbl.mem t.State.registry (node, xid)) ->
+    Hashtbl.replace t.State.registry (node, xid)
+      ( Engine.Instance.name (Engine.Instance.session_instance coord_session),
+        coord_xid );
+    st_state.State.dist_xids <- (node, xid) :: st_state.State.dist_xids
+  | _ -> ()
 
 (* Active replicas that can serve [task], planned node first, circuit-open
    nodes last. Falls back to the planned node when the shard is unknown or
@@ -351,13 +347,129 @@ let execute ?bound (t : State.t) coord_session (tasks : Plan.task list) =
     pool.sp_busy <- List.filter (fun c -> not (c == conn)) pool.sp_busy;
     Sim.Sched.broadcast sched pool.sp_cond
   in
+  (* A fiber sleep, or for a lone local task (no scheduler) a clock
+     advance firing the fault tick, as a single-fiber run does — never a
+     yield to an ambient scheduler: a delegated CALL is inside a round
+     trip. *)
+  let sleep_until ?sched wake =
+    match sched with
+    | Some sched -> Sim.Sched.sleep_until sched wake
+    | None ->
+      let now = Sim.Clock.now clock in
+      if wake > now then begin
+        Sim.Clock.advance clock (wake -. now);
+        Cluster.Topology.fault_tick t.State.cluster
+      end
+  in
+  let sleep ?sched d =
+    if d > 0.0 then sleep_until ?sched (Sim.Clock.now clock +. d)
+  in
+  (* Deadline expiry: slow, not dead — wait out the deadline, feed the
+     breaker's latency trip, cancel the statement PostgreSQL-style
+     ([count] when no handler further out counts the timeout). *)
+  let expire ?sched ~count ~node_name dl =
+    sleep_until ?sched dl;
+    Health.record_slow t.State.health node_name;
+    if count then Obs.Metrics.inc m Obs.Metric_names.exec_timeouts;
+    raise (Cluster.Connection.Timed_out { node = node_name; deadline = dl })
+  in
+  (* One fragment on [node]: [dispatch] runs it, then the executing side
+     is occupied for its modeled cost (a sleep, so spans and makespans
+     are measured), or up to an overrun deadline. *)
+  let fragment ?sched ~(node : Cluster.Topology.node) ~local (task : Plan.task)
+      snapshot dispatch =
+    let node_name = node.Cluster.Topology.node_name in
+    let result, duration =
+      Obs.Trace.with_span_parent trace ~parent:parent_span
+        ~now:(Cluster.Topology.now t.State.cluster)
+        ~node:node_name ~kind:"fragment"
+        ~tags:
+          (if not (Obs.Trace.enabled trace) then []
+           else
+             [ ("shard", string_of_int task.Plan.task_shard);
+               ("group", string_of_int task.Plan.task_group) ]
+             @ (if local then [ ("local", "true") ] else [])
+             @ Option.fold snapshot ~none:[] ~some:(fun mode ->
+                   [ ("snapshot",
+                      Format.asprintf "%a" Txn.Snapshot.pp_read_mode mode) ]))
+        (fun _sp ->
+          let result, duration = measured node dispatch in
+          (match deadline with
+           | Some dl when Sim.Clock.now clock +. duration > dl ->
+             expire ?sched ~count:local ~node_name dl
+           | _ -> sleep ?sched duration);
+          (result, duration))
+    in
+    Obs.Metrics.observe m Obs.Metric_names.exec_fragment_seconds duration;
+    record_duration node_name duration;
+    result
+  in
+  (* A read met prepared transaction [gid]: [resolve] it from the
+     origin's commit records, or back off while its 2PC is in flight, up
+     to the deadline; an origin that is down decides nothing until it
+     returns, so fail the read. Returns the next backoff. *)
+  let in_doubt ?sched ~node_name ~gid ~resolve backoff =
+    Obs.Metrics.inc m Obs.Metric_names.snapshot_indoubt_waits;
+    (match resolve () with
+     | `Resolved -> ()
+     | `Unreachable origin ->
+       raise
+         (State.Network_error
+            (Printf.sprintf "in-doubt %s: its coordinator %s is unreachable"
+               gid origin))
+     | `Pending -> (
+       match deadline with
+       | Some dl when Sim.Clock.now clock +. backoff > dl ->
+         expire ?sched ~count:true ~node_name dl
+       | _ -> sleep ?sched backoff));
+    Obs.Metrics.inc m Obs.Metric_names.snapshot_read_retries;
+    Float.min (backoff *. 2.0) 0.016
+  in
+  (* Local execution: a task placed on this node runs in the session's
+     own transaction — no connection, BEGIN or worker-side statement; a
+     cached task binds its values here. The xid joins the deadlock graph
+     as its own distributed transaction's member. An error is a
+     statement error: no withdrawal, no breaker failure. *)
+  let local_name = t.State.local.Cluster.Topology.node_name in
+  let run_local ?sched (task : Plan.task) =
+    let snapshot =
+      if is_write task.Plan.task_stmt then None else snapshot_mode
+    in
+    let stmt =
+      match bound with
+      | None -> task.Plan.task_stmt
+      | Some { Exec.stmt; values } -> (
+        try Ast.bind_params values task.Plan.task_stmt
+        with Ast.Unbound_param param ->
+          raise
+            (Exec.Bind_failure
+               { stmt_name = stmt.Cluster.Connection.stmt_name; param }))
+    in
+    Obs.Metrics.inc m Obs.Metric_names.exec_local_tasks;
+    let rec attempt backoff =
+      try
+        fragment ?sched ~node:t.State.local ~local:true task snapshot
+          (fun () ->
+            (* whatever the outcome: a lock wait must join the graph *)
+            Fun.protect
+              ~finally:(fun () ->
+                Option.iter
+                  (register_member st t coord_session ~node:local_name)
+                  (Engine.Instance.current_xid coord_session))
+              (fun () -> Exec.local_exn ?snapshot coord_session stmt))
+      with Txn.Manager.In_doubt { gid; xid = _ } ->
+        attempt
+          (in_doubt ?sched ~node_name:local_name ~gid
+             ~resolve:(fun () -> Twopc.resolve_in_doubt t ~gid ())
+             backoff)
+    in
+    attempt 0.001
+  in
   (* One attempt of [task] on [node_name]. On Network_error the connection
      is withdrawn from the coordinator transaction (its writes are lost;
      committing the survivors must not touch it) before re-raising. A
      read that lands in a 2PC in-doubt window ([Txn.Manager.In_doubt])
-     first tries to resolve the prepared transaction from the
-     coordinator's commit records, then re-reads — backing off on the
-     virtual clock, bounded by the statement deadline. *)
+     first tries to resolve the prepared transaction, then re-reads. *)
   let run_on sched (task : Plan.task) node_name =
     let write = is_write task.Plan.task_stmt in
     let snapshot = if write then None else snapshot_mode in
@@ -397,62 +509,23 @@ let execute ?bound (t : State.t) coord_session (tasks : Plan.task list) =
                in a transaction block". Registration guarantees the
                session's COMMIT/ROLLBACK fan-out (or the Network_error
                withdrawal below) sweeps it whatever the BEGIN's fate;
-               [register_backend] is a no-op if the BEGIN never ran. *)
+               registration is a no-op if the BEGIN never ran. *)
             st.State.txn_conns <- conn :: st.State.txn_conns;
             Fun.protect
-              ~finally:(fun () -> register_backend st t conn coord_session)
+              ~finally:(fun () ->
+                Option.iter
+                  (register_member st t coord_session ~node:node_name)
+                  (Cluster.Connection.backend_xid conn))
               (fun () -> ignore (Exec.on_conn_exn ?deadline t conn "BEGIN"))
           end;
-          let result, duration =
-            Obs.Trace.with_span_parent trace ~parent:parent_span
-              ~now:(Cluster.Topology.now t.State.cluster)
-              ~node:node.Cluster.Topology.node_name ~kind:"fragment"
-              ~tags:
-                ([
-                   ("shard", string_of_int task.Plan.task_shard);
-                   ("group", string_of_int task.Plan.task_group);
-                 ]
-                @
-                match snapshot with
-                | Some mode ->
-                  [
-                    ( "snapshot",
-                      Format.asprintf "%a" Txn.Snapshot.pp_read_mode mode );
-                  ]
-                | None -> [])
-              (fun _sp ->
-                let result, duration =
-                  measured node (fun () ->
-                      match bound with
-                      | Some b ->
-                        Exec.bound_on_conn_exn ?deadline ?snapshot t conn b
-                      | None ->
-                        Exec.ast_on_conn_exn ?deadline ?snapshot t conn
-                          task.Plan.task_stmt)
-                in
-                (* occupy the connection for the fragment's modeled cost:
-                   this sleep advances the virtual clock, so the span's
-                   start/end and the statement's makespan are genuine
-                   measurements *)
-                (match deadline with
-                 | Some dl when Sim.Clock.now clock +. duration > dl ->
-                   (* the modeled cost overruns the statement deadline:
-                      occupy the connection up to the deadline, then
-                      cancel the statement PostgreSQL-style — slow, not
-                      dead, so the breaker's latency trip is fed rather
-                      than its failure counter *)
-                   Sim.Sched.sleep_until sched dl;
-                   Health.record_slow t.State.health
-                     node.Cluster.Topology.node_name;
-                   raise
-                     (Cluster.Connection.Timed_out
-                        { node = node.Cluster.Topology.node_name;
-                          deadline = dl })
-                 | _ -> Sim.Sched.sleep sched duration);
-                (result, duration))
+          let result =
+            fragment ~sched ~node ~local:false task snapshot (fun () ->
+                match bound with
+                | Some b -> Exec.bound_on_conn_exn ?deadline ?snapshot t conn b
+                | None ->
+                  Exec.ast_on_conn_exn ?deadline ?snapshot t conn
+                    task.Plan.task_stmt)
           in
-          Obs.Metrics.observe m Obs.Metric_names.exec_fragment_seconds duration;
-          record_duration node.Cluster.Topology.node_name duration;
           if needs_txn_block && task.Plan.task_group >= 0 then begin
             let key = (node.Cluster.Topology.node_name, task.Plan.task_group) in
             if not (List.mem_assoc key st.State.affinity) then
@@ -472,42 +545,37 @@ let execute ?bound (t : State.t) coord_session (tasks : Plan.task list) =
           Obs.Metrics.inc m Obs.Metric_names.exec_timeouts;
           raise e
         | Txn.Manager.In_doubt { gid; xid = _ } ->
-          (* the fragment read into a 2PC in-doubt window: a prepared
-             transaction whose outcome this snapshot must know. Resolve
-             it Percolator-style from the coordinator's commit records;
-             if the 2PC is genuinely still in flight, back off (letting
-             the committing fibers run) and re-read. *)
-          Obs.Metrics.inc m Obs.Metric_names.snapshot_indoubt_waits;
-          (match Twopc.resolve_in_doubt t conn ~gid with
-           | `Resolved -> ()
-           | `Pending -> (
-             match deadline with
-             | Some dl when Sim.Clock.now clock +. backoff > dl ->
-               (* still unresolved at the statement deadline: slow, not
-                  dead — same typed cancellation as a late reply *)
-               Sim.Sched.sleep_until sched dl;
-               Health.record_slow t.State.health
-                 node.Cluster.Topology.node_name;
-               Obs.Metrics.inc m Obs.Metric_names.exec_timeouts;
-               raise
-                 (Cluster.Connection.Timed_out
-                    { node = node.Cluster.Topology.node_name; deadline = dl })
-             | _ -> Sim.Sched.sleep sched backoff));
-          Obs.Metrics.inc m Obs.Metric_names.snapshot_read_retries;
-          attempt (Float.min (backoff *. 2.0) 0.016)
+          attempt
+            (in_doubt ~sched ~node_name:node.Cluster.Topology.node_name ~gid
+               ~resolve:(fun () -> Twopc.resolve_in_doubt t ~conn ~gid ())
+               backoff)
         in
         attempt 0.001)
   in
+  let run_any sched task node_name =
+    if State.runs_locally t coord_session node_name then
+      run_local ~sched task
+    else run_on sched task node_name
+  in
+  (* served here: a write placed only here, or a read whose preferred
+     replica is here — no network to fail over from or hedge against *)
+  let served_locally (task : Plan.task) = function
+    | node_name :: rest ->
+      State.runs_locally t coord_session node_name
+      && (rest = [] || not (is_write task.Plan.task_stmt))
+    | [] -> false
+  in
   let exec_task sched (task : Plan.task) =
     let candidates = replica_nodes t task in
-    if is_write task.Plan.task_stmt && List.length candidates > 1 then begin
+    if served_locally task candidates then run_local ~sched task
+    else if is_write task.Plan.task_stmt && List.length candidates > 1 then begin
       (* statement-based replication (§3.3): the write runs on every
          active replica; replicas that fail are marked Inactive as long as
          at least one replica took the write *)
       let successes = ref [] and failed = ref [] and last_err = ref None in
       List.iter
         (fun node_name ->
-          match run_on sched task node_name with
+          match run_any sched task node_name with
           | r -> successes := r :: !successes
           | exception
               ((State.Network_error _ | Cluster.Connection.Node_unavailable _)
@@ -533,9 +601,9 @@ let execute ?bound (t : State.t) coord_session (tasks : Plan.task list) =
         | [] -> assert false
         | [ node_name ] ->
           State.with_retry t ~node:node_name (fun () ->
-              run_on sched task node_name)
+              run_any sched task node_name)
         | node_name :: rest ->
-          (match run_on sched task node_name with
+          (match run_any sched task node_name with
            | r -> r
            | exception
                (State.Network_error _ | Cluster.Connection.Node_unavailable _)
@@ -553,7 +621,7 @@ let execute ?bound (t : State.t) coord_session (tasks : Plan.task list) =
            before the statement returns. *)
         let attempt node_name =
           Sim.Sched.spawn sched ~node:node_name (fun () ->
-              run_on sched task node_name)
+              run_any sched task node_name)
         in
         let f1 = attempt primary in
         let hedge_at =
@@ -618,12 +686,12 @@ let execute ?bound (t : State.t) coord_session (tasks : Plan.task list) =
         if not explicit then
           (* single-placement write: bounded retries, no failover target *)
           State.with_retry t ~node:node_name (fun () ->
-              run_on sched task node_name)
+              run_any sched task node_name)
         else
           (* inside an explicit transaction: one attempt on the planned
              node; failing over mid-transaction would lose uncommitted
              state *)
-          run_on sched task node_name
+          run_any sched task node_name
   in
   (* Tasks that pin the same transaction-affine (node, shard-group) key
      must not race to establish the affinity connection: chain them into
@@ -655,6 +723,11 @@ let execute ?bound (t : State.t) coord_session (tasks : Plan.task list) =
   let results =
     match tasks with
     | [] -> []
+    | [ task ]
+      when State.runs_locally t coord_session task.Plan.task_node
+           && served_locally task (replica_nodes t task) ->
+      (* a lone local task needs no scheduler of its own *)
+      [ run_local task ]
     | _ ->
       let collected =
         State.with_sched t (fun sched ->

@@ -1,7 +1,9 @@
 (** The adaptive executor (§3.6.1).
 
     Runs a distributed plan's tasks as concurrent {!Sim.Sched} fibers
-    over per-session connection pools, respecting:
+    over per-session connection pools — except a task placed on the
+    session's own node, which runs in the session's own transaction
+    ({!Exec.local_exn}, §4j of DESIGN.md) — respecting:
 
     - {b connection affinity}: inside a transaction, the same shard group
       on the same node always reuses the same connection, so uncommitted
@@ -13,9 +15,9 @@
       replicas that fail are marked {!Metadata.Inactive} as long as one
       succeeded. A read failing with {!State.Network_error} outside an
       explicit transaction fails over to the next active replica;
-    - {b transaction blocks}: writes (and any statement inside an explicit
-      coordinator transaction) run inside [BEGIN] on the worker connection;
-      commit happens later through {!Twopc}'s transaction callbacks;
+    - {b transaction blocks}: remote writes (and any remote statement in
+      an explicit transaction) run inside [BEGIN] on the worker
+      connection; commit happens later through {!Twopc}'s callbacks;
     - {b the shared connection limit}: new connections are only opened
       while the cluster-wide per-worker count is below the limit;
     - {b slow start}: the k-th connection a statement opens to a node

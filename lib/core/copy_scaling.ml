@@ -28,21 +28,30 @@ let copy_replicated (t : State.t) st session ~(shard : Metadata.shard)
     ~shard_table ~columns lines =
   let nodes = Metadata.placements t.State.metadata shard.Metadata.shard_id in
   let copied = ref None and failed = ref [] in
+  let ship node =
+    if not (State.reachable t node) then
+      raise (State.Network_error (node ^ " is unreachable"));
+    let conn = connection_to t st session node in
+    if Engine.Instance.in_transaction session then begin
+      (* later statements in this transaction must find the
+         uncommitted rows: record shard-group affinity (§3.6.1) *)
+      let key = (node, shard.Metadata.index_in_colocation) in
+      if not (List.mem_assoc key st.State.affinity) then
+        st.State.affinity <- (key, conn) :: st.State.affinity
+    end;
+    let n = Cluster.Connection.copy conn ~table:shard_table ~columns lines in
+    Health.record_success t.State.health node;
+    n
+  in
   List.iter
     (fun node ->
       try
-        if not (State.reachable t node) then
-          raise (State.Network_error (node ^ " is unreachable"));
-        let conn = connection_to t st session node in
-        if Engine.Instance.in_transaction session then begin
-          (* later statements in this transaction must find the
-             uncommitted rows: record shard-group affinity (§3.6.1) *)
-          let key = (node, shard.Metadata.index_in_colocation) in
-          if not (List.mem_assoc key st.State.affinity) then
-            st.State.affinity <- (key, conn) :: st.State.affinity
-        end;
-        let n = Cluster.Connection.copy conn ~table:shard_table ~columns lines in
-        Health.record_success t.State.health node;
+        let n =
+          if State.runs_locally t session node then
+            (* local execution: into the session's own transaction *)
+            Engine.Instance.copy_local session ~table:shard_table ~columns lines
+          else ship node
+        in
         if !copied = None then copied := Some n
       with State.Network_error _ | Cluster.Connection.Node_unavailable _ ->
         Health.record_failure t.State.health node;

@@ -78,6 +78,16 @@ let wrap f =
    pins the remote session's read visibility for just this statement —
    a per-request header, not connection state, so an interleaved
    statement from another code path never inherits it. *)
+let with_read_mode session snapshot f =
+  match snapshot with
+  | None -> f ()
+  | Some mode ->
+    let saved = Engine.Instance.read_mode session in
+    Engine.Instance.set_read_mode session mode;
+    Fun.protect
+      ~finally:(fun () -> Engine.Instance.set_read_mode session saved)
+      f
+
 let guarded ?deadline ?snapshot (t : State.t) conn ~sql submit =
   let node = (Cluster.Connection.node conn).Cluster.Topology.node_name in
   let run () =
@@ -104,14 +114,7 @@ let guarded ?deadline ?snapshot (t : State.t) conn ~sql submit =
       Health.record_slow t.State.health node;
       raise e
   in
-  match snapshot with
-  | None -> run ()
-  | Some mode ->
-    let saved = Cluster.Connection.read_mode conn in
-    Cluster.Connection.set_read_mode conn mode;
-    Fun.protect
-      ~finally:(fun () -> Cluster.Connection.set_read_mode conn saved)
-      run
+  with_read_mode (Cluster.Connection.session conn) snapshot run
 
 let on_conn_exn ?deadline ?snapshot t conn sql =
   guarded ?deadline ?snapshot t conn ~sql (fun () ->
@@ -125,6 +128,12 @@ let ast_on_conn_exn ?deadline ?snapshot t conn stmt =
 let bound_on_conn_exn ?deadline ?snapshot t conn { stmt; values } =
   guarded ?deadline ?snapshot t conn ~sql:stmt.Cluster.Connection.stmt_text
     (fun () -> Cluster.Connection.exec_bound_async conn stmt values)
+
+(* Local execution: no connection, so no network guard and no breaker
+   accounting; any error is a statement error. *)
+let local_exn ?snapshot session stmt =
+  with_read_mode session snapshot (fun () ->
+      Engine.Instance.exec_local session stmt)
 
 (* Raw round trip: no partition check, no breaker accounting — for
    best-effort cleanup (ROLLBACK on a connection that just failed) and

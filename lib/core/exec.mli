@@ -91,6 +91,15 @@ val bound_on_conn_exn :
   bound ->
   Engine.Instance.result
 
+(** Local execution ({!Engine.Instance.exec_local}) of a task placed on
+    the session's own node: no network guard, no breaker accounting.
+    [?snapshot] pins the session's visibility for this statement. *)
+val local_exn :
+  ?snapshot:Txn.Snapshot.read_mode ->
+  Engine.Instance.session ->
+  Sqlfront.Ast.statement ->
+  Engine.Instance.result
+
 (** Raw round trip: no partition guard, no breaker accounting — for
     best-effort cleanup on connections that may be mid-failure and for
     shard-local plumbing that counts its own failures. Prefer

@@ -154,6 +154,11 @@ let checkout t st ?(force = false) (node : Cluster.Topology.node) =
   end
   else None
 
+let runs_locally t session node_name =
+  String.equal node_name t.local.Cluster.Topology.node_name
+  && Engine.Instance.session_instance session
+     == t.local.Cluster.Topology.instance
+
 let check_reachable t node_name =
   if List.mem node_name t.partitioned then
     raise (Network_error (Printf.sprintf "node %s is unreachable" node_name))

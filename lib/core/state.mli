@@ -141,6 +141,10 @@ val checkout :
 (** All pool connections of the session to [node]. *)
 val pool_of : session_state -> string -> Cluster.Connection.t list
 
+(** [runs_locally t session node]: [node] is this node and [session] one
+    of its sessions, so a task placed there runs locally. *)
+val runs_locally : t -> Engine.Instance.session -> string -> bool
+
 (** Network-simulation guards, used by [Exec]'s raising primitives:
     [check_reachable] raises {!Network_error} when the node is
     partitioned away; [check_injected] raises it when the statement

@@ -157,6 +157,7 @@ type fate =
     }
   | Rollback of { foreign : bool }
   | Pending
+  | Unreachable of string  (** the origin, crashed or cut off *)
 
 (* The one decision, shared by recovery and snapshot readers: a visible
    commit record on the origin means its coordinator committed — commit
@@ -169,7 +170,7 @@ let fate (t : State.t) gid =
   | None -> Pending
   | Some (origin, coord_xid) -> (
     match origin_node t origin with
-    | None -> Pending
+    | None -> Unreachable origin
     | Some onode -> (
       let records = node_session onode in
       let foreign =
@@ -247,9 +248,17 @@ let pre_commit (t : State.t) coord_session =
             t.State.cluster.Cluster.Topology.coordinator
               .Cluster.Topology.node_name)
   then Obs.Metrics.inc (metrics t) Obs.Metric_names.mx_worker_coordinated_txns;
+  (* a write made by local execution commits with this node's own
+     transaction, never through a delegated COMMIT *)
+  let local_wrote =
+    Option.fold ~none:false (Engine.Instance.current_xid coord_session)
+      ~some:
+        (Txn.Manager.wrote
+           (Engine.Instance.txn_manager t.State.local.Cluster.Topology.instance))
+  in
   match st.State.txn_conns with
   | [] -> ()
-  | [ conn ] ->
+  | [ conn ] when not local_wrote ->
     (* single-node transaction: delegate the commit (§3.7.1) *)
     Obs.Metrics.inc (metrics t) Obs.Metric_names.twopc_delegated_commits;
     ignore (Exec.on_conn_exn t conn "COMMIT")
@@ -324,7 +333,10 @@ let pre_commit (t : State.t) coord_session =
     st.State.commit_hlc <- Some commit_ts;
     (* durable commit records, in the same local transaction *)
     insert_commit_records coord_session ~ts:commit_ts
-      (List.map (fun (conn, gid) -> (gid, node_name conn)) !prepared)
+      (List.map (fun (conn, gid) -> (gid, node_name conn)) !prepared);
+    (* which commits at the same timestamp: a snapshot between two
+       stamps would see only one half of the transaction *)
+    Engine.Instance.set_pending_commit_ts coord_session (Some commit_ts)
 
 let post_commit (t : State.t) coord_session =
   let st = State.session_state t coord_session in
@@ -451,7 +463,7 @@ let recover (t : State.t) =
              List.iter
                (fun (gid, _xid) ->
                  match fate t gid with
-                 | Pending -> ()
+                 | Pending | Unreachable _ -> ()
                  | Commit { ts; records; foreign } ->
                    (* deferred commit: re-stamp at the recorded
                       timestamp, so late resolution lands at the same
@@ -485,17 +497,29 @@ let recover (t : State.t) =
    hit the window between PREPARE and COMMIT PREPARED applies the gid's
    {!fate} itself instead of waiting for the next maintenance pass. Best
    effort, exactly like [recover]; the resolution statements are not
-   reads and take no snapshot. *)
-let resolve_in_doubt (t : State.t) conn ~gid =
-  let resolve stmt =
-    try ignore ((Exec.ast_on_conn_exn t conn stmt) [@lint.latest])
-    with _ -> Health.record_ignored t.State.health (node_name conn)
+   reads and take no snapshot. They go over [conn] to the node the read
+   ran on, or — after a local read — run on this node itself. *)
+let resolve_in_doubt (t : State.t) ?conn ~gid () =
+  let resolve ?ts stmt =
+    try
+      match conn with
+      | Some conn ->
+        Option.iter (Cluster.Connection.set_next_commit_ts conn) ts;
+        ignore ((Exec.ast_on_conn_exn t conn stmt) [@lint.latest])
+      | None ->
+        let s = node_session t.State.local in
+        Engine.Instance.set_pending_commit_ts s ts;
+        ignore (Engine.Instance.exec_ast s stmt)
+    with _ ->
+      Health.record_ignored t.State.health
+        (Option.fold conn ~some:node_name
+           ~none:t.State.local.Cluster.Topology.node_name)
   in
   match fate t gid with
   | Pending -> `Pending
+  | Unreachable origin -> `Unreachable origin
   | Commit { ts; _ } ->
-    Option.iter (Cluster.Connection.set_next_commit_ts conn) ts;
-    resolve (Sqlfront.Ast.Commit_prepared gid);
+    resolve ?ts (Sqlfront.Ast.Commit_prepared gid);
     Obs.Metrics.inc (metrics t) Obs.Metric_names.snapshot_indoubt_commits;
     `Resolved
   | Rollback _ ->

@@ -184,6 +184,9 @@ let ensure_txn s =
   | None ->
     let x = Txn.Manager.begin_txn s.inst.mgr in
     s.xid <- Some x;
+    (* a stamp armed for a COMMIT PREPARED that never arrived must not
+       stamp this transaction's commit *)
+    s.pending_commit_ts <- None;
     x
 
 let do_commit s =
@@ -192,7 +195,10 @@ let do_commit s =
   | Some x ->
     if Txn.Manager.is_active s.inst.mgr x then begin
       List.iter (fun cb -> cb s) s.inst.hooks.pre_commit;
-      Txn.Manager.commit s.inst.mgr x;
+      (* a pre-commit hook that ran 2PC armed its commit timestamp *)
+      let ts = s.pending_commit_ts in
+      s.pending_commit_ts <- None;
+      Txn.Manager.commit ?ts s.inst.mgr x;
       s.xid <- None;
       s.explicit_block <- false;
       List.iter (fun cb -> cb s) s.inst.hooks.post_commit
@@ -738,6 +744,24 @@ and exec_builtin s stmt : result =
   | _ -> err "unsupported statement"
 
 let exec_utility_local s stmt = exec_utility s stmt
+
+(* Local execution: errors surface as on the wire, and the session's
+   state is left to the statement that dispatched this one. *)
+let in_local_txn s f =
+  if not (session_alive s) then
+    err "session %d on %s died with the node" s.sid s.inst.node_name;
+  ignore (ensure_txn s);
+  try f () with
+  | Executor.Exec_error m | Expr_eval.Eval_error m -> raise (Session_error m)
+  | Catalog.No_such_table n -> err "relation %s does not exist" n
+
+let exec_local s stmt =
+  in_local_txn s (fun () ->
+      Meter.add_statement s.inst.meter;
+      if is_utility stmt then exec_utility s stmt else exec_builtin s stmt)
+
+let copy_local s ~table ~columns lines =
+  in_local_txn s (fun () -> copy_in_local s ~table ~columns lines)
 
 let stmt_kind : Ast.statement -> string = function
   | Ast.Select_stmt _ -> "select"

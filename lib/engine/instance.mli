@@ -132,7 +132,8 @@ val current_xid : session -> int option
     it around each dispatched statement. [set_pending_commit_ts] arms
     the coordinator-assigned HLC commit timestamp that the next
     [COMMIT PREPARED] on this session will stamp — the out-of-band half
-    of the 2PC visibility fence. [set_hlc] installs the node's hybrid
+    of the 2PC visibility fence — or, armed by a pre-commit hook, the
+    transaction's own COMMIT. [set_hlc] installs the node's hybrid
     logical clock into the transaction manager (wired by
     [Cluster.Topology] to the simulated, possibly skewed, node clock). *)
 
@@ -148,6 +149,16 @@ val set_hlc : t -> Txn.Hlc.t -> unit
     utility hook (extensions call this to apply DDL locally before
     propagating it). *)
 val exec_utility_local : session -> Sqlfront.Ast.statement -> result
+
+(** Local execution: run a shard statement (or COPY lines) in the
+    session's own transaction, starting one if none is open. It is
+    charged as the same statement sent as text, but runs no hook, no
+    implicit commit and no span, and raises without failing the session:
+    the statement that dispatched it owns all of those. *)
+val exec_local : session -> Sqlfront.Ast.statement -> result
+
+val copy_local :
+  session -> table:string -> columns:string list option -> string list -> int
 
 (** {2 Extension hooks} *)
 

@@ -27,6 +27,7 @@ let exec_hedge_wins = "exec.hedge_wins"
 let exec_stale_txn_resets = "exec.stale_txn_resets"
 let exec_worker_prepares = "exec.worker_prepares"
 let exec_worker_bound_executes = "exec.worker_bound_executes"
+let exec_local_tasks = "exec.local_tasks"
 
 (* planner *)
 let planner_tier slug = "planner.tier." ^ slug

@@ -81,6 +81,10 @@ val exec_worker_bound_executes : string
 (** counter: cached single-shard statements sent as a bound execute of a
     worker-side prepared statement instead of SQL text *)
 
+val exec_local_tasks : string
+(** counter: tasks whose placement is the coordinating node itself, run
+    in the session's own transaction instead of over a connection *)
+
 (** {2 Planner} *)
 
 val planner_tier : string -> string

@@ -103,8 +103,6 @@ val close_span : t -> now:(unit -> float) -> span -> unit
 (** No-ops on [None] so instrumentation never branches on the sink. *)
 val add_tag : span option -> string -> string -> unit
 
-val render_span : span -> string
-
 (** Indented tree, creation order; spans whose parent is outside the
     given list render as roots. *)
 val render_tree : span list -> string list

@@ -29,6 +29,8 @@ type task = unit -> unit
 
 type cond = { mutable cw : (string * task) list }
 
+type ready = { r_node : string; r_tasks : task Queue.t }
+
 type t = {
   clock : Clock.t;
   rng : Random.State.t option;
@@ -36,7 +38,10 @@ type t = {
   on_suspend : node:string -> float;
       (* fault hook fired at every suspension point; returns extra
          virtual delay (a micro-stall) applied to sleeps and yields *)
-  mutable queues : (string * task Queue.t) list;  (* first-seen order *)
+  mutable queues : ready array;
+      (* first-seen order in [0, nqueues); grown by doubling, so a pick
+         allocates nothing *)
+  mutable nqueues : int;
   mutable rr : int;  (* round-robin cursor (unseeded mode) *)
   mutable sleepers : (float * int * string * task) list;  (* sorted (wake, seq) *)
   mutable seq : int;
@@ -80,16 +85,21 @@ type _ Effect.t +=
   | Wait_eff : t * cond -> unit Effect.t
   | Timed_wait_eff : t * cond * float -> unit Effect.t  (* absolute deadline *)
 
+let rec find_queue t node i =
+  if i < t.nqueues && not (String.equal t.queues.(i).r_node node) then
+    find_queue t node (i + 1)
+  else i
+
 let enqueue t node task =
-  let q =
-    match List.assoc_opt node t.queues with
-    | Some q -> q
-    | None ->
-      let q = Queue.create () in
-      t.queues <- t.queues @ [ (node, q) ];
-      q
-  in
-  Queue.push task q
+  let i = find_queue t node 0 in
+  if i = t.nqueues then begin
+    let r = { r_node = node; r_tasks = Queue.create () } in
+    if i = Array.length t.queues then
+      t.queues <- Array.append t.queues (Array.make (max 4 i) r);
+    t.queues.(i) <- r;
+    t.nqueues <- i + 1
+  end;
+  Queue.push task t.queues.(i).r_tasks
 
 let add_sleeper t ~wake ~node task =
   let seq = t.seq in
@@ -103,41 +113,45 @@ let add_sleeper t ~wake ~node task =
   t.sleepers <- insert t.sleepers
 
 (* Move every sleeper whose wake time has come (the clock may also have
-   been advanced directly, e.g. by retry backoff) onto its ready queue. *)
-let release_due t =
-  let now = Clock.now t.clock in
-  let due, rest = List.partition (fun (w, _, _, _) -> w <= now) t.sleepers in
-  t.sleepers <- rest;
-  List.iter (fun (_, _, node, task) -> enqueue t node task) due
+   been advanced directly, e.g. by retry backoff) onto its ready queue,
+   in (wake, seq) order: they are the sorted list's prefix. *)
+let rec release_due t =
+  match t.sleepers with
+  | (wake, _, node, task) :: rest when wake <= Clock.now t.clock ->
+    t.sleepers <- rest;
+    enqueue t node task;
+    release_due t
+  | _ -> ()
+
+(* Picking allocates nothing: the ready queue to serve next, or [-1].
+   Unseeded: the first non-empty queue from the round-robin cursor on.
+   Seeded: a uniform draw over the non-empty queues, in first-seen
+   order. *)
+let nonempty t i = not (Queue.is_empty t.queues.(i).r_tasks)
+
+let rec scan t i =
+  if i >= t.nqueues then -1
+  else
+    let idx = (t.rr + i) mod t.nqueues in
+    if nonempty t idx then begin
+      t.rr <- (idx + 1) mod t.nqueues;
+      idx
+    end
+    else scan t (i + 1)
+
+let rec count t i =
+  if i >= t.nqueues then 0 else Bool.to_int (nonempty t i) + count t (i + 1)
+
+let rec nth t i k =
+  if not (nonempty t i) then nth t (i + 1) k
+  else if k = 0 then i
+  else nth t (i + 1) (k - 1)
 
 let pick t =
-  let qs = Array.of_list t.queues in
-  let n = Array.length qs in
-  if n = 0 then None
-  else
-    match t.rng with
-    | None ->
-      let rec scan i =
-        if i >= n then None
-        else
-          let idx = (t.rr + i) mod n in
-          let _, q = qs.(idx) in
-          if Queue.is_empty q then scan (i + 1)
-          else begin
-            t.rr <- (idx + 1) mod n;
-            Some (Queue.pop q)
-          end
-      in
-      scan 0
-    | Some rng ->
-      let nonempty =
-        List.filter (fun (_, q) -> not (Queue.is_empty q)) (Array.to_list qs)
-      in
-      (match nonempty with
-       | [] -> None
-       | _ ->
-         let _, q = List.nth nonempty (Random.State.int rng (List.length nonempty)) in
-         Some (Queue.pop q))
+  match t.rng with
+  | None -> scan t 0
+  | Some rng -> (
+    match count t 0 with 0 -> -1 | k -> nth t 0 (Random.State.int rng k))
 
 let finish (type a) t (fib : a fiber) (r : (a, exn) result) =
   (match fib.state with
@@ -369,10 +383,7 @@ let drive t =
   let rec loop () =
     release_due t;
     match pick t with
-    | Some task ->
-      task ();
-      loop ()
-    | None ->
+    | -1 ->
       if t.live > 0 then begin
         match t.sleepers with
         | [] ->
@@ -385,6 +396,9 @@ let drive t =
           t.on_advance ();
           loop ()
       end
+    | i ->
+      Queue.pop t.queues.(i).r_tasks ();
+      loop ()
   in
   loop ()
 
@@ -396,7 +410,8 @@ let run ?seed ?(on_advance = fun () -> ()) ?(on_suspend = fun ~node:_ -> 0.0)
       rng = Option.map (fun s -> Random.State.make [| s; 0x5c4ed |]) seed;
       on_advance;
       on_suspend;
-      queues = [];
+      queues = [||];
+      nqueues = 0;
       rr = 0;
       sleepers = [];
       seq = 0;

@@ -131,6 +131,8 @@ let note_write t xid =
     t.wrote <- xid :: t.wrote
   end
 
+let wrote t xid = List.mem xid t.wrote
+
 let log t record =
   (match record with
    | Wal.Insert { xid; _ } | Wal.Update { xid; _ } | Wal.Delete { xid; _ } ->
@@ -155,14 +157,23 @@ let finish t xid st record =
   wrote
 
 (* Every commit that wrote gets an HLC stamp, WAL-logged right after the
-   commit record so snapshot visibility survives a crash. *)
+   commit record so snapshot visibility survives a crash: [ts], a
+   coordinator-assigned stamp merged into the clock so it never
+   re-issues anything at or below it, or a fresh local one. *)
 let stamp_commit t xid ts =
+  let ts =
+    match ts with
+    | Some ts ->
+      ignore (Hlc.observe t.hlc ts);
+      ts
+    | None -> Hlc.now t.hlc
+  in
   set_commit_ts t xid ts;
   ignore (Wal.append t.wal (Wal.Commit_ts { xid; ts }))
 
-let commit t xid =
+let commit ?ts t xid =
   if finish t xid Committed (Wal.Commit xid) then
-    stamp_commit t xid (Hlc.now t.hlc)
+    stamp_commit t xid ts
 
 let abort t xid = ignore (finish t xid Aborted (Wal.Abort xid))
 
@@ -190,15 +201,6 @@ let commit_prepared ?ts t ~gid =
   let xid = take_prepared t gid in
   ignore (Wal.append t.wal (Wal.Commit_prepared { xid; gid }));
   set_status t xid Committed;
-  let ts =
-    match ts with
-    | Some ts ->
-      (* coordinator-assigned distributed commit timestamp: merge it so
-         this node's clock can never re-issue anything at or below it *)
-      ignore (Hlc.observe t.hlc ts);
-      ts
-    | None -> Hlc.now t.hlc
-  in
   stamp_commit t xid ts;
   Hashtbl.remove t.prepare_ts xid;
   Lock.release_all t.locks ~owner:xid

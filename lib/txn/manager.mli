@@ -45,8 +45,12 @@ val is_active : t -> xid -> bool
     wrote, first log its Commit (then its HLC stamp) or Abort record. A
     transaction that wrote nothing logs nothing and gets no stamp, so
     after a crash it reads as [Aborted]. Raise [Invalid_argument] if the
-    xid is not in progress. *)
-val commit : t -> xid -> unit
+    xid is not in progress. [?ts] stamps the commit at a distributed
+    commit timestamp, as {!commit_prepared} does. *)
+val commit : ?ts:Hlc.timestamp -> t -> xid -> unit
+
+(** Whether a running transaction has written (see {!note_write}). *)
+val wrote : t -> xid -> bool
 
 val abort : t -> xid -> unit
 
@@ -81,9 +85,6 @@ val crash_recover : t -> unit
 
 exception No_such_prepared of string
 
-(** All xids currently in progress (running or prepared). *)
-val active_xids : t -> xid list
-
 (** Oldest xid that any snapshot could still need, for vacuum. *)
 val oldest_active_xid : t -> xid
 
@@ -102,9 +103,6 @@ val hlc : t -> Hlc.t
 (** HLC commit timestamp of a committed xid ([None] when unknown — an
     aborted or still-running transaction, or one that wrote nothing). *)
 val commit_ts_of : t -> xid -> Hlc.timestamp option
-
-(** The gid of a prepared (in-doubt) xid, if any. *)
-val prepared_gid_of : t -> xid -> string option
 
 (** [xid_in_doubt t ~ts xid] is [Some gid] when [xid] is prepared and
     might yet commit at or before [ts] — a reader at snapshot [ts] must

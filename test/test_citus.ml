@@ -1375,6 +1375,333 @@ let test_procedure_delegation () =
     "SELECT qty FROM items WHERE key = 5";
   ignore citus
 
+(* --- local execution --- *)
+
+let counter cluster name =
+  Obs.Metrics.counter_value (Cluster.Topology.metrics cluster) name
+
+let node_of citus table k =
+  let meta = citus.Citus.Api.metadata in
+  Citus.Metadata.placement meta
+    (Citus.Metadata.shard_for_value meta ~table (Datum.Int k))
+      .Citus.Metadata.shard_id
+
+(* the first key >= [from] of [table] placed (or not placed) on [node] *)
+let key_on ?(from = 1) ?(on = true) citus table node =
+  let rec go k =
+    if k > 10_000 then Alcotest.fail "no such key"
+    else if String.equal (node_of citus table k) node = on then k
+    else go (k + 1)
+  in
+  go from
+
+let state_of citus node =
+  List.find
+    (fun (st : Citus.State.t) ->
+      String.equal st.Citus.State.local.Cluster.Topology.node_name node)
+    citus.Citus.Api.states
+
+let mgr_of cluster node =
+  Engine.Instance.txn_manager
+    (Cluster.Topology.find_node cluster node).Cluster.Topology.instance
+
+(* Round trips from a node to itself: a loopback connection's traffic. *)
+let loopback_round_trips cluster f =
+  let before = Cluster.Topology.net_snapshot cluster in
+  f ();
+  let d =
+    Cluster.Topology.net_diff ~after:(Cluster.Topology.net_snapshot cluster)
+      ~before
+  in
+  d.Cluster.Topology.round_trips - d.Cluster.Topology.cross_round_trips
+
+let tpcc_cfg =
+  {
+    Workloads.Tpcc.warehouses = 4;
+    districts_per_warehouse = 2;
+    customers_per_district = 4;
+    items = 20;
+    remote_txn_fraction = 0.0;
+  }
+
+let tpcc_rows (db : Workloads.Db.t) =
+  List.concat_map
+    (fun sql ->
+      List.map
+        (fun row ->
+          String.concat "|" (Array.to_list (Array.map Datum.to_display row)))
+        (Workloads.Db.exec db sql).Engine.Instance.rows)
+    [
+      "SELECT o_w_id, o_d_id, o_id, o_c_id FROM orders ORDER BY o_w_id, \
+       o_d_id, o_id";
+      "SELECT ol_w_id, ol_d_id, ol_o_id, ol_number, ol_i_id, ol_quantity, \
+       ol_amount FROM order_line ORDER BY ol_w_id, ol_d_id, ol_o_id, ol_number";
+      "SELECT s_w_id, s_i_id, s_quantity FROM stock ORDER BY s_w_id, s_i_id";
+      "SELECT d_w_id, d_id, d_next_o_id FROM district ORDER BY d_w_id, d_id";
+    ]
+
+(* A delegated NEW-ORDER is a single-node transaction on its warehouse's
+   worker: every statement runs in the CALL's own session — no
+   connection from the worker to itself, no worker-side prepared
+   statement, no delegated COMMIT — and it writes what the same calls
+   write run from the coordinator. *)
+let test_delegated_new_order_runs_locally () =
+  let calls =
+    List.init 6 (fun i ->
+        Printf.sprintf "CALL tpcc_new_order(%d, %d, %d, %d)" (1 + (i mod 4))
+          (1 + (i mod 2)) (1 + (i mod 3)) (2 * (i + 10)))
+  in
+  let run ~delegate =
+    let db = Workloads.Db.citus ~shard_count:8 ~workers:2 () in
+    Workloads.Tpcc.setup db tpcc_cfg;
+    if delegate then Workloads.Tpcc.enable_delegation db;
+    let cluster = db.Workloads.Db.cluster in
+    let prepares = counter cluster Obs.Metric_names.exec_worker_prepares
+    and delegated = counter cluster Obs.Metric_names.twopc_delegated_commits
+    and local = counter cluster Obs.Metric_names.exec_local_tasks in
+    let loopback =
+      loopback_round_trips cluster (fun () ->
+          List.iter (fun sql -> ignore (Workloads.Db.exec db sql)) calls)
+    in
+    ( db,
+      loopback,
+      counter cluster Obs.Metric_names.exec_worker_prepares - prepares,
+      counter cluster Obs.Metric_names.twopc_delegated_commits - delegated,
+      counter cluster Obs.Metric_names.exec_local_tasks - local )
+  in
+  let db, loopback, prepares, delegated, local = run ~delegate:true in
+  Alcotest.(check int) "no round trip from a node to itself" 0 loopback;
+  Alcotest.(check int) "no worker-side prepares" 0 prepares;
+  Alcotest.(check int) "no delegated commits" 0 delegated;
+  Alcotest.(check bool) "statements ran locally" true (local > 0);
+  let plain, _, _, _, _ = run ~delegate:false in
+  Alcotest.(check (list string)) "rows match a non-delegated run"
+    (tpcc_rows plain) (tpcc_rows db)
+
+(* Local plus remote writes: one PREPARE (the remote node's), one commit
+   record, and the local transaction commits at the very timestamp its
+   participant's COMMIT PREPARED carries. *)
+let test_local_and_remote_writes_share_a_timestamp () =
+  let cluster, citus, s = make () in
+  setup_items s;
+  load_items s;
+  Citus.Api.enable_metadata_sync citus;
+  let k1 = key_on citus "items" "worker1" in
+  let k2 = key_on citus "items" "worker2" in
+  let ws =
+    Citus.Api.connect_via citus (Cluster.Topology.find_node cluster "worker1")
+  in
+  let wal2 = Txn.Manager.wal (mgr_of cluster "worker2") in
+  let wal_before = Txn.Wal.size wal2 in
+  let started = counter cluster Obs.Metric_names.twopc_started in
+  ignore (exec ws "BEGIN");
+  ignore (exec ws (Printf.sprintf "UPDATE items SET qty = 91 WHERE key = %d" k1));
+  ignore (exec ws (Printf.sprintf "UPDATE items SET qty = 92 WHERE key = %d" k2));
+  let local_xid = Option.get (Engine.Instance.current_xid ws) in
+  ignore (exec ws "COMMIT");
+  Alcotest.(check int) "one 2PC" 1
+    (counter cluster Obs.Metric_names.twopc_started - started);
+  Alcotest.(check int) "one commit record" 1
+    (Citus.Twopc.commit_record_count (state_of citus "worker1"));
+  let new_records =
+    List.filteri (fun i _ -> i >= wal_before) (Txn.Wal.records wal2)
+    |> List.map snd
+  in
+  let prepared =
+    List.filter_map
+      (function Txn.Wal.Prepare { xid; _ } -> Some xid | _ -> None)
+      new_records
+  in
+  Alcotest.(check int) "one PREPARE, on the remote node" 1 (List.length prepared);
+  let stamp mgr xid =
+    match Txn.Manager.commit_ts_of mgr xid with
+    | Some ts -> Txn.Hlc.to_string ts
+    | None -> Alcotest.fail "transaction has no commit stamp"
+  in
+  Alcotest.(check string) "local commit at the COMMIT PREPARED stamp"
+    (stamp (mgr_of cluster "worker2") (List.hd prepared))
+    (stamp (mgr_of cluster "worker1") local_xid);
+  check_int s "local write" 91
+    (Printf.sprintf "SELECT qty FROM items WHERE key = %d" k1);
+  check_int s "remote write" 92
+    (Printf.sprintf "SELECT qty FROM items WHERE key = %d" k2)
+
+(* A snapshot read on a worker's own shard meets a prepared transaction
+   whose COMMIT PREPARED never arrived: the local read resolves it from
+   the origin's commit record — no connection to itself — and retries. *)
+let test_local_snapshot_read_resolves_in_doubt () =
+  let cluster, citus, s = make () in
+  setup_items s;
+  load_items s;
+  Citus.Api.enable_metadata_sync citus;
+  ignore (exec s "SELECT citus_set_config('consistency', 'snapshot')");
+  let k1 = key_on citus "items" "worker1" in
+  let k2 = key_on citus "items" "worker2" in
+  let coord = Citus.Api.coordinator_state citus in
+  ignore (exec s "BEGIN");
+  ignore (exec s (Printf.sprintf "UPDATE items SET qty = 77 WHERE key = %d" k1));
+  ignore (exec s (Printf.sprintf "UPDATE items SET qty = 78 WHERE key = %d" k2));
+  Citus.State.inject_failure coord ~node:"worker1" ~matching:"COMMIT PREPARED";
+  ignore (exec s "COMMIT");
+  Citus.State.clear_failures coord;
+  let prepared () =
+    List.length (Txn.Manager.prepared_transactions (mgr_of cluster "worker1"))
+  in
+  Alcotest.(check int) "worker1 holds the in-doubt transaction" 1 (prepared ());
+  (* a round trip from the coordinator carries its clock to worker1, so
+     the reader's snapshot is later than the distributed commit *)
+  let k3 = key_on ~from:(k1 + 1) citus "items" "worker1" in
+  ignore (exec s (Printf.sprintf "SELECT qty FROM items WHERE key = %d" k3));
+  let ws =
+    Citus.Api.connect_via citus (Cluster.Topology.find_node cluster "worker1")
+  in
+  let read_k1 () =
+    one_int ws (Printf.sprintf "SELECT qty FROM items WHERE key = %d" k1)
+  in
+  (* while the origin is cut off nothing decides the gid: the read fails
+     rather than wait with no round trip that could ever end it *)
+  let w1 = state_of citus "worker1" in
+  Citus.State.partition_node w1 "coordinator";
+  (match read_k1 () with
+   | exception Engine.Instance.Session_error m ->
+     Alcotest.(check bool) "names the unreachable coordinator" true
+       (String.length m > 0
+        && List.exists (String.equal "unreachable")
+             (String.split_on_char ' ' m))
+   | _ -> Alcotest.fail "a read that cannot resolve its in-doubt gid must fail");
+  Citus.State.heal_node w1 "coordinator";
+  let waits = counter cluster Obs.Metric_names.snapshot_indoubt_waits
+  and commits = counter cluster Obs.Metric_names.snapshot_indoubt_commits
+  and local = counter cluster Obs.Metric_names.exec_local_tasks in
+  let loopback =
+    loopback_round_trips cluster (fun () ->
+        Alcotest.(check int) "the read sees the resolved commit" 77
+          (read_k1 ()))
+  in
+  Alcotest.(check bool) "the local read met the in-doubt gid" true
+    (counter cluster Obs.Metric_names.snapshot_indoubt_waits > waits);
+  Alcotest.(check bool) "and committed it" true
+    (counter cluster Obs.Metric_names.snapshot_indoubt_commits > commits);
+  Alcotest.(check bool) "the read ran locally" true
+    (counter cluster Obs.Metric_names.exec_local_tasks > local);
+  Alcotest.(check int) "no round trip from worker1 to itself" 0 loopback;
+  Alcotest.(check int) "nothing left in doubt" 0 (prepared ())
+
+(* A distributed deadlock whose one edge is a local write: worker1's
+   session updates its own shard in its own transaction, and that xid
+   joins the global graph as a distributed vertex the detector can
+   cancel, instead of an uncancellable local one. *)
+let test_deadlock_through_local_write () =
+  let cluster, citus, s2 = make () in
+  setup_items s2;
+  load_items s2;
+  Citus.Api.enable_metadata_sync citus;
+  let k1 = key_on citus "items" "worker1" in
+  let k2 = key_on citus "items" "worker2" in
+  let w1 = Cluster.Topology.find_node cluster "worker1" in
+  ignore (exec s2 "BEGIN");
+  ignore (exec s2 (Printf.sprintf "UPDATE items SET qty = 2 WHERE key = %d" k2));
+  let x2 = Option.get (Engine.Instance.current_xid s2) in
+  (* worker1's session is the younger transaction: the detector's victim *)
+  let burn = Citus.Api.connect_via citus w1 in
+  let s1 = Citus.Api.connect_via citus w1 in
+  let rec begin_younger () =
+    ignore (exec s1 "BEGIN");
+    if Option.get (Engine.Instance.current_xid s1) <= x2 then begin
+      ignore (exec s1 "ROLLBACK");
+      for _ = 1 to 64 do ignore (exec burn "SELECT 1") done;
+      begin_younger ()
+    end
+  in
+  begin_younger ();
+  let x1 = Option.get (Engine.Instance.current_xid s1) in
+  ignore (exec s1 (Printf.sprintf "UPDATE items SET qty = 1 WHERE key = %d" k1));
+  (match exec s1 (Printf.sprintf "UPDATE items SET qty = 1 WHERE key = %d" k2) with
+   | exception Engine.Executor.Would_block _ -> ()
+   | _ -> Alcotest.fail "worker1's session should block on worker2");
+  (match exec s2 (Printf.sprintf "UPDATE items SET qty = 2 WHERE key = %d" k1) with
+   | exception Engine.Executor.Would_block _ -> ()
+   | _ -> Alcotest.fail "the coordinator's session should block on worker1");
+  let st = Citus.Api.coordinator_state citus in
+  let local_vertex = Citus.Deadlock.Dist_txn ("worker1", x1) in
+  let edges = Citus.Deadlock.gather_edges st in
+  Alcotest.(check bool) "the local xid waits as a distributed vertex" true
+    (List.exists (fun (a, b) -> a = local_vertex || b = local_vertex) edges);
+  Alcotest.(check bool) "no wait edge ends at a local-only vertex" true
+    (List.for_all
+       (function
+         | Citus.Deadlock.Dist_txn _, Citus.Deadlock.Dist_txn _ -> true
+         | _ -> false)
+       edges);
+  (match Citus.Deadlock.detect_and_cancel st with
+   | Some v ->
+     Alcotest.(check string) "the local transaction is the victim"
+       (Citus.Deadlock.vertex_to_string local_vertex)
+       (Citus.Deadlock.vertex_to_string v)
+   | None -> Alcotest.fail "deadlock through a local write not detected");
+  Alcotest.(check bool) "its local xid is aborted" false
+    (Txn.Manager.is_active (mgr_of cluster "worker1") x1);
+  ignore (exec s2 (Printf.sprintf "UPDATE items SET qty = 2 WHERE key = %d" k1));
+  ignore (exec s2 "COMMIT");
+  (match exec s1 "SELECT 1" with
+   | exception Engine.Instance.Session_error _ -> ()
+   | _ -> Alcotest.fail "the victim should observe its abort");
+  check_int s2 "survivor's write" 2
+    (Printf.sprintf "SELECT qty FROM items WHERE key = %d" k1)
+
+(* Local DML, then DDL and COPY on the same node inside one block: all of
+   it runs in the session's one transaction, so nothing waits on
+   itself. *)
+let test_local_dml_then_ddl_and_copy () =
+  let cluster, citus, s = make () in
+  setup_items s;
+  load_items s;
+  Citus.Api.enable_metadata_sync citus;
+  let k1 = key_on citus "items" "worker1" in
+  let k_new = key_on ~from:1000 citus "items" "worker1" in
+  let ws =
+    Citus.Api.connect_via citus (Cluster.Topology.find_node cluster "worker1")
+  in
+  (* a local error is a statement error: the node's breaker never hears
+     of it *)
+  let failures () =
+    List.fold_left
+      (fun acc (r : Citus.Health.node_report) -> acc + r.Citus.Health.nr_failures)
+      0
+      (Citus.Health.report (state_of citus "worker1").Citus.State.health)
+  in
+  let before = failures () in
+  (match
+     exec ws (Printf.sprintf "UPDATE items SET qty = 1 / 0 WHERE key = %d" k1)
+   with
+   | exception Engine.Instance.Session_error _ -> ()
+   | _ -> Alcotest.fail "division by zero must fail the statement");
+  Alcotest.(check int) "no breaker failure" before (failures ());
+  let loopback =
+    loopback_round_trips cluster (fun () ->
+        ignore (exec ws "BEGIN");
+        ignore
+          (exec ws (Printf.sprintf "UPDATE items SET qty = 5 WHERE key = %d" k1));
+        ignore (exec ws "CREATE INDEX items_val ON items USING BTREE (val)");
+        ignore
+          (Engine.Instance.copy_in ws ~table:"items" ~columns:None
+             [ Printf.sprintf "%d\tcopied\t3" k_new ]);
+        check_int ws "copied row visible in the block" 3
+          (Printf.sprintf "SELECT qty FROM items WHERE key = %d" k_new);
+        ignore (exec ws "COMMIT"))
+  in
+  Alcotest.(check int) "no round trip from worker1 to itself" 0 loopback;
+  check_int s "update committed" 5
+    (Printf.sprintf "SELECT qty FROM items WHERE key = %d" k1);
+  check_int s "copy committed" 1
+    (Printf.sprintf "SELECT count(*) FROM items WHERE key = %d" k_new);
+  let shard = Citus.Metadata.shard_for_value citus.Citus.Api.metadata
+      ~table:"items" (Datum.Int k1) in
+  Alcotest.(check bool) "index built on worker1's shard" true
+    (List.exists
+       (fun n -> String.length n >= 9 && String.sub n 0 9 = "items_val")
+       (index_names cluster "worker1" (Citus.Metadata.shard_name shard)))
+
 let () =
   Alcotest.run "citus"
     [
@@ -1496,5 +1823,18 @@ let () =
             test_mx_reference_read_local_to_worker;
           Alcotest.test_case "data movement keeps indexes" `Quick
             test_mx_data_movement_keeps_indexes;
+        ] );
+      ( "local-execution",
+        [
+          Alcotest.test_case "delegated new-order runs locally" `Quick
+            test_delegated_new_order_runs_locally;
+          Alcotest.test_case "local and remote writes share a timestamp"
+            `Quick test_local_and_remote_writes_share_a_timestamp;
+          Alcotest.test_case "local snapshot read resolves in-doubt" `Quick
+            test_local_snapshot_read_resolves_in_doubt;
+          Alcotest.test_case "deadlock through a local write" `Quick
+            test_deadlock_through_local_write;
+          Alcotest.test_case "local dml then ddl and copy" `Quick
+            test_local_dml_then_ddl_and_copy;
         ] );
     ]

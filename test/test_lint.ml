@@ -630,6 +630,11 @@ let l14_exec_stub =
   ignore (deadline, snapshot, t, conn, stmt)
 
 let on_conn_exn ?deadline t conn sql = ignore (deadline, t, conn, sql)
+
+let bound_on_conn_exn ?deadline ?snapshot t conn b =
+  ignore (deadline, snapshot, t, conn, b)
+
+let local_exn ?snapshot session stmt = ignore (snapshot, session, stmt)
 |}
 
 let l14_violating =
@@ -717,6 +722,33 @@ let test_l14_control_statements () =
       ]
   in
   Alcotest.(check int) "on_conn_exn is out of scope" 0 (List.length fs)
+
+(* The bound-execute and local-execution dispatches obey the same
+   discipline: one violating, one clean and one escape-hatch fixture
+   each, [call] being the dispatch with its snapshot argument spliced in
+   at [%s]. *)
+let l14_primitive_fixtures call =
+  let dispatch snap = Printf.sprintf call snap in
+  ( Printf.sprintf "let execute t conn s x = ignore (%s)\n" (dispatch ""),
+    Printf.sprintf "let execute t conn s x snap = ignore (%s)\n"
+      (dispatch "?snapshot:snap "),
+    Printf.sprintf "let execute t conn s x = ignore ((%s) [@lint.latest])\n"
+      (dispatch "") )
+
+let test_l14_primitive call () =
+  let violating, clean, escape = l14_primitive_fixtures call in
+  let run_fixture src =
+    run "L14"
+      [
+        ("lib/core/exec.ml", l14_exec_stub);
+        ("lib/core/adaptive_executor.ml", src);
+      ]
+  in
+  Alcotest.(check (list string)) "violating is flagged" [ "L14" ]
+    (ids (run_fixture violating));
+  Alcotest.(check int) "?snapshot passes" 0 (List.length (run_fixture clean));
+  Alcotest.(check int) "[@lint.latest] is trusted" 0
+    (List.length (run_fixture escape))
 
 (* --- L15 no-reparse --- *)
 
@@ -1135,6 +1167,11 @@ let () =
           Alcotest.test_case "unreachable" `Quick test_l14_unreachable;
           Alcotest.test_case "control statements" `Quick
             test_l14_control_statements;
+          Alcotest.test_case "bound execute" `Quick
+            (test_l14_primitive
+               "Exec.bound_on_conn_exn ~deadline:1.0 %st conn x");
+          Alcotest.test_case "local execution" `Quick
+            (test_l14_primitive "Exec.local_exn %ss x");
         ] );
       ( "l15-no-reparse",
         [

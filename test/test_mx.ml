@@ -118,7 +118,13 @@ let test_seed seed () =
   Alcotest.(check bool)
     (tag seed "metadata syncs recorded")
     true
-    (counter f.cluster Obs.Metric_names.mx_metadata_syncs > 0)
+    (counter f.cluster Obs.Metric_names.mx_metadata_syncs > 0);
+  (* a worker's transfers touch its own shards in the session's own
+     transaction: local execution really ran under the storm *)
+  Alcotest.(check bool)
+    (tag seed "local execution ran")
+    true
+    (counter f.cluster Obs.Metric_names.exec_local_tasks > 0)
 
 let observe seed =
   let f, outcomes, total, torn = run_storm ~seed () in

@@ -215,6 +215,45 @@ let test_explain_analyze_deterministic () =
   in
   Alcotest.(check string) "bit-identical analyze output" (run ()) (run ())
 
+(* On a metadata-synced worker the scatter's tasks on the worker's own
+   shards run locally and keep their fragment spans, tagged local: one
+   fragment per task, every span that started finished. *)
+let test_explain_analyze_local_fragments () =
+  let cluster, citus, s = make () in
+  setup_items s;
+  Citus.Api.enable_metadata_sync citus;
+  let worker = Cluster.Topology.find_node cluster "worker1" in
+  let ws = Citus.Api.connect_via citus worker in
+  let trace = Cluster.Topology.trace cluster in
+  let lines =
+    String.split_on_char '\n' (explain_analyze ws "SELECT count(*) FROM items")
+  in
+  let fragments =
+    List.filter (contains ~needle:"fragment on ") lines
+  in
+  let meta = citus.Citus.Api.metadata in
+  let shards = Citus.Metadata.shards_of meta "items" in
+  let own =
+    List.filter
+      (fun (sh : Citus.Metadata.shard) ->
+        String.equal "worker1"
+          (Citus.Metadata.placement meta sh.Citus.Metadata.shard_id))
+      shards
+  in
+  Alcotest.(check int) "one fragment per task" (List.length shards)
+    (List.length fragments);
+  Alcotest.(check int) "the worker's own shards ran locally"
+    (List.length own)
+    (List.length (List.filter (contains ~needle:"local=true") fragments));
+  Alcotest.(check bool) "local fragments trace on the worker" true
+    (List.for_all
+       (fun l ->
+         (not (contains ~needle:"local=true" l))
+         || contains ~needle:"fragment on worker1 " l)
+       fragments);
+  Alcotest.(check int) "every span that started finished"
+    (Obs.Trace.started trace) (Obs.Trace.finished trace)
+
 (* --- typed UDF usage errors --- *)
 
 let test_udf_usage_errors () =
@@ -472,6 +511,8 @@ let () =
             test_explain_analyze_all_tiers;
           Alcotest.test_case "deterministic" `Quick
             test_explain_analyze_deterministic;
+          Alcotest.test_case "local fragments on an mx worker" `Quick
+            test_explain_analyze_local_fragments;
         ] );
       ( "typed-udfs",
         [

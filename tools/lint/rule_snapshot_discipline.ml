@@ -11,8 +11,11 @@
 
     The rule marks everything reachable from [Adaptive_executor.execute]
     (forward fixpoint over the whole-program call graph, like L12) and
-    requires every reachable call to the planned-fragment dispatch
-    primitive — [Exec.ast_on_conn_exn] — to pass a
+    requires every reachable call to a planned-fragment dispatch
+    primitive — [Exec.ast_on_conn_exn] (SQL text),
+    [Exec.bound_on_conn_exn] (a bound execute of a worker-side
+    statement) and [Exec.local_exn] (local execution in the session's
+    own transaction) — to pass a
     [~snapshot]/[?snapshot] argument. Passing [?snapshot:None] (a write,
     or eventual consistency) satisfies the rule: the point is that the
     site made a visibility decision, not that it always pins one.
@@ -28,8 +31,9 @@ let id = "L14"
 let name = "snapshot-discipline"
 
 let doc =
-  "Exec.ast_on_conn_exn reachable from Adaptive_executor.execute must \
-   pass ?snapshot (escape hatch: [@lint.latest])"
+  "Exec.ast_on_conn_exn / bound_on_conn_exn / local_exn reachable from \
+   Adaptive_executor.execute must pass ?snapshot (escape hatch: \
+   [@lint.latest])"
 
 let explain =
   "citus.consistency = snapshot promises that every fragment of a \
@@ -40,9 +44,10 @@ let explain =
    torn read, re-introduced silently by a refactor that forgets to \
    thread one argument. L14 computes forward reachability from \
    Adaptive_executor.execute over the whole-program call graph (like \
-   L12) and requires every reachable call to the planned-fragment \
-   dispatch primitive (Exec.ast_on_conn_exn) to pass ?snapshot — passing None is fine, omitting the argument is \
-   not. Escape hatch: [@lint.latest] on the dispatch, for statements \
+   L12) and requires every reachable call to a planned-fragment \
+   dispatch primitive (Exec.ast_on_conn_exn, Exec.bound_on_conn_exn, \
+   Exec.local_exn) to pass ?snapshot — passing None is fine, omitting \
+   the argument is not. Escape hatch: [@lint.latest] on the dispatch, for statements \
    that deliberately execute at latest visibility (2PC resolution \
    statements such as COMMIT PREPARED are not reads and take no \
    snapshot)."
@@ -55,13 +60,14 @@ let is_entry (fn : Callgraph.fn) =
   let { Callgraph.m; v } = fn.Callgraph.f_id in
   String.equal m "Adaptive_executor" && String.equal v "execute"
 
-(* the planned-fragment dispatch primitives; the string forms
+(* the planned-fragment dispatch primitives: over a connection as text
+   or as a bound execute, or local execution; the string forms
    ([on_conn_exn]) carry control statements (BEGIN, SET), never planned
    fragments, so they are out of scope *)
 let is_dispatch (fn_id : Callgraph.fn_id) =
   String.equal fn_id.Callgraph.m "Exec"
-  && (String.equal fn_id.Callgraph.v "ast_on_conn_exn"
-      || String.equal fn_id.Callgraph.v "ast_on_conn")
+  && List.mem fn_id.Callgraph.v
+       [ "ast_on_conn_exn"; "bound_on_conn_exn"; "local_exn" ]
 
 let escape_hatch = "lint.latest"
 
