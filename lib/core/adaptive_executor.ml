@@ -85,7 +85,7 @@ let mark_placement_lost (t : State.t) ~shard_id ~node =
           Metadata.placement_state_of meta ~shard_id:s.Metadata.shard_id ~node
         with
         | Some Metadata.Active ->
-          Metasync.mark_placement t.State.metasync
+          Metadata.mark_placement t.State.metadata
             ~shard_id:s.Metadata.shard_id ~node Metadata.Inactive
         | _ -> ())
       (Metadata.colocated_shards meta shard)

@@ -3,12 +3,8 @@ open Sqlfront
 type t = {
   cluster : Cluster.Topology.t;
   metadata : Metadata.t;
-      (** the bootstrap coordinator's catalog — the metasync origin;
-          each installed node reads its own replica via
-          [State.metadata] *)
-  metasync : Metasync.t;
-      (** the metadata-sync layer: every catalog mutation is applied to
-          all node replicas in lockstep (MX) *)
+      (** the cluster's one catalog: every installed node's
+          [State.metadata] is this value (MX) *)
   registry : ((string * int), string * int) Hashtbl.t;
   mutable states : State.t list;
   mutable active_data_nodes : string list;
@@ -16,9 +12,9 @@ type t = {
   procedures : (string, int * string) Hashtbl.t;
   plancache : Plancache.t;
       (** cluster-wide distributed plan cache: shared across every node
-          the extension is installed on, validated against
-          {!Metadata.version} — replicas bump versions in lockstep, so
-          one entry is valid or stale everywhere at once *)
+          the extension is installed on, validated against the one
+          catalog's {!Metadata.version}, so one entry is valid or stale
+          everywhere at once *)
 }
 
 let err fmt =
@@ -111,7 +107,7 @@ let do_create_distributed_table t st session ~table ~column ~colocate_with =
          transactional, so a conversion must not fail halfway *)
       if List.exists (fun (row : Datum.t array) -> Datum.is_null row.(pos)) rows
       then err "%s has a NULL in its distribution column %s" table column;
-      Metasync.register_distributed t.metasync
+      Metadata.register_distributed t.metadata
         ~replication_factor:t.replication_factor ~table ~column
         ~ty:(Engine.Catalog.column_tys tbl).(pos)
         ~colocate_with ~nodes:t.active_data_nodes)
@@ -122,7 +118,7 @@ let do_create_reference_table t st session ~table =
   in
   convert_table t st session ~table (fun _ _ ->
       [
-        Metasync.register_reference t.metasync ~table
+        Metadata.register_reference t.metadata ~table
           ~nodes:
             (List.sort_uniq String.compare
                (coordinator :: t.active_data_nodes));
@@ -359,17 +355,8 @@ let delegate_call (t : t) (st : State.t) session proc args =
        if String.equal node st.State.local.Cluster.Topology.node_name then
          None (* local: run the procedure here *)
        else begin
-         let sst = State.session_state st session in
          let conn =
-           match State.pool_of sst node with
-           | c :: _ -> c
-           | [] -> (
-             match
-               State.checkout st sst ~force:true
-                 (Cluster.Topology.find_node t.cluster node)
-             with
-             | Some c -> c
-             | None -> assert false (* forced checkout always opens *))
+           State.pooled_connection st (State.session_state st session) node
          in
          let stmt = Ast.Call { proc; args } in
          Some (Exec.ast_on_conn_exn st conn stmt)
@@ -425,22 +412,13 @@ let set_replication_factor t n =
   if n < 1 then err "replication factor must be >= 1";
   t.replication_factor <- n;
   (* future registrations place differently: cached plans revalidate *)
-  Metasync.bump_version t.metasync
+  Metadata.bump_version t.metadata
 
 let rec install_on_node t (node : Cluster.Topology.node) =
   let node_name = node.Cluster.Topology.node_name in
-  (* each node reads its own catalog replica (MX); the bootstrap
-     coordinator's is the metasync origin, everyone else attaches a
-     replica caught up from the op log *)
-  let metadata =
-    if
-      String.equal node_name
-        t.cluster.Cluster.Topology.coordinator.Cluster.Topology.node_name
-    then t.metadata
-    else Metasync.attach t.metasync node_name
-  in
+  (* every node plans against the cluster's one catalog (MX) *)
   let st =
-    State.create ~cluster:t.cluster ~metadata ~metasync:t.metasync ~local:node
+    State.create ~cluster:t.cluster ~metadata:t.metadata ~local:node
       ~registry:t.registry
   in
   t.states <- t.states @ [ st ];
@@ -593,14 +571,15 @@ let rec install_on_node t (node : Cluster.Topology.node) =
     Udf.(text "name" @-> text "value" @-> returning text_result)
     (fun _session name value () ->
       if String.equal name "enable_metadata_sync" then begin
-        (* not a per-node State.config field: flipping it on replicates
-           the catalog and promotes the workers, cluster-wide by nature *)
+        (* not a per-node State.config field: flipping it on installs
+           the extension on the workers and promotes them, cluster-wide
+           by nature *)
         (match String.lowercase_ascii value with
          | "on" | "true" | "1" -> enable_metadata_sync t
          | "off" | "false" | "0" ->
            err
              "citus_set_config: metadata sync cannot be disabled — workers \
-              already hold catalog replicas and coordinate transactions"
+              already plan and coordinate transactions"
          | _ ->
            err "citus_set_config: enable_metadata_sync expects on|off, got '%s'"
              value);
@@ -725,7 +704,7 @@ let rec install_on_node t (node : Cluster.Topology.node) =
                          ~from_node:(Metadata.placement t.metadata shard_id)
                          ~to_node:name ~drop_source:false
                          ~finish_metadata:(fun () ->
-                           Metasync.add_placement t.metasync ~shard_id
+                           Metadata.add_placement t.metadata ~shard_id
                              ~node:name)
                          ()))
                 (Metadata.shards_of t.metadata dt.Metadata.dt_name))
@@ -890,8 +869,6 @@ let install ?(shard_count = 32) ?active_workers cluster =
     {
       cluster;
       metadata;
-      metasync =
-        Metasync.create ~metrics:(Cluster.Topology.metrics cluster) metadata;
       registry = Hashtbl.create 64;
       states = [];
       active_data_nodes = active;

@@ -20,10 +20,8 @@
 type t = {
   cluster : Cluster.Topology.t;
   metadata : Metadata.t;
-      (** the bootstrap coordinator's catalog — the metasync origin *)
-  metasync : Metasync.t;
-      (** metadata-sync layer: every catalog mutation flows through it and
-          fans out to all node replicas in lockstep (MX, §3.2.1) *)
+      (** the cluster's one catalog, shared by every node running the
+          extension (MX, §3.2.1) *)
   registry : ((string * int), string * int) Hashtbl.t;
   mutable states : State.t list;  (** one per node running the extension *)
   mutable active_data_nodes : string list;
@@ -72,19 +70,15 @@ val create_distributed_function :
     [SELECT citus_set_replication_factor(n)]). *)
 val set_replication_factor : t -> int -> unit
 
-(** Withdraw the session transaction's pending lock-wait registrations —
-    on its own node and on every worker its distributed transaction
-    reached — so an abandoned waiter never feeds stale edges to the
-    distributed deadlock detector. Called automatically when
-    {!exec_with_retries} gives up; idempotent. *)
-val cancel_lock_waits : t -> Engine.Instance.session -> unit
-
 (** Execute, retrying on {!Engine.Executor.Would_block} with a maintenance
     tick and a deterministic {!Sim.Clock} backoff between attempts (the
     deadlock detector may abort a cycle member, releasing the lock); the
     backoff carries a bounded seeded jitter draw so contending retriers
-    de-synchronize. On final give-up the pending lock waits are withdrawn
-    ({!cancel_lock_waits}) before the conflict propagates.
+    de-synchronize. On final give-up the session transaction's pending
+    lock waits are withdrawn, on its own node and on every worker its
+    distributed transaction reached, so an abandoned waiter never feeds
+    stale edges to the deadlock detector, before the conflict
+    propagates.
     Re-raises after [attempts]. *)
 val exec_with_retries :
   t -> Engine.Instance.session -> ?attempts:int -> string ->

@@ -4,15 +4,7 @@ let err fmt =
 (* Per-node batch dispatch through the session's pools, inside the
    transaction if one is open (so COPY participates in 2PC). *)
 let connection_to (t : State.t) st session node_name =
-  let node = Cluster.Topology.find_node t.State.cluster node_name in
-  let conn =
-    match State.pool_of st node_name with
-    | conn :: _ -> conn
-    | [] ->
-      (match State.checkout t st ~force:true node with
-       | Some c -> c
-       | None -> assert false)
-  in
+  let conn = State.pooled_connection t st node_name in
   if Engine.Instance.in_transaction session
      && not (List.memq conn st.State.txn_conns)
   then begin
@@ -151,9 +143,9 @@ let copy_hook (t : State.t) session ~table ~columns lines =
        Hashtbl.iter
          (fun shard_id batch ->
            let shard =
-             List.find
-               (fun (s : Metadata.shard) -> s.Metadata.shard_id = shard_id)
-               (Metadata.shards_of t.State.metadata table)
+             match Metadata.shard_by_id t.State.metadata shard_id with
+             | Some s -> s
+             | None -> err "COPY: shard %d vanished mid-batch" shard_id
            in
            total :=
              !total

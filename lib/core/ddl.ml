@@ -104,9 +104,9 @@ let utility_hook (t : State.t) session (stmt : Ast.statement) =
     | Ast.Create_index ci ->
       (* local schema copy first, then one index per shard. Schema DDL
          lives outside [Metadata], so it must bump the metadata version
-         by hand — through the sync layer, so every node's cached
-         prepared-statement plans revalidate. *)
-      Metasync.bump_version t.State.metasync;
+         by hand, so every node's cached prepared-statement plans
+         revalidate. *)
+      Metadata.bump_version t.State.metadata;
       let local = apply_local () in
       let make_stmt (s : Metadata.shard) =
         Ast.Create_index
@@ -120,7 +120,7 @@ let utility_hook (t : State.t) session (stmt : Ast.statement) =
       Some local
     | Ast.Alter_table_add_column a ->
       (* schema DDL: bump by hand, as for CREATE INDEX *)
-      Metasync.bump_version t.State.metasync;
+      Metadata.bump_version t.State.metadata;
       let local = apply_local () in
       let make_stmt (s : Metadata.shard) =
         Ast.Alter_table_add_column { a with table = Metadata.shard_name s }
@@ -150,7 +150,7 @@ let utility_hook (t : State.t) session (stmt : Ast.statement) =
         Ast.Drop_table { name = Metadata.shard_name s; if_exists = true }
       in
       ignore (run_tasks t session (tasks_for t name ~make_stmt));
-      Metasync.drop_table t.State.metasync name;
+      Metadata.drop_table t.State.metadata name;
       Some (Engine.Instance.exec_utility_local session
               (Ast.Drop_table { name; if_exists }))
     | Ast.Vacuum (Some table) ->

@@ -17,9 +17,6 @@ val vertex_to_string : vertex -> string
     node), merged by distributed transaction. *)
 val gather_edges : State.t -> (vertex * vertex) list
 
-(** Find a cycle in an edge list (exposed for tests). *)
-val find_cycle : (vertex * vertex) list -> vertex list option
-
 (** One detector pass: returns the cancelled victim, if any. Only cancels
     distributed transactions (purely local cycles are left to the local
     detectors). *)

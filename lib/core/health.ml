@@ -164,8 +164,6 @@ let record_ignored t node =
   let s = stats t node in
   s.ignored_errors <- s.ignored_errors + 1
 
-let ignored_errors t node = (stats t node).ignored_errors
-
 let available t node = breaker_state t node <> Open
 
 let retry_backoff t node = (stats t node).backoff

@@ -92,8 +92,6 @@ val failed_commits : t -> string -> int
     re-raise or record). *)
 val record_ignored : t -> string -> unit
 
-val ignored_errors : t -> string -> int
-
 (** [false] only while the breaker is [Open] (within its backoff):
     half-open nodes accept a probe. *)
 val available : t -> string -> bool

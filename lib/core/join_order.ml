@@ -401,21 +401,7 @@ let execute (t : State.t) session (sel : Ast.select) =
                    | Some frag -> frag
                    | None ->
                      unsupported "no fragment of %s for shard group %d" name gi)
-                 | None ->
-                   (match Metadata.find meta name with
-                    | Some { Metadata.kind = Metadata.Reference; _ } ->
-                      (match Metadata.shards_of meta name with
-                       | [ sh ] -> Metadata.shard_name sh
-                       | _ -> name)
-                    | Some { Metadata.kind = Metadata.Distributed; _ } ->
-                      let sh =
-                        List.find
-                          (fun (s : Metadata.shard) ->
-                            s.index_in_colocation = gi)
-                          (Metadata.shards_of meta name)
-                      in
-                      Metadata.shard_name sh
-                    | None -> name))
+                 | None -> Planner.shard_table_name meta ~group_index:gi name)
             in
             {
               Plan.task_node = node;

@@ -68,8 +68,6 @@ let create ?(shard_count = 32) () =
     version = 0;
   }
 
-let default_shard_count t = t.shard_count
-
 let version t = t.version
 
 let bump_version t = t.version <- t.version + 1

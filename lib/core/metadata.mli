@@ -35,8 +35,6 @@ type t
 
 val create : ?shard_count:int -> unit -> t
 
-val default_shard_count : t -> int
-
 (** {2 Metadata version}
 
     A monotonic counter bumped by every mutation that can invalidate a

@@ -85,9 +85,6 @@ type t
 
 val create : unit -> t
 
-(** Stable 8-hex fingerprint of a shape key (deterministic across runs). *)
-val fingerprint : string -> string
-
 (** Shapes currently cached (the [plancache.entries] gauge). *)
 val size : t -> int
 

@@ -241,34 +241,21 @@ let pruned_groups meta stmt : int list option =
 
 (* --- shard rewriting --- *)
 
-let rewrite_to_group meta ~group_index stmt =
-  let rename name =
-    match Metadata.find meta name with
-    | None -> name
-    | Some { Metadata.kind = Metadata.Reference; _ } ->
-      (match Metadata.shards_of meta name with
-       | [ s ] -> Metadata.shard_name s
-       | _ -> name)
-    | Some { Metadata.kind = Metadata.Distributed; _ } ->
-      let shard =
-        List.find
-          (fun (s : Metadata.shard) -> s.index_in_colocation = group_index)
-          (Metadata.shards_of meta name)
-      in
-      Metadata.shard_name shard
-  in
-  Ast.rename_tables_statement rename stmt
+let shard_table_name meta ?group_index name =
+  match (Metadata.find meta name, group_index) with
+  | Some { Metadata.kind = Metadata.Reference; _ }, _ ->
+    (match Metadata.shards_of meta name with
+     | [ s ] -> Metadata.shard_name s
+     | _ -> name)
+  | Some { Metadata.kind = Metadata.Distributed; _ }, Some group_index ->
+    Metadata.shard_name
+      (List.find
+         (fun (s : Metadata.shard) -> s.index_in_colocation = group_index)
+         (Metadata.shards_of meta name))
+  | _ -> name
 
-let rewrite_reference_only meta stmt =
-  let rename name =
-    match Metadata.find meta name with
-    | Some { Metadata.kind = Metadata.Reference; _ } ->
-      (match Metadata.shards_of meta name with
-       | [ s ] -> Metadata.shard_name s
-       | _ -> name)
-    | _ -> name
-  in
-  Ast.rename_tables_statement rename stmt
+let rewrite_to_group meta ~group_index stmt =
+  Ast.rename_tables_statement (shard_table_name meta ~group_index) stmt
 
 (* Simple CRUD on one table: single-table SELECT without subqueries,
    UPDATE or DELETE — what [analyze_shape] labels the fast path when the
@@ -969,7 +956,8 @@ let reference_write meta stmt table =
   ( Plan.Reference_write
       {
         Plan.task_node = Metadata.placement meta shard_id;
-        task_stmt = rewrite_reference_only meta stmt;
+        task_stmt =
+          Ast.rename_tables_statement (fun name -> shard_table_name meta name) stmt;
         task_group = -1;
         task_shard = shard_id;
       },

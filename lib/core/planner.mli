@@ -84,8 +84,13 @@ val conjuncts_of_select : Sqlfront.Ast.select -> Sqlfront.Ast.expr list
     it to a unique transient relation per execution. *)
 val intermediate_relation : string
 
-(** Rewrite every Citus table name to the shard of group [group_index];
-    reference tables go to their (single) shard name. *)
+(** The one mapping from a logical table to its shard name: a reference
+    table goes to its single shard, a distributed table to its shard of
+    group [group_index] (unchanged without one), any other name is kept. *)
+val shard_table_name : Metadata.t -> ?group_index:int -> string -> string
+
+(** Rewrite every Citus table name to the shard of group [group_index]
+    ({!shard_table_name}). *)
 val rewrite_to_group :
   Metadata.t -> group_index:int -> Sqlfront.Ast.statement -> Sqlfront.Ast.statement
 

@@ -210,7 +210,7 @@ let move_one ?deadline (t : State.t) (shard : Metadata.shard) ~from_node
     ~to_node =
   copy_shard_to t shard ~from_node ~to_node ~drop_source:true ?deadline
     ~finish_metadata:(fun () ->
-      Metasync.update_placement t.State.metasync
+      Metadata.update_placement t.State.metadata
         ~shard_id:shard.Metadata.shard_id ~from_node ~to_node)
     ()
 
@@ -344,7 +344,7 @@ let repair_placement (t : State.t) ~shard_id ~node =
   in
   copy_shard_to t shard ~from_node:source ~to_node:node ~drop_source:false
     ~finish_metadata:(fun () ->
-      Metasync.mark_placement t.State.metasync ~shard_id ~node Metadata.Active)
+      Metadata.mark_placement t.State.metadata ~shard_id ~node Metadata.Active)
     ()
 
 (* Maintenance pass: walk every Inactive placement and repair the ones on

@@ -71,12 +71,6 @@ val move_shard_group :
     move at a time — their cost is an opaque per-node aggregate). *)
 val rebalance : ?policy:policy -> State.t -> move list
 
-(** Re-copy the Inactive placement of a shard on [node] from a healthy
-    active replica (same snapshot + WAL catch-up machinery as a move, but
-    the source placement keeps serving) and mark it Active. Returns
-    (rows copied, catchup records). *)
-val repair_placement : State.t -> shard_id:int -> node:string -> int * int
-
 (** Self-healing maintenance pass: repair every Inactive placement whose
     node is reachable; skips the ones that are blocked or sourceless.
     Returns the number of placements repaired. *)

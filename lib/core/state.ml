@@ -43,7 +43,6 @@ type session_state = {
 type t = {
   cluster : Cluster.Topology.t;
   metadata : Metadata.t;
-  metasync : Metasync.t;
   local : Cluster.Topology.node;
   config : config;
   health : Health.t;
@@ -73,11 +72,10 @@ let default_config () =
     plan_cache_size = 128;
   }
 
-let create ~cluster ~metadata ~metasync ~local ~registry =
+let create ~cluster ~metadata ~local ~registry =
   {
     cluster;
     metadata;
-    metasync;
     local;
     config = default_config ();
     health =
@@ -153,6 +151,16 @@ let checkout t st ?(force = false) (node : Cluster.Topology.node) =
     Some conn
   end
   else None
+
+let pooled_connection t st node_name =
+  match pool_of st node_name with
+  | conn :: _ -> conn
+  | [] -> (
+    match
+      checkout t st ~force:true (Cluster.Topology.find_node t.cluster node_name)
+    with
+    | Some conn -> conn
+    | None -> assert false (* a forced checkout always opens *))
 
 let runs_locally t session node_name =
   String.equal node_name t.local.Cluster.Topology.node_name

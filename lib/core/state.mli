@@ -78,12 +78,8 @@ type session_state = {
 type t = {
   cluster : Cluster.Topology.t;
   metadata : Metadata.t;
-      (** this node's catalog replica — reads are node-local (MX);
-          writes must go through [metasync] (lint rule L16) *)
-  metasync : Metasync.t;
-      (** the metadata-sync layer every catalog mutation flows through,
-          keeping all node replicas (and the plan-cache-invalidating
-          {!Metadata.version}) in lockstep *)
+      (** the cluster's one catalog, shared by every node running the
+          extension (MX): a catalog change is seen everywhere at once *)
   local : Cluster.Topology.node;  (** node this extension instance runs on *)
   config : config;
   health : Health.t;
@@ -118,12 +114,9 @@ exception Txn_replica_lost of string
 val create :
   cluster:Cluster.Topology.t ->
   metadata:Metadata.t ->
-  metasync:Metasync.t ->
   local:Cluster.Topology.node ->
   registry:((string * int), string * int) Hashtbl.t ->
   t
-
-val default_config : unit -> config
 
 (** Session bookkeeping, created on demand. *)
 val session_state : t -> Engine.Instance.session -> session_state
@@ -140,6 +133,10 @@ val checkout :
 
 (** All pool connections of the session to [node]. *)
 val pool_of : session_state -> string -> Cluster.Connection.t list
+
+(** The session's first pooled connection to [node], or a forced
+    {!checkout} of one when the pool is empty. *)
+val pooled_connection : t -> session_state -> string -> Cluster.Connection.t
 
 (** [runs_locally t session node]: [node] is this node and [session] one
     of its sessions, so a task placed there runs locally. *)

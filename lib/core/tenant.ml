@@ -89,7 +89,7 @@ let isolate_tenant (t : State.t) ~table ~value =
               .Engine.Instance.rows
           in
           let news =
-            Metasync.replace_shard t.State.metasync ~shard_id:old_id
+            Metadata.replace_shard t.State.metadata ~shard_id:old_id
               ~ranges:
                 (split_ranges ~min_hash:old_shard.Metadata.min_hash
                    ~max_hash:old_shard.Metadata.max_hash h)
@@ -102,7 +102,7 @@ let isolate_tenant (t : State.t) ~table ~value =
             rows ))
         group_tables
     in
-    Metasync.renumber_colocation t.State.metasync
+    Metadata.renumber_colocation t.State.metadata
       ~colocation_id:dt.Metadata.colocation_id;
     (* 2. create the new shards on every placement and route the rows
        back in through the logical table *)

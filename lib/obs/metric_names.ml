@@ -64,7 +64,6 @@ let snapshot_hedged_fragments = "snapshot.hedged_fragments"
 let snapshot_fragment_hedge_wins = "snapshot.fragment_hedge_wins"
 
 (* Citus MX: replicated metadata / multi-coordinator *)
-let mx_metadata_syncs = "mx.metadata_syncs"
 let mx_config_syncs = "mx.config_syncs"
 let mx_worker_coordinated_txns = "mx.worker_coordinated_txns"
 let mx_foreign_gids_resolved = "mx.foreign_gids_resolved"

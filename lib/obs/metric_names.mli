@@ -186,11 +186,6 @@ val snapshot_fragment_hedge_wins : string
 
 (** {2 Citus MX (replicated metadata, multi-coordinator)} *)
 
-val mx_metadata_syncs : string
-(** counter: catalog writes applied to a synced worker replica (one per
-    remote replica per sanctioned mutation, including catch-up replay
-    when a node first attaches) *)
-
 val mx_config_syncs : string
 (** counter: knob values [citus_set_config] propagated to another
     metadata-synced node's extension state *)

@@ -68,8 +68,6 @@ val heal_link : t -> from_:string -> to_:string -> unit
 
 val link_up : t -> from_:string -> to_:string -> bool
 
-val heal_all_links : t -> unit
-
 (** Set loss probabilities for requests and replies, either for one
     [?node] (as destination) or as the cluster-wide default. *)
 val set_drop_rate : ?node:string -> t -> request:float -> reply:float -> unit
@@ -100,10 +98,6 @@ val set_latency : ?node:string -> t -> mean:float -> jitter:float -> unit
     defenses. *)
 val stall_node : t -> node:string -> extra:float -> duration:float -> unit
 
-(** Extra seconds per round trip currently charged against [node]
-    (0.0 when not stalled). *)
-val stalled_extra : t -> string -> float
-
 val node_stalled : t -> string -> bool
 
 (** {2 Clock skew}
@@ -118,9 +112,6 @@ val node_stalled : t -> string -> bool
 (** [set_clock_skew t ~node ~offset ~drift] makes [node]'s physical
     clock read [true_now + offset + drift * elapsed_since_set]. *)
 val set_clock_skew : t -> node:string -> offset:float -> drift:float -> unit
-
-(** Current skew in seconds charged against [node] (0.0 when none). *)
-val node_skew : t -> string -> float
 
 (** [node]'s view of the current time: virtual clock plus skew. *)
 val skewed_now : t -> string -> float

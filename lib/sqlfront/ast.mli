@@ -153,12 +153,8 @@ val contains_aggregate : expr -> bool
 (** The distinct aggregates in [exprs], in order of first appearance. *)
 val collect_aggs : expr list -> agg list
 
-(** Map [f] over every expression in a select, including nested FROM
+(** Map [f] over every expression in a statement, including nested FROM
     subselects (used for parameter binding and shard-name rewriting). *)
-val map_select_exprs : (expr -> expr) -> select -> select
-
-val map_from_item_exprs : (expr -> expr) -> from_item -> from_item
-
 val map_statement_exprs : (expr -> expr) -> statement -> statement
 
 exception Unbound_param of int
@@ -207,10 +203,6 @@ val lift_consts : statement -> statement * Datum.t list
     original name is kept visible as an alias so column qualifiers keep
     resolving after the rename. *)
 
-val rename_tables_from : (string -> string) -> from_item -> from_item
-
 val rename_tables_select : (string -> string) -> select -> select
-
-val rename_in_expr : (string -> string) -> expr -> expr
 
 val rename_tables_statement : (string -> string) -> statement -> statement

@@ -52,16 +52,6 @@ val fetch :
   my_xid:xid option ->
   Datum.t array option
 
-(** Visibility of an arbitrary (xmin, xmax) pair under a snapshot; exposed
-    for index-only paths and tests. *)
-val version_visible :
-  status:(xid -> Txn.Manager.status) ->
-  snapshot:Txn.Snapshot.t ->
-  my_xid:xid option ->
-  xmin:xid ->
-  xmax:xid ->
-  bool
-
 (** Sequential scan over visible tuples in tid order. Each page is touched
     once in [pool]. *)
 val scan :

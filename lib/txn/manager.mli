@@ -104,18 +104,14 @@ val hlc : t -> Hlc.t
     aborted or still-running transaction, or one that wrote nothing). *)
 val commit_ts_of : t -> xid -> Hlc.timestamp option
 
-(** [xid_in_doubt t ~ts xid] is [Some gid] when [xid] is prepared and
-    might yet commit at or before [ts] — a reader at snapshot [ts] must
-    not guess. Prepared transactions whose PREPARE stamp already exceeds
-    [ts] are excluded: their commit timestamp is provably later. *)
-val xid_in_doubt : t -> ts:Hlc.timestamp -> xid -> string option
-
 exception In_doubt of { gid : string; xid : xid }
 
 (** [status_at t ~ts xid] is transaction status as of snapshot [ts]:
     commits stamped after [ts] read as [In_progress] (invisible), and an
-    in-doubt xid (per {!xid_in_doubt}) raises {!In_doubt} — the caller
-    resolves the 2PC outcome and retries rather than guess. *)
+    in-doubt xid — prepared, and able to commit at or before [ts] —
+    raises {!In_doubt}: the caller resolves the 2PC outcome and retries
+    rather than guess. A prepared xid whose PREPARE stamp already exceeds
+    [ts] is not in doubt: its commit timestamp is provably later. *)
 val status_at : t -> ts:Hlc.timestamp -> xid -> status
 
 (** Latest-visibility status that refuses to skip prepared transactions:

@@ -5,9 +5,6 @@ type config = {
   postgres_fraction : float;
 }
 
-let default_config =
-  { events = 500; days = 7; commits_per_event = 3; postgres_fraction = 0.1 }
-
 let words =
   [|
     "fix"; "bug"; "in"; "planner"; "add"; "support"; "for"; "index"; "update";

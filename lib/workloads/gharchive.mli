@@ -15,8 +15,6 @@ type config = {
   postgres_fraction : float;  (** events whose messages mention postgres *)
 }
 
-val default_config : config
-
 (** Create the [github_events] table (distributed by event id under Citus)
     and the GIN trigram index on the commit messages, as in §4.2. *)
 val setup_schema : Db.t -> unit

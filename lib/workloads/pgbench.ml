@@ -1,7 +1,5 @@
 type config = { rows : int }
 
-let default_config = { rows = 200 }
-
 let setup db cfg =
   ignore (Db.exec db "CREATE TABLE a1 (key bigint PRIMARY KEY, v bigint)");
   ignore (Db.exec db "CREATE TABLE a2 (key bigint PRIMARY KEY, v bigint)");

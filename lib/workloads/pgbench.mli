@@ -7,8 +7,6 @@
 
 type config = { rows : int }
 
-val default_config : config
-
 val setup : Db.t -> config -> unit
 
 type mode = Same_key | Different_keys

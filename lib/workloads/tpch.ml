@@ -1,7 +1,5 @@
 type config = { lineitem_rows : int; distribute_part : bool }
 
-let default_config = { lineitem_rows = 2000; distribute_part = false }
-
 let nations =
   [| "FRANCE"; "GERMANY"; "JAPAN"; "BRAZIL"; "KENYA"; "PERU"; "CHINA"; "INDIA" |]
 

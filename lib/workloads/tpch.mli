@@ -17,8 +17,6 @@ type config = {
   distribute_part : bool;
 }
 
-val default_config : config
-
 val setup : Db.t -> config -> unit
 
 (** (name, SQL) pairs of the query set. *)

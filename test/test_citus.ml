@@ -1330,6 +1330,61 @@ let test_mx_data_movement_keeps_indexes () =
     (Citus.Metadata.shards_of meta "items");
   check_int s "tenant lookup" 1 "SELECT count(*) FROM items WHERE key = 7"
 
+(* Metadata sync after the catalog already has history (a move): every
+   node plans against the one catalog, so a worker's fast-path reads
+   match the coordinator's, and a move the worker runs is seen by the
+   coordinator's very next read, with no sync step in between. *)
+let test_mx_sync_after_move () =
+  let cluster, citus, s = make () in
+  setup_items s;
+  load_items s;
+  let meta = citus.Citus.Api.metadata in
+  let shard_id =
+    (Citus.Metadata.shard_for_value meta ~table:"items" (Datum.Int 1))
+      .Citus.Metadata.shard_id
+  in
+  let move session =
+    let from_node = Citus.Metadata.placement meta shard_id in
+    let to_node = if from_node = "worker1" then "worker2" else "worker1" in
+    ignore
+      (exec session
+         (Printf.sprintf "SELECT citus_move_shard_placement(%d, '%s')" shard_id
+            to_node));
+    (from_node, to_node)
+  in
+  ignore (move s);
+  ignore (exec s "SELECT citus_enable_metadata_sync()");
+  let ws =
+    Citus.Api.connect_via citus (Cluster.Topology.find_node cluster "worker1")
+  in
+  let row session k =
+    (exec session
+       (Printf.sprintf "SELECT key, val, qty FROM items WHERE key = %d" k))
+      .Engine.Instance.rows
+    |> List.map (fun r -> Array.to_list (Array.map Datum.to_display r))
+  in
+  let check_rows label =
+    for k = 1 to 40 do
+      Alcotest.(check (list (list string)))
+        (Printf.sprintf "%s: key %d" label k)
+        (row s k) (row ws k)
+    done
+  in
+  check_rows "after sync";
+  let from_node, to_node = move ws in
+  Alcotest.(check string) "coordinator sees the worker's move" to_node
+    (Citus.Metadata.placement meta shard_id);
+  Alcotest.(check bool) "source placement dropped" true
+    (Engine.Catalog.find_table_opt
+       (Engine.Instance.catalog
+          (Cluster.Topology.find_node cluster from_node).Cluster.Topology.instance)
+       (Citus.Metadata.shard_name
+          (Option.get (Citus.Metadata.shard_by_id meta shard_id)))
+    = None);
+  Alcotest.(check (list (list string))) "moved key read by the coordinator"
+    [ [ "1"; "v1"; "1" ] ] (row s 1);
+  check_rows "after the worker's move"
+
 let test_mx_reference_read_local_to_worker () =
   let cluster, citus, _s = make () in
   let s0 = Citus.Api.connect citus in
@@ -1823,6 +1878,7 @@ let () =
             test_mx_reference_read_local_to_worker;
           Alcotest.test_case "data movement keeps indexes" `Quick
             test_mx_data_movement_keeps_indexes;
+          Alcotest.test_case "sync after a move" `Quick test_mx_sync_after_move;
         ] );
       ( "local-execution",
         [

@@ -799,137 +799,6 @@ let test_l15_escape () =
   Alcotest.(check int) "[@lint.reparse] is trusted" 0
     (List.length (l15_run l15_api_annotated))
 
-(* --- L16 metadata-write discipline --- *)
-
-(* sites resolve against real definitions: stub the catalog layer's two
-   files so Metasync is a known module the boundary cut can see *)
-let l16_metasync_stub =
-  {|let apply t op = op t
-
-let update_placement t ~shard_id ~from_node ~to_node =
-  apply t (fun m -> Metadata.update_placement m ~shard_id ~from_node ~to_node)
-
-let bump_version t = apply t Metadata.bump_version
-|}
-
-let l16_metadata_stub =
-  {|let update_placement t ~shard_id ~from_node ~to_node =
-  ignore (t, shard_id, from_node, to_node)
-
-let bump_version t = ignore t
-|}
-
-let l16_violating =
-  {|let move t ~shard_id ~from_node ~to_node =
-  Metadata.update_placement t ~shard_id ~from_node ~to_node
-
-let ddl t = Metadata.bump_version t
-|}
-
-let l16_clean =
-  {|let move t ~shard_id ~from_node ~to_node =
-  Metasync.update_placement t ~shard_id ~from_node ~to_node
-
-let ddl t = Metasync.bump_version t
-|}
-
-let l16_annotated =
-  {|let whatif t ~shard_id ~from_node ~to_node =
-  (Metadata.update_placement t ~shard_id ~from_node ~to_node
-   [@lint.metadata_write])
-|}
-
-let test_l16_violating () =
-  let fs =
-    run "L16"
-      [
-        ("lib/core/metadata.ml", l16_metadata_stub);
-        ("lib/core/metasync.ml", l16_metasync_stub);
-        ("lib/core/rebalancer.ml", l16_violating);
-      ]
-  in
-  Alcotest.(check int) "both direct mutations flagged" 2 (List.length fs);
-  Alcotest.(check (list string)) "all L16" [ "L16"; "L16" ] (ids fs);
-  Alcotest.(check (list int)) "mutator locations" [ 2; 4 ] (lines fs)
-
-let test_l16_clean () =
-  let fs =
-    run "L16"
-      [
-        ("lib/core/metadata.ml", l16_metadata_stub);
-        ("lib/core/metasync.ml", l16_metasync_stub);
-        ("lib/core/rebalancer.ml", l16_clean);
-      ]
-  in
-  Alcotest.(check int) "Metasync wrappers pass" 0 (List.length fs)
-
-let test_l16_sync_layer () =
-  (* the sync layer's own fan-out calls the mutators by design *)
-  let fs =
-    run "L16"
-      [
-        ("lib/core/metadata.ml", l16_metadata_stub);
-        ("lib/core/metasync.ml", l16_metasync_stub);
-      ]
-  in
-  Alcotest.(check int) "metasync.ml is the sanctioned caller" 0
-    (List.length fs)
-
-let test_l16_escape () =
-  let fs =
-    run "L16"
-      [
-        ("lib/core/metadata.ml", l16_metadata_stub);
-        ("lib/core/metasync.ml", l16_metasync_stub);
-        ("lib/core/planner.ml", l16_annotated);
-      ]
-  in
-  Alcotest.(check int) "[@lint.metadata_write] is trusted" 0 (List.length fs)
-
-let test_l16_helper_reachability () =
-  (* interprocedural: the same helper wrapping a mutator is legal when
-     the sync layer is its only caller, flagged when reachable from an
-     unsanctioned root *)
-  let helper =
-    {|let flip t ~shard_id ~from_node ~to_node =
-  Metadata.update_placement t ~shard_id ~from_node ~to_node
-|}
-  in
-  let sync_only_caller =
-    {|let apply t op = op t
-
-let cutover t ~shard_id ~from_node ~to_node =
-  apply t (fun _ -> Catutil.flip t ~shard_id ~from_node ~to_node)
-|}
-  in
-  let outside_caller =
-    {|let move t ~shard_id ~from_node ~to_node =
-  Catutil.flip t ~shard_id ~from_node ~to_node
-|}
-  in
-  let fs =
-    run "L16"
-      [
-        ("lib/core/metadata.ml", l16_metadata_stub);
-        ("lib/core/metasync.ml", sync_only_caller);
-        ("lib/core/catutil.ml", helper);
-      ]
-  in
-  Alcotest.(check int) "helper with only sync-layer callers passes" 0
-    (List.length fs);
-  let fs =
-    run "L16"
-      [
-        ("lib/core/metadata.ml", l16_metadata_stub);
-        ("lib/core/metasync.ml", sync_only_caller);
-        ("lib/core/catutil.ml", helper);
-        ("lib/core/rebalancer.ml", outside_caller);
-      ]
-  in
-  Alcotest.(check int) "helper reachable from outside is flagged" 1
-    (List.length fs);
-  Alcotest.(check (list string)) "the L16 is in the helper" [ "L16" ] (ids fs)
-
 (* --- call-graph builder --- *)
 
 let build sources =
@@ -1049,17 +918,43 @@ let test_sexp_rendering () =
 (* --- registry and baseline --- *)
 
 let test_registry () =
-  Alcotest.(check int) "fifteen rules" 15 (List.length Registry.all);
+  Alcotest.(check int) "fourteen rules" 14 (List.length Registry.all);
   List.iter
     (fun id ->
       match Registry.find id with
       | Some _ -> ()
       | None -> Alcotest.failf "rule %s not registered" id)
     [ "L1"; "L2"; "L3"; "L4"; "L5"; "L6"; "L7"; "L8"; "L10"; "L11"; "L12";
-      "L13"; "L14"; "L15"; "L16"; "sql-injection"; "determinism";
+      "L13"; "L14"; "L15"; "sql-injection"; "determinism";
       "lock-order"; "span-conservation"; "transitive-blocking";
       "cancel-safety"; "deadline-propagation"; "metric-registry";
-      "snapshot-discipline"; "no-reparse"; "metadata-write" ]
+      "snapshot-discipline"; "no-reparse" ]
+
+(* tools/lint/README.md's rule table and the registry agree both ways:
+   every registered rule has exactly one row, under its own name, and
+   every row names a registered rule *)
+let test_readme_table () =
+  let rows =
+    In_channel.with_open_text "../tools/lint/README.md" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter_map (fun line ->
+           match List.map String.trim (String.split_on_char '|' line) with
+           | "" :: id :: name :: _
+             when id <> "ID" && not (String.starts_with ~prefix:"-" id) ->
+             Some (id, name)
+           | _ -> None)
+  in
+  List.iter
+    (fun (module R : Rule.S) ->
+      match List.filter (fun (id, _) -> String.equal id R.id) rows with
+      | [ (_, name) ] -> Alcotest.(check string) (R.id ^ " row name") R.name name
+      | l -> Alcotest.failf "rule %s has %d README rows" R.id (List.length l))
+    Registry.all;
+  List.iter
+    (fun (id, _) ->
+      if Registry.find id = None then
+        Alcotest.failf "README row %s names no registered rule" id)
+    rows
 
 let test_explanations () =
   (* --explain depends on every rule shipping a non-trivial rationale *)
@@ -1179,15 +1074,6 @@ let () =
           Alcotest.test_case "clean" `Quick test_l15_clean;
           Alcotest.test_case "escape" `Quick test_l15_escape;
         ] );
-      ( "l16-metadata-write",
-        [
-          Alcotest.test_case "violating" `Quick test_l16_violating;
-          Alcotest.test_case "clean" `Quick test_l16_clean;
-          Alcotest.test_case "sync layer" `Quick test_l16_sync_layer;
-          Alcotest.test_case "escape" `Quick test_l16_escape;
-          Alcotest.test_case "helper reachability" `Quick
-            test_l16_helper_reachability;
-        ] );
       ( "callgraph",
         [
           Alcotest.test_case "cross-module edge" `Quick test_cg_cross_module;
@@ -1199,6 +1085,7 @@ let () =
       ( "infrastructure",
         [
           Alcotest.test_case "registry" `Quick test_registry;
+          Alcotest.test_case "README rule table" `Quick test_readme_table;
           Alcotest.test_case "explanations" `Quick test_explanations;
           Alcotest.test_case "sexp rendering" `Quick test_sexp_rendering;
           Alcotest.test_case "baseline empty" `Quick test_baseline_empty;

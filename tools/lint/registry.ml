@@ -17,7 +17,6 @@ let all : Rule.t list =
     (module Rule_metric_registry);
     (module Rule_snapshot_discipline);
     (module Rule_no_reparse);
-    (module Rule_metadata_write);
   ]
 
 let find id =
