@@ -64,7 +64,7 @@ let const_value ctx (e : Ast.expr) : Datum.t option =
 type access_path =
   | Seq
   | Btree_eq of Catalog.index * Datum.t list  (** equality on a key prefix *)
-  | Gin_candidates of Catalog.index * string  (** trigram pattern *)
+  | Gin_candidates of Catalog.index * string  (** the LIKE pattern *)
 
 (* Match WHERE conjuncts of the form [col = const] for this table. A
    quoted constant probes as the comparison reads it. *)
@@ -107,16 +107,15 @@ let find_gin_pattern (table : Catalog.table) conjuncts =
       match conj with
       | Ast.Like { subject; pattern = Ast.Const (Datum.Text p); negated = false; _ }
         ->
-        (* strip enclosing % wildcards; only simple substring patterns use
-           the index, everything else rechecks via seq scan *)
-        let core = String.concat "" (String.split_on_char '%' p) in
-        if String.contains core '_' || String.length core < 3 then None
+        (* [%] breaks words in the query trigrams, so each segment is
+           trigrammed alone; [_], or no 3-byte segment, means a seq scan *)
+        let segments = String.split_on_char '%' p in
+        if String.contains p '_' || List.for_all (fun g -> String.length g < 3) segments then None
         else
           List.find_map
             (fun (idx : Catalog.index) ->
               match idx.kind with
-              | Catalog.Gin_index { expr; _ } when expr = subject ->
-                Some (idx, core)
+              | Catalog.Gin_index { expr; _ } when expr = subject -> Some (idx, p)
               | _ -> None)
             table.indexes
       | _ -> None)

@@ -108,22 +108,28 @@ let truthy = function Datum.Bool true -> true | _ -> false
 
 (* Two-pointer wildcard match: on a mismatch, backtrack to the last [%]
    and let it absorb one more character. Linear in the text for each
-   [%], with no allocation. *)
-let like_match ~pattern:p ~ci s =
-  let np = String.length p and ns = String.length s in
-  let fold c = if ci then Char.lowercase_ascii c else c in
-  let rec go pi si star_pi star_si =
-    if si < ns then
-      if pi < np && p.[pi] = '%' then go (pi + 1) si pi si
-      else if pi < np && (p.[pi] = '_' || fold p.[pi] = fold s.[si]) then
-        go (pi + 1) (si + 1) star_pi star_si
-      else if star_pi >= 0 then go (star_pi + 1) (star_si + 1) star_pi (star_si + 1)
-      else false
-    else
-      let rec only_pct pi = pi >= np || (p.[pi] = '%' && only_pct (pi + 1)) in
-      only_pct pi
-  in
-  go 0 0 (-1) 0
+   [%]. The pattern is folded once, when the matcher is built; only the
+   text's characters fold per match. *)
+let like_matcher ~ci pattern =
+  let p = if ci then String.lowercase_ascii pattern else pattern in
+  let np = String.length p in
+  let[@inline] fold c = if ci then Char.lowercase_ascii c else c in
+  fun s ->
+    let ns = String.length s in
+    let rec go pi si star_pi star_si =
+      if si < ns then
+        if pi < np && p.[pi] = '%' then go (pi + 1) si pi si
+        else if pi < np && (p.[pi] = '_' || p.[pi] = fold s.[si]) then
+          go (pi + 1) (si + 1) star_pi star_si
+        else if star_pi >= 0 then go (star_pi + 1) (star_si + 1) star_pi (star_si + 1)
+        else false
+      else
+        let rec only_pct pi = pi >= np || (p.[pi] = '%' && only_pct (pi + 1)) in
+        only_pct pi
+    in
+    go 0 0 (-1) 0
+
+let like_match ~pattern ~ci s = like_matcher ~ci pattern s
 
 (* --- jsonpath --- *)
 
@@ -402,14 +408,15 @@ let rec compile (schema : schema) (env : env) (e : Ast.expr) :
         (compare_datums Ast.Le v (fhi row))
   | Ast.Like { subject; pattern; ci; negated } ->
     let fs = c subject and fp = c pattern in
+    let const =
+      match pattern with Ast.Const (Datum.Text p) -> Some (like_matcher ~ci p) | _ -> None
+    in
     fun row ->
       (match fs row, fp row with
        | Datum.Null, _ | _, Datum.Null -> Datum.Null
        | s, p ->
-         let m =
-           like_match ~pattern:(Datum.to_display p) ~ci (Datum.to_display s)
-         in
-         Datum.Bool (if negated then not m else m))
+         let m = match const with Some m -> m | None -> like_matcher ~ci (Datum.to_display p) in
+         Datum.Bool (m (Datum.to_display s) <> negated))
   | Ast.Json_get (a, k, as_text) ->
     let fa = c a and fk = c k in
     fun row ->

@@ -4,10 +4,12 @@
    keeps its page for the index's life. *)
 type posting = { mutable page : int; mutable tids : int array; mutable n : int }
 
+module Codes = Hashtbl.Make (Int)
+
 type t = {
   gin_name : string;
   page_rel : string;  (** buffer-pool relation name, built once *)
-  postings : (string, posting) Hashtbl.t;
+  postings : posting Codes.t;
   mutable page_seq : int;
 }
 
@@ -15,52 +17,107 @@ let create ~name () =
   {
     gin_name = name;
     page_rel = "gin:" ^ name;
-    postings = Hashtbl.create 1024;
+    postings = Codes.create 1024;
     page_seq = 0;
   }
 
 let name t = t.gin_name
 
+let swap (a : int array) i j =
+  let x = a.(i) in
+  a.(i) <- a.(j);
+  a.(j) <- x
+
+(* In-place ascending heapsort of [a.(0 .. n-1)], typed for ints
+   ([Array.sort] compares through the polymorphic primitive). *)
+let sort_ints (a : int array) n =
+  let rec sift i len =
+    let c = (2 * i) + 1 in
+    let c = if c + 1 < len && a.(c + 1) > a.(c) then c + 1 else c in
+    if c < len && a.(c) > a.(i) then begin
+      swap a i c;
+      sift c len
+    end
+  in
+  for i = (n / 2) - 1 downto 0 do
+    sift i n
+  done;
+  for last = n - 1 downto 1 do
+    swap a 0 last;
+    sift 0 last
+  done
+
+let scratch = Array.make 1024 0
+
 (* pg_trgm: words are lowercased alphanumeric runs. An indexed word is
    padded "  w " so a word of length n yields n+1 trigrams; a query word
-   is not, since the pattern can match mid-word. *)
-let trigrams ~pad s =
-  String.map
-    (function
-      | ('a' .. 'z' | '0' .. '9') as c -> c
-      | 'A' .. 'Z' as c -> Char.lowercase_ascii c
-      | _ -> ' ')
-    s
-  |> String.split_on_char ' '
-  |> List.concat_map (fun w ->
-         let w = if pad && w <> "" then "  " ^ w ^ " " else w in
-         List.init (max 0 (String.length w - 2)) (fun i -> String.sub w i 3))
-  |> List.sort_uniq String.compare
-
-let trigrams_of = trigrams ~pad:true
-let query_trigrams = trigrams ~pad:false
-
-let posting t key =
-  match Hashtbl.find_opt t.postings key with
-  | Some p -> p
-  | None ->
-    let p = { page = -1; tids = [||]; n = 0 } in
-    Hashtbl.add t.postings key p;
-    p
-
-let touch pool t p =
-  match pool with
-  | None -> ()
-  | Some pool ->
-    if p.page < 0 then begin
-      p.page <- t.page_seq;
-      t.page_seq <- t.page_seq + 1
+   is not, since the pattern can match mid-word. A trigram is the int
+   [b0 lsl 16 lor b1 lsl 8 lor b2] of its bytes, so codes order as the
+   three-byte strings do. One pass over [s] rolls the last three bytes
+   of the current word; the codes come back ascending and distinct. *)
+let codes ~pad s =
+  let len = String.length s in
+  (* at most one code per byte plus one per word end; a long text gets
+     its own array, so the reused [scratch] stays small *)
+  let a = if 2 * len < Array.length scratch then scratch else Array.make ((2 * len) + 1) 0 in
+  let n = ref 0 and w = ref 0x2020 and run = ref 0 in
+  for i = 0 to len do
+    let c =
+      if i = len then 0
+      else
+        match s.[i] with
+        | ('a' .. 'z' | '0' .. '9') as c -> Char.code c
+        | 'A' .. 'Z' as c -> Char.code c + 32
+        | _ -> 0
+    in
+    (* a padded word's last trigram ends in a space *)
+    if c <> 0 || (pad && !run > 0) then begin
+      w := ((!w lsl 8) lor if c = 0 then 0x20 else c) land 0xFFFFFF;
+      if pad || !run >= 2 then begin
+        a.(!n) <- !w;
+        incr n
+      end
     end;
-    ignore
-      (Buffer_pool.access pool { Buffer_pool.relation = t.page_rel; page_no = p.page })
+    if c = 0 then begin
+      w := 0x2020;
+      run := 0
+    end
+    else incr run
+  done;
+  sort_ints a !n;
+  let d = ref (min !n 1) in
+  for k = 1 to !n - 1 do
+    if a.(k) <> a.(!d - 1) then begin
+      a.(!d) <- a.(k);
+      incr d
+    end
+  done;
+  Array.sub a 0 !d
+
+(* The posting of [code], created empty on first use; with a [pool],
+   its page is touched (and numbered on its first touch). *)
+let posting pool t code =
+  let p =
+    match Codes.find_opt t.postings code with
+    | Some p -> p
+    | None ->
+      let p = { page = -1; tids = [||]; n = 0 } in
+      Codes.add t.postings code p;
+      p
+  in
+  (match pool with
+   | None -> ()
+   | Some pool ->
+     if p.page < 0 then begin
+       p.page <- t.page_seq;
+       t.page_seq <- t.page_seq + 1
+     end;
+     ignore
+       (Buffer_pool.access pool { Buffer_pool.relation = t.page_rel; page_no = p.page }));
+  p
 
 (* First index in [lo, n) whose tid is >= [x]. *)
-let seek a n lo x =
+let seek (a : int array) n lo (x : int) =
   let lo = ref lo and hi = ref n in
   while !lo < !hi do
     let mid = (!lo + !hi) lsr 1 in
@@ -71,7 +128,7 @@ let seek a n lo x =
 (* A tid reused from the heap freelist can be below the largest one
    held, so it is placed by binary search and the tail shifts up (by
    hand: [Array.blit] would pay a write barrier per element). *)
-let insert p tid =
+let insert p (tid : int) =
   let i = seek p.tids p.n 0 tid in
   if i = p.n || p.tids.(i) <> tid then begin
     if p.n = Array.length p.tids then begin
@@ -87,19 +144,14 @@ let insert p tid =
   end
 
 let add ?pool t ~tid text =
-  let tgs = trigrams_of text in
-  List.iter
-    (fun tg ->
-      let p = posting t tg in
-      touch pool t p;
-      insert p tid)
-    tgs;
-  List.length tgs
+  let cs = codes ~pad:true text in
+  Array.iter (fun code -> insert (posting pool t code) tid) cs;
+  Array.length cs
 
 (* Compact [a.(0 .. len-1)] in place to the tids whose presence in the
    ascending [b.(0 .. nb-1)] equals [keep], calling [hit] with the index
    of each one found there; returns the new length. *)
-let filter a len b nb ~keep ~hit =
+let filter (a : int array) len (b : int array) nb ~keep ~hit =
   let w = ref 0 and j = ref 0 in
   for k = 0 to len - 1 do
     let x = a.(k) in
@@ -119,7 +171,7 @@ let bulk_delete t dead =
   let nd = Array.length dead in
   let held = Bytes.make nd '0' in
   if nd > 0 then
-    Hashtbl.iter
+    Codes.iter
       (fun _ p -> p.n <- filter p.tids p.n dead nd ~keep:false ~hit:(fun j -> Bytes.set held j '1'))
       t.postings;
   Bytes.fold_left (fun c b -> if b = '1' then c + 1 else c) 0 held
@@ -127,27 +179,18 @@ let bulk_delete t dead =
 (* Intersect smallest-first into one scratch array, so each longer
    posting is searched only for the tids still standing. *)
 let candidates ?pool t pattern =
-  match query_trigrams pattern with
-  | [] -> None
-  | tgs ->
-    let ps =
-      List.map
-        (fun tg ->
-          let p = posting t tg in
-          touch pool t p;
-          p)
-        tgs
-      |> List.stable_sort (fun a b -> Int.compare a.n b.n)
-    in
-    let first = List.hd ps in
-    let acc = Array.sub first.tids 0 first.n in
-    let len =
-      List.fold_left
-        (fun len p -> filter acc len p.tids p.n ~keep:true ~hit:ignore)
-        first.n (List.tl ps)
-    in
-    Some (List.init len (Array.get acc))
+  match codes ~pad:false pattern with
+  | [||] -> None
+  | cs ->
+    let ps = Array.map (posting pool t) cs in
+    Array.stable_sort (fun a b -> Int.compare a.n b.n) ps;
+    let acc = Array.sub ps.(0).tids 0 ps.(0).n in
+    let len = ref ps.(0).n in
+    for k = 1 to Array.length ps - 1 do
+      len := filter acc !len ps.(k).tids ps.(k).n ~keep:true ~hit:ignore
+    done;
+    Some (List.init !len (Array.get acc))
 
 let clear t =
-  Hashtbl.reset t.postings;
+  Codes.reset t.postings;
   t.page_seq <- 0

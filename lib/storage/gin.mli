@@ -20,10 +20,11 @@ val create : name:string -> unit -> t
 
 val name : t -> string
 
-(** Trigrams of a string after pg_trgm-style normalization (lowercase,
-    padded with two leading and one trailing space per word). Exposed for
-    tests. *)
-val trigrams_of : string -> string list
+(** Trigram codes of a string after pg_trgm-style normalization
+    (lowercase alphanumeric words, each padded with two leading and one
+    trailing space when [pad]), ascending and distinct. A trigram's code
+    is [b0 lsl 16 lor b1 lsl 8 lor b2]. Exposed for tests. *)
+val codes : pad:bool -> string -> int array
 
 (** Index [text] for tuple [tid]; returns the number of posting-list
     updates performed (for write-cost accounting). Touches one logical

@@ -327,6 +327,25 @@ let test_gin_index_query () =
   check_int s "ilike via gin" 2
     "SELECT count(*) FROM msgs WHERE body ILIKE '%postgres%'"
 
+(* Each [%]-separated segment is trigrammed on its own: no trigram may
+   span a wildcard, and a pattern with no segment long enough falls back
+   to a seq scan. Every count must match the seq scan's. *)
+let test_gin_multi_segment_like () =
+  let _, s = fresh () in
+  ignore (exec s "CREATE TABLE msgs (id bigint PRIMARY KEY, body text)");
+  ignore
+    (exec s "INSERT INTO msgs VALUES (1, 'post and gres'), (2, 'postgres'), (3, 'nothing')");
+  let patterns = [ ("%post%gres%", 2); ("post%", 2); ("%ab%no%", 0); ("%no%ing", 1) ] in
+  let check () =
+    List.iter
+      (fun (p, n) ->
+        check_int s p n (Printf.sprintf "SELECT count(*) FROM msgs WHERE body ILIKE '%s'" p))
+      patterns
+  in
+  check ();
+  ignore (exec s "CREATE INDEX msgs_trgm ON msgs USING GIN ((body) gin_trgm_ops)");
+  check ()
+
 (* --- JSON --- *)
 
 let test_jsonb_roundtrip () =
@@ -674,6 +693,7 @@ let () =
           Alcotest.test_case "pk btree used" `Quick test_btree_index_used;
           Alcotest.test_case "secondary" `Quick test_secondary_index;
           Alcotest.test_case "gin ilike" `Quick test_gin_index_query;
+          Alcotest.test_case "gin multi-segment like" `Quick test_gin_multi_segment_like;
         ] );
       ( "json",
         [

@@ -224,6 +224,17 @@ let like_reference ~pattern ~ci s =
   in
   go 0 0
 
+(* LIKE as [Expr_eval.compile] builds it over a row [| subject; pattern |],
+   the pattern a constant or a column. *)
+let compiled_like ~const ~ci ~negated pattern subject =
+  let open Sqlfront.Ast in
+  let env = { Expr_eval.rng = Random.State.make [| 0 |]; now = 0.; subquery = (fun _ -> []) } in
+  let schema = [ { Expr_eval.rq = None; rname = "s" }; { Expr_eval.rq = None; rname = "p" } ] in
+  let pat = if const then Const (Datum.Text pattern) else Column (None, "p") in
+  Expr_eval.compile schema env
+    (Like { subject = Column (None, "s"); pattern = pat; ci; negated })
+    [| subject; Datum.Text pattern |]
+
 let prop_like_matches_reference =
   let open QCheck2.Gen in
   let str alphabet = string_size ~gen:(oneofl alphabet) (int_range 0 10) in
@@ -232,9 +243,21 @@ let prop_like_matches_reference =
     ~print:(fun (p, s, ci) -> Printf.sprintf "pattern %S text %S ci %b" p s ci)
     (triple (str [ 'a'; 'b'; 'A'; 'B'; '%'; '%'; '_' ]) (str [ 'a'; 'b'; 'A'; 'B' ]) bool)
     (fun (pattern, s, ci) ->
-      Bool.equal
-        (Expr_eval.like_match ~pattern ~ci s)
-        (like_reference ~pattern ~ci s))
+      let expect = like_reference ~pattern ~ci s in
+      Bool.equal (Expr_eval.like_match ~pattern ~ci s) expect
+      && List.for_all
+           (fun (const, negated) ->
+             compiled_like ~const ~ci ~negated pattern (Datum.Text s)
+             = Datum.Bool (expect <> negated))
+           [ (true, false); (true, true); (false, false); (false, true) ])
+
+let test_like_null_subject () =
+  List.iter
+    (fun (const, negated) ->
+      match compiled_like ~const ~ci:true ~negated "%a%" Datum.Null with
+      | Datum.Null -> ()
+      | d -> Alcotest.fail ("NULL LIKE gave " ^ Datum.to_display d))
+    [ (true, false); (true, true) ]
 
 let test_between_inclusive () =
   let _, s = fresh () in
@@ -523,6 +546,7 @@ let () =
           Alcotest.test_case "coalesce/nullif" `Quick test_coalesce_nullif;
           Alcotest.test_case "like corners" `Quick test_like_corner_cases;
           QCheck_alcotest.to_alcotest prop_like_matches_reference;
+          Alcotest.test_case "like null subject" `Quick test_like_null_subject;
           Alcotest.test_case "between inclusive" `Quick test_between_inclusive;
           Alcotest.test_case "offset beyond rows" `Quick test_offset_beyond_rows;
           Alcotest.test_case "multi-key order" `Quick test_multi_key_ordering;

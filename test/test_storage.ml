@@ -755,11 +755,38 @@ let prop_btree_matches_list_reference =
 
 (* --- GIN --- *)
 
+(* The string trigrams the codes replaced, kept as their reference:
+   lowercase alphanumeric runs, each padded "  w " when [pad]. *)
+let ref_trigrams ~pad s =
+  String.map
+    (function
+      | ('a' .. 'z' | '0' .. '9') as c -> c
+      | 'A' .. 'Z' as c -> Char.lowercase_ascii c
+      | _ -> ' ')
+    s
+  |> String.split_on_char ' '
+  |> List.concat_map (fun w ->
+         let w = if pad && w <> "" then "  " ^ w ^ " " else w in
+         List.init (max 0 (String.length w - 2)) (fun i -> String.sub w i 3))
+  |> List.sort_uniq String.compare
+
+let decode code = String.init 3 (fun i -> Char.chr ((code lsr (8 * (2 - i))) land 0xFF))
+
+let trigrams ~pad s = Array.to_list (Array.map decode (Gin.codes ~pad s))
+
 let test_gin_trigrams () =
-  let tgs = Gin.trigrams_of "cat" in
-  Alcotest.(check bool) "has ' ca'" true (List.mem " ca" tgs);
-  Alcotest.(check bool) "has 'cat'" true (List.mem "cat" tgs);
-  Alcotest.(check bool) "has 'at '" true (List.mem "at " tgs)
+  Alcotest.(check (list string)) "padded" [ "  c"; " ca"; "at "; "cat" ] (trigrams ~pad:true "cat");
+  Alcotest.(check (list string)) "unpadded" [ "cat" ] (trigrams ~pad:false "Cat")
+
+let prop_gin_codes_match_strings =
+  let open QCheck2.Gen in
+  let chars = [ 'a'; 'b'; 'z'; 'A'; 'Q'; 'Z'; '0'; '9'; ' '; '%'; '\''; '"'; '\t'; '\x80'; '\xff' ] in
+  QCheck2.Test.make ~name:"trigram codes = string trigrams" ~count:2000 ~print:(Printf.sprintf "%S")
+    (* texts past 511 bytes take the codes' own array, not the scratch one *)
+    (string_size ~gen:(oneofl chars) (frequency [ (9, int_range 0 40); (1, int_range 500 700) ]))
+    (fun s ->
+      trigrams ~pad:true s = ref_trigrams ~pad:true s
+      && trigrams ~pad:false s = ref_trigrams ~pad:false s)
 
 let test_gin_candidates () =
   let g = Gin.create ~name:"g" () in
@@ -823,7 +850,7 @@ module Ref_gin = struct
   let set r tg = Option.value ~default:Int_set.empty (Hashtbl.find_opt r.postings tg)
 
   let add ?pool r ~tid text =
-    let tgs = Gin.trigrams_of text in
+    let tgs = ref_trigrams ~pad:true text in
     List.iter
       (fun tg ->
         touch pool r tg;
@@ -842,20 +869,8 @@ module Ref_gin = struct
       r.postings;
     List.length held
 
-  (* unpadded trigrams of each lowercase alphanumeric run *)
-  let query_trigrams pattern =
-    let low = String.lowercase_ascii pattern in
-    let words =
-      String.split_on_char ' '
-        (String.map (function 'a' .. 'z' | '0' .. '9' as c -> c | _ -> ' ') low)
-    in
-    List.concat_map
-      (fun w -> List.init (max 0 (String.length w - 2)) (fun i -> String.sub w i 3))
-      words
-    |> List.sort_uniq String.compare
-
   let candidates ?pool r pattern =
-    match query_trigrams pattern with
+    match ref_trigrams ~pad:false pattern with
     | [] -> None
     | tg :: rest ->
       List.iter (touch pool r) (tg :: rest);
@@ -1022,6 +1037,7 @@ let () =
           Alcotest.test_case "candidates" `Quick test_gin_candidates;
           Alcotest.test_case "remove" `Quick test_gin_remove;
           Alcotest.test_case "case insensitive" `Quick test_gin_case_insensitive;
+          QCheck_alcotest.to_alcotest prop_gin_codes_match_strings;
           QCheck_alcotest.to_alcotest prop_gin_matches_set_reference;
         ] );
       ( "columnar",

@@ -13,7 +13,7 @@ let seed = ref 1
 
 let spec =
   [
-    ("--workload", Arg.Set_string workload, " tpcc | ycsb | ycsb_prepared | rt (default tpcc)");
+    ("--workload", Arg.Set_string workload, " tpcc | ycsb | ycsb_prepared | rt | rt_dashboard | rt_copy (default tpcc)");
     ("--seconds", Arg.Set_float seconds, " length of the sampled loop (default 10)");
     ("--seed", Arg.Set_int seed, " workload seed (default 1)");
   ]
@@ -56,8 +56,10 @@ let ycsb_prepared rng =
 
 (* The bench/suite rt_analytics loop: 4,000 events loaded, then ops
    that COPY an 8-event batch and delete the oldest events back to the
-   loaded count (retention), with the dashboard every sixth op. *)
-let rt rng =
+   loaded count (retention), with the dashboard every sixth op. [half]
+   keeps only the dashboards or only the COPY and retention ops, so a
+   hot frame can be told to one side. *)
+let rt ?half rng =
   let db = Workloads.Db.citus ~shard_count:32 ~workers:4 () in
   Workloads.Gharchive.setup_schema db;
   let events n =
@@ -85,7 +87,10 @@ let rt rng =
     60,
     fun () ->
       incr n;
-      if !n mod 6 = 0 then
+      let dashboard =
+        match half with Some `Dashboard -> true | Some `Copy -> false | None -> !n mod 6 = 0
+      in
+      if dashboard then
         ignore (Workloads.Db.exec db Workloads.Gharchive.dashboard_query)
       else begin
         copy (events 8);
@@ -108,6 +113,8 @@ let () =
     | "ycsb" -> ycsb rng
     | "ycsb_prepared" -> ycsb_prepared rng
     | "rt" -> rt rng
+    | "rt_dashboard" -> rt ~half:`Dashboard rng
+    | "rt_copy" -> rt ~half:`Copy rng
     | w -> raise (Arg.Bad ("unknown workload " ^ w))
   in
   let ops = ref 0 in
