@@ -150,12 +150,13 @@ let copy_shard_to (t : State.t) (shard : Metadata.shard) ~from_node ~to_node
   | Engine.Catalog.Heap_store src_heap, Engine.Catalog.Heap_store dst_heap ->
     (* source tid -> destination tid of every row copied so far *)
     let tid_map : (int, int) Hashtbl.t = Hashtbl.create 256 in
+    let index_insert = Engine.Executor.index_inserter dst_ctx dst_tbl in
     let copy_row src_tid row =
       let dst_tid = Storage.Heap.insert dst_heap ~xid:apply_xid row in
       log_dst
         (Txn.Wal.Insert
            { xid = apply_xid; table = shard_table; tid = dst_tid; row });
-      Engine.Executor.index_insert dst_ctx dst_tbl dst_tid row;
+      index_insert dst_tid row;
       Hashtbl.replace tid_map src_tid dst_tid
     in
     let delete_row src_tid =

@@ -643,27 +643,34 @@ and exec_from_where ctx (sel : Ast.select) :
       @ List.map fst sel.order_by
     in
     (* fold FROM items left to right as cross joins *)
+    let applied = ref [] in
     let joined =
       List.fold_left
         (fun acc item ->
-          let right = exec_from_item ctx item ~pushdown:true ~conjuncts ~all_exprs in
+          let right =
+            exec_from_item ctx item ~pushdown:true ~conjuncts ~applied ~all_exprs
+          in
           match acc with
           | None -> Some right
           | Some left -> Some (join_rel ctx left right Ast.Inner None))
         None items
     in
     let schema, rows = Option.get joined in
-    (* apply remaining conjuncts that need the full schema *)
+    (* apply the conjuncts no base-table scan applied; every one is
+       compiled against the full schema, which rejects an ambiguous column *)
     let rows =
       List.fold_left
         (fun rows conj ->
           let f = Expr_eval.compile schema ctx.env conj in
-          List.filter (Expr_eval.eval_bool f) rows)
+          if List.memq conj !applied then rows
+          else List.filter (Expr_eval.eval_bool f) rows)
         rows conjuncts
     in
     (schema, rows)
 
-and exec_from_item ctx item ~pushdown ~conjuncts ~all_exprs :
+(* [applied] collects the conjuncts a base-table scan has applied, so
+   each is evaluated once per row. *)
+and exec_from_item ctx item ~pushdown ~conjuncts ~applied ~all_exprs :
     Expr_eval.schema * Datum.t array list =
   match item with
   | Ast.Table { name; alias } ->
@@ -677,8 +684,13 @@ and exec_from_item ctx item ~pushdown ~conjuncts ~all_exprs :
        the nullable side of an outer join, where filtering early would
        suppress null extension *)
     let local =
-      if pushdown then List.filter (expr_resolvable schema) conjuncts else []
+      if pushdown then
+        List.filter
+          (fun c -> expr_resolvable schema c && not (List.memq c !applied))
+          conjuncts
+      else []
     in
+    applied := local @ !applied;
     let pairs = scan_base ctx table ~alias ~conjuncts:local ~all_exprs in
     (* apply the pushed-down filter now (cheaper row set for joins) *)
     let rows = List.map snd pairs in
@@ -697,9 +709,11 @@ and exec_from_item ctx item ~pushdown ~conjuncts ~all_exprs :
     in
     (schema, rows)
   | Ast.Join { left; right; kind; cond } ->
-    let l = exec_from_item ctx left ~pushdown ~conjuncts ~all_exprs in
+    let l = exec_from_item ctx left ~pushdown ~conjuncts ~applied ~all_exprs in
     let right_pushdown = pushdown && kind <> Ast.Left_outer in
-    let r = exec_from_item ctx right ~pushdown:right_pushdown ~conjuncts ~all_exprs in
+    let r =
+      exec_from_item ctx right ~pushdown:right_pushdown ~conjuncts ~applied ~all_exprs
+    in
     join_rel ctx l r kind cond
 
 (* Join two relations; uses a hash join when the condition contains an
@@ -798,30 +812,31 @@ let heap_of (table : Catalog.table) =
   | Catalog.Heap_store h -> Some h
   | Catalog.Columnar_store _ -> None
 
-(* index maintenance for one inserted row *)
-let index_insert ctx (table : Catalog.table) tid row =
-  let schema = table_schema ~alias:None table in
-  List.iter
-    (fun (idx : Catalog.index) ->
-      match idx.kind with
-      | Catalog.Btree_index { columns; tree } ->
-        let key =
-          Array.of_list
-            (List.map (fun c -> row.(Catalog.column_index table c)) columns)
-        in
-        (* index maintenance reads the pages it modifies *)
-        Storage.Btree.insert ~pool:ctx.pool tree key tid;
-        Meter.add_index_update ctx.meter 1
-      | Catalog.Gin_index { expr; gin } ->
-        let v = Expr_eval.compile schema ctx.env expr row in
-        (match v with
-         | Datum.Null -> ()
-         | v ->
-           let updates =
-             Storage.Gin.add ~pool:ctx.pool gin ~tid (Datum.to_display v)
-           in
-           Meter.add_index_update ctx.meter updates))
-    table.indexes
+(* Index maintenance for the rows of one batch: each index's key
+   columns are resolved and its GIN expression compiled once, and the
+   returned function adds one row's entries. *)
+let index_inserter ctx (table : Catalog.table) =
+  let per_index =
+    List.map
+      (fun (idx : Catalog.index) ->
+        match idx.kind with
+        | Catalog.Btree_index { columns; tree } ->
+          let cols = Array.of_list (List.map (Catalog.column_index table) columns) in
+          fun tid (row : Datum.t array) ->
+            (* index maintenance reads the pages it modifies *)
+            Storage.Btree.insert ~pool:ctx.pool tree (Array.map (Array.get row) cols) tid;
+            Meter.add_index_update ctx.meter 1
+        | Catalog.Gin_index { expr; gin } ->
+          let key = Expr_eval.compile (table_schema ~alias:None table) ctx.env expr in
+          fun tid row ->
+            (match key row with
+             | Datum.Null -> ()
+             | v ->
+               Meter.add_index_update ctx.meter
+                 (Storage.Gin.add ~pool:ctx.pool gin ~tid (Datum.to_display v))))
+      table.indexes
+  in
+  fun tid row -> List.iter (fun add -> add tid row) per_index
 
 (* B-tree entries of one tuple vacuum reclaims. GIN entries leave in one
    bulk delete per vacuum ([Storage.Gin.bulk_delete]), as PostgreSQL's
@@ -908,6 +923,7 @@ let insert_rows ctx ~(table : Catalog.table) rows ~on_conflict_do_nothing =
     List.length rows
   | Catalog.Heap_store heap ->
     let inserted = ref 0 in
+    let index_insert = lazy (index_inserter ctx table) in
     List.iter
       (fun row ->
         check_not_null table row;
@@ -926,7 +942,7 @@ let insert_rows ctx ~(table : Catalog.table) rows ~on_conflict_do_nothing =
                });
           Txn.Manager.log ctx.mgr
             (Txn.Wal.Insert { xid; table = table.tbl_name; tid; row });
-          index_insert ctx table tid row;
+          Lazy.force index_insert tid row;
           Meter.add_written ctx.meter 1;
           incr inserted
         end)
@@ -1030,6 +1046,7 @@ let run_update ctx ~table ~sets ~where =
       | None -> ())
     targets;
   let updated = ref 0 in
+  let index_insert = lazy (index_inserter ctx table) in
   List.iter
     (fun (tid, row) ->
       match tid with
@@ -1080,7 +1097,7 @@ let run_update ctx ~table ~sets ~where =
                   new_tid;
                   row = new_row;
                 });
-           index_insert ctx table new_tid new_row;
+           Lazy.force index_insert new_tid new_row;
            Meter.add_written ctx.meter 1;
            incr updated
          | None -> ()))

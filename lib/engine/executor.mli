@@ -59,9 +59,10 @@ val run_delete : ctx -> table:string -> where:Sqlfront.Ast.expr option -> int
 val insert_rows :
   ctx -> table:Catalog.table -> Datum.t array list -> on_conflict_do_nothing:bool -> int
 
-(** Index maintenance for a single tuple (used by WAL replay, which
-    bypasses SQL). *)
-val index_insert : ctx -> Catalog.table -> int -> Datum.t array -> unit
+(** Index maintenance for a batch of tuples (also WAL replay, which
+    bypasses SQL): [index_inserter ctx table] resolves each index's key
+    once and returns the function that adds one tuple's entries. *)
+val index_inserter : ctx -> Catalog.table -> int -> Datum.t array -> unit
 
 (** Drop a reclaimed tuple's B-tree entries, one index update each; GIN
     entries leave by {!Storage.Gin.bulk_delete}. *)

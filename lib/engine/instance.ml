@@ -286,6 +286,11 @@ let build_index_on_existing s (table : Catalog.table) (idx : Catalog.index) =
   | Catalog.Heap_store heap ->
     let ctx = make_ctx s in
     let schema = Executor.table_schema ~alias:None table in
+    let gin_key =
+      match idx.kind with
+      | Catalog.Gin_index { expr; _ } -> Expr_eval.compile schema ctx.Executor.env expr
+      | Catalog.Btree_index _ -> fun _ -> Datum.Null
+    in
     Storage.Heap.scan heap
       ~status:(Txn.Manager.status s.inst.mgr)
       ~snapshot:ctx.Executor.snapshot ~my_xid:ctx.Executor.xid
@@ -297,9 +302,8 @@ let build_index_on_existing s (table : Catalog.table) (idx : Catalog.index) =
               (List.map (fun c -> row.(Catalog.column_index table c)) columns)
           in
           Storage.Btree.insert tree key tid
-        | Catalog.Gin_index { expr; gin } ->
-          let v = Expr_eval.compile schema ctx.Executor.env expr row in
-          (match v with
+        | Catalog.Gin_index { gin; _ } ->
+          (match gin_key row with
            | Datum.Null -> ()
            | v -> ignore (Storage.Gin.add gin ~tid (Datum.to_display v))))
 
@@ -444,7 +448,8 @@ and vacuum_table t name =
        List.iter
          (function
            | { Catalog.kind = Gin_index { gin; _ }; _ } ->
-             Meter.add_index_update t.meter (Storage.Gin.bulk_delete gin dead)
+             Meter.add_index_update t.meter
+               (Storage.Gin.bulk_delete ~pool:t.pool gin dead)
            | _ -> ())
          table.indexes;
        reclaimed)
@@ -866,13 +871,19 @@ let maintenance_tick t =
      if Txn.Manager.is_active t.mgr youngest then
        Txn.Manager.abort t.mgr youngest
    | None -> ());
-  (* 2. autovacuum *)
+  (* 2. autovacuum, which also merges every GIN pending list *)
   List.iter
     (fun name ->
       match Catalog.find_table_opt t.catalog name with
-      | Some { store = Catalog.Heap_store heap; _ }
-        when Storage.Heap.dead_estimate heap > autovacuum_threshold ->
-        ignore (vacuum_table t name)
+      | Some ({ store = Catalog.Heap_store heap; _ } as table) ->
+        if Storage.Heap.dead_estimate heap > autovacuum_threshold then
+          ignore (vacuum_table t name);
+        List.iter
+          (function
+            | { Catalog.kind = Gin_index { gin; _ }; _ } ->
+              Storage.Gin.cleanup ~pool:t.pool gin
+            | _ -> ())
+          table.indexes
       | _ -> ())
     (Catalog.table_names t.catalog);
   (* 3. registered daemons (Citus: 2PC recovery, distributed deadlocks) *)
@@ -1034,8 +1045,8 @@ let recover_from_wal t =
       match Catalog.find_table_opt t.catalog name with
       | Some ({ store = Catalog.Heap_store heap; _ } as tbl)
         when tbl.indexes <> [] ->
-        Storage.Heap.scan_physical heap ~f:(fun tid _hdr row ->
-            Executor.index_insert ctx tbl tid row)
+        let index_insert = Executor.index_inserter ctx tbl in
+        Storage.Heap.scan_physical heap ~f:(fun tid _hdr row -> index_insert tid row)
       | _ -> ())
     (Catalog.table_names t.catalog);
   (* 5. cold caches *)

@@ -11,7 +11,25 @@ type t = {
   page_rel : string;  (** buffer-pool relation name, built once *)
   postings : posting Codes.t;
   mutable page_seq : int;
+  mutable pending : int array;
+      (** fast-update list: [pending.(0 .. npending-1)] are packed
+          entries, one run of ascending codes per added row *)
+  mutable npending : int;
 }
+
+(* A pending entry is [code lsl tid_bits lor tid], so sorting the packed
+   ints orders them by (code, tid). Codes take 24 bits, tids the 38
+   below them. *)
+let tid_bits = 38
+
+let tid_mask = (1 lsl tid_bits) - 1
+
+(* Entries past which [add] merges the list itself (PostgreSQL's
+   [gin_pending_list_limit]); a constant, like [autovacuum_threshold]. *)
+let pending_limit = 8192
+
+(* The pending list's one pool page, numbered apart from the postings'. *)
+let pending_page = -1
 
 let create ~name () =
   {
@@ -19,33 +37,55 @@ let create ~name () =
     page_rel = "gin:" ^ name;
     postings = Codes.create 1024;
     page_seq = 0;
+    pending = [||];
+    npending = 0;
   }
 
 let name t = t.gin_name
 
-let swap (a : int array) i j =
-  let x = a.(i) in
-  a.(i) <- a.(j);
-  a.(j) <- x
-
-(* In-place ascending heapsort of [a.(0 .. n-1)], typed for ints
-   ([Array.sort] compares through the polymorphic primitive). *)
+(* Ascending sort of [a.(0 .. n-1)], a natural merge sort typed for ints
+   ([Array.sort] compares through the polymorphic primitive): adjacent
+   ascending runs are merged pairwise through one buffer. The pending
+   list is one run per added row, so it takes about log2(rows) passes. *)
 let sort_ints (a : int array) n =
-  let rec sift i len =
-    let c = (2 * i) + 1 in
-    let c = if c + 1 < len && a.(c + 1) > a.(c) then c + 1 else c in
-    if c < len && a.(c) > a.(i) then begin
-      swap a i c;
-      sift c len
+  let bounds = Array.make (n + 2) 0 and runs = ref 1 in
+  for i = 1 to n - 1 do
+    if a.(i) < a.(i - 1) then begin
+      bounds.(!runs) <- i;
+      incr runs
     end
-  in
-  for i = (n / 2) - 1 downto 0 do
-    sift i n
   done;
-  for last = n - 1 downto 1 do
-    swap a 0 last;
-    sift 0 last
-  done
+  bounds.(!runs) <- n;
+  let src = ref a and dst = ref (if !runs > 1 then Array.make n 0 else a) in
+  while !runs > 1 do
+    let s = !src and d = !dst and out = ref 0 in
+    for r = 0 to (!runs - 1) / 2 do
+      (* bounds.(!runs) = n closes a last run that has no partner *)
+      let lo = bounds.(2 * r) in
+      let mid = bounds.(min ((2 * r) + 1) !runs) and hi = bounds.(min ((2 * r) + 2) !runs) in
+      let i = ref lo and j = ref mid in
+      for w = lo to hi - 1 do
+        if !j >= hi || (!i < mid && s.(!i) <= s.(!j)) then begin
+          d.(w) <- s.(!i);
+          incr i
+        end
+        else begin
+          d.(w) <- s.(!j);
+          incr j
+        end
+      done;
+      bounds.(!out) <- lo;
+      incr out
+    done;
+    bounds.(!out) <- n;
+    runs := !out;
+    src := d;
+    dst := s
+  done;
+  if !src != a then
+    for i = 0 to n - 1 do
+      a.(i) <- !src.(i)
+    done
 
 let scratch = Array.make 1024 0
 
@@ -94,6 +134,11 @@ let codes ~pad s =
   done;
   Array.sub a 0 !d
 
+let touch pool t page_no =
+  match pool with
+  | None -> ()
+  | Some pool -> ignore (Buffer_pool.access pool { Buffer_pool.relation = t.page_rel; page_no })
+
 (* The posting of [code], created empty on first use; with a [pool],
    its page is touched (and numbered on its first touch). *)
 let posting pool t code =
@@ -106,14 +151,11 @@ let posting pool t code =
       p
   in
   (match pool with
-   | None -> ()
-   | Some pool ->
-     if p.page < 0 then begin
-       p.page <- t.page_seq;
-       t.page_seq <- t.page_seq + 1
-     end;
-     ignore
-       (Buffer_pool.access pool { Buffer_pool.relation = t.page_rel; page_no = p.page }));
+   | Some _ when p.page < 0 ->
+     p.page <- t.page_seq;
+     t.page_seq <- t.page_seq + 1
+   | _ -> ());
+  touch pool t p.page;
   p
 
 (* First index in [lo, n) whose tid is >= [x]. *)
@@ -125,28 +167,99 @@ let seek (a : int array) n lo (x : int) =
   done;
   !lo
 
-(* A tid reused from the heap freelist can be below the largest one
-   held, so it is placed by binary search and the tail shifts up (by
-   hand: [Array.blit] would pay a write barrier per element). *)
-let insert p (tid : int) =
+let mem p (tid : int) =
   let i = seek p.tids p.n 0 tid in
-  if i = p.n || p.tids.(i) <> tid then begin
-    if p.n = Array.length p.tids then begin
-      let bigger = Array.make (max 4 (2 * p.n)) 0 in
-      Array.blit p.tids 0 bigger 0 p.n;
-      p.tids <- bigger
-    end;
-    for k = p.n downto i + 1 do
-      p.tids.(k) <- p.tids.(k - 1)
-    done;
-    p.tids.(i) <- tid;
-    p.n <- p.n + 1
-  end
+  i < p.n && p.tids.(i) = tid
 
+(* A fresh array of the first power-of-two slots (from 4) reaching
+   [need], holding [a.(0 .. n-1)] copied by hand: [Array.blit] would pay
+   a write barrier per element. Capacities are therefore those repeated
+   doubling gives. *)
+let grow (a : int array) n need =
+  let rec cap c = if c >= need then c else cap (2 * c) in
+  let b = Array.make (cap 4) 0 in
+  for i = 0 to n - 1 do
+    b.(i) <- a.(i)
+  done;
+  b
+
+(* Merge one code's pending run [a.(lo .. hi-1)] (tids ascending, maybe
+   repeated) into [p] in one backward pass; a tid [p] holds or the run
+   repeats is written once, and the slots those skips leave free below
+   the merged tail are closed at the end. *)
+let merge p (a : int array) lo hi =
+  let n = p.n in
+  let top = n + (hi - lo) - 1 in
+  if top >= Array.length p.tids then p.tids <- grow p.tids n (top + 1);
+  let d = p.tids and i = ref (n - 1) and j = ref (hi - 1) and w = ref top in
+  while !j >= lo do
+    let x = a.(!j) land tid_mask in
+    if !i >= 0 && d.(!i) > x then begin
+      d.(!w) <- d.(!i);
+      decr i;
+      decr w
+    end
+    else begin
+      if (!i < 0 || d.(!i) <> x) && (!w = top || d.(!w + 1) <> x) then begin
+        d.(!w) <- x;
+        decr w
+      end;
+      decr j
+    end
+  done;
+  let gap = !w - !i in
+  if gap > 0 then
+    for q = !w + 1 to top do
+      d.(q - gap) <- d.(q)
+    done;
+  p.n <- top + 1 - gap
+
+(* ginInsertCleanup: sort the pending entries by (code, tid), merge each
+   code's run into its posting (touching its page), and release the
+   list's storage. *)
+let cleanup ?pool t =
+  let a = t.pending and m = t.npending in
+  sort_ints a m;
+  let i = ref 0 in
+  while !i < m do
+    let code = a.(!i) lsr tid_bits in
+    let j = ref (!i + 1) in
+    while !j < m && a.(!j) lsr tid_bits = code do
+      incr j
+    done;
+    merge (posting pool t code) a !i !j;
+    i := !j
+  done;
+  t.pending <- [||];
+  t.npending <- 0
+
+(* The pooled add that first names a trigram creates its posting and
+   touches (numbers) its page, so a first touch, the pool miss the cost
+   model prices, falls on the op that brought the trigram in, not on a
+   later cleanup; other codes touch only the pending page. *)
 let add ?pool t ~tid text =
   let cs = codes ~pad:true text in
-  Array.iter (fun code -> insert (posting pool t code) tid) cs;
-  Array.length cs
+  let n = Array.length cs in
+  if n > 0 then begin
+    (match pool with
+     | None -> ()
+     | Some _ ->
+       Array.iter
+         (fun code ->
+           match Codes.find_opt t.postings code with
+           | Some p when p.page >= 0 -> ()
+           | _ -> ignore (posting pool t code))
+         cs);
+    let m = t.npending in
+    if m + n > Array.length t.pending then t.pending <- grow t.pending m (m + n);
+    for k = 0 to n - 1 do
+      t.pending.(m + k) <- (cs.(k) lsl tid_bits) lor tid
+    done;
+    t.npending <- m + n;
+    touch pool t pending_page;
+    if t.npending >= pending_limit then cleanup ?pool t
+  end;
+  n
 
 (* Compact [a.(0 .. len-1)] in place to the tids whose presence in the
    ascending [b.(0 .. nb-1)] equals [keep], calling [hit] with the index
@@ -165,9 +278,11 @@ let filter (a : int array) len (b : int array) nb ~keep ~hit =
   done;
   !w
 
-(* ginbulkdelete: one pass over every posting, dropping the tids in
-   [dead] (ascending); returns how many of them some posting held. *)
-let bulk_delete t dead =
+(* ginbulkdelete: merge the pending list, then one pass over every
+   posting drops the tids in [dead] (ascending); returns how many of
+   them some posting held. *)
+let bulk_delete ?pool t dead =
+  cleanup ?pool t;
   let nd = Array.length dead in
   let held = Bytes.make nd '0' in
   if nd > 0 then
@@ -176,21 +291,70 @@ let bulk_delete t dead =
       t.postings;
   Bytes.fold_left (fun c b -> if b = '1' then c + 1 else c) 0 held
 
+(* Pending tids holding every query code [cs.(q)] in their pending
+   entries or in that code's posting [ps.(q)], ascending. A pending
+   entry on a query code becomes the key [tid * nq + q]; sorted, the
+   keys group by tid. Every read scans the whole list, so a 32-bit mask
+   of the query codes turns most entries away before the binary search. *)
+let pending_matches t cs ps =
+  let nq = Array.length cs in
+  let mask = Array.fold_left (fun m c -> m lor (1 lsl ((c lxor (c lsr 8)) land 31))) 0 cs in
+  let pending = t.pending and h = ref [||] and nh = ref 0 in
+  for k = 0 to t.npending - 1 do
+    let c = pending.(k) lsr tid_bits in
+    if mask land (1 lsl ((c lxor (c lsr 8)) land 31)) <> 0 then begin
+      let q = seek cs nq 0 c in
+      if q < nq && cs.(q) = c then begin
+        if !nh = Array.length !h then h := grow !h !nh (!nh + 1);
+        !h.(!nh) <- ((pending.(k) land tid_mask) * nq) + q;
+        incr nh
+      end
+    end
+  done;
+  let h = !h and nh = !nh in
+  sort_ints h nh;
+  let out = ref [] and g = ref 0 in
+  while !g < nh do
+    let tid = h.(!g) / nq and e = ref !g in
+    while !e < nh && h.(!e) / nq = tid do
+      incr e
+    done;
+    let holds q =
+      let i = seek h !e !g ((tid * nq) + q) in
+      (i < !e && h.(i) = (tid * nq) + q) || mem ps.(q) tid
+    in
+    let rec all q = q = nq || (holds q && all (q + 1)) in
+    if all 0 then out := tid :: !out;
+    g := !e
+  done;
+  List.rev !out
+
 (* Intersect smallest-first into one scratch array, so each longer
-   posting is searched only for the tids still standing. *)
+   posting is searched only for the tids still standing; then add the
+   pending rows that hold every code. *)
 let candidates ?pool t pattern =
   match codes ~pad:false pattern with
   | [||] -> None
   | cs ->
     let ps = Array.map (posting pool t) cs in
+    let extra =
+      if t.npending = 0 then []
+      else begin
+        touch pool t pending_page;
+        pending_matches t cs ps
+      end
+    in
     Array.stable_sort (fun a b -> Int.compare a.n b.n) ps;
     let acc = Array.sub ps.(0).tids 0 ps.(0).n in
     let len = ref ps.(0).n in
     for k = 1 to Array.length ps - 1 do
       len := filter acc !len ps.(k).tids ps.(k).n ~keep:true ~hit:ignore
     done;
-    Some (List.init !len (Array.get acc))
+    let tids = List.init !len (Array.get acc) in
+    Some (match extra with [] -> tids | _ -> List.sort_uniq Int.compare (extra @ tids))
 
 let clear t =
   Codes.reset t.postings;
-  t.page_seq <- 0
+  t.page_seq <- 0;
+  t.pending <- [||];
+  t.npending <- 0

@@ -225,6 +225,36 @@ let test_left_join () =
   check_int s "null extended" 1
     "SELECT count(*) FROM emp LEFT JOIN dept ON emp.dept_id = dept.id WHERE dept.dname IS NULL"
 
+(* A conjunct on the nullable side of a LEFT JOIN filters the joined
+   rows, after null extension. *)
+let test_left_join_where_right () =
+  let _, s = fresh () in
+  setup_join s;
+  check_int s "right column" 2
+    "SELECT count(*) FROM emp LEFT JOIN dept ON emp.dept_id = dept.id WHERE dept.dname = 'eng'";
+  check_int s "null extended or sales" 2
+    "SELECT count(*) FROM emp LEFT JOIN dept ON emp.dept_id = dept.id WHERE dept.id IS NULL OR dept.dname = 'sales'";
+  check_int s "both sides" 1
+    "SELECT count(*) FROM emp LEFT JOIN dept ON emp.dept_id = dept.id WHERE emp.ename <> 'ann' AND dept.dname = 'eng'"
+
+(* Each WHERE conjunct is evaluated once per row: a volatile one applied
+   at the scan and again after the joins would keep a quarter of the
+   rows, not a half. *)
+let test_where_evaluated_once () =
+  let _, s = fresh () in
+  ignore (exec s "CREATE TABLE t (a bigint)");
+  ignore (exec s "CREATE TABLE u (a bigint)");
+  let lines = List.init 10_000 string_of_int in
+  ignore (Instance.copy_in s ~table:"t" ~columns:None lines);
+  ignore (Instance.copy_in s ~table:"u" ~columns:None lines);
+  let in_half msg sql =
+    let n = one_int s sql in
+    if n < 4_500 || n > 5_500 then Alcotest.fail (Printf.sprintf "%s: %d of 10000" msg n)
+  in
+  in_half "scan" "SELECT count(*) FROM t WHERE random() < 0.5";
+  in_half "join" "SELECT count(*) FROM t JOIN u ON t.a = u.a WHERE random() < 0.5";
+  in_half "left join" "SELECT count(*) FROM t LEFT JOIN u ON t.a = u.a WHERE random() < 0.5"
+
 let test_cross_join () =
   let _, s = fresh () in
   setup_join s;
@@ -345,6 +375,54 @@ let test_gin_multi_segment_like () =
   check ();
   ignore (exec s "CREATE INDEX msgs_trgm ON msgs USING GIN ((body) gin_trgm_ops)");
   check ()
+
+(* GIN fast update: rows added since the last cleanup sit in the
+   index's pending list until a maintenance tick merges them. *)
+let gin_of inst table =
+  List.find_map
+    (fun (idx : Catalog.index) ->
+      match idx.kind with Catalog.Gin_index { gin; _ } -> Some gin | Catalog.Btree_index _ -> None)
+    (Catalog.find_table (Instance.catalog inst) table).indexes
+  |> Option.get
+
+let setup_gin_msgs s =
+  ignore (exec s "CREATE TABLE msgs (id bigint PRIMARY KEY, body text)");
+  ignore (exec s "CREATE INDEX msgs_trgm ON msgs USING GIN ((body) gin_trgm_ops)");
+  ignore
+    (exec s
+       "INSERT INTO msgs VALUES (1, 'fix postgres planner'), (2, 'docs update'), (3, 'POSTGRES rocks')")
+
+let test_gin_pending_rows_found () =
+  let inst, s = fresh () in
+  setup_gin_msgs s;
+  let q = "SELECT count(*) FROM msgs WHERE body ILIKE '%postgres%'" in
+  check_int s "pending rows" 2 q;
+  Instance.maintenance_tick inst;
+  check_int s "merged rows" 2 q;
+  ignore (exec s "INSERT INTO msgs VALUES (4, 'postgres again')");
+  check_int s "merged and pending rows" 3 q
+
+let test_gin_pending_row_vacuumed () =
+  let inst, s = fresh () in
+  setup_gin_msgs s;
+  ignore (exec s "DELETE FROM msgs WHERE id = 1");
+  ignore (exec s "VACUUM msgs");
+  (* the freed slot is reused by a row the pattern does not match *)
+  ignore (exec s "INSERT INTO msgs VALUES (5, 'unrelated text')");
+  (match Storage.Gin.candidates (gin_of inst "msgs") "postgres" with
+   | Some [ _ ] -> ()
+   | Some l -> Alcotest.fail (Printf.sprintf "%d candidates, want 1" (List.length l))
+   | None -> Alcotest.fail "pattern long enough");
+  check_int s "deleted row gone" 1 "SELECT count(*) FROM msgs WHERE body ILIKE '%postgres%'"
+
+let test_gin_pending_survives_restart () =
+  let inst, s = fresh () in
+  setup_gin_msgs s;
+  Instance.restart inst;
+  let s = Instance.connect inst in
+  check_int s "after restart" 2 "SELECT count(*) FROM msgs WHERE body ILIKE '%postgres%'";
+  Alcotest.(check bool) "served by the index" true
+    (Storage.Gin.candidates (gin_of inst "msgs") "postgres" <> Some [])
 
 (* --- JSON --- *)
 
@@ -676,6 +754,8 @@ let () =
         [
           Alcotest.test_case "inner" `Quick test_inner_join;
           Alcotest.test_case "left" `Quick test_left_join;
+          Alcotest.test_case "left, where on right" `Quick test_left_join_where_right;
+          Alcotest.test_case "where evaluated once" `Quick test_where_evaluated_once;
           Alcotest.test_case "cross" `Quick test_cross_join;
           Alcotest.test_case "comma + where" `Quick test_comma_join_with_where;
           Alcotest.test_case "join aggregate" `Quick test_join_aggregate;
@@ -694,6 +774,10 @@ let () =
           Alcotest.test_case "secondary" `Quick test_secondary_index;
           Alcotest.test_case "gin ilike" `Quick test_gin_index_query;
           Alcotest.test_case "gin multi-segment like" `Quick test_gin_multi_segment_like;
+          Alcotest.test_case "gin pending rows found" `Quick test_gin_pending_rows_found;
+          Alcotest.test_case "gin pending row vacuumed" `Quick test_gin_pending_row_vacuumed;
+          Alcotest.test_case "gin pending survives restart" `Quick
+            test_gin_pending_survives_restart;
         ] );
       ( "json",
         [

@@ -817,10 +817,15 @@ let test_gin_case_insensitive () =
   | Some [ 1 ] -> ()
   | _ -> Alcotest.fail "case-insensitive match failed"
 
-(* Model test: the sorted-array postings against per-trigram integer
-   sets with pages numbered on first pool touch, the layout the index
-   had before. Tids come from a small range, so a tid freed by a bulk
-   delete is soon added again, often into the middle of a posting. *)
+(* Model test: the sorted-array postings and their pending list against
+   per-trigram integer sets that take every add at once, with the same
+   page touches. A pooled add touches the page of each of its trigrams
+   that has none yet (numbering it), then the pending page; a lookup
+   touches its trigrams' pages, then the pending page while the list is
+   not empty; a cleanup touches each merged posting's page once, in
+   trigram order. Pages are numbered on first touch. Tids come from a
+   small range, so a tid freed by a bulk delete is soon added again,
+   often into the middle of a posting. *)
 module Ref_gin = struct
   module Int_set = Set.Make (Int)
 
@@ -828,37 +833,55 @@ module Ref_gin = struct
     postings : (string, Int_set.t) Hashtbl.t;
     pages : (string, int) Hashtbl.t;
     mutable seq : int;
+    mutable pending : string list;  (** the trigram of every pending entry *)
+    mutable npending : int;
   }
 
-  let create () = { postings = Hashtbl.create 16; pages = Hashtbl.create 16; seq = 0 }
+  let create () =
+    { postings = Hashtbl.create 16; pages = Hashtbl.create 16; seq = 0; pending = []; npending = 0 }
+
+  let access pool page_no =
+    Option.iter
+      (fun pool -> ignore (Buffer_pool.access pool { Buffer_pool.relation = "gin:g"; page_no }))
+      pool
 
   let touch pool r tg =
-    Option.iter
-      (fun pool ->
-        let page =
-          match Hashtbl.find_opt r.pages tg with
-          | Some p -> p
-          | None ->
-            let p = r.seq in
-            r.seq <- p + 1;
-            Hashtbl.replace r.pages tg p;
-            p
-        in
-        ignore (Buffer_pool.access pool { Buffer_pool.relation = "gin:g"; page_no = page }))
-      pool
+    if pool <> None then begin
+      let page =
+        match Hashtbl.find_opt r.pages tg with
+        | Some p -> p
+        | None ->
+          let p = r.seq in
+          r.seq <- p + 1;
+          Hashtbl.replace r.pages tg p;
+          p
+      in
+      access pool page
+    end
+
+  let pending_page = -1
 
   let set r tg = Option.value ~default:Int_set.empty (Hashtbl.find_opt r.postings tg)
 
+  let cleanup ?pool r =
+    List.iter (touch pool r) (List.sort_uniq String.compare r.pending);
+    r.pending <- [];
+    r.npending <- 0
+
   let add ?pool r ~tid text =
     let tgs = ref_trigrams ~pad:true text in
-    List.iter
-      (fun tg ->
-        touch pool r tg;
-        Hashtbl.replace r.postings tg (Int_set.add tid (set r tg)))
-      tgs;
+    List.iter (fun tg -> Hashtbl.replace r.postings tg (Int_set.add tid (set r tg))) tgs;
+    List.iter (fun tg -> if not (Hashtbl.mem r.pages tg) then touch pool r tg) tgs;
+    if tgs <> [] then begin
+      r.pending <- tgs @ r.pending;
+      r.npending <- r.npending + List.length tgs;
+      access pool pending_page;
+      if r.npending >= Gin.pending_limit then cleanup ?pool r
+    end;
     List.length tgs
 
-  let bulk_delete r dead =
+  let bulk_delete ?pool r dead =
+    cleanup ?pool r;
     let held =
       List.filter
         (fun tid -> Hashtbl.fold (fun _ s acc -> acc || Int_set.mem tid s) r.postings false)
@@ -874,69 +897,102 @@ module Ref_gin = struct
     | [] -> None
     | tg :: rest ->
       List.iter (touch pool r) (tg :: rest);
+      if r.npending > 0 then access pool pending_page;
       Some
         (Int_set.elements
            (List.fold_left (fun acc tg -> Int_set.inter acc (set r tg)) (set r tg) rest))
+
+  let clear r =
+    Hashtbl.reset r.postings;
+    Hashtbl.reset r.pages;
+    r.seq <- 0;
+    r.pending <- [];
+    r.npending <- 0
 end
 
 type gin_op =
   | G_add of int * string * bool  (** tid, text, through the pool *)
-  | G_delete of int list
+  | G_delete of int list * bool
+  | G_cleanup of bool
   | G_candidates of string * bool
   | G_clear
 
-let show_gin_op = function
-  | G_add (tid, text, pooled) -> Printf.sprintf "add %d %S%s" tid text (if pooled then " pooled" else "")
-  | G_delete tids -> "delete " ^ String.concat "," (List.map string_of_int tids)
-  | G_candidates (p, pooled) -> Printf.sprintf "candidates %S%s" p (if pooled then " pooled" else "")
+let show_gin_op op =
+  let pooled p = if p then " pooled" else "" in
+  match op with
+  | G_add (tid, text, p) -> Printf.sprintf "add %d %S%s" tid text (pooled p)
+  | G_delete (tids, p) -> "delete " ^ String.concat "," (List.map string_of_int tids) ^ pooled p
+  | G_cleanup p -> "cleanup" ^ pooled p
+  | G_candidates (text, p) -> Printf.sprintf "candidates %S%s" text (pooled p)
   | G_clear -> "clear"
 
-let gin_op_gen =
+(* [adds] weighs adds against the other ops: high, the pending list
+   grows long between the ops that empty it *)
+let gin_op_gen ~adds ~text ~pattern ~tid =
   let open QCheck2.Gen in
-  let word = oneofl [ "postgres"; "post"; "gres"; "Fix"; "bug"; "planner"; "plan"; "ann"; "ab"; "x-y" ] in
-  let text = map (String.concat " ") (list_size (int_range 0 4) word) in
-  let tid = int_range 0 47 in
   frequency
     [
-      (8, map3 (fun tid text pooled -> G_add (tid, text, pooled)) tid text bool);
-      (2, map (fun tids -> G_delete (List.sort_uniq Int.compare tids)) (list_size (int_range 0 12) tid));
-      (4, map2 (fun p pooled -> G_candidates (p, pooled)) text bool);
+      (adds, map3 (fun tid text pooled -> G_add (tid, text, pooled)) tid text bool);
+      (2, map2 (fun tids p -> G_delete (List.sort_uniq Int.compare tids, p)) (list_size (int_range 0 12) tid) bool);
+      (1, map (fun p -> G_cleanup p) bool);
+      (4, map2 (fun p pooled -> G_candidates (p, pooled)) pattern bool);
       (1, return G_clear);
     ]
+
+let gin_apply g r gp rp op =
+  let pool_of pooled p = if pooled then Some p else None in
+  match op with
+  | G_add (tid, text, pooled) ->
+    Gin.add ?pool:(pool_of pooled gp) g ~tid text = Ref_gin.add ?pool:(pool_of pooled rp) r ~tid text
+  | G_delete (tids, pooled) ->
+    Gin.bulk_delete ?pool:(pool_of pooled gp) g (Array.of_list tids)
+    = Ref_gin.bulk_delete ?pool:(pool_of pooled rp) r tids
+  | G_cleanup pooled ->
+    Gin.cleanup ?pool:(pool_of pooled gp) g;
+    Ref_gin.cleanup ?pool:(pool_of pooled rp) r;
+    true
+  | G_candidates (p, pooled) ->
+    Gin.candidates ?pool:(pool_of pooled gp) g p = Ref_gin.candidates ?pool:(pool_of pooled rp) r p
+  | G_clear ->
+    Gin.clear g;
+    Ref_gin.clear r;
+    true
 
 let gin_agrees ~capacity ops =
   let g = Gin.create ~name:"g" () and r = Ref_gin.create () in
   let gp = Buffer_pool.create ~capacity and rp = Buffer_pool.create ~capacity in
-  let pool_of pooled p = if pooled then Some p else None in
   List.for_all
     (fun op ->
-      let agree =
-        match op with
-        | G_add (tid, text, pooled) ->
-          Gin.add ?pool:(pool_of pooled gp) g ~tid text
-          = Ref_gin.add ?pool:(pool_of pooled rp) r ~tid text
-        | G_delete tids -> Gin.bulk_delete g (Array.of_list tids) = Ref_gin.bulk_delete r tids
-        | G_candidates (p, pooled) ->
-          Gin.candidates ?pool:(pool_of pooled gp) g p
-          = Ref_gin.candidates ?pool:(pool_of pooled rp) r p
-        | G_clear ->
-          Gin.clear g;
-          Hashtbl.reset r.Ref_gin.postings;
-          Hashtbl.reset r.Ref_gin.pages;
-          r.Ref_gin.seq <- 0;
-          true
-      in
-      if not agree then QCheck2.Test.fail_reportf "after %s: result differs" (show_gin_op op);
+      if not (gin_apply g r gp rp op) then
+        QCheck2.Test.fail_reportf "after %s: result differs" (show_gin_op op);
       if Buffer_pool.stats gp <> Buffer_pool.stats rp then
         QCheck2.Test.fail_reportf "after %s: pool stats differ" (show_gin_op op);
       true)
     ops
 
 let prop_gin_matches_set_reference =
+  let open QCheck2.Gen in
+  let word = oneofl [ "postgres"; "post"; "gres"; "Fix"; "bug"; "planner"; "plan"; "ann"; "ab"; "x-y" ] in
+  let text = map (String.concat " ") (list_size (int_range 0 4) word) in
   QCheck2.Test.make ~name:"array gin = set gin, page touches included" ~count:300
     ~print:(fun ops -> String.concat "\n" (List.map show_gin_op ops))
-    QCheck2.Gen.(list_size (int_range 0 300) gin_op_gen)
+    (list_size (int_range 0 300) (gin_op_gen ~adds:8 ~text ~pattern:text ~tid:(int_range 0 47)))
     (fun ops -> List.for_all (fun capacity -> gin_agrees ~capacity ops) [ 1; 2; 3 ])
+
+(* Long texts of random words fill the pending list past its limit
+   between cleanups, so [add]'s own cleanup and the merge of long runs
+   are exercised; results must be those of the reference, which takes
+   every add at once, whenever the merges happen, and so must the page
+   touches. *)
+let prop_gin_pending_matches_immediate =
+  let open QCheck2.Gen in
+  let word = string_size ~gen:(oneofl [ 'a'; 'b'; 'o'; 'p'; 's'; 'T'; '1' ]) (int_range 1 7) in
+  let text = map (String.concat " ") (list_size (int_range 0 60) word) in
+  let pattern = map (String.concat " ") (list_size (int_range 1 2) word) in
+  QCheck2.Test.make ~name:"gin pending list = immediate inserts" ~count:60
+    ~print:(fun ops -> String.concat "\n" (List.map show_gin_op ops))
+    (list_size (int_range 0 400) (gin_op_gen ~adds:120 ~text ~pattern ~tid:(int_range 0 199)))
+    (gin_agrees ~capacity:8)
 
 (* --- columnar --- *)
 
@@ -1039,6 +1095,7 @@ let () =
           Alcotest.test_case "case insensitive" `Quick test_gin_case_insensitive;
           QCheck_alcotest.to_alcotest prop_gin_codes_match_strings;
           QCheck_alcotest.to_alcotest prop_gin_matches_set_reference;
+          QCheck_alcotest.to_alcotest prop_gin_pending_matches_immediate;
         ] );
       ( "columnar",
         [

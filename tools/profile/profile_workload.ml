@@ -117,14 +117,18 @@ let () =
     | "rt_copy" -> rt ~half:`Copy rng
     | w -> raise (Arg.Bad ("unknown workload " ^ w))
   in
-  let ops = ref 0 in
+  let ops = ref 0 and ticks = ref 0 and tick_s = ref 0.0 in
   let t0 = Unix.gettimeofday () in
   Sampler.start ();
   while Unix.gettimeofday () -. t0 < !seconds do
     op ();
     incr ops;
-    if !ops mod maint_every = 0 then
-      Option.iter Citus.Api.maintenance db.Workloads.Db.citus
+    if !ops mod maint_every = 0 then begin
+      let t = Unix.gettimeofday () in
+      Option.iter Citus.Api.maintenance db.Workloads.Db.citus;
+      incr ticks;
+      tick_s := !tick_s +. (Unix.gettimeofday () -. t)
+    end
   done;
   Sampler.stop ();
   let elapsed = Unix.gettimeofday () -. t0 in
@@ -132,4 +136,8 @@ let () =
     elapsed
     (float_of_int !ops /. elapsed)
     (Sampler.count ());
+  (* work deferred to the daemon (vacuum, GIN cleanup) shows here *)
+  Printf.printf "maintenance: %d ticks, %.1f%% of wall time (%.2f ms per tick)\n" !ticks
+    (100.0 *. !tick_s /. elapsed)
+    (if !ticks > 0 then 1e3 *. !tick_s /. float_of_int !ticks else 0.0);
   Sampler.report stdout
