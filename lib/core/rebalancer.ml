@@ -150,7 +150,9 @@ let copy_shard_to (t : State.t) (shard : Metadata.shard) ~from_node ~to_node
   | Engine.Catalog.Heap_store src_heap, Engine.Catalog.Heap_store dst_heap ->
     (* source tid -> destination tid of every row copied so far *)
     let tid_map : (int, int) Hashtbl.t = Hashtbl.create 256 in
-    let index_insert = Engine.Executor.index_inserter dst_ctx dst_tbl in
+    let index_insert =
+      Engine.Executor.index_inserter dst_ctx dst_tbl dst_tbl.Engine.Catalog.indexes
+    in
     let copy_row src_tid row =
       let dst_tid = Storage.Heap.insert dst_heap ~xid:apply_xid row in
       log_dst

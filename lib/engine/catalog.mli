@@ -1,8 +1,9 @@
 (** System catalog of one database node: tables, columns, indexes.
 
     Tables are heap-backed by default or columnar when created
-    [USING COLUMNAR]. Index maintenance (B-tree on columns, GIN over an
-    expression) is driven from here by the executor's write paths. *)
+    [USING COLUMNAR]. A table's indexes (B-tree on columns, GIN over an
+    expression) are listed here; the operations on them are
+    [Executor]'s index functions. *)
 
 type store = Heap_store of Storage.Heap.t | Columnar_store of Storage.Columnar.t
 

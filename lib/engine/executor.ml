@@ -63,8 +63,8 @@ let const_value ctx (e : Ast.expr) : Datum.t option =
 
 type access_path =
   | Seq
-  | Btree_eq of Catalog.index * Datum.t list  (** equality on a key prefix *)
-  | Gin_candidates of Catalog.index * string  (** the LIKE pattern *)
+  | Btree_eq of Storage.Btree.t * Datum.t list  (** equality on a key prefix *)
+  | Gin_candidates of Storage.Gin.t * string  (** the LIKE pattern *)
 
 (* Match WHERE conjuncts of the form [col = const] for this table. A
    quoted constant probes as the comparison reads it. *)
@@ -101,47 +101,99 @@ let btree_prefix bindings columns =
   in
   go [] columns
 
-let find_gin_pattern (table : Catalog.table) conjuncts =
-  List.find_map
-    (fun conj ->
-      match conj with
-      | Ast.Like { subject; pattern = Ast.Const (Datum.Text p); negated = false; _ }
-        ->
+(* LIKE conjuncts a trigram index can serve, as (subject, pattern). *)
+let gin_patterns conjuncts =
+  List.filter_map
+    (function
+      | Ast.Like { subject; pattern = Ast.Const (Datum.Text p); negated = false; _ } ->
         (* [%] breaks words in the query trigrams, so each segment is
            trigrammed alone; [_], or no 3-byte segment, means a seq scan *)
         let segments = String.split_on_char '%' p in
         if String.contains p '_' || List.for_all (fun g -> String.length g < 3) segments then None
-        else
-          List.find_map
-            (fun (idx : Catalog.index) ->
-              match idx.kind with
-              | Catalog.Gin_index { expr; _ } when expr = subject -> Some (idx, p)
-              | _ -> None)
-            table.indexes
+        else Some (subject, p)
       | _ -> None)
     conjuncts
 
+(* --- index operations: with index creation and [Ddl.shard_schema],
+   the only code that looks at an index's kind --- *)
+
+(* The path [idx] offers: a B-tree the longest key prefix [bindings]
+   cover, a GIN the first of [patterns] on its expression. *)
+let index_path bindings patterns (idx : Catalog.index) =
+  match idx.kind with
+  | Catalog.Btree_index { columns; tree } ->
+    (match btree_prefix bindings columns with
+     | [] -> None
+     | prefix -> Some (Btree_eq (tree, prefix)))
+  | Catalog.Gin_index { expr; gin } ->
+    List.find_map
+      (fun (subject, p) -> if subject = expr then Some (Gin_candidates (gin, p)) else None)
+      patterns
+
+(* The B-tree on exactly the primary key's columns. *)
+let pk_tree (table : Catalog.table) =
+  List.find_map
+    (fun (idx : Catalog.index) ->
+      match idx.kind with
+      | Catalog.Btree_index { columns; tree } when columns = table.primary_key -> Some tree
+      | _ -> None)
+    table.indexes
+
+let index_inserter ctx (table : Catalog.table) indexes =
+  let per_index =
+    List.map
+      (fun (idx : Catalog.index) ->
+        match idx.kind with
+        | Catalog.Btree_index { columns; tree } ->
+          let cols = Array.of_list (List.map (Catalog.column_index table) columns) in
+          fun tid (row : Datum.t array) ->
+            (* index maintenance reads the pages it modifies *)
+            Storage.Btree.insert ~pool:ctx.pool tree (Array.map (Array.get row) cols) tid;
+            Meter.add_index_update ctx.meter 1
+        | Catalog.Gin_index { expr; gin } ->
+          let key = Expr_eval.compile (table_schema ~alias:None table) ctx.env expr in
+          fun tid row ->
+            (match key row with
+             | Datum.Null -> ()
+             | v ->
+               Meter.add_index_update ctx.meter
+                 (Storage.Gin.add ~pool:ctx.pool gin ~tid (Datum.to_display v))))
+      indexes
+  in
+  fun tid row -> List.iter (fun add -> add tid row) per_index
+
+let index_bulk_delete meter pool dead (idx : Catalog.index) =
+  Meter.add_index_update meter
+    (match idx.kind with
+     | Catalog.Btree_index { tree; _ } -> Storage.Btree.bulk_delete tree dead
+     | Catalog.Gin_index { gin; _ } -> Storage.Gin.bulk_delete ~pool gin dead)
+
+let index_cleanup pool (idx : Catalog.index) =
+  match idx.kind with
+  | Catalog.Btree_index _ -> ()
+  | Catalog.Gin_index { gin; _ } -> Storage.Gin.cleanup ~pool gin
+
+let index_clear (idx : Catalog.index) =
+  match idx.kind with
+  | Catalog.Btree_index { tree; _ } -> Storage.Btree.clear tree
+  | Catalog.Gin_index { gin; _ } -> Storage.Gin.clear gin
+
+(* The index path binding the longest B-tree key prefix (the first
+   index on ties), else the first GIN path, else a seq scan. *)
 let choose_access_path ctx (table : Catalog.table) schema conjuncts =
   let bindings = equality_bindings ctx table schema conjuncts in
-  let best_btree =
-    List.fold_left
-      (fun best (idx : Catalog.index) ->
-        match idx.kind with
-        | Catalog.Btree_index { columns; _ } ->
-          let prefix = btree_prefix bindings columns in
-          (match best with
-           | Some (_, p) when List.length p >= List.length prefix -> best
-           | _ when prefix = [] -> best
-           | _ -> Some (idx, prefix))
-        | Catalog.Gin_index _ -> best)
-      None table.indexes
+  let patterns = gin_patterns conjuncts in
+  let rank = function
+    | Seq -> 0
+    | Gin_candidates _ -> 1
+    | Btree_eq (_, prefix) -> 1 + List.length prefix
   in
-  match best_btree with
-  | Some (idx, prefix) -> Btree_eq (idx, prefix)
-  | None ->
-    (match find_gin_pattern table conjuncts with
-     | Some (idx, pattern) -> Gin_candidates (idx, pattern)
-     | None -> Seq)
+  List.fold_left
+    (fun best idx ->
+      match index_path bindings patterns idx with
+      | Some path when rank path > rank best -> path
+      | _ -> best)
+    Seq table.indexes
 
 (* --- base table scans --- *)
 
@@ -216,42 +268,27 @@ let scan_base ctx (table : Catalog.table) ~alias ~conjuncts ~all_exprs :
       | Some row -> Some (Some tid, row)
       | None -> None
     in
+    let seq () =
+      let out = ref [] in
+      Storage.Heap.scan ~pool:ctx.pool heap ~status:(status ctx)
+        ~snapshot:ctx.snapshot ~my_xid:ctx.xid ~f:(fun tid row ->
+          Meter.add_scanned ctx.meter 1;
+          out := (Some tid, row) :: !out);
+      List.rev !out
+    in
     (match choose_access_path ctx table schema conjuncts with
-     | Btree_eq (idx, prefix) ->
-       let tree =
-         match idx.kind with
-         | Catalog.Btree_index { tree; _ } -> tree
-         | Catalog.Gin_index _ -> assert false
-       in
+     | Btree_eq (tree, prefix) ->
        Meter.add_probe ctx.meter 1;
        let entries =
          Storage.Btree.prefix ~pool:ctx.pool tree (Array.of_list prefix)
        in
        List.filter_map (fun (_k, tid) -> fetch tid) entries
-     | Gin_candidates (idx, pattern) ->
-       let gin =
-         match idx.kind with
-         | Catalog.Gin_index { gin; _ } -> gin
-         | Catalog.Btree_index _ -> assert false
-       in
+     | Gin_candidates (gin, pattern) ->
        Meter.add_probe ctx.meter 1;
        (match Storage.Gin.candidates ~pool:ctx.pool gin pattern with
         | Some tids -> List.filter_map fetch tids
-        | None ->
-          (* pattern too short: fall back to seq scan *)
-          let out = ref [] in
-          Storage.Heap.scan ~pool:ctx.pool heap ~status:(status ctx)
-            ~snapshot:ctx.snapshot ~my_xid:ctx.xid ~f:(fun tid row ->
-              Meter.add_scanned ctx.meter 1;
-              out := (Some tid, row) :: !out);
-          List.rev !out)
-     | Seq ->
-       let out = ref [] in
-       Storage.Heap.scan ~pool:ctx.pool heap ~status:(status ctx)
-         ~snapshot:ctx.snapshot ~my_xid:ctx.xid ~f:(fun tid row ->
-           Meter.add_scanned ctx.meter 1;
-           out := (Some tid, row) :: !out);
-       List.rev !out)
+        | None -> seq () (* pattern too short *))
+     | Seq -> seq ())
 
 (* --- SELECT pipeline --- *)
 
@@ -812,49 +849,6 @@ let heap_of (table : Catalog.table) =
   | Catalog.Heap_store h -> Some h
   | Catalog.Columnar_store _ -> None
 
-(* Index maintenance for the rows of one batch: each index's key
-   columns are resolved and its GIN expression compiled once, and the
-   returned function adds one row's entries. *)
-let index_inserter ctx (table : Catalog.table) =
-  let per_index =
-    List.map
-      (fun (idx : Catalog.index) ->
-        match idx.kind with
-        | Catalog.Btree_index { columns; tree } ->
-          let cols = Array.of_list (List.map (Catalog.column_index table) columns) in
-          fun tid (row : Datum.t array) ->
-            (* index maintenance reads the pages it modifies *)
-            Storage.Btree.insert ~pool:ctx.pool tree (Array.map (Array.get row) cols) tid;
-            Meter.add_index_update ctx.meter 1
-        | Catalog.Gin_index { expr; gin } ->
-          let key = Expr_eval.compile (table_schema ~alias:None table) ctx.env expr in
-          fun tid row ->
-            (match key row with
-             | Datum.Null -> ()
-             | v ->
-               Meter.add_index_update ctx.meter
-                 (Storage.Gin.add ~pool:ctx.pool gin ~tid (Datum.to_display v))))
-      table.indexes
-  in
-  fun tid row -> List.iter (fun add -> add tid row) per_index
-
-(* B-tree entries of one tuple vacuum reclaims. GIN entries leave in one
-   bulk delete per vacuum ([Storage.Gin.bulk_delete]), as PostgreSQL's
-   [ginbulkdelete] does, so no index expression is re-evaluated. *)
-let index_remove meter (table : Catalog.table) tid row =
-  List.iter
-    (fun (idx : Catalog.index) ->
-      match idx.kind with
-      | Catalog.Btree_index { columns; tree } ->
-        let key =
-          Array.of_list
-            (List.map (fun c -> row.(Catalog.column_index table c)) columns)
-        in
-        Storage.Btree.remove tree key tid;
-        Meter.add_index_update meter 1
-      | Catalog.Gin_index _ -> ())
-    table.indexes
-
 (* Does a live or in-doubt version with this PK already exist? *)
 let pk_conflict ctx (table : Catalog.table) row =
   match table.primary_key with
@@ -867,17 +861,8 @@ let pk_conflict ctx (table : Catalog.table) row =
       Array.of_list
         (List.map (fun c -> row.(Catalog.column_index table c)) pk_cols)
     in
-    let pk_index =
-      List.find_map
-        (fun (idx : Catalog.index) ->
-          match idx.kind with
-          | Catalog.Btree_index { columns; tree } when columns = pk_cols ->
-            Some tree
-          | _ -> None)
-        table.indexes
-    in
     let candidate_tids =
-      match pk_index with
+      match pk_tree table with
       | Some tree ->
         Meter.add_probe ctx.meter 1;
         Storage.Btree.find_eq ~pool:ctx.pool tree key
@@ -923,7 +908,7 @@ let insert_rows ctx ~(table : Catalog.table) rows ~on_conflict_do_nothing =
     List.length rows
   | Catalog.Heap_store heap ->
     let inserted = ref 0 in
-    let index_insert = lazy (index_inserter ctx table) in
+    let index_insert = lazy (index_inserter ctx table table.indexes) in
     List.iter
       (fun row ->
         check_not_null table row;
@@ -1046,7 +1031,7 @@ let run_update ctx ~table ~sets ~where =
       | None -> ())
     targets;
   let updated = ref 0 in
-  let index_insert = lazy (index_inserter ctx table) in
+  let index_insert = lazy (index_inserter ctx table table.indexes) in
   List.iter
     (fun (tid, row) ->
       match tid with

@@ -59,14 +59,32 @@ val run_delete : ctx -> table:string -> where:Sqlfront.Ast.expr option -> int
 val insert_rows :
   ctx -> table:Catalog.table -> Datum.t array list -> on_conflict_do_nothing:bool -> int
 
-(** Index maintenance for a batch of tuples (also WAL replay, which
-    bypasses SQL): [index_inserter ctx table] resolves each index's key
-    once and returns the function that adds one tuple's entries. *)
-val index_inserter : ctx -> Catalog.table -> int -> Datum.t array -> unit
+(** {2 Index operations}
 
-(** Drop a reclaimed tuple's B-tree entries, one index update each; GIN
-    entries leave by {!Storage.Gin.bulk_delete}. *)
-val index_remove : Meter.t -> Catalog.table -> int -> Datum.t array -> unit
+    Each matches on the index's kind once; callers loop over
+    [table.indexes]. An index holds an entry for every physically stored
+    version (CREATE INDEX, writes and the restart rebuild alike), a scan
+    rechecks visibility against the heap, and vacuum removes entries by
+    tid alone. *)
+
+(** [index_inserter ctx table indexes] resolves each index's key once
+    and returns the function that adds one version's entries to all of
+    [indexes], charging one index update per B-tree entry and per GIN
+    trigram. *)
+val index_inserter :
+  ctx -> Catalog.table -> Catalog.index list -> int -> Datum.t array -> unit
+
+(** [index_bulk_delete meter pool dead idx] drops the reclaimed tids
+    [dead] (ascending) from [idx], one index update per tid it held. *)
+val index_bulk_delete :
+  Meter.t -> Storage.Buffer_pool.t -> int array -> Catalog.index -> unit
+
+(** The work an index defers to a maintenance tick: a GIN merges its
+    pending list; a B-tree has none. *)
+val index_cleanup : Storage.Buffer_pool.t -> Catalog.index -> unit
+
+(** Drop every entry (TRUNCATE, recovery). *)
+val index_clear : Catalog.index -> unit
 
 (** Schema of a base table as the executor exposes it to expressions. *)
 val table_schema : alias:string option -> Catalog.table -> Expr_eval.schema

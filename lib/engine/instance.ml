@@ -279,33 +279,11 @@ let auto_pk_index (t : t) (table : Catalog.table) =
     in
     Catalog.add_index t.catalog table idx
 
-let build_index_on_existing s (table : Catalog.table) (idx : Catalog.index) =
-  (* index creation scans the current contents *)
-  match table.store with
-  | Catalog.Columnar_store _ -> err "indexes on columnar tables are not supported"
-  | Catalog.Heap_store heap ->
-    let ctx = make_ctx s in
-    let schema = Executor.table_schema ~alias:None table in
-    let gin_key =
-      match idx.kind with
-      | Catalog.Gin_index { expr; _ } -> Expr_eval.compile schema ctx.Executor.env expr
-      | Catalog.Btree_index _ -> fun _ -> Datum.Null
-    in
-    Storage.Heap.scan heap
-      ~status:(Txn.Manager.status s.inst.mgr)
-      ~snapshot:ctx.Executor.snapshot ~my_xid:ctx.Executor.xid
-      ~f:(fun tid row ->
-        match idx.kind with
-        | Catalog.Btree_index { columns; tree } ->
-          let key =
-            Array.of_list
-              (List.map (fun c -> row.(Catalog.column_index table c)) columns)
-          in
-          Storage.Btree.insert tree key tid
-        | Catalog.Gin_index { gin; _ } ->
-          (match gin_key row with
-           | Datum.Null -> ()
-           | v -> ignore (Storage.Gin.add gin ~tid (Datum.to_display v))))
+(* Index every physically stored version (CREATE INDEX and the restart
+   rebuild), as writes index each version they make. *)
+let index_physical ctx (table : Catalog.table) heap indexes =
+  let add = Executor.index_inserter ctx table indexes in
+  Storage.Heap.scan_physical heap ~f:(fun tid _hdr row -> add tid row)
 
 let rec exec_utility s (stmt : Ast.statement) : result =
   let t = s.inst in
@@ -356,7 +334,9 @@ let rec exec_utility s (stmt : Ast.statement) : result =
             { columns = key_columns; tree = Storage.Btree.create ~name () }
       in
       let idx = { Catalog.idx_name = name; idx_table = table; kind } in
-      build_index_on_existing s tbl idx;
+      (match tbl.store with
+       | Catalog.Columnar_store _ -> err "indexes on columnar tables are not supported"
+       | Catalog.Heap_store heap -> index_physical (ctx ()) tbl heap [ idx ]);
       Catalog.add_index t.catalog tbl idx;
       ok_result "CREATE INDEX"
     end
@@ -408,12 +388,7 @@ let rec exec_utility s (stmt : Ast.statement) : result =
              (Txn.Wal.append (Txn.Manager.wal t.mgr) (Txn.Wal.Truncate name));
            Storage.Heap.clear h
          | Catalog.Columnar_store c -> Storage.Columnar.clear c);
-        List.iter
-          (fun (idx : Catalog.index) ->
-            match idx.kind with
-            | Catalog.Btree_index { tree; _ } -> Storage.Btree.clear tree
-            | Catalog.Gin_index { gin; _ } -> Storage.Gin.clear gin)
-          tbl.indexes)
+        List.iter Executor.index_clear tbl.indexes)
       tables;
     ok_result "TRUNCATE"
   | Ast.Vacuum target ->
@@ -433,26 +408,14 @@ and vacuum_table t name =
     (match table.store with
      | Catalog.Columnar_store _ -> 0
      | Catalog.Heap_store heap ->
-       let dead = ref [] in
-       let reclaimed =
+       let dead =
          Storage.Heap.vacuum heap
-           ~on_reclaim:(fun tid row ->
-             Executor.index_remove t.meter table tid row;
-             dead := tid :: !dead)
            ~oldest:(Txn.Manager.oldest_active_xid t.mgr)
            ~status:(Txn.Manager.status t.mgr)
        in
-       (* GIN entries go before any reclaimed slot can be reused; one
-          index update per reclaimed row the index held *)
-       let dead = Array.of_list (List.rev !dead) in
-       List.iter
-         (function
-           | { Catalog.kind = Gin_index { gin; _ }; _ } ->
-             Meter.add_index_update t.meter
-               (Storage.Gin.bulk_delete ~pool:t.pool gin dead)
-           | _ -> ())
-         table.indexes;
-       reclaimed)
+       (* before any reclaimed slot can be reused *)
+       List.iter (Executor.index_bulk_delete t.meter t.pool dead) table.indexes;
+       Array.length dead)
 
 (* --- statement dispatch --- *)
 
@@ -878,12 +841,7 @@ let maintenance_tick t =
       | Some ({ store = Catalog.Heap_store heap; _ } as table) ->
         if Storage.Heap.dead_estimate heap > autovacuum_threshold then
           ignore (vacuum_table t name);
-        List.iter
-          (function
-            | { Catalog.kind = Gin_index { gin; _ }; _ } ->
-              Storage.Gin.cleanup ~pool:t.pool gin
-            | _ -> ())
-          table.indexes
+        List.iter (Executor.index_cleanup t.pool) table.indexes
       | _ -> ())
     (Catalog.table_names t.catalog);
   (* 3. registered daemons (Citus: 2PC recovery, distributed deadlocks) *)
@@ -915,25 +873,18 @@ let pad_row (table : Catalog.table) row =
 let recover_from_wal t =
   (* 1. transaction state (clog / prepared / locks) from the WAL *)
   Txn.Manager.crash_recover t.mgr;
-  (* 2. wipe volatile storage. Heap contents are rebuilt from the log;
-     columnar stores model immutable stripes flushed straight to disk
-     (§2.5), so they are treated as durable and left intact. *)
-  List.iter
-    (fun name ->
-      match Catalog.find_table_opt t.catalog name with
-      | Some { store = Catalog.Heap_store heap; _ } -> Storage.Heap.clear heap
-      | Some { store = Catalog.Columnar_store _; _ } | None -> ())
-    (Catalog.table_names t.catalog);
+  (* 2. wipe volatile storage. Heap contents are rebuilt from the log
+     and indexes from the heaps (step 4); columnar stores model immutable
+     stripes flushed straight to disk (§2.5), so they are treated as
+     durable and left intact. *)
   List.iter
     (fun name ->
       match Catalog.find_table_opt t.catalog name with
       | Some tbl ->
-        List.iter
-          (fun (idx : Catalog.index) ->
-            match idx.kind with
-            | Catalog.Btree_index { tree; _ } -> Storage.Btree.clear tree
-            | Catalog.Gin_index { gin; _ } -> Storage.Gin.clear gin)
-          tbl.indexes
+        (match tbl.store with
+         | Catalog.Heap_store heap -> Storage.Heap.clear heap
+         | Catalog.Columnar_store _ -> ());
+        List.iter Executor.index_clear tbl.indexes
       | None -> ())
     (Catalog.table_names t.catalog);
   (* 3. redo pass: reapply every logged heap change at its original tid
@@ -964,15 +915,9 @@ let recover_from_wal t =
          | Some (_, heap) -> ignore (Storage.Heap.delete heap ~xid ~tid)
          | None -> ())
       | Txn.Wal.Truncate table ->
+        (* the indexes stay empty until step 4 *)
         (match heap_of table with
-         | Some (tbl, heap) ->
-           Storage.Heap.clear heap;
-           List.iter
-             (fun (idx : Catalog.index) ->
-               match idx.kind with
-               | Catalog.Btree_index { tree; _ } -> Storage.Btree.clear tree
-               | Catalog.Gin_index { gin; _ } -> Storage.Gin.clear gin)
-             tbl.indexes
+         | Some (_, heap) -> Storage.Heap.clear heap
          | None -> ())
       | Txn.Wal.Begin _ | Txn.Wal.Commit _ | Txn.Wal.Abort _
       | Txn.Wal.Prepare _ | Txn.Wal.Commit_prepared _
@@ -1045,8 +990,7 @@ let recover_from_wal t =
       match Catalog.find_table_opt t.catalog name with
       | Some ({ store = Catalog.Heap_store heap; _ } as tbl)
         when tbl.indexes <> [] ->
-        let index_insert = Executor.index_inserter ctx tbl in
-        Storage.Heap.scan_physical heap ~f:(fun tid _hdr row -> index_insert tid row)
+        index_physical ctx tbl heap tbl.indexes
       | _ -> ())
     (Catalog.table_names t.catalog);
   (* 5. cold caches *)

@@ -84,11 +84,6 @@ let insert_at a i x =
   Array.blit a i b (i + 1) (n - i);
   b
 
-let remove_at a i =
-  let b = Array.sub a 0 (Array.length a - 1) in
-  Array.blit a (i + 1) b i (Array.length b - i);
-  b
-
 (* Inserts below [node], touching each node on the way down. Returns
    [Some (separator, right sibling)] if [node] split: the left half keeps
    len/2 keys, and an internal node pushes key len/2 up. *)
@@ -168,17 +163,46 @@ let find_eq ?pool t key =
   let i = search ~past_equal:false l.keys key in
   if holds l.keys i key then l.postings.(i) else []
 
-let remove t key tid =
-  let l = descend None t t.root key in
-  let i = search ~past_equal:false l.keys key in
-  if holds l.keys i key && List.mem tid l.postings.(i) then begin
-    t.entries <- t.entries - 1;
-    match List.filter (fun x -> x <> tid) l.postings.(i) with
-    | [] ->
-      l.keys <- remove_at l.keys i;
-      l.postings <- remove_at l.postings i
-    | p -> l.postings.(i) <- p
-  end
+(* btbulkdelete: one walk of the leaf chain drops the tids in [dead]
+   (ascending) from every posting, and each key left with no tid from
+   its leaf; nodes never merge. *)
+let bulk_delete t dead =
+  let nd = Array.length dead in
+  (* a bitmap over the tids up to the last dead one *)
+  let bits = Bytes.make (if nd = 0 then 0 else dead.(nd - 1) + 1) '\000' in
+  Array.iter (fun tid -> Bytes.set bits tid '\001') dead;
+  let is_dead tid = tid < Bytes.length bits && Bytes.get bits tid = '\001' in
+  let held = ref 0 in
+  let rec leftmost = function Leaf l -> l | Internal n -> leftmost n.children.(0) in
+  let rec sweep l =
+    let emptied = ref false in
+    Array.iteri
+      (fun i post ->
+        if List.exists is_dead post then begin
+          let kept = List.filter (fun tid -> not (is_dead tid)) post in
+          held := !held + List.length post - List.length kept;
+          l.postings.(i) <- kept;
+          if kept = [] then emptied := true
+        end)
+      l.postings;
+    if !emptied then begin
+      let w = ref 0 in
+      Array.iteri
+        (fun i post ->
+          if post <> [] then begin
+            l.keys.(!w) <- l.keys.(i);
+            l.postings.(!w) <- post;
+            incr w
+          end)
+        l.postings;
+      l.keys <- Array.sub l.keys 0 !w;
+      l.postings <- Array.sub l.postings 0 !w
+    end;
+    Option.iter sweep l.next
+  in
+  if nd > 0 then sweep (leftmost t.root);
+  t.entries <- t.entries - !held;
+  !held
 
 (* (k, tid) for each tid of [post] (newest first) onto [acc]; the walk
    reverses its output once, so tids come out oldest first. *)

@@ -12,9 +12,9 @@
     each node on its path. A node splits when it holds more than [order]
     keys (default 32); the left half keeps [len/2] of them.
 
-    Deletion is lazy: vacuumed tids leave their posting lists and a key
-    with no tids leaves its leaf, but nodes never merge, so empty leaves
-    stay in the sibling chain.
+    Deletion is lazy and by tid alone ({!bulk_delete}): vacuumed tids
+    leave their posting lists and a key with no tids leaves its leaf,
+    but nodes never merge, so empty leaves stay in the sibling chain.
 
     Each node is one logical page of relation ["idx:" ^ name], numbered
     in allocation order. Operations given [?pool] touch every node on
@@ -32,8 +32,11 @@ val create : name:string -> ?order:int -> unit -> t
 (** Add one (key, tid) pairing, in one descent. *)
 val insert : ?pool:Buffer_pool.t -> t -> key -> int -> unit
 
-(** [remove t key tid] removes one (key, tid) pairing; no-op if absent. *)
-val remove : t -> key -> int -> unit
+(** [bulk_delete t dead] drops every entry whose tid is in [dead]
+    (ascending, distinct) in one walk of the leaf chain, PostgreSQL's
+    [btbulkdelete]; returns how many entries it dropped. Touches no
+    page. Vacuum calls it before any reclaimed slot is reused. *)
+val bulk_delete : t -> int array -> int
 
 (** Tuple ids with exactly this key, newest first. *)
 val find_eq : ?pool:Buffer_pool.t -> t -> key -> int list

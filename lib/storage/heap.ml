@@ -142,8 +142,7 @@ let scan ?pool t ~status ~snapshot ~my_xid ~f =
       then f tid row
   done
 
-(* Visit every stored version regardless of visibility (index rebuild
-   after crash recovery). *)
+(* Visit every stored version regardless of visibility (index builds). *)
 let scan_physical t ~f =
   for tid = 0 to t.used - 1 do
     let s = t.slots.(tid) in
@@ -152,13 +151,13 @@ let scan_physical t ~f =
     | Some row -> f tid (s.xmin, s.xmax) row
   done
 
-let vacuum ?on_reclaim t ~oldest ~status =
-  let reclaimed = ref 0 in
+let vacuum t ~oldest ~status =
+  let reclaimed = ref [] in
   for tid = 0 to t.used - 1 do
     let s = t.slots.(tid) in
     match s.data with
     | None -> ()
-    | Some row ->
+    | Some _ ->
       let insert_aborted = status s.xmin = Txn.Manager.Aborted in
       let delete_final =
         s.xmax <> 0
@@ -166,15 +165,14 @@ let vacuum ?on_reclaim t ~oldest ~status =
         && s.xmax < oldest
       in
       if insert_aborted || delete_final then begin
-        (match on_reclaim with Some f -> f tid row | None -> ());
         s.data <- None;
         s.xmin <- 0;
         s.xmax <- 0;
         t.freelist <- tid :: t.freelist;
-        incr reclaimed
+        reclaimed := tid :: !reclaimed
       end
   done;
-  !reclaimed
+  Array.of_list (List.rev !reclaimed)
 
 let live_estimate t = t.used - List.length t.freelist
 

@@ -33,7 +33,9 @@ val delete : t -> xid:xid -> tid:int -> bool
 val insert_at : t -> tid:int -> xid:xid -> Datum.t array -> unit
 
 (** Visit every physically stored version, visible or not, as
-    [f tid (xmin, xmax) row] (index rebuild during crash recovery). *)
+    [f tid (xmin, xmax) row]. Every index build reads the heap this way
+    (CREATE INDEX and the rebuild after crash recovery), since an index
+    holds an entry for each version. *)
 val scan_physical : t -> f:(int -> xid * xid -> Datum.t array -> unit) -> unit
 
 (** Raw tuple header access (for write-conflict checks and the vacuum /
@@ -64,16 +66,10 @@ val scan :
   unit
 
 (** Reclaim dead versions: those whose xmin aborted, or whose xmax
-    committed before [oldest] (no snapshot can still see them). Returns the
-    number of reclaimed slots. [on_reclaim] is called with each reclaimed
-    (tid, row) before the slot is wiped, so callers can drop index
-    entries. *)
-val vacuum :
-  ?on_reclaim:(int -> Datum.t array -> unit) ->
-  t ->
-  oldest:xid ->
-  status:(xid -> Txn.Manager.status) ->
-  int
+    committed before [oldest] (no snapshot can still see them). Returns
+    the reclaimed tids, ascending; their slots go on the freelist, so
+    callers drop the index entries of these tids before the next insert. *)
+val vacuum : t -> oldest:xid -> status:(xid -> Txn.Manager.status) -> int array
 
 val live_estimate : t -> int
 (** Slots currently holding a version (live or not-yet-vacuumed dead). *)

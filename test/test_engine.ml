@@ -385,6 +385,14 @@ let gin_of inst table =
     (Catalog.find_table (Instance.catalog inst) table).indexes
   |> Option.get
 
+(* the primary-key B-tree: CREATE TABLE makes it the first index *)
+let pk_of inst table =
+  List.find_map
+    (fun (idx : Catalog.index) ->
+      match idx.kind with Catalog.Btree_index { tree; _ } -> Some tree | Catalog.Gin_index _ -> None)
+    (Catalog.find_table (Instance.catalog inst) table).indexes
+  |> Option.get
+
 let setup_gin_msgs s =
   ignore (exec s "CREATE TABLE msgs (id bigint PRIMARY KEY, body text)");
   ignore (exec s "CREATE INDEX msgs_trgm ON msgs USING GIN ((body) gin_trgm_ops)");
@@ -608,6 +616,27 @@ let test_in_doubt_read_ends_implicit_txn () =
   check_int s2 "the retried read sees the commit" 0
     "SELECT balance FROM accounts WHERE id = 1"
 
+(* CREATE INDEX indexes every row version, as the restart rebuild does,
+   so a reader at an HLC timestamp before an UPDATE still finds the old
+   version through the new index. *)
+let test_create_index_serves_old_snapshot () =
+  let inst, s = fresh () in
+  ignore (exec s "CREATE TABLE kv (k bigint, v text)");
+  ignore (exec s "INSERT INTO kv VALUES (1, 'old')");
+  ignore (exec s "BEGIN");
+  ignore (exec s "UPDATE kv SET v = 'new' WHERE k = 1");
+  Instance.set_pending_commit_ts s (Some { Txn.Hlc.pt = 10.0; lc = 0 });
+  ignore (exec s "COMMIT");
+  ignore (exec s "CREATE INDEX kv_v ON kv (v)");
+  let old_rows () =
+    let r = Instance.connect inst in
+    Instance.set_read_mode r (Txn.Snapshot.At { Txn.Hlc.pt = 5.0; lc = 0 });
+    one_int r "SELECT count(*) FROM kv WHERE v = 'old'"
+  in
+  Alcotest.(check int) "old version through the new index" 1 (old_rows ());
+  Instance.restart inst;
+  Alcotest.(check int) "and after a restart" 1 (old_rows ())
+
 let test_prepared_survives_restart () =
   let inst, s1 = fresh () in
   setup_accounts s1;
@@ -638,19 +667,41 @@ let test_copy_in () =
 
 let test_vacuum_via_sql () =
   let inst, s = fresh () in
-  ignore (exec s "CREATE TABLE t (a bigint PRIMARY KEY)");
+  ignore (exec s "CREATE TABLE t (a bigint PRIMARY KEY, body text)");
+  ignore (exec s "CREATE INDEX t_trgm ON t USING GIN ((body) gin_trgm_ops)");
   ignore (exec s "INSERT INTO t SELECT 1 WHERE FALSE");
   (* no-op insert *)
   ignore (exec s "BEGIN");
   for i = 1 to 100 do
-    ignore (exec s (Printf.sprintf "INSERT INTO t VALUES (%d)" i))
+    ignore (exec s (Printf.sprintf "INSERT INTO t VALUES (%d, 'postgres row %d')" i i))
   done;
   ignore (exec s "COMMIT");
   ignore (exec s "DELETE FROM t WHERE a <= 60");
   let r = exec s "VACUUM t" in
   Alcotest.(check int) "reclaimed" 60 r.Instance.affected;
-  ignore inst;
-  check_int s "survivors" 40 "SELECT count(*) FROM t"
+  check_int s "survivors" 40 "SELECT count(*) FROM t";
+  (* each index holds exactly the tids of the versions left *)
+  let survivors =
+    match (Catalog.find_table (Instance.catalog inst) "t").store with
+    | Catalog.Heap_store h ->
+      let tids = ref [] in
+      Storage.Heap.scan_physical h ~f:(fun tid _ _ -> tids := tid :: !tids);
+      List.rev !tids
+    | Catalog.Columnar_store _ -> Alcotest.fail "heap table expected"
+  in
+  Alcotest.(check (list int)) "pk entries" survivors
+    (List.sort Int.compare
+       (List.map snd
+          (Storage.Btree.range (pk_of inst "t") ~lower:Storage.Btree.Unbounded
+             ~upper:Storage.Btree.Unbounded)));
+  Alcotest.(check (option (list int))) "gin entries" (Some survivors)
+    (Storage.Gin.candidates (gin_of inst "t") "postgres");
+  (* a row put back into a reclaimed slot has one entry *)
+  ignore (exec s "INSERT INTO t VALUES (1, 'postgres again')");
+  (match Storage.Btree.find_eq (pk_of inst "t") [| Datum.Int 1 |] with
+   | [ tid ] -> Alcotest.(check bool) "reclaimed slot" false (List.mem tid survivors)
+   | l -> Alcotest.fail (Printf.sprintf "%d pk entries for a = 1" (List.length l)));
+  check_int s "found once by the primary key" 1 "SELECT count(*) FROM t WHERE a = 1"
 
 (* --- utility --- *)
 
@@ -659,6 +710,22 @@ let test_truncate () =
   setup_accounts s;
   ignore (exec s "TRUNCATE accounts");
   check_int s "empty" 0 "SELECT count(*) FROM accounts"
+
+(* Replaying a TRUNCATE clears the heap alone: every index stays empty
+   from the start of recovery until the rebuild over the replayed heap. *)
+let test_truncate_then_restart () =
+  let inst, s = fresh () in
+  setup_gin_msgs s;
+  ignore (exec s "TRUNCATE msgs");
+  ignore (exec s "INSERT INTO msgs VALUES (7, 'postgres after truncate')");
+  Instance.restart inst;
+  let s = Instance.connect inst in
+  check_int s "new row by pk" 1 "SELECT count(*) FROM msgs WHERE id = 7";
+  check_int s "truncated row gone by pk" 0 "SELECT count(*) FROM msgs WHERE id = 1";
+  check_int s "new row by gin" 1 "SELECT count(*) FROM msgs WHERE body ILIKE '%postgres%'";
+  Alcotest.(check int) "pk entries" 1 (Storage.Btree.entry_count (pk_of inst "msgs"));
+  Alcotest.(check (option (list int))) "gin entries" (Some [ 0 ])
+    (Storage.Gin.candidates (gin_of inst "msgs") "postgres")
 
 let test_alter_add_column () =
   let _, s = fresh () in
@@ -799,6 +866,8 @@ let () =
             test_prepare_transaction_via_sql;
           Alcotest.test_case "in-doubt read ends implicit txn" `Quick
             test_in_doubt_read_ends_implicit_txn;
+          Alcotest.test_case "create index serves an old snapshot" `Quick
+            test_create_index_serves_old_snapshot;
           Alcotest.test_case "prepared survives restart" `Quick
             test_prepared_survives_restart;
         ] );
@@ -807,6 +876,7 @@ let () =
           Alcotest.test_case "copy" `Quick test_copy_in;
           Alcotest.test_case "vacuum" `Quick test_vacuum_via_sql;
           Alcotest.test_case "truncate" `Quick test_truncate;
+          Alcotest.test_case "truncate then restart" `Quick test_truncate_then_restart;
           Alcotest.test_case "alter add column" `Quick test_alter_add_column;
           Alcotest.test_case "udf" `Quick test_udf_registration;
           Alcotest.test_case "params" `Quick test_params;
