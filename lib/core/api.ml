@@ -240,17 +240,17 @@ let route t (st : State.t) session ?prepared shape values =
     Obs.Metrics.inc metrics
       (Obs.Metric_names.planner_tier (Planner.tier_slug tier))
   in
+  let max_size = st.State.config.State.plan_cache_size in
   (* an EXECUTE's key is its stored shape's text, deparsed once per
-     PREPARE; ad-hoc SQL deparses its freshly lifted shape *)
+     PREPARE; ad-hoc SQL's comes from the memo of lifted shapes *)
   let key =
     match prepared with
     | Some name -> Engine.Instance.prepared_text session name
-    | None -> Deparse.statement shape
+    | None -> Plancache.key_of_shape t.plancache ~max_size shape
   in
   let stat = Plancache.stat t.plancache ~key in
   stat.Plancache.st_calls <- stat.Plancache.st_calls + 1;
   let t0 = now () in
-  let max_size = st.State.config.State.plan_cache_size in
   let version = Metadata.version t.metadata in
   let catalog = Engine.Instance.catalog inst in
   let cached sp outcome (entry : Plancache.entry) =
@@ -586,56 +586,36 @@ let rec install_on_node t (node : Cluster.Topology.node) =
         Printf.sprintf "%s = %s" name value
       end
       else
-      let float_knob set =
-        match float_of_string_opt value with
-        | Some v when v >= 0.0 -> fun cfg -> set cfg v
-        | _ ->
-          err "citus_set_config: %s expects a non-negative number, got '%s'"
-            name value
-      in
-      let int_knob set =
-        match int_of_string_opt value with
-        | Some v when v > 0 -> fun cfg -> set cfg v
-        | _ ->
-          err "citus_set_config: %s expects a positive integer, got '%s'" name
-            value
-      in
       (* validate once, {e then} apply everywhere: a bad value must not
          leave the cluster half-updated *)
+      let knob parse ok expects set =
+        match parse value with
+        | Some v when ok v -> fun cfg -> set cfg v
+        | _ -> err "citus_set_config: %s expects %s, got '%s'" name expects value
+      in
+      let seconds =
+        knob float_of_string_opt (fun v -> v >= 0.0) "a non-negative number"
+      in
+      let count = knob int_of_string_opt (fun v -> v > 0) "a positive integer" in
       let apply : State.config -> unit =
         match name with
-        | "statement_timeout" ->
-          float_knob (fun cfg v -> cfg.State.statement_timeout <- v)
-        | "hedge_threshold" ->
-          float_knob (fun cfg v -> cfg.State.hedge_threshold <- v)
+        | "statement_timeout" -> seconds (fun cfg v -> cfg.State.statement_timeout <- v)
+        | "hedge_threshold" -> seconds (fun cfg v -> cfg.State.hedge_threshold <- v)
         | "slow_start_interval" ->
-          float_knob (fun cfg v -> cfg.State.slow_start_interval <- v)
-        | "pool_size_per_node" ->
-          int_knob (fun cfg v -> cfg.State.pool_size_per_node <- v)
+          seconds (fun cfg v -> cfg.State.slow_start_interval <- v)
+        | "move_timeout" -> seconds (fun cfg v -> cfg.State.move_timeout <- v)
+        | "pool_size_per_node" -> count (fun cfg v -> cfg.State.pool_size_per_node <- v)
         | "shared_connection_limit" ->
-          int_knob (fun cfg v -> cfg.State.shared_connection_limit <- v)
-        | "max_parallel_moves" ->
-          int_knob (fun cfg v -> cfg.State.max_parallel_moves <- v)
-        | "move_timeout" ->
-          float_knob (fun cfg v -> cfg.State.move_timeout <- v)
+          count (fun cfg v -> cfg.State.shared_connection_limit <- v)
+        | "max_parallel_moves" -> count (fun cfg v -> cfg.State.max_parallel_moves <- v)
         | "consistency" ->
-          (match State.consistency_of_string value with
-           | Some c -> fun cfg -> cfg.State.consistency <- c
-           | None ->
-             err
-               "citus_set_config: consistency expects \
-                eventual|read_your_writes|snapshot, got '%s'"
-               value)
+          knob State.consistency_of_string (fun _ -> true)
+            "eventual|read_your_writes|snapshot"
+            (fun cfg c -> cfg.State.consistency <- c)
         | "plan_cache_size" ->
-          (* 0 legitimately disables the cache, so int_knob (positive
-             only) does not fit *)
-          (match int_of_string_opt value with
-           | Some v when v >= 0 -> fun cfg -> cfg.State.plan_cache_size <- v
-           | _ ->
-             err
-               "citus_set_config: plan_cache_size expects a non-negative \
-                integer, got '%s'"
-               value)
+          (* 0 disables the cache *)
+          knob int_of_string_opt (fun v -> v >= 0) "a non-negative integer"
+            (fun cfg v -> cfg.State.plan_cache_size <- v)
         | other -> err "citus_set_config: unknown setting '%s'" other
       in
       List.iter (fun (other : State.t) -> apply other.State.config) t.states;

@@ -88,6 +88,12 @@ val create : unit -> t
 (** Shapes currently cached (the [plancache.entries] gauge). *)
 val size : t -> int
 
+(** The key of an ad-hoc statement's lifted shape: its deparse, memoized
+    per shape (hashed and compared structurally) so a repeated shape is
+    not deparsed again. The memo holds at most [max_size] shapes and is
+    off at [max_size <= 0]. *)
+val key_of_shape : t -> max_size:int -> Sqlfront.Ast.statement -> string
+
 (** [make_entry t ~key ~version ~stmt ~shape groups] builds an entry
     with a fresh id for the shape statement [stmt], spanning the shard
     groups [groups]. *)

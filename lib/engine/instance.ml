@@ -20,6 +20,7 @@ type t = {
   mutable clock : float;
   mutable next_session : int;
   mutable epoch : int;  (** bumped on crash: sessions from older epochs are dead *)
+  stmts : Stmt_cache.t;  (** the text front door's parses, by skeleton *)
   hooks : hooks;
 }
 
@@ -87,6 +88,7 @@ let create ?(seed = 42) ?(buffer_pages = 100_000) ?obs ~name () =
     clock = 0.0;
     next_session = 1;
     epoch = 0;
+    stmts = Stmt_cache.create ();
     hooks =
       {
         planner_hook = None;
@@ -105,6 +107,7 @@ let catalog t = t.catalog
 let txn_manager t = t.mgr
 let buffer_pool t = t.pool
 let meter t = t.meter
+let stmt_cache t = t.stmts
 let now t = t.clock
 
 let connect t =
@@ -767,7 +770,7 @@ let exec_ast (s : session) (stmt : Ast.statement) : result =
       ~tags:[ ("stmt", stmt_kind stmt) ]
       (fun _sp -> exec_ast_unspanned s stmt)
 
-let exec s sql = exec_ast s (Parser.parse_statement sql)
+let exec s sql = exec_ast s (Stmt_cache.parse s.inst.stmts sql)
 
 (* The extended query protocol's Close / Parse / Bind / Execute, arriving
    in one message. A repeated Parse replaces and an unknown Close is

@@ -45,6 +45,10 @@ val buffer_pool : t -> Storage.Buffer_pool.t
 
 val meter : t -> Meter.t
 
+(** The statements {!exec} parsed, by literal-normalized skeleton: its
+    hit, miss and uncacheable counts. *)
+val stmt_cache : t -> Sqlfront.Stmt_cache.t
+
 (** Logical wall clock, advanced by the simulation layer. *)
 val now : t -> float
 
@@ -66,7 +70,10 @@ val session_alive : session -> bool
 val abort_session : session -> unit
 
 (** Execute one SQL statement. May raise {!Session_error},
-    {!Executor.Would_block} (retry later), or parse errors. *)
+    {!Executor.Would_block} (retry later), or parse errors. A text whose
+    skeleton was seen before is bound into its template, not parsed
+    ({!Sqlfront.Stmt_cache}); the meter charges it the same either
+    way. *)
 val exec : session -> string -> result
 
 val exec_ast : session -> Sqlfront.Ast.statement -> result

@@ -58,6 +58,51 @@ let is_ident_char c =
 
 let is_digit c = match c with '0' .. '9' -> true | _ -> false
 
+let fail_at pos msg = raise (Lex_error (Printf.sprintf "%s at offset %d" msg pos))
+
+(* The one definition of a literal, shared by [tokenize] and [skeleton]:
+   [scan_string] reads the string whose opening quote is at [!pos],
+   undoing [''] escapes, and [scan_number] the number starting there
+   ([1], [.5], [2.5e-3]). Each leaves [pos] just past the literal. *)
+let scan_string src pos =
+  let n = String.length src in
+  let buf = Buffer.create 16 in
+  let rec go i =
+    if i >= n then fail_at n "unterminated string"
+    else if src.[i] <> '\'' then (Buffer.add_char buf src.[i]; go (i + 1))
+    else if i + 1 < n && src.[i + 1] = '\'' then (Buffer.add_char buf '\''; go (i + 2))
+    else pos := i + 1
+  in
+  go (!pos + 1);
+  String_lit (Buffer.contents buf)
+
+(* An integer past [max_int] or an exponent with no digits is a lexical
+   error at the literal's offset, like any other. *)
+let scan_number src pos =
+  let n = String.length src and start = !pos in
+  let rec go i ~dot ~exp =
+    if i >= n then i
+    else
+      match src.[i] with
+      | '0' .. '9' -> go (i + 1) ~dot ~exp
+      | '.' when not (dot || exp) -> go (i + 1) ~dot:true ~exp
+      | ('e' | 'E') when not exp ->
+        let i = i + 1 in
+        let i = if i < n && (src.[i] = '+' || src.[i] = '-') then i + 1 else i in
+        go i ~dot ~exp:true
+      | _ -> i
+  in
+  pos := go start ~dot:false ~exp:false;
+  let text = String.sub src start (!pos - start) in
+  if String.exists (function '.' | 'e' | 'E' -> true | _ -> false) text then
+    match float_of_string text with
+    | f -> Float_lit f
+    | exception Failure _ -> fail_at start "malformed number"
+  else
+    match int_of_string text with
+    | i -> Int_lit i
+    | exception Failure _ -> fail_at start "integer out of range"
+
 let tokenize src =
   let n = String.length src in
   let pos = ref 0 in
@@ -65,7 +110,7 @@ let tokenize src =
   let emit t = out := t :: !out in
   (* the character [k] past the cursor; NUL past the end *)
   let at k = if !pos + k < n then src.[!pos + k] else '\000' in
-  let fail msg = raise (Lex_error (Printf.sprintf "%s at offset %d" msg !pos)) in
+  let fail msg = fail_at !pos msg in
   while !pos < n do
     let c = src.[!pos] in
     match c with
@@ -80,27 +125,7 @@ let tokenize src =
     | '*' -> emit Star; incr pos
     | '.' when not (is_digit (at 1)) ->
       emit Dot; incr pos
-    | '\'' ->
-      (* string literal with '' escaping *)
-      incr pos;
-      let buf = Buffer.create 16 in
-      let rec go () =
-        if !pos >= n then fail "unterminated string"
-        else if src.[!pos] = '\'' then
-          if at 1 = '\'' then begin
-            Buffer.add_char buf '\'';
-            pos := !pos + 2;
-            go ()
-          end
-          else incr pos
-        else begin
-          Buffer.add_char buf src.[!pos];
-          incr pos;
-          go ()
-        end
-      in
-      go ();
-      emit (String_lit (Buffer.contents buf))
+    | '\'' -> emit (scan_string src pos)
     | '"' ->
       incr pos;
       let start = !pos in
@@ -114,27 +139,7 @@ let tokenize src =
       while !pos < n && is_digit src.[!pos] do incr pos done;
       if !pos = start then fail "bad parameter";
       emit (Param_tok (int_of_string (String.sub src start (!pos - start))))
-    | c when is_digit c || (c = '.' && is_digit (at 1)) ->
-      let start = !pos in
-      let seen_dot = ref false in
-      let seen_exp = ref false in
-      let rec go () =
-        if !pos < n then
-          match src.[!pos] with
-          | '0' .. '9' -> incr pos; go ()
-          | '.' when not !seen_dot && not !seen_exp ->
-            seen_dot := true; incr pos; go ()
-          | 'e' | 'E' when not !seen_exp ->
-            seen_exp := true;
-            incr pos;
-            (match at 0 with '+' | '-' -> incr pos | _ -> ());
-            go ()
-          | _ -> ()
-      in
-      go ();
-      let text = String.sub src start (!pos - start) in
-      if !seen_dot || !seen_exp then emit (Float_lit (float_of_string text))
-      else emit (Int_lit (int_of_string text))
+    | c when is_digit c || c = '.' -> emit (scan_number src pos)
     | c when is_ident_start c ->
       let start = !pos in
       while !pos < n && is_ident_char src.[!pos] do incr pos done;
@@ -158,6 +163,64 @@ let tokenize src =
       emit (Op op)
   done;
   List.rev (Eof :: !out)
+
+(* Skeleton markers, one per literal kind: [mark] writes the literal's
+   marker and returns its value. The scan refuses bytes up to the last
+   marker anywhere outside a string, so a skeleton reads back
+   unambiguously. *)
+let mark buf = function
+  | Int_lit v -> Buffer.add_char buf '\001'; Datum.Int v
+  | Float_lit f -> Buffer.add_char buf '\002'; Datum.Float f
+  | String_lit s -> Buffer.add_char buf '\003'; Datum.Text s
+  | _ -> invalid_arg "Lexer.mark: not a literal"
+
+let is_mark c = c <= '\003'
+
+let skeleton buf src =
+  let n = String.length src in
+  Buffer.clear buf;
+  let lits = ref [] in
+  (* [seg] starts the text not yet copied: a literal flushes it *)
+  let rec go seg i =
+    if i >= n then (Buffer.add_substring buf src seg (i - seg); true)
+    else
+      match src.[i] with
+      | 'a' .. 'z' | 'A' .. 'Z' | '_' -> go seg (word (i + 1))
+      | '"' -> quoted seg (i + 1)
+      | '\'' -> literal seg i scan_string
+      | '0' .. '9' -> literal seg i scan_number
+      | '.' when i + 1 < n && is_digit src.[i + 1] -> literal seg i scan_number
+      | '-' when i + 1 < n && src.[i + 1] = '-' -> false
+      | ' ' | '\t' | '\n' | '\r' | '(' | ')' | ',' | ';' | '*' | '.' | '=' | '<'
+      | '>' | '!' | '|' | ':' | '+' | '-' | '/' | '%' ->
+        go seg (i + 1)
+      | _ -> false
+  (* identifier words, digits and all, are copied whole *)
+  and word j = if j < n && is_ident_char src.[j] then word (j + 1) else j
+  and quoted seg j =
+    if j >= n || is_mark src.[j] then false
+    else if src.[j] = '"' then go seg (j + 1)
+    else quoted seg (j + 1)
+  and literal seg i scan =
+    let pos = ref i in
+    let tok = scan src pos in
+    Buffer.add_substring buf src seg (i - seg);
+    lits := mark buf tok :: !lits;
+    go !pos !pos
+  in
+  match go 0 0 with
+  | true -> Some (Buffer.contents buf, List.rev !lits)
+  | false | (exception Lex_error _) -> None
+
+let placeholders skel =
+  let buf = Buffer.create (String.length skel + 16) in
+  let k = ref 0 in
+  String.iter
+    (fun c ->
+      if not (is_mark c) then Buffer.add_char buf c
+      else (incr k; Printf.bprintf buf "$%d" !k))
+    skel;
+  Buffer.contents buf
 
 let token_to_string = function
   | Ident s -> Printf.sprintf "identifier %S" s

@@ -17,6 +17,8 @@ type token =
   | Eof
 
 exception Lex_error of string
+(** The message ends "at offset N": an unterminated string, a bad
+    character, an integer past [max_int], a malformed number. *)
 
 val keywords : string list
 
@@ -27,5 +29,17 @@ val is_keyword : string -> bool
 val equal_token : token -> token -> bool
 
 val tokenize : string -> token list
+
+(** [skeleton buf src] is [src] with each literal replaced by a byte
+    that marks its kind (integer, float, string), and the literals'
+    values in text order. Literals are read by the same scanners as
+    {!tokenize}'s. Identifier words, digits included, and double-quoted
+    identifiers are copied whole. [None] for a [$k], a [--] comment, a
+    lexical error or anything else the scan does not recognise. [buf]
+    is scratch space, reused across calls. *)
+val skeleton : Buffer.t -> string -> (string * Datum.t list) option
+
+(** A skeleton with its markers numbered [$1..$n] left to right. *)
+val placeholders : string -> string
 
 val token_to_string : token -> string

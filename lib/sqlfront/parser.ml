@@ -56,6 +56,20 @@ let expect_string st =
   | Lexer.String_lit s -> advance st; s
   | _ -> fail st "expected string literal"
 
+(* One or more [item]s separated by commas. *)
+let comma_list st item =
+  let rec go acc =
+    let x = item st in
+    if accept st Lexer.Comma then go (x :: acc) else List.rev (x :: acc)
+  in
+  go []
+
+(* The same, closed by [)]; the opening one is already consumed. *)
+let paren_list st item =
+  let l = comma_list st item in
+  eat st Lexer.Rparen;
+  l
+
 (* Type names: single identifier, or "double precision" / "timestamp with(out) time zone". *)
 let parse_type_name st =
   let first = expect_ident st in
@@ -167,16 +181,7 @@ and parse_in st left negated =
     let sel = parse_select_body st in
     eat st Lexer.Rparen;
     In_subquery (left, sel, negated)
-  | _ ->
-    let rec items acc =
-      let e = parse_expr st in
-      if accept st Lexer.Comma then items (e :: acc)
-      else begin
-        eat st Lexer.Rparen;
-        List.rev (e :: acc)
-      end
-    in
-    In_list (left, items [], negated)
+  | _ -> In_list (left, paren_list st parse_expr, negated)
 
 and parse_additive st =
   let left = parse_multiplicative st in
@@ -296,17 +301,7 @@ and parse_primary st =
       advance st;
       advance st;
       if accept st Lexer.Rparen then Func (name, [])
-      else begin
-        let rec args acc =
-          let e = parse_expr st in
-          if accept st Lexer.Comma then args (e :: acc)
-          else begin
-            eat st Lexer.Rparen;
-            List.rev (e :: acc)
-          end
-        in
-        Func (name, args [])
-      end
+      else Func (name, paren_list st parse_expr)
     | Lexer.Dot ->
       advance st;
       advance st;
@@ -424,16 +419,15 @@ and parse_from_item st =
 and parse_select_body st =
   if kw st "WITH" then begin
     if kw st "RECURSIVE" then fail st "recursive CTEs are not supported";
-    let rec parse_ctes acc =
-      let name = expect_ident st in
-      expect_kw st "AS";
-      eat st Lexer.Lparen;
-      let cte = parse_select_body st in
-      eat st Lexer.Rparen;
-      let acc = (name, cte) :: acc in
-      if accept st Lexer.Comma then parse_ctes acc else List.rev acc
+    let ctes =
+      comma_list st (fun st ->
+          let name = expect_ident st in
+          expect_kw st "AS";
+          eat st Lexer.Lparen;
+          let cte = parse_select_body st in
+          eat st Lexer.Rparen;
+          (name, cte))
     in
-    let ctes = parse_ctes [] in
     let body = parse_select_body st in
     substitute_ctes ctes body
   end
@@ -478,33 +472,13 @@ and substitute_ctes ctes (sel : Ast.select) : Ast.select =
 and parse_select_plain st =
   expect_kw st "SELECT";
   let distinct = kw st "DISTINCT" in
-  let rec projections acc =
-    let p = parse_projection st in
-    if accept st Lexer.Comma then projections (p :: acc)
-    else List.rev (p :: acc)
-  in
-  let projections = projections [] in
-  let from =
-    if kw st "FROM" then begin
-      let rec items acc =
-        let item = parse_from_item st in
-        if accept st Lexer.Comma then items (item :: acc)
-        else List.rev (item :: acc)
-      in
-      items []
-    end
-    else []
-  in
+  let projections = comma_list st parse_projection in
+  let from = if kw st "FROM" then comma_list st parse_from_item else [] in
   let where = if kw st "WHERE" then Some (parse_expr st) else None in
   let group_by =
     if kw st "GROUP" then begin
       expect_kw st "BY";
-      let rec exprs acc =
-        let e = parse_expr st in
-        if accept st Lexer.Comma then exprs (e :: acc)
-        else List.rev (e :: acc)
-      in
-      exprs []
+      comma_list st parse_expr
     end
     else []
   in
@@ -512,19 +486,13 @@ and parse_select_plain st =
   let order_by =
     if kw st "ORDER" then begin
       expect_kw st "BY";
-      let rec exprs acc =
-        let e = parse_expr st in
-        let dir =
-          if kw st "DESC" then Desc
+      comma_list st (fun st ->
+          let e = parse_expr st in
+          if kw st "DESC" then (e, Desc)
           else begin
             ignore (kw st "ASC");
-            Asc
-          end
-        in
-        if accept st Lexer.Comma then exprs ((e, dir) :: acc)
-        else List.rev ((e, dir) :: acc)
-      in
-      exprs []
+            (e, Asc)
+          end)
     end
     else []
   in
@@ -577,15 +545,7 @@ let parse_create_table st =
     (if kw st "PRIMARY" then begin
        expect_kw st "KEY";
        eat st Lexer.Lparen;
-       let rec cols acc =
-         let c = expect_ident st in
-         if accept st Lexer.Comma then cols (c :: acc)
-         else begin
-           eat st Lexer.Rparen;
-           List.rev (c :: acc)
-         end
-       in
-       primary_key := cols []
+       primary_key := paren_list st expect_ident
      end
      else begin
        let def, is_pk = parse_column_def st in
@@ -645,53 +605,21 @@ let parse_create_index st =
     Create_index
       { name; table; using; key_columns = []; key_expr = Some e; if_not_exists }
   | _ ->
-    let rec cols acc =
-      let c = expect_ident st in
-      if accept st Lexer.Comma then cols (c :: acc)
-      else begin
-        eat st Lexer.Rparen;
-        List.rev (c :: acc)
-      end
-    in
-    Create_index
-      { name; table; using; key_columns = cols []; key_expr = None; if_not_exists }
+    let key_columns = paren_list st expect_ident in
+    Create_index { name; table; using; key_columns; key_expr = None; if_not_exists }
 
 let parse_insert st =
   expect_kw st "INTO";
   let table = expect_ident st in
   let columns =
-    if Lexer.equal_token (peek st) Lexer.Lparen then begin
-      advance st;
-      let rec cols acc =
-        let c = expect_ident st in
-        if accept st Lexer.Comma then cols (c :: acc)
-        else begin
-          eat st Lexer.Rparen;
-          List.rev (c :: acc)
-        end
-      in
-      Some (cols [])
-    end
-    else None
+    if accept st Lexer.Lparen then Some (paren_list st expect_ident) else None
   in
   let source =
-    if kw st "VALUES" then begin
-      let rec tuples acc =
-        eat st Lexer.Lparen;
-        let rec exprs acc =
-          let e = parse_expr st in
-          if accept st Lexer.Comma then exprs (e :: acc)
-          else begin
-            eat st Lexer.Rparen;
-            List.rev (e :: acc)
-          end
-        in
-        let tuple = exprs [] in
-        if accept st Lexer.Comma then tuples (tuple :: acc)
-        else List.rev (tuple :: acc)
-      in
-      Values (tuples [])
-    end
+    if kw st "VALUES" then
+      Values
+        (comma_list st (fun st ->
+             eat st Lexer.Lparen;
+             paren_list st parse_expr))
     else Query (parse_select_body st)
   in
   let on_conflict_do_nothing =
@@ -714,14 +642,12 @@ let rec parse_statement_body st =
     advance st;
     let table = expect_ident st in
     expect_kw st "SET";
-    let rec sets acc =
-      let col = expect_ident st in
-      eat st (Lexer.Op "=");
-      let e = parse_expr st in
-      if accept st Lexer.Comma then sets ((col, e) :: acc)
-      else List.rev ((col, e) :: acc)
+    let sets =
+      comma_list st (fun st ->
+          let col = expect_ident st in
+          eat st (Lexer.Op "=");
+          (col, parse_expr st))
     in
-    let sets = sets [] in
     let where = if kw st "WHERE" then Some (parse_expr st) else None in
     Update { table; sets; where }
   | Lexer.Keyword "DELETE" ->
@@ -758,28 +684,12 @@ let rec parse_statement_body st =
   | Lexer.Keyword "TRUNCATE" ->
     advance st;
     ignore (kw st "TABLE");
-    let rec names acc =
-      let n = expect_ident st in
-      if accept st Lexer.Comma then names (n :: acc) else List.rev (n :: acc)
-    in
-    Truncate (names [])
+    Truncate (comma_list st expect_ident)
   | Lexer.Keyword "COPY" ->
     advance st;
     let table = expect_ident st in
     let columns =
-      if Lexer.equal_token (peek st) Lexer.Lparen then begin
-        advance st;
-        let rec cols acc =
-          let c = expect_ident st in
-          if accept st Lexer.Comma then cols (c :: acc)
-          else begin
-            eat st Lexer.Rparen;
-            List.rev (c :: acc)
-          end
-        in
-        Some (cols [])
-      end
-      else None
+      if accept st Lexer.Lparen then Some (paren_list st expect_ident) else None
     in
     expect_kw st "FROM";
     expect_kw st "STDIN";
@@ -805,21 +715,8 @@ let rec parse_statement_body st =
     advance st;
     let ename = expect_ident st in
     let eargs =
-      if accept st Lexer.Lparen then begin
-        if accept st Lexer.Rparen then []
-        else begin
-          let rec args acc =
-            let e = parse_expr st in
-            if accept st Lexer.Comma then args (e :: acc)
-            else begin
-              eat st Lexer.Rparen;
-              List.rev (e :: acc)
-            end
-          in
-          args []
-        end
-      end
-      else []
+      if not (accept st Lexer.Lparen) || accept st Lexer.Rparen then []
+      else paren_list st parse_expr
     in
     Execute_stmt { ename; eargs }
   | Lexer.Keyword "DEALLOCATE" ->
@@ -838,18 +735,8 @@ let rec parse_statement_body st =
     advance st;
     let proc = expect_ident st in
     eat st Lexer.Lparen;
-    if accept st Lexer.Rparen then Call { proc; args = [] }
-    else begin
-      let rec args acc =
-        let e = parse_expr st in
-        if accept st Lexer.Comma then args (e :: acc)
-        else begin
-          eat st Lexer.Rparen;
-          List.rev (e :: acc)
-        end
-      in
-      Call { proc; args = args [] }
-    end
+    let args = if accept st Lexer.Rparen then [] else paren_list st parse_expr in
+    Call { proc; args }
   | _ -> fail st "expected a statement"
 
 let finish st v =

@@ -513,6 +513,46 @@ let test_json_deep_nesting () =
   | [ [| Datum.Text "deep" |] ] -> ()
   | _ -> Alcotest.fail "deep access failed"
 
+(* A literal the lexer cannot read is a parse error at its offset, not
+   a bare exception out of [exec], and it leaves the session usable. *)
+let test_bad_literals_are_parse_errors () =
+  let _, s = fresh () in
+  ignore (exec s "CREATE TABLE items (key bigint PRIMARY KEY, v text)");
+  List.iter
+    (fun (sql, want) ->
+      match exec s sql with
+      | exception Sqlfront.Parser.Parse_error m -> Alcotest.(check string) sql want m
+      | _ -> Alcotest.fail ("should have failed: " ^ sql))
+    [
+      ( "SELECT * FROM items WHERE key = 99999999999999999999",
+        "integer out of range at offset 32" );
+      ("SELECT 1e", "malformed number at offset 7");
+    ];
+  Alcotest.(check int) "session still serves" 0
+    (List.length (rows s "SELECT * FROM items WHERE key = 1"))
+
+(* Templates hold no catalog state: DDL between two hits changes what
+   the next hit returns, not whether it hits. *)
+let test_statement_cache_across_ddl () =
+  let inst, s = fresh () in
+  ignore (exec s "CREATE TABLE t (k bigint PRIMARY KEY, v text)");
+  ignore (exec s "INSERT INTO t VALUES (1, 'a'), (2, 'b')");
+  let read k = rows s (Printf.sprintf "SELECT * FROM t WHERE k = %d" k) in
+  let hits () =
+    (Sqlfront.Stmt_cache.stats (Instance.stmt_cache inst)).Sqlfront.Stmt_cache.hits
+  in
+  ignore (read 1);
+  ignore (read 2);
+  let before = hits () in
+  Alcotest.(check int) "two columns" 2 (Array.length (List.hd (read 1)));
+  ignore (exec s "ALTER TABLE t ADD COLUMN w bigint");
+  Alcotest.(check int) "three columns after DDL" 3 (Array.length (List.hd (read 2)));
+  ignore (exec s "DROP TABLE t");
+  ignore (exec s "CREATE TABLE t (k bigint PRIMARY KEY)");
+  ignore (exec s "INSERT INTO t VALUES (2)");
+  Alcotest.(check int) "one column after re-create" 1 (Array.length (List.hd (read 2)));
+  Alcotest.(check int) "every read after admission hit" (before + 3) (hits ())
+
 let () =
   Alcotest.run "engine_edge"
     [
@@ -536,6 +576,10 @@ let () =
             test_cast_error_aborts_autocommit_txn;
           Alcotest.test_case "error in block" `Quick
             test_error_inside_block_keeps_prior_writes_pending;
+          Alcotest.test_case "bad literals are parse errors" `Quick
+            test_bad_literals_are_parse_errors;
+          Alcotest.test_case "statement cache across DDL" `Quick
+            test_statement_cache_across_ddl;
         ] );
       ( "expressions",
         [

@@ -799,6 +799,28 @@ let test_l15_escape () =
   Alcotest.(check int) "[@lint.reparse] is trusted" 0
     (List.length (l15_run l15_api_annotated))
 
+(* the statement cache's hit path is the second root: a parse it
+   reaches is flagged, the miss path's parse is not *)
+let l15_stmt_cache =
+  {|let bind text = Parser.parse_statement text
+
+let hit t text = if t then Some (bind text) else None
+
+let parse t text = match hit t text with Some s -> s | None -> Parser.parse_statement text
+|}
+
+let test_l15_stmt_cache () =
+  let fs =
+    run "L15"
+      [
+        ("lib/sqlfront/parser.ml", l15_parser_stub);
+        ("lib/sqlfront/stmt_cache.ml", l15_stmt_cache);
+        ("lib/core/api.ml", l15_api_clean);
+      ]
+  in
+  Alcotest.(check (list string)) "one L15" [ "L15" ] (ids fs);
+  Alcotest.(check (list int)) "the hit path's parse" [ 1 ] (lines fs)
+
 (* --- call-graph builder --- *)
 
 let build sources =
@@ -1073,6 +1095,7 @@ let () =
           Alcotest.test_case "violating" `Quick test_l15_violating;
           Alcotest.test_case "clean" `Quick test_l15_clean;
           Alcotest.test_case "escape" `Quick test_l15_escape;
+          Alcotest.test_case "statement cache hit" `Quick test_l15_stmt_cache;
         ] );
       ( "callgraph",
         [

@@ -1,14 +1,18 @@
-(** L15 no-reparse: the statement route never touches the parser.
+(** L15 no-reparse: the statement route and the statement cache's hit
+    path never touch the parser.
 
-    Every statement naming a Citus table — an [EXECUTE] with its stored
-    shape, ad-hoc SQL with its literals lifted after its one parse —
-    enters [Api.route], which reuses memoized per-group ASTs. If
-    anything reachable from [Api.route] calls [Parser.parse*] on the
-    coordinator, the plan cache is silently paying the parse cost it
-    exists to eliminate (and, worse, may diverge from the AST the plan
-    was built from). A forward reachability fixpoint over the call
-    graph marks everything the route can reach and flags every parser
-    entry point inside the reachable set.
+    Two roots. Every statement naming a Citus table — an [EXECUTE] with
+    its stored shape, ad-hoc SQL with its literals lifted after its one
+    parse — enters [Api.route], which reuses memoized per-group ASTs.
+    Every SQL text an engine receives goes through its statement cache,
+    whose hit path ([Stmt_cache.hit]) binds the text's literals into a
+    template parsed once per skeleton. If anything reachable from either
+    root calls [Parser.parse*], the cache in question is silently paying
+    the parse cost it exists to eliminate (and, worse, may diverge from
+    the AST the plan or template was checked against). A forward
+    reachability fixpoint over the call graph marks everything the roots
+    can reach and flags every parser entry point inside the reachable
+    set.
 
     The wire boundary is excluded by design. A cached route sends a
     bound execute ([Connection.exec_bound_async]): the values travel as
@@ -28,8 +32,9 @@ let name = "no-reparse"
 
 let doc =
   "Parser.parse* must be unreachable from Api.route (the one statement \
-   route, prepared and ad-hoc); remote re-parse past the Connection \
-   wire boundary is by design (escape hatch: [@lint.reparse])"
+   route, prepared and ad-hoc) and from Stmt_cache.hit (the statement \
+   cache's hit path); remote re-parse past the Connection wire boundary \
+   is by design (escape hatch: [@lint.reparse])"
 
 let explain =
   "a statement is parsed once: an EXECUTE at PREPARE, ad-hoc SQL on \
@@ -40,9 +45,13 @@ let explain =
    from Api.route re-introduces a per-call parse the route exists to \
    avoid — a silent performance regression the benchmarks would catch \
    late and attribute wrongly — and risks executing an AST that \
-   differs from the one the cached plan was validated against. L15 \
-   computes forward reachability from Api.route over the whole-program \
-   call graph, cutting every edge into Connection (the wire boundary: \
+   differs from the one the cached plan was validated against. The \
+   same holds one step earlier: every SQL text an engine receives goes \
+   through its statement cache, whose hit path (Stmt_cache.hit) binds \
+   the text's literals into a template parsed once per skeleton, so a \
+   parse reachable from it would undo the cache. L15 computes forward \
+   reachability from both roots over the whole-program call graph, \
+   cutting every edge into Connection (the wire boundary: \
    a cached route sends a bound execute that the worker binds into a \
    statement it parsed once per connection, and other statements go out \
    as text the remote engine parses, like a Citus worker over libpq), \
@@ -54,8 +63,9 @@ let check ~path:_ _ = []
 let check_tree _ = []
 
 let is_entry (fn : Callgraph.fn) =
-  let { Callgraph.m; v } = fn.Callgraph.f_id in
-  String.equal m "Api" && String.equal v "route"
+  match fn.Callgraph.f_id with
+  | { Callgraph.m = "Api"; v = "route" } | { m = "Stmt_cache"; v = "hit" } -> true
+  | _ -> false
 
 let is_parse comps =
   match List.rev comps with
@@ -103,12 +113,11 @@ let check_program (files : (string * Parsetree.structure) list) =
                   (Rule.finding ~id ~file:fn.Callgraph.f_file
                      ~loc:s.Callgraph.s_loc
                      (Printf.sprintf
-                        "%s is reachable from the statement route (via \
-                         %s) — a routed statement must bind into the \
-                         memoized AST, never re-parse on the coordinator; \
-                         parse before the route, or annotate \
-                         [@lint.reparse] if it is provably off the \
-                         per-statement path"
+                        "%s is reachable from the statement route or the \
+                         statement cache's hit path (via %s) — both must \
+                         bind into a memoized AST, never re-parse; parse \
+                         before them, or annotate [@lint.reparse] if it \
+                         is provably off the per-statement path"
                         (String.concat "." s.Callgraph.s_path)
                         (Callgraph.id_str fn.Callgraph.f_id)))
               else None)

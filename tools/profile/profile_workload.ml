@@ -117,6 +117,17 @@ let () =
     | "rt_copy" -> rt ~half:`Copy rng
     | w -> raise (Arg.Bad ("unknown workload " ^ w))
   in
+  (* statement-cache counts summed over every node, taken around the loop *)
+  let cache_stats () =
+    List.fold_left
+      (fun (h, m, u) (node : Cluster.Topology.node) ->
+        let cache = Engine.Instance.stmt_cache node.Cluster.Topology.instance in
+        let st = Sqlfront.Stmt_cache.stats cache in
+        Sqlfront.Stmt_cache.(h + st.hits, m + st.misses, u + st.uncacheable))
+      (0, 0, 0)
+      (Cluster.Topology.all_nodes db.Workloads.Db.cluster)
+  in
+  let h0, m0, u0 = cache_stats () in
   let ops = ref 0 and ticks = ref 0 and tick_s = ref 0.0 in
   let t0 = Unix.gettimeofday () in
   Sampler.start ();
@@ -140,4 +151,7 @@ let () =
   Printf.printf "maintenance: %d ticks, %.1f%% of wall time (%.2f ms per tick)\n" !ticks
     (100.0 *. !tick_s /. elapsed)
     (if !ticks > 0 then 1e3 *. !tick_s /. float_of_int !ticks else 0.0);
+  let h1, m1, u1 = cache_stats () in
+  Printf.printf "statement cache: %d hits, %d misses, %d uncacheable skeletons\n"
+    (h1 - h0) (m1 - m0) (u1 - u0);
   Sampler.report stdout
