@@ -3,6 +3,7 @@ type stmt = {
   stmt_text : string;
   mutable stmt_live : bool;
   stmt_retired : int ref;
+  stmt_plan : Engine.Executor.kept;
 }
 
 type t = {

@@ -73,6 +73,9 @@ type stmt = {
   stmt_retired : int ref;
       (** the owner's count of retired statements, shared by all it
           makes; a connection sweeps its registry only when it moved *)
+  stmt_plan : Engine.Executor.kept;
+      (** the same statement and its one plan, for a task that runs on
+          the dispatching session's own node (local execution) *)
 }
 
 (** The owner dropped [s] (its plan-cache entry was evicted or went

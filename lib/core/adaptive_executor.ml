@@ -427,23 +427,28 @@ let execute ?bound (t : State.t) coord_session (tasks : Plan.task list) =
   in
   (* Local execution: a task placed on this node runs in the session's
      own transaction — no connection, BEGIN or worker-side statement; a
-     cached task binds its values here. The xid joins the deadlock graph
-     as its own distributed transaction's member. An error is a
-     statement error: no withdrawal, no breaker failure. *)
+     cached task runs the plan kept with its worker-side statement. The
+     xid joins the deadlock graph as its own distributed transaction's
+     member. An error is a statement error: no withdrawal, no breaker
+     failure. *)
   let local_name = t.State.local.Cluster.Topology.node_name in
   let run_local ?sched (task : Plan.task) =
     let snapshot =
       if is_write task.Plan.task_stmt then None else snapshot_mode
     in
-    let stmt =
+    let exec =
       match bound with
-      | None -> task.Plan.task_stmt
-      | Some { Exec.stmt; values } -> (
-        try Ast.bind_params values task.Plan.task_stmt
-        with Ast.Unbound_param param ->
-          raise
-            (Exec.Bind_failure
-               { stmt_name = stmt.Cluster.Connection.stmt_name; param }))
+      | None -> fun () -> Exec.local_exn ?snapshot coord_session task.Plan.task_stmt
+      | Some ({ Exec.stmt; values } as b) ->
+        (match
+           Engine.Executor.first_unbound stmt.Cluster.Connection.stmt_plan
+             (List.length values)
+         with
+         | Some param ->
+           raise
+             (Exec.Bind_failure
+                { stmt_name = stmt.Cluster.Connection.stmt_name; param })
+         | None -> fun () -> Exec.local_bound_exn ?snapshot coord_session b)
     in
     Obs.Metrics.inc m Obs.Metric_names.exec_local_tasks;
     let rec attempt backoff =
@@ -456,7 +461,7 @@ let execute ?bound (t : State.t) coord_session (tasks : Plan.task list) =
                 Option.iter
                   (register_member st t coord_session ~node:local_name)
                   (Engine.Instance.current_xid coord_session))
-              (fun () -> Exec.local_exn ?snapshot coord_session stmt))
+              exec)
       with Txn.Manager.In_doubt { gid; xid = _ } ->
         attempt
           (in_doubt ?sched ~node_name:local_name ~gid

@@ -341,11 +341,8 @@ let delegate_call (t : t) (st : State.t) session proc args =
   match Hashtbl.find_opt t.procedures proc with
   | None -> None
   | Some (arg_position, table) ->
-    let ctx = Engine.Instance.make_ctx session in
     let values =
-      List.map
-        (fun e -> Engine.Expr_eval.compile [] ctx.Engine.Executor.env e [||])
-        args
+      List.map (Engine.Executor.eval_const (Engine.Instance.make_ctx session)) args
     in
     (match List.nth_opt values (arg_position - 1) with
      | None -> err "CALL %s: no argument %d" proc arg_position
@@ -361,6 +358,12 @@ let delegate_call (t : t) (st : State.t) session proc args =
          let stmt = Ast.Call { proc; args } in
          Some (Exec.ast_on_conn_exn st conn stmt)
        end)
+
+(* Whether [planner_hook] may take [stmt] for some values of its [$k]:
+   an EXECUTE or a CALL, or a statement naming a Citus table. *)
+let hook_claims (t : t) = function
+  | Ast.Execute_stmt _ | Ast.Call _ -> true
+  | stmt -> Planner.names_citus_table t.metadata stmt
 
 (* CALL delegation, statements naming no Citus table and INSERT..SELECT
    are settled first — so worker-side shard statements pay nothing for
@@ -390,11 +393,11 @@ let rec planner_hook (t : t) (st : State.t) session (stmt : Ast.statement) :
        (match Exec.wrap (fun () -> bind_shape ~name:ename values shape) with
         | Ok bound -> planner_hook t st session bound
         | Error e -> err "%s" (Exec.error_message e))
-     | _ when Planner.citus_tables t.metadata shape = [] ->
+     | _ when not (Planner.names_citus_table t.metadata shape) ->
        None (* local statement: the engine binds and executes *)
      | _ -> routed (fun () -> route t st session ~prepared:ename shape values))
   | Ast.Call { proc; args } -> delegate_call t st session proc args
-  | _ when Planner.citus_tables t.metadata stmt = [] -> None
+  | _ when not (hook_claims t stmt) -> None
   | _ ->
     routed (fun () ->
         match insert_select t st session stmt with
@@ -434,7 +437,7 @@ let rec install_on_node t (node : Cluster.Topology.node) =
          if String.equal crashed node.Cluster.Topology.node_name then
            State.crash_local_sessions st
          else State.purge_node_conns st crashed));
-  Engine.Instance.set_planner_hook inst (fun session stmt ->
+  Engine.Instance.set_planner_hook inst ~claims:(hook_claims t) (fun session stmt ->
       planner_hook t st session stmt);
   Engine.Instance.set_utility_hook inst (fun session stmt ->
       Ddl.utility_hook st session stmt);

@@ -135,6 +135,10 @@ let local_exn ?snapshot session stmt =
   with_read_mode session snapshot (fun () ->
       Engine.Instance.exec_local session stmt)
 
+let local_bound_exn ?snapshot session { stmt; values } =
+  with_read_mode session snapshot (fun () ->
+      Engine.Instance.exec_local_kept session stmt.Cluster.Connection.stmt_plan values)
+
 (* Raw round trip: no partition check, no breaker accounting — for
    best-effort cleanup (ROLLBACK on a connection that just failed) and
    shard-local plumbing whose failures the caller counts itself. *)

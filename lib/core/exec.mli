@@ -100,6 +100,14 @@ val local_exn :
   Sqlfront.Ast.statement ->
   Engine.Instance.result
 
+(** {!local_exn} of a bound execute: the statement runs from the plan
+    kept with it ({!Engine.Instance.exec_local_kept}). *)
+val local_bound_exn :
+  ?snapshot:Txn.Snapshot.read_mode ->
+  Engine.Instance.session ->
+  bound ->
+  Engine.Instance.result
+
 (** Raw round trip: no partition guard, no breaker accounting — for
     best-effort cleanup on connections that may be mid-failure and for
     shard-local plumbing that counts its own failures. Prefer

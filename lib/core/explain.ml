@@ -19,7 +19,7 @@ let explain (t : State.t) sql =
   let catalog =
     Engine.Instance.catalog t.State.local.Cluster.Topology.instance
   in
-  if Planner.citus_tables meta stmt = [] then
+  if not (Planner.names_citus_table meta stmt) then
     "Local execution (no Citus tables)"
   else
     match

@@ -37,7 +37,7 @@ let materialize_select (t : State.t) session select =
   let meta = t.State.metadata in
   let catalog = local_catalog t in
   let stmt = Ast.Select_stmt select in
-  if Planner.citus_tables meta stmt = [] then begin
+  if not (Planner.names_citus_table meta stmt) then begin
     let ctx = Engine.Instance.make_ctx session in
     snd (Engine.Executor.run_select ctx select)
   end

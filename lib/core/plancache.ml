@@ -111,6 +111,7 @@ let dispatch t entry group_index ~rewrite =
             stmt_text = Sqlfront.Deparse.statement stmt;
             stmt_live = true;
             stmt_retired = t.retired;
+            stmt_plan = Engine.Executor.keep stmt;
           };
       }
     in

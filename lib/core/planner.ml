@@ -85,6 +85,9 @@ let citus_tables meta stmt =
   |> List.filter (Metadata.is_citus_table meta)
   |> List.sort_uniq String.compare
 
+let names_citus_table meta stmt =
+  List.exists (fun (name, _) -> Metadata.is_citus_table meta name) (tables_in_statement stmt)
+
 let dist_tables_of meta names =
   List.filter
     (fun n ->
@@ -132,14 +135,14 @@ let eval_const e =
   | Ast.Const d -> Some d
   | _ when is_constant e ->
     (try
-       let env =
-         {
-           Engine.Expr_eval.rng = Random.State.make [| 0 |];
-           now = 0.0;
-           subquery = (fun _ -> []);
-         }
-       in
-       Some (Engine.Expr_eval.compile [] env e [||])
+       Some
+         (Engine.Expr_eval.eval
+            {
+              Engine.Expr_eval.rng = Random.State.make [| 0 |];
+              now = 0.0;
+              subquery = (fun _ -> []);
+            }
+            e)
      with _ -> None)
   | _ -> None
 
@@ -560,29 +563,6 @@ let expand_stars ~catalog (sel : Ast.select) =
   in
   { sel with projections }
 
-(* ordinal / alias substitution, mirroring the executor *)
-let substitute_refs projections e =
-  let e =
-    match e with
-    | Ast.Const (Datum.Int k) ->
-      (match List.nth_opt projections (k - 1) with
-       | Some (Ast.Proj (pe, _)) -> pe
-       | _ -> e)
-    | _ -> e
-  in
-  match e with
-  | Ast.Column (None, name) ->
-    (match
-       List.find_map
-         (function
-           | Ast.Proj (pe, Some a) when String.equal a name -> Some pe
-           | _ -> None)
-         projections
-     with
-     | Some pe -> pe
-     | None -> e)
-  | _ -> e
-
 (* Replace group-key expressions / aggregates with references into the
    intermediate relation, top-down. *)
 let rec substitute_master group_keys agg_master e =
@@ -594,33 +574,7 @@ let rec substitute_master group_keys agg_master e =
        (match List.assoc_opt a agg_master with
         | Some master_expr -> master_expr
         | None -> unsupported "aggregate not decomposed")
-     | _ ->
-       (match e with
-        | Ast.Const _ | Ast.Column _ | Ast.Param _ -> e
-        | _ -> sub_children group_keys agg_master e))
-
-and sub_children group_keys agg_master e =
-  (* rebuild one level, substituting group keys in children first *)
-  let s e = substitute_master group_keys agg_master e in
-  match e with
-  | Ast.And (a, b) -> Ast.And (s a, s b)
-  | Ast.Or (a, b) -> Ast.Or (s a, s b)
-  | Ast.Not a -> Ast.Not (s a)
-  | Ast.Cmp (op, a, b) -> Ast.Cmp (op, s a, s b)
-  | Ast.Bin (op, a, b) -> Ast.Bin (op, s a, s b)
-  | Ast.Neg a -> Ast.Neg (s a)
-  | Ast.Is_null (a, p) -> Ast.Is_null (s a, p)
-  | Ast.In_list (a, items, n) -> Ast.In_list (s a, List.map s items, n)
-  | Ast.Between (a, lo, hi) -> Ast.Between (s a, s lo, s hi)
-  | Ast.Like l -> Ast.Like { l with subject = s l.subject; pattern = s l.pattern }
-  | Ast.Json_get (a, b, t) -> Ast.Json_get (s a, s b, t)
-  | Ast.Cast (a, ty) -> Ast.Cast (s a, ty)
-  | Ast.Case (branches, else_) ->
-    Ast.Case (List.map (fun (c, v) -> (s c, s v)) branches, Option.map s else_)
-  | Ast.Func (name, args) -> Ast.Func (name, List.map s args)
-  | Ast.Const _ | Ast.Column _ | Ast.Param _ | Ast.Agg _ | Ast.Exists _
-  | Ast.In_subquery _ | Ast.Scalar_subquery _ ->
-    e
+     | _ -> Ast.map_children (substitute_master group_keys agg_master) e)
 
 (* group-by contains a bare distribution column of some distributed table *)
 let group_by_contains_dist meta sel =
@@ -636,10 +590,10 @@ let build_pushdown meta ~catalog (sel0 : Ast.select) :
     Ast.select * Plan.merge =
   let sel = expand_stars ~catalog sel0 in
   let group_keys =
-    List.map (fun g -> substitute_refs sel.projections g) sel.group_by
+    List.map (fun g -> Engine.Executor.substitute_refs sel.projections g) sel.group_by
   in
   let order_by =
-    List.map (fun (e, d) -> (substitute_refs sel.projections e, d)) sel.order_by
+    List.map (fun (e, d) -> (Engine.Executor.substitute_refs sel.projections e, d)) sel.order_by
   in
   let proj_exprs =
     List.map (function Ast.Proj (e, _) -> e | _ -> assert false)

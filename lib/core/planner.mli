@@ -21,6 +21,9 @@ exception Unsupported of string
 (** Citus tables referenced anywhere in a statement. *)
 val citus_tables : Metadata.t -> Sqlfront.Ast.statement -> string list
 
+(** [citus_tables meta stmt <> []], without building the list. *)
+val names_citus_table : Metadata.t -> Sqlfront.Ast.statement -> bool
+
 (** Which planner produced a plan (for tests and EXPLAIN-style output). *)
 type tier = Tier_fast_path | Tier_router | Tier_pushdown | Tier_dml | Tier_reference
 

@@ -297,6 +297,4 @@ let to_text = function
   | Str s -> Some s
   | v -> Some (to_string v)
 
-let is_null = function Null -> true | _ -> false
 
-let pp fmt v = Format.pp_print_string fmt (to_string v)

@@ -48,6 +48,4 @@ val array_length : t -> int option
     JSON null becomes [None]. *)
 val to_text : t -> string option
 
-val is_null : t -> bool
 
-val pp : Format.formatter -> t -> unit

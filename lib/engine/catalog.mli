@@ -19,6 +19,7 @@ type table = {
   store : store;
   mutable indexes : index list;
   primary_key : string list;  (** empty = none *)
+  mutable tys : Datum.ty array;  (** [columns]' types, in order *)
 }
 
 type t
@@ -28,6 +29,11 @@ exception No_such_table of string
 exception Duplicate_table of string
 
 val create : unit -> t
+
+(** Bumped by every change a compiled plan depends on: a table created
+    or dropped, an index added, a column added. A plan built at an older
+    version is rebuilt before it runs. *)
+val version : t -> int
 
 val add_table :
   t ->
@@ -51,6 +57,7 @@ val add_index : t -> table -> index -> unit
 val column_index : table -> string -> int
 (** Position of a column; raises [Invalid_argument] if absent. *)
 
+(** The column types, in order (the table's own array: do not mutate). *)
 val column_tys : table -> Datum.ty array
 
-val add_column : table -> Sqlfront.Ast.column_def -> unit
+val add_column : t -> table -> Sqlfront.Ast.column_def -> unit

@@ -3,8 +3,8 @@
     Executes parsed statements against the catalog with full MVCC
     semantics. The execution model is "semantic": the SELECT pipeline
     (FROM → WHERE → GROUP/aggregate → HAVING → DISTINCT → ORDER →
-    LIMIT/OFFSET → project) is evaluated directly from the AST, with an
-    access-path decision per base table (primary-key / secondary B-tree
+    LIMIT/OFFSET → project) is compiled from the AST into closures, with
+    an access-path decision per base table (primary-key / secondary B-tree
     lookups, GIN trigram candidate + recheck, columnar projection scans,
     otherwise sequential scan).
 
@@ -25,12 +25,73 @@ type ctx = {
       (** visibility override for distributed snapshot reads: replaces
           [Txn.Manager.status] in tuple-visibility checks (it may raise
           [Txn.Manager.In_doubt]); [None] = plain latest MVCC *)
-  env : Expr_eval.env;
+  now : float;  (** what [now()] reads *)
+  rng : Random.State.t;  (** what [random()] draws from *)
+  params : Datum.t array;  (** [$k] is element [k - 1] *)
+}
+(** One execution. A plan runs once per [ctx], so build a fresh one for
+    every execution (an uncorrelated subquery's rows are kept per
+    [ctx]). *)
+
+type result = {
+  columns : string list;
+  rows : Datum.t array list;
+  affected : int;
+  tag : string;
 }
 
 exception Exec_error of string
 
 exception Would_block of int list  (** xids holding conflicting locks *)
+
+(** {2 Plans}
+
+    A data statement (SELECT, INSERT, UPDATE, DELETE) is compiled into a
+    plan once and run per execution: tables, schemas, access paths and
+    expressions are settled when the plan is built, and each [$k] reads
+    the execution's [params]. An equality on a [$k] picks its B-tree
+    when the plan is built (a generic plan); an execution whose value is
+    NULL chooses again. A statement whose [$k] a generic plan cannot
+    settle — a possible ordinal in GROUP BY or ORDER BY, a grouped
+    select's output, a LIKE pattern — is bound and planned per
+    execution inside the same plan. Running a plan charges the meter
+    exactly what running its bound statement as text would. *)
+
+type plan
+
+(** [prepare catalog stmt] plans [stmt] against [catalog] at its current
+    {!Catalog.version}. Raises {!Exec_error} for an unknown table and
+    for a statement that is not a data statement. *)
+val prepare : Catalog.t -> Sqlfront.Ast.statement -> plan
+
+val run : plan -> ctx -> result
+
+(** A statement kept with at most one plan: the plan of a prepared
+    statement, or of a cached task's worker-side statement. *)
+type kept
+
+val keep : Sqlfront.Ast.statement -> kept
+
+(** [first_unbound k n] is the first [$k] of the statement (in
+    {!Sqlfront.Ast.params} order) that [n] values leave unbound. *)
+val first_unbound : kept -> int -> int option
+
+(** For one instance: kept plans built (a first run, a rebuild, or a
+    plan last built for another instance), runs of kept plans, and plans
+    found built at an older version of its catalog. *)
+type plan_stats = { mutable builds : int; mutable runs : int; mutable invalidations : int }
+
+val plan_stats : unit -> plan_stats
+
+(** [run_kept stats k ctx] runs [k]'s plan for [ctx], first building it
+    if [k] has none, or if it was built against another catalog than
+    [ctx.catalog] or an older version of it. *)
+val run_kept : plan_stats -> kept -> ctx -> result
+
+(** {2 One-off execution: plan, then run once} *)
+
+(** The value of an expression that references no column. *)
+val eval_const : ctx -> Sqlfront.Ast.expr -> Datum.t
 
 (** Column names and rows of a SELECT. *)
 val run_select : ctx -> Sqlfront.Ast.select -> string list * Datum.t array list
@@ -58,6 +119,10 @@ val run_delete : ctx -> table:string -> where:Sqlfront.Ast.expr option -> int
     casts, PK checks and index maintenance like a VALUES insert. *)
 val insert_rows :
   ctx -> table:Catalog.table -> Datum.t array list -> on_conflict_do_nothing:bool -> int
+
+(** A GROUP BY or ORDER BY item that is an ordinal ([GROUP BY 1]) or a
+    projection alias, replaced by that projection's expression. *)
+val substitute_refs : Sqlfront.Ast.projection list -> Sqlfront.Ast.expr -> Sqlfront.Ast.expr
 
 (** {2 Index operations}
 

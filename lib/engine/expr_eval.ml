@@ -12,6 +12,13 @@ type env = {
   subquery : Ast.select -> Datum.t array list;
 }
 
+type 'x runtime = {
+  x_params : 'x -> Datum.t array;
+  x_now : 'x -> float;
+  x_rng : 'x -> Random.State.t;
+  x_subquery : Ast.select -> 'x -> Datum.t array list;
+}
+
 let err fmt = Printf.ksprintf (fun m -> raise (Eval_error m)) fmt
 
 (* One pass over [cols] from position [i]; [found] is the position of an
@@ -188,7 +195,7 @@ let path_query_array a steps =
         | Some v -> [ v ]
         | None -> []))
 
-let sql_function env name (args : Datum.t list) : Datum.t =
+let sql_function name (args : Datum.t list) : Datum.t =
   let strict f = try f () with Exit -> Datum.Null in
   match name, args with
   | "coalesce", args ->
@@ -211,8 +218,6 @@ let sql_function env name (args : Datum.t list) : Datum.t =
       Datum.Null args
   | "md5", [ a ] ->
     strict (fun () -> Datum.Text (Digest.to_hex (Digest.string (text_arg a))))
-  | "random", [] -> Datum.Float (Random.State.float env.rng 1.0)
-  | "now", [] -> Datum.Timestamp env.now
   | "to_timestamp", [ a ] ->
     strict (fun () -> Datum.Timestamp (as_float a))
   | "length", [ a ] | "char_length", [ a ] ->
@@ -337,63 +342,113 @@ let quoted_literal lit =
   | Datum.Float _ -> Lazy.force as_float
   | _ -> lit
 
-let rec compile (schema : schema) (env : env) (e : Ast.expr) :
-    Datum.t array -> Datum.t =
-  let c e = compile schema env e in
+(* A [$k] bound to text compares as a quoted literal would
+   ([quoted_literal]): read as the other operand's type. *)
+let read_param v = function
+  | Datum.Text _ as lit ->
+    (match v with
+     | Datum.Int _ -> read_quoted Datum.TInt lit
+     | Datum.Float _ -> read_quoted Datum.TFloat lit
+     | _ -> lit)
+  | p -> p
+
+(* [f x], computed once per execution [x]: an execution is one value,
+   compared physically *)
+let once_per_execution f =
+  let memo = ref None in
+  fun x ->
+    match !memo with
+    | Some (x', v) when x' == x -> v
+    | _ ->
+      let v = f x in
+      memo := Some (x, v);
+      v
+
+let param rt x k =
+  let values = rt.x_params x in
+  if k >= 1 && k <= Array.length values then values.(k - 1)
+  else err "unbound parameter $%d" k
+
+let rec compile (schema : schema) (rt : 'x runtime) (e : Ast.expr) :
+    'x -> Datum.t array -> Datum.t =
+  let c e = compile schema rt e in
   match e with
-  | Ast.Const d -> fun _ -> d
-  | Ast.Param i -> fun _ -> err "unbound parameter $%d" i
+  | Ast.Const d -> fun _ _ -> d
+  | Ast.Param k -> fun x _ -> param rt x k
   | Ast.Column (q, name) ->
     let idx = resolve schema q name in
-    fun row -> row.(idx)
+    fun _ row -> row.(idx)
   | Ast.And (a, b) ->
     let fa = c a and fb = c b in
-    fun row -> sql_and (fa row) (fb row)
+    fun x row -> sql_and (fa x row) (fb x row)
   | Ast.Or (a, b) ->
     let fa = c a and fb = c b in
-    fun row -> sql_or (fa row) (fb row)
+    fun x row -> sql_or (fa x row) (fb x row)
   | Ast.Not a ->
     let fa = c a in
-    fun row -> sql_not (fa row)
+    fun x row -> sql_not (fa x row)
   | Ast.Cmp (op, e, Ast.Const (Datum.Text _ as lit)) ->
     let fe = c e and read = quoted_literal lit in
-    fun row ->
-      let v = fe row in
+    fun x row ->
+      let v = fe x row in
       compare_datums op v (read v)
   | Ast.Cmp (op, Ast.Const (Datum.Text _ as lit), e) ->
     let fe = c e and read = quoted_literal lit in
-    fun row ->
-      let v = fe row in
+    fun x row ->
+      let v = fe x row in
       compare_datums op (read v) v
+  (* with a [$k], as the bound statement's quoted literal would: the
+     right operand read first, then the left *)
+  | Ast.Cmp (op, Ast.Param i, Ast.Param k) ->
+    fun x _ ->
+      (match param rt x i, param rt x k with
+       | a, (Datum.Text _ as b) -> compare_datums op a (read_param a b)
+       | a, b -> compare_datums op (read_param b a) b)
+  | Ast.Cmp (op, Ast.Column (q, name), Ast.Param k) ->
+    (* a plan's most common test, in one closure *)
+    let idx = resolve schema q name in
+    fun x row ->
+      let v = row.(idx) in
+      compare_datums op v (read_param v (param rt x k))
+  | Ast.Cmp (op, e, Ast.Param k) ->
+    let fe = c e in
+    fun x row ->
+      let v = fe x row in
+      compare_datums op v (read_param v (param rt x k))
+  | Ast.Cmp (op, Ast.Param k, e) ->
+    let fe = c e in
+    fun x row ->
+      let v = fe x row in
+      compare_datums op (read_param v (param rt x k)) v
   | Ast.Cmp (op, a, b) ->
     let fa = c a and fb = c b in
-    fun row -> compare_datums op (fa row) (fb row)
+    fun x row -> compare_datums op (fa x row) (fb x row)
   | Ast.Bin (op, a, b) ->
     let fa = c a and fb = c b in
-    fun row -> arith op (fa row) (fb row)
+    fun x row -> arith op (fa x row) (fb x row)
   | Ast.Neg a ->
     let fa = c a in
-    fun row ->
-      (match fa row with
+    fun x row ->
+      (match fa x row with
        | Datum.Null -> Datum.Null
        | Datum.Int i -> Datum.Int (-i)
        | d -> Datum.Float (-.as_float d))
   | Ast.Is_null (a, positive) ->
     let fa = c a in
-    fun row -> Datum.Bool (Datum.is_null (fa row) = positive)
+    fun x row -> Datum.Bool (Datum.is_null (fa x row) = positive)
   | Ast.In_list (a, items, negated) ->
     let fa = c a and fs = List.map c items in
-    fun row ->
-      let v = fa row in
+    fun x row ->
+      let v = fa x row in
       if Datum.is_null v then Datum.Null
       else begin
         let found = ref false in
         let saw_null = ref false in
         List.iter
           (fun f ->
-            let x = f row in
-            if Datum.is_null x then saw_null := true
-            else if Datum.equal v x then found := true)
+            let item = f x row in
+            if Datum.is_null item then saw_null := true
+            else if Datum.equal v item then found := true)
           fs;
         if !found then Datum.Bool (not negated)
         else if !saw_null then Datum.Null
@@ -401,26 +456,26 @@ let rec compile (schema : schema) (env : env) (e : Ast.expr) :
       end
   | Ast.Between (a, lo, hi) ->
     let fa = c a and flo = c lo and fhi = c hi in
-    fun row ->
-      let v = fa row in
+    fun x row ->
+      let v = fa x row in
       sql_and
-        (compare_datums Ast.Ge v (flo row))
-        (compare_datums Ast.Le v (fhi row))
+        (compare_datums Ast.Ge v (flo x row))
+        (compare_datums Ast.Le v (fhi x row))
   | Ast.Like { subject; pattern; ci; negated } ->
     let fs = c subject and fp = c pattern in
     let const =
       match pattern with Ast.Const (Datum.Text p) -> Some (like_matcher ~ci p) | _ -> None
     in
-    fun row ->
-      (match fs row, fp row with
+    fun x row ->
+      (match fs x row, fp x row with
        | Datum.Null, _ | _, Datum.Null -> Datum.Null
        | s, p ->
          let m = match const with Some m -> m | None -> like_matcher ~ci (Datum.to_display p) in
          Datum.Bool (m (Datum.to_display s) <> negated))
   | Ast.Json_get (a, k, as_text) ->
     let fa = c a and fk = c k in
-    fun row ->
-      (match fa row, fk row with
+    fun x row ->
+      (match fa x row, fk x row with
        | Datum.Null, _ | _, Datum.Null -> Datum.Null
        | j, key ->
          let j =
@@ -445,70 +500,84 @@ let rec compile (schema : schema) (env : env) (e : Ast.expr) :
             else Datum.Json v))
   | Ast.Cast (a, ty) ->
     let fa = c a in
-    fun row ->
-      (try Datum.cast (fa row) ty
+    fun x row ->
+      (try Datum.cast (fa x row) ty
        with Datum.Cast_error m -> raise (Eval_error m))
   | Ast.Case (branches, else_) ->
     let cbranches = List.map (fun (cond, v) -> (c cond, c v)) branches in
     let celse = Option.map c else_ in
-    fun row ->
+    fun x row ->
       let rec go = function
-        | [] -> (match celse with Some f -> f row | None -> Datum.Null)
-        | (fc, fv) :: rest -> if truthy (fc row) then fv row else go rest
+        | [] -> (match celse with Some f -> f x row | None -> Datum.Null)
+        | (fc, fv) :: rest -> if truthy (fc x row) then fv x row else go rest
       in
       go cbranches
   | Ast.Func ("jsonb_path_query_array", [ a; Ast.Const (Datum.Text path) ]) ->
     (* a constant path is split into steps once, not per row *)
     let fa = c a and steps = lazy (jsonpath_steps path) in
-    fun row ->
-      let v = fa row in
+    fun x row ->
+      let v = fa x row in
       (try path_query_array v steps with Exit -> Datum.Null)
+  | Ast.Func ("random", []) -> fun x _ -> Datum.Float (Random.State.float (rt.x_rng x) 1.0)
+  | Ast.Func ("now", []) -> fun x _ -> Datum.Timestamp (rt.x_now x)
   | Ast.Func (name, args) ->
     let fs = List.map c args in
-    fun row -> sql_function env name (List.map (fun f -> f row) fs)
+    fun x row -> sql_function name (List.map (fun f -> f x row) fs)
   | Ast.Agg _ ->
     err "aggregate functions are not allowed here"
   | Ast.Exists (sel, negated) ->
-    (* uncorrelated subqueries evaluate once per statement (InitPlan) *)
-    let rows = lazy (env.subquery sel) in
-    fun _row ->
-      Datum.Bool
-        (if negated then Lazy.force rows = [] else Lazy.force rows <> [])
+    (* uncorrelated subqueries evaluate once per execution (InitPlan) *)
+    let rows = once_per_execution (rt.x_subquery sel) in
+    fun x _row ->
+      Datum.Bool (if negated then rows x = [] else rows x <> [])
   | Ast.In_subquery (a, sel, negated) ->
     let fa = c a in
+    let run = rt.x_subquery sel in
     (* hash the (single-column) result set once *)
     let table =
-      lazy
-        (let rows = env.subquery sel in
-         let seen = Hashtbl.create (List.length rows) in
-         let saw_null = ref false in
-         List.iter
-           (fun (r : Datum.t array) ->
-             if Array.length r <> 1 then err "subquery must return one column";
-             if Datum.is_null r.(0) then saw_null := true
-             else Hashtbl.replace seen (Datum.to_sql_literal r.(0)) ())
-           rows;
-         (seen, !saw_null))
+      once_per_execution (fun x ->
+          let rows = run x in
+          let seen = Hashtbl.create (List.length rows) in
+          let saw_null = ref false in
+          List.iter
+            (fun (r : Datum.t array) ->
+              if Array.length r <> 1 then err "subquery must return one column";
+              if Datum.is_null r.(0) then saw_null := true
+              else Hashtbl.replace seen (Datum.to_sql_literal r.(0)) ())
+            rows;
+          (seen, !saw_null))
     in
-    fun row ->
-      let v = fa row in
+    fun x row ->
+      let v = fa x row in
       if Datum.is_null v then Datum.Null
       else begin
-        let seen, saw_null = Lazy.force table in
+        let seen, saw_null = table x in
         if Hashtbl.mem seen (Datum.to_sql_literal v) then
           Datum.Bool (not negated)
         else if saw_null then Datum.Null
         else Datum.Bool negated
       end
   | Ast.Scalar_subquery sel ->
+    let run = rt.x_subquery sel in
     let value =
-      lazy
-        (match env.subquery sel with
-         | [] -> Datum.Null
-         | [ r ] when Array.length r = 1 -> r.(0)
-         | [ _ ] -> err "scalar subquery must return one column"
-         | _ -> err "scalar subquery returned more than one row")
+      once_per_execution (fun x ->
+          match run x with
+          | [] -> Datum.Null
+          | [ r ] when Array.length r = 1 -> r.(0)
+          | [ _ ] -> err "scalar subquery must return one column"
+          | _ -> err "scalar subquery returned more than one row")
     in
-    fun _row -> Lazy.force value
+    fun x _row -> value x
 
-let eval_bool f row = truthy (f row)
+(* A one-off evaluation is its own execution. *)
+let one_off : env runtime =
+  {
+    x_params = (fun _ -> [||]);
+    x_now = (fun env -> env.now);
+    x_rng = (fun env -> env.rng);
+    x_subquery = (fun sel env -> env.subquery sel);
+  }
+
+let eval env e = compile [] one_off e env [||]
+
+let eval_bool f x row = truthy (f x row)

@@ -1,6 +1,6 @@
 open Sqlfront
 
-type result = {
+type result = Executor.result = {
   columns : string list;
   rows : Datum.t array list;
   affected : int;
@@ -21,11 +21,15 @@ type t = {
   mutable next_session : int;
   mutable epoch : int;  (** bumped on crash: sessions from older epochs are dead *)
   stmts : Stmt_cache.t;  (** the text front door's parses, by skeleton *)
+  plans : Executor.plan_stats;  (** kept plans' builds and runs *)
   hooks : hooks;
 }
 
 and hooks = {
   mutable planner_hook : (session -> Ast.statement -> result option) option;
+  mutable hook_claims : Ast.statement -> bool;
+      (** false for a statement the planner hook leaves to the engine
+          whatever its parameter values *)
   mutable utility_hook : (session -> Ast.statement -> result option) option;
   mutable copy_hook :
     (session ->
@@ -63,6 +67,7 @@ and session = {
 and prepared = {
   p_stmt : Ast.statement;  (** shape with [$n] placeholders unbound *)
   p_text : string Lazy.t;  (** its normalized text, deparsed at most once *)
+  p_kept : Executor.kept;  (** its plan, built at the first execution *)
 }
 
 let err fmt = Printf.ksprintf (fun m -> raise (Session_error m)) fmt
@@ -89,9 +94,11 @@ let create ?(seed = 42) ?(buffer_pages = 100_000) ?obs ~name () =
     next_session = 1;
     epoch = 0;
     stmts = Stmt_cache.create ();
+    plans = Executor.plan_stats ();
     hooks =
       {
         planner_hook = None;
+        hook_claims = (fun _ -> false);
         utility_hook = None;
         copy_hook = None;
         pre_commit = [];
@@ -108,7 +115,7 @@ let txn_manager t = t.mgr
 let buffer_pool t = t.pool
 let meter t = t.meter
 let stmt_cache t = t.stmts
-let now t = t.clock
+let plan_stats t = { t.plans with Executor.builds = t.plans.Executor.builds }
 
 let connect t =
   let sid = t.next_session in
@@ -137,7 +144,7 @@ let set_hlc t hlc = Txn.Manager.set_hlc t.mgr hlc
 
 (* --- executor context --- *)
 
-let make_ctx (s : session) : Executor.ctx =
+let make_ctx ?(params = [||]) (s : session) : Executor.ctx =
   let t = s.inst in
   (* The xid snapshot always governs local concurrency; the [vis]
      override layers distributed visibility on top (commit timestamps,
@@ -150,24 +157,18 @@ let make_ctx (s : session) : Executor.ctx =
     | Txn.Snapshot.Resolving -> Some (Txn.Manager.status_resolving t.mgr)
     | Txn.Snapshot.At ts -> Some (fun xid -> Txn.Manager.status_at t.mgr ~ts xid)
   in
-  let rec ctx =
-    {
-      Executor.catalog = t.catalog;
-      mgr = t.mgr;
-      pool = t.pool;
-      meter = t.meter;
-      snapshot = Txn.Manager.take_snapshot t.mgr;
-      xid = s.xid;
-      vis;
-      env =
-        {
-          Expr_eval.rng = t.rng;
-          now = t.clock;
-          subquery = (fun sel -> snd (Executor.run_select ctx sel));
-        };
-    }
-  in
-  ctx
+  {
+    Executor.catalog = t.catalog;
+    mgr = t.mgr;
+    pool = t.pool;
+    meter = t.meter;
+    snapshot = Txn.Manager.take_snapshot t.mgr;
+    xid = s.xid;
+    vis;
+    now = t.clock;
+    rng = t.rng;
+    params;
+  }
 
 
 (* --- transaction lifecycle --- *)
@@ -358,10 +359,10 @@ let rec exec_utility s (stmt : Ast.statement) : result =
     in
     let default_value =
       match column.col_default with
-      | Some e -> Expr_eval.compile [] (ctx ()).Executor.env e [||]
+      | Some e -> Executor.eval_const (ctx ()) e
       | None -> Datum.Null
     in
-    Catalog.add_column tbl column;
+    Catalog.add_column t.catalog tbl column;
     (match tbl.store with
      | Catalog.Heap_store heap ->
        Storage.Heap.transform heap (fun row ->
@@ -471,13 +472,14 @@ let preparable = function
     true
   | _ -> false
 
+let prepared stmt text = { p_stmt = stmt; p_text = text; p_kept = Executor.keep stmt }
+
 let prepare_statement (s : session) ~name (stmt : Ast.statement) =
   if Hashtbl.mem s.prepared name then
     err "prepared statement %s already exists" name;
   if not (preparable stmt) then
     err "PREPARE supports SELECT, INSERT, UPDATE, DELETE and CALL statements";
-  Hashtbl.replace s.prepared name
-    { p_stmt = stmt; p_text = lazy (Deparse.statement stmt) }
+  Hashtbl.replace s.prepared name (prepared stmt (lazy (Deparse.statement stmt)))
 
 let deallocate_statement (s : session) = function
   | None -> Hashtbl.reset s.prepared
@@ -485,9 +487,6 @@ let deallocate_statement (s : session) = function
     if not (Hashtbl.mem s.prepared name) then
       err "prepared statement %s does not exist" name;
     Hashtbl.remove s.prepared name
-
-let prepared_lookup (s : session) name =
-  Option.map (fun p -> p.p_stmt) (Hashtbl.find_opt s.prepared name)
 
 let prepared_text (s : session) name =
   match Hashtbl.find_opt s.prepared name with
@@ -497,36 +496,51 @@ let prepared_text (s : session) name =
 let prepared_names (s : session) =
   List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) s.prepared [])
 
+let find_prepared (s : session) name =
+  match Hashtbl.find_opt s.prepared name with
+  | Some p -> p
+  | None -> err "prepared statement %s does not exist" name
+
+let execute_values (s : session) (args : Ast.expr list) =
+  List.map
+    (function
+      | Ast.Const d -> d
+      | e ->
+        (* arbitrary constant expressions: evaluate against an empty row *)
+        Expr_eval.eval
+          {
+            Expr_eval.rng = s.inst.rng;
+            now = s.inst.clock;
+            subquery = (fun _ -> err "EXECUTE arguments cannot contain subqueries");
+          }
+          e)
+    args
+
 (* Resolve EXECUTE to the stored shape plus evaluated argument datums.
    Hooks call this too, so name resolution and argument evaluation have
    exactly one implementation. *)
 let resolve_execute (s : session) ~name ~(args : Ast.expr list) :
     Ast.statement * Datum.t list =
-  let stmt =
-    match prepared_lookup s name with
-    | Some stmt -> stmt
-    | None -> err "prepared statement %s does not exist" name
-  in
-  let values =
-    List.map
-      (function
-        | Ast.Const d -> d
-        | e ->
-          (* arbitrary constant expressions: evaluate against an empty row *)
-          let env =
-            {
-              Expr_eval.rng = s.inst.rng;
-              now = s.inst.clock;
-              subquery =
-                (fun _ -> err "EXECUTE arguments cannot contain subqueries");
-            }
-          in
-          Expr_eval.compile [] env e [||])
-      args
-  in
-  (stmt, values)
+  let p = find_prepared s name in
+  (p.p_stmt, execute_values s args)
 
-let rec exec_ast_unspanned (s : session) (stmt : Ast.statement) : result =
+let is_data_stmt = function
+  | Ast.Select_stmt _ | Ast.Insert _ | Ast.Update _ | Ast.Delete _ -> true
+  | _ -> false
+
+(* Fail as binding [values] into [p]'s statement would, before anything
+   runs: a [$k] with no value. *)
+let check_arity ~name p values =
+  match Executor.first_unbound p.p_kept (Array.length values) with
+  | Some i -> err "no value for parameter $%d in prepared statement %s" i name
+  | None -> ()
+
+let run_kept s kept values =
+  Executor.run_kept s.inst.plans kept (make_ctx ~params:values s)
+
+(* [run], when given, is [stmt]'s kept plan with its values: it stands in
+   for the engine's own execution of [stmt]. *)
+let rec exec_ast_unspanned ?run (s : session) (stmt : Ast.statement) : result =
   let t = s.inst in
   ignore t;
   if not (session_alive s) then
@@ -584,20 +598,25 @@ let rec exec_ast_unspanned (s : session) (stmt : Ast.statement) : result =
     | Ast.Deallocate_stmt target ->
       deallocate_statement s target;
       ok_result "DEALLOCATE"
-    | stmt -> exec_data_stmt s stmt
+    | stmt -> exec_data_stmt ?run s stmt
 
-and exec_data_stmt s stmt =
+and exec_data_stmt ?run:kept s stmt =
   let t = s.inst in
   let run () =
     (* UDF interception first: SELECT create_distributed_table(...) *)
+    match kept with
+    | Some kept ->
+      (* a kept plan: no UDF or planner hook claims it (see [exec_bound]) *)
+      ignore (ensure_txn s);
+      Meter.add_statement t.meter;
+      kept ()
+    | None ->
     match udf_call t stmt with
     | Some (name, f, args) ->
       Meter.add_statement t.meter;
       ignore (ensure_txn s);
       let ctx = make_ctx s in
-      let values =
-        List.map (fun e -> Expr_eval.compile [] ctx.Executor.env e [||]) args
-      in
+      let values = List.map (Executor.eval_const ctx) args in
       let v = f s values in
       { columns = [ name ]; rows = [ [| v |] ]; affected = 0; tag = "SELECT" }
     | None ->
@@ -677,41 +696,26 @@ and exec_data_stmt s stmt =
     end
 
 and exec_builtin s stmt : result =
-  let ctx = make_ctx s in
   match stmt with
-  | Ast.Select_stmt sel ->
-    let columns, rows = Executor.run_select ctx sel in
-    { columns; rows; affected = List.length rows; tag = "SELECT" }
-  | Ast.Insert { table; columns; source; on_conflict_do_nothing } ->
-    let n = Executor.run_insert ctx ~table ~columns ~source ~on_conflict_do_nothing in
-    { columns = []; rows = []; affected = n; tag = "INSERT" }
-  | Ast.Update { table; sets; where } ->
-    let n = Executor.run_update ctx ~table ~sets ~where in
-    { columns = []; rows = []; affected = n; tag = "UPDATE" }
-  | Ast.Delete { table; where } ->
-    let n = Executor.run_delete ctx ~table ~where in
-    { columns = []; rows = []; affected = n; tag = "DELETE" }
+  | Ast.Select_stmt _ | Ast.Insert _ | Ast.Update _ | Ast.Delete _ ->
+    Executor.run (Executor.prepare s.inst.catalog stmt) (make_ctx s)
   | Ast.Call { proc; args } ->
     (* stored procedures are registered as UDFs; CALL is an alternative
        calling convention for them *)
     let t = s.inst in
     (match Hashtbl.find_opt t.hooks.udfs proc with
      | Some f ->
-       let values =
-         List.map (fun e -> Expr_eval.compile [] ctx.Executor.env e [||]) args
-       in
-       ignore (f s values);
+       ignore (f s (List.map (Executor.eval_const (make_ctx s)) args));
        ok_result "CALL"
      | None -> err "procedure %s does not exist" proc)
   | Ast.Execute_stmt { ename; eargs } ->
-    (* no extension hook claimed it: bind and run the shape locally *)
-    let shape, values = resolve_execute s ~name:ename ~args:eargs in
-    let bound =
-      try Ast.bind_params values shape
-      with Ast.Unbound_param i ->
-        err "no value for parameter $%d in prepared statement %s" i ename
-    in
-    exec_builtin s bound
+    (* no extension hook claimed it: run the shape locally, a data
+       statement from its kept plan *)
+    let p = find_prepared s ename in
+    let values = Array.of_list (execute_values s eargs) in
+    check_arity ~name:ename p values;
+    if is_data_stmt p.p_stmt then run_kept s p.p_kept values
+    else exec_builtin s (Ast.bind_params (Array.to_list values) p.p_stmt)
   | _ -> err "unsupported statement"
 
 let exec_utility_local s stmt = exec_utility s stmt
@@ -730,6 +734,11 @@ let exec_local s stmt =
   in_local_txn s (fun () ->
       Meter.add_statement s.inst.meter;
       if is_utility stmt then exec_utility s stmt else exec_builtin s stmt)
+
+let exec_local_kept s kept values =
+  in_local_txn s (fun () ->
+      Meter.add_statement s.inst.meter;
+      run_kept s kept (Array.of_list values))
 
 let copy_local s ~table ~columns lines =
   in_local_txn s (fun () -> copy_in_local s ~table ~columns lines)
@@ -760,38 +769,40 @@ let stmt_kind : Ast.statement -> string = function
 (* Every statement an instance executes — coordinator or worker, client-
    or extension-issued — nests under the shared trace stack. One branch
    when tracing is off. *)
-let exec_ast (s : session) (stmt : Ast.statement) : result =
+let exec_stmt ?run (s : session) (stmt : Ast.statement) : result =
   match s.inst.obs with
-  | None -> exec_ast_unspanned s stmt
+  | None -> exec_ast_unspanned ?run s stmt
   | Some o ->
     Obs.Trace.with_span o.Obs.trace
       ~now:(fun () -> s.inst.clock)
       ~node:s.inst.node_name ~kind:"statement"
       ~tags:[ ("stmt", stmt_kind stmt) ]
-      (fun _sp -> exec_ast_unspanned s stmt)
+      (fun _sp -> exec_ast_unspanned ?run s stmt)
+
+let exec_ast s stmt = exec_stmt s stmt
 
 let exec s sql = exec_ast s (Stmt_cache.parse s.inst.stmts sql)
 
 (* The extended query protocol's Close / Parse / Bind / Execute, arriving
    in one message. A repeated Parse replaces and an unknown Close is
    ignored: the sender re-sends both when it lost a reply. The bound
-   statement then runs exactly as a parsed text statement would. *)
+   statement then runs as a parsed text statement would: a data
+   statement that no UDF or planner hook claims from its kept plan, any
+   other bound. *)
 let exec_bound s ~close ?parse ~name values =
   List.iter (Hashtbl.remove s.prepared) close;
   Option.iter
     (fun text ->
       Hashtbl.replace s.prepared name
-        { p_stmt = Parser.parse_statement text; p_text = Lazy.from_val text })
+        (prepared (Parser.parse_statement text) (Lazy.from_val text)))
     parse;
-  match Hashtbl.find_opt s.prepared name with
-  | None -> err "prepared statement %s does not exist" name
-  | Some p ->
-    let bound =
-      try Ast.bind_params values p.p_stmt
-      with Ast.Unbound_param i ->
-        err "no value for parameter $%d in prepared statement %s" i name
-    in
-    exec_ast s bound
+  let p = find_prepared s name in
+  let values = Array.of_list values in
+  check_arity ~name p values;
+  let t = s.inst in
+  if is_data_stmt p.p_stmt && udf_call t p.p_stmt = None && not (t.hooks.hook_claims p.p_stmt)
+  then exec_stmt ~run:(fun () -> run_kept s p.p_kept values) s p.p_stmt
+  else exec_ast s (Ast.bind_params (Array.to_list values) p.p_stmt)
 
 let copy_in s ~table ~columns lines =
   let t = s.inst in
@@ -813,7 +824,9 @@ let copy_in s ~table ~columns lines =
 
 (* --- hooks registration --- *)
 
-let set_planner_hook t f = t.hooks.planner_hook <- Some f
+let set_planner_hook t ~claims f =
+  t.hooks.planner_hook <- Some f;
+  t.hooks.hook_claims <- claims
 let set_utility_hook t f = t.hooks.utility_hook <- Some f
 let set_copy_hook t f = t.hooks.copy_hook <- Some f
 let register_udf t name f = Hashtbl.replace t.hooks.udfs name f

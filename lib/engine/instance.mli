@@ -18,7 +18,7 @@ type t
 
 type session
 
-type result = {
+type result = Executor.result = {
   columns : string list;
   rows : Datum.t array list;
   affected : int;
@@ -49,8 +49,6 @@ val meter : t -> Meter.t
     hit, miss and uncacheable counts. *)
 val stmt_cache : t -> Sqlfront.Stmt_cache.t
 
-(** Logical wall clock, advanced by the simulation layer. *)
-val now : t -> float
 
 (** {2 Sessions} *)
 
@@ -83,10 +81,12 @@ val exec_ast : session -> Sqlfront.Ast.statement -> result
     [close] names from the prepared-statement registry (unknown ones are
     ignored), stores [parse] (SQL text with [$k] placeholders) as [name]
     when given (replacing an earlier one), then binds [values] into the
-    stored AST and runs it through {!exec_ast} — hooks, implicit commit,
+    stored AST and runs it as {!exec_ast} would — hooks, implicit commit,
     trace span and {!Meter} charge are those of the same statement sent
-    as text. Raises {!Session_error} for an unknown [name] or a missing
-    value. *)
+    as text. A data statement that no UDF or planner hook claims runs
+    from the plan kept with [name] (built at its first execution, rebuilt
+    after a catalog change), any other statement bound. Raises
+    {!Session_error} for an unknown [name] or a missing value. *)
 val exec_bound :
   session ->
   close:string list ->
@@ -103,7 +103,12 @@ val exec_bound :
     names raise {!Session_error}. Extension hooks see the raw
     [Execute_stmt] node and use {!resolve_execute} to resolve the name
     and evaluate argument expressions (one implementation for hook and
-    built-in paths). *)
+    built-in paths). An EXECUTE no hook claims runs a data statement from
+    the plan kept with its name, as {!exec_bound} does. *)
+
+(** Kept plans built (a first execution, or a rebuild), run, and found
+    stale by a catalog change, on this instance so far. *)
+val plan_stats : t -> Executor.plan_stats
 
 (** Names prepared in this session, sorted. *)
 val prepared_names : session -> string list
@@ -164,13 +169,23 @@ val exec_utility_local : session -> Sqlfront.Ast.statement -> result
     the statement that dispatched it owns all of those. *)
 val exec_local : session -> Sqlfront.Ast.statement -> result
 
+(** [exec_local_kept s kept values] is {!exec_local} of [kept]'s
+    statement bound to [values], run from [kept]'s plan. *)
+val exec_local_kept : session -> Executor.kept -> Datum.t list -> result
+
 val copy_local :
   session -> table:string -> columns:string list option -> string list -> int
 
 (** {2 Extension hooks} *)
 
+(** [claims stmt] is false when the hook returns [None] for [stmt]
+    whatever values its [$k] take: such a statement runs from a kept
+    plan without the hook being asked. *)
 val set_planner_hook :
-  t -> (session -> Sqlfront.Ast.statement -> result option) -> unit
+  t ->
+  claims:(Sqlfront.Ast.statement -> bool) ->
+  (session -> Sqlfront.Ast.statement -> result option) ->
+  unit
 
 val set_utility_hook :
   t -> (session -> Sqlfront.Ast.statement -> result option) -> unit
@@ -219,6 +234,7 @@ val recover_from_wal : t -> unit
 (** [restart t] = [crash t; recover_from_wal t]. *)
 val restart : t -> unit
 
-(** Build an executor context for internal work (used by the Citus layer
-    for shard operations that bypass SQL). *)
-val make_ctx : session -> Executor.ctx
+(** Build an executor context for one execution of internal work (used by
+    the Citus layer for shard operations that bypass SQL); [params] are
+    its [$k] values. *)
+val make_ctx : ?params:Datum.t array -> session -> Executor.ctx

@@ -67,7 +67,6 @@ let create ?(seed = 0) ~clock () =
     events = [];
   }
 
-let seed t = t.fault_seed
 
 let note t fmt =
   Printf.ksprintf

@@ -40,7 +40,6 @@ type verdict =
 
 val create : ?seed:int -> clock:Clock.t -> unit -> t
 
-val seed : t -> int
 
 (** {2 Node registry} *)
 

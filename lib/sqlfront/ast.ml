@@ -155,35 +155,72 @@ let rec fold_expr (f : 'a -> expr -> 'a) (acc : 'a) (e : expr) : 'a =
   | In_subquery (a, _, _) -> fold_expr f acc a
   | Exists _ | Scalar_subquery _ -> acc
 
-(* The [let]s fix the evaluation order, so [f] sees nodes left to right
-   in source order: [lift_consts] numbers [$k] by it. *)
-let rec map_expr (f : expr -> expr) (e : expr) : expr =
-  let r = map_expr f in
-  let rebuilt =
-    match e with
-    | Const _ | Column _ | Param _ -> e
-    | And (a, b) -> let a = r a in And (a, r b)
-    | Or (a, b) -> let a = r a in Or (a, r b)
-    | Not a -> Not (r a)
-    | Cmp (op, a, b) -> let a = r a in Cmp (op, a, r b)
-    | Bin (op, a, b) -> let a = r a in Bin (op, a, r b)
-    | Neg a -> Neg (r a)
-    | Is_null (a, p) -> Is_null (r a, p)
-    | In_list (a, items, neg) -> let a = r a in In_list (a, List.map r items, neg)
-    | Between (a, lo, hi) -> let a = r a in let lo = r lo in Between (a, lo, r hi)
-    | Like l ->
-      let subject = r l.subject in
-      Like { l with subject; pattern = r l.pattern }
-    | Json_get (a, b, text) -> let a = r a in Json_get (a, r b, text)
-    | Cast (a, ty) -> Cast (r a, ty)
-    | Case (branches, else_) ->
-      let branches = List.map (fun (c, v) -> let c = r c in (c, r v)) branches in
-      Case (branches, Option.map r else_)
-    | Func (name, args) -> Func (name, List.map r args)
-    | Agg a -> Agg { a with agg_arg = Option.map r a.agg_arg }
-    | Exists _ | In_subquery _ | Scalar_subquery _ -> e
+(* [e] with [r] applied to each direct sub-expression, and [sub] to each
+   subquery select when given (an [In_subquery]'s needle, then its
+   select). The [let]s fix the evaluation order, so [r] sees the
+   children left to right in source order: [lift_consts] numbers [$k] by
+   it. *)
+let map_children ?sub r e =
+  match e, sub with
+  | (Const _ | Column _ | Param _), _ -> e
+  | And (a, b), _ -> let a = r a in And (a, r b)
+  | Or (a, b), _ -> let a = r a in Or (a, r b)
+  | Not a, _ -> Not (r a)
+  | Cmp (op, a, b), _ -> let a = r a in Cmp (op, a, r b)
+  | Bin (op, a, b), _ -> let a = r a in Bin (op, a, r b)
+  | Neg a, _ -> Neg (r a)
+  | Is_null (a, p), _ -> Is_null (r a, p)
+  | In_list (a, items, neg), _ -> let a = r a in In_list (a, List.map r items, neg)
+  | Between (a, lo, hi), _ -> let a = r a in let lo = r lo in Between (a, lo, r hi)
+  | Like l, _ ->
+    let subject = r l.subject in
+    Like { l with subject; pattern = r l.pattern }
+  | Json_get (a, b, text), _ -> let a = r a in Json_get (a, r b, text)
+  | Cast (a, ty), _ -> Cast (r a, ty)
+  | Case (branches, else_), _ ->
+    let branches = List.map (fun (c, v) -> let c = r c in (c, r v)) branches in
+    Case (branches, Option.map r else_)
+  | Func (name, args), _ -> Func (name, List.map r args)
+  | Agg a, _ -> Agg { a with agg_arg = Option.map r a.agg_arg }
+  | Exists (s, neg), Some sub -> Exists (sub s, neg)
+  | In_subquery (a, s, neg), Some sub -> let a = r a in In_subquery (a, sub s, neg)
+  | Scalar_subquery s, Some sub -> Scalar_subquery (sub s)
+  | (Exists _ | In_subquery _ | Scalar_subquery _), None -> e
+
+(* Bottom-up: [f] sees each rebuilt node. [deep] also enters subquery
+   selects. *)
+let rec map_expr_in ~deep (f : expr -> expr) (e : expr) : expr =
+  let sub = if deep then Some (map_select_in ~deep f) else None in
+  f (map_children ?sub (map_expr_in ~deep f) e)
+
+and map_select_in ~deep (f : expr -> expr) (s : select) : select =
+  let me e = map_expr_in ~deep f e in
+  let projections =
+    List.map
+      (function
+        | Star -> Star
+        | Star_of q -> Star_of q
+        | Proj (e, a) -> Proj (me e, a))
+      s.projections
   in
-  f rebuilt
+  let from = List.map (map_from_in ~deep f) s.from in
+  let where = Option.map me s.where in
+  let group_by = List.map me s.group_by in
+  let having = Option.map me s.having in
+  let order_by = List.map (fun (e, d) -> (me e, d)) s.order_by in
+  let limit = Option.map me s.limit in
+  let offset = Option.map me s.offset in
+  { s with projections; from; where; group_by; having; order_by; limit; offset }
+
+and map_from_in ~deep f = function
+  | Table t -> Table t
+  | Subselect (sel, alias) -> Subselect (map_select_in ~deep f sel, alias)
+  | Join { left; right; kind; cond } ->
+    let left = map_from_in ~deep f left in
+    let right = map_from_in ~deep f right in
+    Join { left; right; kind; cond = Option.map (map_expr_in ~deep f) cond }
+
+let map_expr f e = map_expr_in ~deep:false f e
 
 (** Conjuncts of a WHERE clause: [a AND b AND c] -> [a; b; c]. *)
 let rec conjuncts = function
@@ -216,44 +253,15 @@ let collect_aggs exprs =
     exprs;
   List.rev !acc
 
-(** Map [f] over every expression in a select, including nested FROM
-    subselects (used for parameter binding and shard-name rewriting). *)
-let rec map_select_exprs (f : expr -> expr) (s : select) : select =
-  let me e = map_expr f e in
-  let projections =
-    List.map
-      (function
-        | Star -> Star
-        | Star_of q -> Star_of q
-        | Proj (e, a) -> Proj (me e, a))
-      s.projections
-  in
-  let from = List.map (map_from_item_exprs f) s.from in
-  let where = Option.map me s.where in
-  let group_by = List.map me s.group_by in
-  let having = Option.map me s.having in
-  let order_by = List.map (fun (e, d) -> (me e, d)) s.order_by in
-  let limit = Option.map me s.limit in
-  let offset = Option.map me s.offset in
-  { s with projections; from; where; group_by; having; order_by; limit; offset }
-
-and map_from_item_exprs f = function
-  | Table t -> Table t
-  | Subselect (sel, alias) -> Subselect (map_select_exprs f sel, alias)
-  | Join { left; right; kind; cond } ->
-    let left = map_from_item_exprs f left in
-    let right = map_from_item_exprs f right in
-    Join { left; right; kind; cond = Option.map (map_expr f) cond }
-
-let map_statement_exprs (f : expr -> expr) (st : statement) : statement =
-  let me e = map_expr f e in
+let map_statement_in ~deep (f : expr -> expr) (st : statement) : statement =
+  let me e = map_expr_in ~deep f e in
   match st with
-  | Select_stmt s -> Select_stmt (map_select_exprs f s)
+  | Select_stmt s -> Select_stmt (map_select_in ~deep f s)
   | Insert i ->
     let source =
       match i.source with
       | Values tuples -> Values (List.map (List.map me) tuples)
-      | Query s -> Query (map_select_exprs f s)
+      | Query s -> Query (map_select_in ~deep f s)
     in
     Insert { i with source }
   | Update u ->
@@ -269,15 +277,18 @@ let map_statement_exprs (f : expr -> expr) (st : statement) : statement =
   | Prepare_stmt _ | Deallocate_stmt _ ->
     st
 
+let map_statement_exprs f st = map_statement_in ~deep:false f st
+
 exception Unbound_param of int
 (** [$n] had no binding. Raised with the parameter index so executor
     layers can attach the statement name and surface a typed error
     instead of a bare [Invalid_argument]. *)
 
-(** Substitute [$n] parameters with constants. Raises {!Unbound_param}
-    when the list is too short for some [$n] in the tree. *)
+(** Substitute [$n] parameters with constants, in subqueries too.
+    Raises {!Unbound_param} when the list is too short for some [$n] in
+    the tree. *)
 let bind_params (params : Datum.t list) (st : statement) : statement =
-  map_statement_exprs
+  map_statement_in ~deep:true
     (function
       | Param i ->
         (match List.nth_opt params (i - 1) with
@@ -291,7 +302,7 @@ let bind_params (params : Datum.t list) (st : statement) : statement =
 let params (st : statement) : int list =
   let seen = ref [] in
   ignore
-    (map_statement_exprs
+    (map_statement_in ~deep:true
        (function
          | Param i as e ->
            if not (List.mem i !seen) then seen := i :: !seen;
@@ -399,6 +410,13 @@ let lift_consts (st : statement) : statement * Datum.t list =
           Param !n
         | Param _ as e ->
           has_params := true;
+          e
+        | (Exists _ | In_subquery _ | Scalar_subquery _) as e ->
+          (* subqueries keep their literals, but a [$k] there is bound *)
+          ignore
+            (map_expr_in ~deep:true
+               (function Param _ as p -> has_params := true; p | p -> p)
+               e);
           e
         | e -> e)
       st

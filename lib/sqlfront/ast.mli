@@ -139,6 +139,12 @@ val fold_expr : ('a -> expr -> 'a) -> 'a -> expr -> 'a
     to right in source order. Subquery selects are left untouched. *)
 val map_expr : (expr -> expr) -> expr -> expr
 
+(** [map_children ?sub r e] is [e] with [r] applied to each direct
+    sub-expression, left to right in source order, and [sub] to each
+    subquery select when given; without [sub] a subquery node is left
+    untouched, an [In_subquery]'s needle too. *)
+val map_children : ?sub:(select -> select) -> (expr -> expr) -> expr -> expr
+
 (** Conjuncts of a WHERE clause: [a AND b AND c] -> [a; b; c]. *)
 val conjuncts : expr -> expr list
 
@@ -154,7 +160,8 @@ val contains_aggregate : expr -> bool
 val collect_aggs : expr list -> agg list
 
 (** Map [f] over every expression in a statement, including nested FROM
-    subselects (used for parameter binding and shard-name rewriting). *)
+    subselects but not WHERE, HAVING or select-list subqueries (the
+    traversal {!lift_consts} lifts over). *)
 val map_statement_exprs : (expr -> expr) -> statement -> statement
 
 exception Unbound_param of int
@@ -162,12 +169,13 @@ exception Unbound_param of int
     executor layers can attach the statement name and surface a typed
     error (see [Citus.Exec]) instead of a bare [Invalid_argument]. *)
 
-(** Substitute [$n] parameters with constants. Raises {!Unbound_param}
-    when the statement references a parameter with no value. *)
+(** Substitute [$n] parameters with constants, inside subqueries too.
+    Raises {!Unbound_param} when the statement references a parameter
+    with no value. *)
 val bind_params : Datum.t list -> statement -> statement
 
-(** The [$k] indexes {!bind_params} meets, each once, in its traversal
-    order: the first one past the end of a value list is the parameter
+(** The [$k] indexes {!bind_params} meets (subqueries included), each
+    once, in its traversal order: the first one past the end of a value list is the parameter
     {!bind_params} would report unbound. *)
 val params : statement -> int list
 
@@ -192,8 +200,9 @@ val filters : statement -> expr list
     never reads them, and merging them would split one statement into a
     shape per coincidence of its values.
 
-    A statement that already holds placeholders is returned unchanged,
-    with no values. *)
+    Literals inside WHERE, HAVING and select-list subqueries are not
+    lifted. A statement that already holds placeholders, in a subquery
+    too, is returned unchanged, with no values. *)
 val lift_consts : statement -> statement * Datum.t list
 
 (** {2 Table renaming}

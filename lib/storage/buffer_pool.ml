@@ -39,7 +39,6 @@ let create ~capacity =
     evictions = 0;
   }
 
-let capacity t = t.cap
 
 let unlink n =
   n.prev.next <- n.next;

@@ -20,7 +20,6 @@ type stats = {
 (** [create ~capacity] makes a pool holding at most [capacity] pages. *)
 val create : capacity:int -> t
 
-val capacity : t -> int
 
 (** Record an access; faults the page in (possibly evicting LRU) on miss.
     Returns [true] on hit. *)

@@ -31,7 +31,6 @@ let create ~name ~ncols ?(stripe_rows = 1000) ?(values_per_page = 1024) () =
     page_seq = 0;
   }
 
-let name t = t.col_name
 
 let minmax rows c =
   List.fold_left

@@ -18,7 +18,6 @@ val create :
     compress, so one logical page holds far more values than a heap page
     holds rows. *)
 
-val name : t -> string
 
 (** Append rows written by [xid] (grouped into stripes internally). *)
 val append : t -> xid:int -> Datum.t array list -> unit

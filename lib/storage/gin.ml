@@ -41,7 +41,6 @@ let create ~name () =
     npending = 0;
   }
 
-let name t = t.gin_name
 
 (* Ascending sort of [a.(0 .. n-1)], a natural merge sort typed for ints
    ([Array.sort] compares through the polymorphic primitive): adjacent

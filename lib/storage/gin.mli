@@ -26,7 +26,6 @@ type t
 
 val create : name:string -> unit -> t
 
-val name : t -> string
 
 (** Trigram codes of a string after pg_trgm-style normalization
     (lowercase alphanumeric words, each padded with two leading and one

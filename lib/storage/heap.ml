@@ -23,7 +23,6 @@ let create ~name ?(rows_per_page = 64) () =
     freelist = [];
   }
 
-let name t = t.heap_name
 
 let rows_per_page t = t.rpp
 

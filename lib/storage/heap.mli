@@ -18,7 +18,6 @@ type t
 (** [create ~name ~rows_per_page ()] creates an empty heap. *)
 val create : name:string -> ?rows_per_page:int -> unit -> t
 
-val name : t -> string
 
 (** Insert a new tuple version owned by [xid]; returns its tuple id. *)
 val insert : t -> xid:xid -> Datum.t array -> int

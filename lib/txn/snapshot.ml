@@ -14,6 +14,3 @@ let pp_read_mode fmt = function
   | Resolving -> Format.pp_print_string fmt "resolving"
   | At ts -> Format.fprintf fmt "at(%a)" Hlc.pp ts
 
-let pp fmt t =
-  Format.fprintf fmt "snapshot{xmin=%d;xmax=%d;active=[%s]}" t.xmin t.xmax
-    (String.concat ";" (List.map string_of_int t.active))

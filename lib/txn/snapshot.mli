@@ -17,7 +17,6 @@ type t = {
     "seen" here but its tuples are dead. *)
 val sees : t -> xid -> bool
 
-val pp : Format.formatter -> t -> unit
 
 (** How a session resolves {e distributed} visibility, on top of the
     xid snapshot above (which always governs local concurrency):

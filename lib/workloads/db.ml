@@ -22,9 +22,6 @@ let citus ?(buffer_pages = 100_000) ?(shard_count = 32) ~workers () =
   in
   { cluster; citus = Some api; session; label }
 
-let connect t =
-  Engine.Instance.connect
-    t.cluster.Cluster.Topology.coordinator.Cluster.Topology.instance
 
 let exec t sql = Engine.Instance.exec t.session sql
 

@@ -20,8 +20,6 @@ val postgres : ?buffer_pages:int -> unit -> t
 
 val citus : ?buffer_pages:int -> ?shard_count:int -> workers:int -> unit -> t
 
-(** Fresh session on the same setup (driver "connections"). *)
-val connect : t -> Engine.Instance.session
 
 val exec : t -> string -> Engine.Instance.result
 

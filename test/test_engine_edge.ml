@@ -228,12 +228,16 @@ let like_reference ~pattern ~ci s =
    the pattern a constant or a column. *)
 let compiled_like ~const ~ci ~negated pattern subject =
   let open Sqlfront.Ast in
-  let env = { Expr_eval.rng = Random.State.make [| 0 |]; now = 0.; subquery = (fun _ -> []) } in
+  let rng = Random.State.make [| 0 |] in
+  let rt =
+    { Expr_eval.x_params = (fun () -> [||]); x_now = (fun () -> 0.);
+      x_rng = (fun () -> rng); x_subquery = (fun _ () -> []) }
+  in
   let schema = [ { Expr_eval.rq = None; rname = "s" }; { Expr_eval.rq = None; rname = "p" } ] in
   let pat = if const then Const (Datum.Text pattern) else Column (None, "p") in
-  Expr_eval.compile schema env
+  Expr_eval.compile schema rt
     (Like { subject = Column (None, "s"); pattern = pat; ci; negated })
-    [| subject; Datum.Text pattern |]
+    () [| subject; Datum.Text pattern |]
 
 let prop_like_matches_reference =
   let open QCheck2.Gen in
@@ -553,6 +557,195 @@ let test_statement_cache_across_ddl () =
   Alcotest.(check int) "one column after re-create" 1 (Array.length (List.hd (read 2)));
   Alcotest.(check int) "every read after admission hit" (before + 3) (hits ())
 
+(* --- kept plans (prepared statements run from a plan built once) --- *)
+
+let plan_table ?(buffer_pages = 100_000) () =
+  let inst = Instance.create ~buffer_pages ~name:"pg" () in
+  let s = Instance.connect inst in
+  ignore (exec s "CREATE TABLE t (k bigint PRIMARY KEY, v bigint, w text)");
+  ignore (exec s "CREATE INDEX t_v ON t USING BTREE (v)");
+  for k = 0 to 39 do
+    ignore
+      (exec s (Printf.sprintf "INSERT INTO t VALUES (%d, %d, 'w%d')" k (k mod 7) (k mod 5)))
+  done;
+  (inst, s)
+
+(* Run [name] (SQL text with [$k]) from the kept plan, as a coordinator's
+   bound execute does. *)
+let bound s ?(parse = true) name text values =
+  Instance.exec_bound s ~close:[] ?parse:(if parse then Some text else None) ~name values
+
+let builds inst = (Instance.plan_stats inst).Executor.builds
+
+let ints rs = List.map (function [| Datum.Int k |] -> k | _ -> -1) rs.Instance.rows
+
+let test_subquery_parameter () =
+  let _, s = fresh () in
+  ignore (exec s "CREATE TABLE t (k bigint PRIMARY KEY, v bigint)");
+  ignore (exec s "INSERT INTO t VALUES (1, 10), (2, 20)");
+  let literal = rows s "SELECT k FROM t WHERE k IN (SELECT k FROM t WHERE v = 10)" in
+  Alcotest.(check int) "literal form" 1 (List.length literal);
+  ignore (exec s "PREPARE p AS SELECT k FROM t WHERE k IN (SELECT k FROM t WHERE v = $1)");
+  Alcotest.(check (list int)) "EXECUTE binds the subquery" [ 1 ] (ints (exec s "EXECUTE p(10)"));
+  Alcotest.(check (list int)) "and reads each execution's value" [ 2 ] (ints (exec s "EXECUTE p(20)"));
+  Alcotest.(check (list int)) "scalar subquery" [ 2 ]
+    (ints (bound s "q" "SELECT k FROM t WHERE v = (SELECT max(v) FROM t WHERE k <= $1)" [ Datum.Int 5 ]))
+
+let test_plan_built_once () =
+  let inst, s = plan_table () in
+  let before = Instance.plan_stats inst in
+  let text = "SELECT v FROM t WHERE k = $1" in
+  for i = 0 to 999 do
+    let r = bound s ~parse:(i = 0) "p" text [ Datum.Int (i mod 40) ] in
+    Alcotest.(check (list int)) "row of this execution's key" [ i mod 40 mod 7 ] (ints r)
+  done;
+  let after = Instance.plan_stats inst in
+  Alcotest.(check int) "one plan built" 1 (after.builds - before.builds);
+  Alcotest.(check int) "1,000 runs" 1000 (after.runs - before.runs)
+
+(* DDL between two executions rebuilds the plan: the new index is used,
+   the new column is read, the re-created table is the one scanned. *)
+let test_plan_rebuilt_by_ddl () =
+  let inst, s = plan_table () in
+  ignore (exec s "CREATE TABLE u (k bigint PRIMARY KEY, a bigint)");
+  for k = 0 to 9 do
+    ignore (exec s (Printf.sprintf "INSERT INTO u VALUES (%d, %d)" k (k mod 3)))
+  done;
+  let probes () = (Meter.read (Instance.meter inst)).Meter.index_probes in
+  ignore (exec s "PREPARE by_a AS SELECT k FROM u WHERE a = $1 ORDER BY k");
+  Alcotest.(check (list int)) "seq scan" [ 1; 4; 7 ] (ints (exec s "EXECUTE by_a(1)"));
+  let p0 = probes () in
+  ignore (exec s "CREATE INDEX u_a ON u USING BTREE (a)");
+  Alcotest.(check (list int)) "same rows" [ 2; 5; 8 ] (ints (exec s "EXECUTE by_a(2)"));
+  Alcotest.(check int) "through the new index" 1 (probes () - p0);
+  ignore (exec s "PREPARE all_u AS SELECT * FROM u WHERE k = $1");
+  Alcotest.(check int) "two columns" 2 (Array.length (List.hd (rows s "EXECUTE all_u(3)")));
+  ignore (exec s "ALTER TABLE u ADD COLUMN b bigint DEFAULT 7");
+  (match rows s "EXECUTE all_u(3)" with
+   | [ [| _; _; Datum.Int 7 |] ] -> ()
+   | _ -> Alcotest.fail "the added column is read");
+  let builds0 = builds inst and invalid0 = (Instance.plan_stats inst).Executor.invalidations in
+  ignore (exec s "DROP TABLE u");
+  ignore (exec s "CREATE TABLE u (k bigint PRIMARY KEY, a bigint)");
+  ignore (exec s "INSERT INTO u VALUES (3, 30)");
+  (match rows s "EXECUTE all_u(3)" with
+   | [ [| Datum.Int 3; Datum.Int 30 |] ] -> ()
+   | _ -> Alcotest.fail "the re-created table is read");
+  Alcotest.(check int) "rebuilt once" 1 (builds inst - builds0);
+  Alcotest.(check int) "one invalidation" 1
+    ((Instance.plan_stats inst).Executor.invalidations - invalid0)
+
+(* now() and random() read the execution they run in, not the one the
+   plan was built for. *)
+let test_plan_reads_execution () =
+  let inst, s = plan_table () in
+  let plan =
+    Executor.prepare (Instance.catalog inst)
+      (Sqlfront.Parser.parse_statement "SELECT now(), random() FROM t WHERE k = $1")
+  in
+  let run ~now rng =
+    let ctx = { (Instance.make_ctx ~params:[| Datum.Int 1 |] s) with Executor.now; rng } in
+    match (Executor.run plan ctx).Instance.rows with
+    | [ [| Datum.Timestamp t; Datum.Float r |] ] -> (t, r)
+    | _ -> Alcotest.fail "one row of now(), random()"
+  in
+  let rng = Random.State.make [| 7 |] in
+  let expect = Random.State.copy rng in
+  let t1, r1 = run ~now:1.0 rng in
+  let t2, r2 = run ~now:2.0 rng in
+  Alcotest.(check (float 0.)) "first clock" 1.0 t1;
+  Alcotest.(check (float 0.)) "second clock" 2.0 t2;
+  Alcotest.(check (float 0.)) "first draw" (Random.State.float expect 1.0) r1;
+  Alcotest.(check (float 0.)) "second draw" (Random.State.float expect 1.0) r2
+
+(* A statement that met a lock re-runs the same plan with the same
+   values once the holder is gone. *)
+let test_plan_would_block_retry () =
+  let inst, s1 = plan_table () in
+  let s2 = Instance.connect inst in
+  ignore (exec s1 "BEGIN");
+  ignore (exec s1 "UPDATE t SET v = 100 WHERE k = 5");
+  let text = "UPDATE t SET v = $1 WHERE k = $2" and values = [ Datum.Int 200; Datum.Int 5 ] in
+  (match bound s2 "upd" text values with
+   | exception Executor.Would_block _ -> ()
+   | _ -> Alcotest.fail "expected Would_block");
+  ignore (exec s1 "COMMIT");
+  let b = builds inst in
+  Alcotest.(check int) "retry updates" 1 (bound s2 ~parse:false "upd" text values).Instance.affected;
+  Alcotest.(check int) "with the kept plan" 0 (builds inst - b);
+  Alcotest.(check int) "retry's value" 200 (one_int s1 "SELECT v FROM t WHERE k = 5")
+
+(* Shapes the plan cache can send as bound executes, and some it cannot
+   keep generic (an ordinal, a LIKE pattern): run from a kept plan, each
+   must match binding the values and running the statement as text. *)
+let plan_shapes =
+  [|
+    ("SELECT k, v, w FROM t WHERE k = $1", 1);
+    ("SELECT k FROM t WHERE v = $1 ORDER BY k", 1);
+    ("SELECT count(*), sum(k) FROM t WHERE v = $1 AND k > $2", 2);
+    ("SELECT k, w FROM t WHERE w = $1 ORDER BY k LIMIT $2", 2);
+    ("SELECT k FROM t WHERE k IN ($1, $2) ORDER BY k", 2);
+    ("SELECT k FROM t WHERE k = $1 AND v = $2", 2);
+    ("SELECT k FROM t WHERE k IN (SELECT k FROM t WHERE v = $1) ORDER BY k", 1);
+    ("SELECT v, count(*) FROM t WHERE k < $1 GROUP BY v ORDER BY v", 1);
+    ("SELECT k, v FROM t WHERE k < $1 ORDER BY $2 DESC, k", 2);
+    ("SELECT k FROM t WHERE w LIKE $1 ORDER BY k", 1);
+    ("UPDATE t SET v = $1 WHERE k = $2", 2);
+    ("UPDATE t SET w = $1 WHERE v = $2", 2);
+    ("DELETE FROM t WHERE k = $1", 1);
+    ("INSERT INTO t (k, v, w) VALUES ($1, $2, $3) ON CONFLICT DO NOTHING", 3);
+  |]
+
+let prop_kept_plan_matches_bound =
+  let open QCheck2.Gen in
+  let value =
+    oneof
+      [
+        map (fun i -> Datum.Int i) (int_range (-2) 45);
+        return Datum.Null;
+        map (fun i -> Datum.Text (string_of_int i)) (int_range 0 45);
+        map (fun i -> Datum.Text (Printf.sprintf "w%d" i)) (int_range 0 5);
+        map (fun i -> Datum.Float (float_of_int i)) (int_range 0 8);
+        oneofl [ Datum.Text "w%"; Datum.Text "%3"; Datum.Int 1; Datum.Int 2 ];
+      ]
+  in
+  let step =
+    let* i = int_bound (Array.length plan_shapes - 1) in
+    let* values = list_repeat (snd plan_shapes.(i)) value in
+    return (i, values)
+  in
+  let print (i, vs) =
+    fst plan_shapes.(i) ^ " <- " ^ String.concat ", " (List.map Datum.to_display vs)
+  in
+  QCheck2.Test.make ~name:"kept plan = bind then exec_ast" ~count:400
+    ~print:QCheck2.Print.(list print)
+    (list_size (int_range 1 14) step)
+    (fun steps ->
+      let ia, sa = plan_table ~buffer_pages:6 () and ib, sb = plan_table ~buffer_pages:6 () in
+      let outcome f =
+        match f () with
+        | (r : Instance.result) -> Ok (r.columns, r.rows, r.affected, r.tag)
+        | exception Instance.Session_error m -> Error m
+      in
+      let parsed = Hashtbl.create 8 in
+      List.for_all
+        (fun (i, values) ->
+          let text = fst plan_shapes.(i) and name = Printf.sprintf "s%d" i in
+          let parse = not (Hashtbl.mem parsed i) in
+          Hashtbl.replace parsed i ();
+          let kept = outcome (fun () -> bound sa ~parse name text values) in
+          let direct =
+            outcome (fun () ->
+                Instance.exec_ast sb
+                  (Sqlfront.Ast.bind_params values (Sqlfront.Parser.parse_statement text)))
+          in
+          kept = direct
+          && Meter.read (Instance.meter ia) = Meter.read (Instance.meter ib)
+          && Storage.Buffer_pool.stats (Instance.buffer_pool ia)
+             = Storage.Buffer_pool.stats (Instance.buffer_pool ib))
+        steps
+      && builds ia <= Hashtbl.length parsed)
+
 let () =
   Alcotest.run "engine_edge"
     [
@@ -625,6 +818,16 @@ let () =
           Alcotest.test_case "unknown errors" `Quick test_unknown_function_errors;
           Alcotest.test_case "strict null" `Quick
             test_strict_functions_propagate_null;
+        ] );
+      ( "plans",
+        [
+          Alcotest.test_case "subquery parameter" `Quick test_subquery_parameter;
+          Alcotest.test_case "built once" `Quick test_plan_built_once;
+          Alcotest.test_case "rebuilt by DDL" `Quick test_plan_rebuilt_by_ddl;
+          Alcotest.test_case "reads the execution" `Quick test_plan_reads_execution;
+          Alcotest.test_case "would-block retry" `Quick test_plan_would_block_retry;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 28 |])
+            prop_kept_plan_matches_bound;
         ] );
       ( "subqueries",
         [

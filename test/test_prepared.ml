@@ -885,6 +885,24 @@ let test_restart_reproducible () =
   Alcotest.(check bool) "same seed, same outcomes and statement traffic" true
     (run () = run ())
 
+(* A [$k] inside a WHERE subquery is bound like any other: the literal
+   statement and the EXECUTE of its prepared form return the same rows,
+   on a local table of a Citus coordinator. *)
+let test_subquery_parameter () =
+  let _, _, s = make () in
+  ignore (exec s "CREATE TABLE t (k bigint PRIMARY KEY, v bigint)");
+  ignore (exec s "INSERT INTO t VALUES (1, 10), (2, 20)");
+  let keys sql =
+    List.map
+      (function [| Datum.Int k |] -> k | _ -> -1)
+      (exec s sql).Engine.Instance.rows
+  in
+  Alcotest.(check (list int)) "literal" [ 1 ]
+    (keys "SELECT k FROM t WHERE k IN (SELECT k FROM t WHERE v = 10)");
+  ignore (exec s "PREPARE p AS SELECT k FROM t WHERE k IN (SELECT k FROM t WHERE v = $1)");
+  Alcotest.(check (list int)) "EXECUTE" [ 1 ] (keys "EXECUTE p(10)");
+  Alcotest.(check (list int)) "another value" [ 2 ] (keys "EXECUTE p(20)")
+
 let () =
   Alcotest.run "prepared"
     [
@@ -895,6 +913,7 @@ let () =
           Alcotest.test_case "typed Session surface" `Quick
             test_session_surface;
           Alcotest.test_case "typed bind error" `Quick test_typed_bind_error;
+          Alcotest.test_case "subquery parameter" `Quick test_subquery_parameter;
         ] );
       ( "cache",
         [

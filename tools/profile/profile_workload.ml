@@ -117,17 +117,25 @@ let () =
     | "rt_copy" -> rt ~half:`Copy rng
     | w -> raise (Arg.Bad ("unknown workload " ^ w))
   in
-  (* statement-cache counts summed over every node, taken around the loop *)
-  let cache_stats () =
+  (* statement-cache and kept-plan counts summed over every node, taken
+     around the loop *)
+  let sum f =
     List.fold_left
-      (fun (h, m, u) (node : Cluster.Topology.node) ->
-        let cache = Engine.Instance.stmt_cache node.Cluster.Topology.instance in
-        let st = Sqlfront.Stmt_cache.stats cache in
-        Sqlfront.Stmt_cache.(h + st.hits, m + st.misses, u + st.uncacheable))
+      (fun acc (node : Cluster.Topology.node) -> f acc node.Cluster.Topology.instance)
       (0, 0, 0)
       (Cluster.Topology.all_nodes db.Workloads.Db.cluster)
   in
-  let h0, m0, u0 = cache_stats () in
+  let cache_stats () =
+    sum (fun (h, m, u) inst ->
+        let st = Sqlfront.Stmt_cache.stats (Engine.Instance.stmt_cache inst) in
+        Sqlfront.Stmt_cache.(h + st.hits, m + st.misses, u + st.uncacheable))
+  in
+  let plan_stats () =
+    sum (fun (b, r, i) inst ->
+        let st = Engine.Instance.plan_stats inst in
+        Engine.Executor.(b + st.builds, r + st.runs, i + st.invalidations))
+  in
+  let h0, m0, u0 = cache_stats () and b0, r0, i0 = plan_stats () in
   let ops = ref 0 and ticks = ref 0 and tick_s = ref 0.0 in
   let t0 = Unix.gettimeofday () in
   Sampler.start ();
@@ -154,4 +162,7 @@ let () =
   let h1, m1, u1 = cache_stats () in
   Printf.printf "statement cache: %d hits, %d misses, %d uncacheable skeletons\n"
     (h1 - h0) (m1 - m0) (u1 - u0);
+  let b1, r1, i1 = plan_stats () in
+  Printf.printf "kept plans: %d builds, %d runs, %d invalidations\n" (b1 - b0) (r1 - r0)
+    (i1 - i0);
   Sampler.report stdout
