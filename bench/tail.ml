@@ -77,7 +77,7 @@ let run_mode ~mode ~hedge_threshold () =
     hedged =
       Obs.Metrics.counter_value
         (Cluster.Topology.metrics cluster)
-        "exec.hedged_reads";
+        Obs.Metric_names.exec_hedged_reads;
   }
 
 (* Both modes, same seed — the comparison test_bench guards. *)

@@ -210,19 +210,6 @@ let prepared_names t =
 
 let exec_ast_async t stmt = exec_async t (Sqlfront.Deparse.statement stmt)
 
-(* Let the reply's virtual time pass: as a fiber sleep when a scheduler
-   is driving the cluster (other fibers keep running — this is what lets
-   a statement on a healthy node overtake one stuck behind a stall), as
-   a plain clock advance otherwise. *)
-let wait_until cluster ~until_ =
-  let now = Sim.Clock.now cluster.Topology.clock in
-  if until_ > now then begin
-    (match Topology.running_sched cluster with
-     | Some sched -> (Sim.Sched.sleep_until sched until_ [@lint.blocking])
-     | None -> Sim.Clock.advance cluster.Topology.clock (until_ -. now));
-    Topology.fault_tick cluster
-  end
-
 let await ?deadline h =
   let cluster = h.h_conn.cluster in
   (match deadline with
@@ -230,11 +217,14 @@ let await ?deadline h =
      (* the reply will not land in time: wait out the deadline itself,
         then report the typed timeout — the statement may well have
         executed remotely, exactly the ambiguity a lost reply has *)
-     wait_until cluster ~until_:dl;
+     Topology.wait_until cluster ~until_:dl;
      Obs.Metrics.inc (Topology.metrics cluster) Obs.Metric_names.net_await_timed_out;
      raise
        (Timed_out { node = h.h_conn.conn_node.Topology.node_name; deadline = dl })
-   | _ -> wait_until cluster ~until_:h.h_ready_at);
+   | _ ->
+     (* a fiber sleep under a scheduler lets a statement on a healthy
+        node overtake one stuck behind a stall *)
+     Topology.wait_until cluster ~until_:h.h_ready_at);
   (match h.h_reply_ts with
    | Some ts ->
      ignore (Txn.Hlc.observe h.h_conn.origin_hlc ts : Txn.Hlc.timestamp)

@@ -93,8 +93,9 @@ val exec_bound_async : t -> stmt -> Datum.t list -> handle
 (** Names this connection has prepared on its node, sorted. *)
 val prepared_names : t -> string list
 
-(** Collect the outcome: let the reply's virtual time pass (a fiber
-    sleep under [Citus.State.with_sched], a clock advance otherwise),
+(** Collect the outcome: let the reply's virtual time pass
+    ({!Topology.wait_until}: a fiber sleep under
+    [Citus.State.with_sched], a clock advance otherwise),
     then return the result — re-raising whatever the round trip raised
     ({!Engine.Executor.Would_block}, parse errors, {!Node_unavailable}
     when the fault plan killed it, ...). With [?deadline] (absolute

@@ -14,21 +14,23 @@ type net_stats = {
   mutable rows_shipped : int;
 }
 
+type driver = Unscheduled | Fibers of Sim.Sched.t | Lone of string
+
 type t = {
   coordinator : node;
   workers : node list;
   clock : Sim.Clock.t;
+  clock_now : unit -> float;
   rtt : float;
   net : net_stats;
   fault : Sim.Fault.t option;
   mutable sched_seed : int option;
       (** seeds {!Sim.Sched} ready-queue tiebreaks (chaos fuzzing);
           [None] = strict round-robin *)
-  mutable running_sched : Sim.Sched.t option;
-      (** the cooperative scheduler currently driving this cluster, set
-          for the dynamic extent of [Citus.State.with_sched]: lets
-          {!Connection} pass injected latency as fiber sleeps instead of
-          global clock advances *)
+  mutable driver : driver;
+      (** what a wait does: a fiber sleep under the scheduler set for
+          the dynamic extent of [Citus.State.with_sched], a clock advance
+          otherwise *)
   retry_rng : Random.State.t;
       (** topology-owned stream for retry-backoff jitter; deterministic
           per [fault_seed] and untouched by the fault plan's own draws *)
@@ -104,11 +106,12 @@ let create ?(buffer_pages = 100_000) ?(spec = Sim.Cost.default_spec)
       coordinator;
       workers;
       clock;
+      clock_now = (fun () -> Sim.Clock.now clock);
       rtt;
       net;
       fault;
       sched_seed;
-      running_sched = None;
+      driver = Unscheduled;
       retry_rng =
         Random.State.make [| 0x7177; Option.value ~default:0 fault_seed |];
       obs;
@@ -133,7 +136,7 @@ let trace t = t.obs.Obs.trace
 
 (* [now t] is the thunk every span in this cluster uses as its
    timestamp source: the shared virtual clock. *)
-let now t () = Sim.Clock.now t.clock
+let now t = t.clock_now
 
 let fault t = t.fault
 
@@ -141,14 +144,25 @@ let fault t = t.fault
 let fault_tick t =
   match t.fault with None -> () | Some f -> Sim.Fault.tick f
 
-(* Scope the ambient scheduler: set for the extent of [f], restore the
-   previous one after (with_sched nests). *)
-let with_running_sched t sched f =
-  let prev = t.running_sched in
-  t.running_sched <- Some sched;
-  Fun.protect ~finally:(fun () -> t.running_sched <- prev) f
+(* Scope the driver: set for the extent of [f], restore the previous
+   one after (with_sched nests, and so does a lone task inside it). *)
+let with_driver t driver f =
+  let prev = t.driver in
+  t.driver <- driver;
+  Fun.protect ~finally:(fun () -> t.driver <- prev) f
 
-let running_sched t = t.running_sched
+(* A lone task draws the hazard a fiber's sleep would have drawn, but
+   advances the clock itself: no run loop is there to do it. *)
+let wait_until t ~until_ =
+  let now = Sim.Clock.now t.clock in
+  if until_ > now then begin
+    (match t.driver, t.fault with
+     | Fibers sched, _ -> (Sim.Sched.sleep_until sched until_ [@lint.blocking])
+     | Lone node, Some f ->
+       Sim.Clock.advance t.clock (until_ +. Sim.Fault.at_suspension f ~node -. now)
+     | (Lone _ | Unscheduled), _ -> Sim.Clock.advance t.clock (until_ -. now));
+    fault_tick t
+  end
 
 (* One bounded jitter draw in [0, 1): callers scale a backoff by e.g.
    [1.0 +. 0.5 *. retry_jitter t] so synchronized retry storms against a

@@ -29,10 +29,17 @@ type net_stats = {
   mutable rows_shipped : int;  (** rows moved between nodes *)
 }
 
+(** What drives the cluster, so what a wait does ({!wait_until}):
+    nothing (set-up, DDL, maintenance), a {!Sim.Sched} run
+    ([Citus.State.with_sched]), or one task on the caller's stack,
+    planned on the named node. *)
+type driver = Unscheduled | Fibers of Sim.Sched.t | Lone of string
+
 type t = {
   coordinator : node;
   workers : node list;  (** empty = single-node cluster (Citus 0+1) *)
   clock : Sim.Clock.t;
+  clock_now : unit -> float;  (** the thunk {!now} returns, made once *)
   rtt : float;
   net : net_stats;
   fault : Sim.Fault.t option;
@@ -41,10 +48,8 @@ type t = {
       (** seed for {!Sim.Sched} ready-queue tiebreaks: [None] (default)
           is strict round-robin; chaos tests set a seed to fuzz fiber
           interleavings deterministically *)
-  mutable running_sched : Sim.Sched.t option;
-      (** the scheduler currently driving this cluster (set by
-          [Citus.State.with_sched] for its dynamic extent); lets
-          {!Connection.await} pass injected latency as a fiber sleep *)
+  mutable driver : driver;
+      (** what a wait does right now; see {!wait_until} *)
   retry_rng : Random.State.t;
       (** topology-owned jitter stream for retry backoff, seeded from
           [fault_seed]; see {!retry_jitter} *)
@@ -96,14 +101,17 @@ val now : t -> unit -> float
     time. Called by {!Connection} before each connect / round trip. *)
 val fault_tick : t -> unit
 
-(** [with_running_sched t sched f] marks [sched] as the cluster's
-    ambient scheduler for the extent of [f] (restoring the previous one
-    after — nesting is fine). While set, {!Connection.await} sleeps the
-    calling fiber through injected latency instead of advancing the
-    global clock. *)
-val with_running_sched : t -> Sim.Sched.t -> (unit -> 'a) -> 'a
+(** [with_driver t d f] makes [d] the cluster's driver for the extent
+    of [f], restoring the previous one after (nesting is fine). *)
+val with_driver : t -> driver -> (unit -> 'a) -> 'a
 
-val running_sched : t -> Sim.Sched.t option
+(** Let virtual time pass until [until_] (nothing when it is already
+    past) as the current {!driver} says, then fire the fault tick: a
+    fiber sleep under [Fibers] (other fibers keep running), a plain
+    clock advance otherwise, stretched under [Lone] by one
+    suspension-hazard draw. {!Connection.await} waits for a reply here,
+    and a lone task's modelled cost is slept here too. *)
+val wait_until : t -> until_:float -> unit
 
 (** One jitter draw in [0, 1) from the topology's own seeded stream —
     for spreading retry backoffs so storms against a recovering node

@@ -47,9 +47,9 @@ type report = {
     write or COPY loses one replica but survives on another. *)
 val mark_placement_lost : State.t -> shard_id:int -> node:string -> unit
 
-(** Execute tasks concurrently under {!State.with_sched}; returns
-    per-task results (aligned with the input order) and the timing
-    report. Raises whatever task execution raises
+(** Execute tasks concurrently under {!State.with_sched}, or a lone
+    task that cannot hedge directly on the caller's stack; returns
+    per-task results (aligned with the input order) and the report. Raises whatever task execution raises
     ({!Engine.Executor.Would_block}, {!State.Network_error},
     {!State.Txn_replica_lost}, ...). With [?bound], every task (a
     plan-cache hit has one) runs as a bound execute of its worker-side

@@ -329,8 +329,9 @@ let route t (st : State.t) session ?prepared shape values =
   if prepared <> None then begin
     let dt = now () -. t0 in
     Obs.Metrics.observe metrics Obs.Metric_names.plancache_exec_seconds dt;
+    (* the family's key, interned once with the shape's stat *)
     Obs.Metrics.observe metrics
-      (Obs.Metric_names.plancache_shape_seconds stat.Plancache.st_fingerprint)
+      (stat.Plancache.st_seconds [@lint.metric_adhoc])
       dt
   end;
   result
@@ -792,8 +793,7 @@ let rec install_on_node t (node : Cluster.Topology.node) =
             let mean, p95 =
               match
                 List.assoc_opt
-                  (Obs.Metric_names.plancache_shape_seconds
-                     s.Plancache.st_fingerprint)
+                  (Obs.Metrics.key_name s.Plancache.st_seconds)
                   snap.Obs.Metrics.s_histograms
               with
               | Some h when h.Obs.Metrics.count > 0 ->

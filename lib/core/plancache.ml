@@ -23,6 +23,7 @@ type entry = {
 
 type stat = {
   st_fingerprint : string;
+  st_seconds : Obs.Metrics.key;
   mutable st_tier : string;
   mutable st_calls : int;
   mutable st_hits : int;
@@ -180,9 +181,11 @@ let stat t ~key =
   match Hashtbl.find_opt t.stat_tbl key with
   | Some s -> s
   | None ->
+    let fp = fingerprint key in
     let s =
       {
-        st_fingerprint = fingerprint key;
+        st_fingerprint = fp;
+        st_seconds = Obs.Metric_names.plancache_shape_seconds fp;
         st_tier = "-";
         st_calls = 0;
         st_hits = 0;

@@ -73,6 +73,9 @@ type entry = {
     separately from {!entry} so eviction does not erase history. *)
 type stat = {
   st_fingerprint : string;  (** stable 8-hex shape id *)
+  st_seconds : Obs.Metrics.key;
+      (** the shape's [plancache.shape_seconds.<fingerprint>] histogram,
+          interned once with the stat *)
   mutable st_tier : string;
       (** planner tier slug once cached; ["-"] until first build *)
   mutable st_calls : int;

@@ -47,6 +47,7 @@ type t = {
   config : config;
   health : Health.t;
   sessions : ((string * int), session_state) Hashtbl.t;
+  mutable recent : (Engine.Instance.session * session_state) option;
   shared_counters : (string, int ref) Hashtbl.t;
   registry : ((string * int), string * int) Hashtbl.t;
   mutable partitioned : string list;
@@ -83,6 +84,7 @@ let create ~cluster ~metadata ~local ~registry =
         ~metrics:(Cluster.Topology.metrics cluster)
         ~clock:cluster.Cluster.Topology.clock ();
     sessions = Hashtbl.create 64;
+    recent = None;
     shared_counters = Hashtbl.create 8;
     registry;
     partitioned = [];
@@ -92,25 +94,25 @@ let create ~cluster ~metadata ~local ~registry =
   }
 
 let session_state t (s : Engine.Instance.session) =
-  let key =
-    ( Engine.Instance.name (Engine.Instance.session_instance s),
-      Engine.Instance.session_id s )
-  in
-  match Hashtbl.find_opt t.sessions key with
-  | Some st -> st
-  | None ->
-    let st =
-      {
-        skey = key;
-        pools = [];
-        affinity = [];
-        txn_conns = [];
-        prepared = [];
-        dist_xids = [];
-        commit_hlc = None;
-      }
+  match t.recent with
+  | Some (s', st) when s' == s -> st
+  | _ ->
+    let key =
+      ( Engine.Instance.name (Engine.Instance.session_instance s),
+        Engine.Instance.session_id s )
     in
-    Hashtbl.replace t.sessions key st;
+    let st =
+      match Hashtbl.find_opt t.sessions key with
+      | Some st -> st
+      | None ->
+        let st =
+          { skey = key; pools = []; affinity = []; txn_conns = []; prepared = [];
+            dist_xids = []; commit_hlc = None }
+        in
+        Hashtbl.replace t.sessions key st;
+        st
+    in
+    t.recent <- Some (s, st);
     st
 
 let counter t node =
@@ -190,8 +192,8 @@ let node_available t node = Health.available t.health node
    tiebreaks come from the topology's [sched_seed] and every virtual
    clock jump fires the fault plan's tick, so scheduled crashes and
    partitions land between fiber slices at their virtual times. For the
-   run's extent the scheduler is also the cluster's ambient one
-   ([Topology.with_running_sched]) — [Connection.await] passes injected
+   run's extent the scheduler is also the cluster's driver
+   ([Topology.with_driver]) — [Connection.await] passes injected
    latency as fiber sleeps — and every fiber suspension point draws from
    the fault plan's suspension hazard. *)
 let with_sched t f =
@@ -204,7 +206,8 @@ let with_sched t f =
       | None -> 0.0)
     ~clock:t.cluster.Cluster.Topology.clock
     (fun sched ->
-      Cluster.Topology.with_running_sched t.cluster sched (fun () -> f sched))
+      Cluster.Topology.with_driver t.cluster (Cluster.Topology.Fibers sched)
+        (fun () -> f sched))
 
 (* Bounded retry for transient network errors against one node. Waits the
    breaker's current backoff on the simulated clock between attempts —
@@ -262,6 +265,7 @@ let reachable t name =
 
 let reset_sessions t =
   Hashtbl.reset t.sessions;
+  t.recent <- None;
   Hashtbl.reset t.shared_counters
 
 (* A node crashed: its pooled connections are dead, drop them and give

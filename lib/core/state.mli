@@ -87,6 +87,9 @@ type t = {
           and executors consult it for placement preference and retry
           backoff *)
   sessions : ((string * int), session_state) Hashtbl.t;
+  mutable recent : (Engine.Instance.session * session_state) option;
+      (** the last session looked up, so a session's run of statements
+          hashes no key *)
   shared_counters : (string, int ref) Hashtbl.t;
   registry : ((string * int), string * int) Hashtbl.t;
       (** (worker node, backend xid) -> (coordinator node, coordinator xid):

@@ -1253,26 +1253,25 @@ type plan_stats = { mutable builds : int; mutable runs : int; mutable invalidati
 
 let plan_stats () = { builds = 0; runs = 0; invalidations = 0 }
 
-type kept = { k_stmt : Ast.statement; k_params : int array; mutable k_plan : plan option }
+(* At most one plan per catalog: a reference-table read runs locally on
+   every node that holds a replica, and a plan is built for one node. *)
+type kept = { k_stmt : Ast.statement; k_params : int array; mutable k_plans : plan list }
 
-let keep stmt = { k_stmt = stmt; k_params = Array.of_list (Ast.params stmt); k_plan = None }
+let keep stmt = { k_stmt = stmt; k_params = Array.of_list (Ast.params stmt); k_plans = [] }
 
 let first_unbound k n = Array.find_opt (fun i -> i > n) k.k_params
 
-(* The kept plan, rebuilt when it was built against another catalog or
-   an older version of this one. *)
+(* The plan kept for [ctx.catalog], built when there is none and rebuilt
+   when it was built at an older version of the catalog. *)
 let run_kept stats k ctx =
+  let catalog = ctx.catalog in
   let plan =
-    match k.k_plan with
-    | Some plan when plan.p_catalog == ctx.catalog && plan.p_version = Catalog.version ctx.catalog ->
-      plan
-    | kept ->
-      (match kept with
-       | Some plan when plan.p_catalog == ctx.catalog ->
-         stats.invalidations <- stats.invalidations + 1
-       | _ -> ());
-      let plan = prepare ctx.catalog k.k_stmt in
-      k.k_plan <- Some plan;
+    match List.find_opt (fun p -> p.p_catalog == catalog) k.k_plans with
+    | Some plan when plan.p_version = Catalog.version catalog -> plan
+    | stale ->
+      if Option.is_some stale then stats.invalidations <- stats.invalidations + 1;
+      let plan = prepare catalog k.k_stmt in
+      k.k_plans <- plan :: List.filter (fun p -> p.p_catalog != catalog) k.k_plans;
       stats.builds <- stats.builds + 1;
       plan
   in

@@ -66,8 +66,9 @@ val prepare : Catalog.t -> Sqlfront.Ast.statement -> plan
 
 val run : plan -> ctx -> result
 
-(** A statement kept with at most one plan: the plan of a prepared
-    statement, or of a cached task's worker-side statement. *)
+(** A statement kept with at most one plan per catalog: the plan of a
+    prepared statement, or of a cached task's worker-side statement,
+    which a reference-table read may run locally on several nodes. *)
 type kept
 
 val keep : Sqlfront.Ast.statement -> kept
@@ -76,16 +77,16 @@ val keep : Sqlfront.Ast.statement -> kept
     {!Sqlfront.Ast.params} order) that [n] values leave unbound. *)
 val first_unbound : kept -> int -> int option
 
-(** For one instance: kept plans built (a first run, a rebuild, or a
-    plan last built for another instance), runs of kept plans, and plans
-    found built at an older version of its catalog. *)
+(** For one instance: kept plans built (a first run on this instance or
+    a rebuild), runs of kept plans, and plans found built at an older
+    version of its catalog. *)
 type plan_stats = { mutable builds : int; mutable runs : int; mutable invalidations : int }
 
 val plan_stats : unit -> plan_stats
 
-(** [run_kept stats k ctx] runs [k]'s plan for [ctx], first building it
-    if [k] has none, or if it was built against another catalog than
-    [ctx.catalog] or an older version of it. *)
+(** [run_kept stats k ctx] runs [k]'s plan for [ctx.catalog], first
+    building it if [k] has none for that catalog, or if it was built at
+    an older version of it. *)
 val run_kept : plan_stats -> kept -> ctx -> result
 
 (** {2 One-off execution: plan, then run once} *)

@@ -9,13 +9,38 @@
    exact; the cost is 8 bytes per observation for the life of the
    registry. *)
 
+(* Names are interned once per process: a key's [id] indexes every
+   registry's arrays, so an update is an array read, never a string
+   hash. *)
+type key = { id : int; name : string }
+
+let interned : (string, key) Hashtbl.t = Hashtbl.create 128
+
+let key name =
+  match Hashtbl.find_opt interned name with
+  | Some k -> k
+  | None ->
+    let k = { id = Hashtbl.length interned; name } in
+    Hashtbl.add interned name k;
+    k
+
+let key_name k = k.name
+
+type counter = { c_name : string; mutable count : int }
+
+type gauge = { g_name : string; mutable level : float }
+
 (* [obs.(0 .. n-1)] are the observations in arrival order. *)
-type hist = { mutable obs : Float.Array.t; mutable n : int }
+type hist = { h_name : string; mutable obs : Float.Array.t; mutable n : int }
+
+(* One kind of series, by key id: [absent] (tested with [==]) marks a
+   key this registry never touched. *)
+type 'a table = { mutable slots : 'a array; absent : 'a }
 
 type t = {
-  counters : (string, int ref) Hashtbl.t;
-  gauges : (string, float ref) Hashtbl.t;
-  histograms : (string, hist) Hashtbl.t;
+  counters : counter table;
+  gauges : gauge table;
+  histograms : hist table;
   mutable probes : (string * (unit -> (string * int) list)) list;
 }
 
@@ -33,56 +58,55 @@ type snapshot = {
   s_histograms : (string * hist_summary) list;
 }
 
+let table absent = { slots = Array.make 64 absent; absent }
+
 let create () =
   {
-    counters = Hashtbl.create 32;
-    gauges = Hashtbl.create 8;
-    histograms = Hashtbl.create 8;
+    counters = table { c_name = ""; count = 0 };
+    gauges = table { g_name = ""; level = 0.0 };
+    histograms = table { h_name = ""; obs = Float.Array.create 0; n = 0 };
     probes = [];
   }
 
-let counter t name =
-  match Hashtbl.find_opt t.counters name with
-  | Some r -> r
-  | None ->
-      let r = ref 0 in
-      Hashtbl.replace t.counters name r;
-      r
+let find tb k =
+  if k.id < Array.length tb.slots then Array.unsafe_get tb.slots k.id else tb.absent
 
-let inc ?(by = 1) t name =
-  let r = counter t name in
-  r := !r + by
+(* The series at [k], made on first use; a key interned after the
+   registry was made lies past the end, so the array grows. *)
+let series tb k make =
+  let x = find tb k in
+  if x != tb.absent then x
+  else begin
+    let n = Array.length tb.slots in
+    if k.id >= n then begin
+      let a = Array.make (max (k.id + 1) (2 * n)) tb.absent in
+      Array.blit tb.slots 0 a 0 n;
+      tb.slots <- a
+    end;
+    let x = make k.name in
+    tb.slots.(k.id) <- x;
+    x
+  end
 
-let counter_value t name =
-  match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
+let inc ?(by = 1) t k =
+  let c = series t.counters k (fun c_name -> { c_name; count = 0 }) in
+  c.count <- c.count + by
 
-let gauge t name =
-  match Hashtbl.find_opt t.gauges name with
-  | Some r -> r
-  | None ->
-      let r = ref 0.0 in
-      Hashtbl.replace t.gauges name r;
-      r
+let counter_value t k = (find t.counters k).count
 
-let gauge_add t name v =
-  let r = gauge t name in
-  r := !r +. v
+let gauge t k = series t.gauges k (fun g_name -> { g_name; level = 0.0 })
 
-let gauge_set t name v =
-  let r = gauge t name in
-  r := v
+let gauge_add t k v =
+  let g = gauge t k in
+  g.level <- g.level +. v
 
-let gauge_value t name =
-  match Hashtbl.find_opt t.gauges name with Some r -> !r | None -> 0.0
+let gauge_set t k v = (gauge t k).level <- v
 
-let observe t name v =
+let gauge_value t k = (find t.gauges k).level
+
+let observe t k v =
   let h =
-    match Hashtbl.find_opt t.histograms name with
-    | Some h -> h
-    | None ->
-        let h = { obs = Float.Array.create 64; n = 0 } in
-        Hashtbl.replace t.histograms name h;
-        h
+    series t.histograms k (fun h_name -> { h_name; obs = Float.Array.create 64; n = 0 })
   in
   if h.n = Float.Array.length h.obs then begin
     let obs = Float.Array.create (2 * h.n) in
@@ -120,11 +144,13 @@ let summarize h =
     max = (if n = 0 then 0.0 else Float.Array.get arr (n - 1));
   }
 
+(* [f series] for every series [tb] holds *)
+let present tb f =
+  Array.fold_right (fun x acc -> if x == tb.absent then acc else f x :: acc) tb.slots []
+
 let snapshot t =
   let by_name (a, _) (b, _) = String.compare a b in
-  let direct =
-    Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t.counters []
-  in
+  let direct = present t.counters (fun c -> (c.c_name, c.count)) in
   let probed =
     List.concat_map
       (fun (prefix, f) ->
@@ -134,13 +160,9 @@ let snapshot t =
   {
     s_counters = List.sort by_name (direct @ probed);
     s_gauges =
-      List.sort by_name
-        (Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t.gauges []);
+      List.sort by_name (present t.gauges (fun g -> (g.g_name, g.level)));
     s_histograms =
-      List.sort by_name
-        (Hashtbl.fold
-           (fun name h acc -> (name, summarize h) :: acc)
-           t.histograms []);
+      List.sort by_name (present t.histograms (fun h -> (h.h_name, summarize h)));
   }
 
 let render snap =

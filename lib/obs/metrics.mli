@@ -7,6 +7,16 @@
 
 type t
 
+(** An interned series name. {!key} resolves a name once per process to
+    an index into every registry's counter, gauge and histogram arrays,
+    so {!inc} and {!observe} hash no string. Names come from
+    {!Metric_names}, which interns each constant once. *)
+type key
+
+val key : string -> key
+
+val key_name : key -> string
+
 type hist_summary = {
   count : int;
   sum : float;
@@ -25,18 +35,18 @@ type snapshot = {
 val create : unit -> t
 
 (** Monotonic counter increment (creates the counter at 0 on first use). *)
-val inc : ?by:int -> t -> string -> unit
+val inc : ?by:int -> t -> key -> unit
 
-val counter_value : t -> string -> int
+val counter_value : t -> key -> int
 
-val gauge_add : t -> string -> float -> unit
+val gauge_add : t -> key -> float -> unit
 
-val gauge_set : t -> string -> float -> unit
+val gauge_set : t -> key -> float -> unit
 
-val gauge_value : t -> string -> float
+val gauge_value : t -> key -> float
 
 (** Record one observation into the named histogram. *)
-val observe : t -> string -> float -> unit
+val observe : t -> key -> float -> unit
 
 (** [register_probe t prefix f]: at snapshot time [f ()]'s counters are
     folded in under ["<prefix>.<key>"]. *)

@@ -123,7 +123,7 @@ val set_suspension_hazard : t -> p:float -> stall:float -> unit
 
 (** One suspension-point draw for [node]; returns the micro-stall to
     apply (usually 0.0). Wired into [Sim.Sched]'s [on_suspend] by
-    [Citus.State.with_sched]. *)
+    [Citus.State.with_sched]; a lone task's waits draw it directly. *)
 val at_suspension : t -> node:string -> float
 
 (** One latency draw for a round trip to [to_]: distribution sample plus

@@ -15,11 +15,15 @@ let conflicts a b =
 type t = {
   (* target -> holders: (owner, mode) list *)
   held : (target, (xid * mode) list) Hashtbl.t;
+  (* owner -> the targets of its grants, newest first (a target once per
+     mode held): what [release_all] visits instead of every bucket *)
+  owned : (xid, target list) Hashtbl.t;
   (* owner -> pending blocked request *)
   waiting : (xid, target * mode) Hashtbl.t;
 }
 
-let create () = { held = Hashtbl.create 64; waiting = Hashtbl.create 16 }
+let create () =
+  { held = Hashtbl.create 64; owned = Hashtbl.create 16; waiting = Hashtbl.create 16 }
 
 let holders t target = Option.value ~default:[] (Hashtbl.find_opt t.held target)
 
@@ -37,6 +41,8 @@ let acquire t ~owner target mode =
     | [] ->
       Hashtbl.remove t.waiting owner;
       Hashtbl.replace t.held target ((owner, mode) :: current);
+      Hashtbl.replace t.owned owner
+        (target :: Option.value ~default:[] (Hashtbl.find_opt t.owned owner));
       Granted
     | _ ->
       Hashtbl.replace t.waiting owner (target, mode);
@@ -47,23 +53,25 @@ let cancel_wait t ~owner = Hashtbl.remove t.waiting owner
 
 let reset t =
   Hashtbl.reset t.held;
+  Hashtbl.reset t.owned;
   Hashtbl.reset t.waiting
 
 let release_all t ~owner =
   Hashtbl.remove t.waiting owner;
-  let updates =
-    Hashtbl.fold
-      (fun target holders acc ->
+  match Hashtbl.find_opt t.owned owner with
+  | None -> ()
+  | Some targets ->
+    Hashtbl.remove t.owned owner;
+    List.iter
+      (fun target ->
+        (* a target held in two modes is listed twice: the second visit
+           finds the owner gone *)
+        let holders = holders t target in
         if List.exists (fun (o, _) -> o = owner) holders then
-          (target, List.filter (fun (o, _) -> o <> owner) holders) :: acc
-        else acc)
-      t.held []
-  in
-  let apply (target, remaining) =
-    if remaining = [] then Hashtbl.remove t.held target
-    else Hashtbl.replace t.held target remaining
-  in
-  List.iter apply updates
+          match List.filter (fun (o, _) -> o <> owner) holders with
+          | [] -> Hashtbl.remove t.held target
+          | remaining -> Hashtbl.replace t.held target remaining)
+      targets
 
 let wait_edges t =
   Hashtbl.fold

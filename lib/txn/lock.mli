@@ -48,6 +48,9 @@ val release_all : t -> owner:xid -> unit
     transactions reacquire theirs during WAL replay). *)
 val reset : t -> unit
 
+(** The holders of [target], newest grant first. *)
+val holders : t -> target -> (xid * mode) list
+
 (** All current wait-for edges (waiter, holder), one per conflicting
     holder. This is what the Citus deadlock detector polls from workers. *)
 val wait_edges : t -> (xid * xid) list

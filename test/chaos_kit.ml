@@ -351,12 +351,12 @@ let check_obs_conservation ~msg cluster =
   Alcotest.(check (float 0.0))
     (msg "breaker-trip gauge settled")
     0.0
-    (Obs.Metrics.gauge_value obs.Obs.metrics "breaker.tripped");
+    (Obs.Metrics.gauge_value obs.Obs.metrics Obs.Metric_names.breaker_tripped);
   Alcotest.(check bool)
     (msg "rebalance moves: completed <= started")
     true
-    (counter cluster "rebalance.moves_completed"
-    <= counter cluster "rebalance.moves_started")
+    (counter cluster Obs.Metric_names.rebalance_moves_completed
+    <= counter cluster Obs.Metric_names.rebalance_moves_started)
 
 (* What correctness means after quiescence, whatever the storm was:
    transfers are balance-preserving, so [total] must be exactly the

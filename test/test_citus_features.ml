@@ -1,8 +1,8 @@
 (* Tenant isolation, consistent restore points, EXPLAIN, adaptive-executor
    timeline, and the sim cost model. *)
 
-let make ?(workers = 2) ?(shard_count = 8) () =
-  let cluster = Cluster.Topology.create ~workers () in
+let make ?(workers = 2) ?(shard_count = 8) ?fault_seed () =
+  let cluster = Cluster.Topology.create ~workers ?fault_seed () in
   let citus = Citus.Api.install ~shard_count cluster in
   let s = Citus.Api.connect citus in
   (cluster, citus, s)
@@ -343,8 +343,12 @@ let test_subquery_on_reference_table_allowed () =
 (* A distributed table with enough rows that a shard-local read has a
    measurable modeled cost, plus a fresh session (empty pools) to run
    hand-built task lists through the real executor. *)
-let exec_fixture ?(rows = 64) () =
-  let _, citus, s = make () in
+let exec_fixture ?(rows = 64) ?fault_seed ?(replication = 1) () =
+  let _, citus, s = make ?fault_seed () in
+  if replication > 1 then
+    ignore
+      (exec s
+         (Printf.sprintf "SELECT citus_set_replication_factor(%d)" replication));
   ignore (exec s "CREATE TABLE t (k bigint, v bigint)");
   ignore (exec s "SELECT create_distributed_table('t', 'k')");
   ignore (exec s "BEGIN");
@@ -529,6 +533,71 @@ let test_capability_matrix_matches_paper () =
     (fun c -> Alcotest.(check bool) "impl non-empty" true (implemented_by c <> ""))
     capabilities
 
+(* --- the lone-task path: one task that cannot hedge runs on the
+   caller's stack, with no scheduler of its own --- *)
+
+let fault_of (st : Citus.State.t) =
+  match Cluster.Topology.fault st.Citus.State.cluster with
+  | Some f -> f
+  | None -> Alcotest.fail "fixture has no fault plan"
+
+let test_lone_task_keeps_outer_fiber () =
+  (* a reply that takes virtual time: under an outer scheduler the lone
+     task must advance the clock itself, never suspend the outer fiber
+     (the spawned sibling would then run first) *)
+  let st, s, meta, shard = exec_fixture ~fault_seed:3 () in
+  Sim.Fault.set_latency (fault_of st) ~mean:0.02 ~jitter:0.0;
+  let sibling_ran, r =
+    Citus.State.with_sched st (fun sched ->
+        let ran = ref false in
+        let sibling = Sim.Sched.spawn sched (fun () -> ran := true) in
+        let _, r = Citus.Adaptive_executor.execute st s (read_tasks meta shard 1) in
+        let ran_during = !ran in
+        Sim.Sched.await sched sibling;
+        (ran_during, r))
+  in
+  Alcotest.(check bool) "outer fiber never suspended" false sibling_ran;
+  Alcotest.(check bool) "the reply wait took its latency" true
+    (r.Citus.Adaptive_executor.makespan
+     >= r.Citus.Adaptive_executor.serial_time +. 0.02 -. 1e-9)
+
+let test_lone_task_draws_hazard () =
+  let st, s, meta, shard = exec_fixture ~fault_seed:3 () in
+  Sim.Fault.set_suspension_hazard (fault_of st) ~p:1.0 ~stall:0.5;
+  let _, r = Citus.Adaptive_executor.execute st s (read_tasks meta shard 1) in
+  Alcotest.(check (float 1e-9)) "delayed by the stall"
+    (r.Citus.Adaptive_executor.serial_time +. 0.5)
+    r.Citus.Adaptive_executor.makespan
+
+let test_lone_read_still_hedges () =
+  let st, s, meta, shard = exec_fixture ~fault_seed:3 ~replication:2 () in
+  let m = Cluster.Topology.metrics st.Citus.State.cluster in
+  let task = List.hd (read_tasks meta shard 1) in
+  Sim.Fault.stall_node (fault_of st) ~node:task.Citus.Plan.task_node ~extra:5.0
+    ~duration:120.0;
+  st.Citus.State.config.Citus.State.hedge_threshold <- 0.05;
+  let hedged = Obs.Metrics.counter_value m Obs.Metric_names.exec_hedged_reads in
+  let _, r = Citus.Adaptive_executor.execute st s [ task ] in
+  Alcotest.(check int) "one hedge" 1
+    (Obs.Metrics.counter_value m Obs.Metric_names.exec_hedged_reads - hedged);
+  Alcotest.(check bool) "escaped the stall" true
+    (r.Citus.Adaptive_executor.makespan < 1.0)
+
+let test_lone_task_times_out () =
+  let st, s, meta, shard = exec_fixture ~fault_seed:3 () in
+  let task = List.hd (read_tasks meta shard 1) in
+  Sim.Fault.stall_node (fault_of st) ~node:task.Citus.Plan.task_node ~extra:5.0
+    ~duration:120.0;
+  st.Citus.State.config.Citus.State.statement_timeout <- 0.1;
+  let clock = st.Citus.State.cluster.Cluster.Topology.clock in
+  let t0 = Sim.Clock.now clock in
+  match Citus.Adaptive_executor.execute st s [ task ] with
+  | _ -> Alcotest.fail "expected the statement timeout"
+  | exception Cluster.Connection.Timed_out { deadline; _ } ->
+    Alcotest.(check (float 1e-9)) "deadline" (t0 +. 0.1) deadline;
+    Alcotest.(check (float 1e-9)) "raised at the deadline" deadline
+      (Sim.Clock.now clock)
+
 let () =
   Alcotest.run "citus_features"
     [
@@ -572,6 +641,13 @@ let () =
           Alcotest.test_case "long tasks ramp up" `Quick
             test_slow_start_long_tasks_ramp_up;
           Alcotest.test_case "shared limit" `Quick test_shared_limit_caps_connections;
+          Alcotest.test_case "lone task keeps outer fiber" `Quick
+            test_lone_task_keeps_outer_fiber;
+          Alcotest.test_case "lone task draws hazard" `Quick
+            test_lone_task_draws_hazard;
+          Alcotest.test_case "lone read still hedges" `Quick
+            test_lone_read_still_hedges;
+          Alcotest.test_case "lone task times out" `Quick test_lone_task_times_out;
         ] );
       ( "affinity",
         [

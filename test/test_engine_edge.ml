@@ -675,6 +675,20 @@ let test_plan_would_block_retry () =
   Alcotest.(check int) "with the kept plan" 0 (builds inst - b);
   Alcotest.(check int) "retry's value" 200 (one_int s1 "SELECT v FROM t WHERE k = 5")
 
+(* One kept statement run locally on two nodes in turn, as a
+   reference-table read is: each node's plan is built once and kept. *)
+let test_plan_per_node () =
+  let a, sa = plan_table () and b, sb = plan_table () in
+  let kept = Executor.keep (Sqlfront.Parser.parse_statement "SELECT v FROM t WHERE k = $1") in
+  let a0 = builds a and b0 = builds b in
+  for i = 0 to 19 do
+    let s = if i mod 2 = 0 then sa else sb in
+    Alcotest.(check (list int)) "row of this execution's key" [ i mod 7 ]
+      (ints (Instance.exec_local_kept s kept [ Datum.Int i ]))
+  done;
+  Alcotest.(check (pair int int)) "one plan built on each node" (1, 1)
+    (builds a - a0, builds b - b0)
+
 (* Shapes the plan cache can send as bound executes, and some it cannot
    keep generic (an ordinal, a LIKE pattern): run from a kept plan, each
    must match binding the values and running the statement as text. *)
@@ -826,6 +840,7 @@ let () =
           Alcotest.test_case "rebuilt by DDL" `Quick test_plan_rebuilt_by_ddl;
           Alcotest.test_case "reads the execution" `Quick test_plan_reads_execution;
           Alcotest.test_case "would-block retry" `Quick test_plan_would_block_retry;
+          Alcotest.test_case "kept per node" `Quick test_plan_per_node;
           QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 28 |])
             prop_kept_plan_matches_bound;
         ] );

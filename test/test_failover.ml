@@ -478,9 +478,9 @@ let test_hedged_read_escapes_a_stall () =
     (Printf.sprintf "hedge escaped the stall (%.3fs)" elapsed)
     true (elapsed < 1.0);
   Alcotest.(check bool) "a hedge fired" true
-    (Obs.Metrics.counter_value m "exec.hedged_reads" >= 1);
+    (Obs.Metrics.counter_value m Obs.Metric_names.exec_hedged_reads >= 1);
   Alcotest.(check bool) "the hedge won" true
-    (Obs.Metrics.counter_value m "exec.hedge_wins" >= 1);
+    (Obs.Metrics.counter_value m Obs.Metric_names.exec_hedge_wins >= 1);
   (* the losing attempt was cancelled and drained: its connection is back
      in the pool, no fiber leaked, every span closed *)
   Alcotest.(check int) "no txn conns pinned" 0 (Citus.State.leaked_txn_conns st);
@@ -516,10 +516,12 @@ let test_lock_waiters_released_on_retry_give_up () =
         (List.length (Txn.Lock.wait_edges (Txn.Manager.locks mgr))))
     (Cluster.Topology.all_nodes cluster);
   let m = Cluster.Topology.metrics cluster in
-  let cancelled_before = Obs.Metrics.counter_value m "deadlock.cancelled" in
+  let cancelled_before =
+    Obs.Metrics.counter_value m Obs.Metric_names.deadlock_cancelled
+  in
   Citus.Api.maintenance citus;
   Alcotest.(check int) "detector cancels nothing stale" cancelled_before
-    (Obs.Metrics.counter_value m "deadlock.cancelled");
+    (Obs.Metrics.counter_value m Obs.Metric_names.deadlock_cancelled);
   ignore (exec s "COMMIT");
   ignore (exec s2 "ROLLBACK")
 

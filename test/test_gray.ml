@@ -131,10 +131,10 @@ let matrix_deadline_awaits = ref 0
 
 let test_seed seed () =
   let f, outcomes, violations, total = run_gray ~seed () in
-  matrix_timeouts := !matrix_timeouts + counter f.cluster "exec.timeouts";
-  matrix_hedges := !matrix_hedges + counter f.cluster "exec.hedged_reads";
+  matrix_timeouts := !matrix_timeouts + counter f.cluster Obs.Metric_names.exec_timeouts;
+  matrix_hedges := !matrix_hedges + counter f.cluster Obs.Metric_names.exec_hedged_reads;
   matrix_deadline_awaits :=
-    !matrix_deadline_awaits + counter f.cluster "net.await_timed_out";
+    !matrix_deadline_awaits + counter f.cluster Obs.Metric_names.net_await_timed_out;
   check_bounded ~seed violations;
   check_invariants ~seed ~total f;
   check_some_committed ~seed outcomes

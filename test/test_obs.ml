@@ -377,7 +377,7 @@ let test_disabled_sink_zero_cost () =
   (* metrics still flow with the sink off *)
   Alcotest.(check bool) "counters unaffected by the sink" true
     (Obs.Metrics.counter_value (Cluster.Topology.metrics cluster)
-       "planner.tier.pushdown"
+       (Obs.Metric_names.planner_tier "pushdown")
      > 0)
 
 (* spans close even when execution raises *)
@@ -484,7 +484,7 @@ let prop_histogram_model =
       in
       List.iteri
         (fun i (name, v) ->
-          Obs.Metrics.observe m name v;
+          Obs.Metrics.observe m (Obs.Metrics.key name) v;
           Hashtbl.replace model name
             (v :: Option.value (Hashtbl.find_opt model name) ~default:[]);
           if i mod 97 = 0 then check ())

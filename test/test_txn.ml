@@ -107,6 +107,114 @@ let test_local_deadlock_detection () =
       (List.sort Int.compare members)
   | None -> Alcotest.fail "deadlock not detected"
 
+(* The lock table as it was kept before its owner index: [release_all]
+   folded over every bucket. The index must not change what a reader of
+   the table sees. *)
+module Fold_lock = struct
+  type t = {
+    held : (Lock.target, (Lock.xid * Lock.mode) list) Hashtbl.t;
+    waiting : (Lock.xid, Lock.target * Lock.mode) Hashtbl.t;
+  }
+
+  let conflicts (a : Lock.mode) (b : Lock.mode) =
+    match a, b with
+    | Access_exclusive, _ | _, Access_exclusive -> true
+    | Row_lock, Row_lock -> true
+    | _ -> false
+
+  let create () = { held = Hashtbl.create 64; waiting = Hashtbl.create 16 }
+
+  let holders t target = Option.value ~default:[] (Hashtbl.find_opt t.held target)
+
+  let acquire t ~owner target mode : Lock.outcome =
+    let current = holders t target in
+    if List.exists (fun (o, m) -> o = owner && m = mode) current then begin
+      Hashtbl.remove t.waiting owner;
+      Granted
+    end
+    else
+      match List.filter (fun (o, m) -> o <> owner && conflicts mode m) current with
+      | [] ->
+        Hashtbl.remove t.waiting owner;
+        Hashtbl.replace t.held target ((owner, mode) :: current);
+        Granted
+      | conflicting ->
+        Hashtbl.replace t.waiting owner (target, mode);
+        Blocked (List.map fst conflicting)
+
+  let cancel_wait t ~owner = Hashtbl.remove t.waiting owner
+
+  let release_all t ~owner =
+    Hashtbl.remove t.waiting owner;
+    Hashtbl.fold
+      (fun target holders acc ->
+        if List.exists (fun (o, _) -> o = owner) holders then
+          (target, List.filter (fun (o, _) -> o <> owner) holders) :: acc
+        else acc)
+      t.held []
+    |> List.iter (fun (target, remaining) ->
+           if remaining = [] then Hashtbl.remove t.held target
+           else Hashtbl.replace t.held target remaining)
+
+  let wait_edges t =
+    Hashtbl.fold
+      (fun waiter (target, mode) acc ->
+        List.fold_left
+          (fun acc (holder, m) ->
+            if holder <> waiter && conflicts mode m then (waiter, holder) :: acc else acc)
+          acc (holders t target))
+      t.waiting []
+end
+
+type lop =
+  | L_acquire of int * Lock.target * Lock.mode
+  | L_release of int
+  | L_cancel of int
+
+let lock_targets =
+  [ Lock.Table "a"; Lock.Table "b"; Lock.Row ("a", 1); Lock.Row ("a", 2); Lock.Row ("b", 1) ]
+
+let lop_gen =
+  QCheck2.Gen.(
+    let owner = int_range 1 5 in
+    frequency
+      [
+        ( 6,
+          map3
+            (fun o target mode -> L_acquire (o, target, mode))
+            owner (oneofl lock_targets)
+            (oneofl Lock.[ Access_share; Row_exclusive; Access_exclusive; Row_lock ]) );
+        (2, map (fun o -> L_release o) owner);
+        (1, map (fun o -> L_cancel o) owner);
+      ])
+
+let prop_lock_index =
+  QCheck2.Test.make ~name:"lock release matches the fold" ~count:200
+    QCheck2.Gen.(list_size (int_range 0 200) lop_gen)
+    (fun ops ->
+      let l = Lock.create () and m = Fold_lock.create () in
+      List.iteri
+        (fun i op ->
+          (match op with
+           | L_acquire (owner, target, mode) ->
+             if Lock.acquire l ~owner target mode <> Fold_lock.acquire m ~owner target mode
+             then QCheck2.Test.fail_reportf "op %d: acquire outcome differs" i
+           | L_release owner ->
+             Lock.release_all l ~owner;
+             Fold_lock.release_all m ~owner
+           | L_cancel owner ->
+             Lock.cancel_wait l ~owner;
+             Fold_lock.cancel_wait m ~owner);
+          List.iter
+            (fun target ->
+              if Lock.holders l target <> Fold_lock.holders m target then
+                QCheck2.Test.fail_reportf "op %d: holders differ" i)
+            lock_targets;
+          if Lock.wait_edges l <> Fold_lock.wait_edges m then
+            QCheck2.Test.fail_reportf "op %d: wait edges differ" i)
+        ops;
+      true)
+
 (* --- WAL --- *)
 
 let test_wal_order_and_restore_point () =
@@ -596,6 +704,7 @@ let () =
           Alcotest.test_case "table modes" `Quick test_table_lock_modes;
           Alcotest.test_case "wait edges" `Quick test_wait_edges;
           Alcotest.test_case "local deadlock" `Quick test_local_deadlock_detection;
+          QCheck_alcotest.to_alcotest prop_lock_index;
         ] );
       ( "wal",
         [ Alcotest.test_case "order and restore point" `Quick

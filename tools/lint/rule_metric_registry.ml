@@ -12,8 +12,9 @@
     literal, [^] concatenation, a local helper — is a finding.
 
     Escape hatch: [[\@lint.metric_adhoc]] on the name expression, for
-    genuinely dynamic names that cannot live in a registry (none exist
-    today; the families cover every parameterized series). *)
+    genuinely dynamic names that cannot live in a registry, and for a
+    family key made once and kept (the plan cache's per-shape
+    [plancache.shape_seconds] key, the one site today). *)
 
 let id = "L13"
 let name = "metric-registry"

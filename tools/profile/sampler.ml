@@ -47,10 +47,17 @@ let print_table oc ~title ~total tbl =
            Printf.fprintf oc "  %6.2f%%  %7d  %s\n"
              (100.0 *. float_of_int n /. float_of_int (max 1 total)) n k)
 
+(* [Citus__Adaptive_executor.execute.(fun)] -> [Citus__Adaptive_executor] *)
+let module_of name =
+  match String.index_opt name '.' with
+  | Some i -> String.sub name 0 i
+  | None -> name
+
 let report oc =
   let self = Hashtbl.create 256
   and inclusive = Hashtbl.create 256
-  and callers = Hashtbl.create 64 in
+  and callers = Hashtbl.create 64
+  and modules = Hashtbl.create 64 in
   let total = ref 0 in
   List.iter
     (fun bt ->
@@ -59,6 +66,9 @@ let report oc =
       | inner :: _ as stack ->
         incr total;
         bump self inner;
+        bump modules
+          (Option.fold ~none:"<stdlib>" ~some:module_of
+             (List.find_opt (fun n -> not (is_stdlib n)) stack));
         List.iter (bump inclusive) (List.sort_uniq String.compare stack);
         if is_stdlib inner then
           let caller =
@@ -69,5 +79,6 @@ let report oc =
     !samples;
   let total = !total in
   print_table oc ~title:"self" ~total self;
+  print_table oc ~title:"self by module (first non-stdlib frame)" ~total modules;
   print_table oc ~title:"inclusive" ~total inclusive;
   print_table oc ~title:"stdlib function <- caller" ~total callers

@@ -18,9 +18,11 @@ val stop : unit -> unit
 (** Number of samples taken. *)
 val count : unit -> int
 
-(** Print three tables of the top 25 entries: self time
-    (the innermost frame), inclusive time (every function on the stack,
-    once per sample), and, for samples whose innermost frame is in the
+(** Print four tables of the top 25 entries: self time
+    (the innermost frame), self time by module (the module of the first
+    non-stdlib frame, so a [Hashtbl.find_opt] counts toward the module
+    that called it), inclusive time (every function on the stack, once
+    per sample), and, for samples whose innermost frame is in the
     standard library, the stdlib function with its first non-stdlib
     caller. *)
 val report : out_channel -> unit
