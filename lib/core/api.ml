@@ -5,6 +5,9 @@ type t = {
   metadata : Metadata.t;
       (** the cluster's one catalog: every installed node's
           [State.metadata] is this value (MX) *)
+  config : State.config;
+      (** the cluster's one runtime settings record: every installed
+          node's [State.config] is this value *)
   registry : ((string * int), string * int) Hashtbl.t;
   mutable states : State.t list;
   mutable active_data_nodes : string list;
@@ -25,52 +28,15 @@ let coordinator_state t =
   | st :: _ -> st
   | [] -> err "the Citus extension is not installed anywhere"
 
-(* MX metadata sync ships "shell" copies of the logical tables to the
-   workers, so worker-side planning and DDL can resolve them. Shells hold
-   schema only — the data lives in the shards. *)
-let create_shell_table t ~(node : Cluster.Topology.node) ~table_name =
-  let coord_catalog =
-    Engine.Instance.catalog
-      t.cluster.Cluster.Topology.coordinator.Cluster.Topology.instance
-  in
-  match Engine.Catalog.find_table_opt coord_catalog table_name with
-  | None -> ()
-  | Some src ->
-    let cat = Engine.Instance.catalog node.Cluster.Topology.instance in
-    if Engine.Catalog.find_table_opt cat table_name = None then begin
-      let columnar =
-        match src.Engine.Catalog.store with
-        | Engine.Catalog.Columnar_store _ -> true
-        | Engine.Catalog.Heap_store _ -> false
-      in
-      ignore
-        (Engine.Catalog.add_table cat ~name:table_name
-           ~columns:src.Engine.Catalog.columns
-           ~primary_key:src.Engine.Catalog.primary_key ~columnar)
-    end
-
-let sync_shells_to_installed_nodes t =
-  List.iter
-    (fun (st : State.t) ->
-      let node = st.State.local in
-      if
-        not
-          (String.equal node.Cluster.Topology.node_name
-             t.cluster.Cluster.Topology.coordinator.Cluster.Topology.node_name)
-      then
-        List.iter
-          (fun (dt : Metadata.dist_table) ->
-            create_shell_table t ~node ~table_name:dt.Metadata.dt_name)
-          (Metadata.all_tables t.metadata))
-    t.states
-
 (* --- UDF implementations --- *)
 
 (* Turn the local table [table] into a Citus table: [register] its
-   shards, create their schema on every placement, move the local rows
-   into them and empty the local copy — all inside the UDF's
-   transaction — then ship the new shell to metadata-synced nodes. *)
+   definition and shards, create the shards on every placement, move the
+   local rows into them and drop the local table — all inside the UDF's
+   transaction. Every node then plans from the one definition. *)
 let convert_table t st session ~table register =
+  if Metadata.is_citus_table t.metadata table then
+    err "table %s is already distributed" table;
   let tbl =
     match
       Engine.Catalog.find_table_opt
@@ -83,42 +49,36 @@ let convert_table t st session ~table register =
   let _cols, rows =
     Engine.Executor.run_select
       (Engine.Instance.make_ctx session)
-      {
-        Ast.distinct = false;
-        projections = [ Ast.Star ];
-        from = [ Ast.Table { name = table; alias = None } ];
-        where = None;
-        group_by = [];
-        having = None;
-        order_by = [];
-        limit = None;
-        offset = None;
-      }
+      (Ast.select_from table [ Ast.Star ])
   in
-  Ddl.create_shards st session tbl (register tbl rows);
+  let def = Ddl.definition_of tbl in
+  Ddl.create_shards st session def (register tbl def rows);
   ignore (Dist_executor.insert_rows st session ~table rows);
-  ignore (Engine.Instance.exec_utility_local session (Ast.Truncate [ table ]));
-  sync_shells_to_installed_nodes t
+  (* the TRUNCATE's WAL record fences the moved rows off any later local
+     table of the same name at replay; the DROP itself is not logged *)
+  List.iter
+    (fun stmt -> ignore (Engine.Instance.exec_utility_local session stmt))
+    [ Ast.Truncate [ table ];
+      Ast.Drop_table { name = table; if_exists = false } ]
 
 let do_create_distributed_table t st session ~table ~column ~colocate_with =
-  convert_table t st session ~table (fun tbl rows ->
+  convert_table t st session ~table (fun tbl def rows ->
       let pos = Engine.Catalog.column_index tbl column in
       (* checked before anything is registered: the catalog is not
          transactional, so a conversion must not fail halfway *)
       if List.exists (fun (row : Datum.t array) -> Datum.is_null row.(pos)) rows
       then err "%s has a NULL in its distribution column %s" table column;
       Metadata.register_distributed t.metadata
-        ~replication_factor:t.replication_factor ~table ~column
-        ~ty:(Engine.Catalog.column_tys tbl).(pos)
+        ~replication_factor:t.replication_factor ~table ~column ~def
         ~colocate_with ~nodes:t.active_data_nodes)
 
 let do_create_reference_table t st session ~table =
   let coordinator =
     t.cluster.Cluster.Topology.coordinator.Cluster.Topology.node_name
   in
-  convert_table t st session ~table (fun _ _ ->
+  convert_table t st session ~table (fun _ def _ ->
       [
-        Metadata.register_reference t.metadata ~table
+        Metadata.register_reference t.metadata ~table ~def
           ~nodes:
             (List.sort_uniq String.compare
                (coordinator :: t.active_data_nodes));
@@ -240,7 +200,7 @@ let route t (st : State.t) session ?prepared shape values =
     Obs.Metrics.inc metrics
       (Obs.Metric_names.planner_tier (Planner.tier_slug tier))
   in
-  let max_size = st.State.config.State.plan_cache_size in
+  let max_size = t.config.State.plan_cache_size in
   (* an EXECUTE's key is its stored shape's text, deparsed once per
      PREPARE; ad-hoc SQL's comes from the memo of lifted shapes *)
   let key =
@@ -248,11 +208,11 @@ let route t (st : State.t) session ?prepared shape values =
     | Some name -> Engine.Instance.prepared_text session name
     | None -> Plancache.key_of_shape t.plancache ~max_size shape
   in
-  let stat = Plancache.stat t.plancache ~key in
+  let slot = Plancache.slot t.plancache ~key in
+  let stat = slot.Plancache.stat in
   stat.Plancache.st_calls <- stat.Plancache.st_calls + 1;
   let t0 = now () in
   let version = Metadata.version t.metadata in
-  let catalog = Engine.Instance.catalog inst in
   let cached sp outcome (entry : Plancache.entry) =
     Obs.Trace.add_tag sp "cache" outcome;
     Obs.Trace.add_tag sp "tier"
@@ -269,8 +229,8 @@ let route t (st : State.t) session ?prepared shape values =
        planning uses health, not raw reachability, which a real system
        cannot observe *)
     match
-      Planner.plan ~node_ok:(State.node_available st) t.metadata ~catalog
-        ~local_name bound
+      Planner.plan ~node_ok:(State.node_available st) t.metadata ~local_name
+        bound
     with
     | plan, tier ->
       count_tier tier;
@@ -282,7 +242,7 @@ let route t (st : State.t) session ?prepared shape values =
   let decide sp =
     match
       if max_size <= 0 then Plancache.Miss
-      else Plancache.find t.plancache ~key ~version
+      else Plancache.lookup t.plancache slot ~version
     with
     | Plancache.Hit entry ->
       Obs.Metrics.inc metrics Obs.Metric_names.plancache_hits;
@@ -296,7 +256,7 @@ let route t (st : State.t) session ?prepared shape values =
        | _ -> ());
       (match
          if max_size <= 0 then None
-         else Planner.analyze_shape t.metadata ~catalog shape
+         else Planner.analyze_shape t.metadata shape
        with
        | None -> bypass sp
        | Some sh ->
@@ -307,7 +267,7 @@ let route t (st : State.t) session ?prepared shape values =
          stat.Plancache.st_tier <- Planner.tier_slug tier;
          charge Engine.Meter.add_routed_statement;
          let entry = build_entry t ~key ~version ~stmt:shape sh in
-         let evicted = Plancache.store t.plancache ~max_size entry in
+         let evicted = Plancache.store t.plancache ~max_size slot entry in
          if evicted > 0 then
            Obs.Metrics.inc ~by:evicted metrics
              Obs.Metric_names.plancache_evictions;
@@ -422,8 +382,8 @@ let rec install_on_node t (node : Cluster.Topology.node) =
   let node_name = node.Cluster.Topology.node_name in
   (* every node plans against the cluster's one catalog (MX) *)
   let st =
-    State.create ~cluster:t.cluster ~metadata:t.metadata ~local:node
-      ~registry:t.registry
+    State.create ~cluster:t.cluster ~metadata:t.metadata ~config:t.config
+      ~local:node ~registry:t.registry
   in
   t.states <- t.states @ [ st ];
   let inst = node.Cluster.Topology.instance in
@@ -568,14 +528,14 @@ let rec install_on_node t (node : Cluster.Topology.node) =
       Printf.sprintf "metadata synced to %d nodes"
         (List.length (Cluster.Topology.data_nodes t.cluster)));
   (* the engine has no SET/GUC machinery, so runtime knobs flow through
-     a UDF instead; the value propagates to every metadata-synced node's
-     extension state (MX: a knob set anywhere applies cluster-wide,
-     like a synced ALTER SYSTEM), not just the node that ran it *)
+     a UDF instead; every installed node shares the one settings record
+     (MX: a knob set anywhere applies cluster-wide, like a synced ALTER
+     SYSTEM) *)
   Udf.register inst "citus_set_config"
     Udf.(text "name" @-> text "value" @-> returning text_result)
     (fun _session name value () ->
       if String.equal name "enable_metadata_sync" then begin
-        (* not a per-node State.config field: flipping it on installs
+        (* not a State.config field: flipping it on installs
            the extension on the workers and promotes them, cluster-wide
            by nature *)
         (match String.lowercase_ascii value with
@@ -590,44 +550,34 @@ let rec install_on_node t (node : Cluster.Topology.node) =
         Printf.sprintf "%s = %s" name value
       end
       else
-      (* validate once, {e then} apply everywhere: a bad value must not
-         leave the cluster half-updated *)
       let knob parse ok expects set =
         match parse value with
-        | Some v when ok v -> fun cfg -> set cfg v
+        | Some v when ok v -> set v
         | _ -> err "citus_set_config: %s expects %s, got '%s'" name expects value
       in
       let seconds =
         knob float_of_string_opt (fun v -> v >= 0.0) "a non-negative number"
       in
       let count = knob int_of_string_opt (fun v -> v > 0) "a positive integer" in
-      let apply : State.config -> unit =
-        match name with
-        | "statement_timeout" -> seconds (fun cfg v -> cfg.State.statement_timeout <- v)
-        | "hedge_threshold" -> seconds (fun cfg v -> cfg.State.hedge_threshold <- v)
-        | "slow_start_interval" ->
-          seconds (fun cfg v -> cfg.State.slow_start_interval <- v)
-        | "move_timeout" -> seconds (fun cfg v -> cfg.State.move_timeout <- v)
-        | "pool_size_per_node" -> count (fun cfg v -> cfg.State.pool_size_per_node <- v)
-        | "shared_connection_limit" ->
-          count (fun cfg v -> cfg.State.shared_connection_limit <- v)
-        | "max_parallel_moves" -> count (fun cfg v -> cfg.State.max_parallel_moves <- v)
-        | "consistency" ->
-          knob State.consistency_of_string (fun _ -> true)
-            "eventual|read_your_writes|snapshot"
-            (fun cfg c -> cfg.State.consistency <- c)
-        | "plan_cache_size" ->
-          (* 0 disables the cache *)
-          knob int_of_string_opt (fun v -> v >= 0) "a non-negative integer"
-            (fun cfg v -> cfg.State.plan_cache_size <- v)
-        | other -> err "citus_set_config: unknown setting '%s'" other
-      in
-      List.iter (fun (other : State.t) -> apply other.State.config) t.states;
-      let remote = List.length t.states - 1 in
-      if remote > 0 then
-        Obs.Metrics.inc ~by:remote
-          (Cluster.Topology.metrics t.cluster)
-          Obs.Metric_names.mx_config_syncs;
+      let cfg = t.config in
+      (match name with
+       | "statement_timeout" -> seconds (fun v -> cfg.State.statement_timeout <- v)
+       | "hedge_threshold" -> seconds (fun v -> cfg.State.hedge_threshold <- v)
+       | "slow_start_interval" -> seconds (fun v -> cfg.State.slow_start_interval <- v)
+       | "move_timeout" -> seconds (fun v -> cfg.State.move_timeout <- v)
+       | "pool_size_per_node" -> count (fun v -> cfg.State.pool_size_per_node <- v)
+       | "shared_connection_limit" ->
+         count (fun v -> cfg.State.shared_connection_limit <- v)
+       | "max_parallel_moves" -> count (fun v -> cfg.State.max_parallel_moves <- v)
+       | "consistency" ->
+         knob State.consistency_of_string (fun _ -> true)
+           "eventual|read_your_writes|snapshot"
+           (fun c -> cfg.State.consistency <- c)
+       | "plan_cache_size" ->
+         (* 0 disables the cache *)
+         knob int_of_string_opt (fun v -> v >= 0) "a non-negative integer"
+           (fun v -> cfg.State.plan_cache_size <- v)
+       | other -> err "citus_set_config: unknown setting '%s'" other);
       Printf.sprintf "%s = %s" name value);
   Udf.register inst "citus_health_report"
     Udf.(returning rows)
@@ -833,8 +783,7 @@ and enable_metadata_sync t =
          maintenance passes (deadlock detection, placement repair),
          which are gated on the role at tick time *)
       Cluster.Topology.set_role node Cluster.Topology.Coordinator)
-    (Cluster.Topology.data_nodes t.cluster);
-  sync_shells_to_installed_nodes t
+    (Cluster.Topology.data_nodes t.cluster)
 
 let install ?(shard_count = 32) ?active_workers cluster =
   let metadata = Metadata.create ~shard_count () in
@@ -852,6 +801,7 @@ let install ?(shard_count = 32) ?active_workers cluster =
     {
       cluster;
       metadata;
+      config = State.default_config ();
       registry = Hashtbl.create 64;
       states = [];
       active_data_nodes = active;

@@ -22,6 +22,9 @@ type t = {
   metadata : Metadata.t;
       (** the cluster's one catalog, shared by every node running the
           extension (MX, §3.2.1) *)
+  config : State.config;
+      (** the cluster's one runtime settings record, shared the same way:
+          [citus_set_config] sets it once, on any node *)
   registry : ((string * int), string * int) Hashtbl.t;
   mutable states : State.t list;  (** one per node running the extension *)
   mutable active_data_nodes : string list;

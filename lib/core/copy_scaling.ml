@@ -69,12 +69,6 @@ let copy_hook (t : State.t) session ~table ~columns lines =
   | Some dt ->
     let st = State.session_state t session in
     let local = t.State.local.Cluster.Topology.instance in
-    let catalog = Engine.Instance.catalog local in
-    let tbl =
-      match Engine.Catalog.find_table_opt catalog table with
-      | Some tbl -> tbl
-      | None -> err "relation %s does not exist" table
-    in
     (* coordinator-side parse cost: this is the serial part *)
     Engine.Meter.add_copy_rows (Engine.Instance.meter local)
       (List.length lines);
@@ -91,26 +85,16 @@ let copy_hook (t : State.t) session ~table ~columns lines =
        in
        Some n
      | Metadata.Distributed ->
-       let dist_col =
-         match dt.Metadata.dist_column with
-         | Some c -> c
-         | None -> err "relation %s has no distribution column" table
+       let dist_col, dist_ty =
+         match dt.Metadata.dist_column, Metadata.dist_column_ty dt with
+         | Some c, Some ty -> (c, ty)
+         | _ -> err "relation %s has no distribution column" table
        in
-       let col_list =
-         match columns with
-         | Some cols -> cols
-         | None ->
-           List.map
-             (fun (c : Sqlfront.Ast.column_def) -> c.col_name)
-             tbl.Engine.Catalog.columns
-       in
+       let col_list = Option.value columns ~default:(Metadata.column_names dt) in
        let dist_pos =
          match List.find_index (String.equal dist_col) col_list with
          | Some i -> i
          | None -> err "COPY into %s must include the distribution column" table
-       in
-       let dist_ty =
-         (Engine.Catalog.column_tys tbl).(Engine.Catalog.column_index tbl dist_col)
        in
        (* route each line to its shard *)
        let batches : (int, string list ref) Hashtbl.t = Hashtbl.create 16 in

@@ -1,5 +1,8 @@
 open Sqlfront
 
+let err fmt =
+  Printf.ksprintf (fun m -> raise (Engine.Instance.Session_error m)) fmt
+
 (* One task per shard of [table], on its first active placement; the
    executor replicates DDL writes across every active placement. A
    reference shard runs outside any colocation group. *)
@@ -25,58 +28,61 @@ let run_tasks (t : State.t) session tasks =
   let results, _report = Adaptive_executor.execute t session tasks in
   List.fold_left (fun acc r -> acc + r.Engine.Instance.affected) 0 results
 
-(* The statements that create shard [s] of the table [src] defines: the
-   table (columnar flag and primary key included), then one CREATE INDEX
-   per secondary index, named <index>_<shard id> as CREATE INDEX
-   propagation names it. [src] is the logical table or one of its shards;
-   a shard's index names end in its own "_<id>" (its name past the
-   logical table's), which gives way to [s]'s. *)
-let shard_schema (src : Engine.Catalog.table) (s : Metadata.shard) =
-  let table = Metadata.shard_name s in
-  let src_name = src.Engine.Catalog.tbl_name in
-  let suffix_len = String.length src_name - String.length s.Metadata.shard_of in
-  let index_name name =
-    Printf.sprintf "%s_%d"
-      (String.sub name 0 (String.length name - suffix_len))
-      s.Metadata.shard_id
-  in
+(* Shard [s]'s copy of a secondary index: <index>_<shard id>, as
+   CREATE INDEX propagation names it. *)
+let shard_index (s : Metadata.shard) (ix : Metadata.index_def) =
+  Ast.Create_index
+    {
+      name = Printf.sprintf "%s_%d" ix.Metadata.ix_name s.Metadata.shard_id;
+      table = Metadata.shard_name s;
+      using = ix.Metadata.ix_using;
+      key_columns = ix.Metadata.ix_columns;
+      key_expr = ix.Metadata.ix_expr;
+      if_not_exists = false;
+    }
+
+(* The logical definition a local table turns into: its secondary
+   indexes are all but the primary key's. *)
+let definition_of (tbl : Engine.Catalog.table) =
+  let name = tbl.Engine.Catalog.tbl_name in
+  {
+    Metadata.columns = tbl.Engine.Catalog.columns;
+    primary_key = tbl.Engine.Catalog.primary_key;
+    columnar =
+      (match tbl.Engine.Catalog.store with
+       | Engine.Catalog.Columnar_store _ -> true
+       | Engine.Catalog.Heap_store _ -> false);
+    indexes =
+      List.filter_map
+        (fun { Engine.Catalog.idx_name = ix_name; kind; _ } ->
+          match kind with
+          | _ when String.equal ix_name (name ^ "_pkey") -> None
+          | Engine.Catalog.Btree_index { columns; _ } ->
+            Some
+              { Metadata.ix_name; ix_using = Ast.Btree; ix_columns = columns;
+                ix_expr = None }
+          | Engine.Catalog.Gin_index { expr; _ } ->
+            Some
+              { Metadata.ix_name; ix_using = Ast.Gin_trgm; ix_columns = [];
+                ix_expr = Some expr })
+        tbl.Engine.Catalog.indexes;
+  }
+
+(* The statements that create shard [s] of a table with definition
+   [def]: the table (columnar flag and primary key included), then its
+   secondary indexes. *)
+let shard_schema (def : Metadata.table_def) (s : Metadata.shard) =
   Ast.Create_table
     {
-      name = table;
-      columns = src.Engine.Catalog.columns;
-      primary_key = src.Engine.Catalog.primary_key;
+      name = Metadata.shard_name s;
+      columns = def.Metadata.columns;
+      primary_key = def.Metadata.primary_key;
       if_not_exists = false;
-      using_columnar =
-        (match src.Engine.Catalog.store with
-         | Engine.Catalog.Columnar_store _ -> true
-         | Engine.Catalog.Heap_store _ -> false);
+      using_columnar = def.Metadata.columnar;
     }
-  :: List.filter_map
-       (fun (idx : Engine.Catalog.index) ->
-         let idx_name = idx.Engine.Catalog.idx_name in
-         if String.equal idx_name (src_name ^ "_pkey") then
-           None (* implicit in CREATE TABLE *)
-         else
-           let using, key_columns, key_expr =
-             match idx.Engine.Catalog.kind with
-             | Engine.Catalog.Btree_index { columns; _ } ->
-               (Ast.Btree, columns, None)
-             | Engine.Catalog.Gin_index { expr; _ } ->
-               (Ast.Gin_trgm, [], Some expr)
-           in
-           Some
-             (Ast.Create_index
-                {
-                  name = index_name idx_name;
-                  table;
-                  using;
-                  key_columns;
-                  key_expr;
-                  if_not_exists = false;
-                }))
-       src.Engine.Catalog.indexes
+  :: List.map (shard_index s) def.Metadata.indexes
 
-let create_shards (t : State.t) session (src : Engine.Catalog.table) shards =
+let create_shards (t : State.t) session (def : Metadata.table_def) shards =
   (* round k runs every shard's k-th statement, so each shard's table
      exists before its indexes *)
   let rec rounds schemas =
@@ -92,72 +98,67 @@ let create_shards (t : State.t) session (src : Engine.Catalog.table) shards =
            (List.map (fun (s, stmt, _) -> shard_task t s stmt) round));
       rounds (List.map (fun (s, _, rest) -> (s, rest)) round)
   in
-  rounds (List.map (fun s -> (s, shard_schema src s)) shards)
+  rounds (List.map (fun s -> (s, shard_schema def s)) shards)
 
+let result tag = { Engine.Instance.columns = []; rows = []; affected = 0; tag }
+
+(* DDL on a Citus table changes its definition in [Metadata] (which
+   bumps the version, so cached plans revalidate) once every shard has
+   taken the statement; no node keeps a copy of the logical table. *)
 let utility_hook (t : State.t) session (stmt : Ast.statement) =
   let meta = t.State.metadata in
-  let citus = Planner.citus_tables meta stmt in
-  if citus = [] then None
-  else
-    let apply_local () = Engine.Instance.exec_utility_local session stmt in
-    match stmt with
-    | Ast.Create_index ci ->
-      (* local schema copy first, then one index per shard. Schema DDL
-         lives outside [Metadata], so it must bump the metadata version
-         by hand, so every node's cached prepared-statement plans
-         revalidate. *)
-      Metadata.bump_version t.State.metadata;
-      let local = apply_local () in
-      let make_stmt (s : Metadata.shard) =
-        Ast.Create_index
-          {
-            ci with
-            name = Printf.sprintf "%s_%d" ci.name s.Metadata.shard_id;
-            table = Metadata.shard_name s;
-          }
-      in
-      ignore (run_tasks t session (tasks_for t ci.table ~make_stmt));
-      Some local
-    | Ast.Alter_table_add_column a ->
-      (* schema DDL: bump by hand, as for CREATE INDEX *)
-      Metadata.bump_version t.State.metadata;
-      let local = apply_local () in
-      let make_stmt (s : Metadata.shard) =
-        Ast.Alter_table_add_column { a with table = Metadata.shard_name s }
-      in
-      ignore (run_tasks t session (tasks_for t a.table ~make_stmt));
-      Some local
-    | Ast.Truncate tables ->
-      let citus_tables, local_tables =
-        List.partition (Metadata.is_citus_table meta) tables
-      in
-      if local_tables <> [] then
-        ignore (Engine.Instance.exec_utility_local session (Ast.Truncate local_tables));
-      List.iter
-        (fun table ->
-          (* also empty the coordinator's schema copy *)
-          ignore
-            (Engine.Instance.exec_utility_local session (Ast.Truncate [ table ]));
-          let make_stmt (s : Metadata.shard) =
-            Ast.Truncate [ Metadata.shard_name s ]
-          in
-          ignore (run_tasks t session (tasks_for t table ~make_stmt)))
-        citus_tables;
-      Some
-        { Engine.Instance.columns = []; rows = []; affected = 0; tag = "TRUNCATE" }
-    | Ast.Drop_table { name; if_exists } ->
-      let make_stmt (s : Metadata.shard) =
-        Ast.Drop_table { name = Metadata.shard_name s; if_exists = true }
-      in
-      ignore (run_tasks t session (tasks_for t name ~make_stmt));
-      Metadata.drop_table t.State.metadata name;
-      Some (Engine.Instance.exec_utility_local session
-              (Ast.Drop_table { name; if_exists }))
-    | Ast.Vacuum (Some table) ->
-      let make_stmt (s : Metadata.shard) =
-        Ast.Vacuum (Some (Metadata.shard_name s))
-      in
-      let affected = run_tasks t session (tasks_for t table ~make_stmt) in
-      Some
-        { Engine.Instance.columns = []; rows = []; affected; tag = "VACUUM" }
-    | _ -> None
+  let on_shards table make_stmt =
+    ignore (run_tasks t session (tasks_for t table ~make_stmt))
+  in
+  match stmt with
+  | Ast.Create_table { name; if_not_exists; _ }
+    when Metadata.is_citus_table meta name ->
+    if if_not_exists then Some (result "CREATE TABLE")
+    else err "relation %s already exists" name
+  | _ when Planner.citus_tables meta stmt = [] -> None
+  | Ast.Create_index ci ->
+    let named (ix : Metadata.index_def) =
+      String.equal ix.Metadata.ix_name ci.name
+    in
+    (match Metadata.find meta ci.table with
+     | Some dt when List.exists named dt.Metadata.def.Metadata.indexes ->
+       if not ci.if_not_exists then err "index %s already exists" ci.name
+     | _ ->
+       let ix =
+         { Metadata.ix_name = ci.name; ix_using = ci.using;
+           ix_columns = ci.key_columns; ix_expr = ci.key_expr }
+       in
+       on_shards ci.table (fun s -> shard_index s ix);
+       Metadata.alter meta ~table:ci.table (fun def ->
+           { def with Metadata.indexes = def.Metadata.indexes @ [ ix ] }));
+    Some (result "CREATE INDEX")
+  | Ast.Alter_table_add_column a ->
+    on_shards a.table (fun s ->
+        Ast.Alter_table_add_column { a with table = Metadata.shard_name s });
+    Metadata.alter meta ~table:a.table (fun def ->
+        { def with Metadata.columns = def.Metadata.columns @ [ a.column ] });
+    Some (result "ALTER TABLE")
+  | Ast.Truncate tables ->
+    let citus_tables, local_tables =
+      List.partition (Metadata.is_citus_table meta) tables
+    in
+    if local_tables <> [] then
+      ignore (Engine.Instance.exec_utility_local session (Ast.Truncate local_tables));
+    List.iter
+      (fun table ->
+        on_shards table (fun s -> Ast.Truncate [ Metadata.shard_name s ]))
+      citus_tables;
+    Some (result "TRUNCATE")
+  | Ast.Drop_table { name; _ } ->
+    on_shards name (fun s ->
+        Ast.Drop_table { name = Metadata.shard_name s; if_exists = true });
+    Metadata.drop_table meta name;
+    Some (result "DROP TABLE")
+  | Ast.Vacuum (Some table) ->
+    let affected =
+      run_tasks t session
+        (tasks_for t table ~make_stmt:(fun s ->
+             Ast.Vacuum (Some (Metadata.shard_name s))))
+    in
+    Some { (result "VACUUM") with affected }
+  | _ -> None

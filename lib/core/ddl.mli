@@ -1,27 +1,28 @@
 (** Distributed schema changes (§3.8).
 
-    DDL on a Citus table is applied to the coordinator's local schema copy
-    first (keeping future shards consistent) and then propagated to every
-    shard through the adaptive executor inside the same distributed
-    transaction, so a multi-node DDL commits atomically via 2PC. *)
+    DDL on a Citus table is propagated to every shard through the
+    adaptive executor inside the same distributed transaction, so a
+    multi-node DDL commits atomically via 2PC; the table's logical
+    definition in {!Metadata} then changes once, for every node. *)
 
-(** The statements that create one shard of the table a definition
-    describes: [CREATE TABLE] (columnar flag and primary key included),
+(** The definition a local table gives the Citus table it becomes. *)
+val definition_of : Engine.Catalog.table -> Metadata.table_def
+
+(** The statements that create one shard of a table from its logical
+    definition: [CREATE TABLE] (columnar flag and primary key included),
     then one [CREATE INDEX] per secondary B-tree or GIN index, named
-    [<index>_<shard id>]. The definition is the logical table's or that
-    of any of its shards (whose index names carry that shard's suffix).
-    Shard creation, tenant splits, shard moves and repairs all build a
-    shard's schema here. *)
+    [<index>_<shard id>]. Shard creation, tenant splits, shard moves and
+    repairs all build a shard's schema here. *)
 val shard_schema :
-  Engine.Catalog.table -> Metadata.shard -> Sqlfront.Ast.statement list
+  Metadata.table_def -> Metadata.shard -> Sqlfront.Ast.statement list
 
-(** [create_shards st session src shards] runs {!shard_schema} for every
+(** [create_shards st session def shards] runs {!shard_schema} for every
     shard as adaptive-executor tasks inside [session]'s transaction, so
     each statement reaches every active placement. *)
 val create_shards :
   State.t ->
   Engine.Instance.session ->
-  Engine.Catalog.table ->
+  Metadata.table_def ->
   Metadata.shard list ->
   unit
 

@@ -150,8 +150,7 @@ let insert_rows (t : State.t) session ~table ?columns
     in
     let local = t.State.local in
     let plan, _tier =
-      Planner.plan t.State.metadata
-        ~catalog:(Engine.Instance.catalog local.Cluster.Topology.instance)
-        ~local_name:local.Cluster.Topology.node_name stmt
+      Planner.plan t.State.metadata ~local_name:local.Cluster.Topology.node_name
+        stmt
     in
     (fst (execute t session plan)).Engine.Instance.affected

@@ -96,9 +96,9 @@ let guarded ?deadline ?snapshot (t : State.t) conn ~sql submit =
       State.check_injected t node sql;
       let r =
         (Cluster.Connection.await ?deadline (submit ()) [@lint.blocking])
-        (* boundary primitive: runs both under a scheduler (executor
-           fibers) and outside one (setup, maintenance) — Connection.await
-           falls back to a clock advance when no scheduler is ambient *)
+        (* boundary primitive: runs under every cluster driver (executor
+           fibers, a lone task, or none: setup, maintenance) —
+           Connection.await waits as [Topology.driver] says *)
       in
       Health.record_success t.State.health node;
       r

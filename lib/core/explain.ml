@@ -16,15 +16,11 @@ let task_line (t : Plan.task) =
 let explain (t : State.t) sql =
   let stmt = Sqlfront.Parser.parse_statement sql in
   let meta = t.State.metadata in
-  let catalog =
-    Engine.Instance.catalog t.State.local.Cluster.Topology.instance
-  in
   if not (Planner.names_citus_table meta stmt) then
     "Local execution (no Citus tables)"
   else
     match
-      Planner.plan meta ~catalog
-        ~local_name:t.State.local.Cluster.Topology.node_name stmt
+      Planner.plan meta ~local_name:t.State.local.Cluster.Topology.node_name stmt
     with
     | plan, tier ->
       let buf = Buffer.create 256 in

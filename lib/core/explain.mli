@@ -5,7 +5,7 @@
     Figure 4's planning examples. Used by tests to pin planner behavior and
     by users to understand routing. *)
 
-(** [explain state ~catalog sql] plans (without executing) and renders the
+(** [explain state sql] plans (without executing) and renders the
     distributed plan. Falls back to describing join-order handling or
     local execution. *)
 val explain : State.t -> string -> string

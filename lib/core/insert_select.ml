@@ -3,20 +3,6 @@ open Sqlfront
 let err fmt =
   Printf.ksprintf (fun m -> raise (Engine.Instance.Session_error m)) fmt
 
-let local_catalog (t : State.t) =
-  Engine.Instance.catalog t.State.local.Cluster.Topology.instance
-
-let column_list (t : State.t) table columns =
-  match columns with
-  | Some cols -> cols
-  | None ->
-    (match Engine.Catalog.find_table_opt (local_catalog t) table with
-     | Some tbl ->
-       List.map
-         (fun (c : Ast.column_def) -> c.col_name)
-         tbl.Engine.Catalog.columns
-     | None -> err "relation %s does not exist" table)
-
 (* Insert materialized rows through the planner's INSERT routing —
    shared by the re-partition and pull strategies and reference
    destinations. *)
@@ -35,7 +21,6 @@ let insert_rows (t : State.t) session ~table ~cols ~on_conflict_do_nothing
    applies and return its rows. *)
 let materialize_select (t : State.t) session select =
   let meta = t.State.metadata in
-  let catalog = local_catalog t in
   let stmt = Ast.Select_stmt select in
   if not (Planner.names_citus_table meta stmt) then begin
     let ctx = Engine.Instance.make_ctx session in
@@ -43,8 +28,7 @@ let materialize_select (t : State.t) session select =
   end
   else begin
     let plan, _tier =
-      Planner.plan meta ~catalog
-        ~local_name:t.State.local.Cluster.Topology.node_name stmt
+      Planner.plan meta ~local_name:t.State.local.Cluster.Topology.node_name stmt
     in
     let result, _report = Dist_executor.execute t session plan in
     result.Engine.Instance.rows
@@ -58,8 +42,12 @@ let trivial_master (merge : Plan.merge) =
 let execute (t : State.t) session ~table ~columns ~select ~on_conflict_do_nothing
     =
   let meta = t.State.metadata in
-  let catalog = local_catalog t in
-  let cols = column_list t table columns in
+  let dt =
+    match Metadata.find meta table with
+    | Some dt -> dt
+    | None -> err "%s is not a Citus table" table
+  in
+  let cols = Option.value columns ~default:(Metadata.column_names dt) in
   let dml_result affected =
     { Engine.Instance.columns = []; rows = []; affected; tag = "INSERT" }
   in
@@ -68,10 +56,9 @@ let execute (t : State.t) session ~table ~columns ~select ~on_conflict_do_nothin
       (insert_rows t session ~table ~cols ~on_conflict_do_nothing
          (materialize_select t session select))
   in
-  match Metadata.find meta table with
-  | None -> err "%s is not a Citus table" table
-  | Some { Metadata.kind = Metadata.Reference; _ } -> pull ()
-  | Some { Metadata.kind = Metadata.Distributed; dist_column = Some dc; _ } ->
+  match dt with
+  | { Metadata.kind = Metadata.Reference; _ } -> pull ()
+  | { Metadata.kind = Metadata.Distributed; dist_column = Some dc; _ } ->
     let dist_pos =
       match List.find_index (String.equal dc) cols with
       | Some i -> i
@@ -132,7 +119,7 @@ let execute (t : State.t) session ~table ~columns ~select ~on_conflict_do_nothin
     else begin
       (* strategy 2 (re-partition) when pushdownable with a trivial merge,
          else strategy 3 (pull) *)
-      match Planner.plan_pushdown_select meta ~catalog select with
+      match Planner.plan_pushdown_select meta select with
       | tasks, merge when trivial_master merge ->
         let results, _ = Adaptive_executor.execute t session tasks in
         let rows = List.concat_map (fun r -> r.Engine.Instance.rows) results in
@@ -149,5 +136,5 @@ let execute (t : State.t) session ~table ~columns ~select ~on_conflict_do_nothin
           (insert_rows t session ~table ~cols ~on_conflict_do_nothing rows)
       | _ | exception Planner.Unsupported _ -> pull ()
     end
-  | Some { Metadata.kind = Metadata.Distributed; dist_column = None; _ } ->
+  | { Metadata.kind = Metadata.Distributed; dist_column = None; _ } ->
     err "distributed table %s has no distribution column" table

@@ -70,26 +70,10 @@ let dist_column meta table =
    would still be the only place in the tree where identifiers reach a
    parser as a string. *)
 let run_single_table (t : State.t) session ~table ?alias ?where projections =
-  let catalog =
-    Engine.Instance.catalog t.State.local.Cluster.Topology.instance
-  in
-  let sel =
-    {
-      Ast.distinct = false;
-      projections;
-      from = [ Ast.Table { name = table; alias } ];
-      where;
-      group_by = [];
-      having = None;
-      order_by = [];
-      limit = None;
-      offset = None;
-    }
-  in
   match
-    Planner.plan t.State.metadata ~catalog
+    Planner.plan t.State.metadata
       ~local_name:t.State.local.Cluster.Topology.node_name
-      (Ast.Select_stmt sel)
+      (Ast.Select_stmt (Ast.select_from ?alias ?where table projections))
   with
   | plan, _ -> (fst (Dist_executor.execute t session plan)).Engine.Instance.rows
   | exception Planner.Unsupported m -> unsupported "%s" m
@@ -243,12 +227,9 @@ let materialize (t : State.t) session ~table ~alias conjs =
     [ Ast.Star ]
 
 let create_temp_table (t : State.t) ~node ~name ~src_table =
-  let catalog =
-    Engine.Instance.catalog t.State.local.Cluster.Topology.instance
-  in
   let src =
-    match Engine.Catalog.find_table_opt catalog src_table with
-    | Some tbl -> tbl
+    match Metadata.find t.State.metadata src_table with
+    | Some dt -> dt.Metadata.def
     | None -> unsupported "relation %s does not exist" src_table
   in
   let conn =
@@ -261,7 +242,7 @@ let create_temp_table (t : State.t) ~node ~name ~src_table =
        (Ast.Create_table
           {
             name;
-            columns = src.Engine.Catalog.columns;
+            columns = src.Metadata.columns;
             primary_key = [];
             if_not_exists = false;
             using_columnar = false;
@@ -332,15 +313,15 @@ let execute (t : State.t) session (sel : Ast.select) =
             Hashtbl.replace bcast_map table name
           | Move_repartition join_col ->
             let data = materialize t session ~table ~alias conjs in
-            let catalog =
-              Engine.Instance.catalog t.State.local.Cluster.Topology.instance
+            let pos =
+              match
+                Option.bind (Metadata.find meta table) (fun dt ->
+                    Metadata.column_index dt join_col)
+              with
+              | Some pos -> pos
+              | None ->
+                unsupported "relation %s has no column %s" table join_col
             in
-            let tbl =
-              match Engine.Catalog.find_table_opt catalog table with
-              | Some tbl -> tbl
-              | None -> unsupported "relation %s does not exist" table
-            in
-            let pos = Engine.Catalog.column_index tbl join_col in
             (* bucket rows into the anchor's hash ranges *)
             let buckets = Hashtbl.create 16 in
             List.iter
@@ -381,11 +362,8 @@ let execute (t : State.t) session (sel : Ast.select) =
       (* build the pushdown parts and per-group tasks with a combined
          rename: moved tables to their temp/fragment relations, everything
          else to the group's shards *)
-      let catalog =
-        Engine.Instance.catalog t.State.local.Cluster.Topology.instance
-      in
       let task_select, merge =
-        try Planner.pushdown_parts meta ~catalog sel
+        try Planner.pushdown_parts meta sel
         with Planner.Unsupported m -> unsupported "%s" m
       in
       let tasks =

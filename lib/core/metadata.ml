@@ -1,11 +1,25 @@
 type kind = Distributed | Reference
 
+type index_def = {
+  ix_name : string;
+  ix_using : Sqlfront.Ast.index_method;
+  ix_columns : string list;
+  ix_expr : Sqlfront.Ast.expr option;
+}
+
+type table_def = {
+  columns : Sqlfront.Ast.column_def list;
+  primary_key : string list;
+  columnar : bool;
+  indexes : index_def list;
+}
+
 type dist_table = {
   dt_name : string;
   dist_column : string option;
-  dist_column_ty : Datum.ty option;
   colocation_id : int;
   kind : kind;
+  def : table_def;
 }
 
 type shard = {
@@ -79,6 +93,18 @@ let is_citus_table t name = find t name <> None
 
 let all_tables t = t.tables
 
+let column_names dt =
+  List.map (fun (c : Sqlfront.Ast.column_def) -> c.col_name) dt.def.columns
+
+let column_index dt name = List.find_index (String.equal name) (column_names dt)
+
+let dist_column_ty dt =
+  Option.bind dt.dist_column (fun col ->
+      List.find_map
+        (fun (c : Sqlfront.Ast.column_def) ->
+          if String.equal c.col_name col then Some c.col_ty else None)
+        dt.def.columns)
+
 let by_range a b = Int32.compare a.min_hash b.min_hash
 
 (* The only writer of [t.shards]: rebuilds the shard-interval cache, so
@@ -94,7 +120,7 @@ let set_shards t shards =
         List.filter (fun s -> String.equal s.shard_of name) shards
         |> List.sort by_range
       in
-      let c_key_ty = Option.bind (find t name) (fun dt -> dt.dist_column_ty) in
+      let c_key_ty = Option.bind (find t name) dist_column_ty in
       Hashtbl.replace t.by_table name
         { c_shards = sorted; c_ranges = Array.of_list sorted; c_key_ty })
     (List.sort_uniq String.compare (List.map (fun s -> s.shard_of) shards))
@@ -147,7 +173,7 @@ let placement t shard_id =
   | node :: _ -> node
   | [] -> catalog_error "shard %d has no active placement" shard_id
 
-let register_distributed ?(replication_factor = 1) t ~table ~column ~ty
+let register_distributed ?(replication_factor = 1) t ~table ~column ~def
     ~colocate_with ~nodes =
   if find t table <> None then
     invalid_arg (Printf.sprintf "table %s is already distributed" table);
@@ -166,9 +192,9 @@ let register_distributed ?(replication_factor = 1) t ~table ~column ~ty
       {
         dt_name = table;
         dist_column = Some column;
-        dist_column_ty = Some ty;
         colocation_id = other_dt.colocation_id;
         kind = Distributed;
+        def;
       }
     in
     t.tables <- t.tables @ [ dt ];
@@ -201,9 +227,9 @@ let register_distributed ?(replication_factor = 1) t ~table ~column ~ty
       {
         dt_name = table;
         dist_column = Some column;
-        dist_column_ty = Some ty;
         colocation_id;
         kind = Distributed;
+        def;
       }
     in
     t.tables <- t.tables @ [ dt ];
@@ -235,7 +261,7 @@ let register_distributed ?(replication_factor = 1) t ~table ~column ~ty
     bump_version t;
     new_shards
 
-let register_reference t ~table ~nodes =
+let register_reference t ~table ~def ~nodes =
   if find t table <> None then
     invalid_arg (Printf.sprintf "table %s is already distributed" table);
   let colocation_id = 0 in
@@ -243,9 +269,9 @@ let register_reference t ~table ~nodes =
     {
       dt_name = table;
       dist_column = None;
-      dist_column_ty = None;
       colocation_id;
       kind = Reference;
+      def;
     }
   in
   t.tables <- t.tables @ [ dt ];
@@ -271,6 +297,17 @@ let drop_table t name =
   in
   List.iter (fun s -> Hashtbl.remove t.placement_tbl s.shard_id) dropped;
   set_shards t kept;
+  bump_version t
+
+(* The shard-interval cache keeps its key type: no schema change can
+   alter the distribution column. *)
+let alter t ~table f =
+  if find t table = None then raise (Not_distributed table);
+  t.tables <-
+    List.map
+      (fun dt ->
+        if String.equal dt.dt_name table then { dt with def = f dt.def } else dt)
+      t.tables;
   bump_version t
 
 let shards_of t name = (cached_shards t name).c_shards

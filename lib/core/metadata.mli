@@ -8,12 +8,31 @@
 
 type kind = Distributed | Reference
 
+(** A secondary index of a Citus table; shard [s] holds it as
+    [<ix_name>_<s's id>]. *)
+type index_def = {
+  ix_name : string;
+  ix_using : Sqlfront.Ast.index_method;
+  ix_columns : string list;  (** B-tree key columns *)
+  ix_expr : Sqlfront.Ast.expr option;  (** GIN trigram key expression *)
+}
+
+(** A Citus table's logical definition, held once for the cluster: every
+    node plans from it and builds shards from it, and no node keeps a
+    local copy of the logical table. *)
+type table_def = {
+  columns : Sqlfront.Ast.column_def list;
+  primary_key : string list;
+  columnar : bool;
+  indexes : index_def list;  (** secondary indexes, in creation order *)
+}
+
 type dist_table = {
   dt_name : string;
   dist_column : string option;  (** [None] for reference tables *)
-  dist_column_ty : Datum.ty option;
   colocation_id : int;
   kind : kind;
+  def : table_def;
 }
 
 type shard = {
@@ -38,10 +57,10 @@ val create : ?shard_count:int -> unit -> t
 (** {2 Metadata version}
 
     A monotonic counter bumped by every mutation that can invalidate a
-    cached distributed plan: table registration and drop, placement
-    moves / additions / health flips, shard splits and renumbering.
-    Layers that change placement-relevant state outside this module
-    (schema DDL, replication-factor knob) call {!bump_version}
+    cached distributed plan: table registration, schema change and drop,
+    placement moves / additions / health flips, shard splits and
+    renumbering. The replication-factor knob, which changes
+    placement-relevant state outside this module, calls {!bump_version}
     explicitly. The plan cache records the version at plan time and
     revalidates on mismatch — a stale cached deparse must never run. *)
 
@@ -59,26 +78,32 @@ exception Not_distributed of string
     replica). *)
 exception Catalog_error of string
 
-(** [register_distributed t ~table ~column ~ty ~colocate_with ~nodes]
-    creates shard metadata and round-robin placements over [nodes]; with
-    [replication_factor] > 1 each shard is additionally placed on the next
-    rf-1 nodes (statement-based replication, capped at the node count).
-    With [colocate_with], ranges and placements are copied from the other
-    table so the shards align. Returns the new shards in range order. *)
+(** [register_distributed t ~table ~column ~def ~colocate_with ~nodes]
+    records [def], creates shard metadata and round-robin placements over
+    [nodes]; with [replication_factor] > 1 each shard is additionally
+    placed on the next rf-1 nodes (statement-based replication, capped
+    at the node count). With [colocate_with], ranges and placements are
+    copied from the other table so the shards align. Returns the new
+    shards in range order. *)
 val register_distributed :
   ?replication_factor:int ->
   t ->
   table:string ->
   column:string ->
-  ty:Datum.ty ->
+  def:table_def ->
   colocate_with:string option ->
   nodes:string list ->
   shard list
 
 (** Reference table: one shard placed on every node. *)
-val register_reference : t -> table:string -> nodes:string list -> shard
+val register_reference :
+  t -> table:string -> def:table_def -> nodes:string list -> shard
 
 val drop_table : t -> string -> unit
+
+(** Schema DDL: replace the table's definition by [f] of it and bump
+    the version. Raises {!Not_distributed} for an unknown table. *)
+val alter : t -> table:string -> (table_def -> table_def) -> unit
 
 (** {2 Lookup} *)
 
@@ -88,11 +113,19 @@ val is_citus_table : t -> string -> bool
 
 val all_tables : t -> dist_table list
 
+val column_names : dist_table -> string list
+
+(** Position of a column in the table's definition. *)
+val column_index : dist_table -> string -> int option
+
+(** The distribution column's type; [None] for a reference table. *)
+val dist_column_ty : dist_table -> Datum.ty option
+
 val shards_of : t -> string -> shard list
 (** In hash-range order. Raises {!Not_distributed} for unknown tables. *)
 
 (** The hash [table] routes [value] by: [value] is cast to the
-    distribution column's type ([dist_column_ty]) first, so a quoted
+    distribution column's type ({!dist_column_ty}) first, so a quoted
     ['5'] hashes like the bigint [5]; a value the type cannot hold hashes
     as given. *)
 val hash_of_value : t -> table:string -> Datum.t -> int32

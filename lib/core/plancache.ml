@@ -41,10 +41,12 @@ module Shapes = Hashtbl.Make (struct
   let hash = Hashtbl.hash_param 64 256
 end)
 
+type slot = { stat : stat; mutable cached : entry option }
+
 type t = {
-  entries : (string, entry) Hashtbl.t;
+  slots : (string, slot) Hashtbl.t;
+  mutable live : int;  (** slots holding an entry *)
   keys : string Shapes.t;  (** ad-hoc shape -> its key *)
-  stat_tbl : (string, stat) Hashtbl.t;
   mutable tick : int;  (** LRU clock: bumped on every hit and store *)
   mutable next_id : int;
   retired : int ref;  (** shared by every worker-side statement made here *)
@@ -52,9 +54,9 @@ type t = {
 
 let create () =
   {
-    entries = Hashtbl.create 32;
+    slots = Hashtbl.create 32;
+    live = 0;
     keys = Shapes.create 32;
-    stat_tbl = Hashtbl.create 32;
     tick = 0;
     next_id = 1;
     retired = ref 0;
@@ -132,57 +134,14 @@ let retire e =
    metric family to the set of distinct prepared shapes. *)
 let fingerprint key = Printf.sprintf "%08x" (Hashtbl.hash key)
 
-let size t = Hashtbl.length t.entries
+let size t = t.live
 
-type lookup = Hit of entry | Stale | Miss
-
-let find t ~key ~version =
-  match Hashtbl.find_opt t.entries key with
-  | None -> Miss
-  | Some e when e.e_version <> version ->
-    (* the metadata moved underneath the skeleton: a stale cached
-       deparse must never execute — discard, caller re-plans *)
-    Hashtbl.remove t.entries key;
-    retire e;
-    Stale
-  | Some e ->
-    t.tick <- t.tick + 1;
-    e.e_tick <- t.tick;
-    Hit e
-
-let store t ~max_size entry =
-  if max_size <= 0 then 0
-  else begin
-    t.tick <- t.tick + 1;
-    entry.e_tick <- t.tick;
-    Option.iter retire (Hashtbl.find_opt t.entries entry.e_key);
-    Hashtbl.replace t.entries entry.e_key entry;
-    let evicted = ref 0 in
-    while Hashtbl.length t.entries > max_size do
-      let victim =
-        Hashtbl.fold
-          (fun _ e acc ->
-            match acc with
-            | Some b when b.e_tick <= e.e_tick -> acc
-            | _ -> Some e)
-          t.entries None
-      in
-      match victim with
-      | Some v ->
-        Hashtbl.remove t.entries v.e_key;
-        retire v;
-        incr evicted
-      | None -> ()
-    done;
-    !evicted
-  end
-
-let stat t ~key =
-  match Hashtbl.find_opt t.stat_tbl key with
+let slot t ~key =
+  match Hashtbl.find_opt t.slots key with
   | Some s -> s
   | None ->
     let fp = fingerprint key in
-    let s =
+    let stat =
       {
         st_fingerprint = fp;
         st_seconds = Obs.Metric_names.plancache_shape_seconds fp;
@@ -193,9 +152,64 @@ let stat t ~key =
         st_bypass = 0;
       }
     in
-    Hashtbl.replace t.stat_tbl key s;
+    let s = { stat; cached = None } in
+    Hashtbl.replace t.slots key s;
     s
 
+let evict t slot e =
+  slot.cached <- None;
+  t.live <- t.live - 1;
+  retire e
+
+type lookup = Hit of entry | Stale | Miss
+
+let lookup t slot ~version =
+  match slot.cached with
+  | None -> Miss
+  | Some e when e.e_version <> version ->
+    (* the metadata moved underneath the skeleton: a stale cached
+       deparse must never execute — discard, caller re-plans *)
+    evict t slot e;
+    Stale
+  | Some e ->
+    t.tick <- t.tick + 1;
+    e.e_tick <- t.tick;
+    Hit e
+
+let find t ~key ~version =
+  match Hashtbl.find_opt t.slots key with
+  | None -> Miss
+  | Some slot -> lookup t slot ~version
+
+let store t ~max_size slot entry =
+  if max_size <= 0 then 0
+  else begin
+    t.tick <- t.tick + 1;
+    entry.e_tick <- t.tick;
+    (match slot.cached with
+     | Some old -> retire old
+     | None -> t.live <- t.live + 1);
+    slot.cached <- Some entry;
+    let evicted = ref 0 in
+    while t.live > max_size do
+      let victim =
+        Hashtbl.fold
+          (fun _ s acc ->
+            match s.cached, acc with
+            | None, _ -> acc
+            | Some e, Some (_, b) when b.e_tick <= e.e_tick -> acc
+            | Some e, _ -> Some (s, e))
+          t.slots None
+      in
+      match victim with
+      | Some (s, e) ->
+        evict t s e;
+        incr evicted
+      | None -> ()
+    done;
+    !evicted
+  end
+
 let stats t =
-  Hashtbl.fold (fun k s acc -> (k, s) :: acc) t.stat_tbl []
+  Hashtbl.fold (fun k s acc -> (k, s.stat) :: acc) t.slots []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)

@@ -26,7 +26,7 @@
     runs again: the rebuilt entry has a fresh id, hence fresh names.
 
     {b Invalidation is correctness-critical.} Every entry records
-    {!Metadata.version} at build time; {!find} discards an entry whose
+    {!Metadata.version} at build time; {!lookup} discards an entry whose
     version no longer matches ([Stale]), so DDL, shard moves,
     rebalancing, replication-factor changes and tenant isolation — all
     of which bump the version — force a re-plan. Placements are {e
@@ -69,8 +69,8 @@ type entry = {
   mutable e_tick : int;  (** LRU recency stamp *)
 }
 
-(** Per-shape call accounting for [citus_stat_statements()]; kept
-    separately from {!entry} so eviction does not erase history. *)
+(** Per-shape call accounting for [citus_stat_statements()]; it
+    outlives the shape's {!entry}, so eviction does not erase history. *)
 type stat = {
   st_fingerprint : string;  (** stable 8-hex shape id *)
   st_seconds : Obs.Metrics.key;
@@ -83,6 +83,11 @@ type stat = {
   mutable st_builds : int;  (** cache fills: initial plans + revalidations *)
   mutable st_bypass : int;  (** calls re-planned (uncacheable or cache off) *)
 }
+
+(** One shape's record, keyed by its text: its statistics, which
+    outlive eviction, and its cached skeleton while it has one. A
+    statement hashes its key once, for {!slot}. *)
+type slot = private { stat : stat; mutable cached : entry option }
 
 type t
 
@@ -128,15 +133,20 @@ type lookup =
           worker-side statements retired *)
   | Miss
 
+(** The (created-on-demand) slot of a shape key. *)
+val slot : t -> key:string -> slot
+
+(** The slot's skeleton, checked against the catalog [version]. *)
+val lookup : t -> slot -> version:int -> lookup
+
+(** {!lookup} of the slot of [key], if it has one; creates none. *)
 val find : t -> key:string -> version:int -> lookup
 
-(** Insert under the LRU bound; evicts least-recently-used entries past
-    [max_size] (retiring their worker-side statements) and returns how
-    many were dropped. [max_size <= 0] stores nothing. *)
-val store : t -> max_size:int -> entry -> int
-
-(** The (created-on-demand) statistics record of a shape. *)
-val stat : t -> key:string -> stat
+(** Cache [entry] in [slot] under the LRU bound; evicts
+    least-recently-used entries past [max_size] (retiring their
+    worker-side statements) and returns how many were dropped.
+    [max_size <= 0] stores nothing. *)
+val store : t -> max_size:int -> slot -> entry -> int
 
 (** All shape statistics, sorted by shape text — the deterministic row
     order of [citus_stat_statements()]. *)

@@ -289,6 +289,14 @@ let fast_path_target (stmt : Ast.statement) : string option =
 
 (* --- single-task routing: the one classifier --- *)
 
+(* Where an INSERT with [columns] puts the distribution column: full-width
+   VALUES follow the definition's column order. *)
+let dist_position (dt : Metadata.dist_table) columns =
+  Option.bind dt.Metadata.dist_column (fun dist_col ->
+      match columns with
+      | Some cols -> List.find_index (String.equal dist_col) cols
+      | None -> Metadata.column_index dt dist_col)
+
 type shape =
   | Local_read
   | Single_group of { anchor : string; tier : tier; key : dist_key }
@@ -308,29 +316,13 @@ let shape_tier = function
    equality on its distribution column against the {e same} key.
    Anything else goes to the multi-shard tiers, so being conservative
    here costs latency, never correctness. *)
-let analyze_shape meta ~catalog (stmt : Ast.statement) : shape option =
+let analyze_shape meta (stmt : Ast.statement) : shape option =
   match stmt with
   | Ast.Insert { table; columns; source = Ast.Values [ tuple ]; _ } ->
     (match Metadata.find meta table with
-     | Some
-         {
-           Metadata.kind = Metadata.Distributed;
-           dist_column = Some dist_col;
-           _;
-         } ->
-       let dist_pos =
-         match columns with
-         | Some cols -> List.find_index (String.equal dist_col) cols
-         | None ->
-           (match Engine.Catalog.find_table_opt catalog table with
-            | Some tbl ->
-              List.find_index
-                (fun (c : Ast.column_def) -> String.equal c.col_name dist_col)
-                tbl.Engine.Catalog.columns
-            | None -> None)
-       in
+     | Some ({ Metadata.kind = Metadata.Distributed; _ } as dt) ->
        let key =
-         match Option.bind dist_pos (List.nth_opt tuple) with
+         match Option.bind (dist_position dt columns) (List.nth_opt tuple) with
          | Some (Ast.Param k) -> Some (Key_param k)
          | Some e ->
            (match eval_const e with
@@ -528,8 +520,8 @@ and validate_pushdown_level meta ~is_top (sel : Ast.select) =
 
 let intermediate_relation = "citus_intermediate"
 
-(* Expand * / t.* projections using the coordinator's catalog copy. *)
-let expand_stars ~catalog (sel : Ast.select) =
+(* Expand * / t.* projections from the tables' logical definitions. *)
+let expand_stars meta (sel : Ast.select) =
   let star_cols want_alias =
     List.concat_map
       (fun item ->
@@ -537,12 +529,11 @@ let expand_stars ~catalog (sel : Ast.select) =
         | Ast.Table { name; alias } ->
           let a = Option.value ~default:name alias in
           if want_alias = None || want_alias = Some a then
-            (match Engine.Catalog.find_table_opt catalog name with
-             | Some tbl ->
+            (match Metadata.find meta name with
+             | Some dt ->
                List.map
-                 (fun (c : Ast.column_def) ->
-                   Ast.Proj (Ast.Column (Some a, c.col_name), None))
-                 tbl.Engine.Catalog.columns
+                 (fun c -> Ast.Proj (Ast.Column (Some a, c), None))
+                 (Metadata.column_names dt)
              | None -> unsupported "cannot expand * for unknown table %s" name)
           else []
         | Ast.Join _ | Ast.Subselect _ ->
@@ -586,9 +577,8 @@ let group_by_contains_dist meta sel =
       | _ -> false)
     sel.Ast.group_by
 
-let build_pushdown meta ~catalog (sel0 : Ast.select) :
-    Ast.select * Plan.merge =
-  let sel = expand_stars ~catalog sel0 in
+let pushdown_parts meta (sel0 : Ast.select) : Ast.select * Plan.merge =
+  let sel = expand_stars meta sel0 in
   let group_keys =
     List.map (fun g -> Engine.Executor.substitute_refs sel.projections g) sel.group_by
   in
@@ -838,7 +828,6 @@ let build_pushdown meta ~catalog (sel0 : Ast.select) :
     (task_select, { Plan.master; intermediate_columns = col_names @ extra_names })
   end
 
-let pushdown_parts meta ~catalog sel = build_pushdown meta ~catalog sel
 
 let pushdown_tasks ?only_groups ?node_ok meta task_select names =
   let groups = Metadata.shard_groups ?node_ok meta ~tables:names in
@@ -861,7 +850,7 @@ let pushdown_tasks ?only_groups ?node_ok meta task_select names =
       })
     groups
 
-let plan_pushdown_select ?node_ok meta ~catalog (sel : Ast.select) =
+let plan_pushdown_select ?node_ok meta (sel : Ast.select) =
   let names = List.map fst (tables_in_select [] sel) in
   let citus_names =
     List.filter (Metadata.is_citus_table meta) (List.sort_uniq String.compare names)
@@ -873,7 +862,7 @@ let plan_pushdown_select ?node_ok meta ~catalog (sel : Ast.select) =
   if dist_tables_of meta citus_names = [] then
     unsupported "no distributed tables in pushdown select";
   validate_pushdown_level meta ~is_top:true sel;
-  let task_select, merge = build_pushdown meta ~catalog sel in
+  let task_select, merge = pushdown_parts meta sel in
   let only_groups = pruned_groups meta (Ast.Select_stmt sel) in
   (pushdown_tasks ?only_groups ?node_ok meta task_select citus_names, merge)
 
@@ -917,7 +906,7 @@ let reference_write meta stmt table =
       },
     Tier_reference )
 
-let plan_insert_values meta ~catalog stmt table columns tuples on_conflict =
+let plan_insert_values meta stmt table columns tuples on_conflict =
   let dt =
     match Metadata.find meta table with
     | Some dt -> dt
@@ -926,34 +915,12 @@ let plan_insert_values meta ~catalog stmt table columns tuples on_conflict =
   match dt.Metadata.kind with
   | Metadata.Reference -> reference_write meta stmt table
   | Metadata.Distributed ->
-    let dist_col =
-      match dt.Metadata.dist_column with
-      | Some c -> c
-      | None -> unsupported "%s has no distribution column" table
-    in
-    (* position of the distribution column among the insert columns *)
     let dist_pos =
-      match columns with
-      | Some cols ->
-        (match List.find_index (String.equal dist_col) cols with
-         | Some i -> i
-         | None ->
-           unsupported "INSERT into %s must set the distribution column %s"
-             table dist_col)
+      match dist_position dt columns with
+      | Some i -> i
       | None ->
-        (* full-width VALUES: positions follow the catalog column order *)
-        (match Engine.Catalog.find_table_opt catalog table with
-         | Some tbl ->
-           (match
-              List.find_index
-                (fun (c : Sqlfront.Ast.column_def) ->
-                  String.equal c.col_name dist_col)
-                tbl.Engine.Catalog.columns
-            with
-            | Some i -> i
-            | None ->
-              unsupported "table %s has no column %s" table dist_col)
-         | None -> unsupported "no schema for %s on this node" table)
+        unsupported "INSERT into %s must set the distribution column %s" table
+          (Option.value dt.Metadata.dist_column ~default:"")
     in
     (* group rows by target shard *)
     let by_shard = Hashtbl.create 8 in
@@ -1042,8 +1009,8 @@ let plan_multi_shard_dml meta stmt table =
 
 (* [analyze_shape] alone decides single-task routing; what it refuses
    goes to the multi-shard tiers. *)
-let plan ?node_ok meta ~catalog ~local_name stmt : Plan.t * tier =
-  match analyze_shape meta ~catalog stmt with
+let plan ?node_ok ?catalog:_ meta ~local_name stmt : Plan.t * tier =
+  match analyze_shape meta stmt with
   | Some shape ->
     ( single_task ?node_ok meta ~local_name
         ~bind:(unsupported "no value for parameter $%d")
@@ -1053,12 +1020,11 @@ let plan ?node_ok meta ~catalog ~local_name stmt : Plan.t * tier =
   | None ->
     (match stmt with
      | Ast.Select_stmt sel ->
-       let tasks, merge = plan_pushdown_select ?node_ok meta ~catalog sel in
+       let tasks, merge = plan_pushdown_select ?node_ok meta sel in
        (Plan.Multi_shard_select { tasks; merge }, Tier_pushdown)
      | Ast.Insert { table; columns; source = Ast.Values tuples;
                     on_conflict_do_nothing } ->
-       plan_insert_values meta ~catalog stmt table columns tuples
-         on_conflict_do_nothing
+       plan_insert_values meta stmt table columns tuples on_conflict_do_nothing
      | Ast.Update { table; sets; _ } ->
        let dt = Metadata.find meta table in
        (match dt with

@@ -34,21 +34,22 @@ val tier_name : tier -> string
     also holds [join_order], counted by the {!Api} fallback. *)
 val tier_slug : tier -> string
 
-(** [plan meta ~catalog ~local_name stmt] produces a distributed plan.
-    [catalog] is the local node's catalog (used to expand [*] projections
-    from the schema of the converted local table); [local_name] is the node
-    running the planner (reference-table reads route there). [node_ok]
-    steers placement choice for reads away from unhealthy nodes (circuit
-    breaker open); the first active placement is used when every candidate
-    fails the predicate. Raises {!Unsupported} when no tier applies.
+(** [plan meta ~local_name stmt] produces a distributed plan from the
+    catalog alone: [*] projections expand from the tables' logical
+    definitions ({!Metadata.table_def}). [local_name] is the node
+    running the planner (reference-table reads route there). [catalog]
+    is accepted and ignored ([bench/suite] still passes a node's
+    catalog). [node_ok] steers placement choice for reads away from
+    unhealthy nodes (circuit breaker open); the first active placement
+    is used when every candidate fails the predicate. Raises {!Unsupported} when no tier applies.
 
     The fast-path and router tiers are whatever {!analyze_shape}
     accepts, routed by {!single_task}. Counting the tier and tracing the
     ["plan"] span is the caller's job ([Api]'s statement route). *)
 val plan :
   ?node_ok:(string -> bool) ->
+  ?catalog:Engine.Catalog.t ->
   Metadata.t ->
-  catalog:Engine.Catalog.t ->
   local_name:string ->
   Sqlfront.Ast.statement ->
   Plan.t * tier
@@ -59,7 +60,6 @@ val plan :
 val plan_pushdown_select :
   ?node_ok:(string -> bool) ->
   Metadata.t ->
-  catalog:Engine.Catalog.t ->
   Sqlfront.Ast.select ->
   Plan.task list * Plan.merge
 
@@ -74,10 +74,7 @@ val select_is_colocated_with :
     co-location validation — {!Join_order} reuses this after it has
     re-partitioned or broadcast the non-co-located relations. *)
 val pushdown_parts :
-  Metadata.t ->
-  catalog:Engine.Catalog.t ->
-  Sqlfront.Ast.select ->
-  Sqlfront.Ast.select * Plan.merge
+  Metadata.t -> Sqlfront.Ast.select -> Sqlfront.Ast.select * Plan.merge
 
 (** The select's top-level conjuncts: its WHERE clause, every join
     condition in its FROM items, and those of FROM-clause subselects. *)
@@ -128,11 +125,7 @@ type shape =
 
 val shape_tier : shape -> tier
 
-val analyze_shape :
-  Metadata.t ->
-  catalog:Engine.Catalog.t ->
-  Sqlfront.Ast.statement ->
-  shape option
+val analyze_shape : Metadata.t -> Sqlfront.Ast.statement -> shape option
 
 (** Shard-group indexes a shape can route to ([-1] for [Local_read]). *)
 val shape_groups : Metadata.t -> shape -> int list

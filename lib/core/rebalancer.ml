@@ -16,17 +16,6 @@ exception Move_blocked of int list
 let err fmt =
   Printf.ksprintf (fun m -> raise (Engine.Instance.Session_error m)) fmt
 
-let find_shard_table (t : State.t) (shard : Metadata.shard) ~node =
-  let name = Metadata.shard_name shard in
-  match
-    Engine.Catalog.find_table_opt
-      (Engine.Instance.catalog
-         (Cluster.Topology.find_node t.State.cluster node).instance)
-      name
-  with
-  | Some tbl -> tbl
-  | None -> err "shard %s missing on %s" name node
-
 (* Copy one shard's data from [src] node to [dst] node following the
    logical-replication protocol: snapshot copy while writes continue, then
    WAL catch-up under a brief write lock. [finish_metadata] runs inside the
@@ -56,12 +45,21 @@ let copy_shard_to (t : State.t) (shard : Metadata.shard) ~from_node ~to_node
   let shard_table = Metadata.shard_name shard in
   let src_catalog = Engine.Instance.catalog src_inst in
   let dst_catalog = Engine.Instance.catalog dst_inst in
-  let src_tbl = find_shard_table t shard ~node:from_node in
+  let src_tbl =
+    match Engine.Catalog.find_table_opt src_catalog shard_table with
+    | Some tbl -> tbl
+    | None -> err "shard %s missing on %s" shard_table from_node
+  in
+  let def =
+    match Metadata.find t.State.metadata shard.Metadata.shard_of with
+    | Some dt -> dt.Metadata.def
+    | None -> raise (Metadata.Not_distributed shard.Metadata.shard_of)
+  in
   (match src_tbl.Engine.Catalog.store with
    | Engine.Catalog.Columnar_store _ when drop_source ->
      err "columnar shards cannot be rebalanced online"
    | _ -> ());
-  (* create the target shard from the source shard's definition
+  (* create the target shard from the table's logical definition
      ({!Ddl.shard_schema}), so its indexes keep their names; a repair may
      find a stale copy from before the placement went inactive *)
   let dst_conn =
@@ -84,7 +82,7 @@ let copy_shard_to (t : State.t) (shard : Metadata.shard) ~from_node ~to_node
       drop_dst ();
       raise e
   in
-  List.iter (fun stmt -> ignore (dst_ddl stmt)) (Ddl.shard_schema src_tbl shard);
+  List.iter (fun stmt -> ignore (dst_ddl stmt)) (Ddl.shard_schema def shard);
   let dst_tbl = Engine.Catalog.find_table dst_catalog shard_table in
   let src_mgr = Engine.Instance.txn_manager src_inst in
   let dst_mgr = Engine.Instance.txn_manager dst_inst in

@@ -31,14 +31,9 @@ type move = {
 exception Move_blocked of int list
 (** A writer still holds locks on the shard; retry after it finishes. *)
 
-(** The table of [shard] on [node], read from the node's catalog. Raises
-    {!Engine.Instance.Session_error} when the node does not hold it. *)
-val find_shard_table :
-  State.t -> Metadata.shard -> node:string -> Engine.Catalog.table
-
 (** [copy_shard_to st shard ~from_node ~to_node ~drop_source
     ~finish_metadata ()] copies one shard: destination schema from the
-    source shard's definition ({!Ddl.shard_schema}, so index names are
+    table's logical definition ({!Ddl.shard_schema}, so index names are
     kept), snapshot copy, then WAL catch-up under a brief write lock on
     the source. A columnar shard, whose appends leave no WAL to catch up
     from, is copied whole under the lock, and only when [drop_source] is

@@ -73,12 +73,12 @@ let default_config () =
     plan_cache_size = 128;
   }
 
-let create ~cluster ~metadata ~local ~registry =
+let create ~cluster ~metadata ~config ~local ~registry =
   {
     cluster;
     metadata;
     local;
-    config = default_config ();
+    config;
     health =
       Health.create
         ~metrics:(Cluster.Topology.metrics cluster)

@@ -54,6 +54,9 @@ type config = {
           cache — every EXECUTE then re-plans; default 128 *)
 }
 
+(** A new cluster's settings (the defaults noted above). *)
+val default_config : unit -> config
+
 type session_state = {
   skey : string * int;  (** (node name, session id) *)
   mutable pools : (string * Cluster.Connection.t list) list;
@@ -82,6 +85,8 @@ type t = {
           extension (MX): a catalog change is seen everywhere at once *)
   local : Cluster.Topology.node;  (** node this extension instance runs on *)
   config : config;
+      (** the cluster's one runtime settings record, shared like
+          [metadata]: a setting changed anywhere applies everywhere *)
   health : Health.t;
       (** per-node circuit breakers fed by [Exec.on_conn_exn]; the planner
           and executors consult it for placement preference and retry
@@ -117,6 +122,7 @@ exception Txn_replica_lost of string
 val create :
   cluster:Cluster.Topology.t ->
   metadata:Metadata.t ->
+  config:config ->
   local:Cluster.Topology.node ->
   registry:((string * int), string * int) Hashtbl.t ->
   t
@@ -157,9 +163,9 @@ val check_injected : t -> string -> string -> unit
     cluster: the topology's [sched_seed] orders ready-queue tiebreaks
     and every virtual-clock jump fires {!Cluster.Topology.fault_tick},
     so scheduled faults interleave with fibers at their virtual times.
-    For the run's extent the scheduler is the cluster's ambient one
-    (injected latency passes as fiber sleeps) and each suspension point
-    draws from the fault plan's suspension hazard. *)
+    For the run's extent the cluster's {!Cluster.Topology.driver} is
+    [Fibers] of it (injected latency passes as fiber sleeps) and each
+    suspension point draws from the fault plan's suspension hazard. *)
 val with_sched : t -> (Sim.Sched.t -> 'a) -> 'a
 
 (** [false] while the node's circuit breaker is open. *)

@@ -59,9 +59,8 @@ let isolate_tenant (t : State.t) ~table ~value =
         (Cluster.Topology.find_node t.State.cluster node)
     in
     (* 1. split every table's shard of the group in the catalog, keeping
-       the old shard's definition and rows, read from an active placement
-       (a metadata-synced node's copy of the logical table is a shell
-       without indexes), and every node that held a copy of it *)
+       the old shard's rows, read from an active placement, and every
+       node that held a copy of it *)
     let splits =
       List.map
         (fun (gt : Metadata.dist_table) ->
@@ -78,7 +77,6 @@ let isolate_tenant (t : State.t) ~table ~value =
               (Metadata.all_placements meta old_id)
           in
           let src_node = Metadata.placement meta old_id in
-          let src = Rebalancer.find_shard_table t old_shard ~node:src_node in
           (* [@lint.sql_static]: the only interpolant is Metadata.shard_name,
              an internally generated "<table>_<id>" identifier — never
              client input *)
@@ -94,9 +92,8 @@ let isolate_tenant (t : State.t) ~table ~value =
                 (split_ranges ~min_hash:old_shard.Metadata.min_hash
                    ~max_hash:old_shard.Metadata.max_hash h)
           in
-          ( gt.Metadata.dt_name,
+          ( gt,
             List.map (fun (s : Metadata.shard) -> s.Metadata.shard_id) news,
-            src,
             old_shard,
             old_nodes,
             rows ))
@@ -108,8 +105,9 @@ let isolate_tenant (t : State.t) ~table ~value =
        back in through the logical table *)
     in_txn t (fun session ->
         List.iter
-          (fun (name, new_ids, src, _, _, rows) ->
-            Ddl.create_shards t session src
+          (fun ((gt : Metadata.dist_table), new_ids, _, _, rows) ->
+            let name = gt.Metadata.dt_name in
+            Ddl.create_shards t session gt.Metadata.def
               (List.filter
                  (fun (s : Metadata.shard) ->
                    List.mem s.Metadata.shard_id new_ids)
@@ -118,7 +116,7 @@ let isolate_tenant (t : State.t) ~table ~value =
           splits);
     (* 3. the old shard is gone from the catalog: drop every copy of it *)
     List.iter
-      (fun (_, _, _, old_shard, old_nodes, _) ->
+      (fun (_, _, old_shard, old_nodes, _) ->
         List.iter
           (fun node ->
             ignore
@@ -132,8 +130,9 @@ let isolate_tenant (t : State.t) ~table ~value =
       splits;
     (* the single-value shard is each table's tenant shard *)
     List.map
-      (fun (name, _, _, _, _, _) ->
-        (Metadata.shard_for_value meta ~table:name value).Metadata.shard_id)
+      (fun ((gt : Metadata.dist_table), _, _, _, _) ->
+        (Metadata.shard_for_value meta ~table:gt.Metadata.dt_name value)
+          .Metadata.shard_id)
       splits
   end
 

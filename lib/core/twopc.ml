@@ -75,28 +75,18 @@ let commit_records ?gid s =
   let column c = Sqlfront.Ast.Column (None, c) in
   let _, rows =
     Engine.Executor.run_select (Engine.Instance.make_ctx s)
-      {
-        Sqlfront.Ast.distinct = false;
-        projections =
-          List.map
+      (Sqlfront.Ast.select_from commit_records_table
+         ?where:
+           (Option.map
+              (fun gid ->
+                Sqlfront.Ast.Cmp
+                  ( Sqlfront.Ast.Eq,
+                    column "gid",
+                    Sqlfront.Ast.Const (Datum.Text gid) ))
+              gid)
+         (List.map
             (fun c -> Sqlfront.Ast.Proj (column c, None))
-            [ "gid"; "node"; "ts" ];
-        from =
-          [ Sqlfront.Ast.Table { name = commit_records_table; alias = None } ];
-        where =
-          Option.map
-            (fun gid ->
-              Sqlfront.Ast.Cmp
-                ( Sqlfront.Ast.Eq,
-                  column "gid",
-                  Sqlfront.Ast.Const (Datum.Text gid) ))
-            gid;
-        group_by = [];
-        having = None;
-        order_by = [];
-        limit = None;
-        offset = None;
-      }
+            [ "gid"; "node"; "ts" ]))
   in
   List.filter_map
     (function

@@ -163,7 +163,7 @@ let gin_patterns conjuncts =
       | _ -> None)
     conjuncts
 
-(* --- index operations: with index creation and [Ddl.shard_schema],
+(* --- index operations: with index creation and [Ddl.definition_of],
    the only code that looks at an index's kind --- *)
 
 (* The path [idx] offers: a B-tree the longest key prefix [bindings]

@@ -65,7 +65,6 @@ let snapshot_hedged_fragments = Metrics.key "snapshot.hedged_fragments"
 let snapshot_fragment_hedge_wins = Metrics.key "snapshot.fragment_hedge_wins"
 
 (* Citus MX: replicated metadata / multi-coordinator *)
-let mx_config_syncs = Metrics.key "mx.config_syncs"
 let mx_worker_coordinated_txns = Metrics.key "mx.worker_coordinated_txns"
 let mx_foreign_gids_resolved = Metrics.key "mx.foreign_gids_resolved"
 

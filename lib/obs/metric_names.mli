@@ -191,10 +191,6 @@ val snapshot_fragment_hedge_wins : Metrics.key
 
 (** {2 Citus MX (replicated metadata, multi-coordinator)} *)
 
-val mx_config_syncs : Metrics.key
-(** counter: knob values [citus_set_config] propagated to another
-    metadata-synced node's extension state *)
-
 val mx_worker_coordinated_txns : Metrics.key
 (** counter: distributed transactions whose 2PC was coordinated by a
     node other than the bootstrap coordinator *)

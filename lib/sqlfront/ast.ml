@@ -231,6 +231,11 @@ let conjoin = function
   | [] -> None
   | e :: rest -> Some (List.fold_left (fun acc c -> And (acc, c)) e rest)
 
+let select_from ?alias ?where table projections =
+  { distinct = false; projections; from = [ Table { name = table; alias } ];
+    where; group_by = []; having = None; order_by = []; limit = None;
+    offset = None }
+
 (** All table names referenced in a FROM tree (not subquery internals). *)
 let rec from_tables = function
   | Table { name; _ } -> [ name ]

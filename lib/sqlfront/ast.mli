@@ -154,6 +154,10 @@ val conjoin : expr list -> expr option
 (** All table names referenced in a FROM tree (not subquery internals). *)
 val from_tables : from_item -> string list
 
+(** [SELECT projections FROM table [alias] [WHERE where]]. *)
+val select_from :
+  ?alias:string -> ?where:expr -> string -> projection list -> select
+
 val contains_aggregate : expr -> bool
 
 (** The distinct aggregates in [exprs], in order of first appearance. *)

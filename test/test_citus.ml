@@ -189,13 +189,10 @@ let test_planner_tiers () =
   let _, citus, s = make () in
   setup_items s;
   let meta = citus.Citus.Api.metadata in
-  let catalog =
-    Engine.Instance.catalog (Engine.Instance.session_instance s)
-  in
   let plan sql =
     let stmt = Sqlfront.Parser.parse_statement sql in
     let _plan, tier =
-      Citus.Planner.plan meta ~catalog ~local_name:"coordinator" stmt
+      Citus.Planner.plan meta ~local_name:"coordinator" stmt
     in
     Citus.Planner.tier_name tier
   in
@@ -335,12 +332,11 @@ let test_non_colocated_join_rejected () =
   ignore (exec s "SELECT create_distributed_table('others', 'k')");
   (* the pushdown planner itself must reject the non-co-located join ... *)
   let meta = citus.Citus.Api.metadata in
-  let catalog = Engine.Instance.catalog (Engine.Instance.session_instance s) in
   let sel =
     Sqlfront.Parser.parse_select
       "SELECT count(*) FROM items JOIN others ON items.qty = others.v"
   in
-  (match Citus.Planner.plan_pushdown_select meta ~catalog sel with
+  (match Citus.Planner.plan_pushdown_select meta sel with
    | exception Citus.Planner.Unsupported _ -> ()
    | _ -> Alcotest.fail "pushdown should reject the non-co-located join");
   (* ... but the full planner chain falls through to the join-order
@@ -405,10 +401,9 @@ let test_shard_pruning_in_list () =
   setup_items s;
   load_items s;
   let meta = citus.Citus.Api.metadata in
-  let catalog = Engine.Instance.catalog (Engine.Instance.session_instance s) in
   let plan sql =
     fst
-      (Citus.Planner.plan meta ~catalog ~local_name:"coordinator"
+      (Citus.Planner.plan meta ~local_name:"coordinator"
          (Sqlfront.Parser.parse_statement sql))
   in
   (* IN list restricts the task fan-out to the owning shards *)
@@ -1066,12 +1061,11 @@ let test_convert_table_with_existing_rows () =
   ignore (exec s "SELECT create_distributed_table('pre', 'k')");
   check_int s "all rows moved" 25 "SELECT count(*) FROM pre";
   check_int s "routed lookup" 1 "SELECT count(*) FROM pre WHERE k = 13";
-  (* the coordinator's local copy is empty (data lives in shards) *)
+  (* the local table is gone: data lives in the shards, the schema in
+     the catalog *)
   let inst = Engine.Instance.session_instance s in
-  (match (Engine.Catalog.find_table (Engine.Instance.catalog inst) "pre").Engine.Catalog.store with
-   | Engine.Catalog.Heap_store h ->
-     Alcotest.(check int) "local copy emptied" 0 (Storage.Heap.live_estimate h)
-   | _ -> Alcotest.fail "heap expected")
+  Alcotest.(check bool) "local table dropped" true
+    (Engine.Catalog.find_table_opt (Engine.Instance.catalog inst) "pre" = None)
 
 (* Converting non-empty tables at replication factor 2: every placement
    of every shard holds exactly its shard's rows and indexes, every
@@ -1122,11 +1116,8 @@ let test_convert_replicated_tables () =
   let local = Engine.Instance.catalog (Engine.Instance.session_instance s) in
   List.iter
     (fun table ->
-      match (Engine.Catalog.find_table local table).Engine.Catalog.store with
-      | Engine.Catalog.Heap_store h ->
-        Alcotest.(check int) (table ^ " local copy emptied") 0
-          (Storage.Heap.live_estimate h)
-      | _ -> Alcotest.fail "heap expected")
+      Alcotest.(check bool) (table ^ " local table dropped") true
+        (Engine.Catalog.find_table_opt local table = None))
     [ "pre"; "dim" ];
   check_int s "routed lookup" 1 "SELECT count(*) FROM pre WHERE k = 13";
   check_int s "reference join" 20
@@ -1286,9 +1277,8 @@ let test_mx_ddl_from_worker_propagates () =
            tbl.Engine.Catalog.indexes))
     (Citus.Metadata.shards_of meta "items")
 
-(* A metadata-synced node's copy of a logical table is a shell without
-   indexes; a move or a tenant split it runs still builds each shard's
-   indexes from the shard itself. *)
+(* A move or a tenant split run on a metadata-synced node builds each
+   shard's indexes. *)
 let test_mx_data_movement_keeps_indexes () =
   let cluster, citus, s = make () in
   setup_items s;
@@ -1329,6 +1319,79 @@ let test_mx_data_movement_keeps_indexes () =
         (indexes sh (Citus.Metadata.placement meta sh.Citus.Metadata.shard_id)))
     (Citus.Metadata.shards_of meta "items");
   check_int s "tenant lookup" 1 "SELECT count(*) FROM items WHERE key = 7"
+
+(* An ALTER run on one node reshapes [SELECT *] on every other: the
+   single-shard and the multi-shard plan alike expand [*] from the one
+   definition. *)
+let test_mx_alter_seen_everywhere ~alter_on ~read_on () =
+  let cluster, citus, s = make () in
+  ignore (exec s "CREATE TABLE t (id bigint PRIMARY KEY, v text)");
+  ignore (exec s "SELECT create_distributed_table('t', 'id')");
+  for i = 1 to 6 do
+    ignore (exec s (Printf.sprintf "INSERT INTO t VALUES (%d, 'v%d')" i i))
+  done;
+  Citus.Api.enable_metadata_sync citus;
+  let session = function
+    | "coordinator" -> s
+    | node ->
+      Citus.Api.connect_via citus (Cluster.Topology.find_node cluster node)
+  in
+  ignore (exec (session alter_on) "ALTER TABLE t ADD COLUMN c bigint");
+  let reader = session read_on in
+  List.iter
+    (fun sql ->
+      let r = exec reader sql in
+      Alcotest.(check (list string)) (sql ^ ": columns") [ "id"; "v"; "c" ]
+        r.Engine.Instance.columns;
+      List.iter
+        (fun (row : Datum.t array) ->
+          Alcotest.(check int) (sql ^ ": row width") 3 (Array.length row))
+        r.Engine.Instance.rows)
+    [ "SELECT * FROM t WHERE id = 2"; "SELECT * FROM t ORDER BY id" ]
+
+(* A table created, distributed and indexed on a worker has one
+   definition, which the coordinator reads: shards it later splits off or
+   moves are built with the worker's index, though the coordinator never
+   held the table. *)
+let test_mx_worker_index_survives_movement () =
+  let cluster, citus, s = make () in
+  Citus.Api.enable_metadata_sync citus;
+  let ws =
+    Citus.Api.connect_via citus (Cluster.Topology.find_node cluster "worker1")
+  in
+  setup_items ws;
+  ignore (exec ws "CREATE INDEX items_qty ON items USING BTREE (qty)");
+  load_items ws;
+  let meta = citus.Citus.Api.metadata in
+  let check_indexes label (sh : Citus.Metadata.shard) =
+    let name = Citus.Metadata.shard_name sh in
+    Alcotest.(check (list string))
+      (Printf.sprintf "%s: indexes of %s" label name)
+      (List.sort compare
+         [ name ^ "_pkey"; Printf.sprintf "items_qty_%d" sh.Citus.Metadata.shard_id ])
+      (index_names cluster
+         (Citus.Metadata.placement meta sh.Citus.Metadata.shard_id)
+         name)
+  in
+  let before = Citus.Metadata.shards_of meta "items" in
+  ignore (exec s "SELECT isolate_tenant_to_new_shard('items', 7)");
+  List.iter (check_indexes "split")
+    (List.filter
+       (fun (sh : Citus.Metadata.shard) -> not (List.memq sh before))
+       (Citus.Metadata.shards_of meta "items"));
+  let shard = Citus.Metadata.shard_for_value meta ~table:"items" (Datum.Int 7) in
+  let shard_id = shard.Citus.Metadata.shard_id in
+  let away =
+    if Citus.Metadata.placement meta shard_id = "worker1" then "worker2"
+    else "worker1"
+  in
+  ignore
+    (exec s
+       (Printf.sprintf "SELECT citus_move_shard_placement(%d, '%s')" shard_id
+          away));
+  check_indexes "move" shard;
+  check_int s "tenant lookup" 1 "SELECT count(*) FROM items WHERE qty = 2 AND key = 7";
+  check_int s "rows kept" 40 "SELECT count(*) FROM items"
 
 (* Metadata sync after the catalog already has history (a move): every
    node plans against the one catalog, so a worker's fast-path reads
@@ -1879,6 +1942,14 @@ let () =
           Alcotest.test_case "data movement keeps indexes" `Quick
             test_mx_data_movement_keeps_indexes;
           Alcotest.test_case "sync after a move" `Quick test_mx_sync_after_move;
+          Alcotest.test_case "worker alter seen by coordinator" `Quick
+            (test_mx_alter_seen_everywhere ~alter_on:"worker1"
+               ~read_on:"coordinator");
+          Alcotest.test_case "coordinator alter seen by worker" `Quick
+            (test_mx_alter_seen_everywhere ~alter_on:"coordinator"
+               ~read_on:"worker2");
+          Alcotest.test_case "worker index survives movement" `Quick
+            test_mx_worker_index_survives_movement;
         ] );
       ( "local-execution",
         [

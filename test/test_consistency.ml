@@ -221,13 +221,30 @@ let prop_dml_agree =
 
 (* --- shard rewriting round trip --- *)
 
+(* A one-column table definition: [<column> bigint] *)
+let key_def column =
+  {
+    Citus.Metadata.columns =
+      [
+        {
+          Sqlfront.Ast.col_name = column;
+          col_ty = Datum.TInt;
+          col_default = None;
+          col_not_null = false;
+        };
+      ];
+    primary_key = [];
+    columnar = false;
+    indexes = [];
+  }
+
 let prop_shard_rewrite_roundtrip =
   (* the rewritten (shard-named) statement must still deparse/parse
      cleanly — this is exactly what ships over the wire *)
   let meta = Citus.Metadata.create ~shard_count:8 () in
   let _ =
     Citus.Metadata.register_distributed meta ~table:"t" ~column:"a"
-      ~ty:Datum.TInt ~colocate_with:None ~nodes:[ "n1"; "n2" ]
+      ~def:(key_def "a") ~colocate_with:None ~nodes:[ "n1"; "n2" ]
   in
   QCheck2.Test.make ~name:"shard-rewritten statements survive the wire"
     ~count:100 ~print:(fun q -> q) gen_query (fun sql ->
@@ -250,7 +267,7 @@ let prop_hash_ranges_tile =
       let meta = Citus.Metadata.create ~shard_count () in
       let shards =
         Citus.Metadata.register_distributed meta ~table:"x" ~column:"k"
-          ~ty:Datum.TInt ~colocate_with:None ~nodes:[ "n1"; "n2" ]
+          ~def:(key_def "k") ~colocate_with:None ~nodes:[ "n1"; "n2" ]
       in
       let sorted =
         List.sort
@@ -274,7 +291,7 @@ let prop_every_value_routes =
       let meta = Citus.Metadata.create ~shard_count () in
       ignore
         (Citus.Metadata.register_distributed meta ~table:"x" ~column:"k"
-           ~ty:Datum.TInt ~colocate_with:None ~nodes:[ "n1" ]);
+           ~def:(key_def "k") ~colocate_with:None ~nodes:[ "n1" ]);
       let h = Datum.hash32 (Datum.Int v) in
       let owners =
         List.filter
@@ -303,7 +320,7 @@ let prop_shard_lookup_tracks_catalog =
       let register table colocate_with =
         Hashtbl.replace model table
           (M.register_distributed meta ~table ~column:"k"
-             ~ty:Datum.TInt ~colocate_with ~nodes:[ "n1"; "n2" ])
+             ~def:(key_def "k") ~colocate_with ~nodes:[ "n1"; "n2" ])
       in
       let agrees table =
         let expected = Hashtbl.find model table in

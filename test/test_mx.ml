@@ -81,15 +81,20 @@ let run_storm ~seed () =
   (f, List.rev !outcomes, total, !torn_reads)
 
 (* Every node running the extension plans against the cluster's one
-   catalog: physically the same value, never a copy. *)
+   catalog and runs under its one settings record: physically the same
+   values, never copies. *)
 let check_one_catalog ~seed f =
   List.iter
     (fun (st : Citus.State.t) ->
+      let node = st.Citus.State.local.Cluster.Topology.node_name in
       Alcotest.(check bool)
-        (tag seed
-           ("one catalog on " ^ st.Citus.State.local.Cluster.Topology.node_name))
+        (tag seed ("one catalog on " ^ node))
         true
-        (st.Citus.State.metadata == f.citus.Citus.Api.metadata))
+        (st.Citus.State.metadata == f.citus.Citus.Api.metadata);
+      Alcotest.(check bool)
+        (tag seed ("one config on " ^ node))
+        true
+        (st.Citus.State.config == f.citus.Citus.Api.config))
     f.citus.Citus.Api.states
 
 let test_seed seed () =
