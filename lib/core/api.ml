@@ -54,12 +54,9 @@ let convert_table t st session ~table register =
   let def = Ddl.definition_of tbl in
   Ddl.create_shards st session def (register tbl def rows);
   ignore (Dist_executor.insert_rows st session ~table rows);
-  (* the TRUNCATE's WAL record fences the moved rows off any later local
-     table of the same name at replay; the DROP itself is not logged *)
-  List.iter
-    (fun stmt -> ignore (Engine.Instance.exec_utility_local session stmt))
-    [ Ast.Truncate [ table ];
-      Ast.Drop_table { name = table; if_exists = false } ]
+  ignore
+    (Engine.Instance.exec_utility_local session
+       (Ast.Drop_table { name = table; if_exists = false }))
 
 let do_create_distributed_table t st session ~table ~column ~colocate_with =
   convert_table t st session ~table (fun tbl def rows ->
@@ -101,11 +98,12 @@ let build_entry t ~key ~version ~stmt shape =
     (Planner.shape_groups t.metadata shape)
 
 (* Bind-time dispatch of a cached skeleton through the planner's own
-   single-task router: the routing value picks the shard group and the
+   single-task router: the routing values pick the shard group and the
    placement is chosen fresh — never cached, so repair and failover need
    no rebuild. The task carries the group's statement with its [$k]
    unbound; the values travel beside it to the worker-side statement
-   ({!Plancache.dispatch}), which the worker binds. *)
+   ({!Plancache.dispatch}), which the worker binds. [None] when the
+   routing values meet in no one group. *)
 let cached_plan t (st : State.t) ~name ~values ~shape (entry : Plancache.entry)
     =
   let arity = List.length values in
@@ -136,12 +134,13 @@ let cached_plan t (st : State.t) ~name ~values ~shape (entry : Plancache.entry)
            (Printf.sprintf "plan cache skeleton of %s has no shard group %d"
               name g))
   in
-  let plan =
+  match
     Planner.single_task ~node_ok:(State.node_available st) t.metadata
       ~local_name:st.State.local.Cluster.Topology.node_name ~bind ~stmt_for
       entry.Plancache.e_shape
-  in
-  (plan, Option.map (fun stmt -> { Exec.stmt; values }) !wire)
+  with
+  | Some plan -> Some (plan, Option.map (fun stmt -> { Exec.stmt; values }) !wire)
+  | None -> None
 
 (* INSERT..SELECT into a Citus table has its own planner (§3.8). *)
 let insert_select t st session = function
@@ -175,16 +174,18 @@ let execute_unplanned t (st : State.t) session stmt ~first_error =
   | None, _ -> err "%s" first_error
 
 (* The one route for statements that name a Citus table: shape →
-   cached skeleton → bind → dispatch. [shape] is ad-hoc SQL with its
-   literals lifted ({!Ast.lift_consts}) or the stored shape of the
-   [prepared] statement an EXECUTE names, and [values] bind it. The key
-   is the shape's deparse, so ad-hoc SQL and EXECUTE of one shape share
-   an entry. A hit binds into the memoized per-group statement, a miss
-   builds the skeleton {!Planner.analyze_shape} finds, and an
-   uncacheable shape (or a disabled cache) binds and plans per call.
-   Lint rule L15 roots its no-reparse reachability check here: the
-   statement's one parse is behind it. *)
-let route t (st : State.t) session ?prepared shape values =
+   cached skeleton → bind → dispatch. [shape] is ad-hoc SQL's
+   statement-cache template or its lifted parse ({!Ast.lift_consts}), or
+   the stored shape of the [prepared] statement an EXECUTE names, and
+   [values] bind it. [key] is the shape's deparse, made by the caller
+   once per skeleton or PREPARE, so ad-hoc SQL and EXECUTE of one shape
+   share an entry. A hit binds into the memoized per-group statement, a
+   miss builds the skeleton {!Planner.analyze_shape} finds, and an
+   uncacheable shape (or a disabled cache, or routing values that meet
+   in no one shard group) binds and plans per call. Lint rule L15 roots
+   its no-reparse reachability check here: the statement's one parse is
+   behind it. *)
+let route t (st : State.t) session ?prepared ~key shape values =
   let name = Option.value prepared ~default:"<unnamed>" in
   let metrics = Cluster.Topology.metrics t.cluster in
   let now = Cluster.Topology.now t.cluster in
@@ -201,24 +202,11 @@ let route t (st : State.t) session ?prepared shape values =
       (Obs.Metric_names.planner_tier (Planner.tier_slug tier))
   in
   let max_size = t.config.State.plan_cache_size in
-  (* an EXECUTE's key is its stored shape's text, deparsed once per
-     PREPARE; ad-hoc SQL's comes from the memo of lifted shapes *)
-  let key =
-    match prepared with
-    | Some name -> Engine.Instance.prepared_text session name
-    | None -> Plancache.key_of_shape t.plancache ~max_size shape
-  in
   let slot = Plancache.slot t.plancache ~key in
   let stat = slot.Plancache.stat in
   stat.Plancache.st_calls <- stat.Plancache.st_calls + 1;
   let t0 = now () in
   let version = Metadata.version t.metadata in
-  let cached sp outcome (entry : Plancache.entry) =
-    Obs.Trace.add_tag sp "cache" outcome;
-    Obs.Trace.add_tag sp "tier"
-      (Planner.tier_slug (Planner.shape_tier entry.Plancache.e_shape));
-    Ok (cached_plan t st ~name ~values ~shape entry)
-  in
   let bypass sp =
     Obs.Metrics.inc metrics Obs.Metric_names.plancache_bypass;
     stat.Plancache.st_bypass <- stat.Plancache.st_bypass + 1;
@@ -238,6 +226,18 @@ let route t (st : State.t) session ?prepared shape values =
       Ok (plan, None)
     | exception Planner.Unsupported first_error -> Error (bound, first_error)
   in
+  (* a cached skeleton serves every call whose routing values meet in
+     one shard group; another call is planned from its bound statement *)
+  let cached sp outcome ~charged (entry : Plancache.entry) =
+    let planned = cached_plan t st ~name ~values ~shape entry in
+    if Option.is_some planned then begin
+      charge charged;
+      Obs.Trace.add_tag sp "cache" outcome;
+      Obs.Trace.add_tag sp "tier"
+        (Planner.tier_slug (Planner.shape_tier entry.Plancache.e_shape))
+    end;
+    planned
+  in
   (* one "plan" span per statement, tagged with the cache outcome *)
   let decide sp =
     match
@@ -245,10 +245,12 @@ let route t (st : State.t) session ?prepared shape values =
       else Plancache.lookup t.plancache slot ~version
     with
     | Plancache.Hit entry ->
-      Obs.Metrics.inc metrics Obs.Metric_names.plancache_hits;
-      stat.Plancache.st_hits <- stat.Plancache.st_hits + 1;
-      charge Engine.Meter.add_bound_execute;
-      cached sp "hit" entry
+      (match cached sp "hit" ~charged:Engine.Meter.add_bound_execute entry with
+       | Some planned ->
+         Obs.Metrics.inc metrics Obs.Metric_names.plancache_hits;
+         stat.Plancache.st_hits <- stat.Plancache.st_hits + 1;
+         Ok planned
+       | None -> bypass sp)
     | (Plancache.Stale | Plancache.Miss) as missed ->
       (match missed with
        | Plancache.Stale ->
@@ -265,7 +267,6 @@ let route t (st : State.t) session ?prepared shape values =
          count_tier tier;
          stat.Plancache.st_builds <- stat.Plancache.st_builds + 1;
          stat.Plancache.st_tier <- Planner.tier_slug tier;
-         charge Engine.Meter.add_routed_statement;
          let entry = build_entry t ~key ~version ~stmt:shape sh in
          let evicted = Plancache.store t.plancache ~max_size slot entry in
          if evicted > 0 then
@@ -273,7 +274,11 @@ let route t (st : State.t) session ?prepared shape values =
              Obs.Metric_names.plancache_evictions;
          Obs.Metrics.gauge_set metrics Obs.Metric_names.plancache_entries
            (float_of_int (Plancache.size t.plancache));
-         cached sp "build" entry)
+         (match
+            cached sp "build" ~charged:Engine.Meter.add_routed_statement entry
+          with
+          | Some planned -> Ok planned
+          | None -> bypass sp))
   in
   let result =
     match
@@ -329,8 +334,10 @@ let hook_claims (t : t) = function
 (* CALL delegation, statements naming no Citus table and INSERT..SELECT
    are settled first — so worker-side shard statements pay nothing for
    the cache — then everything else takes the one route: an EXECUTE
-   with its stored shape, ad-hoc SQL with its literals lifted. *)
-let rec planner_hook (t : t) (st : State.t) session (stmt : Ast.statement) :
+   with its stored shape, an ad-hoc text with its statement-cache
+   template ([hit], [stmt] being the template) or else its parse with
+   its literals lifted. *)
+let rec planner_hook (t : t) (st : State.t) session ?hit (stmt : Ast.statement) :
     Engine.Instance.result option =
   (* infrastructure failures arrive as typed [Exec.exec_error]s and fail
      the statement cleanly, so the session aborts/retries like on any
@@ -356,16 +363,28 @@ let rec planner_hook (t : t) (st : State.t) session (stmt : Ast.statement) :
         | Error e -> err "%s" (Exec.error_message e))
      | _ when not (Planner.names_citus_table t.metadata shape) ->
        None (* local statement: the engine binds and executes *)
-     | _ -> routed (fun () -> route t st session ~prepared:ename shape values))
+     | _ ->
+       routed (fun () ->
+           route t st session ~prepared:ename
+             ~key:(Engine.Instance.prepared_text session ename)
+             shape values))
   | Ast.Call { proc; args } -> delegate_call t st session proc args
   | _ when not (hook_claims t stmt) -> None
   | _ ->
+    let parsed stmt =
+      match insert_select t st session stmt with
+      | Some result -> result
+      | None ->
+        let shape, values = Ast.lift_consts stmt in
+        route t st session ~key:(Deparse.statement shape) shape values
+    in
     routed (fun () ->
-        match insert_select t st session stmt with
-        | Some result -> result
-        | None ->
-          let shape, values = Ast.lift_consts stmt in
-          route t st session shape values)
+        match hit, stmt with
+        | Some { Stmt_cache.values; _ }, Ast.Insert { source = Ast.Query _; _ } ->
+          (* INSERT..SELECT is planned from its bound statement *)
+          parsed (Ast.bind_params values stmt)
+        | Some { Stmt_cache.key; values; _ }, _ -> route t st session ~key stmt values
+        | None, _ -> parsed stmt)
 
 (* --- extension installation --- *)
 
@@ -398,8 +417,8 @@ let rec install_on_node t (node : Cluster.Topology.node) =
          if String.equal crashed node.Cluster.Topology.node_name then
            State.crash_local_sessions st
          else State.purge_node_conns st crashed));
-  Engine.Instance.set_planner_hook inst ~claims:(hook_claims t) (fun session stmt ->
-      planner_hook t st session stmt);
+  Engine.Instance.set_planner_hook inst ~claims:(hook_claims t)
+    (fun session ?hit stmt -> planner_hook t st session ?hit stmt);
   Engine.Instance.set_utility_hook inst (fun session stmt ->
       Ddl.utility_hook st session stmt);
   Engine.Instance.set_copy_hook inst (fun session ~table ~columns lines ->

@@ -31,22 +31,11 @@ type stat = {
   mutable st_bypass : int;
 }
 
-(* Shapes hashed and compared structurally. [(=)] is exact on a shape
-   with no float constant: 0.0 and -0.0 are the one pair of different
-   leaves it calls equal. *)
-module Shapes = Hashtbl.Make (struct
-  type t = Sqlfront.Ast.statement
-
-  let equal = ( = )
-  let hash = Hashtbl.hash_param 64 256
-end)
-
 type slot = { stat : stat; mutable cached : entry option }
 
 type t = {
   slots : (string, slot) Hashtbl.t;
   mutable live : int;  (** slots holding an entry *)
-  keys : string Shapes.t;  (** ad-hoc shape -> its key *)
   mutable tick : int;  (** LRU clock: bumped on every hit and store *)
   mutable next_id : int;
   retired : int ref;  (** shared by every worker-side statement made here *)
@@ -56,30 +45,10 @@ let create () =
   {
     slots = Hashtbl.create 32;
     live = 0;
-    keys = Shapes.create 32;
     tick = 0;
     next_id = 1;
     retired = ref 0;
   }
-
-(* A shape holds a float constant only inside a subquery, which lifting
-   does not enter; its key text then shows a float literal. *)
-let float_free key =
-  not
-    (List.exists
-       (function Sqlfront.Lexer.Float_lit _ -> true | _ -> false)
-       (Sqlfront.Lexer.tokenize key))
-
-let key_of_shape t ~max_size shape =
-  if max_size <= 0 then Sqlfront.Deparse.statement shape
-  else
-    match Shapes.find_opt t.keys shape with
-    | Some key -> key
-    | None ->
-      let key = Sqlfront.Deparse.statement shape in
-      if Shapes.length t.keys >= max_size then Shapes.reset t.keys;
-      if float_free key then Shapes.add t.keys shape key;
-      key
 
 let make_entry t ~key ~version ~stmt ~shape groups =
   let id = t.next_id in

@@ -5,10 +5,16 @@
     the tiered planner (table discovery, co-location checks, shard
     pruning, per-shard rewrite) on every statement is pure overhead.
     This cache memoizes, per {e query shape} (the normalized AST with
-    parameters unbound, keyed by its deparse — an EXECUTE's stored
-    shape, or ad-hoc SQL with its literals lifted to [$k]), the
-    planner-tier decision and a pruned-shard skeleton: one rewritten
-    statement per shard group, made when the group is first dispatched.
+    parameters unbound), the planner-tier decision and a pruned-shard
+    skeleton: one rewritten statement per shard group, made when the
+    group is first dispatched. A shape is keyed by its deparse, which
+    its caller brings: an EXECUTE's stored text, deparsed once per
+    PREPARE; an ad-hoc text's statement-cache template
+    ({!Sqlfront.Stmt_cache}), deparsed once per skeleton; or, for a text
+    the statement cache parsed, the deparse of its lifted parse
+    ({!Sqlfront.Ast.lift_consts}). A lifted shape depends on the text's
+    skeleton alone, so ad-hoc SQL of one skeleton, and a PREPARE of the
+    same shape, share one entry whatever their values.
     Only the bind-time steps remain on the hot path: hash the routing
     value to a group index, pick a fresh placement for it, and send that
     group's statement as a bound execute of a worker-side prepared
@@ -95,12 +101,6 @@ val create : unit -> t
 
 (** Shapes currently cached (the [plancache.entries] gauge). *)
 val size : t -> int
-
-(** The key of an ad-hoc statement's lifted shape: its deparse, memoized
-    per shape (hashed and compared structurally) so a repeated shape is
-    not deparsed again. The memo holds at most [max_size] shapes and is
-    off at [max_size <= 0]. *)
-val key_of_shape : t -> max_size:int -> Sqlfront.Ast.statement -> string
 
 (** [make_entry t ~key ~version ~stmt ~shape groups] builds an entry
     with a fresh id for the shape statement [stmt], spanning the shard

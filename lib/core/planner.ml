@@ -299,7 +299,7 @@ let dist_position (dt : Metadata.dist_table) columns =
 
 type shape =
   | Local_read
-  | Single_group of { anchor : string; tier : tier; key : dist_key }
+  | Single_group of { anchor : string; tier : tier; keys : dist_key list }
 
 let shape_tier = function
   | Local_read -> Tier_router
@@ -313,9 +313,11 @@ let shape_tier = function
    planned); a single-row INSERT whose distribution-column position
    holds [$k] or a non-null constant; and a SELECT / UPDATE / DELETE
    over co-located Citus tables only, every distributed one filtered by
-   equality on its distribution column against the {e same} key.
-   Anything else goes to the multi-shard tiers, so being conservative
-   here costs latency, never correctness. *)
+   equality on its distribution column. The keys need not be the same
+   expression: whether their values share a shard group is a bind-time
+   question ([single_task]). Anything else goes to the multi-shard
+   tiers, so being conservative here costs latency, never
+   correctness. *)
 let analyze_shape meta (stmt : Ast.statement) : shape option =
   match stmt with
   | Ast.Insert { table; columns; source = Ast.Values [ tuple ]; _ } ->
@@ -331,7 +333,8 @@ let analyze_shape meta (stmt : Ast.statement) : shape option =
          | None -> None
        in
        Option.map
-         (fun key -> Single_group { anchor = table; tier = Tier_fast_path; key })
+         (fun key ->
+           Single_group { anchor = table; tier = Tier_fast_path; keys = [ key ] })
          key
      | _ -> None)
   | Ast.Select_stmt _ | Ast.Update _ | Ast.Delete _ ->
@@ -352,17 +355,14 @@ let analyze_shape meta (stmt : Ast.statement) : shape option =
              (conjuncts_of_statement stmt)
          in
          let keys = List.filter_map (fun t -> List.assoc_opt t filters) dists in
-         match keys with
-         | key :: rest
-           when List.compare_lengths keys dists = 0
-                && List.for_all (( = ) key) rest ->
+         if List.compare_lengths keys dists <> 0 then None
+         else
            let tier =
              match fast_path_target stmt with
              | Some t when String.equal t anchor -> Tier_fast_path
              | _ -> Tier_router
            in
-           Some (Single_group { anchor; tier; key })
-         | _ -> None
+           Some (Single_group { anchor; tier; keys })
        end)
   | _ -> None
 
@@ -375,34 +375,53 @@ let shape_groups meta = function
       (fun (s : Metadata.shard) -> s.Metadata.index_in_colocation)
       (Metadata.shards_of meta anchor)
 
+let key_shard meta ~anchor ~bind key =
+  let value = match key with Key_const v -> v | Key_param k -> bind k in
+  Metadata.shard_for_value meta ~table:anchor value
+
+let rec in_group meta ~anchor ~bind group = function
+  | [] -> true
+  | key :: rest ->
+    (key_shard meta ~anchor ~bind key).Metadata.index_in_colocation = group
+    && in_group meta ~anchor ~bind group rest
+
 (* Value -> shard -> placement -> task, shared by [plan] and the plan
-   cache's bind-time dispatch: [bind] supplies a [$k] routing value, it
-   hashes to a shard group of the anchor, a fresh placement serves that
-   group, and [stmt_for] supplies the statement rewritten to it. *)
-let single_task ?node_ok meta ~local_name ~bind ~stmt_for shape : Plan.t =
+   cache's bind-time dispatch: [bind] supplies a [$k] routing value, the
+   keys hash to a shard group of the anchor (co-located tables share its
+   group space), a fresh placement serves that group, and [stmt_for]
+   supplies the statement rewritten to it. [None] when the keys' values
+   hash to different groups. *)
+let single_task ?node_ok meta ~local_name ~bind ~stmt_for shape : Plan.t option =
   match shape with
   | Local_read ->
-    Plan.Router
-      {
-        Plan.task_node = local_name;
-        task_stmt = stmt_for (-1);
-        task_group = -1;
-        task_shard = -1;
-      }
-  | Single_group { anchor; tier; key } ->
-    let value = match key with Key_const v -> v | Key_param k -> bind k in
-    let shard = Metadata.shard_for_value meta ~table:anchor value in
-    let group = shard.Metadata.index_in_colocation in
-    let task =
-      {
-        Plan.task_node =
-          Metadata.select_placement ?node_ok meta shard.Metadata.shard_id;
-        task_stmt = stmt_for group;
-        task_group = group;
-        task_shard = shard.Metadata.shard_id;
-      }
-    in
-    if tier = Tier_fast_path then Plan.Fast_path task else Plan.Router task
+    Some
+      (Plan.Router
+         {
+           Plan.task_node = local_name;
+           task_stmt = stmt_for (-1);
+           task_group = -1;
+           task_shard = -1;
+         })
+  | Single_group { anchor; tier; keys } ->
+    (match keys with
+     | [] -> None
+     | key :: rest ->
+       let shard = key_shard meta ~anchor ~bind key in
+       let group = shard.Metadata.index_in_colocation in
+       if not (in_group meta ~anchor ~bind group rest) then None
+       else
+         let task =
+           {
+             Plan.task_node =
+               Metadata.select_placement ?node_ok meta shard.Metadata.shard_id;
+             task_stmt = stmt_for group;
+             task_group = group;
+             task_shard = shard.Metadata.shard_id;
+           }
+         in
+         Some
+           (if tier = Tier_fast_path then Plan.Fast_path task
+            else Plan.Router task))
 
 (* --- pushdown validation --- *)
 
@@ -1007,16 +1026,19 @@ let plan_multi_shard_dml meta stmt table =
 
 (* --- entry point --- *)
 
-(* [analyze_shape] alone decides single-task routing; what it refuses
-   goes to the multi-shard tiers. *)
+(* [analyze_shape] alone decides single-task routing; what it refuses,
+   or routes to no one group, goes to the multi-shard tiers. *)
 let plan ?node_ok ?catalog:_ meta ~local_name stmt : Plan.t * tier =
-  match analyze_shape meta stmt with
-  | Some shape ->
-    ( single_task ?node_ok meta ~local_name
-        ~bind:(unsupported "no value for parameter $%d")
-        ~stmt_for:(fun group_index -> rewrite_to_group meta ~group_index stmt)
-        shape,
-      shape_tier shape )
+  let single shape =
+    Option.map
+      (fun p -> (p, shape_tier shape))
+      (single_task ?node_ok meta ~local_name
+         ~bind:(unsupported "no value for parameter $%d")
+         ~stmt_for:(fun group_index -> rewrite_to_group meta ~group_index stmt)
+         shape)
+  in
+  match Option.bind (analyze_shape meta stmt) single with
+  | Some planned -> planned
   | None ->
     (match stmt with
      | Ast.Select_stmt sel ->

@@ -105,11 +105,13 @@ val rewrite_to_group :
     distribution-column position holds [$k] / a non-null constant, or a
     SELECT / UPDATE / DELETE over co-located Citus tables whose every
     distributed table is filtered by equality on its distribution
-    column against the same key. The cache stores one pre-rewritten
-    statement per group of {!shape_groups}; at bind time
-    {!single_task} hashes the value to a group and picks the placement
-    fresh. Everything else is planned per statement — conservatism
-    costs latency, never correctness. *)
+    column. Each table keeps its own key ([items.key = $1 AND tags.key =
+    $2]): whether their values meet in one shard group is checked at
+    bind time, as Citus defers shard pruning to execution. The cache
+    stores one pre-rewritten statement per group of {!shape_groups}; at
+    bind time {!single_task} hashes the values to a group and picks the
+    placement fresh. Everything else is planned per statement —
+    conservatism costs latency, never correctness. *)
 
 type dist_key =
   | Key_param of int  (** routing value is bound to [$k] *)
@@ -120,7 +122,9 @@ type shape =
   | Single_group of {
       anchor : string;  (** distributed table whose shards drive pruning *)
       tier : tier;  (** [Tier_fast_path] or [Tier_router] *)
-      key : dist_key;
+      keys : dist_key list;
+          (** each distributed table's routing key, the anchor's
+              first *)
     }
 
 val shape_tier : shape -> tier
@@ -131,9 +135,12 @@ val analyze_shape : Metadata.t -> Sqlfront.Ast.statement -> shape option
 val shape_groups : Metadata.t -> shape -> int list
 
 (** Value → shard → placement → task: [bind k] supplies the value of a
-    [Key_param k], which hashes to a shard group of the anchor; the
-    placement is chosen fresh; [stmt_for group] supplies the statement
-    rewritten to that group. [Local_read] runs on [local_name]. *)
+    [Key_param k]; every key's value hashes to a shard group of the
+    anchor; the placement is chosen fresh; [stmt_for group] supplies the
+    statement rewritten to that group. [Local_read] runs on
+    [local_name]. [None] when the keys' values hash to different groups:
+    the bound statement is then not single-task, and is planned as
+    {!plan} plans it. *)
 val single_task :
   ?node_ok:(string -> bool) ->
   Metadata.t ->
@@ -141,4 +148,4 @@ val single_task :
   bind:(int -> Datum.t) ->
   stmt_for:(int -> Sqlfront.Ast.statement) ->
   shape ->
-  Plan.t
+  Plan.t option

@@ -26,7 +26,8 @@ type t = {
 }
 
 and hooks = {
-  mutable planner_hook : (session -> Ast.statement -> result option) option;
+  mutable planner_hook :
+    (session -> ?hit:Stmt_cache.hit -> Ast.statement -> result option) option;
   mutable hook_claims : Ast.statement -> bool;
       (** false for a statement the planner hook leaves to the engine
           whatever its parameter values *)
@@ -348,7 +349,14 @@ let rec exec_utility s (stmt : Ast.statement) : result =
     (match Catalog.find_table_opt t.catalog name with
      | None when if_exists -> ok_result "DROP TABLE"
      | None -> err "relation %s does not exist" name
-     | Some _ ->
+     | Some tbl ->
+       (* WAL records name a table by its name: the fence keeps replay
+          from putting the dropped table's rows into a later table of
+          that name *)
+       (match tbl.store with
+        | Catalog.Heap_store _ ->
+          ignore (Txn.Wal.append (Txn.Manager.wal t.mgr) (Txn.Wal.Truncate name))
+        | Catalog.Columnar_store _ -> ());
        Catalog.drop_table t.catalog name;
        ok_result "DROP TABLE")
   | Ast.Alter_table_add_column { table; column } ->
@@ -540,7 +548,7 @@ let run_kept s kept values =
 
 (* [run], when given, is [stmt]'s kept plan with its values: it stands in
    for the engine's own execution of [stmt]. *)
-let rec exec_ast_unspanned ?run (s : session) (stmt : Ast.statement) : result =
+let rec exec_ast_unspanned ?run ?hit (s : session) (stmt : Ast.statement) : result =
   let t = s.inst in
   ignore t;
   if not (session_alive s) then
@@ -598,9 +606,9 @@ let rec exec_ast_unspanned ?run (s : session) (stmt : Ast.statement) : result =
     | Ast.Deallocate_stmt target ->
       deallocate_statement s target;
       ok_result "DEALLOCATE"
-    | stmt -> exec_data_stmt ?run s stmt
+    | stmt -> exec_data_stmt ?run ?hit s stmt
 
-and exec_data_stmt ?run:kept s stmt =
+and exec_data_stmt ?run:kept ?hit s stmt =
   let t = s.inst in
   let run () =
     (* UDF interception first: SELECT create_distributed_table(...) *)
@@ -635,7 +643,7 @@ and exec_data_stmt ?run:kept s stmt =
         ignore (ensure_txn s);
         match t.hooks.planner_hook with
         | Some hook ->
-          (match hook s stmt with
+          (match hook s ?hit stmt with
            | Some r ->
              (match stmt with
               | Ast.Execute_stmt _ ->
@@ -769,19 +777,31 @@ let stmt_kind : Ast.statement -> string = function
 (* Every statement an instance executes — coordinator or worker, client-
    or extension-issued — nests under the shared trace stack. One branch
    when tracing is off. *)
-let exec_stmt ?run (s : session) (stmt : Ast.statement) : result =
+let exec_stmt ?run ?hit (s : session) (stmt : Ast.statement) : result =
   match s.inst.obs with
-  | None -> exec_ast_unspanned ?run s stmt
+  | None -> exec_ast_unspanned ?run ?hit s stmt
   | Some o ->
     Obs.Trace.with_span o.Obs.trace
       ~now:(fun () -> s.inst.clock)
       ~node:s.inst.node_name ~kind:"statement"
       ~tags:[ ("stmt", stmt_kind stmt) ]
-      (fun _sp -> exec_ast_unspanned ?run s stmt)
+      (fun _sp -> exec_ast_unspanned ?run ?hit s stmt)
 
 let exec_ast s stmt = exec_stmt s stmt
 
-let exec s sql = exec_ast s (Stmt_cache.parse s.inst.stmts sql)
+(* A statement-cache hit the planner hook claims reaches it as its
+   template, unbound: the hook routes the template as the text's
+   plan-cache shape. Any other hit is bound, as the engine needs it. *)
+let exec s sql =
+  match Stmt_cache.lookup s.inst.stmts sql with
+  | Stmt_cache.Parsed stmt -> exec_ast s stmt
+  | Stmt_cache.Hit ({ template; _ } as hit)
+    when is_data_stmt template
+         && udf_call s.inst template = None
+         && s.inst.hooks.hook_claims template ->
+    exec_stmt ~hit s template
+  | Stmt_cache.Hit { template; values; _ } ->
+    exec_ast s (Ast.bind_params values template)
 
 (* The extended query protocol's Close / Parse / Bind / Execute, arriving
    in one message. A repeated Parse replaces and an unknown Close is

@@ -69,9 +69,10 @@ val abort_session : session -> unit
 
 (** Execute one SQL statement. May raise {!Session_error},
     {!Executor.Would_block} (retry later), or parse errors. A text whose
-    skeleton was seen before is bound into its template, not parsed
-    ({!Sqlfront.Stmt_cache}); the meter charges it the same either
-    way. *)
+    skeleton was seen before is served from its template, not parsed
+    ({!Sqlfront.Stmt_cache}): a data statement the planner hook claims
+    reaches the hook as the template with the hit beside it, any other
+    is bound. The meter charges it the same either way. *)
 val exec : session -> string -> result
 
 val exec_ast : session -> Sqlfront.Ast.statement -> result
@@ -180,11 +181,13 @@ val copy_local :
 
 (** [claims stmt] is false when the hook returns [None] for [stmt]
     whatever values its [$k] take: such a statement runs from a kept
-    plan without the hook being asked. *)
+    plan without the hook being asked. A statement-cache hit that
+    [claims] reaches the hook as [?hit] with its template as the
+    statement, its [$k] unbound; the hook must take it. *)
 val set_planner_hook :
   t ->
   claims:(Sqlfront.Ast.statement -> bool) ->
-  (session -> Sqlfront.Ast.statement -> result option) ->
+  (session -> ?hit:Sqlfront.Stmt_cache.hit -> Sqlfront.Ast.statement -> result option) ->
   unit
 
 val set_utility_hook :

@@ -190,11 +190,12 @@ let map_children ?sub r e =
 (* Bottom-up: [f] sees each rebuilt node. [deep] also enters subquery
    selects. *)
 let rec map_expr_in ~deep (f : expr -> expr) (e : expr) : expr =
-  let sub = if deep then Some (map_select_in ~deep f) else None in
+  let sub = if deep then Some (map_select f) else None in
   f (map_children ?sub (map_expr_in ~deep f) e)
 
-and map_select_in ~deep (f : expr -> expr) (s : select) : select =
-  let me e = map_expr_in ~deep f e in
+(* Every expression of a select, its subqueries included. *)
+and map_select (f : expr -> expr) (s : select) : select =
+  let me e = map_expr_in ~deep:true f e in
   let projections =
     List.map
       (function
@@ -203,7 +204,7 @@ and map_select_in ~deep (f : expr -> expr) (s : select) : select =
         | Proj (e, a) -> Proj (me e, a))
       s.projections
   in
-  let from = List.map (map_from_in ~deep f) s.from in
+  let from = List.map (map_from f) s.from in
   let where = Option.map me s.where in
   let group_by = List.map me s.group_by in
   let having = Option.map me s.having in
@@ -212,13 +213,13 @@ and map_select_in ~deep (f : expr -> expr) (s : select) : select =
   let offset = Option.map me s.offset in
   { s with projections; from; where; group_by; having; order_by; limit; offset }
 
-and map_from_in ~deep f = function
+and map_from f = function
   | Table t -> Table t
-  | Subselect (sel, alias) -> Subselect (map_select_in ~deep f sel, alias)
+  | Subselect (sel, alias) -> Subselect (map_select f sel, alias)
   | Join { left; right; kind; cond } ->
-    let left = map_from_in ~deep f left in
-    let right = map_from_in ~deep f right in
-    Join { left; right; kind; cond = Option.map (map_expr_in ~deep f) cond }
+    let left = map_from f left in
+    let right = map_from f right in
+    Join { left; right; kind; cond = Option.map (map_expr_in ~deep:true f) cond }
 
 let map_expr f e = map_expr_in ~deep:false f e
 
@@ -258,15 +259,15 @@ let collect_aggs exprs =
     exprs;
   List.rev !acc
 
-let map_statement_in ~deep (f : expr -> expr) (st : statement) : statement =
-  let me e = map_expr_in ~deep f e in
+let map_statement_exprs (f : expr -> expr) (st : statement) : statement =
+  let me e = map_expr_in ~deep:true f e in
   match st with
-  | Select_stmt s -> Select_stmt (map_select_in ~deep f s)
+  | Select_stmt s -> Select_stmt (map_select f s)
   | Insert i ->
     let source =
       match i.source with
       | Values tuples -> Values (List.map (List.map me) tuples)
-      | Query s -> Query (map_select_in ~deep f s)
+      | Query s -> Query (map_select f s)
     in
     Insert { i with source }
   | Update u ->
@@ -282,8 +283,6 @@ let map_statement_in ~deep (f : expr -> expr) (st : statement) : statement =
   | Prepare_stmt _ | Deallocate_stmt _ ->
     st
 
-let map_statement_exprs f st = map_statement_in ~deep:false f st
-
 exception Unbound_param of int
 (** [$n] had no binding. Raised with the parameter index so executor
     layers can attach the statement name and surface a typed error
@@ -293,7 +292,7 @@ exception Unbound_param of int
     Raises {!Unbound_param} when the list is too short for some [$n] in
     the tree. *)
 let bind_params (params : Datum.t list) (st : statement) : statement =
-  map_statement_in ~deep:true
+  map_statement_exprs
     (function
       | Param i ->
         (match List.nth_opt params (i - 1) with
@@ -307,7 +306,7 @@ let bind_params (params : Datum.t list) (st : statement) : statement =
 let params (st : statement) : int list =
   let seen = ref [] in
   ignore
-    (map_statement_in ~deep:true
+    (map_statement_exprs
        (function
          | Param i as e ->
            if not (List.mem i !seen) then seen := i :: !seen;
@@ -316,94 +315,11 @@ let params (st : statement) : int list =
        st);
   List.rev !seen
 
-(** The filter expressions of a statement: WHERE and JOIN ... ON
-    conditions, including those of FROM-clause subselects. *)
-let rec from_filters = function
-  | Table _ -> []
-  | Subselect (sel, _) -> select_filters sel
-  | Join { left; right; cond; _ } ->
-    from_filters left @ from_filters right @ Option.to_list cond
-
-and select_filters (s : select) =
-  List.concat_map from_filters s.from @ Option.to_list s.where
-
-let filters = function
-  | Select_stmt s | Insert { source = Query s; _ } -> select_filters s
-  | Update { where; _ } | Delete { where; _ } -> Option.to_list where
-  | _ -> []
-
-(* Two literals may share one [$k] when binding either value gives back
-   the other: the same constructor and an identical value. NaN equals
-   nothing, and JSON documents never merge. *)
-let same_literal (a : Datum.t) (b : Datum.t) =
-  match a, b with
-  | Null, Null -> true
-  | Bool x, Bool y -> Bool.equal x y
-  | Int x, Int y -> Int.equal x y
-  | Float x, Float y | Timestamp x, Timestamp y ->
-    (not (Float.is_nan x))
-    && Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
-  | Text x, Text y -> String.equal x y
-  | _ -> false
-
-(* Merge targets: the statement's first literals only, so a long IN
-   list lifts in linear time. *)
-let merge_window = 16
-
-(* [shape] holds [$1..$n] in traversal order with [values]. A filter
-   literal equal to one of the filter literals among the first
-   [merge_window] takes its [$k]; the others are renumbered in order.
-   [None] when nothing merges — the common case, settled without walking
-   the statement when no two literals are equal. *)
-let merge_filter_repeats shape values =
-  let vals = Array.of_list values in
-  let n = Array.length vals in
-  let repeats = ref false in
-  for i = 0 to min n merge_window - 1 do
-    for j = i + 1 to n - 1 do
-      if same_literal vals.(i) vals.(j) then repeats := true
-    done
-  done;
-  if not !repeats then None
-  else begin
-    let in_filter = Array.make (n + 1) false in
-    List.iter
-      (fold_expr
-         (fun () -> function Param k -> in_filter.(k) <- true | _ -> ())
-         ())
-      (filters shape);
-    let renum = Array.make (n + 1) 0 and next = ref 0 in
-    let kept = ref [] and targets = ref [] in
-    for k = 1 to n do
-      let v = vals.(k - 1) in
-      match
-        if in_filter.(k) then
-          List.find_opt (fun (_, w) -> same_literal v w) !targets
-        else None
-      with
-      | Some (j, _) -> renum.(k) <- j
-      | None ->
-        incr next;
-        renum.(k) <- !next;
-        kept := v :: !kept;
-        if in_filter.(k) && k <= merge_window then
-          targets := (!next, v) :: !targets
-    done;
-    if !next = n then None
-    else
-      Some
-        ( map_statement_exprs
-            (function Param k -> Param renum.(k) | e -> e)
-            shape,
-          List.rev !kept )
-  end
-
-(** Inverse of [bind_params]: every constant [bind_params] can reach
-    becomes a [$k], numbered left to right as the constants appear in the
-    statement, and its value is returned at position [k - 1]. A filter
-    literal repeating an earlier one shares its [$k] (see the .mli). A
-    statement that already holds placeholders is returned unchanged, with
-    no values. *)
+(** Inverse of [bind_params], over its traversal: every constant becomes
+    a [$k], numbered left to right as the constants appear in the
+    statement, and its value is returned at position [k - 1]. A
+    statement that already holds placeholders is returned unchanged,
+    with no values. *)
 let lift_consts (st : statement) : statement * Datum.t list =
   let lifted = ref [] and n = ref 0 and has_params = ref false in
   let shape =
@@ -416,22 +332,10 @@ let lift_consts (st : statement) : statement * Datum.t list =
         | Param _ as e ->
           has_params := true;
           e
-        | (Exists _ | In_subquery _ | Scalar_subquery _) as e ->
-          (* subqueries keep their literals, but a [$k] there is bound *)
-          ignore
-            (map_expr_in ~deep:true
-               (function Param _ as p -> has_params := true; p | p -> p)
-               e);
-          e
         | e -> e)
       st
   in
-  if !has_params then (st, [])
-  else
-    let values = List.rev !lifted in
-    match merge_filter_repeats shape values with
-    | Some merged -> merged
-    | None -> (shape, values)
+  if !has_params then (st, []) else (shape, List.rev !lifted)
 
 (** Rename table references (FROM items, DML targets) via [f] — the core
     mechanism of shard-name rewriting in the Citus planners. *)

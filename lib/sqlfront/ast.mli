@@ -163,9 +163,8 @@ val contains_aggregate : expr -> bool
 (** The distinct aggregates in [exprs], in order of first appearance. *)
 val collect_aggs : expr list -> agg list
 
-(** Map [f] over every expression in a statement, including nested FROM
-    subselects but not WHERE, HAVING or select-list subqueries (the
-    traversal {!lift_consts} lifts over). *)
+(** Map [f] over every expression in a statement, subqueries included:
+    the traversal {!bind_params}, {!params} and {!lift_consts} share. *)
 val map_statement_exprs : (expr -> expr) -> statement -> statement
 
 exception Unbound_param of int
@@ -183,30 +182,16 @@ val bind_params : Datum.t list -> statement -> statement
     {!bind_params} would report unbound. *)
 val params : statement -> int list
 
-(** The filter expressions of a statement: WHERE and JOIN ... ON
-    conditions, including those of FROM-clause subselects. *)
-val filters : statement -> expr list
-
 (** Inverse of {!bind_params}, over the same traversal: every constant
-    it can reach becomes a [$k], numbered left to right in source order
-    ([UPDATE t SET b = 5 WHERE a = 1] lifts to
+    it can reach, in subqueries too, becomes its own [$k], numbered left
+    to right in source order ([UPDATE t SET b = 5 WHERE a = 1] lifts to
     [UPDATE t SET b = $1 WHERE a = $2], as a hand-written PREPARE would
     number it), and the lifted values come back in [$k] order, so
-    [bind_params vs s' = s] for [(s', vs) = lift_consts s]. This is how
-    ad-hoc SQL becomes a plan-cache shape.
-
-    Repeated literals in {!filters} share one [$k]
-    ([a.k = 5 AND b.k = 5] lifts to [a.k = $1 AND b.k = $1], so the
-    router sees one routing key) when they have the same constructor and
-    an identical value; NaN and JSON never merge, and only the
-    statement's first 16 literals are merge targets. Literals elsewhere
-    (VALUES, SET, the select list) always get their own [$k]: routing
-    never reads them, and merging them would split one statement into a
-    shape per coincidence of its values.
-
-    Literals inside WHERE, HAVING and select-list subqueries are not
-    lifted. A statement that already holds placeholders, in a subquery
-    too, is returned unchanged, with no values. *)
+    [bind_params vs s' = s] for [(s', vs) = lift_consts s]. The lifted
+    statement depends on the statement's skeleton alone, never on its
+    values: this is how ad-hoc SQL becomes a plan-cache shape, and what
+    {!Stmt_cache} checks a template against. A statement that already
+    holds placeholders is returned unchanged, with no values. *)
 val lift_consts : statement -> statement * Datum.t list
 
 (** {2 Table renaming}

@@ -1,4 +1,6 @@
-type slot = Seen | Template of Ast.statement | Uncacheable
+type hit = { template : Ast.statement; key : string; values : Datum.t list }
+type found = Parsed of Ast.statement | Hit of hit
+type slot = Seen | Template of Ast.statement * string | Uncacheable
 
 module Skeletons = Hashtbl.Make (String)
 
@@ -26,17 +28,17 @@ let create () =
 let size t = Skeletons.length t.slots
 let stats t : stats = { hits = t.hits; misses = t.misses; uncacheable = t.uncacheable }
 
-type probe = Bound of Ast.statement | Missed of (string * Datum.t list) option
+type probe = Found of hit | Missed of (string * Datum.t list) option
 
-(* The hit path, a root of lint rule L15: it binds, and never parses. *)
+(* The hit path, a root of lint rule L15: it neither parses nor binds. *)
 let hit t text =
   match if String.length text > max_text then None else Lexer.skeleton t.buf text with
   | None -> Missed None
-  | Some ((skel, lits) as scan) ->
+  | Some ((skel, values) as scan) ->
     (match Skeletons.find_opt t.slots skel with
-     | Some (Template tpl) ->
+     | Some (Template (template, key)) ->
        t.hits <- t.hits + 1;
-       Bound (Ast.bind_params lits tpl)
+       Found { template; key; values }
      | _ -> Missed (Some scan))
 
 let add t skel =
@@ -44,21 +46,23 @@ let add t skel =
   Skeletons.replace t.slots skel Seen;
   Queue.push skel t.order
 
-(* The template stands for its skeleton only if binding these literals
-   into it gives back [stmt], the text's own parse. *)
+(* The template stands for its skeleton only if it is the text's own
+   parse with its literals lifted, and binding these literals into it
+   gives back that parse. *)
 let admit t skel lits stmt =
   let slot =
     match Parser.parse_statement (Lexer.placeholders skel) with
-    | tpl when Ast.bind_params lits tpl = stmt -> Template tpl
+    | tpl when tpl = fst (Ast.lift_consts stmt) && Ast.bind_params lits tpl = stmt ->
+      Template (tpl, Deparse.statement tpl)
     | _ | (exception Parser.Parse_error _) ->
       t.uncacheable <- t.uncacheable + 1;
       Uncacheable
   in
   Skeletons.replace t.slots skel slot
 
-let parse t text =
+let lookup t text =
   match hit t text with
-  | Bound stmt -> stmt
+  | Found h -> Hit h
   | Missed scan ->
     t.misses <- t.misses + 1;
     let stmt = Parser.parse_statement text in
@@ -69,4 +73,4 @@ let parse t text =
         | Some Seen -> admit t skel lits stmt
         | Some (Template _ | Uncacheable) -> ())
       scan;
-    stmt
+    Parsed stmt

@@ -28,7 +28,10 @@ type record =
   | Commit_ts of { xid : int; ts : Hlc.timestamp }
       (** HLC commit timestamp, appended right after the commit record;
           distributed snapshot visibility is rebuilt from these *)
-  | Truncate of string  (** table name; TRUNCATE is not MVCC, logged as-is *)
+  | Truncate of string
+      (** table name: replay empties the table of that name. TRUNCATE and
+          DROP TABLE of a heap table log it as-is, since neither is
+          MVCC *)
   | Restore_point of string
   | Xid_floor of int
       (** no xid at or above this one has been issued; logged once per

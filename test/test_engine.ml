@@ -727,6 +727,21 @@ let test_truncate_then_restart () =
   Alcotest.(check (option (list int))) "gin entries" (Some [ 0 ])
     (Storage.Gin.candidates (gin_of inst "msgs") "postgres")
 
+(* WAL records name their table: replay must not put a dropped table's
+   rows into a later table of the same name. *)
+let test_drop_then_restart () =
+  let inst, s = fresh () in
+  ignore (exec s "CREATE TABLE t (a bigint PRIMARY KEY)");
+  List.iter (fun a -> ignore (exec s (Printf.sprintf "INSERT INTO t VALUES (%d)" a))) [ 1; 2; 3 ];
+  ignore (exec s "DROP TABLE t");
+  ignore (exec s "CREATE TABLE t (a bigint PRIMARY KEY)");
+  ignore (exec s "INSERT INTO t VALUES (4)");
+  check_int s "before restart" 1 "SELECT count(*) FROM t";
+  Instance.restart inst;
+  let s = Instance.connect inst in
+  check_int s "after restart" 1 "SELECT count(*) FROM t";
+  check_int s "the new row" 1 "SELECT count(*) FROM t WHERE a = 4"
+
 let test_alter_add_column () =
   let _, s = fresh () in
   setup_accounts s;
@@ -877,6 +892,7 @@ let () =
           Alcotest.test_case "vacuum" `Quick test_vacuum_via_sql;
           Alcotest.test_case "truncate" `Quick test_truncate;
           Alcotest.test_case "truncate then restart" `Quick test_truncate_then_restart;
+          Alcotest.test_case "drop then restart" `Quick test_drop_then_restart;
           Alcotest.test_case "alter add column" `Quick test_alter_add_column;
           Alcotest.test_case "udf" `Quick test_udf_registration;
           Alcotest.test_case "params" `Quick test_params;

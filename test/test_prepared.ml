@@ -448,8 +448,11 @@ let test_lru_bound () =
    ad-hoc statement caches like its PREPAREd twin. Equal literals share a
    parameter only when equal: two patterns of one query are two entries,
    each answering with its own values. *)
+(* Each literal lifts to its own [$k]: equal routing values are checked
+   at bind time, not merged at lift time, so a shape depends on the
+   text's skeleton alone. *)
 let test_adhoc_repeated_literal () =
-  let cluster, _, s = make () in
+  let cluster, citus, s = make () in
   setup_items s;
   ignore (exec s "CREATE TABLE tags (key bigint PRIMARY KEY, tag text)");
   ignore (exec s "SELECT create_distributed_table('tags', 'key', 'items')");
@@ -457,24 +460,44 @@ let test_adhoc_repeated_literal () =
     ignore (exec s (Printf.sprintf "INSERT INTO tags VALUES (%d, 't%d')" k k))
   done;
   let delta = since cluster in
-  let join k =
-    match
+  let join i t =
+    List.map
+      (function
+        | [| Datum.Text v; Datum.Text t |] -> (v, t)
+        | _ -> Alcotest.fail "join row shape")
       (exec s
          (Printf.sprintf
             "SELECT items.val, tags.tag FROM items, tags WHERE items.key = %d \
              AND tags.key = %d"
-            k k))
+            i t))
         .Engine.Instance.rows
-    with
-    | [ [| Datum.Text v; Datum.Text t |] ] -> (v, t)
-    | rows -> Alcotest.failf "join on key %d: %d rows" k (List.length rows)
   in
-  Alcotest.(check (pair string string)) "first join" ("v3", "t3") (join 3);
-  Alcotest.(check (pair string string)) "second join" ("v5", "t5") (join 5);
+  let pairs = Alcotest.(list (pair string string)) in
+  Alcotest.check pairs "first join" [ ("v3", "t3") ] (join 3 3);
+  Alcotest.check pairs "second join" [ ("v5", "t5") ] (join 5 5);
   let hits, misses, bypass, _ = delta () in
   Alcotest.(check int) "built once" 1 misses;
   Alcotest.(check int) "the second join is a hit" 1 hits;
   Alcotest.(check int) "no bypass" 0 bypass;
+  (* keys in different shard groups: the skeleton cannot serve the
+     call, which is planned from its bound statement *)
+  let group k =
+    (Citus.Metadata.shard_for_value citus.Citus.Api.metadata ~table:"items"
+       (Datum.Int k))
+      .Citus.Metadata.index_in_colocation
+  in
+  let other =
+    match List.find_opt (fun k -> group k <> group 3) (List.init n_items Fun.id) with
+    | Some k -> k
+    | None -> Alcotest.fail "every key in one shard group"
+  in
+  Alcotest.check pairs "keys in two groups"
+    [ ("v3", Printf.sprintf "t%d" other) ]
+    (join 3 other);
+  let hits, misses, bypass, _ = delta () in
+  Alcotest.(check int) "still built once" 1 misses;
+  Alcotest.(check int) "one bypass" 1 bypass;
+  Alcotest.(check int) "no further hit" 1 hits;
   ignore (exec s "CREATE TABLE pairs (k bigint PRIMARY KEY, v bigint)");
   ignore (exec s "SELECT create_distributed_table('pairs', 'k')");
   ignore (exec s "INSERT INTO pairs VALUES (5, 5)");
@@ -493,16 +516,15 @@ let test_adhoc_repeated_literal () =
   Alcotest.check rows "k = 5 AND v = 5" [ (5, 5) ] (pairs 5 5);
   Alcotest.check rows "k = 6 AND v = 7" [ (6, 7) ] (pairs 6 7);
   let hits, misses, _, entries = delta () in
-  Alcotest.(check int) "two entries" 2 entries;
-  Alcotest.(check int) "two builds" 2 misses;
-  Alcotest.(check int) "no hits yet" 0 hits;
-  (* each pattern now hits its own entry with the new values *)
+  Alcotest.(check int) "one entry" 1 entries;
+  Alcotest.(check int) "one build" 1 misses;
+  Alcotest.(check int) "the second text hits" 1 hits;
   Alcotest.check rows "k = 6 AND v = 6" [] (pairs 6 6);
   Alcotest.check rows "k = 5 AND v = 7" [] (pairs 5 7);
   Alcotest.check rows "k = 5 AND v = 5 again" [ (5, 5) ] (pairs 5 5);
   let hits, misses, _, _ = delta () in
-  Alcotest.(check int) "no more builds" 2 misses;
-  Alcotest.(check int) "three hits" 3 hits
+  Alcotest.(check int) "no more builds" 1 misses;
+  Alcotest.(check int) "four hits" 4 hits
 
 let test_cache_disabled () =
   let cluster, citus, s = make () in

@@ -435,6 +435,15 @@ let select_gen =
         map2 (fun a b -> Ast.Cmp (Ast.Eq, a, b)) col lit;
         map2 (fun a b -> Ast.And (Ast.Cmp (Ast.Lt, a, b), Ast.Is_null (a, false)))
           col lit;
+        (* a subquery's literals are lifted and bound too *)
+        map3
+          (fun a b c ->
+            Ast.In_subquery
+              ( a,
+                Ast.select_from "u" [ Ast.Proj (Ast.Column (None, "k"), None) ]
+                  ~where:(Ast.Cmp (Ast.Eq, b, c)),
+                false ))
+          col col lit;
       ]
   in
   let agg =
@@ -526,7 +535,7 @@ let prop_statement_roundtrip =
       | exception Parser.Parse_error _ -> false)
 
 (* Property: lifting constants is the inverse of binding them, and
-   leaves no constant anywhere binding reaches. *)
+   leaves no constant anywhere binding reaches, subqueries included. *)
 let prop_lift_consts_inverse =
   QCheck2.Test.make ~name:"bind_params inverts lift_consts" ~count:200
     ~print:(fun st -> Deparse.statement st)
@@ -543,129 +552,6 @@ let prop_lift_consts_inverse =
              | e -> e)
            shape);
       Ast.bind_params values shape = st && !consts_left = 0)
-
-(* Property: equal filter literals share one [$k], and a [$k] that
-   appears more than once appears only in filters. Constants and the
-   parameters replacing them are read in the same traversal of
-   [Ast.filters], so position i of one list is position i of the other.
-   NaN and JSON never merge; statements with more literals than the
-   merge window are left to the inverse property. *)
-(* Statements whose literals repeat: conjunctions of equalities over a
-   few values of mixed constructors (NaN, 0.0 and -0.0 among them), with
-   the same values in SET and VALUES lists. *)
-let repeated_literals_gen =
-  let open QCheck2.Gen in
-  let lit =
-    oneof
-      [
-        map (fun i -> Datum.Int i) (int_range 0 2);
-        map (fun i -> Datum.Float (float_of_int i)) (int_range 0 1);
-        oneofl
-          [ Datum.Float nan; Datum.Float (-0.0); Datum.Text "a"; Datum.Null ];
-      ]
-  in
-  let cond =
-    map2
-      (fun c d ->
-        Ast.Cmp (Ast.Eq, Ast.Column (None, "c" ^ string_of_int c), Ast.Const d))
-      (int_range 0 3) lit
-  in
-  let* where = map Ast.conjoin (list_size (int_range 1 5) cond) in
-  let* lits = list_size (int_range 1 3) lit in
-  oneofl
-    [
-      Ast.Select_stmt
-        {
-          Ast.distinct = false;
-          projections = [ Ast.Star ];
-          from = [ Ast.Table { name = "t"; alias = None } ];
-          where;
-          group_by = [];
-          having = None;
-          order_by = [];
-          limit = None;
-          offset = None;
-        };
-      Ast.Update
-        {
-          table = "t";
-          sets =
-            List.mapi (fun i d -> ("c" ^ string_of_int i, Ast.Const d)) lits;
-          where;
-        };
-      Ast.Insert
-        {
-          table = "t";
-          columns = None;
-          source = Ast.Values [ List.map (fun d -> Ast.Const d) (lits @ lits) ];
-          on_conflict_do_nothing = false;
-        };
-    ]
-
-let prop_lift_consts_merges =
-  QCheck2.Test.make ~name:"lift_consts merges exactly the equal filter literals"
-    ~count:500
-    ~print:(fun st -> Deparse.statement st)
-    QCheck2.Gen.(oneof [ statement_gen; repeated_literals_gen ])
-    (fun st ->
-      let collect pick exprs =
-        let acc = ref [] in
-        List.iter
-          (fun e ->
-            ignore
-              (Ast.map_expr
-                 (fun e ->
-                   (match pick e with Some x -> acc := x :: !acc | None -> ());
-                   e)
-                 e))
-          exprs;
-        List.rev !acc
-      in
-      let all_exprs stmt =
-        let acc = ref [] in
-        ignore
-          (Ast.map_statement_exprs
-             (fun e ->
-               acc := e :: !acc;
-               e)
-             stmt);
-        !acc
-      in
-      let param = function Ast.Param k -> Some k | _ -> None in
-      let shape, values = Ast.lift_consts st in
-      let consts =
-        collect (function Ast.Const d -> Some d | _ -> None) (Ast.filters st)
-      in
-      let params = collect param (Ast.filters shape) in
-      let same (a : Datum.t) (b : Datum.t) =
-        match a, b with
-        | Datum.Json _, _ | _, Datum.Json _ -> false
-        | Datum.Float x, Datum.Float y | Datum.Timestamp x, Datum.Timestamp y ->
-          (not (Float.is_nan x))
-          && Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
-        | _ -> a = b
-      in
-      let occurrences k l = List.length (List.filter (Int.equal k) l) in
-      let everywhere = List.filter_map param (all_exprs shape) in
-      (* compare, not (=): a NaN literal must bind back to itself *)
-      compare (Ast.bind_params values shape) st = 0
-      && List.compare_lengths params consts = 0
-      && List.for_all
-           (fun k ->
-             occurrences k everywhere = 1
-             || occurrences k everywhere = occurrences k params)
-           everywhere
-      && (List.length everywhere > 16
-         ||
-         let pairs =
-           List.mapi (fun i dk -> (i, dk)) (List.combine consts params)
-         in
-         List.for_all
-           (fun (i, (d1, k1)) ->
-             List.for_all
-               (fun (j, (d2, k2)) -> i = j || Int.equal k1 k2 = same d1 d2)
-               pairs)
-           pairs))
 
 let prop_expr_roundtrip =
   QCheck2.Test.make ~name:"expr deparse/parse round trip" ~count:300
@@ -685,8 +571,14 @@ let outcome parse text =
   | st -> Ok (st, Deparse.statement st)
   | exception Parser.Parse_error m -> Error m
 
+(* The cache's reading of a text, a hit bound into its template. *)
+let cached_parse cache text =
+  match Stmt_cache.lookup cache text with
+  | Stmt_cache.Parsed st -> st
+  | Stmt_cache.Hit { template; values; _ } -> Ast.bind_params values template
+
 let same_as_parser cache text =
-  outcome (Stmt_cache.parse cache) text = outcome Parser.parse_statement text
+  outcome (cached_parse cache) text = outcome Parser.parse_statement text
 
 let check_same cache text =
   if not (same_as_parser cache text) then
@@ -733,6 +625,50 @@ let prop_stmt_cache =
     (fun texts ->
       let cache = Stmt_cache.create () in
       List.for_all (same_as_parser cache) texts)
+
+(* Property: texts of one skeleton get one template and one key from
+   the cache whatever their literals, and a hit's template is the text's
+   own parse with its literals lifted. The first text is seen, the
+   second admitted, and the last two hit with different literals. *)
+let prop_stmt_cache_shape =
+  let gen =
+    let open QCheck2.Gen in
+    let* st = statement_gen in
+    let shape, values = Ast.lift_consts st in
+    let value =
+      oneof
+        [
+          map (fun i -> Datum.Int i) (int_range 0 1000);
+          map (fun f -> Datum.Float f) (oneofl [ 0.5; 2.25; 1e5; 1e20 ]);
+          map (fun s -> Datum.Text s)
+            (string_size ~gen:(oneofl [ '\''; 'a'; '7'; ' '; '\xc3' ]) (int_range 0 4));
+        ]
+    in
+    let* kinds = list_repeat (List.length values) value in
+    (* each round keeps every position's kind, so one skeleton *)
+    let redraw (v : Datum.t) =
+      match v with
+      | Datum.Int _ -> map (fun i -> Datum.Int i) (int_range 0 1000)
+      | Datum.Float _ -> map (fun f -> Datum.Float f) (oneofl [ 0.5; 2.25; 1e5; 1e20 ])
+      | _ -> map (fun s -> Datum.Text s) (string_size ~gen:(oneofl [ 'b'; '%' ]) (int_range 0 4))
+    in
+    let* rounds = list_repeat 4 (flatten_l (List.map redraw kinds)) in
+    return (List.map (fun vs -> Deparse.statement (Ast.bind_params vs shape)) rounds)
+  in
+  QCheck2.Test.make ~name:"statement cache template = lifted parse" ~count:300
+    ~print:(String.concat "\n") gen
+    (fun texts ->
+      let cache = Stmt_cache.create () in
+      let found = List.map (Stmt_cache.lookup cache) texts in
+      match found with
+      | [ Stmt_cache.Parsed _; Stmt_cache.Parsed _; Stmt_cache.Hit a; Stmt_cache.Hit b ] ->
+        let lifted text = fst (Ast.lift_consts (Parser.parse_statement text)) in
+        a.template = b.template
+        && String.equal a.key b.key
+        && String.equal a.key (Deparse.statement a.template)
+        && a.template = lifted (List.nth texts 2)
+        && b.template = lifted (List.nth texts 3)
+      | _ -> false)
 
 (* Spellings the deparser never prints: exponents, a leading dot, -0.0,
    out-of-range and malformed numbers, escaped quotes, and
@@ -828,7 +764,7 @@ let test_stmt_cache_bound () =
   let text i k = Printf.sprintf "SELECT c%d FROM t WHERE k = %d" i k in
   let last = Stmt_cache.capacity + 10 in
   for i = 1 to last do
-    ignore (Stmt_cache.parse cache (text i 1))
+    ignore (Stmt_cache.lookup cache (text i 1))
   done;
   Alcotest.(check int) "held at the bound" Stmt_cache.capacity (Stmt_cache.size cache);
   (* the newest skeleton survived the evictions: it admits, then hits *)
@@ -897,6 +833,7 @@ let () =
           Alcotest.test_case "uncacheable" `Quick test_stmt_cache_uncacheable;
           Alcotest.test_case "bound" `Quick test_stmt_cache_bound;
           QCheck_alcotest.to_alcotest prop_stmt_cache;
+          QCheck_alcotest.to_alcotest prop_stmt_cache_shape;
           QCheck_alcotest.to_alcotest prop_stmt_cache_spellings;
         ] );
       ( "properties",
@@ -904,6 +841,5 @@ let () =
           QCheck_alcotest.to_alcotest prop_expr_roundtrip;
           QCheck_alcotest.to_alcotest prop_statement_roundtrip;
           QCheck_alcotest.to_alcotest prop_lift_consts_inverse;
-          QCheck_alcotest.to_alcotest prop_lift_consts_merges;
         ] );
     ]

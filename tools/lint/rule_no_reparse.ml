@@ -2,11 +2,12 @@
     path never touch the parser.
 
     Two roots. Every statement naming a Citus table — an [EXECUTE] with
-    its stored shape, ad-hoc SQL with its literals lifted after its one
-    parse — enters [Api.route], which reuses memoized per-group ASTs.
-    Every SQL text an engine receives goes through its statement cache,
-    whose hit path ([Stmt_cache.hit]) binds the text's literals into a
-    template parsed once per skeleton. If anything reachable from either
+    its stored shape, ad-hoc SQL as its statement-cache template or its
+    one parse with the literals lifted — enters [Api.route], which
+    reuses memoized per-group ASTs. Every SQL text an engine receives
+    goes through its statement cache, whose hit path ([Stmt_cache.hit])
+    serves the text as a template parsed once per skeleton plus the
+    text's literals. If anything reachable from either
     root calls [Parser.parse*], the cache in question is silently paying
     the parse cost it exists to eliminate (and, worse, may diverge from
     the AST the plan or template was checked against). A forward
@@ -47,8 +48,8 @@ let explain =
    late and attribute wrongly — and risks executing an AST that \
    differs from the one the cached plan was validated against. The \
    same holds one step earlier: every SQL text an engine receives goes \
-   through its statement cache, whose hit path (Stmt_cache.hit) binds \
-   the text's literals into a template parsed once per skeleton, so a \
+   through its statement cache, whose hit path (Stmt_cache.hit) serves \
+   the text as a template parsed once per skeleton plus its literals, so a \
    parse reachable from it would undo the cache. L15 computes forward \
    reachability from both roots over the whole-program call graph, \
    cutting every edge into Connection (the wire boundary: \

@@ -165,4 +165,28 @@ let () =
   let b1, r1, i1 = plan_stats () in
   Printf.printf "kept plans: %d builds, %d runs, %d invalidations\n" (b1 - b0) (r1 - r0)
     (i1 - i0);
+  (* plan-cache shapes since set-up began; a key that repeats a [$k]
+     binds one value at two places *)
+  Option.iter
+    (fun (api : Citus.Api.t) ->
+      let shapes = Citus.Plancache.stats api.Citus.Api.plancache in
+      let repeats key =
+        let ks =
+          List.filter_map
+            (function Sqlfront.Lexer.Param_tok k -> Some k | _ -> None)
+            (Sqlfront.Lexer.tokenize key)
+        in
+        List.compare_lengths (List.sort_uniq Int.compare ks) ks <> 0
+      in
+      let repeated = List.filter (fun (key, _) -> repeats key) shapes in
+      let sum f = List.fold_left (fun acc (_, st) -> acc + f st) 0 in
+      Printf.printf
+        "plan cache: %d shape keys, %d repeat a $k; %d builds, %d calls (%d to \
+         keys that repeat a $k)\n"
+        (List.length shapes) (List.length repeated)
+        (sum (fun st -> st.Citus.Plancache.st_builds) shapes)
+        (sum (fun st -> st.Citus.Plancache.st_calls) shapes)
+        (sum (fun st -> st.Citus.Plancache.st_calls) repeated);
+      List.iter (fun (key, _) -> Printf.printf "  repeats a $k: %s\n" key) repeated)
+    db.Workloads.Db.citus;
   Sampler.report stdout
