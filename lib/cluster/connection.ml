@@ -1,9 +1,8 @@
 type stmt = {
   stmt_name : string;
-  stmt_text : string;
+  stmt_prepared : Engine.Instance.prepared;
   mutable stmt_live : bool;
   stmt_retired : int ref;
-  stmt_plan : Engine.Executor.kept;
 }
 
 type t = {
@@ -187,15 +186,14 @@ let exec_bound_async t s values =
         end)
       t.stmts
   end;
-  let parse =
-    if Hashtbl.mem t.stmts s.stmt_name then None else Some s.stmt_text
-  in
+  let text = Lazy.force s.stmt_prepared.Engine.Instance.p_text in
+  let parse = if Hashtbl.mem t.stmts s.stmt_name then None else Some text in
   let close = t.closing in
   let metrics = Topology.metrics t.cluster in
   if parse <> None then
     Obs.Metrics.inc metrics Obs.Metric_names.exec_worker_prepares;
   Obs.Metrics.inc metrics Obs.Metric_names.exec_worker_bound_executes;
-  submit t ~sql:s.stmt_text
+  submit t ~sql:text
     ~on_reply:(fun () ->
       (* nothing else ran on [t] since [close] was read *)
       if close <> [] then t.closing <- [];
@@ -238,23 +236,28 @@ let post t text = ignore (exec_async t text : handle)
 
 (* Dual-mode boundary, like [Exec.on_conn_exn]: [await] picks fiber
    sleep or clock advance depending on whether a scheduler is driving
-   the cluster, so [exec]/[exec_ast] serve both fiber code and the
-   setup / DDL / maintenance paths that run without one. Statement-path
-   code wants [Exec] (deadline + breaker accounting) instead. *)
-let exec t text = await (exec_async t text) [@@lint.blocking]
+   the cluster, so [exec]/[exec_ast]/[copy] serve both fiber code and
+   the setup / DDL / maintenance paths that run without one.
+   Statement-path code wants [Exec] (deadline + breaker accounting)
+   instead. *)
+let awaited h = await h [@@lint.blocking]
+
+let exec t text = awaited (exec_async t text)
 
 let exec_ast t stmt = exec t (Sqlfront.Deparse.statement stmt)
-[@@lint.blocking]
 
+(* A round trip like any other, so the reply's HLC stamp reaches the
+   origin: a snapshot read after the COPY sees its rows. The lines count
+   as shipped rows. *)
 let copy t ~table ~columns lines =
   let sql = Printf.sprintf "COPY %s FROM STDIN" table in
-  let n =
-    round_trip t ~sql (fun () ->
-        Engine.Instance.copy_in t.sess ~table ~columns lines)
+  let net = t.cluster.Topology.net in
+  let shipped () = net.rows_shipped <- net.rows_shipped + List.length lines in
+  let copied sess =
+    let n = Engine.Instance.copy_in sess ~table ~columns lines in
+    { Engine.Instance.columns = []; rows = []; affected = n; tag = "COPY" }
   in
-  t.cluster.Topology.net.rows_shipped <-
-    t.cluster.Topology.net.rows_shipped + List.length lines;
-  n
+  (awaited (submit t ~sql ~on_reply:shipped copied)).affected
 
 let in_transaction t = Engine.Instance.in_transaction t.sess
 

@@ -66,16 +66,17 @@ val exec_ast_async : t -> Sqlfront.Ast.statement -> handle
 
 type stmt = {
   stmt_name : string;  (** [citus_s<entry id>_<group>] *)
-  stmt_text : string;
-      (** the shard statement with its [$k] unbound: the Parse message's
-          body, and the text fault plans match against *)
+  stmt_prepared : Engine.Instance.prepared;
+      (** the shard statement with its [$k] unbound, as the engine keeps
+          a prepared statement. Its text, deparsed at the first remote
+          send, is the Parse message's body and the text fault plans
+          match against; its kept plan serves a task that runs on the
+          dispatching session's own node (local execution), so a group
+          that only ever runs locally is never deparsed. *)
   mutable stmt_live : bool;  (** false once {!retire}d *)
   stmt_retired : int ref;
       (** the owner's count of retired statements, shared by all it
           makes; a connection sweeps its registry only when it moved *)
-  stmt_plan : Engine.Executor.kept;
-      (** the same statement and its one plan, for a task that runs on
-          the dispatching session's own node (local execution) *)
 }
 
 (** The owner dropped [s] (its plan-cache entry was evicted or went
@@ -85,7 +86,7 @@ val retire : stmt -> unit
 
 (** [exec_bound_async t s values] submits Close (retired statements),
     Parse ([s], if [t] has not prepared it) and Bind/Execute as one round
-    trip, matched by the fault plan as [s.stmt_text]. The node binds its
+    trip, matched by the fault plan as [s]'s text. The node binds its
     stored AST and runs it through {!Engine.Instance.exec_bound}. Counts
     [exec.worker_prepares] and [exec.worker_bound_executes]. *)
 val exec_bound_async : t -> stmt -> Datum.t list -> handle
@@ -113,7 +114,9 @@ val post : t -> string -> unit
 (** Deparse and execute a statement AST ([await] of {!exec_ast_async}). *)
 val exec_ast : t -> Sqlfront.Ast.statement -> Engine.Instance.result
 
-(** COPY a batch of data lines; one round trip per call. *)
+(** COPY a batch of data lines: one round trip per call, submitted and
+    awaited as {!exec} is, so the reply's HLC stamp reaches the origin
+    like any other's. The lines count as shipped rows. *)
 val copy : t -> table:string -> columns:string list option -> string list -> int
 
 (** True if the connection's session holds an open transaction block. *)

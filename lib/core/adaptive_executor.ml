@@ -406,29 +406,18 @@ let in_doubt ?sched c ~node_name ~gid ~resolve backoff =
 
 (* Local execution: a task placed on this node runs in the session's own
    transaction — no connection, BEGIN or worker-side statement; a cached
-   task runs the plan kept with its worker-side statement. The xid joins
-   the deadlock graph as its own distributed transaction's member. An
-   error is a statement error: no withdrawal, no breaker failure. *)
+   task runs the plan kept with its worker-side statement, its values
+   checked against the shape's [$k] when it was planned
+   ([Api.cached_plan]). The xid joins the deadlock graph as its own
+   distributed transaction's member. An error is a statement error: no
+   withdrawal, no breaker failure. *)
 let run_local ?sched c (task : Plan.task) =
   let t = c.t and session = c.session in
   let local_name = t.State.local.Cluster.Topology.node_name in
   let snapshot =
     if is_write task.Plan.task_stmt then None else c.snapshot_mode
   in
-  let exec =
-    match c.bound with
-    | None -> fun () -> Exec.local_exn ?snapshot session task.Plan.task_stmt
-    | Some ({ Exec.stmt; values } as b) ->
-      (match
-         Engine.Executor.first_unbound stmt.Cluster.Connection.stmt_plan
-           (List.length values)
-       with
-       | Some param ->
-         raise
-           (Exec.Bind_failure
-              { stmt_name = stmt.Cluster.Connection.stmt_name; param })
-       | None -> fun () -> Exec.local_bound_exn ?snapshot session b)
-  in
+  let exec () = Exec.local_exn ?snapshot ?bound:c.bound session task.Plan.task_stmt in
   Obs.Metrics.inc c.m Obs.Metric_names.exec_local_tasks;
   let rec attempt backoff =
     try

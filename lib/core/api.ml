@@ -124,8 +124,8 @@ let cached_plan t (st : State.t) ~name ~values ~shape (entry : Plancache.entry)
         ~rewrite:(Planner.rewrite_to_group t.metadata ~group_index:g)
     with
     | Some d ->
-      wire := Some d.Plancache.d_wire;
-      d.Plancache.d_stmt
+      wire := Some d;
+      d.Cluster.Connection.stmt_prepared.Engine.Instance.p_stmt
     | None ->
       (* group space changed without a version bump: never execute a
          skeleton the catalog has outgrown *)
@@ -350,9 +350,8 @@ let rec planner_hook (t : t) (st : State.t) session ?hit (stmt : Ast.statement) 
   in
   match stmt with
   | Ast.Execute_stmt { ename; eargs } ->
-    let shape, values =
-      Engine.Instance.resolve_execute session ~name:ename ~args:eargs
-    in
+    let prep, values = Engine.Instance.resolve_execute session ~name:ename ~args:eargs in
+    let shape = prep.Engine.Instance.p_stmt in
     (match shape with
      | Ast.Call _ ->
        (* distributed procedures reference no table: delegation inspects
@@ -365,9 +364,7 @@ let rec planner_hook (t : t) (st : State.t) session ?hit (stmt : Ast.statement) 
        None (* local statement: the engine binds and executes *)
      | _ ->
        routed (fun () ->
-           route t st session ~prepared:ename
-             ~key:(Engine.Instance.prepared_text session ename)
-             shape values))
+           route t st session ~prepared:ename ~key:(Lazy.force prep.p_text) shape values))
   | Ast.Call { proc; args } -> delegate_call t st session proc args
   | _ when not (hook_claims t stmt) -> None
   | _ ->
@@ -380,10 +377,11 @@ let rec planner_hook (t : t) (st : State.t) session ?hit (stmt : Ast.statement) 
     in
     routed (fun () ->
         match hit, stmt with
-        | Some { Stmt_cache.values; _ }, Ast.Insert { source = Ast.Query _; _ } ->
+        | Some (_, values), Ast.Insert { source = Ast.Query _; _ } ->
           (* INSERT..SELECT is planned from its bound statement *)
           parsed (Ast.bind_params values stmt)
-        | Some { Stmt_cache.key; values; _ }, _ -> route t st session ~key stmt values
+        | Some (prep, values), _ ->
+          route t st session ~key:(Lazy.force prep.Engine.Instance.p_text) stmt values
         | None, _ -> parsed stmt)
 
 (* --- extension installation --- *)

@@ -126,18 +126,18 @@ let ast_on_conn_exn ?deadline ?snapshot t conn stmt =
 (* The same guards over a bound execute: injected failures match the
    worker-side statement's stored text. *)
 let bound_on_conn_exn ?deadline ?snapshot t conn { stmt; values } =
-  guarded ?deadline ?snapshot t conn ~sql:stmt.Cluster.Connection.stmt_text
+  guarded ?deadline ?snapshot t conn
+    ~sql:(Lazy.force stmt.Cluster.Connection.stmt_prepared.Engine.Instance.p_text)
     (fun () -> Cluster.Connection.exec_bound_async conn stmt values)
 
 (* Local execution: no connection, so no network guard and no breaker
    accounting; any error is a statement error. *)
-let local_exn ?snapshot session stmt =
+let local_exn ?snapshot ?bound session stmt =
   with_read_mode session snapshot (fun () ->
-      Engine.Instance.exec_local session stmt)
-
-let local_bound_exn ?snapshot session { stmt; values } =
-  with_read_mode session snapshot (fun () ->
-      Engine.Instance.exec_local_kept session stmt.Cluster.Connection.stmt_plan values)
+      match bound with
+      | None -> Engine.Instance.exec_local session stmt
+      | Some { stmt; values } ->
+        Engine.Instance.exec_local_kept session stmt.Cluster.Connection.stmt_prepared values)
 
 (* Raw round trip: no partition check, no breaker accounting — for
    best-effort cleanup (ROLLBACK on a connection that just failed) and

@@ -93,19 +93,15 @@ val bound_on_conn_exn :
 
 (** Local execution ({!Engine.Instance.exec_local}) of a task placed on
     the session's own node: no network guard, no breaker accounting.
-    [?snapshot] pins the session's visibility for this statement. *)
+    [?snapshot] pins the session's visibility for this statement. A
+    [bound] task runs its worker-side statement's kept plan with its
+    values ({!Engine.Instance.exec_local_kept}) in place of the
+    statement. *)
 val local_exn :
   ?snapshot:Txn.Snapshot.read_mode ->
+  ?bound:bound ->
   Engine.Instance.session ->
   Sqlfront.Ast.statement ->
-  Engine.Instance.result
-
-(** {!local_exn} of a bound execute: the statement runs from the plan
-    kept with it ({!Engine.Instance.exec_local_kept}). *)
-val local_bound_exn :
-  ?snapshot:Txn.Snapshot.read_mode ->
-  Engine.Instance.session ->
-  bound ->
   Engine.Instance.result
 
 (** Raw round trip: no partition guard, no breaker accounting — for

@@ -3,12 +3,7 @@
    shape analysis lives in [Planner], skeleton construction and cached
    dispatch in [Api], which also emits the plancache.* metrics. *)
 
-type dispatch = {
-  d_stmt : Sqlfront.Ast.statement;
-  d_wire : Cluster.Connection.stmt;
-}
-
-type group = { g_index : int; mutable g_dispatch : dispatch option }
+type group = { g_index : int; mutable g_dispatch : Cluster.Connection.stmt option }
 
 type entry = {
   e_id : int;
@@ -64,9 +59,10 @@ let make_entry t ~key ~version ~stmt ~shape groups =
     e_tick = 0;
   }
 
-(* A group is rewritten, deparsed and named on its first dispatch, and
-   memoized for the entry's lifetime: a skeleton holds statements only
-   for the groups its shape has actually reached. *)
+(* A group is rewritten and named on its first dispatch, deparsed at
+   its first remote send, and memoized for the entry's lifetime: a
+   skeleton holds statements only for the groups its shape has actually
+   reached. *)
 let dispatch t entry group_index ~rewrite =
   match List.find_opt (fun g -> g.g_index = group_index) entry.e_groups with
   | None -> None
@@ -75,16 +71,11 @@ let dispatch t entry group_index ~rewrite =
     let stmt = rewrite entry.e_stmt in
     let d =
       {
-        d_stmt = stmt;
-        d_wire =
-          {
-            Cluster.Connection.stmt_name =
-              Printf.sprintf "citus_s%d_%d" entry.e_id group_index;
-            stmt_text = Sqlfront.Deparse.statement stmt;
-            stmt_live = true;
-            stmt_retired = t.retired;
-            stmt_plan = Engine.Executor.keep stmt;
-          };
+        Cluster.Connection.stmt_name = Printf.sprintf "citus_s%d_%d" entry.e_id group_index;
+        stmt_prepared =
+          Engine.Instance.prepared ~text:(lazy (Sqlfront.Deparse.statement stmt)) stmt;
+        stmt_live = true;
+        stmt_retired = t.retired;
       }
     in
     g.g_dispatch <- Some d;
@@ -92,11 +83,7 @@ let dispatch t entry group_index ~rewrite =
 
 (* An entry leaving the cache takes its worker-side statements with it:
    connections close them with their next bound execute. *)
-let retire e =
-  List.iter
-    (fun g ->
-      Option.iter (fun d -> Cluster.Connection.retire d.d_wire) g.g_dispatch)
-    e.e_groups
+let retire e = List.iter (fun g -> Option.iter Cluster.Connection.retire g.g_dispatch) e.e_groups
 
 (* Stable 8-hex shape id: [Hashtbl.hash] of the normalized shape text is
    deterministic across runs, and bounds the plancache.shape_seconds.*

@@ -50,16 +50,12 @@
     cached dispatch and the [plancache.*] metric emission live in
     [Api]. *)
 
-(** What a shard group's first dispatch memoizes. *)
-type dispatch = {
-  d_stmt : Sqlfront.Ast.statement;
-      (** the shape rewritten to the group's shard names, params unbound *)
-  d_wire : Cluster.Connection.stmt;  (** its worker-side statement *)
-}
-
 type group = {
   g_index : int;  (** shard-group index ([-1] for a local read) *)
-  mutable g_dispatch : dispatch option;  (** [None] until first dispatch *)
+  mutable g_dispatch : Cluster.Connection.stmt option;
+      (** the group's worker-side statement: the shape rewritten to the
+          group's shard names, params unbound; [None] until first
+          dispatch *)
 }
 
 type entry = {
@@ -114,17 +110,17 @@ val make_entry :
   int list ->
   entry
 
-(** [dispatch t entry g ~rewrite] is group [g]'s statement and
-    worker-side statement: on first use [rewrite] turns the entry's [e_stmt]
-    into the group's shard statement, which is deparsed once and named
-    [citus_s<e_id>_<g>]; later calls return the memo. [None] when the
-    skeleton has no group [g]. *)
+(** [dispatch t entry g ~rewrite] is group [g]'s worker-side statement:
+    on first use [rewrite] turns the entry's [e_stmt] into the group's
+    shard statement, kept as an {!Engine.Instance.prepared} named
+    [citus_s<e_id>_<g>] and deparsed at its first remote send; later
+    calls return the memo. [None] when the skeleton has no group [g]. *)
 val dispatch :
   t ->
   entry ->
   int ->
   rewrite:(Sqlfront.Ast.statement -> Sqlfront.Ast.statement) ->
-  dispatch option
+  Cluster.Connection.stmt option
 
 type lookup =
   | Hit of entry  (** valid skeleton; LRU recency bumped *)

@@ -66,40 +66,43 @@ let equal a b = compare a b = 0
 
 let is_null = function Null -> true | _ -> false
 
-(* Canonical byte encoding fed to the hash. Numeric types that compare
-   equal must hash equal, so integral floats encode like ints. *)
-let canonical_bytes = function
-  | Null -> "\x00"
-  | Bool false -> "\x01f"
-  | Bool true -> "\x01t"
-  | Int i -> Printf.sprintf "\x02%d" i
-  | Float f ->
-    if Float.is_integer f && Float.abs f < 1e18 then
-      Printf.sprintf "\x02%.0f" f
-    else Printf.sprintf "\x03%h" f
-  | Text s -> "\x04" ^ s
-  | Json j -> "\x05" ^ Json.to_string j
-  | Timestamp f -> Printf.sprintf "\x06%h" f
+(* FNV-1a over a canonical byte encoding, in native ints masked to 32
+   bits. Numeric types that compare equal must hash equal, so an
+   integral float encodes as its int: tag 2, then the decimal digits. *)
+let fnv h byte = (h lxor byte) * 0x01000193 land 0xffffffff
+let fnv_string h s = String.fold_left (fun h c -> fnv h (Char.code c)) h s
 
-(* murmur3's fmix32 finalizer: FNV alone leaves the high bits poorly
-   mixed for short inputs, which would skew hash-range sharding. *)
-let fmix32 h =
-  let h = Int32.logxor h (Int32.shift_right_logical h 16) in
-  let h = Int32.mul h 0x85ebca6bl in
-  let h = Int32.logxor h (Int32.shift_right_logical h 13) in
-  let h = Int32.mul h 0xc2b2ae35l in
-  Int32.logxor h (Int32.shift_right_logical h 16)
+(* the decimal digits of [-n], for [n <= 0] ([min_int] has no positive twin) *)
+let rec fnv_digits h n =
+  let h = if n <= -10 then fnv_digits h (n / 10) else h in
+  fnv h (Char.code '0' - (n mod 10))
+
+let fnv_int h i =
+  let h = fnv h 2 in
+  if i < 0 then fnv_digits (fnv h (Char.code '-')) i else fnv_digits h (-i)
 
 let hash32 d =
-  let s = canonical_bytes d in
-  let fnv_prime = 0x01000193l in
-  let h = ref 0x811c9dc5l in
-  String.iter
-    (fun c ->
-      h := Int32.logxor !h (Int32.of_int (Char.code c));
-      h := Int32.mul !h fnv_prime)
-    s;
-  fmix32 !h
+  let h = 0x811c9dc5 in
+  let h =
+    match d with
+    | Null -> fnv h 0
+    | Bool b -> fnv (fnv h 1) (Char.code (if b then 't' else 'f'))
+    | Int i -> fnv_int h i
+    | Float f when Float.is_integer f && Float.abs f < 1e18 ->
+      (* the encoding ([%.0f]) keeps the sign of -0.0 *)
+      if f = 0.0 && Float.sign_bit f then fnv_string h "\x02-0" else fnv_int h (int_of_float f)
+    | Float f -> fnv_string h (Printf.sprintf "\x03%h" f)
+    | Text s -> fnv_string (fnv h 4) s
+    | Json j -> fnv_string (fnv h 5) (Json.to_string j)
+    | Timestamp f -> fnv_string h (Printf.sprintf "\x06%h" f)
+  in
+  (* murmur3's fmix32: FNV alone leaves the high bits poorly mixed for
+     short inputs, which would skew hash-range sharding *)
+  let h = h lxor (h lsr 16) in
+  let h = h * 0x85ebca6b land 0xffffffff in
+  let h = h lxor (h lsr 13) in
+  let h = h * 0xc2b2ae35 land 0xffffffff in
+  Int32.of_int (h lxor (h lsr 16))
 
 let float_display f =
   if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f

@@ -9,6 +9,18 @@ type result = Executor.result = {
 
 exception Session_error of string
 
+type prepared = {
+  p_stmt : Ast.statement;  (** shape with [$n] placeholders unbound *)
+  p_text : string Lazy.t;  (** its normalized text, deparsed at most once *)
+  p_kept : Executor.kept;  (** its plan, built at the first execution *)
+}
+
+let prepared ~text stmt = { p_stmt = stmt; p_text = text; p_kept = Executor.keep stmt }
+
+(* A prepared statement with the values of its [$k], and the kept-plan
+   statistics its runs count in *)
+type bound = { prep : prepared; values : Datum.t list; stats : Executor.plan_stats }
+
 type t = {
   node_name : string;
   catalog : Catalog.t;
@@ -20,14 +32,15 @@ type t = {
   mutable clock : float;
   mutable next_session : int;
   mutable epoch : int;  (** bumped on crash: sessions from older epochs are dead *)
-  stmts : Stmt_cache.t;  (** the text front door's parses, by skeleton *)
-  plans : Executor.plan_stats;  (** kept plans' builds and runs *)
+  stmts : prepared Stmt_cache.t;  (** the text front door's templates, by skeleton *)
+  plans : Executor.plan_stats;  (** other prepared statements' kept plans *)
+  template_plans : Executor.plan_stats;  (** templates' kept plans *)
   hooks : hooks;
 }
 
 and hooks = {
   mutable planner_hook :
-    (session -> ?hit:Stmt_cache.hit -> Ast.statement -> result option) option;
+    (session -> ?hit:prepared * Datum.t list -> Ast.statement -> result option) option;
   mutable hook_claims : Ast.statement -> bool;
       (** false for a statement the planner hook leaves to the engine
           whatever its parameter values *)
@@ -65,12 +78,6 @@ and session = {
           coordinator parsed here through {!exec_bound} *)
 }
 
-and prepared = {
-  p_stmt : Ast.statement;  (** shape with [$n] placeholders unbound *)
-  p_text : string Lazy.t;  (** its normalized text, deparsed at most once *)
-  p_kept : Executor.kept;  (** its plan, built at the first execution *)
-}
-
 let err fmt = Printf.ksprintf (fun m -> raise (Session_error m)) fmt
 
 let create ?(seed = 42) ?(buffer_pages = 100_000) ?obs ~name () =
@@ -94,8 +101,9 @@ let create ?(seed = 42) ?(buffer_pages = 100_000) ?obs ~name () =
     clock = 0.0;
     next_session = 1;
     epoch = 0;
-    stmts = Stmt_cache.create ();
+    stmts = Stmt_cache.create (fun tpl key -> prepared ~text:(Lazy.from_val key) tpl);
     plans = Executor.plan_stats ();
+    template_plans = Executor.plan_stats ();
     hooks =
       {
         planner_hook = None;
@@ -116,7 +124,12 @@ let txn_manager t = t.mgr
 let buffer_pool t = t.pool
 let meter t = t.meter
 let stmt_cache t = t.stmts
-let plan_stats t = { t.plans with Executor.builds = t.plans.Executor.builds }
+let plan_stats t =
+  let a = t.plans and b = t.template_plans in
+  { Executor.builds = a.builds + b.builds; runs = a.runs + b.runs;
+    invalidations = a.invalidations + b.invalidations }
+
+let template_plan_stats t = { t.template_plans with Executor.builds = t.template_plans.builds }
 
 let connect t =
   let sid = t.next_session in
@@ -480,14 +493,12 @@ let preparable = function
     true
   | _ -> false
 
-let prepared stmt text = { p_stmt = stmt; p_text = text; p_kept = Executor.keep stmt }
-
 let prepare_statement (s : session) ~name (stmt : Ast.statement) =
   if Hashtbl.mem s.prepared name then
     err "prepared statement %s already exists" name;
   if not (preparable stmt) then
     err "PREPARE supports SELECT, INSERT, UPDATE, DELETE and CALL statements";
-  Hashtbl.replace s.prepared name (prepared stmt (lazy (Deparse.statement stmt)))
+  Hashtbl.replace s.prepared name (prepared ~text:(lazy (Deparse.statement stmt)) stmt)
 
 let deallocate_statement (s : session) = function
   | None -> Hashtbl.reset s.prepared
@@ -495,11 +506,6 @@ let deallocate_statement (s : session) = function
     if not (Hashtbl.mem s.prepared name) then
       err "prepared statement %s does not exist" name;
     Hashtbl.remove s.prepared name
-
-let prepared_text (s : session) name =
-  match Hashtbl.find_opt s.prepared name with
-  | Some p -> Lazy.force p.p_text
-  | None -> err "prepared statement %s does not exist" name
 
 let prepared_names (s : session) =
   List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) s.prepared [])
@@ -524,13 +530,11 @@ let execute_values (s : session) (args : Ast.expr list) =
           e)
     args
 
-(* Resolve EXECUTE to the stored shape plus evaluated argument datums.
-   Hooks call this too, so name resolution and argument evaluation have
-   exactly one implementation. *)
-let resolve_execute (s : session) ~name ~(args : Ast.expr list) :
-    Ast.statement * Datum.t list =
-  let p = find_prepared s name in
-  (p.p_stmt, execute_values s args)
+(* Resolve EXECUTE to the prepared statement plus evaluated argument
+   datums. Hooks call this too, so name resolution and argument
+   evaluation have exactly one implementation. *)
+let resolve_execute (s : session) ~name ~(args : Ast.expr list) =
+  (find_prepared s name, execute_values s args)
 
 let is_data_stmt = function
   | Ast.Select_stmt _ | Ast.Insert _ | Ast.Update _ | Ast.Delete _ -> true
@@ -539,18 +543,17 @@ let is_data_stmt = function
 (* Fail as binding [values] into [p]'s statement would, before anything
    runs: a [$k] with no value. *)
 let check_arity ~name p values =
-  match Executor.first_unbound p.p_kept (Array.length values) with
+  match Executor.first_unbound p.p_kept (List.length values) with
   | Some i -> err "no value for parameter $%d in prepared statement %s" i name
   | None -> ()
 
-let run_kept s kept values =
-  Executor.run_kept s.inst.plans kept (make_ctx ~params:values s)
+let run_kept s { prep; values; stats } =
+  Executor.run_kept stats prep.p_kept (make_ctx ~params:(Array.of_list values) s)
 
-(* [run], when given, is [stmt]'s kept plan with its values: it stands in
-   for the engine's own execution of [stmt]. *)
-let rec exec_ast_unspanned ?run ?hit (s : session) (stmt : Ast.statement) : result =
+(* [bound], when given, is [stmt] ([bound.prep]'s statement, a data
+   statement no UDF calls) with the values of its [$k]. *)
+let rec exec_ast_unspanned ?bound (s : session) (stmt : Ast.statement) : result =
   let t = s.inst in
-  ignore t;
   if not (session_alive s) then
     err "session %d on %s died with the node" s.sid t.node_name;
   charge_statement s stmt;
@@ -596,29 +599,19 @@ let rec exec_ast_unspanned ?run ?hit (s : session) (stmt : Ast.statement) : resu
          ok_result "ROLLBACK PREPARED"
        with Txn.Manager.No_such_prepared g ->
          err "prepared transaction %s does not exist" g)
-    | Ast.Copy_from { table; columns } ->
-      ignore table;
-      ignore columns;
-      err "COPY FROM STDIN requires copy_in with data"
+    | Ast.Copy_from _ -> err "COPY FROM STDIN requires copy_in with data"
     | Ast.Prepare_stmt { pname; pstmt } ->
       prepare_statement s ~name:pname pstmt;
       ok_result "PREPARE"
     | Ast.Deallocate_stmt target ->
       deallocate_statement s target;
       ok_result "DEALLOCATE"
-    | stmt -> exec_data_stmt ?run ?hit s stmt
+    | stmt -> exec_data_stmt ?bound s stmt
 
-and exec_data_stmt ?run:kept ?hit s stmt =
+and exec_data_stmt ?bound s stmt =
   let t = s.inst in
   let run () =
     (* UDF interception first: SELECT create_distributed_table(...) *)
-    match kept with
-    | Some kept ->
-      (* a kept plan: no UDF or planner hook claims it (see [exec_bound]) *)
-      ignore (ensure_txn s);
-      Meter.add_statement t.meter;
-      kept ()
-    | None ->
     match udf_call t stmt with
     | Some (name, f, args) ->
       Meter.add_statement t.meter;
@@ -641,31 +634,32 @@ and exec_data_stmt ?run:kept ?hit s stmt =
         (* planner hook; a routed statement only costs the local node its
            parse + shard pruning, the target executes it in full *)
         ignore (ensure_txn s);
-        match t.hooks.planner_hook with
-        | Some hook ->
-          (match hook s ?hit stmt with
-           | Some r ->
-             (match stmt with
-              | Ast.Execute_stmt _ ->
-                (* the plan-cache dispatch meters itself: a cache hit
-                   charges a bound execute, a build/bypass a routed
-                   statement *)
-                ()
-              | _ -> Meter.add_routed_statement t.meter);
-             r
-           | None ->
-             (match stmt with
-              | Ast.Execute_stmt _ ->
-                (* no parse either way: the AST was stored at PREPARE *)
-                Meter.add_light_statement t.meter
-              | _ -> Meter.add_statement t.meter);
-             exec_builtin s stmt)
-        | None ->
+        let routed =
+          match t.hooks.planner_hook with
+          | Some hook when Option.is_none bound || t.hooks.hook_claims stmt ->
+            hook s ?hit:(Option.map (fun b -> (b.prep, b.values)) bound) stmt
+          | _ -> None
+        in
+        match routed, stmt with
+        | Some r, Ast.Execute_stmt _ ->
+          (* the plan-cache dispatch meters itself: a cache hit charges a
+             bound execute, a build/bypass a routed statement *)
+          r
+        | Some r, _ ->
+          Meter.add_routed_statement t.meter;
+          r
+        | None, _ ->
           (match stmt with
-           | Ast.Execute_stmt _ -> Meter.add_light_statement t.meter
+           | Ast.Execute_stmt _ ->
+             (* no parse either way: the AST was stored at PREPARE *)
+             Meter.add_light_statement t.meter
            | _ -> Meter.add_statement t.meter);
-          exec_builtin s stmt
+          exec_builtin ?bound s stmt
       end
+  in
+  let fail m =
+    if s.explicit_block then s.failed <- true else do_abort s;
+    raise (Session_error m)
   in
   try
     let r = run () in
@@ -683,31 +677,18 @@ and exec_data_stmt ?run:kept ?hit s stmt =
        connection *)
     if not s.explicit_block then do_abort s;
     raise e
-  | Executor.Exec_error m | Expr_eval.Eval_error m | Session_error m ->
-    if s.explicit_block then begin
-      s.failed <- true;
-      raise (Session_error m)
-    end
-    else begin
-      do_abort s;
-      raise (Session_error m)
-    end
-  | Catalog.No_such_table n ->
-    let m = Printf.sprintf "relation %s does not exist" n in
-    if s.explicit_block then begin
-      s.failed <- true;
-      raise (Session_error m)
-    end
-    else begin
-      do_abort s;
-      raise (Session_error m)
-    end
+  | Executor.Exec_error m | Expr_eval.Eval_error m | Session_error m -> fail m
+  | Catalog.No_such_table n -> fail (Printf.sprintf "relation %s does not exist" n)
 
-and exec_builtin s stmt : result =
-  match stmt with
-  | Ast.Select_stmt _ | Ast.Insert _ | Ast.Update _ | Ast.Delete _ ->
+(* A [bound] data statement runs from its kept plan, any other is bound;
+   an EXECUTE no hook claimed runs its prepared statement the same way. *)
+and exec_builtin ?bound s stmt : result =
+  match stmt, bound with
+  | (Ast.Select_stmt _ | Ast.Insert _ | Ast.Update _ | Ast.Delete _), Some b -> run_kept s b
+  | _, Some { prep; values; _ } -> exec_builtin s (Ast.bind_params values prep.p_stmt)
+  | (Ast.Select_stmt _ | Ast.Insert _ | Ast.Update _ | Ast.Delete _), None ->
     Executor.run (Executor.prepare s.inst.catalog stmt) (make_ctx s)
-  | Ast.Call { proc; args } ->
+  | Ast.Call { proc; args }, None ->
     (* stored procedures are registered as UDFs; CALL is an alternative
        calling convention for them *)
     let t = s.inst in
@@ -716,14 +697,10 @@ and exec_builtin s stmt : result =
        ignore (f s (List.map (Executor.eval_const (make_ctx s)) args));
        ok_result "CALL"
      | None -> err "procedure %s does not exist" proc)
-  | Ast.Execute_stmt { ename; eargs } ->
-    (* no extension hook claimed it: run the shape locally, a data
-       statement from its kept plan *)
-    let p = find_prepared s ename in
-    let values = Array.of_list (execute_values s eargs) in
-    check_arity ~name:ename p values;
-    if is_data_stmt p.p_stmt then run_kept s p.p_kept values
-    else exec_builtin s (Ast.bind_params (Array.to_list values) p.p_stmt)
+  | Ast.Execute_stmt { ename; eargs }, None ->
+    let prep, values = resolve_execute s ~name:ename ~args:eargs in
+    check_arity ~name:ename prep values;
+    exec_builtin ~bound:{ prep; values; stats = s.inst.plans } s prep.p_stmt
   | _ -> err "unsupported statement"
 
 let exec_utility_local s stmt = exec_utility s stmt
@@ -743,10 +720,10 @@ let exec_local s stmt =
       Meter.add_statement s.inst.meter;
       if is_utility stmt then exec_utility s stmt else exec_builtin s stmt)
 
-let exec_local_kept s kept values =
+let exec_local_kept s prep values =
   in_local_txn s (fun () ->
       Meter.add_statement s.inst.meter;
-      run_kept s kept (Array.of_list values))
+      run_kept s { prep; values; stats = s.inst.plans })
 
 let copy_local s ~table ~columns lines =
   in_local_txn s (fun () -> copy_in_local s ~table ~columns lines)
@@ -777,52 +754,48 @@ let stmt_kind : Ast.statement -> string = function
 (* Every statement an instance executes — coordinator or worker, client-
    or extension-issued — nests under the shared trace stack. One branch
    when tracing is off. *)
-let exec_stmt ?run ?hit (s : session) (stmt : Ast.statement) : result =
+let exec_stmt ?bound (s : session) (stmt : Ast.statement) : result =
   match s.inst.obs with
-  | None -> exec_ast_unspanned ?run ?hit s stmt
+  | None -> exec_ast_unspanned ?bound s stmt
   | Some o ->
     Obs.Trace.with_span o.Obs.trace
       ~now:(fun () -> s.inst.clock)
       ~node:s.inst.node_name ~kind:"statement"
       ~tags:[ ("stmt", stmt_kind stmt) ]
-      (fun _sp -> exec_ast_unspanned ?run ?hit s stmt)
+      (fun _sp -> exec_ast_unspanned ?bound s stmt)
 
 let exec_ast s stmt = exec_stmt s stmt
 
-(* A statement-cache hit the planner hook claims reaches it as its
-   template, unbound: the hook routes the template as the text's
-   plan-cache shape. Any other hit is bound, as the engine needs it. *)
+(* The one runner of a prepared statement with its values, for a
+   statement-cache hit and {!exec_bound}. A data statement that no UDF
+   calls reaches the planner hook as its unbound statement with [?hit]
+   when the hook claims it, and otherwise runs from its kept plan
+   ([exec_builtin], which also serves an EXECUTE no hook claimed); any
+   other statement is bound. *)
+let exec_prepared s b =
+  let stmt = b.prep.p_stmt in
+  if is_data_stmt stmt && udf_call s.inst stmt = None then exec_stmt ~bound:b s stmt
+  else exec_ast s (Ast.bind_params b.values stmt)
+
 let exec s sql =
   match Stmt_cache.lookup s.inst.stmts sql with
   | Stmt_cache.Parsed stmt -> exec_ast s stmt
-  | Stmt_cache.Hit ({ template; _ } as hit)
-    when is_data_stmt template
-         && udf_call s.inst template = None
-         && s.inst.hooks.hook_claims template ->
-    exec_stmt ~hit s template
-  | Stmt_cache.Hit { template; values; _ } ->
-    exec_ast s (Ast.bind_params values template)
+  | Stmt_cache.Hit (prep, values) ->
+    exec_prepared s { prep; values; stats = s.inst.template_plans }
 
 (* The extended query protocol's Close / Parse / Bind / Execute, arriving
    in one message. A repeated Parse replaces and an unknown Close is
-   ignored: the sender re-sends both when it lost a reply. The bound
-   statement then runs as a parsed text statement would: a data
-   statement that no UDF or planner hook claims from its kept plan, any
-   other bound. *)
+   ignored: the sender re-sends both when it lost a reply. *)
 let exec_bound s ~close ?parse ~name values =
   List.iter (Hashtbl.remove s.prepared) close;
   Option.iter
     (fun text ->
       Hashtbl.replace s.prepared name
-        (prepared (Parser.parse_statement text) (Lazy.from_val text)))
+        (prepared ~text:(Lazy.from_val text) (Parser.parse_statement text)))
     parse;
-  let p = find_prepared s name in
-  let values = Array.of_list values in
-  check_arity ~name p values;
-  let t = s.inst in
-  if is_data_stmt p.p_stmt && udf_call t p.p_stmt = None && not (t.hooks.hook_claims p.p_stmt)
-  then exec_stmt ~run:(fun () -> run_kept s p.p_kept values) s p.p_stmt
-  else exec_ast s (Ast.bind_params (Array.to_list values) p.p_stmt)
+  let prep = find_prepared s name in
+  check_arity ~name prep values;
+  exec_prepared s { prep; values; stats = s.inst.plans }
 
 let copy_in s ~table ~columns lines =
   let t = s.inst in

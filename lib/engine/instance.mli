@@ -27,6 +27,18 @@ type result = Executor.result = {
 
 exception Session_error of string
 
+(** A statement with its [$k] unbound, its text (forced at most once)
+    and its kept plan ({!Executor.run_kept}): a PREPARE, a statement of
+    {!exec_bound}, a statement-cache template and the plan cache's
+    worker-side statement of a shard group are all one. *)
+type prepared = private {
+  p_stmt : Sqlfront.Ast.statement;
+  p_text : string Lazy.t;
+  p_kept : Executor.kept;
+}
+
+val prepared : text:string Lazy.t -> Sqlfront.Ast.statement -> prepared
+
 (** [create ~name ~buffer_pages ()] builds a node whose buffer pool holds
     [buffer_pages] logical pages (the memory-fit lever of every benchmark).
     When [obs] is given, every statement runs inside a trace span and the
@@ -46,8 +58,9 @@ val buffer_pool : t -> Storage.Buffer_pool.t
 val meter : t -> Meter.t
 
 (** The statements {!exec} parsed, by literal-normalized skeleton: its
-    hit, miss and uncacheable counts. *)
-val stmt_cache : t -> Sqlfront.Stmt_cache.t
+    hit, miss and uncacheable counts. A template is kept as a
+    {!prepared} statement whose text is its key. *)
+val stmt_cache : t -> prepared Sqlfront.Stmt_cache.t
 
 
 (** {2 Sessions} *)
@@ -70,9 +83,9 @@ val abort_session : session -> unit
 (** Execute one SQL statement. May raise {!Session_error},
     {!Executor.Would_block} (retry later), or parse errors. A text whose
     skeleton was seen before is served from its template, not parsed
-    ({!Sqlfront.Stmt_cache}): a data statement the planner hook claims
-    reaches the hook as the template with the hit beside it, any other
-    is bound. The meter charges it the same either way. *)
+    ({!Sqlfront.Stmt_cache}), and runs with the text's literals as
+    {!exec_bound} runs a statement, from the template's kept plan when
+    no UDF or hook claims it. The meter charges it as the parsed text. *)
 val exec : session -> string -> result
 
 val exec_ast : session -> Sqlfront.Ast.statement -> result
@@ -84,10 +97,12 @@ val exec_ast : session -> Sqlfront.Ast.statement -> result
     when given (replacing an earlier one), then binds [values] into the
     stored AST and runs it as {!exec_ast} would — hooks, implicit commit,
     trace span and {!Meter} charge are those of the same statement sent
-    as text. A data statement that no UDF or planner hook claims runs
-    from the plan kept with [name] (built at its first execution, rebuilt
-    after a catalog change), any other statement bound. Raises
-    {!Session_error} for an unknown [name] or a missing value. *)
+    as text. It runs as a statement-cache hit of {!exec} does: a data
+    statement the planner hook claims reaches the hook with [?hit], one
+    that no UDF or hook claims runs from the plan kept with [name] (built
+    at its first execution, rebuilt after a catalog change), and any
+    other statement is bound. Raises {!Session_error} for an unknown
+    [name] or a missing value. *)
 val exec_bound :
   session ->
   close:string list ->
@@ -108,24 +123,22 @@ val exec_bound :
     the plan kept with its name, as {!exec_bound} does. *)
 
 (** Kept plans built (a first execution, or a rebuild), run, and found
-    stale by a catalog change, on this instance so far. *)
+    stale by a catalog change, on this instance so far: those of
+    statement-cache templates included. *)
 val plan_stats : t -> Executor.plan_stats
+
+(** The part of {!plan_stats} that statement-cache templates made. *)
+val template_plan_stats : t -> Executor.plan_stats
 
 (** Names prepared in this session, sorted. *)
 val prepared_names : session -> string list
 
-(** Normalized text of a prepared statement: the deparse of its stored
-    shape, computed once per PREPARE (the plan cache keys EXECUTEs by
-    it). Raises {!Session_error} if the name is unknown. *)
-val prepared_text : session -> string -> string
-
-(** Resolve an EXECUTE: stored shape + evaluated argument datums. Raises
-    {!Session_error} if the name is unknown. *)
+(** Resolve an EXECUTE: the prepared statement, whose text is the
+    deparse of its stored shape (the plan cache keys EXECUTEs by it),
+    and the evaluated argument datums. Raises {!Session_error} if the
+    name is unknown. *)
 val resolve_execute :
-  session ->
-  name:string ->
-  args:Sqlfront.Ast.expr list ->
-  Sqlfront.Ast.statement * Datum.t list
+  session -> name:string -> args:Sqlfront.Ast.expr list -> prepared * Datum.t list
 
 (** Feed COPY data rows (tab-separated text format, [\N] = NULL) into a
     table, inside the session's transaction. *)
@@ -170,9 +183,10 @@ val exec_utility_local : session -> Sqlfront.Ast.statement -> result
     the statement that dispatched it owns all of those. *)
 val exec_local : session -> Sqlfront.Ast.statement -> result
 
-(** [exec_local_kept s kept values] is {!exec_local} of [kept]'s
-    statement bound to [values], run from [kept]'s plan. *)
-val exec_local_kept : session -> Executor.kept -> Datum.t list -> result
+(** [exec_local_kept s p values] is {!exec_local} of [p]'s statement
+    bound to [values], run from [p]'s kept plan. The caller has checked
+    that [values] bind every [$k]. *)
+val exec_local_kept : session -> prepared -> Datum.t list -> result
 
 val copy_local :
   session -> table:string -> columns:string list option -> string list -> int
@@ -182,12 +196,14 @@ val copy_local :
 (** [claims stmt] is false when the hook returns [None] for [stmt]
     whatever values its [$k] take: such a statement runs from a kept
     plan without the hook being asked. A statement-cache hit that
-    [claims] reaches the hook as [?hit] with its template as the
-    statement, its [$k] unbound; the hook must take it. *)
+    [claims] reaches the hook as [?hit], its template and the text's
+    literals, with the template as the statement, its [$k] unbound; so
+    does a claimed statement of {!exec_bound}. If the hook declines it,
+    it runs from its kept plan. *)
 val set_planner_hook :
   t ->
   claims:(Sqlfront.Ast.statement -> bool) ->
-  (session -> ?hit:Sqlfront.Stmt_cache.hit -> Sqlfront.Ast.statement -> result option) ->
+  (session -> ?hit:prepared * Datum.t list -> Sqlfront.Ast.statement -> result option) ->
   unit
 
 val set_utility_hook :

@@ -167,25 +167,43 @@ let tokenize src =
 (* Skeleton markers, one per literal kind: [mark] writes the literal's
    marker and returns its value. The scan refuses bytes up to the last
    marker anywhere outside a string, so a skeleton reads back
-   unambiguously. *)
+   unambiguously. NULL, TRUE and FALSE share one marker. *)
 let mark buf = function
   | Int_lit v -> Buffer.add_char buf '\001'; Datum.Int v
   | Float_lit f -> Buffer.add_char buf '\002'; Datum.Float f
   | String_lit s -> Buffer.add_char buf '\003'; Datum.Text s
+  | Keyword "NULL" -> Buffer.add_char buf '\004'; Datum.Null
+  | Keyword ("TRUE" | "FALSE" as b) -> Buffer.add_char buf '\004'; Datum.Bool (b = "TRUE")
   | _ -> invalid_arg "Lexer.mark: not a literal"
 
-let is_mark c = c <= '\003'
+let is_mark c = c <= '\004'
+
+(* Does [src.[i..j)] spell the upper-case word [w], in any case? *)
+let rec spells_from src i w k =
+  k = String.length w || (Char.uppercase_ascii src.[i + k] = w.[k] && spells_from src i w (k + 1))
+
+let spells src i j w = String.length w = j - i && spells_from src i w 0
+
+(* NULL, TRUE and FALSE are constants, as [Ast.lift_consts] reads them *)
+let const_word src i j =
+  if spells src i j "NULL" then Some (Keyword "NULL")
+  else if spells src i j "TRUE" then Some (Keyword "TRUE")
+  else if spells src i j "FALSE" then Some (Keyword "FALSE")
+  else None
 
 let skeleton buf src =
   let n = String.length src in
   Buffer.clear buf;
   let lits = ref [] in
+  (* the last word was IS or NOT: a NULL after it is the parser's
+     keyword ([IS NOT NULL], a column's [NOT NULL]), not a constant *)
+  let after_not = ref false in
   (* [seg] starts the text not yet copied: a literal flushes it *)
   let rec go seg i =
     if i >= n then (Buffer.add_substring buf src seg (i - seg); true)
     else
       match src.[i] with
-      | 'a' .. 'z' | 'A' .. 'Z' | '_' -> go seg (word (i + 1))
+      | 'a' .. 'z' | 'A' .. 'Z' | '_' -> ident seg i (word (i + 1))
       | '"' -> quoted seg (i + 1)
       | '\'' -> literal seg i scan_string
       | '0' .. '9' -> literal seg i scan_number
@@ -195,8 +213,15 @@ let skeleton buf src =
       | '>' | '!' | '|' | ':' | '+' | '-' | '/' | '%' ->
         go seg (i + 1)
       | _ -> false
-  (* identifier words, digits and all, are copied whole *)
+  (* identifier words, digits and all, are copied whole, but for the
+     constant ones *)
   and word j = if j < n && is_ident_char src.[j] then word (j + 1) else j
+  and ident seg i j =
+    let const = if !after_not then None else const_word src i j in
+    after_not := spells src i j "IS" || spells src i j "NOT";
+    match const with
+    | Some kw -> literal seg i (fun _ pos -> pos := j; kw)
+    | None -> go seg j
   and quoted seg j =
     if j >= n || is_mark src.[j] then false
     else if src.[j] = '"' then go seg (j + 1)

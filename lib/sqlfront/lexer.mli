@@ -31,12 +31,15 @@ val equal_token : token -> token -> bool
 val tokenize : string -> token list
 
 (** [skeleton buf src] is [src] with each literal replaced by a byte
-    that marks its kind (integer, float, string), and the literals'
-    values in text order. Literals are read by the same scanners as
-    {!tokenize}'s. Identifier words, digits included, and double-quoted
-    identifiers are copied whole. [None] for a [$k], a [--] comment, a
-    lexical error or anything else the scan does not recognise. [buf]
-    is scratch space, reused across calls. *)
+    that marks its kind (integer, float, string, or one of the words
+    NULL, TRUE and FALSE), and the literals' values in text order, as
+    {!Ast.lift_consts} lifts them from the parse. Literals are read by
+    the same scanners as {!tokenize}'s. Other identifier words, digits
+    included, double-quoted identifiers and a NULL right after IS or
+    NOT ([IS NOT NULL], a column's [NOT NULL]) are copied whole. [None]
+    for a [$k], a [--] comment, a lexical error or anything else the
+    scan does not recognise. [buf] is scratch space, reused across
+    calls. *)
 val skeleton : Buffer.t -> string -> (string * Datum.t list) option
 
 (** A skeleton with its markers numbered [$1..$n] left to right. *)

@@ -1,6 +1,5 @@
-type hit = { template : Ast.statement; key : string; values : Datum.t list }
-type found = Parsed of Ast.statement | Hit of hit
-type slot = Seen | Template of Ast.statement * string | Uncacheable
+type 'a found = Parsed of Ast.statement | Hit of 'a * Datum.t list
+type 'a slot = Seen | Template of 'a | Uncacheable
 
 module Skeletons = Hashtbl.Make (String)
 
@@ -12,23 +11,24 @@ let max_text = 4096
 
 type stats = { hits : int; misses : int; uncacheable : int }
 
-type t = {
-  slots : slot Skeletons.t;
+type 'a t = {
+  slots : 'a slot Skeletons.t;
   order : string Queue.t;  (** skeletons, oldest first *)
   buf : Buffer.t;  (** the skeleton scan's scratch *)
+  admit : Ast.statement -> string -> 'a;  (** the owner's payload of a template *)
   mutable hits : int;
   mutable misses : int;
   mutable uncacheable : int;
 }
 
-let create () =
-  { slots = Skeletons.create 64; order = Queue.create (); buf = Buffer.create 256;
+let create admit =
+  { slots = Skeletons.create 64; order = Queue.create (); buf = Buffer.create 256; admit;
     hits = 0; misses = 0; uncacheable = 0 }
 
 let size t = Skeletons.length t.slots
 let stats t : stats = { hits = t.hits; misses = t.misses; uncacheable = t.uncacheable }
 
-type probe = Found of hit | Missed of (string * Datum.t list) option
+type 'a probe = Found of 'a * Datum.t list | Missed of (string * Datum.t list) option
 
 (* The hit path, a root of lint rule L15: it neither parses nor binds. *)
 let hit t text =
@@ -36,9 +36,9 @@ let hit t text =
   | None -> Missed None
   | Some ((skel, values) as scan) ->
     (match Skeletons.find_opt t.slots skel with
-     | Some (Template (template, key)) ->
+     | Some (Template payload) ->
        t.hits <- t.hits + 1;
-       Found { template; key; values }
+       Found (payload, values)
      | _ -> Missed (Some scan))
 
 let add t skel =
@@ -53,7 +53,7 @@ let admit t skel lits stmt =
   let slot =
     match Parser.parse_statement (Lexer.placeholders skel) with
     | tpl when tpl = fst (Ast.lift_consts stmt) && Ast.bind_params lits tpl = stmt ->
-      Template (tpl, Deparse.statement tpl)
+      Template (t.admit tpl (Deparse.statement tpl))
     | _ | (exception Parser.Parse_error _) ->
       t.uncacheable <- t.uncacheable + 1;
       Uncacheable
@@ -62,7 +62,7 @@ let admit t skel lits stmt =
 
 let lookup t text =
   match hit t text with
-  | Found h -> Hit h
+  | Found (payload, values) -> Hit (payload, values)
   | Missed scan ->
     t.misses <- t.misses + 1;
     let stmt = Parser.parse_statement text in

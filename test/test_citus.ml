@@ -271,6 +271,27 @@ let test_pushdown_aggregates () =
    | [ [| Datum.Float f |] ] -> Alcotest.(check (float 0.001)) "avg" 2.0 f
    | _ -> Alcotest.fail "avg failed")
 
+(* A multi-shard SELECT reaches each worker as one text per shard; from
+   its third sighting the worker serves it from its statement-cache
+   template and runs the template's kept plan. *)
+let test_pushdown_runs_kept_plans () =
+  let cluster, _, s = make ~shard_count:4 () in
+  setup_items s;
+  load_items s;
+  let kept_runs () =
+    List.map
+      (fun (w : Cluster.Topology.node) ->
+        (Engine.Instance.plan_stats w.Cluster.Topology.instance).Engine.Executor.runs)
+      cluster.Cluster.Topology.workers
+  in
+  let before = kept_runs () in
+  for _ = 1 to 5 do
+    check_int s "sum" 80 "SELECT sum(qty) FROM items"
+  done;
+  (* two shards a worker, each text seen, admitted, then hit three times *)
+  Alcotest.(check (list int)) "kept runs on each worker" [ 6; 6 ]
+    (List.map2 ( - ) (kept_runs ()) before)
+
 let test_pushdown_group_by () =
   let _, _, s = make () in
   setup_items s;
@@ -1855,6 +1876,7 @@ let () =
       ( "pushdown",
         [
           Alcotest.test_case "aggregates" `Quick test_pushdown_aggregates;
+          Alcotest.test_case "kept plans on workers" `Quick test_pushdown_runs_kept_plans;
           Alcotest.test_case "group by" `Quick test_pushdown_group_by;
           Alcotest.test_case "order/limit" `Quick test_pushdown_order_limit;
           Alcotest.test_case "colocated join" `Quick test_pushdown_colocated_join;

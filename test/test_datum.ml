@@ -165,6 +165,68 @@ let prop_hash_equal_consistent =
     (fun (a, b) ->
       if Datum.equal a b then Datum.hash32 a = Datum.hash32 b else true)
 
+(* The byte-string definition of [Datum.hash32] that placements were
+   made with: any other must agree with it bit for bit, or every row
+   moves shard. *)
+let reference_hash32 (d : Datum.t) =
+  let canonical_bytes = function
+    | Datum.Null -> "\x00"
+    | Bool false -> "\x01f"
+    | Bool true -> "\x01t"
+    | Int i -> Printf.sprintf "\x02%d" i
+    | Float f ->
+      if Float.is_integer f && Float.abs f < 1e18 then Printf.sprintf "\x02%.0f" f
+      else Printf.sprintf "\x03%h" f
+    | Text s -> "\x04" ^ s
+    | Json j -> "\x05" ^ Json.to_string j
+    | Timestamp f -> Printf.sprintf "\x06%h" f
+  in
+  let fmix32 h =
+    let h = Int32.logxor h (Int32.shift_right_logical h 16) in
+    let h = Int32.mul h 0x85ebca6bl in
+    let h = Int32.logxor h (Int32.shift_right_logical h 13) in
+    let h = Int32.mul h 0xc2b2ae35l in
+    Int32.logxor h (Int32.shift_right_logical h 16)
+  in
+  let h = ref 0x811c9dc5l in
+  String.iter
+    (fun c -> h := Int32.mul (Int32.logxor !h (Int32.of_int (Char.code c))) 0x01000193l)
+    (canonical_bytes d);
+  fmix32 !h
+
+(* Every kind, and the corners of each encoding: the ends of the int
+   range, -0.0, integral floats at the 1e18 cut, infinities and NaN,
+   text with bytes of 0x80 and above, and JSON. *)
+let any_datum_gen =
+  let open QCheck2.Gen in
+  let float =
+    oneof
+      [
+        float;
+        map float_of_int int;
+        oneofl
+          [ 0.0; -0.0; 1e18; -1e18; 999999999999999872.0; 1e17; -5.0; 0.5; infinity;
+            neg_infinity; nan; Float.min_float; Float.max_float ];
+      ]
+  in
+  oneof
+    [
+      return Datum.Null;
+      map (fun b -> Datum.Bool b) bool;
+      map (fun i -> Datum.Int i)
+        (oneof [ int; int_range (-1000) 1000; oneofl [ min_int; max_int; 0; -1 ] ]);
+      map (fun f -> Datum.Float f) float;
+      map (fun s -> Datum.Text s) (string_size ~gen:char (int_range 0 24));
+      map (fun f -> Datum.Timestamp f) float;
+      map (fun s -> Datum.Json (Json.Obj [ ("k", Json.Str s); ("n", Json.Num 1.5) ]))
+        (string_size ~gen:char (int_range 0 8));
+    ]
+
+let prop_hash_matches_reference =
+  QCheck2.Test.make ~name:"hash32 = byte-string reference" ~count:2000
+    ~print:Datum.to_display any_datum_gen
+    (fun d -> Datum.hash32 d = reference_hash32 d)
+
 let () =
   Alcotest.run "datum"
     [
@@ -196,6 +258,7 @@ let () =
             prop_literal_roundtrip;
             prop_json_string_roundtrip;
             prop_hash_equal_consistent;
+            prop_hash_matches_reference;
           ]
       );
     ]

@@ -575,7 +575,14 @@ let plan_table ?(buffer_pages = 100_000) () =
 let bound s ?(parse = true) name text values =
   Instance.exec_bound s ~close:[] ?parse:(if parse then Some text else None) ~name values
 
-let builds inst = (Instance.plan_stats inst).Executor.builds
+(* Kept plans of prepared statements, statement-cache templates' (the
+   set-up's INSERT texts among them) left out *)
+let builds inst =
+  (Instance.plan_stats inst).Executor.builds - (Instance.template_plan_stats inst).builds
+
+let invalidations inst =
+  (Instance.plan_stats inst).Executor.invalidations
+  - (Instance.template_plan_stats inst).invalidations
 
 let ints rs = List.map (function [| Datum.Int k |] -> k | _ -> -1) rs.Instance.rows
 
@@ -624,7 +631,7 @@ let test_plan_rebuilt_by_ddl () =
   (match rows s "EXECUTE all_u(3)" with
    | [ [| _; _; Datum.Int 7 |] ] -> ()
    | _ -> Alcotest.fail "the added column is read");
-  let builds0 = builds inst and invalid0 = (Instance.plan_stats inst).Executor.invalidations in
+  let builds0 = builds inst and invalid0 = invalidations inst in
   ignore (exec s "DROP TABLE u");
   ignore (exec s "CREATE TABLE u (k bigint PRIMARY KEY, a bigint)");
   ignore (exec s "INSERT INTO u VALUES (3, 30)");
@@ -632,8 +639,7 @@ let test_plan_rebuilt_by_ddl () =
    | [ [| Datum.Int 3; Datum.Int 30 |] ] -> ()
    | _ -> Alcotest.fail "the re-created table is read");
   Alcotest.(check int) "rebuilt once" 1 (builds inst - builds0);
-  Alcotest.(check int) "one invalidation" 1
-    ((Instance.plan_stats inst).Executor.invalidations - invalid0)
+  Alcotest.(check int) "one invalidation" 1 (invalidations inst - invalid0)
 
 (* now() and random() read the execution they run in, not the one the
    plan was built for. *)
@@ -675,23 +681,51 @@ let test_plan_would_block_retry () =
   Alcotest.(check int) "with the kept plan" 0 (builds inst - b);
   Alcotest.(check int) "retry's value" 200 (one_int s1 "SELECT v FROM t WHERE k = 5")
 
+(* A text served from its statement-cache template runs the template's
+   kept plan: built at the first hit, then run by every later one. *)
+let test_template_plan_built_once () =
+  let inst, s = plan_table () in
+  let text k = Printf.sprintf "SELECT v FROM t WHERE k = %d" k in
+  (* seen, then admitted *)
+  ignore (exec s (text 0));
+  ignore (exec s (text 1));
+  let hits () =
+    (Sqlfront.Stmt_cache.stats (Instance.stmt_cache inst)).Sqlfront.Stmt_cache.hits
+  in
+  let before = Instance.plan_stats inst and tpl0 = Instance.template_plan_stats inst in
+  let hits0 = hits () in
+  for i = 0 to 99 do
+    Alcotest.(check (list int)) "row of this text's key" [ i mod 40 mod 7 ]
+      (ints (exec s (text (i mod 40))))
+  done;
+  let after = Instance.plan_stats inst in
+  Alcotest.(check int) "100 hits" 100 (hits () - hits0);
+  Alcotest.(check int) "one plan built" 1 (after.builds - before.builds);
+  Alcotest.(check int) "100 runs" 100 (after.runs - before.runs);
+  let tpl = Instance.template_plan_stats inst in
+  Alcotest.(check (pair int int)) "all of them the template's" (1, 100)
+    (tpl.builds - tpl0.builds, tpl.runs - tpl0.runs)
+
 (* One kept statement run locally on two nodes in turn, as a
    reference-table read is: each node's plan is built once and kept. *)
 let test_plan_per_node () =
   let a, sa = plan_table () and b, sb = plan_table () in
-  let kept = Executor.keep (Sqlfront.Parser.parse_statement "SELECT v FROM t WHERE k = $1") in
+  let text = "SELECT v FROM t WHERE k = $1" in
+  let prep = Instance.prepared ~text:(Lazy.from_val text) (Sqlfront.Parser.parse_statement text) in
   let a0 = builds a and b0 = builds b in
   for i = 0 to 19 do
     let s = if i mod 2 = 0 then sa else sb in
     Alcotest.(check (list int)) "row of this execution's key" [ i mod 7 ]
-      (ints (Instance.exec_local_kept s kept [ Datum.Int i ]))
+      (ints (Instance.exec_local_kept s prep [ Datum.Int i ]))
   done;
   Alcotest.(check (pair int int)) "one plan built on each node" (1, 1)
     (builds a - a0, builds b - b0)
 
 (* Shapes the plan cache can send as bound executes, and some it cannot
    keep generic (an ordinal, a LIKE pattern): run from a kept plan, each
-   must match binding the values and running the statement as text. *)
+   must match binding the values and running the statement, and sending
+   the bound statement as literal text served from its statement-cache
+   template. *)
 let plan_shapes =
   [|
     ("SELECT k, v, w FROM t WHERE k = $1", 1);
@@ -736,6 +770,16 @@ let prop_kept_plan_matches_bound =
     (list_size (int_range 1 14) step)
     (fun steps ->
       let ia, sa = plan_table ~buffer_pages:6 () and ib, sb = plan_table ~buffer_pages:6 () in
+      let ic, sc = plan_table ~buffer_pages:6 () in
+      (* two sightings of the text's skeleton admit it (a lookup parses,
+         it runs nothing), so [exec] serves the text from its template
+         unless the skeleton is uncacheable (a negative number) *)
+      let templated text =
+        for _ = 1 to 2 do
+          ignore (Sqlfront.Stmt_cache.lookup (Instance.stmt_cache ic) text)
+        done;
+        Instance.exec sc text
+      in
       let outcome f =
         match f () with
         | (r : Instance.result) -> Ok (r.columns, r.rows, r.affected, r.tag)
@@ -748,15 +792,16 @@ let prop_kept_plan_matches_bound =
           let parse = not (Hashtbl.mem parsed i) in
           Hashtbl.replace parsed i ();
           let kept = outcome (fun () -> bound sa ~parse name text values) in
-          let direct =
-            outcome (fun () ->
-                Instance.exec_ast sb
-                  (Sqlfront.Ast.bind_params values (Sqlfront.Parser.parse_statement text)))
-          in
-          kept = direct
-          && Meter.read (Instance.meter ia) = Meter.read (Instance.meter ib)
-          && Storage.Buffer_pool.stats (Instance.buffer_pool ia)
-             = Storage.Buffer_pool.stats (Instance.buffer_pool ib))
+          let bound_stmt = Sqlfront.Ast.bind_params values (Sqlfront.Parser.parse_statement text) in
+          let direct = outcome (fun () -> Instance.exec_ast sb bound_stmt) in
+          let literal = outcome (fun () -> templated (Sqlfront.Deparse.statement bound_stmt)) in
+          let meter = Meter.read (Instance.meter ia)
+          and pool = Storage.Buffer_pool.stats (Instance.buffer_pool ia) in
+          kept = direct && kept = literal
+          && meter = Meter.read (Instance.meter ib)
+          && meter = Meter.read (Instance.meter ic)
+          && pool = Storage.Buffer_pool.stats (Instance.buffer_pool ib)
+          && pool = Storage.Buffer_pool.stats (Instance.buffer_pool ic))
         steps
       && builds ia <= Hashtbl.length parsed)
 
@@ -837,6 +882,7 @@ let () =
         [
           Alcotest.test_case "subquery parameter" `Quick test_subquery_parameter;
           Alcotest.test_case "built once" `Quick test_plan_built_once;
+          Alcotest.test_case "template built once" `Quick test_template_plan_built_once;
           Alcotest.test_case "rebuilt by DDL" `Quick test_plan_rebuilt_by_ddl;
           Alcotest.test_case "reads the execution" `Quick test_plan_reads_execution;
           Alcotest.test_case "would-block retry" `Quick test_plan_would_block_retry;

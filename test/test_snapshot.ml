@@ -92,6 +92,32 @@ let test_eventual_read_is_torn () =
   Alcotest.(check int) "no in-doubt waits at eventual" 0
     (counter cluster Obs.Metric_names.snapshot_indoubt_waits)
 
+(* COPY is a round trip like any other: its reply carries the worker's
+   HLC stamp back to the coordinator, so a snapshot read right after it
+   sees the copied rows even with every worker clock a second ahead.
+   The same rows sent as INSERTs always did. *)
+let test_snapshot_sees_own_copy () =
+  let cluster = Cluster.Topology.create ~workers:2 ~fault_seed:1 () in
+  let citus = Citus.Api.install ~shard_count:4 cluster in
+  let s = Citus.Api.connect citus in
+  ignore (exec s "CREATE TABLE t (k bigint PRIMARY KEY, v bigint)");
+  ignore (exec s "SELECT create_distributed_table('t', 'k')");
+  ignore (exec s "CREATE TABLE u (k bigint PRIMARY KEY, v bigint)");
+  ignore (exec s "SELECT create_distributed_table('u', 'k')");
+  ignore (exec s "SELECT citus_set_config('consistency', 'snapshot')");
+  List.iter
+    (fun node -> Sim.Fault.set_clock_skew (fault_of cluster) ~node ~offset:1.0 ~drift:0.0)
+    (worker_names cluster);
+  for k = 0 to 19 do
+    ignore (exec s (Printf.sprintf "INSERT INTO u VALUES (%d, 0)" k))
+  done;
+  check_int s "inserted rows" 20 "SELECT count(*) FROM u";
+  let copied =
+    Engine.Instance.copy_in s ~table:"t" ~columns:None (List.init 20 (Printf.sprintf "%d\t0"))
+  in
+  Alcotest.(check int) "rows copied" 20 copied;
+  check_int s "copied rows" 20 "SELECT count(*) FROM t"
+
 let heal_test consistency () =
   let cluster = Cluster.Topology.create ~workers:3 () in
   let citus = Citus.Api.install ~shard_count:8 cluster in
@@ -810,6 +836,7 @@ let () =
             test_snapshot_resolves_aborted_orphan;
           Alcotest.test_case "in-doubt decision table" `Quick
             test_indoubt_decision_table;
+          Alcotest.test_case "snapshot sees its own COPY" `Quick test_snapshot_sees_own_copy;
         ] );
       ( "hedging",
         [

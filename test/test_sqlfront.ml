@@ -571,11 +571,14 @@ let outcome parse text =
   | st -> Ok (st, Deparse.statement st)
   | exception Parser.Parse_error m -> Error m
 
+(* A cache whose payload is the template and its key. *)
+let new_cache () = Stmt_cache.create (fun template key -> (template, key))
+
 (* The cache's reading of a text, a hit bound into its template. *)
 let cached_parse cache text =
   match Stmt_cache.lookup cache text with
   | Stmt_cache.Parsed st -> st
-  | Stmt_cache.Hit { template; values; _ } -> Ast.bind_params values template
+  | Stmt_cache.Hit ((template, _), values) -> Ast.bind_params values template
 
 let same_as_parser cache text =
   outcome (cached_parse cache) text = outcome Parser.parse_statement text
@@ -623,7 +626,7 @@ let prop_stmt_cache =
   QCheck2.Test.make ~name:"statement cache = fresh parse" ~count:300
     ~print:(String.concat "\n") gen
     (fun texts ->
-      let cache = Stmt_cache.create () in
+      let cache = new_cache () in
       List.for_all (same_as_parser cache) texts)
 
 (* Property: texts of one skeleton get one template and one key from
@@ -658,16 +661,17 @@ let prop_stmt_cache_shape =
   QCheck2.Test.make ~name:"statement cache template = lifted parse" ~count:300
     ~print:(String.concat "\n") gen
     (fun texts ->
-      let cache = Stmt_cache.create () in
+      let cache = new_cache () in
       let found = List.map (Stmt_cache.lookup cache) texts in
       match found with
-      | [ Stmt_cache.Parsed _; Stmt_cache.Parsed _; Stmt_cache.Hit a; Stmt_cache.Hit b ] ->
+      | [ Stmt_cache.Parsed _; Stmt_cache.Parsed _; Stmt_cache.Hit ((ta, ka), _);
+          Stmt_cache.Hit ((tb, kb), _) ] ->
         let lifted text = fst (Ast.lift_consts (Parser.parse_statement text)) in
-        a.template = b.template
-        && String.equal a.key b.key
-        && String.equal a.key (Deparse.statement a.template)
-        && a.template = lifted (List.nth texts 2)
-        && b.template = lifted (List.nth texts 3)
+        ta = tb
+        && String.equal ka kb
+        && String.equal ka (Deparse.statement ta)
+        && ta = lifted (List.nth texts 2)
+        && tb = lifted (List.nth texts 3)
       | _ -> false)
 
 (* Spellings the deparser never prints: exponents, a leading dot, -0.0,
@@ -706,13 +710,13 @@ let prop_stmt_cache_spellings =
   QCheck2.Test.make ~name:"statement cache = fresh parse, raw spellings" ~count:300
     ~print:(String.concat "\n") gen
     (fun texts ->
-      let cache = Stmt_cache.create () in
+      let cache = new_cache () in
       List.for_all (fun t -> List.for_all (same_as_parser cache) [ t; t; t ]) texts)
 
 (* Texts the scan refuses, and texts too long to hold, are parsed every
    time, with the parser's errors. *)
 let test_stmt_cache_unscanned () =
-  let cache = Stmt_cache.create () in
+  let cache = new_cache () in
   List.iter
     (fun text -> for _ = 1 to 3 do check_same cache text done)
     [
@@ -732,7 +736,7 @@ let test_stmt_cache_unscanned () =
 (* Shard names carry digits that belong to the word, not literals, and
    a hit unescapes quotes as the parser does. *)
 let test_stmt_cache_hits () =
-  let cache = Stmt_cache.create () in
+  let cache = new_cache () in
   List.iter (check_same cache)
     [
       "SELECT v FROM events_102008 WHERE k = 1 AND s = 'it''s'";
@@ -749,7 +753,7 @@ let test_stmt_cache_hits () =
    a negative number folds into its constant, and a transaction id must
    be a string literal. *)
 let test_stmt_cache_uncacheable () =
-  let cache = Stmt_cache.create () in
+  let cache = new_cache () in
   List.iter (check_same cache)
     [
       "PREPARE TRANSACTION 'citus_0_1'"; "PREPARE TRANSACTION 'citus_0_2'";
@@ -759,8 +763,25 @@ let test_stmt_cache_uncacheable () =
   Alcotest.(check int) "two uncacheable skeletons" 2 st.Stmt_cache.uncacheable;
   Alcotest.(check int) "no hits" 0 st.Stmt_cache.hits
 
+(* NULL, TRUE and FALSE are constants to the skeleton as to
+   [lift_consts], so such texts hit from their third sighting; the NULL
+   of IS NOT NULL and of a column's NOT NULL stays a word. *)
+let test_stmt_cache_keyword_consts () =
+  let cache = new_cache () in
+  let check texts hits_after =
+    List.iter (check_same cache) texts;
+    Alcotest.(check int) (List.hd texts) hits_after (hits cache)
+  in
+  check (List.init 3 (Printf.sprintf "INSERT INTO t VALUES (%d, NULL, TRUE)")) 1;
+  check (List.init 3 (Printf.sprintf "INSERT INTO t VALUES (%d, 'x', false)")) 2;
+  check [ "UPDATE t SET b = Null WHERE k = 1"; "UPDATE t SET b = TRUE WHERE k = 2";
+          "UPDATE t SET b = false WHERE k = 3" ] 3;
+  check (List.init 3 (Printf.sprintf "SELECT a FROM t WHERE b IS NOT NULL AND k = %d")) 4;
+  check (List.init 3 (Printf.sprintf "SELECT a FROM t WHERE b IS NULL AND k = %d")) 5;
+  Alcotest.(check int) "no uncacheable skeleton" 0 (Stmt_cache.stats cache).Stmt_cache.uncacheable
+
 let test_stmt_cache_bound () =
-  let cache = Stmt_cache.create () in
+  let cache = new_cache () in
   let text i k = Printf.sprintf "SELECT c%d FROM t WHERE k = %d" i k in
   let last = Stmt_cache.capacity + 10 in
   for i = 1 to last do
@@ -831,6 +852,7 @@ let () =
           Alcotest.test_case "unscanned texts" `Quick test_stmt_cache_unscanned;
           Alcotest.test_case "hits" `Quick test_stmt_cache_hits;
           Alcotest.test_case "uncacheable" `Quick test_stmt_cache_uncacheable;
+          Alcotest.test_case "NULL, TRUE and FALSE hit" `Quick test_stmt_cache_keyword_consts;
           Alcotest.test_case "bound" `Quick test_stmt_cache_bound;
           QCheck_alcotest.to_alcotest prop_stmt_cache;
           QCheck_alcotest.to_alcotest prop_stmt_cache_shape;

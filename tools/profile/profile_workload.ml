@@ -130,12 +130,14 @@ let () =
         let st = Sqlfront.Stmt_cache.stats (Engine.Instance.stmt_cache inst) in
         Sqlfront.Stmt_cache.(h + st.hits, m + st.misses, u + st.uncacheable))
   in
-  let plan_stats () =
+  let plan_stats of_inst () =
     sum (fun (b, r, i) inst ->
-        let st = Engine.Instance.plan_stats inst in
+        let st = of_inst inst in
         Engine.Executor.(b + st.builds, r + st.runs, i + st.invalidations))
   in
-  let h0, m0, u0 = cache_stats () and b0, r0, i0 = plan_stats () in
+  let kept = plan_stats Engine.Instance.plan_stats
+  and templates = plan_stats Engine.Instance.template_plan_stats in
+  let h0, m0, u0 = cache_stats () and b0, r0, i0 = kept () and tb0, tr0, _ = templates () in
   let ops = ref 0 and ticks = ref 0 and tick_s = ref 0.0 in
   let t0 = Unix.gettimeofday () in
   Sampler.start ();
@@ -162,9 +164,15 @@ let () =
   let h1, m1, u1 = cache_stats () in
   Printf.printf "statement cache: %d hits, %d misses, %d uncacheable skeletons\n"
     (h1 - h0) (m1 - m0) (u1 - u0);
-  let b1, r1, i1 = plan_stats () in
+  let b1, r1, i1 = kept () and tb1, tr1, _ = templates () in
   Printf.printf "kept plans: %d builds, %d runs, %d invalidations\n" (b1 - b0) (r1 - r0)
     (i1 - i0);
+  (* a hit that no UDF or hook claims is a data statement run from its
+     template's kept plan: one template run each *)
+  Printf.printf
+    "template kept plans: %d builds, %d runs; unclaimed data statements: %.1f%% of hits\n"
+    (tb1 - tb0) (tr1 - tr0)
+    (if h1 > h0 then 100.0 *. float_of_int (tr1 - tr0) /. float_of_int (h1 - h0) else 0.0);
   (* plan-cache shapes since set-up began; a key that repeats a [$k]
      binds one value at two places *)
   Option.iter
