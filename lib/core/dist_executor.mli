@@ -1,10 +1,11 @@
 (** Executes distributed plans (§3.6).
 
     Single-task plans (fast path / router) delegate entirely to one worker.
-    Multi-shard SELECTs run their tasks through the adaptive executor,
-    materialize the collected rows into a transient local relation, and run
-    the merge ("master") query over it — the CustomScan + merge-step
-    structure of Figure 5. *)
+    Multi-shard SELECTs run their tasks through the adaptive executor and
+    run the merge ("master") query straight over the collected rows, a
+    tuplestore with no catalog entry — the CustomScan + merge-step
+    structure of Figure 5. A read leaves the coordinator's catalog, and
+    so its kept plans, alone. *)
 
 (** Result plus the adaptive executor's timing report. [?bound] is a
     plan-cache hit's worker-side statement and values: the plan's one

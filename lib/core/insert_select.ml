@@ -3,20 +3,6 @@ open Sqlfront
 let err fmt =
   Printf.ksprintf (fun m -> raise (Engine.Instance.Session_error m)) fmt
 
-(* Insert materialized rows through the planner's INSERT routing —
-   shared by the re-partition and pull strategies and reference
-   destinations. *)
-let insert_rows (t : State.t) session ~table ~cols ~on_conflict_do_nothing
-    rows =
-  List.iter
-    (fun (row : Datum.t array) ->
-      if Array.length row <> List.length cols then
-        err "INSERT..SELECT produced %d columns, expected %d"
-          (Array.length row) (List.length cols))
-    rows;
-  Dist_executor.insert_rows t session ~table ~columns:cols
-    ~on_conflict_do_nothing rows
-
 (* Run the source SELECT through whatever distributed (or local) path
    applies and return its rows. *)
 let materialize_select (t : State.t) session select =
@@ -34,11 +20,6 @@ let materialize_select (t : State.t) session select =
     result.Engine.Instance.rows
   end
 
-let trivial_master (merge : Plan.merge) =
-  let m = merge.Plan.master in
-  m.Ast.group_by = [] && m.Ast.having = None && (not m.Ast.distinct)
-  && m.Ast.limit = None && m.Ast.offset = None
-
 let execute (t : State.t) session ~table ~columns ~select ~on_conflict_do_nothing
     =
   let meta = t.State.metadata in
@@ -51,10 +32,19 @@ let execute (t : State.t) session ~table ~columns ~select ~on_conflict_do_nothin
   let dml_result affected =
     { Engine.Instance.columns = []; rows = []; affected; tag = "INSERT" }
   in
+  (* the rows pass through the coordinator and enter the destination
+     through the planner's INSERT routing *)
   let pull () =
+    let rows = materialize_select t session select in
+    List.iter
+      (fun (row : Datum.t array) ->
+        if Array.length row <> List.length cols then
+          err "INSERT..SELECT produced %d columns, expected %d"
+            (Array.length row) (List.length cols))
+      rows;
     dml_result
-      (insert_rows t session ~table ~cols ~on_conflict_do_nothing
-         (materialize_select t session select))
+      (Dist_executor.insert_rows t session ~table ~columns:cols
+         ~on_conflict_do_nothing rows)
   in
   match dt with
   | { Metadata.kind = Metadata.Reference; _ } -> pull ()
@@ -116,25 +106,6 @@ let execute (t : State.t) session ~table ~columns ~select ~on_conflict_do_nothin
       in
       dml_result affected
     end
-    else begin
-      (* strategy 2 (re-partition) when pushdownable with a trivial merge,
-         else strategy 3 (pull) *)
-      match Planner.plan_pushdown_select meta select with
-      | tasks, merge when trivial_master merge ->
-        let results, _ = Adaptive_executor.execute t session tasks in
-        let rows = List.concat_map (fun r -> r.Engine.Instance.rows) results in
-        (* task rows include only projected columns (c0..cn) in select
-           order; extra sort columns are trailing and dropped *)
-        let want = List.length cols in
-        let rows =
-          List.map
-            (fun (row : Datum.t array) ->
-              if Array.length row > want then Array.sub row 0 want else row)
-            rows
-        in
-        dml_result
-          (insert_rows t session ~table ~cols ~on_conflict_do_nothing rows)
-      | _ | exception Planner.Unsupported _ -> pull ()
-    end
+    else pull ()
   | { Metadata.kind = Metadata.Distributed; dist_column = None; _ } ->
     err "distributed table %s has no distribution column" table

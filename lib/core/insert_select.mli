@@ -1,18 +1,17 @@
-(** Distributed INSERT..SELECT — the three strategies of §3.8.
+(** Distributed INSERT..SELECT — two of the three strategies of §3.8.
 
     + {b co-located}: source and destination share a colocation group and
       the SELECT maps a source distribution column onto the destination's;
       each shard group runs [INSERT INTO dest_shard SELECT ... FROM
       src_shards] locally, fully in parallel;
-    + {b re-partition}: the SELECT is pushdownable but rows land on other
-      shards; the task results are inserted into the destination;
-    + {b pull}: the SELECT needs a coordinator merge step (or the
-      destination is a reference table); it runs as a distributed SELECT
-      and its result is inserted into the destination.
+    + {b pull}: any other source, or a reference destination; the SELECT
+      runs as a distributed SELECT (merge step included) and its rows are
+      inserted with {!Dist_executor.insert_rows}: one
+      [INSERT .. VALUES] through the planner's INSERT routing, replicated
+      like any client INSERT.
 
-    Re-partition and pull insert their rows with
-    {!Dist_executor.insert_rows}: one [INSERT .. VALUES] through the
-    planner's INSERT routing, replicated like any client INSERT. *)
+    The paper's re-partition strategy, where workers ship rows to each
+    other, is not reproduced: such rows travel through the coordinator. *)
 
 (** Execute [INSERT INTO table (columns) SELECT ...]. *)
 val execute :

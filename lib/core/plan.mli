@@ -15,8 +15,10 @@ type task = {
           writes are replicated across them (statement-based replication). *)
 }
 
-(** Coordinator merge step for multi-shard SELECTs: collected task rows are
-    materialized into an intermediate relation and [master] runs over it. *)
+(** Coordinator merge step for multi-shard SELECTs: [master] runs over
+    the collected task rows, which its FROM names
+    {!Planner.intermediate_relation} and whose columns are
+    [intermediate_columns]. *)
 type merge = {
   master : Sqlfront.Ast.select;
   intermediate_columns : string list;

@@ -54,9 +54,8 @@ val plan :
   Sqlfront.Ast.statement ->
   Plan.t * tier
 
-(** Internal entry point reused by INSERT..SELECT: plan a SELECT for
-    pushdown execution. Raises {!Unsupported} if the select cannot be
-    fully pushed down. *)
+(** Plan a SELECT for pushdown execution: per-shard tasks and the merge.
+    Raises {!Unsupported} if the select cannot be fully pushed down. *)
 val plan_pushdown_select :
   ?node_ok:(string -> bool) ->
   Metadata.t ->
@@ -80,8 +79,8 @@ val pushdown_parts :
     condition in its FROM items, and those of FROM-clause subselects. *)
 val conjuncts_of_select : Sqlfront.Ast.select -> Sqlfront.Ast.expr list
 
-(** Placeholder relation name in merge queries; {!Dist_executor} renames
-    it to a unique transient relation per execution. *)
+(** The relation name merge queries read; {!Dist_executor} resolves it
+    to the collected rows. *)
 val intermediate_relation : string
 
 (** The one mapping from a logical table to its shard name: a reference

@@ -53,7 +53,6 @@ type t = {
   mutable partitioned : string list;
   mutable injected_failures : (string * string) list;
   mutable next_gid_seq : int;
-  mutable next_intermediate_seq : int;
 }
 
 exception Network_error of string
@@ -90,7 +89,6 @@ let create ~cluster ~metadata ~config ~local ~registry =
     partitioned = [];
     injected_failures = [];
     next_gid_seq = 1;
-    next_intermediate_seq = 1;
   }
 
 let session_state t (s : Engine.Instance.session) =

@@ -106,8 +106,6 @@ type t = {
       (** (node, SQL substring) pairs: matching statements fail with
           {!Network_error} — lets tests break 2PC at exact points *)
   mutable next_gid_seq : int;
-  mutable next_intermediate_seq : int;
-      (** names this node's coordinator-merge scratch relations *)
 }
 
 exception Network_error of string

@@ -518,8 +518,11 @@ let int_getter p what e =
     | Some (Datum.Int i) -> i
     | _ -> err "%s must be an integer constant" what
 
-let rec plan_select p (sel : Ast.select) : string list * (ctx -> Datum.t array list) =
-  let schema, source = plan_from_where p sel in
+(* [?given] is a relation handed in as column names and rows, served
+   before the catalog in [sel]'s FROM items. It is an argument, not a
+   field of [planning], which every kept plan holds. *)
+let rec plan_select ?given p (sel : Ast.select) : string list * (ctx -> Datum.t array list) =
+  let schema, source = plan_from_where ?given p sel in
   (* expand stars *)
   let projections =
     List.concat_map
@@ -697,7 +700,7 @@ let rec plan_select p (sel : Ast.select) : string list * (ctx -> Datum.t array l
   (names, run)
 
 (* FROM + WHERE: the joined schema, and the filtered rows per execution. *)
-and plan_from_where p (sel : Ast.select) :
+and plan_from_where ?given p (sel : Ast.select) :
     Expr_eval.schema * (ctx -> Datum.t array list) =
   let conjuncts = match sel.where with Some w -> Ast.conjuncts w | None -> [] in
   match sel.from with
@@ -723,7 +726,7 @@ and plan_from_where p (sel : Ast.select) :
       List.fold_left
         (fun acc item ->
           let right =
-            plan_from_item p item ~pushdown:true ~conjuncts ~applied ~all_exprs
+            plan_from_item ?given p item ~pushdown:true ~conjuncts ~applied ~all_exprs
           in
           match acc with
           | None -> Some right
@@ -749,35 +752,41 @@ and filter_all ctx filters rows =
 
 (* [applied] collects the conjuncts a base-table scan has applied, so
    each is evaluated once per row. *)
-and plan_from_item p item ~pushdown ~conjuncts ~applied ~all_exprs :
+and plan_from_item ?given p item ~pushdown ~conjuncts ~applied ~all_exprs :
     Expr_eval.schema * (ctx -> Datum.t array list) =
   match item with
-  | Ast.Table { name; alias } ->
-    let table = find_table p name in
-    let schema = table_schema ~alias table in
-    (* push down conjuncts that only reference this table; disabled under
-       the nullable side of an outer join, where filtering early would
-       suppress null extension *)
-    let local =
-      if pushdown then
-        List.filter
-          (fun c -> expr_resolvable schema c && not (List.memq c !applied))
-          conjuncts
-      else []
-    in
-    applied := local @ !applied;
-    let scan = plan_scan p table ~alias ~conjuncts:local ~all_exprs in
-    (* apply the pushed-down filter now (cheaper row set for joins) *)
-    let filters = List.map (compile p schema) local in
-    (schema, fun ctx -> filter_all ctx filters (List.map snd (scan ctx)))
+  | Ast.Table { name; alias } -> (
+    match given with
+    | Some (rel, columns, rows) when String.equal rel name ->
+      (* a tuplestore: no pages, no locks; every conjunct stays residual *)
+      let q = Some (Option.value ~default:name alias) in
+      (List.map (fun c -> { Expr_eval.rq = q; rname = c }) columns, fun _ -> rows)
+    | _ ->
+      let table = find_table p name in
+      let schema = table_schema ~alias table in
+      (* push down conjuncts that only reference this table; disabled
+         under the nullable side of an outer join, where filtering early
+         would suppress null extension *)
+      let local =
+        if pushdown then
+          List.filter
+            (fun c -> expr_resolvable schema c && not (List.memq c !applied))
+            conjuncts
+        else []
+      in
+      applied := local @ !applied;
+      let scan = plan_scan p table ~alias ~conjuncts:local ~all_exprs in
+      (* apply the pushed-down filter now (cheaper row set for joins) *)
+      let filters = List.map (compile p schema) local in
+      (schema, fun ctx -> filter_all ctx filters (List.map snd (scan ctx))))
   | Ast.Subselect (inner, alias) ->
-    let names, rows = plan_select p inner in
+    let names, rows = plan_select ?given p inner in
     (List.map (fun n -> { Expr_eval.rq = Some alias; rname = n }) names, rows)
   | Ast.Join { left; right; kind; cond } ->
-    let l = plan_from_item p left ~pushdown ~conjuncts ~applied ~all_exprs in
+    let l = plan_from_item ?given p left ~pushdown ~conjuncts ~applied ~all_exprs in
     let right_pushdown = pushdown && kind <> Ast.Left_outer in
     let r =
-      plan_from_item p right ~pushdown:right_pushdown ~conjuncts ~applied ~all_exprs
+      plan_from_item ?given p right ~pushdown:right_pushdown ~conjuncts ~applied ~all_exprs
     in
     plan_join p l r kind cond
 
@@ -1282,8 +1291,8 @@ let run_kept stats k ctx =
 
 let eval_const ctx e = compile (planning ctx.catalog) [] e ctx [||]
 
-let run_select ctx sel =
-  let names, rows = plan_select (planning ctx.catalog) sel in
+let run_select ?relation ctx sel =
+  let names, rows = plan_select ?given:relation (planning ctx.catalog) sel in
   (names, rows ctx)
 
 let run_insert ctx ~table ~columns ~source ~on_conflict_do_nothing =

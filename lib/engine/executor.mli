@@ -94,8 +94,17 @@ val run_kept : plan_stats -> kept -> ctx -> result
 (** The value of an expression that references no column. *)
 val eval_const : ctx -> Sqlfront.Ast.expr -> Datum.t
 
-(** Column names and rows of a SELECT. *)
-val run_select : ctx -> Sqlfront.Ast.select -> string list * Datum.t array list
+(** Column names and rows of a SELECT. [?relation:(name, columns, rows)]
+    gives one relation as rows held in memory, a tuplestore: in the
+    SELECT's FROM items (joins and FROM-clause subselects included, not
+    expression subqueries) [name] resolves to [columns] and [rows] before
+    the catalog is consulted, and reading it touches no page and takes
+    no lock. *)
+val run_select :
+  ?relation:string * string list * Datum.t array list ->
+  ctx ->
+  Sqlfront.Ast.select ->
+  string list * Datum.t array list
 
 (** Row-returning DML; all return the number of affected rows and require
     [ctx.xid = Some _]. *)

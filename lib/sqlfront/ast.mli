@@ -201,6 +201,4 @@ val lift_consts : statement -> statement * Datum.t list
     original name is kept visible as an alias so column qualifiers keep
     resolving after the rename. *)
 
-val rename_tables_select : (string -> string) -> select -> select
-
 val rename_tables_statement : (string -> string) -> statement -> statement

@@ -292,6 +292,33 @@ let test_pushdown_runs_kept_plans () =
   Alcotest.(check (list int)) "kept runs on each worker" [ 6; 6 ]
     (List.map2 ( - ) (kept_runs ()) before)
 
+(* A read changes no catalog: a multi-shard SELECT merges its rows on
+   the coordinator without a table there, so the coordinator's kept plans
+   are neither invalidated nor rebuilt. *)
+let test_merge_keeps_coordinator_plans () =
+  let cluster, _, s = make () in
+  setup_items s;
+  load_items s;
+  ignore (exec s "CREATE TABLE local_t (k bigint PRIMARY KEY, v bigint)");
+  ignore (exec s "INSERT INTO local_t VALUES (1, 10), (2, 20)");
+  ignore (exec s "PREPARE p AS SELECT v FROM local_t WHERE k = $1");
+  check_int s "first execute" 10 "EXECUTE p(1)";
+  check_int s "second execute" 20 "EXECUTE p(2)";
+  let coord = cluster.Cluster.Topology.coordinator.Cluster.Topology.instance in
+  let stats () =
+    let st = Engine.Instance.plan_stats coord in
+    (Engine.Catalog.version (Engine.Instance.catalog coord),
+     st.Engine.Executor.builds, st.Engine.Executor.invalidations)
+  in
+  let version, builds, invalidations = stats () in
+  Alcotest.(check int) "grouped multi-shard select" 5
+    (List.length (exec s "SELECT qty, count(*) FROM items GROUP BY qty").Engine.Instance.rows);
+  check_int s "third execute" 10 "EXECUTE p(1)";
+  let version', builds', invalidations' = stats () in
+  Alcotest.(check int) "catalog version" version version';
+  Alcotest.(check int) "no invalidation" invalidations invalidations';
+  Alcotest.(check int) "no build" builds builds'
+
 let test_pushdown_group_by () =
   let _, _, s = make () in
   setup_items s;
@@ -913,7 +940,8 @@ let test_insert_select_repartition () =
   ignore (exec s "CREATE TABLE by_qty (qty bigint, key bigint)");
   ignore (exec s "SELECT create_distributed_table('by_qty', 'qty')");
   load_items s;
-  (* source distributed by key, dest by qty: needs re-partitioning *)
+  (* source distributed by key, dest by qty: not co-located, so the rows
+     are pulled through the coordinator *)
   let r = exec s "INSERT INTO by_qty (qty, key) SELECT qty, key FROM items" in
   Alcotest.(check int) "rows moved" 40 r.Engine.Instance.affected;
   check_int s "count" 40 "SELECT count(*) FROM by_qty";
@@ -1877,6 +1905,8 @@ let () =
         [
           Alcotest.test_case "aggregates" `Quick test_pushdown_aggregates;
           Alcotest.test_case "kept plans on workers" `Quick test_pushdown_runs_kept_plans;
+          Alcotest.test_case "merge keeps coordinator plans" `Quick
+            test_merge_keeps_coordinator_plans;
           Alcotest.test_case "group by" `Quick test_pushdown_group_by;
           Alcotest.test_case "order/limit" `Quick test_pushdown_order_limit;
           Alcotest.test_case "colocated join" `Quick test_pushdown_colocated_join;

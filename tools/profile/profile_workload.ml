@@ -117,27 +117,30 @@ let () =
     | "rt_copy" -> rt ~half:`Copy rng
     | w -> raise (Arg.Bad ("unknown workload " ^ w))
   in
-  (* statement-cache and kept-plan counts summed over every node, taken
-     around the loop *)
-  let sum f =
+  (* statement-cache and kept-plan counts summed over every node (kept
+     plans also on the coordinator alone), taken around the loop *)
+  let cluster = db.Workloads.Db.cluster in
+  let sum ?(nodes = Cluster.Topology.all_nodes cluster) f =
     List.fold_left
       (fun acc (node : Cluster.Topology.node) -> f acc node.Cluster.Topology.instance)
-      (0, 0, 0)
-      (Cluster.Topology.all_nodes db.Workloads.Db.cluster)
+      (0, 0, 0) nodes
   in
   let cache_stats () =
     sum (fun (h, m, u) inst ->
         let st = Sqlfront.Stmt_cache.stats (Engine.Instance.stmt_cache inst) in
         Sqlfront.Stmt_cache.(h + st.hits, m + st.misses, u + st.uncacheable))
   in
-  let plan_stats of_inst () =
-    sum (fun (b, r, i) inst ->
+  let plan_stats of_inst ?nodes () =
+    sum ?nodes (fun (b, r, i) inst ->
         let st = of_inst inst in
         Engine.Executor.(b + st.builds, r + st.runs, i + st.invalidations))
   in
   let kept = plan_stats Engine.Instance.plan_stats
-  and templates = plan_stats Engine.Instance.template_plan_stats in
-  let h0, m0, u0 = cache_stats () and b0, r0, i0 = kept () and tb0, tr0, _ = templates () in
+  and templates = plan_stats Engine.Instance.template_plan_stats
+  and coordinator = [ cluster.Cluster.Topology.coordinator ] in
+  let h0, m0, u0 = cache_stats () in
+  let k0 = kept () and kc0 = kept ~nodes:coordinator () in
+  let tp0 = templates () and tpc0 = templates ~nodes:coordinator () in
   let ops = ref 0 and ticks = ref 0 and tick_s = ref 0.0 in
   let t0 = Unix.gettimeofday () in
   Sampler.start ();
@@ -164,14 +167,19 @@ let () =
   let h1, m1, u1 = cache_stats () in
   Printf.printf "statement cache: %d hits, %d misses, %d uncacheable skeletons\n"
     (h1 - h0) (m1 - m0) (u1 - u0);
-  let b1, r1, i1 = kept () and tb1, tr1, _ = templates () in
-  Printf.printf "kept plans: %d builds, %d runs, %d invalidations\n" (b1 - b0) (r1 - r0)
-    (i1 - i0);
+  let delta (b1, r1, i1) (b0, r0, i0) =
+    Printf.sprintf "%d builds, %d runs, %d invalidations" (b1 - b0) (r1 - r0) (i1 - i0)
+  in
+  Printf.printf "kept plans: %s; on the coordinator: %s\n" (delta (kept ()) k0)
+    (delta (kept ~nodes:coordinator ()) kc0);
   (* a hit that no UDF or hook claims is a data statement run from its
      template's kept plan: one template run each *)
+  let ((_, tr1, _) as t1) = templates () and (_, tr0, _) = tp0 in
   Printf.printf
-    "template kept plans: %d builds, %d runs; unclaimed data statements: %.1f%% of hits\n"
-    (tb1 - tb0) (tr1 - tr0)
+    "template kept plans: %s; on the coordinator: %s; unclaimed data statements: %.1f%% \
+     of hits\n"
+    (delta t1 tp0)
+    (delta (templates ~nodes:coordinator ()) tpc0)
     (if h1 > h0 then 100.0 *. float_of_int (tr1 - tr0) /. float_of_int (h1 - h0) else 0.0);
   (* plan-cache shapes since set-up began; a key that repeats a [$k]
      binds one value at two places *)
