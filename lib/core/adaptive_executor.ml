@@ -25,18 +25,13 @@ let is_write (stmt : Ast.statement) =
    makes fragment concurrency observable. *)
 let measured (node : Cluster.Topology.node) f =
   let inst = node.Cluster.Topology.instance in
-  let meter_before = Engine.Meter.read (Engine.Instance.meter inst) in
-  let pool_stats_before = Storage.Buffer_pool.stats (Engine.Instance.buffer_pool inst) in
+  let meter = Engine.Instance.meter inst and pool = Engine.Instance.buffer_pool inst in
+  let before = Engine.Meter.read meter and misses = Storage.Buffer_pool.misses pool in
   let result = f () in
-  let meter_after = Engine.Meter.read (Engine.Instance.meter inst) in
-  let pool_stats_after = Storage.Buffer_pool.stats (Engine.Instance.buffer_pool inst) in
-  let meter = Engine.Meter.diff ~after:meter_after ~before:meter_before in
-  let misses =
-    pool_stats_after.Storage.Buffer_pool.misses
-    - pool_stats_before.Storage.Buffer_pool.misses
-  in
   let demand =
-    Sim.Cost.demand_of ~spec:node.Cluster.Topology.spec ~meter ~misses
+    Sim.Cost.demand ~spec:node.Cluster.Topology.spec
+      ~cpu_units:(Engine.Meter.units_since meter before)
+      ~misses:(Storage.Buffer_pool.misses pool - misses)
   in
   let duration =
     Sim.Cost.solo_elapsed ~spec:node.Cluster.Topology.spec ~parallelism:1 demand

@@ -202,26 +202,40 @@ let parse s =
 
 (* --- Printing *)
 
-(* Runs that need no escape are copied whole. *)
+(* Some byte of [w] is below the byte repeated in [n] (at most 0x80). *)
+let[@inline] below w n = Int64.(logand (logand (sub w n) (lognot w)) 0x8080808080808080L) <> 0L
+
+(* Some byte of [w] needs an escape: below 0x20, or ['"'], or ['\\']. *)
+let[@inline] special w =
+  below w 0x2020202020202020L
+  || below (Int64.logxor w 0x2222222222222222L) 0x0101010101010101L
+  || below (Int64.logxor w 0x5c5c5c5c5c5c5c5cL) 0x0101010101010101L
+
+(* Bytes are checked eight at a time, and each run between escapes (an
+   escape-free string, the common case, is one run) is added whole. *)
 let escape_string buf s =
   Buffer.add_char buf '"';
-  let from = ref 0 in
-  for i = 0 to String.length s - 1 do
-    let c = s.[i] in
-    if c = '"' || c = '\\' || Char.code c < 0x20 then begin
-      Buffer.add_substring buf s !from (i - !from);
-      from := i + 1;
-      Buffer.add_string buf
-        (match c with
-         | '"' -> "\\\""
-         | '\\' -> "\\\\"
-         | '\n' -> "\\n"
-         | '\r' -> "\\r"
-         | '\t' -> "\\t"
-         | c -> Printf.sprintf "\\u%04x" (Char.code c))
-    end
-  done;
-  Buffer.add_substring buf s !from (String.length s - !from);
+  let n = String.length s in
+  let rec run from i =
+    if i + 8 <= n && not (special (String.get_int64_le s i)) then run from (i + 8)
+    else if i = n then Buffer.add_substring buf s from (i - from)
+    else
+      let c = String.unsafe_get s i in
+      if c <> '"' && c <> '\\' && c >= ' ' then run from (i + 1)
+      else begin
+        Buffer.add_substring buf s from (i - from);
+        Buffer.add_string buf
+          (match c with
+           | '"' -> "\\\""
+           | '\\' -> "\\\\"
+           | '\n' -> "\\n"
+           | '\r' -> "\\r"
+           | '\t' -> "\\t"
+           | c -> Printf.sprintf "\\u%04x" (Char.code c));
+        run (i + 1) (i + 1)
+      end
+  in
+  run 0 0;
   Buffer.add_char buf '"'
 
 let number_to_string f =
@@ -229,8 +243,13 @@ let number_to_string f =
     Printf.sprintf "%.0f" f
   else Printf.sprintf "%g" f
 
+(* Every rendering goes into one buffer, so only its result string is
+   allocated; rendering never re-enters itself. *)
+let scratch = Buffer.create 256
+
 let to_string v =
-  let buf = Buffer.create 64 in
+  let buf = scratch in
+  Buffer.clear buf;
   let rec emit = function
     | Null -> Buffer.add_string buf "null"
     | Bool true -> Buffer.add_string buf "true"
@@ -255,12 +274,16 @@ let to_string v =
   emit v;
   Buffer.contents buf
 
-(* --- Accessors *)
+(* --- Accessors: direct recursion, no closure per step *)
+
+let rec field k = function
+  | [] -> None
+  | (k', v) :: rest ->
+    if String.length k = String.length k' && String.equal k k' then Some v else field k rest
 
 let get_field j k =
   match j with
-  | Obj fields ->
-    List.find_map (fun (k', v) -> if String.equal k k' then Some v else None) fields
+  | Obj fields -> field k fields
   | Null | Bool _ | Num _ | Str _ | Arr _ -> None
 
 let get_index j i =
@@ -268,15 +291,13 @@ let get_index j i =
   | Arr items when i >= 0 -> List.nth_opt items i
   | Arr _ | Null | Bool _ | Num _ | Str _ | Obj _ -> None
 
+(* A wildcard step over an array collects the per-element results. *)
 let rec get_path j path =
   match path with
   | [] -> Some j
   | "*" :: rest ->
-    (* Wildcard over array elements, collecting the per-element results. *)
     (match j with
-     | Arr items ->
-       let collected = List.filter_map (fun item -> get_path item rest) items in
-       Some (Arr collected)
+     | Arr items -> Some (Arr (collect items rest))
      | Null | Bool _ | Num _ | Str _ | Obj _ -> None)
   | step :: rest ->
     (* only an array step is read as an index: an object step never pays
@@ -287,6 +308,14 @@ let rec get_path j path =
       | Null | Bool _ | Num _ | Str _ | Obj _ -> get_field j step
     in
     (match child with None -> None | Some c -> get_path c rest)
+
+and collect items rest =
+  match items with
+  | [] -> []
+  | item :: more ->
+    (match get_path item rest with
+     | Some v -> v :: collect more rest
+     | None -> collect more rest)
 
 let array_length = function
   | Arr items -> Some (List.length items)

@@ -1223,16 +1223,47 @@ let is_generic =
 
 type plan = { p_catalog : Catalog.t; p_version : int; p_run : ctx -> result }
 
+type plan_stats =
+  { mutable builds : int; mutable runs : int; mutable planned_runs : int; mutable invalidations : int }
+
+let plan_stats () = { builds = 0; runs = 0; planned_runs = 0; invalidations = 0 }
+
 let affected tag n = { columns = []; rows = []; affected = n; tag }
 
-let rec prepare catalog (stmt : Ast.statement) =
+(* The same constructors and values: a bound plan may return a value,
+   and [0.] and [-0.] print apart. *)
+let same_values xs ys =
+  Array.length xs = Array.length ys
+  && Array.for_all2
+       (fun a b ->
+         match a, b with
+         | Datum.Float x, Datum.Float y | Datum.Timestamp x, Datum.Timestamp y ->
+           Int64.bits_of_float x = Int64.bits_of_float y
+         | Datum.Json x, Datum.Json y -> x == y
+         | _ -> a = b)
+       xs ys
+
+let rec prepare ?stats catalog (stmt : Ast.statement) =
   let run =
-    if not (is_generic stmt) then (fun ctx ->
-      let bound =
-        try Ast.bind_params (Array.to_list ctx.params) stmt
-        with Ast.Unbound_param k -> err "unbound parameter $%d" k
-      in
-      (prepare catalog bound).p_run ctx)
+    if not (is_generic stmt) then begin
+      (* bound and planned at a run, and kept for runs with the same values *)
+      let last = ref None in
+      fun ctx ->
+        let plan =
+          match !last with
+          | Some (values, plan) when same_values values ctx.params -> plan
+          | _ ->
+            let bound =
+              try Ast.bind_params (Array.to_list ctx.params) stmt
+              with Ast.Unbound_param k -> err "unbound parameter $%d" k
+            in
+            Option.iter (fun st -> st.planned_runs <- st.planned_runs + 1) stats;
+            let plan = prepare catalog bound in
+            last := Some (Array.copy ctx.params, plan);
+            plan
+        in
+        plan.p_run ctx
+    end
     else
       let p = planning catalog in
       match stmt with
@@ -1258,10 +1289,6 @@ let run plan ctx = plan.p_run ctx
 
 (* --- plans kept between executions --- *)
 
-type plan_stats = { mutable builds : int; mutable runs : int; mutable invalidations : int }
-
-let plan_stats () = { builds = 0; runs = 0; invalidations = 0 }
-
 (* At most one plan per catalog: a reference-table read runs locally on
    every node that holds a replica, and a plan is built for one node. *)
 type kept = { k_stmt : Ast.statement; k_params : int array; mutable k_plans : plan list }
@@ -1279,7 +1306,7 @@ let run_kept stats k ctx =
     | Some plan when plan.p_version = Catalog.version catalog -> plan
     | stale ->
       if Option.is_some stale then stats.invalidations <- stats.invalidations + 1;
-      let plan = prepare catalog k.k_stmt in
+      let plan = prepare ~stats catalog k.k_stmt in
       k.k_plans <- plan :: List.filter (fun p -> p.p_catalog != catalog) k.k_plans;
       stats.builds <- stats.builds + 1;
       plan

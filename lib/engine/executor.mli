@@ -53,16 +53,27 @@ exception Would_block of int list  (** xids holding conflicting locks *)
     when the plan is built (a generic plan); an execution whose value is
     NULL chooses again. A statement whose [$k] a generic plan cannot
     settle — a possible ordinal in GROUP BY or ORDER BY, a grouped
-    select's output, a LIKE pattern — is bound and planned per
-    execution inside the same plan. Running a plan charges the meter
-    exactly what running its bound statement as text would. *)
+    select's output, a LIKE pattern — is bound and planned at a run
+    inside the same plan, which keeps that plan for runs with the same
+    values. Running a plan charges the meter exactly what running its
+    bound statement as text would. *)
 
 type plan
 
+(** For one instance: kept plans built (a first run on this instance or
+    a rebuild), runs of kept plans, runs that bound and planned their
+    statement (one no generic plan serves, with other values than its
+    last run's), and plans found built at an older catalog version. *)
+type plan_stats =
+  { mutable builds : int; mutable runs : int; mutable planned_runs : int; mutable invalidations : int }
+
+val plan_stats : unit -> plan_stats
+
 (** [prepare catalog stmt] plans [stmt] against [catalog] at its current
-    {!Catalog.version}. Raises {!Exec_error} for an unknown table and
-    for a statement that is not a data statement. *)
-val prepare : Catalog.t -> Sqlfront.Ast.statement -> plan
+    {!Catalog.version}, counting in [?stats] the runs that plan. Raises
+    {!Exec_error} for an unknown table and for a statement that is not a
+    data statement. *)
+val prepare : ?stats:plan_stats -> Catalog.t -> Sqlfront.Ast.statement -> plan
 
 val run : plan -> ctx -> result
 
@@ -76,13 +87,6 @@ val keep : Sqlfront.Ast.statement -> kept
 (** [first_unbound k n] is the first [$k] of the statement (in
     {!Sqlfront.Ast.params} order) that [n] values leave unbound. *)
 val first_unbound : kept -> int -> int option
-
-(** For one instance: kept plans built (a first run on this instance or
-    a rebuild), runs of kept plans, and plans found built at an older
-    version of its catalog. *)
-type plan_stats = { mutable builds : int; mutable runs : int; mutable invalidations : int }
-
-val plan_stats : unit -> plan_stats
 
 (** [run_kept stats k ctx] runs [k]'s plan for [ctx.catalog], first
     building it if [k] has none for that catalog, or if it was built at

@@ -113,58 +113,66 @@ let truthy = function Datum.Bool true -> true | _ -> false
 
 (* --- LIKE --- *)
 
-(* Two-pointer wildcard match: on a mismatch, backtrack to the last [%]
-   and let it absorb one more character. Linear in the text for each
-   [%]. The pattern is folded once, when the matcher is built; only the
-   text's characters fold per match. *)
+(* The pattern is split on [%] and folded for ILIKE once, when the
+   matcher is built. Each segment has a fixed length ([_] is any byte):
+   the first is anchored at the start, the last at the end, and each
+   middle one matches at its leftmost place, found by a scan for its
+   first byte. The match ends as soon as only [%] is left. *)
 let like_matcher ~ci pattern =
   let p = if ci then String.lowercase_ascii pattern else pattern in
-  let np = String.length p in
+  let segs = Array.of_list (String.split_on_char '%' p) in
+  let n = Array.length segs in
+  let first = segs.(0) and last = segs.(n - 1) in
   let[@inline] fold c = if ci then Char.lowercase_ascii c else c in
+  (* [seg] from its byte [j] at [s.[i + j]] *)
+  let rec at s i seg j =
+    j = String.length seg
+    || (let c = String.unsafe_get seg j in
+        (c = '_' || c = fold (String.unsafe_get s (i + j))) && at s i seg (j + 1))
+  in
+  let rec find s seg c0 i upto =
+    if i > upto then -1
+    else if (c0 = '_' || c0 = fold (String.unsafe_get s i)) && at s i seg 1 then i
+    else find s seg c0 (i + 1) upto
+  in
   fun s ->
     let ns = String.length s in
-    let rec go pi si star_pi star_si =
-      if si < ns then
-        if pi < np && p.[pi] = '%' then go (pi + 1) si pi si
-        else if pi < np && (p.[pi] = '_' || p.[pi] = fold s.[si]) then
-          go (pi + 1) (si + 1) star_pi star_si
-        else if star_pi >= 0 then go (star_pi + 1) (star_si + 1) star_pi (star_si + 1)
-        else false
-      else
-        let rec only_pct pi = pi >= np || (p.[pi] = '%' && only_pct (pi + 1)) in
-        only_pct pi
-    in
-    go 0 0 (-1) 0
+    if n = 1 then ns = String.length first && at s 0 first 0
+    else
+      let tail = ns - String.length last (* where [last] starts *) in
+      let rec middle k pos =
+        if k = n - 1 then at s tail last 0
+        else
+          let seg = segs.(k) in
+          let len = String.length seg in
+          if len = 0 then middle (k + 1) pos
+          else
+            match find s seg seg.[0] pos (tail - len) with
+            | -1 -> false
+            | i -> middle (k + 1) (i + len)
+      in
+      String.length first <= tail && at s 0 first 0 && middle 1 (String.length first)
 
 let like_match ~pattern ~ci s = like_matcher ~ci pattern s
 
 (* --- jsonpath --- *)
 
 let jsonpath_steps path =
-  let path =
-    if String.length path >= 2 && String.sub path 0 2 = "$." then
-      String.sub path 2 (String.length path - 2)
-    else if String.length path >= 1 && path.[0] = '$' then
-      String.sub path 1 (String.length path - 1)
-    else path
+  let drop =
+    if String.starts_with ~prefix:"$." path then 2
+    else if String.starts_with ~prefix:"$" path then 1
+    else 0
   in
-  if path = "" then []
-  else
-    String.split_on_char '.' path
-    |> List.concat_map (fun step ->
-           (* x[*] / x[3] -> "x"; "*" / "3" *)
-           match String.index_opt step '[' with
-           | None -> [ step ]
-           | Some i ->
-             let base = String.sub step 0 i in
-             let rest = String.sub step i (String.length step - i) in
-             let subscript =
-               if rest = "[*]" then "*"
-               else
-                 let inner = String.sub rest 1 (String.length rest - 2) in
-                 inner
-             in
-             [ base; subscript ])
+  match String.sub path drop (String.length path - drop) with
+  | "" -> []
+  | path ->
+    List.concat_map
+      (fun step ->
+        (* x[*] / x[3] -> "x"; "*" / "3" *)
+        match String.index_opt step '[' with
+        | None -> [ step ]
+        | Some i -> [ String.sub step 0 i; String.sub step (i + 1) (String.length step - i - 2) ])
+      (String.split_on_char '.' path)
 
 (* --- scalar functions --- *)
 
@@ -284,8 +292,6 @@ let sql_function name (args : Datum.t list) : Datum.t =
         match Json.array_length (json_arg a) with
         | Some n -> Datum.Int n
         | None -> err "jsonb_array_length on a non-array")
-  | "jsonb_path_query_array", [ a; path ] ->
-    strict (fun () -> path_query_array a (lazy (jsonpath_steps (text_arg path))))
   | "jsonb_typeof", [ a ] ->
     strict (fun () ->
         let ty =
@@ -368,6 +374,20 @@ let param rt x k =
   let values = rt.x_params x in
   if k >= 1 && k <= Array.length values then values.(k - 1)
   else err "unbound parameter $%d" k
+
+(* [f] of [e]'s value, made once per plan for a constant, once per
+   execution for a [$k], and per row otherwise *)
+let hoisted rt c e f =
+  match e with
+  | Ast.Const d ->
+    let v = f d in
+    fun _ _ -> v
+  | Ast.Param k ->
+    let v = once_per_execution (fun x -> f (param rt x k)) in
+    fun x _ -> v x
+  | e ->
+    let fe = c e in
+    fun x row -> f (fe x row)
 
 let rec compile (schema : schema) (rt : 'x runtime) (e : Ast.expr) :
     'x -> Datum.t array -> Datum.t =
@@ -462,16 +482,17 @@ let rec compile (schema : schema) (rt : 'x runtime) (e : Ast.expr) :
         (compare_datums Ast.Ge v (flo x row))
         (compare_datums Ast.Le v (fhi x row))
   | Ast.Like { subject; pattern; ci; negated } ->
-    let fs = c subject and fp = c pattern in
-    let const =
-      match pattern with Ast.Const (Datum.Text p) -> Some (like_matcher ~ci p) | _ -> None
+    let fs = c subject
+    and matcher =
+      hoisted rt c pattern (function
+        | Datum.Null -> None
+        | p -> Some (like_matcher ~ci (Datum.to_display p)))
     in
     fun x row ->
-      (match fs x row, fp x row with
-       | Datum.Null, _ | _, Datum.Null -> Datum.Null
-       | s, p ->
-         let m = match const with Some m -> m | None -> like_matcher ~ci (Datum.to_display p) in
-         Datum.Bool (m (Datum.to_display s) <> negated))
+      let m = matcher x row in
+      (match fs x row, m with
+       | Datum.Null, _ | _, None -> Datum.Null
+       | s, Some m -> Datum.Bool (m (Datum.to_display s) <> negated))
   | Ast.Json_get (a, k, as_text) ->
     let fa = c a and fk = c k in
     fun x row ->
@@ -512,12 +533,9 @@ let rec compile (schema : schema) (rt : 'x runtime) (e : Ast.expr) :
         | (fc, fv) :: rest -> if truthy (fc x row) then fv x row else go rest
       in
       go cbranches
-  | Ast.Func ("jsonb_path_query_array", [ a; Ast.Const (Datum.Text path) ]) ->
-    (* a constant path is split into steps once, not per row *)
-    let fa = c a and steps = lazy (jsonpath_steps path) in
-    fun x row ->
-      let v = fa x row in
-      (try path_query_array v steps with Exit -> Datum.Null)
+  | Ast.Func ("jsonb_path_query_array", [ a; path ]) ->
+    let fa = c a and steps = hoisted rt c path (fun p -> lazy (jsonpath_steps (text_arg p))) in
+    fun x row -> (try path_query_array (fa x row) (steps x row) with Exit -> Datum.Null)
   | Ast.Func ("random", []) -> fun x _ -> Datum.Float (Random.State.float (rt.x_rng x) 1.0)
   | Ast.Func ("now", []) -> fun x _ -> Datum.Timestamp (rt.x_now x)
   | Ast.Func (name, args) ->

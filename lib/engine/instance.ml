@@ -127,6 +127,7 @@ let stmt_cache t = t.stmts
 let plan_stats t =
   let a = t.plans and b = t.template_plans in
   { Executor.builds = a.builds + b.builds; runs = a.runs + b.runs;
+    planned_runs = a.planned_runs + b.planned_runs;
     invalidations = a.invalidations + b.invalidations }
 
 let template_plan_stats t = { t.template_plans with Executor.builds = t.template_plans.builds }

@@ -1,7 +1,6 @@
 (* Live counters: an increment is one field store, not a record copy.
-   [snapshot] below reuses the field names, so unannotated accesses
-   after it mean the immutable snapshot. *)
-type t = {
+   A snapshot is a copy of the same record. *)
+type snapshot = {
   mutable rows_scanned : int;
   mutable rows_written : int;
   mutable index_probes : int;
@@ -17,21 +16,7 @@ type t = {
   mutable merge_rows : int;
 }
 
-type snapshot = {
-  rows_scanned : int;
-  rows_written : int;
-  index_probes : int;
-  index_updates : int;
-  rows_sorted : int;
-  rows_aggregated : int;
-  statements : int;
-  light_statements : int;
-  routed_statements : int;
-  bound_executes : int;
-  twopc_statements : int;
-  copy_rows : int;
-  merge_rows : int;
-}
+type t = snapshot
 
 let create () : t =
   {
@@ -50,22 +35,7 @@ let create () : t =
     merge_rows = 0;
   }
 
-let read (t : t) =
-  {
-    rows_scanned = t.rows_scanned;
-    rows_written = t.rows_written;
-    index_probes = t.index_probes;
-    index_updates = t.index_updates;
-    rows_sorted = t.rows_sorted;
-    rows_aggregated = t.rows_aggregated;
-    statements = t.statements;
-    light_statements = t.light_statements;
-    routed_statements = t.routed_statements;
-    bound_executes = t.bound_executes;
-    twopc_statements = t.twopc_statements;
-    copy_rows = t.copy_rows;
-    merge_rows = t.merge_rows;
-  }
+let read (t : t) = { t with rows_scanned = t.rows_scanned }
 
 let zero = read (create ())
 
@@ -125,17 +95,20 @@ let merge_row_weight = 0.1
    in-memory tuple operation a few µs, a durable row write ~20 µs, a COPY
    line (JSON parse) ~30 µs. Only ratios matter for the reproduced
    shapes. *)
-let total_cpu_units s =
-  (0.15 *. float_of_int s.rows_scanned)
-  +. (1.0 *. float_of_int s.rows_written)
-  +. (0.25 *. float_of_int s.index_probes)
-  +. (0.5 *. float_of_int s.index_updates)
-  +. (0.1 *. float_of_int s.rows_sorted)
-  +. (0.15 *. float_of_int s.rows_aggregated)
-  +. (20.0 *. float_of_int s.statements)
-  +. (2.0 *. float_of_int s.light_statements)
-  +. (3.0 *. float_of_int s.routed_statements)
-  +. (1.0 *. float_of_int s.bound_executes)
-  +. (5.0 *. float_of_int s.twopc_statements)
-  +. (1.5 *. float_of_int s.copy_rows)
-  +. (merge_row_weight *. float_of_int s.merge_rows)
+let units_since (t : t) (b : snapshot) =
+  (0.15 *. float_of_int (t.rows_scanned - b.rows_scanned))
+  +. (1.0 *. float_of_int (t.rows_written - b.rows_written))
+  +. (0.25 *. float_of_int (t.index_probes - b.index_probes))
+  +. (0.5 *. float_of_int (t.index_updates - b.index_updates))
+  +. (0.1 *. float_of_int (t.rows_sorted - b.rows_sorted))
+  +. (0.15 *. float_of_int (t.rows_aggregated - b.rows_aggregated))
+  +. (20.0 *. float_of_int (t.statements - b.statements))
+  +. (2.0 *. float_of_int (t.light_statements - b.light_statements))
+  +. (3.0 *. float_of_int (t.routed_statements - b.routed_statements))
+  +. (1.0 *. float_of_int (t.bound_executes - b.bound_executes))
+  +. (5.0 *. float_of_int (t.twopc_statements - b.twopc_statements))
+  +. (1.5 *. float_of_int (t.copy_rows - b.copy_rows))
+  +. (merge_row_weight *. float_of_int (t.merge_rows - b.merge_rows))
+
+(* [x - 0 = x], so this is the float [units_since] gives for a diff *)
+let total_cpu_units s = units_since s zero

@@ -6,28 +6,29 @@
 
 type t
 
+(** A copy of the counters at one moment. *)
 type snapshot = {
-  rows_scanned : int;  (** tuples examined by scans *)
-  rows_written : int;  (** tuples inserted / deleted / updated *)
-  index_probes : int;  (** B-tree / GIN lookups *)
-  index_updates : int;  (** index entry insertions/removals *)
-  rows_sorted : int;
-  rows_aggregated : int;
-  statements : int;
-  light_statements : int;
+  mutable rows_scanned : int;  (** tuples examined by scans *)
+  mutable rows_written : int;  (** tuples inserted / deleted / updated *)
+  mutable index_probes : int;  (** B-tree / GIN lookups *)
+  mutable index_updates : int;  (** index entry insertions/removals *)
+  mutable rows_sorted : int;
+  mutable rows_aggregated : int;
+  mutable statements : int;
+  mutable light_statements : int;
       (** BEGIN/COMMIT/ROLLBACK: much cheaper than a planned statement *)
-  routed_statements : int;
+  mutable routed_statements : int;
       (** statements the extension routed elsewhere: the local node only
           paid parse + shard pruning *)
-  bound_executes : int;
+  mutable bound_executes : int;
       (** EXECUTEs of a prepared statement served from the distributed
           plan cache: the local node only paid parameter binding plus a
           hash — no parse, no planning *)
-  twopc_statements : int;
+  mutable twopc_statements : int;
       (** PREPARE TRANSACTION / COMMIT PREPARED / ROLLBACK PREPARED:
           moderately expensive (durable transaction state) *)
-  copy_rows : int;  (** rows parsed by COPY (coordinator-side CPU) *)
-  merge_rows : int;
+  mutable copy_rows : int;  (** rows parsed by COPY (coordinator-side CPU) *)
+  mutable merge_rows : int;
       (** partial rows materialized + merged by the coordinator's merge
           step — inherently serial (the CustomScan of Figure 5) *)
 }
@@ -77,3 +78,7 @@ val merge_row_weight : float
 val total_cpu_units : snapshot -> float
 (** Weighted sum of counters in abstract CPU units (used by the sim layer;
     weights documented in the implementation). *)
+
+(** [units_since t before] is [total_cpu_units (diff ~after:(read t) ~before)],
+    bit for bit, with no snapshot built. *)
+val units_since : t -> snapshot -> float

@@ -13,11 +13,11 @@ type node_demand = { cpu_s : float; io_s : float }
 
 let zero_demand = { cpu_s = 0.0; io_s = 0.0 }
 
+let demand ~spec ~cpu_units ~misses =
+  { cpu_s = cpu_units *. spec.cpu_unit; io_s = float_of_int misses /. spec.iops }
+
 let demand_of ~spec ~meter ~misses =
-  {
-    cpu_s = Engine.Meter.total_cpu_units meter *. spec.cpu_unit;
-    io_s = float_of_int misses /. spec.iops;
-  }
+  demand ~spec ~cpu_units:(Engine.Meter.total_cpu_units meter) ~misses
 
 let solo_elapsed ~spec ~parallelism demand =
   let p = float_of_int (max 1 (min parallelism spec.cores)) in

@@ -27,6 +27,10 @@ type node_demand = {
   io_s : float;  (** total disk-seconds (misses / iops) *)
 }
 
+(** The demand of [cpu_units] of metered work and [misses] page misses;
+    [demand_of] takes a meter's {!Engine.Meter.total_cpu_units}. *)
+val demand : spec:node_spec -> cpu_units:float -> misses:int -> node_demand
+
 val demand_of :
   spec:node_spec -> meter:Engine.Meter.snapshot -> misses:int -> node_demand
 

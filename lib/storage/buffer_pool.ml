@@ -78,6 +78,8 @@ let access t page =
 
 let stats t = { hits = t.hits; misses = t.misses; evictions = t.evictions }
 
+let misses t = t.misses
+
 let reset_stats t =
   t.hits <- 0;
   t.misses <- 0;

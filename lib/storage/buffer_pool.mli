@@ -27,6 +27,8 @@ val access : t -> page_id -> bool
 
 val stats : t -> stats
 
+val misses : t -> int  (** [(stats t).misses], with no record built *)
+
 val reset_stats : t -> unit
 
 (** Drop all cached pages (e.g. simulated restart). Stats are kept. *)

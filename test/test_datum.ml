@@ -135,6 +135,120 @@ let prop_json_string_roundtrip =
       let v = Json.Obj [ (s, Json.Arr [ Json.Str s ]) ] in
       Json.equal v (Json.parse (Json.to_string v)))
 
+(* [Json.to_string] and [Json.get_path] as they were before rendering
+   went into one buffer, kept as the reference the new render must
+   match byte for byte. *)
+let reference_escape buf s =
+  Buffer.add_char buf '"';
+  let from = ref 0 in
+  for i = 0 to String.length s - 1 do
+    let c = s.[i] in
+    if c = '"' || c = '\\' || Char.code c < 0x20 then begin
+      Buffer.add_substring buf s !from (i - !from);
+      from := i + 1;
+      Buffer.add_string buf
+        (match c with
+         | '"' -> "\\\""
+         | '\\' -> "\\\\"
+         | '\n' -> "\\n"
+         | '\r' -> "\\r"
+         | '\t' -> "\\t"
+         | c -> Printf.sprintf "\\u%04x" (Char.code c))
+    end
+  done;
+  Buffer.add_substring buf s !from (String.length s - !from);
+  Buffer.add_char buf '"'
+
+let reference_to_string v =
+  let buf = Buffer.create 64 in
+  let rec emit = function
+    | Json.Null -> Buffer.add_string buf "null"
+    | Json.Bool true -> Buffer.add_string buf "true"
+    | Json.Bool false -> Buffer.add_string buf "false"
+    | Json.Num f ->
+      Buffer.add_string buf
+        (if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+         else Printf.sprintf "%g" f)
+    | Json.Str s -> reference_escape buf s
+    | Json.Arr items ->
+      Buffer.add_char buf '[';
+      List.iteri (fun i x -> if i > 0 then Buffer.add_char buf ','; emit x) items;
+      Buffer.add_char buf ']'
+    | Json.Obj fields ->
+      Buffer.add_char buf '{';
+      List.iteri
+        (fun i (k, x) ->
+          if i > 0 then Buffer.add_char buf ',';
+          reference_escape buf k;
+          Buffer.add_char buf ':';
+          emit x)
+        fields;
+      Buffer.add_char buf '}'
+  in
+  emit v;
+  Buffer.contents buf
+
+let rec reference_get_path j path =
+  match path, j with
+  | [], _ -> Some j
+  | "*" :: rest, Json.Arr items ->
+    Some (Json.Arr (List.filter_map (fun item -> reference_get_path item rest) items))
+  | "*" :: _, _ -> None
+  | step :: rest, Json.Arr items ->
+    (match int_of_string_opt step with
+     | Some i when i >= 0 -> Option.bind (List.nth_opt items i) (fun c -> reference_get_path c rest)
+     | _ -> None)
+  | step :: rest, Json.Obj fields ->
+    Option.bind (List.assoc_opt step fields) (fun c -> reference_get_path c rest)
+  | _ :: _, _ -> None
+
+(* Strings with control characters, quotes, backslashes and bytes from
+   0x7f up, long enough to put escapes at every place in an 8-byte word;
+   keys from a small set, so that paths find them. *)
+let json_gen =
+  let open QCheck2.Gen in
+  let str =
+    string_size
+      ~gen:
+        (frequency
+           [ (6, printable); (1, char_range '\000' '\031');
+             (1, oneofl [ '"'; '\\'; '\x7f'; '\xc3'; '\xa9'; '\xff' ]) ])
+      (int_range 0 40)
+  in
+  let num =
+    oneof
+      [ map float_of_int (int_range (-1000) 1000); float_range (-1e6) 1e6;
+        oneofl [ 0.; -0.; 0.5; 1e15; -1e15; 1e16; 1e300; 1.5e-7; infinity; nan ] ]
+  in
+  let key = oneofl [ "a"; "b"; "0"; "1"; "message" ] in
+  sized
+  @@ fix (fun self n ->
+         let leaf =
+           oneof
+             [ return Json.Null; map (fun b -> Json.Bool b) bool;
+               map (fun f -> Json.Num f) num; map (fun s -> Json.Str s) str ]
+         in
+         if n <= 1 then leaf
+         else
+           frequency
+             [ (2, leaf);
+               (1, map (fun l -> Json.Arr l) (list_size (int_range 0 4) (self (n / 3))));
+               (1, map (fun l -> Json.Obj l) (list_size (int_range 0 4) (pair (oneof [ key; str ]) (self (n / 3))))) ])
+
+let prop_render_matches_reference =
+  QCheck2.Test.make ~name:"json render is byte-identical to the reference" ~count:2000
+    ~print:reference_to_string json_gen (fun v -> String.equal (Json.to_string v) (reference_to_string v))
+
+let prop_path_matches_reference =
+  let open QCheck2.Gen in
+  QCheck2.Test.make ~name:"get_path renders as the reference path's value" ~count:3000
+    ~print:(fun (v, path) -> reference_to_string v ^ " @ " ^ String.concat "." path)
+    (pair json_gen (list_size (int_range 0 4) (oneofl [ "a"; "b"; "0"; "1"; "*"; "message" ])))
+    (fun (v, path) ->
+      Option.equal String.equal
+        (Option.map Json.to_string (Json.get_path v path))
+        (Option.map reference_to_string (reference_get_path v path)))
+
 let prop_literal_roundtrip =
   QCheck2.Test.make ~name:"text literal quoting is reversible" ~count:500
     QCheck2.Gen.(string_size ~gen:printable (int_range 0 30))
@@ -257,6 +371,8 @@ let () =
             prop_compare_total;
             prop_literal_roundtrip;
             prop_json_string_roundtrip;
+            prop_render_matches_reference;
+            prop_path_matches_reference;
             prop_hash_equal_consistent;
             prop_hash_matches_reference;
           ]

@@ -332,6 +332,50 @@ let test_btree_index_used () =
     (d.Meter.rows_scanned < 10);
   Alcotest.(check bool) "probed" true (d.Meter.index_probes >= 1)
 
+(* The weighted total as the meter priced it before [units_since]: the
+   reference both prices must match bit for bit, since the fold order
+   of the products decides the float that [model_ops_per_s] reads. *)
+let reference_cpu_units (s : Meter.snapshot) =
+  (0.15 *. float_of_int s.rows_scanned)
+  +. (1.0 *. float_of_int s.rows_written)
+  +. (0.25 *. float_of_int s.index_probes)
+  +. (0.5 *. float_of_int s.index_updates)
+  +. (0.1 *. float_of_int s.rows_sorted)
+  +. (0.15 *. float_of_int s.rows_aggregated)
+  +. (20.0 *. float_of_int s.statements)
+  +. (2.0 *. float_of_int s.light_statements)
+  +. (3.0 *. float_of_int s.routed_statements)
+  +. (1.0 *. float_of_int s.bound_executes)
+  +. (5.0 *. float_of_int s.twopc_statements)
+  +. (1.5 *. float_of_int s.copy_rows)
+  +. (Meter.merge_row_weight *. float_of_int s.merge_rows)
+
+let test_units_since_is_total_of_diff () =
+  let rng = Random.State.make [| 7 |] in
+  let m = Meter.create () in
+  let adds =
+    [ Meter.add_scanned m; Meter.add_written m; Meter.add_probe m; Meter.add_index_update m;
+      Meter.add_sorted m; Meter.add_aggregated m; (fun _ -> Meter.add_statement m);
+      (fun _ -> Meter.add_light_statement m); (fun _ -> Meter.add_routed_statement m);
+      (fun _ -> Meter.add_bound_execute m); (fun _ -> Meter.add_twopc_statement m);
+      Meter.add_copy_rows m; Meter.add_merge_rows m ]
+  in
+  for i = 1 to 300 do
+    let before = Meter.read m in
+    List.iter
+      (fun add ->
+        (* small and large counts, so that a sum in another order rounds apart *)
+        let bound = if Random.State.bool rng then 7 else 1 lsl 29 in
+        for _ = 1 to Random.State.int rng 3 do add (Random.State.int rng bound) done)
+      adds;
+    let d = Meter.diff ~after:(Meter.read m) ~before in
+    let bits = Int64.bits_of_float in
+    Alcotest.(check int64) (Printf.sprintf "since, round %d" i) (bits (reference_cpu_units d))
+      (bits (Meter.units_since m before));
+    Alcotest.(check int64) (Printf.sprintf "total, round %d" i) (bits (reference_cpu_units d))
+      (bits (Meter.total_cpu_units d))
+  done
+
 let test_secondary_index () =
   let inst, s = fresh () in
   ignore (exec s "CREATE TABLE t (a bigint, b bigint)");
@@ -506,6 +550,32 @@ let test_jsonb_path_const_matches_column () =
     Alcotest.(check string) "missing" "[]" (Datum.to_display a2);
     Alcotest.(check string) "second element" "[8]" (Datum.to_display b3)
   | _ -> Alcotest.fail "expected three rows"
+
+(* A [$k] path is split once per execution: each EXECUTE reads its own
+   path, and the results equal the constant path's, row for row. *)
+let test_jsonb_path_param_per_execution () =
+  let _, s = fresh () in
+  ignore (exec s "CREATE TABLE docs (id bigint, data jsonb)");
+  ignore
+    (exec s
+       {|INSERT INTO docs VALUES (1, '{"a": {"0": "key"}, "b": [1, 2]}'),
+         (2, '{"b": [{"x": 5}, {"x": 6}]}'), (3, '{"b": [7, 8]}'), (4, NULL)|});
+  ignore
+    (exec s "PREPARE q AS SELECT jsonb_path_query_array(data, $1)::text, \
+             jsonb_path_query_array(data, $1) FROM docs ORDER BY id");
+  List.iter
+    (fun path ->
+      let text = List.map (Array.map Datum.to_display) in
+      Alcotest.(check (list (array string)))
+        path
+        (text
+           (rows s
+              (Printf.sprintf
+                 "SELECT jsonb_path_query_array(data, '%s')::text, \
+                  jsonb_path_query_array(data, '%s') FROM docs ORDER BY id"
+                 path path)))
+        (text (rows s (Printf.sprintf "EXECUTE q('%s')" path))))
+    [ "$.b[*].x"; "$.a.0"; "$.b[1]"; "$.b"; "$.b[*].x" ]
 
 (* --- transactions --- *)
 
@@ -854,6 +924,7 @@ let () =
         [
           Alcotest.test_case "pk btree used" `Quick test_btree_index_used;
           Alcotest.test_case "secondary" `Quick test_secondary_index;
+          Alcotest.test_case "meter units since" `Quick test_units_since_is_total_of_diff;
           Alcotest.test_case "gin ilike" `Quick test_gin_index_query;
           Alcotest.test_case "gin multi-segment like" `Quick test_gin_multi_segment_like;
           Alcotest.test_case "gin pending rows found" `Quick test_gin_pending_rows_found;
@@ -867,6 +938,7 @@ let () =
           Alcotest.test_case "path/array" `Quick test_jsonb_path_and_array_length;
           Alcotest.test_case "const path = column path" `Quick
             test_jsonb_path_const_matches_column;
+          Alcotest.test_case "jsonb path as $k" `Quick test_jsonb_path_param_per_execution;
         ] );
       ( "transactions",
         [

@@ -255,6 +255,84 @@ let prop_like_matches_reference =
              = Datum.Bool (expect <> negated))
            [ (true, false); (true, true); (false, false); (false, true) ])
 
+(* The two-pointer matcher the segment matcher replaced, kept as the
+   reference: on a mismatch it backtracks to the last [%] and lets it
+   absorb one more byte. *)
+let like_two_pointer ~ci pattern s =
+  let p = if ci then String.lowercase_ascii pattern else pattern in
+  let np = String.length p and ns = String.length s in
+  let fold c = if ci then Char.lowercase_ascii c else c in
+  let rec only_pct pi = pi >= np || (p.[pi] = '%' && only_pct (pi + 1)) in
+  let rec go pi si star_pi star_si =
+    if si < ns then
+      if pi < np && p.[pi] = '%' then go (pi + 1) si pi si
+      else if pi < np && (p.[pi] = '_' || p.[pi] = fold s.[si]) then
+        go (pi + 1) (si + 1) star_pi star_si
+      else if star_pi >= 0 then go (star_pi + 1) (star_si + 1) star_pi (star_si + 1)
+      else false
+    else only_pct pi
+  in
+  go 0 0 (-1) 0
+
+(* Texts over both cases and bytes from 0x80 up (which do not fold);
+   patterns drawn at random, or cut from the text so that most match:
+   bytes kept, case-flipped, turned into [_] or [%], or with a [%] or
+   [%%] put before them. *)
+let prop_like_matches_two_pointer =
+  let open QCheck2.Gen in
+  let byte = oneofl [ 'a'; 'b'; 'A'; 'B'; 'o'; '\xc3'; '\xa9'; '\xc9'; '\xe9' ] in
+  let text = string_size ~gen:byte (int_range 0 24) in
+  let random_pattern =
+    string_size ~gen:(frequency [ (4, byte); (2, return '%'); (1, return '_') ]) (int_range 0 12)
+  in
+  let cut s =
+    map
+      (fun ops ->
+        String.concat ""
+          (List.mapi
+             (fun i op ->
+               let c = String.make 1 s.[i] in
+               match op with
+               | 0 -> "_"
+               | 1 -> "%"
+               | 2 -> "%" ^ c
+               | 3 -> "%%" ^ c
+               | 4 -> String.uppercase_ascii c
+               | _ -> c)
+             ops))
+      (list_repeat (String.length s) (int_range 0 9))
+  in
+  QCheck2.Test.make ~name:"segment LIKE agrees with the two-pointer matcher" ~count:5000
+    ~print:(fun (p, s, ci) -> Printf.sprintf "pattern %S text %S ci %b" p s ci)
+    (text >>= fun s ->
+     triple (oneof [ random_pattern; cut s; map (fun p -> "%" ^ p ^ "%") (cut s) ]) (return s) bool)
+    (fun (pattern, s, ci) ->
+      Bool.equal (Expr_eval.like_match ~pattern ~ci s) (like_two_pointer ~ci pattern s))
+
+(* A [$k] pattern's matcher is built once per execution (an execution
+   is its params array here): each execution matches its own pattern. *)
+let test_like_param_per_execution () =
+  let open Sqlfront.Ast in
+  let rng = Random.State.make [| 0 |] in
+  let rt =
+    { Expr_eval.x_params = Fun.id; x_now = (fun _ -> 0.); x_rng = (fun _ -> rng);
+      x_subquery = (fun _ _ -> []) }
+  in
+  let like =
+    Expr_eval.compile [ { Expr_eval.rq = None; rname = "s" } ] rt
+      (Like { subject = Column (None, "s"); pattern = Param 1; ci = true; negated = false })
+  in
+  let check execution expect =
+    List.iter2
+      (fun text want ->
+        Alcotest.(check string) text want (Datum.to_display (like execution [| Datum.Text text |])))
+      [ "xPGx"; "abc"; "ABC" ] expect
+  in
+  check [| Datum.Text "%pg%" |] [ "t"; "f"; "f" ];
+  check [| Datum.Text "a_c" |] [ "f"; "t"; "t" ];
+  check [| Datum.Null |] [ ""; ""; "" ];
+  check [| Datum.Text "%PG%" |] [ "t"; "f"; "f" ]
+
 let test_like_null_subject () =
   List.iter
     (fun (const, negated) ->
@@ -610,6 +688,37 @@ let test_plan_built_once () =
   Alcotest.(check int) "one plan built" 1 (after.builds - before.builds);
   Alcotest.(check int) "1,000 runs" 1000 (after.runs - before.runs)
 
+(* A statement no generic plan serves (a [$k] in a grouped select's
+   output, a [$k] LIKE pattern) keeps the plan it bound while the values
+   stay the same, the same constructor and value: [0.] and [-0.] print
+   apart, as do [1] and [1.], so each change plans again. *)
+let test_bound_plan_kept_per_values () =
+  let inst, s = plan_table () in
+  let runs =
+    [ ("grouped", [ Datum.Float 0. ], "0"); ("grouped", [ Datum.Float 0. ], "0");
+      ("grouped", [ Datum.Float (-0.) ], "-0"); ("half", [ Datum.Int 1 ], "0");
+      ("half", [ Datum.Float 1. ], "0.5"); ("grouped", [ Datum.Text "a" ], "a");
+      ("grouped", [ Datum.Text "a" ], "a"); ("like", [ Datum.Text "w1%" ], "8");
+      ("like", [ Datum.Text "w1%" ], "8"); ("like", [ Datum.Text "W%" ], "0");
+      ("like", [ Datum.Text "w%" ], "40") ]
+  in
+  let text = function
+    | "grouped" -> "SELECT $1, count(*) FROM t"
+    | "half" -> "SELECT $1 / 2, count(*) FROM t"
+    | _ -> "SELECT count(*) FROM t WHERE w LIKE $1"
+  in
+  let before = Instance.plan_stats inst in
+  List.iteri
+    (fun i (name, values, want) ->
+      let parse = not (List.exists (fun (n, _, _) -> n = name) (List.filteri (fun j _ -> j < i) runs)) in
+      match (bound s ~parse name (text name) values).Instance.rows with
+      | [ [| v; _ |] ] | [ [| v |] ] -> Alcotest.(check string) (Printf.sprintf "run %d" i) want (Datum.to_display v)
+      | _ -> Alcotest.fail "one row expected")
+    runs;
+  let after = Instance.plan_stats inst in
+  Alcotest.(check int) "runs" 11 (after.runs - before.runs);
+  Alcotest.(check int) "runs that planned" 8 (after.planned_runs - before.planned_runs)
+
 (* DDL between two executions rebuilds the plan: the new index is used,
    the new column is read, the re-created table is the one scanned. *)
 let test_plan_rebuilt_by_ddl () =
@@ -842,7 +951,9 @@ let () =
           Alcotest.test_case "coalesce/nullif" `Quick test_coalesce_nullif;
           Alcotest.test_case "like corners" `Quick test_like_corner_cases;
           QCheck_alcotest.to_alcotest prop_like_matches_reference;
+          QCheck_alcotest.to_alcotest prop_like_matches_two_pointer;
           Alcotest.test_case "like null subject" `Quick test_like_null_subject;
+          Alcotest.test_case "like $k per execution" `Quick test_like_param_per_execution;
           Alcotest.test_case "between inclusive" `Quick test_between_inclusive;
           Alcotest.test_case "offset beyond rows" `Quick test_offset_beyond_rows;
           Alcotest.test_case "multi-key order" `Quick test_multi_key_ordering;
@@ -882,6 +993,7 @@ let () =
         [
           Alcotest.test_case "subquery parameter" `Quick test_subquery_parameter;
           Alcotest.test_case "built once" `Quick test_plan_built_once;
+          Alcotest.test_case "bound plan kept per values" `Quick test_bound_plan_kept_per_values;
           Alcotest.test_case "template built once" `Quick test_template_plan_built_once;
           Alcotest.test_case "rebuilt by DDL" `Quick test_plan_rebuilt_by_ddl;
           Alcotest.test_case "reads the execution" `Quick test_plan_reads_execution;

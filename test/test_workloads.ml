@@ -164,6 +164,39 @@ let test_gharchive_load_and_dashboard () =
       Alcotest.(check bool) "identical rows" true (a = b))
     rows_pg rows_cz
 
+(* The dashboard's shard statements lift its ILIKE pattern to a [$k],
+   which no generic plan serves. Each worker binds and plans a shard
+   statement at its first kept run and reuses that plan while the values
+   stay the same: 100 dashboards on 4 shards plan 4 times. *)
+let test_gharchive_dashboard_plans_once () =
+  let cfg =
+    { Workloads.Gharchive.events = 120; days = 4; commits_per_event = 2;
+      postgres_fraction = 0.3 }
+  in
+  let cz = Workloads.Db.citus ~workers:2 ~shard_count:4 () in
+  Workloads.Gharchive.setup_schema cz;
+  ignore (Workloads.Gharchive.load cz cfg);
+  let workers = cz.Workloads.Db.cluster.Cluster.Topology.workers in
+  let stats () =
+    List.fold_left
+      (fun (b, r, p) (w : Cluster.Topology.node) ->
+        let st = Engine.Instance.template_plan_stats w.Cluster.Topology.instance in
+        Engine.Executor.(b + st.builds, r + st.runs, p + st.planned_runs))
+      (0, 0, 0) workers
+  in
+  let run () = (Workloads.Db.exec cz Workloads.Gharchive.dashboard_query).Engine.Instance.rows in
+  let b0, r0, p0 = stats () in
+  let first = run () in
+  Alcotest.(check bool) "dashboard finds events" true (first <> []);
+  for _ = 2 to 100 do
+    if run () <> first then Alcotest.fail "a dashboard's rows changed"
+  done;
+  let b1, r1, p1 = stats () in
+  (* a text is parsed at its first two sightings, a template from the third *)
+  Alcotest.(check int) "kept runs" (98 * 4) (r1 - r0);
+  Alcotest.(check int) "one plan kept per shard statement" 4 (b1 - b0);
+  Alcotest.(check int) "one bound plan per shard statement" 4 (p1 - p0)
+
 let test_gharchive_transformation () =
   let cfg =
     { Workloads.Gharchive.events = 100; days = 3; commits_per_event = 2;
@@ -283,6 +316,8 @@ let () =
           Alcotest.test_case "load + dashboard" `Quick
             test_gharchive_load_and_dashboard;
           Alcotest.test_case "transformation" `Quick test_gharchive_transformation;
+          Alcotest.test_case "dashboard plans once per shard" `Quick
+            test_gharchive_dashboard_plans_once;
         ] );
       ( "pgbench",
         [

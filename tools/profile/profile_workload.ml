@@ -120,20 +120,21 @@ let () =
   (* statement-cache and kept-plan counts summed over every node (kept
      plans also on the coordinator alone), taken around the loop *)
   let cluster = db.Workloads.Db.cluster in
-  let sum ?(nodes = Cluster.Topology.all_nodes cluster) f =
+  let sum ?(nodes = Cluster.Topology.all_nodes cluster) init f =
     List.fold_left
       (fun acc (node : Cluster.Topology.node) -> f acc node.Cluster.Topology.instance)
-      (0, 0, 0) nodes
+      init nodes
   in
   let cache_stats () =
-    sum (fun (h, m, u) inst ->
+    sum (0, 0, 0) (fun (h, m, u) inst ->
         let st = Sqlfront.Stmt_cache.stats (Engine.Instance.stmt_cache inst) in
         Sqlfront.Stmt_cache.(h + st.hits, m + st.misses, u + st.uncacheable))
   in
   let plan_stats of_inst ?nodes () =
-    sum ?nodes (fun (b, r, i) inst ->
+    sum ?nodes (0, 0, 0, 0) (fun (b, r, p, i) inst ->
         let st = of_inst inst in
-        Engine.Executor.(b + st.builds, r + st.runs, i + st.invalidations))
+        Engine.Executor.
+          (b + st.builds, r + st.runs, p + st.planned_runs, i + st.invalidations))
   in
   let kept = plan_stats Engine.Instance.plan_stats
   and templates = plan_stats Engine.Instance.template_plan_stats
@@ -167,14 +168,15 @@ let () =
   let h1, m1, u1 = cache_stats () in
   Printf.printf "statement cache: %d hits, %d misses, %d uncacheable skeletons\n"
     (h1 - h0) (m1 - m0) (u1 - u0);
-  let delta (b1, r1, i1) (b0, r0, i0) =
-    Printf.sprintf "%d builds, %d runs, %d invalidations" (b1 - b0) (r1 - r0) (i1 - i0)
+  let delta (b1, r1, p1, i1) (b0, r0, p0, i0) =
+    Printf.sprintf "%d builds, %d runs (%d planned), %d invalidations" (b1 - b0)
+      (r1 - r0) (p1 - p0) (i1 - i0)
   in
   Printf.printf "kept plans: %s; on the coordinator: %s\n" (delta (kept ()) k0)
     (delta (kept ~nodes:coordinator ()) kc0);
   (* a hit that no UDF or hook claims is a data statement run from its
      template's kept plan: one template run each *)
-  let ((_, tr1, _) as t1) = templates () and (_, tr0, _) = tp0 in
+  let ((_, tr1, _, _) as t1) = templates () and (_, tr0, _, _) = tp0 in
   Printf.printf
     "template kept plans: %s; on the coordinator: %s; unclaimed data statements: %.1f%% \
      of hits\n"
